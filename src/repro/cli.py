@@ -302,9 +302,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         graph = result.graph
         print(result.report())
         print()
-    gist = (GistConfig.lossless() if args.config == "lossless"
-            else GistConfig.for_network(args.model) if args.config == "network"
-            else GistConfig.full(args.config))
+    gist = _config_from_args(args)
     policy = HybridPolicy(strategy=args.strategy,
                           cost_budget_frac=args.budget, gist=gist)
     hybrid = build_hybrid_plan(graph, policy)
@@ -328,6 +326,22 @@ def cmd_plan(args: argparse.Namespace) -> int:
               f"{policy.describe()}, budget {policy.cost_budget_frac:.0%} "
               f"of step",
     ))
+    # The planner sizes SSDC against modelled sparsity; the runtime's
+    # GistPolicy applies the bare class rule.  Name where they disagree.
+    from repro.core import build_gist_plan
+    from repro.graph.liveness import _runtime_needs_stash
+    from repro.train import GistPolicy
+
+    planned = build_gist_plan(graph, gist).decisions
+    runtime_only = [
+        graph.node(nid).name
+        for nid in GistPolicy(graph, gist).encodings
+        if nid not in planned and _runtime_needs_stash(graph, graph.node(nid))
+    ]
+    if runtime_only:
+        print(f"note: below the modelled SSDC breakeven, so planned as FP32 "
+              f"but still SSDC-encoded by GistPolicy at run time: "
+              f"{', '.join(runtime_only)}")
     print(f"\nbaseline allocated: {hybrid.baseline_allocated_bytes / MiB:8.2f}"
           f" MiB")
     print(f"plan allocated:     {hybrid.allocated_bytes / MiB:8.2f} MiB "

@@ -4,72 +4,68 @@ Given a training graph and a :class:`~repro.core.policy.GistConfig`, this
 pass:
 
 1. classifies every stashed feature map (ReLU-Pool / ReLU-Conv / Other);
-2. selects the encoding Table I assigns to each class;
-3. rewrites the liveness table — the FP32 feature map now dies at its last
-   *forward* use, a compact encoded tensor spans the forward-backward gap,
-   and (for SSDC/DPR) a decoded FP32 staging buffer lives only across the
-   backward uses;
-4. rewrites every max-pool to stash a 4-bit Y-to-X argmax map instead of
-   its input and output maps (part of the Binarize technique);
-5. merges inplace-eligible feature-map pairs.
+2. selects the encoding Table I assigns to each class and sizes it
+   (:func:`_encoding_for` + :func:`_gist_option` — the *Table-I
+   selector*), emitting one
+   :class:`~repro.memory.hybrid.PlanDecision` per encoded map;
+3. hands that decision table to
+   :func:`repro.memory.hybrid.apply_decisions`, the repo's one liveness
+   rewrite — the FP32 feature map now dies at its last *forward* use, a
+   compact encoded tensor spans the forward-backward gap, (for SSDC/DPR)
+   a decoded FP32 staging buffer lives only across the backward uses,
+   and every max-pool stashes a 4-bit Y-to-X argmax map instead of its
+   input and output maps (part of the Binarize technique);
+4. merges inplace-eligible feature-map pairs.
 
 The rewritten plan feeds the same CNTK-style allocator as the baseline —
 which is the paper's central mechanism: encodings shorten FP32 lifetimes,
 the allocator turns shortened lifetimes into shared memory.
+
+The selector is unbudgeted and touches neither the allocator nor the
+swap simulator, so a Gist plan stays an order of magnitude cheaper to
+build than a priced hybrid plan (:func:`repro.memory.hybrid.
+build_hybrid_plan`, which reuses steps 2-3 as its gist lever).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.sparsity import DEFAULT_SPARSITY_MODEL, SparsityModel
 from repro.core.analysis import (
-    STASH_OTHER,
     STASH_RELU_CONV,
     STASH_RELU_POOL,
-    StashInfo,
     classify_all_stashes,
 )
 from repro.core.policy import GistConfig
-from repro.dtypes import BIT1, DPR_FORMATS, UINT8
+from repro.dtypes import BIT1, DPR_FORMATS
 from repro.encodings.inplace import inplace_eligible_edges
 from repro.encodings.ssdc import csr_bytes
 from repro.graph.graph import Graph
 from repro.graph.liveness import (
-    LiveTensor,
-    ROLE_DECODED,
     ROLE_ENCODED,
     ROLE_FEATURE_MAP,
+    _feature_map_uses,
 )
 from repro.graph.node import OpNode
 from repro.graph.schedule import TrainingSchedule
+from repro.memory.hybrid import CHOICE_GIST, PlanDecision, apply_decisions
 from repro.memory.planner import (
     CLASS_ENCODED,
     CLASS_STASHED,
     MemoryPlan,
     build_memory_plan,
 )
-from repro.tensor.categories import TensorCategory
-from repro.tensor.spec import TensorSpec
 
 ENC_BINARIZE = "binarize"
 ENC_SSDC = "ssdc"
 ENC_DPR = "dpr"
 
 
-@dataclass(frozen=True)
-class EncodingDecision:
-    """What the Schedule Builder decided for one stashed feature map."""
-
-    node_id: int
-    node_name: str
-    stash_class: str
-    encoding: Optional[str]
-    fp32_bytes: int
-    encoded_bytes: int
-    decoded_bytes: int
-    sparsity: Optional[float] = None
+#: The Schedule Builder's historical name for the one decision record.
+EncodingDecision = PlanDecision
 
 
 @dataclass
@@ -80,7 +76,7 @@ class GistPlan:
     schedule: TrainingSchedule
     plan: MemoryPlan
     config: GistConfig
-    decisions: Dict[int, EncodingDecision] = field(default_factory=dict)
+    decisions: Dict[int, PlanDecision] = field(default_factory=dict)
     rewritten_pools: Tuple[int, ...] = ()
 
     def raw_region_bytes(self) -> Dict[str, int]:
@@ -133,40 +129,102 @@ def _encoding_for(stash_class: str, config: GistConfig) -> Optional[str]:
     return None
 
 
-def _effective_needs(node: OpNode, pools_rewritten: bool) -> Tuple[bool, bool]:
-    """(needs_input, needs_output) after the max-pool argmax rewrite."""
-    needs_in = node.layer.backward_needs_input
-    needs_out = node.layer.backward_needs_output
-    if pools_rewritten and getattr(node.layer, "supports_argmax_map", False):
-        return False, False
-    return needs_in, needs_out
+def _effective_needs(flag: str, pools_rewritten: bool):
+    """Predicate: a node's declared ``flag`` dependence after the
+    max-pool argmax rewrite (a rewritten pool reads neither X nor Y)."""
+    def needs(node: OpNode) -> bool:
+        if pools_rewritten and getattr(node.layer, "supports_argmax_map",
+                                       False):
+            return False
+        return getattr(node.layer, flag)
+    return needs
 
 
-def _feature_map_uses(
-    graph: Graph,
-    schedule: TrainingSchedule,
-    node_id: int,
-    pools_rewritten: bool,
-) -> Tuple[int, Optional[int], Optional[int]]:
-    """(last forward use, first backward use, last backward use)."""
-    node = graph.node(node_id)
-    last_fwd = schedule.forward_time(node_id)
-    for consumer in graph.consumers(node_id):
-        last_fwd = max(last_fwd, schedule.forward_time(consumer.node_id))
-    bwd: List[int] = []
-    _, self_needs_out = _effective_needs(node, pools_rewritten)
-    if self_needs_out and schedule.has_backward(node_id):
-        bwd.append(schedule.backward_time(node_id))
-    for consumer in graph.consumers(node_id):
-        needs_in, _ = _effective_needs(consumer, pools_rewritten)
-        if needs_in and schedule.has_backward(consumer.node_id):
-            bwd.append(schedule.backward_time(consumer.node_id))
-    if node_id == graph.output_id and schedule.has_backward(node_id):
+def feature_map_uses(
+    graph: Graph, schedule: TrainingSchedule, config: GistConfig
+) -> Dict[int, Tuple[int, Optional[int], Optional[int]]]:
+    """``{node_id: (last forward, first backward, last backward use)}``
+    of every feature map under ``config``'s pool argmax rewrite."""
+    needs_input = _effective_needs("backward_needs_input", config.binarize)
+    needs_output = _effective_needs("backward_needs_output", config.binarize)
+    uses = {
+        node.node_id: _feature_map_uses(graph, schedule, node.node_id,
+                                        needs_input, needs_output)
+        for node in graph.nodes
+    }
+    out = graph.output_id
+    if schedule.has_backward(out):
         # The loss output seeds the backward pass.
-        bwd.append(schedule.backward_time(node_id))
-    if not bwd:
-        return last_fwd, None, None
-    return last_fwd, min(bwd), max(bwd)
+        seed = schedule.backward_time(out)
+        last_fwd, first_bwd, last_bwd = uses[out]
+        uses[out] = (
+            last_fwd,
+            seed if first_bwd is None else min(first_bwd, seed),
+            seed if last_bwd is None else max(last_bwd, seed),
+        )
+    return uses
+
+
+def _gist_option(graph: Graph, node: OpNode, stash_class: str,
+                 config: GistConfig, sparsity_model: SparsityModel,
+                 cost) -> Optional[PlanDecision]:
+    """Size and price the Table-I encoding of one stashed map.
+
+    Returns ``None`` when the class has no enabled technique, or SSDC
+    would expand the map and there is no lossy fallback.
+    """
+    encoding = _encoding_for(stash_class, config)
+    if encoding is None:
+        return None
+    num_elements = math.prod(node.output_shape)
+    fp32_bytes = 4 * num_elements
+    dpr_dtype = DPR_FORMATS[config.dpr_format]
+    sparsity: Optional[float] = None
+    if encoding == ENC_BINARIZE:
+        enc_bytes = BIT1.size_bytes(num_elements)
+        decoded_bytes = 0  # ReLU backward reads the mask directly.
+        lossless = True
+    else:
+        if encoding == ENC_SSDC:
+            sparsity = sparsity_model.sparsity(graph, node.node_id)
+            value_bits = (
+                dpr_dtype.bits
+                if (config.dpr and config.dpr_over_ssdc)
+                else 32
+            )
+            enc_bytes = csr_bytes(num_elements, sparsity, config.ssdc_cols,
+                                  value_bits)
+            if enc_bytes >= fp32_bytes:
+                # Below the compression breakeven (paper: ~20% sparsity
+                # with narrow indices) CSR would expand the stash; fall
+                # back to DPR when lossy is on, else leave it untouched.
+                if not config.dpr:
+                    return None
+                encoding = ENC_DPR
+                sparsity = None
+        if encoding == ENC_DPR:
+            enc_bytes = dpr_dtype.size_bytes(num_elements)
+        decoded_bytes = 0 if config.optimized_software else fp32_bytes
+        lossless = encoding == ENC_SSDC and not (
+            config.dpr and config.dpr_over_ssdc)
+    # Codec cost: one bandwidth pass to encode (read FP32, write encoded)
+    # and, where a staging buffer exists, one to decode.
+    cost_s = cost.copy_time(fp32_bytes + enc_bytes)
+    if decoded_bytes:
+        cost_s += cost.copy_time(enc_bytes + decoded_bytes)
+    return PlanDecision(
+        node_id=node.node_id,
+        node_name=node.name,
+        stash_class=stash_class,
+        choice=CHOICE_GIST,
+        encoding=encoding,
+        fp32_bytes=fp32_bytes,
+        resident_bytes=enc_bytes,
+        cost_s=cost_s,
+        lossless=lossless,
+        sparsity=sparsity,
+        decoded_bytes=decoded_bytes,
+    )
 
 
 def build_gist_plan(
@@ -190,10 +248,26 @@ def build_gist_plan(
         include_weights: Carry weights/weight-grads in the plan.
         include_workspace: Carry per-op workspace in the plan.
     """
+    from repro.perf.cost import CostModel  # local: core<->perf cycle
+
     config = config or GistConfig()
     sparsity_model = sparsity_model or DEFAULT_SPARSITY_MODEL
     if schedule is None:
         schedule = TrainingSchedule(graph)
+    cost = CostModel()
+
+    # Table-I selector: every stashed map gets its class's encoding,
+    # with no budget (a map is only skipped when it is not stashed under
+    # the pool rewrite, or stashed through a schedule artifact alone).
+    uses = feature_map_uses(graph, schedule, config)
+    decisions: Dict[int, PlanDecision] = {}
+    for nid, info in classify_all_stashes(graph, schedule).items():
+        if uses[nid][1] is None:
+            continue
+        option = _gist_option(graph, graph.node(nid), info.stash_class,
+                              config, sparsity_model, cost)
+        if option is not None:
+            decisions[nid] = option
 
     plan = build_memory_plan(
         graph,
@@ -201,133 +275,13 @@ def build_gist_plan(
         include_weights=include_weights,
         include_workspace=include_workspace,
     )
-    pools_rewritten = config.binarize
-    stash_infos = classify_all_stashes(graph, schedule)
-    dpr_dtype = DPR_FORMATS[config.dpr_format]
-
-    fm_by_node: Dict[int, LiveTensor] = {
-        t.node_id: t for t in plan.tensors if t.role == ROLE_FEATURE_MAP
-    }
-    new_tensors: List[LiveTensor] = []
-    decisions: Dict[int, EncodingDecision] = {}
-
-    for node in graph.nodes:
-        nid = node.node_id
-        fm = fm_by_node[nid]
-        last_fwd, first_bwd, last_bwd = _feature_map_uses(
-            graph, schedule, nid, pools_rewritten
-        )
-        if first_bwd is None:
-            # Not stashed under the effective needs (e.g. a pool's input
-            # once the argmax rewrite removed the pool's X dependence).
-            fm.death = last_fwd
-            continue
-
-        info: Optional[StashInfo] = stash_infos.get(nid)
-        if info is None:
-            # Stashed only through schedule artifacts (e.g. the loss output
-            # seeding the backward pass) — no real value consumer, nothing
-            # to encode.
-            fm.death = max(last_fwd, last_bwd)
-            continue
-        stash_class = info.stash_class
-        encoding = _encoding_for(stash_class, config)
-        if encoding is None:
-            fm.death = max(last_fwd, last_bwd)
-            continue
-
-        # The FP32 map is relinquished right after its last forward use.
-        fm.death = last_fwd
-        sparsity: Optional[float] = None
-        if encoding == ENC_BINARIZE:
-            enc_spec = TensorSpec(f"{node.name}.out.enc", node.output_shape,
-                                  BIT1, TensorCategory.ENCODED)
-            decoded_bytes = 0  # ReLU backward reads the mask directly.
-        elif encoding == ENC_SSDC:
-            sparsity = sparsity_model.sparsity(graph, nid)
-            value_bits = (
-                dpr_dtype.bits
-                if (config.dpr and config.dpr_over_ssdc)
-                else 32
-            )
-            nbytes = csr_bytes(fm.spec.num_elements, sparsity,
-                               config.ssdc_cols, value_bits)
-            if nbytes >= fm.spec.size_bytes:
-                # Below the compression breakeven (paper: ~20% sparsity
-                # with narrow indices) CSR would expand the stash; fall
-                # back to DPR when lossy is on, else leave it untouched.
-                if config.dpr:
-                    encoding = ENC_DPR
-                    sparsity = None
-                else:
-                    fm.death = max(last_fwd, last_bwd)
-                    continue
-        if encoding == ENC_SSDC:
-            enc_spec = TensorSpec(f"{node.name}.out.enc", (nbytes,), UINT8,
-                                  TensorCategory.ENCODED)
-            decoded_bytes = fm.spec.size_bytes
-        elif encoding == ENC_DPR:
-            enc_spec = TensorSpec(f"{node.name}.out.enc", node.output_shape,
-                                  dpr_dtype, TensorCategory.ENCODED)
-            decoded_bytes = fm.spec.size_bytes
-
-        new_tensors.append(
-            LiveTensor(enc_spec, birth=last_fwd, death=last_bwd,
-                       node_id=nid, role=ROLE_ENCODED)
-        )
-        if decoded_bytes and not config.optimized_software:
-            new_tensors.append(
-                LiveTensor(
-                    TensorSpec(f"{node.name}.out.dec", node.output_shape,
-                               fm.spec.dtype, TensorCategory.FEATURE_MAP),
-                    birth=first_bwd,
-                    death=last_bwd,
-                    node_id=nid,
-                    role=ROLE_DECODED,
-                )
-            )
-        decisions[nid] = EncodingDecision(
-            node_id=nid,
-            node_name=node.name,
-            stash_class=stash_class,
-            encoding=encoding,
-            fp32_bytes=fm.spec.size_bytes,
-            encoded_bytes=enc_spec.size_bytes,
-            decoded_bytes=0 if config.optimized_software else decoded_bytes,
-            sparsity=sparsity,
-        )
-
-    # Argmax maps for rewritten pools.
-    rewritten_pools: List[int] = []
-    if pools_rewritten:
-        for node in graph.nodes:
-            if not getattr(node.layer, "supports_argmax_map", False):
-                continue
-            if not schedule.has_backward(node.node_id):
-                continue
-            rewritten_pools.append(node.node_id)
-            if getattr(node.layer, "argmax_map_static", False):
-                # The layer already declares the map in saved_state_specs
-                # (pool-argmax graph rewrite); adding it again would
-                # double-count and collide on the tensor name.
-                continue
-            map_spec = node.layer.argmax_map_spec(node.output_shape)
-            new_tensors.append(
-                LiveTensor(
-                    TensorSpec(f"{node.name}.argmax", node.output_shape,
-                               map_spec.dtype, TensorCategory.ENCODED),
-                    birth=schedule.forward_time(node.node_id),
-                    death=schedule.backward_time(node.node_id),
-                    node_id=node.node_id,
-                    role=ROLE_ENCODED,
-                )
-            )
-
-    plan.tensors.extend(new_tensors)
+    rewritten_pools = apply_decisions(plan, uses, decisions, config)
 
     # Inplace merges: the consumer's buffer absorbs the producer's.
     if config.inplace:
-        merged: List[LiveTensor] = []
+        fm_by_node = {
+            t.node_id: t for t in plan.tensors if t.role == ROLE_FEATURE_MAP
+        }
         drop = set()
         for producer_id, consumer_id in inplace_eligible_edges(graph):
             producer_fm = fm_by_node[producer_id]
@@ -337,7 +291,6 @@ def build_gist_plan(
             consumer_fm.birth = min(consumer_fm.birth, producer_fm.birth)
             drop.add(producer_fm.spec.name)
         plan.tensors = [t for t in plan.tensors if t.spec.name not in drop]
-        del merged
 
     if investigation:
         for t in plan.tensors:
@@ -345,4 +298,4 @@ def build_gist_plan(
                 t.shareable = False
 
     return GistPlan(graph, schedule, plan, config, decisions,
-                    tuple(rewritten_pools))
+                    rewritten_pools)

@@ -29,15 +29,16 @@ import numpy as np
 
 from repro.diagnostics.digest import array_digest, step_digest
 from repro.graph.graph import Graph
-from repro.graph.node import OpNode
-from repro.graph.schedule import TrainingSchedule
 # The runtime stash-dependence resolvers are shared with the executor so
 # the liveness table here matches what the executor actually stashes.
-from repro.train.executor import (
-    GraphExecutor,
+from repro.graph.liveness import (
+    _feature_map_uses,
     _runtime_needs_input,
     _runtime_needs_output,
 )
+from repro.graph.node import OpNode
+from repro.graph.schedule import TrainingSchedule
+from repro.train.executor import GraphExecutor
 
 __all__ = ["InvariantSuite", "InvariantViolation", "verify_kernel_agreement"]
 
@@ -102,16 +103,13 @@ class InvariantSuite:
         """Last legitimate read time of each node's stash, runtime flags."""
         death: Dict[int, int] = {}
         for node in graph.nodes:
-            nid = node.node_id
-            last = schedule.forward_time(nid)
-            for consumer in graph.consumers(nid):
-                last = max(last, schedule.forward_time(consumer.node_id))
-                if (_runtime_needs_input(consumer)
-                        and schedule.has_backward(consumer.node_id)):
-                    last = max(last, schedule.backward_time(consumer.node_id))
-            if _runtime_needs_output(node) and schedule.has_backward(nid):
-                last = max(last, schedule.backward_time(nid))
-            death[nid] = last
+            last_fwd, _, last_bwd = _feature_map_uses(
+                graph, schedule, node.node_id,
+                _runtime_needs_input, _runtime_needs_output,
+            )
+            death[node.node_id] = (
+                last_fwd if last_bwd is None else max(last_fwd, last_bwd)
+            )
         return death
 
     # -- executor hooks -------------------------------------------------

@@ -76,31 +76,80 @@ class LiveTensor:
         return not (self.death < other.birth or other.death < self.birth)
 
 
-def feature_map_last_uses(
-    graph: Graph, schedule: TrainingSchedule, node_id: int
+def _runtime_needs_input(node) -> bool:
+    """Whether the *executor's* backward kernel reads the node's input.
+
+    Layers may override the declared (baseline-framework) dependence with
+    ``runtime_backward_needs_*``: a max-pool is charged for X and Y in the
+    memory model but its kernels replay the argmax map.  The executor,
+    the hybrid planner's recompute-source search and the runtime liveness
+    invariant all stash/judge by these flags.
+    """
+    override = getattr(node.layer, "runtime_backward_needs_input", None)
+    if override is not None:
+        return override
+    return node.layer.backward_needs_input
+
+
+def _runtime_needs_output(node) -> bool:
+    """Output-side twin of :func:`_runtime_needs_input`."""
+    override = getattr(node.layer, "runtime_backward_needs_output", None)
+    if override is not None:
+        return override
+    return node.layer.backward_needs_output
+
+
+def _runtime_needs_stash(graph: Graph, node) -> bool:
+    """Whether the executor stashes ``node``'s output for the backward pass."""
+    if _runtime_needs_output(node):
+        return True
+    return any(_runtime_needs_input(c) for c in graph.consumers(node.node_id))
+
+
+def _feature_map_uses(
+    graph: Graph, schedule: TrainingSchedule, node_id: int,
+    needs_input, needs_output,
 ) -> tuple:
-    """(last forward use, last backward use or None) for a node's output.
+    """(last forward, first backward, last backward use) of a node's output.
 
     The forward use set contains the producing op and every forward
-    consumer; the backward use set contains the producer's backward op (if
-    it declares ``backward_needs_output``) and each consumer's backward op
-    (if it declares ``backward_needs_input``).
+    consumer; the backward use set contains the producer's backward op
+    if ``needs_output(node)`` and each consumer's backward op if
+    ``needs_input(consumer)`` — the two predicates are what distinguish
+    the declared baseline dependence, the Schedule Builder's pool-rewritten
+    dependence and the executor's runtime dependence.  Both backward
+    entries are ``None`` when nothing reads the map in the backward pass.
     """
     node = graph.node(node_id)
     last_fwd = schedule.forward_time(node_id)
     for consumer in graph.consumers(node_id):
         last_fwd = max(last_fwd, schedule.forward_time(consumer.node_id))
     backward_uses = []
-    if node.layer.backward_needs_output and schedule.has_backward(node_id):
+    if needs_output(node) and schedule.has_backward(node_id):
         backward_uses.append(schedule.backward_time(node_id))
     for consumer in graph.consumers(node_id):
-        if consumer.layer.backward_needs_input and schedule.has_backward(
-            consumer.node_id
-        ):
+        if needs_input(consumer) and schedule.has_backward(consumer.node_id):
             backward_uses.append(schedule.backward_time(consumer.node_id))
-    last_bwd = max(backward_uses) if backward_uses else None
-    first_bwd = min(backward_uses) if backward_uses else None
-    return last_fwd, first_bwd, last_bwd
+    if not backward_uses:
+        return last_fwd, None, None
+    return last_fwd, min(backward_uses), max(backward_uses)
+
+
+def _declared_needs_input(node) -> bool:
+    return node.layer.backward_needs_input
+
+
+def _declared_needs_output(node) -> bool:
+    return node.layer.backward_needs_output
+
+
+def feature_map_last_uses(
+    graph: Graph, schedule: TrainingSchedule, node_id: int
+) -> tuple:
+    """:func:`_feature_map_uses` under the layers' declared dependence
+    (``backward_needs_input`` / ``backward_needs_output``)."""
+    return _feature_map_uses(graph, schedule, node_id,
+                             _declared_needs_input, _declared_needs_output)
 
 
 def compute_lifetimes(

@@ -18,8 +18,8 @@ Each backend registers with an explicit numerical contract:
   ``np.array_equal``.
 * ``exact=False, tolerance=t`` — the arm only claims a maximum relative
   error of ``t`` (e.g. the fat-GEMM conv, whose BLAS reduction order is
-  library-dependent, or the threaded conv, whose per-shard weight
-  gradients accumulate in shard order).
+  library-dependent, or the image-tiled conv, whose per-tile weight
+  gradients accumulate in tile order).
 
 The *default selection* is stricter than the registration contract: the
 measured chooser (:mod:`repro.kernels.autotune`) only promotes an arm to
@@ -34,7 +34,7 @@ Registered ops and arms:
 =============  =====================================================
 op             arms
 =============  =====================================================
-conv2d         reference, numpy-plan, blas-fat, threaded
+conv2d         reference, numpy-plan, blas-fat, blas-chunk
 maxpool2d      reference, numpy-plan, reduce
 pack_bits      loop, numpy
 pack_nibbles   loop, numpy
@@ -538,119 +538,6 @@ class ConvBlasChunk(ConvBackend):
         return dx, dw.reshape(w4.shape)
 
 
-def _im2col_local(x, kh, kw, stride, pad):
-    """Stateless im2col for the threaded arm (no shared plan workspaces)."""
-    from numpy.lib.stride_tricks import as_strided
-
-    n, c, h, w = x.shape
-    oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    x = np.ascontiguousarray(x)
-    hp, wp = h + 2 * pad, w + 2 * pad
-    it = x.itemsize
-    view = as_strided(
-        x,
-        (n, c, kh, kw, oh, ow),
-        (c * hp * wp * it, hp * wp * it, wp * it, it,
-         stride * wp * it, stride * it),
-    )
-    return np.ascontiguousarray(view).reshape(n, c * kh * kw, oh * ow)
-
-
-class ConvThreaded(ConvBackend):
-    """Batch-sharded conv over a thread pool (BLAS releases the GIL).
-
-    Each shard runs a stateless im2col + per-shard GEMM; the weight
-    gradient accumulates per-shard partial sums in ascending shard
-    order, which changes the floating-point reduction order — hence the
-    registered tolerance.  Wins only on multi-core hosts; the measured
-    chooser keeps it off elsewhere.
-    """
-
-    name = "threaded"
-    exact = False
-    tolerance = 1e-4
-    description = "batch-sharded im2col/GEMM over a thread pool"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        self._max_workers = max_workers
-        self._pool = None
-
-    def _workers(self, n: int) -> int:
-        if self._max_workers is None:
-            from repro.orchestrate import usable_cores
-
-            self._max_workers = max(1, min(4, usable_cores()))
-        return max(1, min(self._max_workers, n))
-
-    def _submit(self, fns):
-        if len(fns) == 1:
-            fns[0]()
-            return
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._max_workers,
-                thread_name_prefix="repro-conv",
-            )
-        for future in [self._pool.submit(fn) for fn in fns]:
-            future.result()
-
-    @staticmethod
-    def _shards(n: int, workers: int):
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        return [slice(int(a), int(b)) for a, b in zip(bounds, bounds[1:])
-                if b > a]
-
-    def forward(self, x, w4, bias, stride, pad, arena=None,
-                want_saved=False):
-        n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
-        wmat = w4.reshape(f, -1)
-        y = np.empty((n, f, oh * ow), np.float32)
-
-        def chunk(sl):
-            def run():
-                cols = _im2col_local(x[sl], kh, kw, stride, pad)
-                np.matmul(wmat, cols, out=y[sl])
-            return run
-
-        self._submit([chunk(sl)
-                      for sl in self._shards(n, self._workers(n))])
-        if bias is not None:
-            y += bias[None, :, None]
-        return y.reshape(n, f, oh, ow), None
-
-    def backward(self, x, w4, dy, stride, pad, arena=None, saved=None):
-        n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
-        p = oh * ow
-        wmat = w4.reshape(f, -1)
-        dy_mat = dy.reshape(n, f, p)
-        dx = np.empty(x.shape, np.float32)
-        shards = self._shards(n, self._workers(n))
-        partial_dw: List[Optional[np.ndarray]] = [None] * len(shards)
-
-        def chunk(i, sl):
-            def run():
-                cols = _im2col_local(x[sl], kh, kw, stride, pad)
-                partial_dw[i] = np.einsum(
-                    "nfp,nkp->fk", dy_mat[sl], cols, optimize=True
-                )
-                dcols = np.einsum(
-                    "fk,nfp->nkp", wmat, dy_mat[sl], optimize=True
-                )
-                dx[sl] = col2im_reference(dcols, x[sl].shape, kh, kw,
-                                          stride, pad)
-            return run
-
-        self._submit([chunk(i, sl) for i, sl in enumerate(shards)])
-        dw = partial_dw[0]
-        for part in partial_dw[1:]:
-            dw = dw + part
-        return dx, dw.reshape(w4.shape)
-
-
 # ----------------------------------------------------------------------
 # maxpool2d arms
 # ----------------------------------------------------------------------
@@ -1042,7 +929,6 @@ register_backend(ConvReference())
 register_backend(ConvNumpyPlan(), default=True)
 register_backend(ConvBlasFat())
 register_backend(ConvBlasChunk())
-register_backend(ConvThreaded())
 
 register_backend(PoolReference())
 register_backend(PoolNumpyPlan(), default=True)

@@ -10,8 +10,8 @@ silent fallback:
   workspace arena and, with it, the multi-backend registry.
 * ``REPRO_KERNEL_BACKEND`` — forces the registry's backend selection
   instead of the measured autotuner.  Accepts a bare backend name
-  (``reference``, ``numpy-plan``, ``blas-fat``, ``threaded``, ``numpy``,
-  ``loop``, ``searchsorted``) applied to every op that registers it, or
+  (``reference``, ``numpy-plan``, ``blas-fat``, ``blas-chunk``, ``reduce``,
+  ``numpy``, ``loop``, ``searchsorted``) applied to every op that registers it, or
   comma-separated ``op=name`` pairs (``conv2d=blas-fat,maxpool2d=reference``)
   for per-op control.  ``auto`` (or unset) keeps the autotuner in charge.
   Names are validated lazily against the live registry — see

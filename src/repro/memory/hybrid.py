@@ -1,28 +1,37 @@
-"""Hybrid memory planner: encode x recompute x swap, priced per tensor.
+"""The plan IR and the hybrid planner: encode x recompute x swap per tensor.
 
-Gist's Schedule Builder picks one encoding per stashed feature map.  The
-repo also carries the two rival footprint levers as isolated baselines —
-segment recomputation (:mod:`repro.memory.recompute`) and host-swap
-modeling (:mod:`repro.perf.swap`) — but never combines them, even though
-cost-model-driven selection across techniques (Echo, the Compressing DMA
-Engine) beats any single one.  This module closes that gap:
+Every memory plan in this repo is one table — ``{node_id:
+PlanDecision}`` — and one rewrite:
 
-for every stashed feature map, price three options with the roofline
-cost model —
+* a **selector** maps a graph to a decision table.  The Table-I selector
+  (:func:`repro.core.schedule_builder.build_gist_plan`) gives every
+  stashed map its class's encoding; the budgeted selector here
+  (:func:`build_hybrid_plan`) prices up to four options per map and
+  picks greedily;
+* :func:`apply_decisions` maps a table to a
+  :class:`~repro.memory.planner.MemoryPlan` — the only place encoded,
+  decoded, prefetch and argmax tensors are constructed — which the
+  static allocator prices;
+* :mod:`repro.train.stash` maps a table to codecs and directives the
+  executor runs.
 
-* **Gist encoding** — the existing per-class choice (Binarize / SSDC /
-  DPR); cost is the codec's bandwidth passes;
+The hybrid selector prices, for every stashed feature map, with the
+roofline cost model —
+
+* **Gist encoding** — the per-class choice (Binarize / SSDC / DPR);
+  cost is the codec's bandwidth passes;
 * **recompute** — drop the map after its last forward use and re-execute
   the forward chain from the cheapest *value-exact* ancestor during the
   backward pass; cost is the chain's forward kernel time
   (:func:`repro.memory.recompute.chain_forward_seconds`);
 * **host swap** — offload over PCIe after the forward use, prefetch
   before the backward use; cost is the un-hidden fraction of the two
-  transfers, calibrated per graph against the vDNN event simulation —
+  transfers, calibrated per graph against the vDNN event simulation;
+* **shared concat** — read the map back as a channel prefix of its
+  concat chain's kept terminal (:mod:`repro.memory.shared_concat`) —
 
-then select greedily by bytes-saved per second of overhead under a
-step-time budget, and emit a unified :class:`~repro.memory.planner.MemoryPlan`
-that the static allocator prices and the executor runs.
+then selects greedily by bytes-saved per second of overhead under a
+step-time budget.
 
 Strategy arms: ``build_hybrid_plan(graph, policy.with_(strategy=...))``
 restricts the planner to a single lever, which yields the pure-gist /
@@ -32,9 +41,9 @@ and the plan-safety oracle rely on.  The hybrid arm additionally adopts
 the best pure selection outright whenever greedy mixing did not beat it,
 so ``hybrid footprint <= min(pure footprints)`` holds structurally.
 
-Unlike the Schedule Builder this planner never merges inplace pairs:
-all four arms share the same base liveness table, so footprint deltas
-are attributable to the per-tensor decisions alone.
+This planner never merges inplace pairs (that is a post-pass of
+``build_gist_plan``): all arms share the same base liveness table, so
+footprint deltas are attributable to the per-tensor decisions alone.
 
 Execution: :class:`repro.train.stash.HybridExecutionPolicy` turns a
 :class:`HybridPlan` into stash-layer behaviour — codecs for gist
@@ -46,11 +55,11 @@ to value-exact choices).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.dtypes import BIT1, DPR_FORMATS, UINT8
-from repro.encodings.ssdc import csr_bytes
 from repro.graph.graph import Graph
 from repro.graph.liveness import (
     LiveTensor,
@@ -58,6 +67,9 @@ from repro.graph.liveness import (
     ROLE_ENCODED,
     ROLE_FEATURE_MAP,
     ROLE_WORKSPACE,
+    _feature_map_uses,
+    _runtime_needs_input,
+    _runtime_needs_output,
 )
 from repro.graph.schedule import TrainingSchedule
 from repro.memory.allocator import StaticAllocator
@@ -134,7 +146,12 @@ class SharedConcatDirective:
 
 @dataclass(frozen=True)
 class PlanDecision:
-    """What the hybrid planner decided for one stashed feature map."""
+    """What a selector decided for one stashed feature map.
+
+    The one decision record: candidate options, selected hybrid
+    decisions and the Schedule Builder's Table-I decisions (where it is
+    also importable as ``EncodingDecision``) are all instances.
+    """
 
     node_id: int
     node_name: str
@@ -151,6 +168,14 @@ class PlanDecision:
     source_id: Optional[int] = None
     chain: Tuple[int, ...] = ()
     sparsity: Optional[float] = None
+    #: FP32 staging bytes live across the backward reads (0 when the
+    #: backward kernel consumes the resident form directly).
+    decoded_bytes: int = 0
+
+    @property
+    def encoded_bytes(self) -> int:
+        """``resident_bytes`` under the Schedule Builder's name for it."""
+        return self.resident_bytes
 
     @property
     def savings_bytes(self) -> int:
@@ -231,14 +256,17 @@ class HybridPlan:
         that only an executor needs (those are cheap to rebuild, the
         pricing is what amortises).
         """
-        from dataclasses import asdict
-
+        # ``decoded_bytes`` stays out of the rows: summaries are cached
+        # content-addressed by the serve layer, and a cold entry must
+        # equal one written before the field existed.
+        rows = [asdict(self.decisions[nid]) for nid in sorted(self.decisions)]
+        for row in rows:
+            del row["decoded_bytes"]
         return {
             "graph": self.graph.name,
             "strategy": self.policy.strategy,
             "cost_budget_frac": float(self.policy.cost_budget_frac),
-            "decisions": [asdict(self.decisions[nid])
-                          for nid in sorted(self.decisions)],
+            "decisions": rows,
             "baseline_step_s": float(self.baseline_step_s),
             "budget_s": float(self.budget_s),
             "total_cost_s": float(self.total_cost_s),
@@ -255,67 +283,9 @@ class HybridPlan:
         }
 
 
-@dataclass(frozen=True)
-class _Option:
-    """One candidate (tensor, choice) pairing with its price tag."""
-
-    node_id: int
-    choice: str
-    encoding: Optional[str]
-    fp32_bytes: int
-    resident_bytes: int
-    decoded_bytes: int
-    cost_s: float
-    lossless: bool
-    source_id: Optional[int] = None
-    chain: Tuple[int, ...] = ()
-    sparsity: Optional[float] = None
-
-    @property
-    def savings_bytes(self) -> int:
-        return self.fp32_bytes - self.resident_bytes
-
-
 # ----------------------------------------------------------------------
-# Runtime-availability analysis (mirrors the executor's stash rules)
+# Runtime-availability analysis (the executor's stash rules)
 # ----------------------------------------------------------------------
-def _runtime_needs_input(node) -> bool:
-    override = getattr(node.layer, "runtime_backward_needs_input", None)
-    if override is not None:
-        return override
-    return node.layer.backward_needs_input
-
-
-def _runtime_needs_output(node) -> bool:
-    override = getattr(node.layer, "runtime_backward_needs_output", None)
-    if override is not None:
-        return override
-    return node.layer.backward_needs_output
-
-
-def _runtime_backward_uses(
-    graph: Graph, schedule: TrainingSchedule, node_id: int
-) -> Tuple[Optional[int], Optional[int]]:
-    """(first, last) backward read of a map under the *runtime* stash rules.
-
-    The executor stashes by the runtime flags (a max-pool always replays
-    its argmax map, never X/Y), so recompute-source availability must be
-    judged against these, not the declared baseline needs.
-    """
-    node = graph.node(node_id)
-    uses: List[int] = []
-    if _runtime_needs_output(node) and schedule.has_backward(node_id):
-        uses.append(schedule.backward_time(node_id))
-    for consumer in graph.consumers(node_id):
-        if _runtime_needs_input(consumer) and schedule.has_backward(
-            consumer.node_id
-        ):
-            uses.append(schedule.backward_time(consumer.node_id))
-    if not uses:
-        return None, None
-    return min(uses), max(uses)
-
-
 def find_recompute_chain(
     graph: Graph,
     schedule: TrainingSchedule,
@@ -338,8 +308,11 @@ def find_recompute_chain(
     current = target
     for _ in range(_MAX_CHAIN_LENGTH):
         parent = graph.node(current.inputs[0])
-        _, parent_last_bwd = _runtime_backward_uses(
-            graph, schedule, parent.node_id
+        # Judged by the executor's stash rules (a max-pool replays its
+        # argmax map, never X/Y), not the declared baseline needs.
+        _, _, parent_last_bwd = _feature_map_uses(
+            graph, schedule, parent.node_id,
+            _runtime_needs_input, _runtime_needs_output,
         )
         if parent_last_bwd is not None and parent_last_bwd >= target_first_bwd:
             return parent.node_id, tuple(chain)
@@ -374,73 +347,26 @@ def _swap_stall_fraction(graph: Graph, cost: "CostModel") -> float:
 # ----------------------------------------------------------------------
 # Option generation
 # ----------------------------------------------------------------------
-def _gist_option(node, stash_class, fp32_bytes, num_elements, cfg,
-                 sparsity_model, graph, cost) -> Optional[_Option]:
-    from repro.core.schedule_builder import (
-        ENC_BINARIZE,
-        ENC_DPR,
-        ENC_SSDC,
-        _encoding_for,
-    )
-
-    encoding = _encoding_for(stash_class, cfg)
-    if encoding is None:
-        return None
-    dpr_dtype = DPR_FORMATS[cfg.dpr_format]
-    sparsity: Optional[float] = None
-    if encoding == ENC_BINARIZE:
-        enc_bytes = TensorSpec(
-            f"{node.name}.out.enc", node.output_shape, BIT1,
-            TensorCategory.ENCODED,
-        ).size_bytes
-        decoded_bytes = 0  # ReLU backward reads the mask directly.
-        lossless = True
-    else:
-        if encoding == ENC_SSDC:
-            sparsity = sparsity_model.sparsity(graph, node.node_id)
-            value_bits = (
-                dpr_dtype.bits if (cfg.dpr and cfg.dpr_over_ssdc) else 32
-            )
-            enc_bytes = csr_bytes(num_elements, sparsity, cfg.ssdc_cols,
-                                  value_bits)
-            if enc_bytes >= fp32_bytes:
-                # Below the CSR breakeven; fall back to DPR when lossy is
-                # on, else there is no profitable gist option.
-                if not cfg.dpr:
-                    return None
-                encoding = ENC_DPR
-                sparsity = None
-        if encoding == ENC_DPR:
-            enc_bytes = TensorSpec(
-                f"{node.name}.out.enc", node.output_shape, dpr_dtype,
-                TensorCategory.ENCODED,
-            ).size_bytes
-        decoded_bytes = 0 if cfg.optimized_software else fp32_bytes
-        lossless = encoding == ENC_SSDC and not (cfg.dpr and cfg.dpr_over_ssdc)
-    # Codec cost: one bandwidth pass to encode (read FP32, write encoded)
-    # and, where a staging buffer exists, one to decode.
-    cost_s = cost.copy_time(fp32_bytes + enc_bytes)
-    if decoded_bytes:
-        cost_s += cost.copy_time(enc_bytes + decoded_bytes)
-    return _Option(
-        node_id=node.node_id,
-        choice=CHOICE_GIST,
-        encoding=encoding,
-        fp32_bytes=fp32_bytes,
-        resident_bytes=enc_bytes,
-        decoded_bytes=decoded_bytes,
-        cost_s=cost_s,
-        lossless=lossless,
-        sparsity=sparsity,
+def _drop_option(node, stash_class, fp32_bytes, choice, cost_s,
+                 source_id=None, chain=()) -> PlanDecision:
+    """A non-codec lever: nothing stays on the device across the gap and
+    the backward pass reads a rebuilt full-size FP32 map."""
+    return PlanDecision(
+        node_id=node.node_id, node_name=node.name, stash_class=stash_class,
+        choice=choice, encoding=None, fp32_bytes=fp32_bytes,
+        resident_bytes=0, cost_s=cost_s, lossless=True,
+        source_id=source_id, chain=chain, decoded_bytes=fp32_bytes,
     )
 
 
 def _candidate_options(
     graph, schedule, stash_infos, uses, cfg, sparsity_model, cost,
     swap_stall, concat_index=None,
-) -> List[_Option]:
+) -> List[PlanDecision]:
+    from repro.core.schedule_builder import _gist_option
+
     concat_index = concat_index or {}
-    options: List[_Option] = []
+    options: List[PlanDecision] = []
     for node in graph.nodes:
         nid = node.node_id
         info = stash_infos.get(nid)
@@ -449,47 +375,29 @@ def _candidate_options(
         last_fwd, first_bwd, last_bwd = uses[nid]
         if first_bwd is None:
             continue  # not stashed under the effective (rewritten) needs
-        num_elements = _num_elements(node.output_shape)
-        fp32_bytes = 4 * num_elements
+        fp32_bytes = 4 * math.prod(node.output_shape)
 
-        gist = _gist_option(node, info.stash_class, fp32_bytes, num_elements,
-                            cfg, sparsity_model, graph, cost)
+        gist = _gist_option(graph, node, info.stash_class, cfg,
+                            sparsity_model, cost)
         if gist is not None:
             options.append(gist)
 
         found = find_recompute_chain(graph, schedule, nid, first_bwd)
         if found is not None:
             source_id, chain = found
-            options.append(_Option(
-                node_id=nid,
-                choice=CHOICE_RECOMPUTE,
-                encoding=None,
-                fp32_bytes=fp32_bytes,
-                resident_bytes=0,
-                decoded_bytes=fp32_bytes,
-                cost_s=chain_forward_seconds(graph, chain, cost),
-                lossless=True,
-                source_id=source_id,
-                chain=chain,
+            options.append(_drop_option(
+                node, info.stash_class, fp32_bytes, CHOICE_RECOMPUTE,
+                chain_forward_seconds(graph, chain, cost), source_id, chain,
             ))
 
         # Host swap: offload after the last forward use, prefetch before
         # the first backward use.  Only the un-hidden fraction of the two
         # PCIe transfers costs step time; each DMA submission pays one
         # launch overhead.
-        swap_cost = (
+        options.append(_drop_option(
+            node, info.stash_class, fp32_bytes, CHOICE_SWAP,
             2.0 * cost.transfer_time(fp32_bytes) * swap_stall
-            + 2.0 * cost.device.kernel_overhead
-        )
-        options.append(_Option(
-            node_id=nid,
-            choice=CHOICE_SWAP,
-            encoding=None,
-            fp32_bytes=fp32_bytes,
-            resident_bytes=0,
-            decoded_bytes=fp32_bytes,
-            cost_s=swap_cost,
-            lossless=True,
+            + 2.0 * cost.device.kernel_overhead,
         ))
 
         # Shared concat buffer: this map is a bit-exact channel prefix of
@@ -500,20 +408,13 @@ def _candidate_options(
         if chain is not None:
             _, terminal_first_bwd, _ = uses[chain.terminal_id]
             if terminal_first_bwd is not None:
-                options.append(_Option(
-                    node_id=nid,
-                    choice=CHOICE_SHARED_CONCAT,
-                    encoding=None,
-                    fp32_bytes=fp32_bytes,
-                    resident_bytes=0,
-                    decoded_bytes=fp32_bytes,
+                options.append(_drop_option(
+                    node, info.stash_class, fp32_bytes, CHOICE_SHARED_CONCAT,
                     # One bandwidth pass at backward: read the prefix out
                     # of the terminal, write the contiguous staging copy.
-                    cost_s=cost.copy_time(2 * fp32_bytes)
+                    cost.copy_time(2 * fp32_bytes)
                     + cost.device.kernel_overhead,
-                    lossless=True,
-                    source_id=chain.terminal_id,
-                    chain=chain.path(nid),
+                    chain.terminal_id, chain.path(nid),
                 ))
     return options
 
@@ -522,8 +423,8 @@ def _candidate_options(
 # Selection
 # ----------------------------------------------------------------------
 def _select(
-    options: List[_Option], budget_s: float, allowed_choices
-) -> Tuple[Dict[int, _Option], float]:
+    options: List[PlanDecision], budget_s: float, allowed_choices
+) -> Tuple[Dict[int, PlanDecision], float]:
     """Greedy budgeted selection: best bytes-per-second ratio first.
 
     At most one option per tensor; recompute sources are pinned to
@@ -544,7 +445,7 @@ def _select(
             o.choice,
         )
     )
-    assigned: Dict[int, _Option] = {}
+    assigned: Dict[int, PlanDecision] = {}
     pinned: set = set()
     keep_pinned: set = set()
     spent = 0.0
@@ -580,22 +481,48 @@ def _select(
 # ----------------------------------------------------------------------
 # Plan rewriting
 # ----------------------------------------------------------------------
-def _apply_selection(
-    graph, schedule, stash_infos, uses, assigned, pools_rewritten, cfg,
-) -> Tuple[MemoryPlan, Tuple[int, ...]]:
-    """Rewrite the baseline liveness table under the selected choices.
+def apply_decisions(
+    plan: MemoryPlan, uses, decisions: Dict[int, PlanDecision], cfg,
+) -> Tuple[int, ...]:
+    """Rewrite a baseline liveness table, in place, under a decision table.
 
-    Mirrors the Schedule Builder's rewrite discipline: the FP32 map dies
-    at its last forward use whenever a choice replaces it across the gap;
+    The one liveness rewrite every selector shares: the FP32 map dies at
+    its last forward use whenever a decision replaces it across the gap;
     the replacement (encoded stash / rebuilt map / prefetch buffer) spans
     exactly the interval the backward pass reads.
+
+    Args:
+        plan: A fresh :func:`~repro.memory.planner.build_memory_plan`
+            result for the graph; its tensors are rewritten and extended.
+        uses: ``{node_id: (last forward use, first backward use, last
+            backward use)}`` under ``cfg``'s pool rewrite.
+        decisions: The table; undecided stashes keep their FP32 lifetime.
+        cfg: The :class:`~repro.core.policy.GistConfig` the table was
+            selected under (DPR width, pool argmax rewrite).
+
+    Returns:
+        Ids of the max-pools rewritten to stash an argmax map.
     """
-    plan = build_memory_plan(graph, schedule)
+    from repro.core.schedule_builder import ENC_BINARIZE, ENC_SSDC
+
+    graph, schedule = plan.graph, plan.schedule
     fm_by_node: Dict[int, LiveTensor] = {
         t.node_id: t for t in plan.tensors if t.role == ROLE_FEATURE_MAP
     }
     new_tensors: List[LiveTensor] = []
     prefetch_by_node: Dict[int, LiveTensor] = {}
+
+    def backward_copy(node, fm, suffix, first_bwd, last_bwd,
+                      role=ROLE_DECODED) -> LiveTensor:
+        # The full-size FP32 buffer the backward reads of a replaced
+        # stash use: decoded, prefetched, re-sliced or recomputed.
+        copy = LiveTensor(
+            TensorSpec(f"{node.name}.out.{suffix}", node.output_shape,
+                       fm.spec.dtype, TensorCategory.FEATURE_MAP),
+            birth=first_bwd, death=last_bwd, node_id=node.node_id, role=role,
+        )
+        new_tensors.append(copy)
+        return copy
 
     for node in graph.nodes:
         nid = node.node_id
@@ -604,86 +531,46 @@ def _apply_selection(
         if first_bwd is None:
             fm.death = last_fwd
             continue
-        option = assigned.get(nid)
-        if stash_infos.get(nid) is None or option is None:
+        option = decisions.get(nid)
+        if option is None:
             fm.death = max(last_fwd, last_bwd)
             continue
 
         fm.death = last_fwd
         if option.choice == CHOICE_GIST:
-            from repro.core.schedule_builder import ENC_BINARIZE, ENC_SSDC
-
-            if option.encoding == ENC_BINARIZE:
-                enc_spec = TensorSpec(f"{node.name}.out.enc",
-                                      node.output_shape, BIT1,
-                                      TensorCategory.ENCODED)
-            elif option.encoding == ENC_SSDC:
-                enc_spec = TensorSpec(f"{node.name}.out.enc",
-                                      (option.resident_bytes,), UINT8,
-                                      TensorCategory.ENCODED)
+            if option.encoding == ENC_SSDC:
+                # CSR arrays: an opaque byte blob of the priced size.
+                shape, dtype = (option.resident_bytes,), UINT8
+            elif option.encoding == ENC_BINARIZE:
+                shape, dtype = node.output_shape, BIT1
             else:  # ENC_DPR
-                enc_spec = TensorSpec(f"{node.name}.out.enc",
-                                      node.output_shape,
-                                      DPR_FORMATS[cfg.dpr_format],
-                                      TensorCategory.ENCODED)
-            new_tensors.append(
-                LiveTensor(enc_spec, birth=last_fwd, death=last_bwd,
-                           node_id=nid, role=ROLE_ENCODED)
-            )
+                shape, dtype = node.output_shape, DPR_FORMATS[cfg.dpr_format]
+            new_tensors.append(LiveTensor(
+                TensorSpec(f"{node.name}.out.enc", shape, dtype,
+                           TensorCategory.ENCODED),
+                birth=last_fwd, death=last_bwd, node_id=nid,
+                role=ROLE_ENCODED,
+            ))
             if option.decoded_bytes:
-                new_tensors.append(
-                    LiveTensor(
-                        TensorSpec(f"{node.name}.out.dec", node.output_shape,
-                                   fm.spec.dtype, TensorCategory.FEATURE_MAP),
-                        birth=first_bwd,
-                        death=last_bwd,
-                        node_id=nid,
-                        role=ROLE_DECODED,
-                    )
-                )
+                backward_copy(node, fm, "dec", first_bwd, last_bwd)
         elif option.choice == CHOICE_SWAP:
-            prefetch = LiveTensor(
-                TensorSpec(f"{node.name}.out.prefetch", node.output_shape,
-                           fm.spec.dtype, TensorCategory.FEATURE_MAP),
-                birth=first_bwd,
-                death=last_bwd,
-                node_id=nid,
-                role=ROLE_DECODED,
-            )
-            new_tensors.append(prefetch)
-            prefetch_by_node[nid] = prefetch
+            prefetch_by_node[nid] = backward_copy(node, fm, "prefetch",
+                                                  first_bwd, last_bwd)
         elif option.choice == CHOICE_SHARED_CONCAT:
             # The member's map aliases the terminal's growing buffer for
             # its whole forward life; only the contiguous staging copy the
             # backward pass reads from is new space.
             fm.alias_group = f"concat:{option.source_id}"
-            new_tensors.append(
-                LiveTensor(
-                    TensorSpec(f"{node.name}.out.shared", node.output_shape,
-                               fm.spec.dtype, TensorCategory.FEATURE_MAP),
-                    birth=first_bwd,
-                    death=last_bwd,
-                    node_id=nid,
-                    role=ROLE_DECODED,
-                )
-            )
+            backward_copy(node, fm, "shared", first_bwd, last_bwd)
         elif option.choice == CHOICE_RECOMPUTE:
-            new_tensors.append(
-                LiveTensor(
-                    TensorSpec(f"{node.name}.out.recomp", node.output_shape,
-                               fm.spec.dtype, TensorCategory.FEATURE_MAP),
-                    birth=first_bwd,
-                    death=last_bwd,
-                    node_id=nid,
-                    role=ROLE_FEATURE_MAP,
-                )
-            )
+            backward_copy(node, fm, "recomp", first_bwd, last_bwd,
+                          role=ROLE_FEATURE_MAP)
             # Chain intermediates live only while the chain replays — a
             # transient scratch region sized to the largest one.
             intermediates = option.chain[:-1]
             if intermediates:
                 scratch = max(
-                    4 * _num_elements(graph.node(i).output_shape)
+                    4 * math.prod(graph.node(i).output_shape)
                     for i in intermediates
                 )
                 new_tensors.append(
@@ -699,10 +586,10 @@ def _apply_selection(
 
     # A swapped recompute-source is prefetched for the *target's* first
     # backward read, which precedes the source's own backward window.
-    for option in assigned.values():
+    for option in decisions.values():
         if option.choice != CHOICE_RECOMPUTE:
             continue
-        source_option = assigned.get(option.source_id)
+        source_option = decisions.get(option.source_id)
         if source_option is not None and source_option.choice == CHOICE_SWAP:
             prefetch = prefetch_by_node[option.source_id]
             _, target_first_bwd, _ = uses[option.node_id]
@@ -713,7 +600,7 @@ def _apply_selection(
     # forward nodes run backward later): extend the kept stash and pull it
     # into the members' aliasing group so the allocator prices the whole
     # chain as one terminal-sized region.
-    for option in assigned.values():
+    for option in decisions.values():
         if option.choice != CHOICE_SHARED_CONCAT:
             continue
         terminal_fm = fm_by_node[option.source_id]
@@ -725,7 +612,7 @@ def _apply_selection(
     # the rewrite, so the maps must be carried whether or not a binarize
     # choice was selected).
     rewritten_pools: List[int] = []
-    if pools_rewritten:
+    if cfg.binarize:
         for node in graph.nodes:
             if not getattr(node.layer, "supports_argmax_map", False):
                 continue
@@ -749,14 +636,7 @@ def _apply_selection(
             )
 
     plan.tensors.extend(new_tensors)
-    return plan, tuple(rewritten_pools)
-
-
-def _num_elements(shape) -> int:
-    n = 1
-    for d in shape:
-        n *= d
-    return n
+    return tuple(rewritten_pools)
 
 
 # ----------------------------------------------------------------------
@@ -794,7 +674,7 @@ def build_hybrid_plan(
         STRATEGY_SHARED_CONCAT,
         STRATEGY_SWAP,
     )
-    from repro.core.schedule_builder import _feature_map_uses
+    from repro.core.schedule_builder import feature_map_uses
     from repro.memory.shared_concat import (
         find_concat_chains,
         member_to_terminal,
@@ -807,16 +687,11 @@ def build_hybrid_plan(
         schedule = TrainingSchedule(graph)
     cost = cost or CostModel()
     cfg = policy.gist
-    pools_rewritten = cfg.binarize
 
     baseline_step_s = cost.step_time(graph).total_s
     budget_s = policy.cost_budget_frac * baseline_step_s
     stash_infos = classify_all_stashes(graph, schedule)
-    uses = {
-        node.node_id: _feature_map_uses(graph, schedule, node.node_id,
-                                        pools_rewritten)
-        for node in graph.nodes
-    }
+    uses = feature_map_uses(graph, schedule, cfg)
     swap_stall = _swap_stall_fraction(graph, cost)
     concat_index = member_to_terminal(find_concat_chains(graph))
     options = _candidate_options(graph, schedule, stash_infos, uses, cfg,
@@ -837,8 +712,8 @@ def build_hybrid_plan(
 
     def build_arm(allowed):
         assigned, spent = _select(options, budget_s, allowed)
-        plan, pools = _apply_selection(graph, schedule, stash_infos, uses,
-                                       assigned, pools_rewritten, cfg)
+        plan = build_memory_plan(graph, schedule)
+        pools = apply_decisions(plan, uses, assigned, cfg)
         allocated = StaticAllocator().allocate(plan.tensors).total_bytes
         return assigned, spent, plan, pools, allocated
 
@@ -863,29 +738,12 @@ def build_hybrid_plan(
         selected = build_arm(choices_of[policy.strategy])
     assigned, spent, plan, pools, allocated = selected
 
-    decisions = {
-        nid: PlanDecision(
-            node_id=nid,
-            node_name=graph.node(nid).name,
-            stash_class=stash_infos[nid].stash_class,
-            choice=o.choice,
-            encoding=o.encoding,
-            fp32_bytes=o.fp32_bytes,
-            resident_bytes=o.resident_bytes,
-            cost_s=o.cost_s,
-            lossless=o.lossless,
-            source_id=o.source_id,
-            chain=o.chain,
-            sparsity=o.sparsity,
-        )
-        for nid, o in sorted(assigned.items())
-    }
     return HybridPlan(
         graph=graph,
         schedule=schedule,
         plan=plan,
         policy=policy,
-        decisions=decisions,
+        decisions=dict(sorted(assigned.items())),
         baseline_step_s=baseline_step_s,
         budget_s=budget_s,
         total_cost_s=spent,
@@ -909,8 +767,6 @@ def plan_cache_key(graph: Graph, policy: "Optional[HybridPolicy]" = None
     spelling or who asked.  Two isomorphic graphs requested under the
     same policy share one cache slot.
     """
-    from dataclasses import asdict
-
     from repro.core.policy import HybridPolicy
     from repro.graph.fingerprint import graph_fingerprint
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import List, Optional, TYPE_CHECKING, Tuple
 
 from repro.graph.graph import Graph
-from repro.graph.liveness import ROLE_FEATURE_MAP
+from repro.graph.liveness import ROLE_FEATURE_MAP, feature_map_last_uses
 from repro.graph.schedule import TrainingSchedule
 from repro.memory.planner import CLASS_STASHED, MemoryPlan, build_memory_plan
 
@@ -181,12 +181,8 @@ def build_recompute_plan(
         entry = min(schedule.backward_time(nid) for nid in segment
                     if schedule.has_backward(nid))
         for node_id in segment:
-            node = graph.node(node_id)
             tensor = fm_by_node[node_id]
-            last_fwd = schedule.forward_time(node_id)
-            for consumer in graph.consumers(node_id):
-                last_fwd = max(last_fwd,
-                               schedule.forward_time(consumer.node_id))
+            last_fwd, _, _ = feature_map_last_uses(graph, schedule, node_id)
             original_death = tensor.death
             if original_death <= last_fwd:
                 continue  # was not actually stashed

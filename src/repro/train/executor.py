@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.encodings.base import Encoding
 from repro.graph.graph import Graph
+from repro.graph.liveness import _runtime_needs_stash
 from repro.graph.node import OpNode
 
 from typing import TYPE_CHECKING
@@ -247,13 +248,6 @@ class GraphExecutor:
         return out
 
     # ------------------------------------------------------------------
-    def _runtime_needs_stash(self, node: OpNode) -> bool:
-        if _runtime_needs_output(node):
-            return True
-        return any(
-            _runtime_needs_input(c) for c in self.graph.consumers(node.node_id)
-        )
-
     def forward(self, images: np.ndarray, labels: np.ndarray,
                 train: bool = True) -> float:
         """Run the forward pass; returns the scalar loss."""
@@ -390,7 +384,7 @@ class GraphExecutor:
         return value
 
     def _maybe_stash(self, node: OpNode, y: np.ndarray) -> None:
-        if not self._runtime_needs_stash(node):
+        if not _runtime_needs_stash(self.graph, node):
             return
         if self._recompute_directive(node.node_id) is not None:
             # A hybrid recompute decision: the map is dropped after its
@@ -488,16 +482,3 @@ class GraphExecutor:
         assert self.last_logits is not None
         return self.last_logits
 
-
-def _runtime_needs_input(node: OpNode) -> bool:
-    override = getattr(node.layer, "runtime_backward_needs_input", None)
-    if override is not None:
-        return override
-    return node.layer.backward_needs_input
-
-
-def _runtime_needs_output(node: OpNode) -> bool:
-    override = getattr(node.layer, "runtime_backward_needs_output", None)
-    if override is not None:
-        return override
-    return node.layer.backward_needs_output

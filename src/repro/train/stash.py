@@ -4,33 +4,36 @@ The executor routes every stashed feature map through a policy:
 
 * :class:`BaselinePolicy` — FP32 references, no transformation (the CNTK
   baseline, and the exact-gradient path used by the gradient-check tests).
-* :class:`GistPolicy` — per-edge encodings chosen by the same classifier
-  the Schedule Builder uses: Binarize for ReLU-Pool maps, SSDC for
-  ReLU-Conv maps, DPR for the rest.  Lossless edges reconstruct exactly;
-  DPR edges inject precisely the quantisation error the paper's Figure 12
-  accuracy study measures.
+* :class:`GistPolicy` and :class:`HybridExecutionPolicy` — two
+  constructors over one table-driven policy (:class:`_TablePolicy`) and
+  one codec factory (:func:`_make_codec`).  ``GistPolicy(graph, cfg)``
+  feeds it the bare Table-I class rule — Binarize for ReLU-Pool maps,
+  SSDC for ReLU-Conv maps, DPR for the rest, with *no* sizing, so a map
+  the planner prices below the SSDC breakeven is still SSDC-encoded at
+  run time; ``HybridExecutionPolicy(plan)`` feeds it a planner's
+  :class:`~repro.memory.hybrid.PlanDecision` table.  Lossless edges
+  reconstruct exactly; DPR edges inject precisely the quantisation error
+  the paper's Figure 12 accuracy study measures.
 * :class:`AllFP16Policy` — the prior-work baseline: quantise every layer
   output *in the forward pass*, so error propagates through subsequent
   layers (the curve that diverges in Figure 12).
-* :class:`HybridExecutionPolicy` — executes a hybrid planner decision
-  table (:class:`~repro.memory.hybrid.HybridPlan`): gist choices get
-  their codec, swap choices a host-buffer copy, recompute choices a
-  directive the executor replays in the backward pass.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, Iterable, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.analysis import (
-    STASH_RELU_CONV,
-    STASH_RELU_POOL,
-    classify_all_stashes,
-)
+from repro.core.analysis import classify_all_stashes
 from repro.core.policy import GistConfig
+from repro.core.schedule_builder import (
+    ENC_BINARIZE,
+    ENC_DPR,
+    ENC_SSDC,
+    _encoding_for,
+)
 from repro.dtypes import DPR_FORMATS, FP16
 from repro.encodings.base import Encoding, HostSwapEncoding, IdentityEncoding
 from repro.encodings.binarize import BinarizeEncoding
@@ -39,6 +42,7 @@ from repro.encodings.floatsim import quantize
 from repro.encodings.ssdc import SSDCEncoding
 from repro.graph.graph import Graph
 from repro.graph.node import OpNode
+from repro.memory.hybrid import CHOICE_GIST, CHOICE_SWAP
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memory.hybrid import (
@@ -113,31 +117,93 @@ class BaselinePolicy(StashPolicy):
         return "baseline"
 
 
-class GistPolicy(StashPolicy):
-    """Layer-pair-aware encodings, mirroring the Schedule Builder."""
+def _make_codec(choice: str, encoding: Optional[str], cfg: GistConfig,
+                node_name: str) -> Encoding:
+    """The codec a ``(choice, encoding)`` table row stashes through.
 
-    def __init__(self, graph: Graph, config: Optional[GistConfig] = None):
-        self.config = config or GistConfig()
-        cfg = self.config
-        dpr_dtype = DPR_FORMATS[cfg.dpr_format]
-        self._identity = IdentityEncoding()
-        self._binarize = BinarizeEncoding()
-        self._ssdc = SSDCEncoding(
+    Raises:
+        ValueError: A gist row names an encoding Table I does not have —
+            silently substituting a lossy codec would corrupt training.
+    """
+    if choice == CHOICE_SWAP:
+        return HostSwapEncoding()
+    dpr_dtype = DPR_FORMATS[cfg.dpr_format]
+    if encoding == ENC_BINARIZE:
+        return BinarizeEncoding()
+    if encoding == ENC_SSDC:
+        return SSDCEncoding(
             cols=cfg.ssdc_cols,
             value_dtype=dpr_dtype if (cfg.dpr and cfg.dpr_over_ssdc) else None,
         )
-        self._dpr = DPREncoding(dpr_dtype, cfg.rounding)
+    if encoding == ENC_DPR:
+        return DPREncoding(dpr_dtype, cfg.rounding)
+    raise ValueError(
+        f"{node_name}: unknown gist encoding {encoding!r} (expected one of "
+        f"{ENC_BINARIZE!r}, {ENC_SSDC!r}, {ENC_DPR!r})"
+    )
+
+
+class _TablePolicy(StashPolicy):
+    """Executes ``(node_id, node_name, choice, encoding)`` rows at the
+    stash layer, with codecs parameterised by ``cfg``:
+
+    * **gist** rows stash through the row's codec (Binarize / SSDC / DPR);
+    * **swap** rows stash through :class:`HostSwapEncoding` — a
+      bit-exact host-buffer copy standing in for the PCIe offload;
+    * **recompute** rows are *not stashed at all*: the executor
+      queries :meth:`recompute_directive` and replays the forward chain
+      from the directive's source on the first backward read;
+    * **shared_concat** rows are not stashed either: the executor
+      queries :meth:`shared_concat_directive` and re-slices the leading
+      channels of the chain terminal's kept FP32 stash (bit-exact by the
+      concat prefix-copy property);
+    * nodes without a row keep the FP32 identity baseline.
+    """
+
+    def __init__(self, cfg: GistConfig,
+                 rows: Iterable[Tuple[int, str, str, Optional[str]]],
+                 recompute=None, shared_concat=None):
+        self._identity = IdentityEncoding()
+        self._directives = recompute or {}
+        self._shared = shared_concat or {}
+        #: ``{node_id: Table-I encoding name}`` of the gist rows — what
+        #: plan-vs-runtime conformance compares against a plan's decisions.
+        self.encodings: Dict[int, str] = {}
+        # One codec instance per distinct (choice, encoding) pair.
+        codecs: Dict[Tuple[str, Optional[str]], Encoding] = {}
         self._table: Dict[int, Encoding] = {}
-        for node_id, info in classify_all_stashes(graph).items():
-            if info.stash_class == STASH_RELU_POOL and cfg.binarize:
-                self._table[node_id] = self._binarize
-            elif info.stash_class == STASH_RELU_CONV and cfg.ssdc:
-                self._table[node_id] = self._ssdc
-            elif cfg.dpr:
-                self._table[node_id] = self._dpr
+        for node_id, node_name, choice, encoding in rows:
+            if choice not in (CHOICE_GIST, CHOICE_SWAP):
+                continue
+            key = (choice, encoding)
+            if key not in codecs:
+                codecs[key] = _make_codec(choice, encoding, cfg, node_name)
+            self._table[node_id] = codecs[key]
+            if choice == CHOICE_GIST:
+                self.encodings[node_id] = encoding
 
     def encoding_for(self, graph: Graph, node_id: int) -> Encoding:
         return self._table.get(node_id, self._identity)
+
+    def recompute_directive(self, node_id: int):
+        return self._directives.get(node_id)
+
+    def shared_concat_directive(self, node_id: int):
+        return self._shared.get(node_id)
+
+
+class GistPolicy(_TablePolicy):
+    """Layer-pair-aware encodings: the bare Table-I class rule."""
+
+    def __init__(self, graph: Graph, config: Optional[GistConfig] = None):
+        self.config = config or GistConfig()
+        rows = []
+        for node_id, info in classify_all_stashes(graph).items():
+            encoding = _encoding_for(info.stash_class, self.config)
+            if encoding is not None:
+                rows.append((node_id, graph.node(node_id).name, CHOICE_GIST,
+                             encoding))
+        super().__init__(self.config, rows)
 
     def describe(self) -> str:
         """Label: ``"gist-lossless"`` or ``"gist-<dpr format>"``."""
@@ -212,23 +278,8 @@ class GradientOnlyReductionPolicy(StashPolicy):
         return f"grad-only-{self.dtype.name}"
 
 
-class HybridExecutionPolicy(StashPolicy):
-    """Executes a hybrid planner decision table at the stash layer.
-
-    Built from a :class:`~repro.memory.hybrid.HybridPlan`:
-
-    * **gist** decisions stash through the decided codec (Binarize /
-      SSDC / DPR, configured exactly as :class:`GistPolicy` would);
-    * **swap** decisions stash through :class:`HostSwapEncoding` — a
-      bit-exact host-buffer copy standing in for the PCIe offload;
-    * **recompute** decisions are *not stashed at all*: the executor
-      queries :meth:`recompute_directive` and replays the forward chain
-      from the directive's source on the first backward read;
-    * **shared_concat** decisions are not stashed either: the executor
-      queries :meth:`shared_concat_directive` and re-slices the leading
-      channels of the chain terminal's kept FP32 stash (bit-exact by the
-      concat prefix-copy property);
-    * undecided stashes keep the FP32 identity baseline.
+class HybridExecutionPolicy(_TablePolicy):
+    """Executes a :class:`~repro.memory.hybrid.HybridPlan`'s decisions.
 
     With a lossless plan (the default :class:`~repro.core.policy.
     HybridPolicy` uses ``GistConfig.lossless()``) every path reproduces
@@ -238,42 +289,14 @@ class HybridExecutionPolicy(StashPolicy):
     """
 
     def __init__(self, plan: "HybridPlan"):
-        from repro.core.schedule_builder import ENC_BINARIZE, ENC_SSDC
-        from repro.memory.hybrid import CHOICE_GIST, CHOICE_SWAP
-
         self.plan = plan
-        cfg = plan.policy.gist
-        dpr_dtype = DPR_FORMATS[cfg.dpr_format]
-        self._identity = IdentityEncoding()
-        self._swap = HostSwapEncoding()
-        self._binarize = BinarizeEncoding()
-        self._ssdc = SSDCEncoding(
-            cols=cfg.ssdc_cols,
-            value_dtype=dpr_dtype if (cfg.dpr and cfg.dpr_over_ssdc) else None,
+        super().__init__(
+            plan.policy.gist,
+            ((node_id, d.node_name, d.choice, d.encoding)
+             for node_id, d in plan.decisions.items()),
+            recompute=plan.recompute_directives(),
+            shared_concat=plan.shared_concat_directives(),
         )
-        self._dpr = DPREncoding(dpr_dtype, cfg.rounding)
-        self._directives = plan.recompute_directives()
-        self._shared = plan.shared_concat_directives()
-        self._table: Dict[int, Encoding] = {}
-        for node_id, decision in plan.decisions.items():
-            if decision.choice == CHOICE_SWAP:
-                self._table[node_id] = self._swap
-            elif decision.choice == CHOICE_GIST:
-                if decision.encoding == ENC_BINARIZE:
-                    self._table[node_id] = self._binarize
-                elif decision.encoding == ENC_SSDC:
-                    self._table[node_id] = self._ssdc
-                else:
-                    self._table[node_id] = self._dpr
-
-    def encoding_for(self, graph: Graph, node_id: int) -> Encoding:
-        return self._table.get(node_id, self._identity)
-
-    def recompute_directive(self, node_id: int):
-        return self._directives.get(node_id)
-
-    def shared_concat_directive(self, node_id: int):
-        return self._shared.get(node_id)
 
     def describe(self) -> str:
         """Label: the plan policy's (``"hybrid"`` / ``"hybrid-<arm>"``)."""

@@ -29,9 +29,7 @@ from repro.core.schedule_builder import (
     ENC_SSDC,
     GistPlan,
 )
-from repro.dtypes import DPR_FORMATS
 from repro.encodings.base import Encoding
-from repro.encodings.binarize import BinarizeEncoding
 from repro.encodings.dpr import DPREncoding
 from repro.encodings.floatsim import max_relative_error
 from repro.encodings.groupquant import GroupQuantEncoding, GroupQuantTensor
@@ -44,6 +42,7 @@ from repro.graph.liveness import (
     ROLE_FEATURE_MAP,
 )
 from repro.memory.allocator import AllocationResult
+from repro.train.stash import _make_codec
 
 # Oracle identifiers (stable strings used in reports and tests).
 ORACLE_ALLOCATOR_SAFETY = "allocator-safety"
@@ -391,26 +390,15 @@ def check_decision_bytes(gist_plan: GistPlan, rng=None) -> List[Violation]:
     the static size against ``measure_bytes`` of a real encode.
     """
     rng = rng or np.random.default_rng(0)
-    config = gist_plan.config
-    dpr_dtype = DPR_FORMATS[config.dpr_format]
     violations: List[Violation] = []
     for decision in gist_plan.decisions.values():
         node = gist_plan.graph.node(decision.node_id)
         n = 1
         for dim in node.output_shape:
             n *= dim
-        if decision.encoding == ENC_BINARIZE:
-            codec: Encoding = BinarizeEncoding()
-            x = rng.normal(0, 1, n).astype(np.float32)
-        elif decision.encoding == ENC_DPR:
-            codec = DPREncoding(dpr_dtype, config.rounding)
+        if decision.encoding in (ENC_BINARIZE, ENC_DPR):
             x = rng.normal(0, 1, n).astype(np.float32)
         elif decision.encoding == ENC_SSDC:
-            value_dtype = (
-                dpr_dtype if (config.dpr and config.dpr_over_ssdc) else None
-            )
-            codec = SSDCEncoding(cols=config.ssdc_cols,
-                                 value_dtype=value_dtype)
             nnz = round(n * (1.0 - decision.sparsity))
             x = np.zeros(n, dtype=np.float32)
             if nnz:
@@ -418,6 +406,9 @@ def check_decision_bytes(gist_plan: GistPlan, rng=None) -> List[Violation]:
                 x[idx] = np.abs(rng.normal(1, 1, nnz)).astype(np.float32) + 0.1
         else:
             continue
+        # Measure the very codec the runtime would stash this map through.
+        codec = _make_codec(decision.choice, decision.encoding,
+                            gist_plan.config, decision.node_name)
         measured = codec.measure_bytes(codec.encode(x))
         if measured != decision.encoded_bytes:
             violations.append(Violation(

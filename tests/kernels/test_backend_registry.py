@@ -64,8 +64,8 @@ def test_backend_spec_parsing():
     assert _parse_backend_env("conv2d=blas-fat,maxpool2d=reference") == {
         "conv2d": "blas-fat", "maxpool2d": "reference",
     }
-    assert _parse_backend_env(" conv2d = threaded , auto ") == {
-        "conv2d": "threaded",
+    assert _parse_backend_env(" conv2d = blas-fat , auto ") == {
+        "conv2d": "blas-fat",
     }
 
 

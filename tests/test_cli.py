@@ -109,6 +109,9 @@ class TestCLIPlan:
         assert "baseline allocated" in out
         assert "plan allocated" in out
         assert "pure gist" in out and "pure swap" in out
+        # The plan-vs-runtime disagreement is named, not implicit.
+        (note,) = [ln for ln in out.splitlines() if ln.startswith("note:")]
+        assert note.endswith("run time: pool1, pool2")
 
     def test_plan_recompute_strategy_shows_chains(self, capsys):
         assert main(["plan", "scaled_vgg", "--batch-size", "8",
@@ -120,7 +123,9 @@ class TestCLIPlan:
     def test_plan_lossy_config(self, capsys):
         assert main(["plan", "scaled_vgg", "--batch-size", "8",
                      "--config", "fp8"]) == 0
-        assert "budget" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "budget" in out
+        assert "note:" not in out  # no map is below the DPR-valued breakeven
 
     def test_plan_rejects_unknown_strategy(self):
         with pytest.raises(SystemExit):

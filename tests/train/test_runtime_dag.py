@@ -15,7 +15,7 @@ from repro.layers import (
     ReLU,
     SoftmaxCrossEntropy,
 )
-from repro.models import resnet_cifar
+from repro.models import resnet_cifar, tiny_cnn
 from repro.train import (
     BaselinePolicy,
     GistPolicy,
@@ -112,26 +112,38 @@ class TestDAGRuntime:
             np.testing.assert_array_equal(bg[k], gg[k], err_msg=k)
 
 
+def _codecs(policy, prefix):
+    """The policy's distinct codecs whose name starts with ``prefix``."""
+    found = {id(e): e for e in policy._table.values()
+             if e.name.startswith(prefix)}
+    assert found, f"no {prefix} codec in the policy table"
+    return list(found.values())
+
+
 class TestConfigPlumbing:
+    # tiny_cnn stashes one map of every Table-I class, so each codec
+    # below is actually in the policy table.
     def test_ssdc_cols_reaches_runtime(self):
-        g = inception_like()
+        g = tiny_cnn(batch_size=4)
         policy = GistPolicy(g, GistConfig.lossless(ssdc_cols=64))
-        for encoding in policy._table.values():
-            if encoding.name.startswith("ssdc"):
-                assert encoding.cols == 64
+        for encoding in _codecs(policy, "ssdc"):
+            assert encoding.cols == 64
 
     def test_dpr_over_ssdc_value_dtype(self):
-        g = inception_like()
+        g = tiny_cnn(batch_size=4)
         with_dpr = GistPolicy(g, GistConfig(dpr_format="fp8"))
-        assert with_dpr._ssdc.value_dtype is not None
+        (ssdc,) = _codecs(with_dpr, "ssdc")
+        assert ssdc.value_dtype is not None
         without = GistPolicy(g, GistConfig(dpr_format="fp8",
                                            dpr_over_ssdc=False))
-        assert without._ssdc.value_dtype is None
+        (ssdc,) = _codecs(without, "ssdc")
+        assert ssdc.value_dtype is None
 
     def test_truncate_rounding_reaches_dpr(self):
-        g = inception_like()
+        g = tiny_cnn(batch_size=4)
         policy = GistPolicy(g, GistConfig(rounding="truncate"))
-        assert policy._dpr.rounding == "truncate"
+        (dpr,) = _codecs(policy, "dpr")
+        assert dpr.rounding == "truncate"
 
 
 class TestDivergenceHandling:
