@@ -2,20 +2,21 @@
 backend registry.
 
 Trains the scaled VGG for a handful of SGD steps once per registered
-conv/pool backend arm (forced via the same ``REPRO_KERNEL_BACKEND``
-mechanism users have), plus the plans-off reference loops and the
-measured ``auto`` chooser, and reports each arm's median
-forward+backward step time.  Three gates ride on top of the timings:
+conv/pool backend arm (the arm list is read from the registry; each is
+forced via the same ``REPRO_KERNEL_BACKEND`` mechanism users have), plus
+the measured ``auto`` chooser, and reports each arm's median
+forward+backward step time.  The yardstick is the ``reference`` arm —
+the original per-call loop kernels.  Three gates ride on top of the
+timings:
 
 * **speedup** — the best arm must beat the reference loops by
   ``REQUIRED_SPEEDUP`` (1.5x, matching ``bench_step_time``): every arm
   is single-threaded Python over BLAS, so only scheduling and layout
   wins are available whatever the core count.
-* **bit-identity** — the ``auto`` arm (what users get by default) must
-  reproduce the reference loops' losses and every parameter gradient
-  bit-for-bit.  Tolerance arms (e.g. ``blas-chunk``) are timed and
-  recorded but never gated on exactness; the autotuner refuses to
-  promote them, which is exactly what this gate double-checks.
+* **bit-identity** — the ``auto`` arm (what users get by default) and
+  every ``exact`` arm must reproduce the reference loops' losses and
+  every parameter gradient bit-for-bit.  Tolerance arms are timed and
+  recorded but never gated on exactness.
 * **golden digests** — the default dispatch path must still reproduce
   the checked-in scaled VGG golden traces
   (``tests/diagnostics/goldens/``), pinning the end-to-end bits, not
@@ -61,17 +62,21 @@ REQUIRED_SPEEDUP = 1.5
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / \
     "diagnostics" / "goldens"
 
-#: Arms that exist for conv2d and/or maxpool2d; each is forced globally
-#: (a bare name only applies to ops that registered it, so e.g.
-#: ``blas-fat`` accelerates conv while pools keep their default arm).
-LAYER_ARMS = ("reference", "numpy-plan", "blas-fat", "blas-chunk")
+LAYER_OPS = ("conv2d", "maxpool2d")
 
 
-def _timed_steps(images, labels, *, use_plans=True, force=None):
+def _layer_arms() -> list:
+    """Registered conv/pool arm names, ground truth first.  Each is forced
+    globally: a bare name only applies to ops that registered it, so e.g.
+    ``blas-fat`` accelerates conv while pools keep their default arm."""
+    names = [b.name for op in LAYER_OPS for b in backends_for(op)]
+    return list(dict.fromkeys(names))
+
+
+def _timed_steps(images, labels):
     """Train scaled VGG; return (per-step seconds, (loss, grads) trace)."""
     graph = scaled_vgg(batch_size=BATCH)
-    ex = GraphExecutor(graph, policy=BaselinePolicy(), seed=0,
-                       use_kernel_plans=use_plans, kernel_backend=force)
+    ex = GraphExecutor(graph, policy=BaselinePolicy(), seed=0)
     opt = SGD(lr=0.01, momentum=0.9)
     times, trace = [], []
     for step in range(WARMUP_STEPS + TIMED_STEPS):
@@ -97,8 +102,7 @@ def _bit_identical(trace_a, trace_b) -> bool:
 
 def _tolerance_arm(name: str) -> bool:
     return any(b.name == name and not b.exact
-               for op in ("conv2d", "maxpool2d")
-               for b in backends_for(op))
+               for op in LAYER_OPS for b in backends_for(op))
 
 
 def _check_goldens() -> dict:
@@ -128,15 +132,14 @@ def main(out_path: str = "BENCH_backends.json") -> dict:
     clear_plan_cache()
     clear_selection_cache()
 
-    # The yardstick every arm is measured against: the original
-    # per-call reference loops with the plan layer disabled.
-    ref_times, ref_trace = _timed_steps(images, labels, use_plans=False)
-    median_ref = statistics.median(ref_times)
-
+    # The yardstick every arm is measured against is the first one: the
+    # registry's ground-truth ``reference`` arm (the per-call loops).
     arms = {}
-    for name in LAYER_ARMS:
+    for name in _layer_arms():
         with backend_override(name):
             times, trace = _timed_steps(images, labels)
+        if not arms:
+            median_ref, ref_trace = statistics.median(times), trace
         arms[name] = {
             "step_ms": [t * 1000 for t in times],
             "median_ms": statistics.median(times) * 1000,
@@ -186,7 +189,7 @@ def main(out_path: str = "BENCH_backends.json") -> dict:
     }
     Path(out_path).write_text(json.dumps(report, indent=2) + "\n")
 
-    print(f"reference loops (plans off): {median_ref * 1000:8.1f} ms/step"
+    print(f"reference loops: {median_ref * 1000:8.1f} ms/step"
           f"  [{cores} usable core(s), gate >= {REQUIRED_SPEEDUP}x]")
     print(f"{'arm':<12} {'median':>10} {'speedup':>8} "
           f"{'bit-identical':>14} {'contract':>10}")

@@ -1,12 +1,13 @@
 """Step-time A/B benchmark for the shape-static kernel plan layer.
 
 Trains the scaled VGG for a handful of SGD steps twice per stash policy —
-once with the kernel plan cache + workspace arena enabled, once with the
-original per-call kernels — and reports the median forward+backward step
-time of each mode.  Before timing is trusted, the two modes are checked
-for *bit-identical* training: every step's loss and every parameter
-gradient must match exactly, so the speedup is a pure scheduling win with
-zero numerical drift.
+once on the plan-cache arms (``kernel_backend="numpy-plan"``, workspace
+arena on), once on the original per-call loop kernels
+(``kernel_backend="reference"``) — and reports the median
+forward+backward step time of each mode.  Before timing is trusted, the
+two modes are checked for *bit-identical* training: every step's loss
+and every parameter gradient must match exactly, so the speedup is a
+pure scheduling win with zero numerical drift.
 
 Writes machine-readable results to ``BENCH_step_time.json`` at the repo
 root (or the path given as argv[1]) and prints a human-readable table.
@@ -41,12 +42,12 @@ def _run_mode(policy_name: str, use_plans: bool, images, labels):
     graph = scaled_vgg(batch_size=BATCH)
     policy = (GistPolicy(graph) if policy_name == "gist"
               else BaselinePolicy())
-    # Pin the plan-cache arm explicitly: this benchmark isolates the
-    # plan layer, so the measured-autotuner dispatch (whose arms are
-    # timed per-arm by bench_backends.py) must not float the A side.
+    # Pin both sides by arm name: this benchmark isolates the plan
+    # layer, so the measured-autotuner dispatch (whose arms are timed
+    # per-arm by bench_backends.py) must not float either of them.
     ex = GraphExecutor(graph, policy=policy, seed=0,
-                       use_kernel_plans=use_plans,
-                       kernel_backend="numpy-plan" if use_plans else None)
+                       kernel_backend="numpy-plan" if use_plans
+                       else "reference")
     opt = SGD(lr=0.01, momentum=0.9)
     times, trace = [], []
     for step in range(WARMUP_STEPS + TIMED_STEPS):

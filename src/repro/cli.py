@@ -432,7 +432,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print("\nautotuned selections (this process):")
         for record in selections:
             print(f"  {record['op']} {record['signature']}: "
-                  f"{record['backend']} [{record['source']}]")
+                  f"{record['backend']}")
     if args.out:
         from repro.ioutil import atomic_write_json
 

@@ -195,9 +195,10 @@ def verify_kernel_agreement(
     """Cross-check the kernel-plan and reference execution paths.
 
     Runs two fresh executors over the same graph and batches — one with
-    the shape-static kernel plans + arena, one with the original per-call
-    kernels — and requires bit-identical losses, parameter gradients and
-    decoded stash tensors at every step.
+    the default dispatch (autotuned arms + arena), one forced onto the
+    registry's ``reference`` arms with a pass-through arena — and requires
+    bit-identical losses, parameter gradients and decoded stash tensors
+    at every step.
 
     Args:
         graph: The training graph (parameters are re-initialised per

@@ -2,10 +2,10 @@
 
 The training graph never changes shape between iterations, so all index
 arithmetic for the conv/pool lowering is done once (:mod:`.plan`) and
-all scratch buffers are pooled per executor (:mod:`.arena`).  The global
-on/off switch lives in :mod:`.config` (env var ``REPRO_KERNEL_PLANS``);
-disabling it restores the original per-call Python-loop kernels for A/B
-verification.  See the "Runtime kernel layer" section of
+all scratch buffers are pooled per executor (:mod:`.arena`).  The one
+global switch lives in :mod:`.config` (env var ``REPRO_KERNEL_BACKEND``);
+forcing the ``reference`` arm restores the original per-call Python-loop
+kernels for A/B verification.  See the "Runtime kernel layer" section of
 ``docs/architecture.md``.
 """
 
@@ -24,18 +24,13 @@ from repro.kernels.backends import (
     register_backend,
     registered_ops,
     run_codec,
-    select_conv_backend,
-    select_pool_backend,
+    select_backend,
     unregister_backend,
 )
 from repro.kernels.config import (
     backend_override,
     forced_backend,
-    plans_enabled,
-    plans_override,
-    resolve_kernel_state,
     set_forced_backends,
-    set_plans_enabled,
 )
 from repro.kernels.plan import (
     KernelPlan,
@@ -61,15 +56,10 @@ __all__ = [
     "get_plan",
     "op_families",
     "plan_cache_stats",
-    "plans_enabled",
-    "plans_override",
     "register_backend",
     "registered_ops",
-    "resolve_kernel_state",
     "run_codec",
-    "select_conv_backend",
-    "select_pool_backend",
+    "select_backend",
     "set_forced_backends",
-    "set_plans_enabled",
     "unregister_backend",
 ]

@@ -3,11 +3,13 @@
 This extends the plan layer's original GEMM-formulation probe (see
 ``repro.kernels.plan._gemm_fast``) from "matmul vs einsum" to "which
 registered backend runs this signature fastest".  The first time a
-``(op, shapes, dtype)`` signature is dispatched, every arm runs the op
-forward *and* backward on the live data a few times; the fastest arm
-that is **bit-identical to the incumbent default** — output values and
-the memory layout of every tensor that escapes to the graph — wins and
-is cached for the rest of the process.
+``(op, shapes, dtype)`` signature is dispatched, every candidate arm —
+all but the ``reference`` ground truth, which is the oracle and never a
+candidate — runs the op forward *and* backward on the live data a few
+times; the fastest arm that is **bit-identical to the incumbent
+default** — the bytes of every output and the memory layout of every
+tensor that escapes to the graph — wins and is cached for the rest of
+the process.
 
 Bit-identity (not closeness) is the eligibility bar on purpose: the
 default selection must keep every training golden, so an arm whose BLAS
@@ -16,106 +18,29 @@ wins where it provably matches.  Arms that only meet their registered
 ``tolerance`` are never auto-selected; they are reachable via
 ``REPRO_KERNEL_BACKEND`` or a per-executor override, which bypasses this
 module entirely.
-
-Selections persist across processes when ``REPRO_KERNEL_AUTOTUNE_CACHE``
-names a JSON file: a persisted choice skips the timing sweep but is
-still *verified* against the incumbent on live data before being
-trusted — a cache written on one BLAS build cannot smuggle a
-non-identical arm onto another.
 """
 
 from __future__ import annotations
 
-import json
 import time
-import warnings
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.kernels import config
 from repro.kernels.backends import (
+    REFERENCE,
     ConvBackend,
     KernelBackend,
-    PoolBackend,
     backends_for,
     default_backend,
 )
+from repro.kernels.plan import bit_identical
 
 #: Timed repetitions per arm during a tuning probe (min is kept).
 PROBE_REPS = 2
 
 _chosen: Dict[str, KernelBackend] = {}
 _records: Dict[str, dict] = {}
-_persisted: Optional[Dict[str, dict]] = None
-
-
-# ----------------------------------------------------------------------
-# Persistence
-# ----------------------------------------------------------------------
-def _cache_path() -> Optional[Path]:
-    return Path(config.autotune_cache_path) if config.autotune_cache_path \
-        else None
-
-
-def _host_signature() -> Dict[str, int]:
-    from repro.orchestrate.cores import usable_cores
-
-    return {"usable_cores": usable_cores()}
-
-
-def _load_persisted() -> Dict[str, dict]:
-    global _persisted
-    if _persisted is None:
-        _persisted = {}
-        path = _cache_path()
-        if path is not None and path.exists():
-            try:
-                data = json.loads(path.read_text())
-                if isinstance(data, dict):
-                    selections = {
-                        k: v for k, v in data.get("selections", {}).items()
-                        if isinstance(v, dict) and "backend" in v
-                    }
-                    # Timings depend on the host: a cache tuned on a
-                    # multi-core box would silently force losing arms on a
-                    # 1-core runner.  Unstamped or mismatched caches are
-                    # ignored (forcing a retune at this host's timings).
-                    host = data.get("host")
-                    if selections and host != _host_signature():
-                        warnings.warn(
-                            "ignoring autotune cache "
-                            f"{path}: host signature {host!r} does not "
-                            f"match this host {_host_signature()!r}; "
-                            "arms will be re-timed here",
-                            RuntimeWarning,
-                            stacklevel=3,
-                        )
-                        selections = {}
-                    _persisted = selections
-            except (OSError, ValueError):  # corrupt cache: retune
-                _persisted = {}
-    return _persisted
-
-
-def _save_persisted() -> None:
-    path = _cache_path()
-    if path is None:
-        return
-    from repro.ioutil import atomic_write_json
-
-    merged = dict(_load_persisted())
-    for key, record in _records.items():
-        merged[key] = {
-            "backend": record["backend"],
-            "timings_ms": record.get("timings_ms", {}),
-        }
-    _persisted.update(merged)
-    atomic_write_json(
-        path,
-        {"version": 1, "host": _host_signature(), "selections": merged},
-    )
 
 
 # ----------------------------------------------------------------------
@@ -126,70 +51,15 @@ def _matches(truth: Dict[str, np.ndarray], out: Dict[str, np.ndarray],
     """Bit-identity check: values everywhere, layout on escaping keys."""
     for key, ref in truth.items():
         got = out.get(key)
-        if got is None or got.dtype != ref.dtype or got.shape != ref.shape:
-            return False
-        if not np.array_equal(got, ref):
+        if got is None or not bit_identical(got, ref):
             return False
         if key in stride_keys and got.strides != ref.strides:
             return False
     return True
 
 
-def _select(
-    op: str,
-    sig: str,
-    runner: Callable[[KernelBackend], Dict[str, np.ndarray]],
-    stride_keys: Sequence[str],
-) -> KernelBackend:
-    key = f"{op}|{sig}"
-    backend = _chosen.get(key)
-    if backend is not None:
-        return backend
-
-    incumbent = default_backend(op)
-    arms = {b.name: b for b in backends_for(op)}
-    truth = runner(incumbent)
-
-    persisted = _load_persisted().get(key)
-    if persisted is not None and persisted["backend"] in arms:
-        name = persisted["backend"]
-        verified = (name == incumbent.name
-                    or _matches(truth, runner(arms[name]), stride_keys))
-        if verified:
-            _chosen[key] = arms[name]
-            _records[key] = {
-                "op": op, "signature": sig, "backend": name,
-                "source": "persisted",
-                "timings_ms": persisted.get("timings_ms", {}),
-            }
-            return arms[name]
-
-    timings: Dict[str, float] = {}
-    exact: Dict[str, bool] = {}
-    for name, arm in arms.items():
-        best = float("inf")
-        out: Dict[str, np.ndarray] = {}
-        for _ in range(PROBE_REPS):
-            t0 = time.perf_counter()
-            out = runner(arm)
-            best = min(best, time.perf_counter() - t0)
-        timings[name] = best
-        exact[name] = (name == incumbent.name
-                       or _matches(truth, out, stride_keys))
-    eligible = [name for name in timings if exact[name]]
-    choice = min(eligible, key=lambda name: timings[name])
-    _chosen[key] = arms[choice]
-    _records[key] = {
-        "op": op, "signature": sig, "backend": choice, "source": "tuned",
-        "timings_ms": {n: t * 1000 for n, t in sorted(timings.items())},
-        "exact": {n: bool(e) for n, e in sorted(exact.items())},
-    }
-    _save_persisted()
-    return arms[choice]
-
-
 # ----------------------------------------------------------------------
-# Per-op entry points
+# Per-op entry point
 # ----------------------------------------------------------------------
 def autotuned_backend(op: str, x, w4, bias, stride, pad) -> ConvBackend:
     """The tuned conv2d arm for this signature (probing on first use)."""
@@ -213,29 +83,29 @@ def autotuned_backend(op: str, x, w4, bias, stride, pad) -> ConvBackend:
                               saved=saved)
         return {"y": y, "dx": dx, "dw": dw}
 
-    return _select(op, sig, runner, stride_keys=("y", "dx"))
-
-
-def autotuned_pool_backend(x, kh, kw, stride, pad) -> PoolBackend:
-    """The tuned maxpool2d arm for this signature."""
-    sig = (f"x{'x'.join(map(str, x.shape))}-k{kh}x{kw}-s{stride}p{pad}-"
-           f"{x.dtype}")
-    key = f"maxpool2d|{sig}"
-    backend = _chosen.get(key)
-    if backend is not None:
-        return backend
-
-    incumbent = default_backend("maxpool2d")
-    y0, _ = incumbent.forward(x, kh, kw, stride, pad, arena=None)
-    dy = y0
-
-    def runner(arm: PoolBackend) -> Dict[str, np.ndarray]:
-        y, argmax = arm.forward(x, kh, kw, stride, pad, arena=None)
-        dx = arm.backward(argmax, dy, x.shape, kh, kw, stride, pad,
-                          arena=None)
-        return {"y": y, "argmax": argmax, "dx": dx}
-
-    return _select("maxpool2d", sig, runner, stride_keys=("y", "dx"))
+    arms = {b.name: b for b in backends_for(op) if b.name != REFERENCE}
+    truth = runner(incumbent)
+    timings: Dict[str, float] = {}
+    exact: Dict[str, bool] = {}
+    for name, arm in arms.items():
+        best = float("inf")
+        out: Dict[str, np.ndarray] = {}
+        for _ in range(PROBE_REPS):
+            t0 = time.perf_counter()
+            out = runner(arm)
+            best = min(best, time.perf_counter() - t0)
+        timings[name] = best
+        exact[name] = (name == incumbent.name
+                       or _matches(truth, out, stride_keys=("y", "dx")))
+    eligible = [name for name in timings if exact[name]]
+    choice = min(eligible, key=lambda name: timings[name])
+    _chosen[key] = arms[choice]
+    _records[key] = {
+        "op": op, "signature": sig, "backend": choice,
+        "timings_ms": {n: t * 1000 for n, t in sorted(timings.items())},
+        "exact": {n: bool(e) for n, e in sorted(exact.items())},
+    }
+    return arms[choice]
 
 
 # ----------------------------------------------------------------------
@@ -247,8 +117,6 @@ def autotune_report() -> List[dict]:
 
 
 def clear_selection_cache() -> None:
-    """Drop in-memory selections and force a cache-file reload."""
-    global _persisted
+    """Drop every selection; the next dispatch of a signature re-probes."""
     _chosen.clear()
     _records.clear()
-    _persisted = None

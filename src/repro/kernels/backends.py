@@ -14,12 +14,11 @@ Each backend registers with an explicit numerical contract:
 
 * ``exact=True`` — the arm claims bit-identity with its op's
   ``reference`` arm on every input.  The differential oracle
-  (:mod:`repro.verify.differential`) enforces this with
-  ``np.array_equal``.
+  (:mod:`repro.verify.differential`) enforces this byte for byte
+  (:func:`repro.kernels.plan.bit_identical`).
 * ``exact=False, tolerance=t`` — the arm only claims a maximum relative
-  error of ``t`` (e.g. the fat-GEMM conv, whose BLAS reduction order is
-  library-dependent, or the image-tiled conv, whose per-tile weight
-  gradients accumulate in tile order).
+  error of ``t`` (the fat-GEMM conv, whose BLAS reduction order is
+  library-dependent).
 
 The *default selection* is stricter than the registration contract: the
 measured chooser (:mod:`repro.kernels.autotune`) only promotes an arm to
@@ -29,16 +28,20 @@ values **and** memory layout of the escaping tensors — to the incumbent
 wins.  Forcing an arm via ``REPRO_KERNEL_BACKEND`` bypasses that probe
 and accepts the arm's registered contract instead.
 
-Registered ops and arms:
+An arm stays registered only if it is the op's ground truth (the
+loop-lowered ``reference`` / ``loop`` kernels — the oracle, never a
+chooser candidate), the incumbent default, or wins a ledger signature
+under its contract; ``docs/architecture.md`` has the rule and the
+measurements.  Registered ops and arms:
 
 =============  =====================================================
 op             arms
 =============  =====================================================
-conv2d         reference, numpy-plan, blas-fat, blas-chunk
-maxpool2d      reference, numpy-plan, reduce
+conv2d         reference, numpy-plan, blas-fat
+maxpool2d      reference, numpy-plan
 pack_bits      loop, numpy
 pack_nibbles   loop, numpy
-csr_build      loop, numpy, searchsorted
+csr_build      loop, numpy
 =============  =====================================================
 """
 
@@ -156,47 +159,38 @@ def _all_arm_names() -> set:
     return names
 
 
-def resolve_forced_backend(op: str) -> Optional[KernelBackend]:
-    """The arm ``REPRO_KERNEL_BACKEND`` (or an override) forces for ``op``.
+def validate_backend_name(name: str) -> None:
+    """Raise ``ValueError`` unless some op registers an arm ``name``."""
+    if name not in _all_arm_names():
+        raise ValueError(
+            f"kernel_backend={name!r} names no registered backend "
+            f"(registered: {', '.join(sorted(_all_arm_names()))})"
+        )
 
+
+def resolve_forced_backend(op: str, ctx=None) -> Optional[KernelBackend]:
+    """The arm forced for ``op``: executor kwarg > ``REPRO_KERNEL_BACKEND``.
+
+    ``ctx`` may carry a ``kernel_backend`` name
+    (``GraphExecutor(kernel_backend=...)``, validated at construction).
     Returns ``None`` when nothing is forced or when a *global* (bare)
-    name simply is not registered for this op — a global
-    ``blas-fat`` force legitimately applies only to conv.  A name that
+    name simply is not registered for this op — a global ``blas-fat``
+    force legitimately applies only to conv.  An environment name that
     no op registers at all warns once per value instead of silently
     falling back.
     """
-    name = config.forced_backend(op)
-    if name is None:
-        return None
     arms = _BACKENDS.get(op, {})
-    if name in arms:
-        return arms[name]
+    name = getattr(ctx, "kernel_backend", None)
+    if name not in arms:
+        name = config.forced_backend(op)
+    if name is None or name in arms:
+        return arms.get(name)
     if name not in _all_arm_names() and name not in _warned_forces:
         _warned_forces.add(name)
         warnings.warn(
             f"REPRO_KERNEL_BACKEND names unknown backend {name!r} "
             f"(registered: {', '.join(sorted(_all_arm_names()))}); "
             f"falling back to autotuned selection",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return None
-
-
-def _resolve_context_backend(op: str, ctx) -> Optional[KernelBackend]:
-    """Per-executor override (``GraphExecutor(kernel_backend=...)``)."""
-    spec = getattr(ctx, "kernel_backend", None)
-    if not spec:
-        return None
-    arms = _BACKENDS.get(op, {})
-    if spec in arms:
-        return arms[spec]
-    key = ("ctx", op, spec)
-    if spec not in _all_arm_names() and key not in _warned_forces:
-        _warned_forces.add(key)
-        warnings.warn(
-            f"executor kernel_backend={spec!r} names no registered "
-            f"backend; falling back to autotuned selection",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -365,9 +359,6 @@ class ConvBlasFat(ConvBackend):
     tolerance = 1e-5
     description = "single-GEMM whole-batch im2col^T lowering"
 
-    def _y_strides(self, wmat, cols_shape):
-        return _einsum_y_strides(wmat, cols_shape)
-
     def forward(self, x, w4, bias, stride, pad, arena=None,
                 want_saved=False):
         from repro.kernels.plan import get_plan
@@ -384,7 +375,7 @@ class ConvBlasFat(ConvBackend):
         if bias is not None:
             y2 += bias[:, None]
         y = _rent_like_layout(
-            arena, (n, f, p), self._y_strides(wmat, (n, k, p)), np.float32
+            arena, (n, f, p), _einsum_y_strides(wmat, (n, k, p)), np.float32
         )
         np.copyto(y, y2.reshape(f, n, p).transpose(1, 0, 2))
         arena.release(y2)
@@ -416,125 +407,6 @@ class ConvBlasFat(ConvBackend):
         arena.release(dy2)
         dx = plan.col2im_t(dcols_t, arena)
         arena.release(dcols_t)
-        return dx, dw.reshape(w4.shape)
-
-
-class ConvBlasChunk(ConvBackend):
-    """Image-tiled im2col + GEMM pipeline with cache-resident workspaces.
-
-    The whole-batch lowerings stream a ``K x N*P`` column matrix through
-    DRAM three times per step (gather, forward GEMM, weight-gradient
-    GEMM).  This arm never materialises it: the batch is processed in
-    image tiles whose column chunk fits in cache, so the gather, the
-    GEMMs and the ``col2im`` scatter of one tile all hit hot lines, and
-    the only DRAM traffic left is the layer's own tensors.  The chunked
-    weight-gradient accumulation changes the reduction order, hence the
-    registered tolerance; forward output and input gradient still probe
-    bit-identical to the incumbent on most signatures.
-    """
-
-    name = "blas-chunk"
-    exact = False
-    tolerance = 1e-5
-    description = "image-tiled im2col+GEMM with cache-resident chunks"
-
-    #: Target bytes of the per-tile column workspace (~L2-to-L3 sized).
-    chunk_bytes = 4 << 20
-
-    def _tile_imgs(self, k: int, p: int) -> int:
-        return max(1, self.chunk_bytes // (k * p * 4))
-
-    def forward(self, x, w4, bias, stride, pad, arena=None,
-                want_saved=False):
-        from repro.kernels.plan import get_plan
-
-        arena = arena if arena is not None else NULL_ARENA
-        n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
-        p = oh * ow
-        wmat = w4.reshape(f, -1)
-        k = wmat.shape[1]
-        plan = get_plan(x.shape, kh, kw, stride, pad)
-        xp = plan._padded(x, 0.0)
-        imgs = self._tile_imgs(k, p)
-        y = _rent_like_layout(
-            arena, (n, f, p), _einsum_y_strides(wmat, (n, k, p)), np.float32
-        )
-        cols = arena.rent((k, imgs * p), np.float32)
-        u = arena.rent((f, imgs * p), np.float32)
-        for n0 in range(0, n, imgs):
-            n1 = min(n, n0 + imgs)
-            m = n1 - n0
-            cv = cols[:, : m * p]
-            c6 = cv.reshape(c, kh, kw, m, oh, ow)
-            for ki in range(kh):
-                for kj in range(kw):
-                    np.copyto(
-                        c6[:, ki, kj],
-                        xp[n0:n1, :, ki:ki + stride * oh:stride,
-                           kj:kj + stride * ow:stride].transpose(1, 0, 2, 3),
-                    )
-            uv = u[:, : m * p]
-            np.matmul(wmat, cv, out=uv)
-            if bias is not None:
-                uv += bias[:, None]
-            np.copyto(y[n0:n1], uv.reshape(f, m, p).transpose(1, 0, 2))
-        arena.release(u)
-        arena.release(cols)
-        # Columns are tile-local by design; backward re-gathers from the
-        # (cache-hot) input instead of stashing a DRAM-sized matrix.
-        return (y.reshape(n, f, oh, ow).astype(np.float32, copy=False),
-                None)
-
-    def backward(self, x, w4, dy, stride, pad, arena=None, saved=None):
-        from repro.kernels.plan import get_plan
-
-        arena = arena if arena is not None else NULL_ARENA
-        n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
-        h, w = x.shape[2], x.shape[3]
-        p = oh * ow
-        wmat = w4.reshape(f, -1)
-        k = wmat.shape[1]
-        plan = get_plan(x.shape, kh, kw, stride, pad)
-        xp = plan._padded(x, 0.0)
-        hp, wp = h + 2 * pad, w + 2 * pad
-        imgs = self._tile_imgs(k, p)
-        dy4 = dy.reshape(n, f, p)
-        dw = np.zeros((f, k), dtype=np.float32)
-        dxp = arena.rent((n, c, hp, wp), np.float32)
-        dxp.fill(0.0)
-        cols = arena.rent((k, imgs * p), np.float32)
-        dyc = arena.rent((f, imgs * p), np.float32)
-        dcols = arena.rent((k, imgs * p), np.float32)
-        for n0 in range(0, n, imgs):
-            n1 = min(n, n0 + imgs)
-            m = n1 - n0
-            cv = cols[:, : m * p]
-            c6 = cv.reshape(c, kh, kw, m, oh, ow)
-            for ki in range(kh):
-                for kj in range(kw):
-                    np.copyto(
-                        c6[:, ki, kj],
-                        xp[n0:n1, :, ki:ki + stride * oh:stride,
-                           kj:kj + stride * ow:stride].transpose(1, 0, 2, 3),
-                    )
-            dyv = dyc[:, : m * p]
-            np.copyto(dyv.reshape(f, m, p),
-                      dy4[n0:n1].transpose(1, 0, 2))
-            dw += np.matmul(dyv, cv.T)
-            dcv = dcols[:, : m * p]
-            np.matmul(wmat.T, dyv, out=dcv)
-            d6 = dcv.reshape(c, kh, kw, m, oh, ow)
-            for ki in range(kh):
-                for kj in range(kw):
-                    dxp[n0:n1, :, ki:ki + stride * oh:stride,
-                        kj:kj + stride * ow:stride] += \
-                        d6[:, ki, kj].transpose(1, 0, 2, 3)
-        arena.release(dcols)
-        arena.release(dyc)
-        arena.release(cols)
-        dx = dxp
-        if pad:
-            dx = dxp[:, :, pad:pad + h, pad:pad + w]
         return dx, dw.reshape(w4.shape)
 
 
@@ -609,57 +481,6 @@ class PoolNumpyPlan(PoolBackend):
 
         plan = get_plan(x.shape, kh, kw, stride, pad)
         return plan.maxpool_forward(x, arena)
-
-    def backward(self, argmax, dy, x_shape, kh, kw, stride, pad,
-                 arena=None):
-        from repro.kernels.plan import get_plan
-
-        plan = get_plan(x_shape, kh, kw, stride, pad)
-        return plan.maxpool_backward(argmax, dy, arena)
-
-
-class PoolReduce(PoolBackend):
-    """Plan-based forward with a max *reduction* for the values.
-
-    ``cols.max(axis=slot)`` replaces the ``take_along_axis`` gather —
-    the maximum value is by definition the element the argmax picks, so
-    values, ties and the argmax map are all bit-identical while one
-    indexed gather disappears from the hot path.
-    """
-
-    name = "reduce"
-    description = "plan gather + slot-axis max reduction"
-
-    def forward(self, x, kh, kw, stride, pad, arena=None):
-        from repro.kernels.plan import get_plan
-
-        arena = arena if arena is not None else NULL_ARENA
-        plan = get_plan(x.shape, kh, kw, stride, pad)
-        n, c, h, w = plan.shape
-        disjoint = (
-            plan.pad == 0
-            and plan.stride == plan.kh == plan.kw
-            and h == plan.oh * plan.kh
-            and w == plan.ow * plan.kw
-        )
-        if disjoint:
-            rented = arena.rent((n, c, plan.P, plan.S), x.dtype)
-            v = x.reshape(n, c, plan.oh, plan.kh, plan.ow, plan.kw)
-            cols = rented.reshape(n, c, plan.oh, plan.ow, plan.kh, plan.kw)
-            np.copyto(cols, v.transpose(0, 1, 2, 4, 3, 5))
-            cols = rented
-            argmax = cols.argmax(axis=3).astype(np.uint8)
-            y = cols.max(axis=3)
-        else:
-            rented = plan.im2col(x, arena, pad_value=-np.inf)
-            cols = rented.reshape(n, c, plan.S, plan.P)
-            argmax = cols.argmax(axis=2).astype(np.uint8)
-            y = cols.max(axis=2)
-        arena.release(rented)
-        return (
-            y.reshape(n, c, plan.oh, plan.ow).astype(np.float32, copy=False),
-            argmax.reshape(n, c, plan.oh, plan.ow),
-        )
 
     def backward(self, argmax, dy, x_shape, kh, kw, stride, pad,
                  arena=None):
@@ -754,22 +575,6 @@ def _csr_build_numpy(flat: np.ndarray, cols: int):
     return nz, col_idx, row_ptr
 
 
-def _csr_build_searchsorted(flat: np.ndarray, cols: int):
-    """Vectorised build with a searchsorted row pointer.
-
-    ``flatnonzero`` yields ascending positions, so the row index array
-    is sorted and ``row_ptr[i] == count of nonzeros in rows < i`` is one
-    binary-search sweep instead of a bincount over all rows.
-    """
-    n_rows = _csr_rows(flat.size, cols)
-    nz = np.flatnonzero(flat).astype(np.int64, copy=False)
-    rows = nz // cols
-    col_idx = (nz - rows * cols).astype(_csr_index_dtype(cols))
-    row_ptr = np.zeros(n_rows + 1, np.int32)
-    row_ptr[1:] = np.searchsorted(rows, np.arange(1, n_rows + 1))
-    return nz, col_idx, row_ptr
-
-
 def run_codec(op: str, *args):
     """Dispatch one codec op through its active arm.
 
@@ -777,8 +582,7 @@ def run_codec(op: str, *args):
     (or a forced arm) rather than the measured chooser — the registry
     still exposes every arm to the differential oracle.
     """
-    backend = resolve_forced_backend(op) or default_backend(op)
-    return backend.run(*args)
+    return select_backend(op, None).run(*args)
 
 
 # ----------------------------------------------------------------------
@@ -842,6 +646,13 @@ def _make_pool_inputs(rng: np.random.Generator) -> tuple:
     # Plant exact ties so tie-breaking order is part of the contract.
     if h >= 2:
         x[:, :, 0, :] = x[:, :, 1, :]
+    # ... and a signed-zero tie heading the first window of every plane,
+    # [+0, -0] on even planes and [-0, +0] on odd ones: equal under ==,
+    # different bits, so "the first maximum" must mean that element.
+    planes = x.reshape(n * c, h, w)
+    planes[:, :kh, :kw] = -1.0
+    planes[0::2, 0, :2] = (0.0, -0.0)
+    planes[1::2, 0, :2] = (-0.0, 0.0)
     oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
     dy = rng.normal(0, 1, (n, c, oh, ow)).astype(np.float32)
     return x, dy, kh, kw, stride, pad
@@ -896,30 +707,24 @@ def op_families() -> Tuple[OpFamily, ...]:
 
 
 # ----------------------------------------------------------------------
-# Dispatch entry points for the layers
+# Dispatch entry point
 # ----------------------------------------------------------------------
-def select_conv_backend(ctx, x, w4, bias, stride, pad) -> ConvBackend:
-    """The conv2d arm for this call: ctx override > env force > chooser."""
-    forced = _resolve_context_backend("conv2d", ctx)
-    if forced is None:
-        forced = resolve_forced_backend("conv2d")
+def select_backend(op: str, ctx, *probe_args) -> KernelBackend:
+    """The arm for this call: executor kwarg > env force > chooser.
+
+    ``probe_args`` are the live operands the measured chooser times the
+    op's non-reference arms on (conv2d: ``x, w4, bias, stride, pad``).
+    Ops with a single such arm (max-pool, the codecs) pass none and get
+    their default.
+    """
+    forced = resolve_forced_backend(op, ctx)
     if forced is not None:
         return forced
+    if not probe_args:
+        return default_backend(op)
     from repro.kernels.autotune import autotuned_backend
 
-    return autotuned_backend("conv2d", x, w4, bias, stride, pad)
-
-
-def select_pool_backend(ctx, x, kh, kw, stride, pad) -> PoolBackend:
-    """The maxpool2d arm for this call (same precedence as conv)."""
-    forced = _resolve_context_backend("maxpool2d", ctx)
-    if forced is None:
-        forced = resolve_forced_backend("maxpool2d")
-    if forced is not None:
-        return forced
-    from repro.kernels.autotune import autotuned_pool_backend
-
-    return autotuned_pool_backend(x, kh, kw, stride, pad)
+    return autotuned_backend(op, *probe_args)
 
 
 # ----------------------------------------------------------------------
@@ -928,11 +733,9 @@ def select_pool_backend(ctx, x, kh, kw, stride, pad) -> PoolBackend:
 register_backend(ConvReference())
 register_backend(ConvNumpyPlan(), default=True)
 register_backend(ConvBlasFat())
-register_backend(ConvBlasChunk())
 
 register_backend(PoolReference())
 register_backend(PoolNumpyPlan(), default=True)
-register_backend(PoolReduce())
 
 register_backend(FnBackend("pack_bits", "loop", _pack_bits_loop,
                            description="8-pass shift-or loop"))
@@ -949,6 +752,3 @@ register_backend(FnBackend("csr_build", "loop", _csr_build_loop,
 register_backend(FnBackend("csr_build", "numpy", _csr_build_numpy,
                            description="divmod + bincount/cumsum"),
                  default=True)
-register_backend(FnBackend("csr_build", "searchsorted",
-                           _csr_build_searchsorted,
-                           description="sorted-rows binary-search row_ptr"))

@@ -1,25 +1,17 @@
-"""Global switches for the runtime kernel layer.
+"""The one global switch of the runtime kernel layer.
 
-Two environment variables control the layer; both are validated at
-import time and unknown values produce a ``RuntimeWarning`` instead of a
-silent fallback:
+``REPRO_KERNEL_BACKEND`` forces the registry's backend selection instead
+of the measured autotuner.  It accepts a bare backend name
+(``reference``, ``numpy-plan``, ``blas-fat``, ``numpy``, ``loop``)
+applied to every op that registers it, or comma-separated ``op=name``
+pairs (``conv2d=blas-fat,maxpool2d=reference``) for per-op control.
+``auto`` (or unset) keeps the autotuner in charge.  Syntax is validated
+at import time; names are validated lazily against the live registry —
+see :func:`repro.kernels.backends.resolve_forced_backend` — and an
+unknown one produces a ``RuntimeWarning`` instead of a silent fallback.
 
-* ``REPRO_KERNEL_PLANS`` — boolean; ``0/false/off/no`` falls back to the
-  original per-call Python-loop kernels (the A/B baseline), anything in
-  ``1/true/on/yes`` (the default) enables the shape-static plan cache +
-  workspace arena and, with it, the multi-backend registry.
-* ``REPRO_KERNEL_BACKEND`` — forces the registry's backend selection
-  instead of the measured autotuner.  Accepts a bare backend name
-  (``reference``, ``numpy-plan``, ``blas-fat``, ``blas-chunk``, ``reduce``,
-  ``numpy``, ``loop``, ``searchsorted``) applied to every op that registers it, or
-  comma-separated ``op=name`` pairs (``conv2d=blas-fat,maxpool2d=reference``)
-  for per-op control.  ``auto`` (or unset) keeps the autotuner in charge.
-  Names are validated lazily against the live registry — see
-  :func:`repro.kernels.backends.resolve_forced_backend`.
-
-A third, optional, variable ``REPRO_KERNEL_AUTOTUNE_CACHE`` points the
-measured backend chooser at a JSON file for cross-process persistence of
-per-signature selections (see :mod:`repro.kernels.autotune`).
+``REPRO_KERNEL_BACKEND=reference`` is the A/B baseline: every conv and
+pool runs the original per-call Python-loop kernels.
 
 This module is import-cycle-free on purpose: layers import it directly
 (``repro.kernels.config``) while the heavier plan machinery imports the
@@ -31,30 +23,7 @@ from __future__ import annotations
 import os
 import warnings
 from contextlib import contextmanager
-from typing import Dict, Optional, Tuple
-
-_FALSEY = ("0", "false", "off", "no")
-_TRUTHY = ("1", "true", "on", "yes")
-
-
-def _parse_bool_env(name: str, default: bool) -> bool:
-    """Validated boolean env parse: warn (once, at import) on unknown."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    value = raw.strip().lower()
-    if value in _FALSEY:
-        return False
-    if value in _TRUTHY:
-        return True
-    warnings.warn(
-        f"{name}={raw!r} is not a recognised boolean "
-        f"({'/'.join(_TRUTHY)} or {'/'.join(_FALSEY)}); "
-        f"using the default ({'on' if default else 'off'})",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return default
+from typing import Dict, Optional
 
 
 def _parse_backend_env(raw: Optional[str]) -> Dict[str, str]:
@@ -89,37 +58,9 @@ def _parse_backend_env(raw: Optional[str]) -> Dict[str, str]:
     return forced
 
 
-_enabled: bool = _parse_bool_env("REPRO_KERNEL_PLANS", True)
 _forced_backends: Dict[str, str] = _parse_backend_env(
     os.environ.get("REPRO_KERNEL_BACKEND")
 )
-#: Optional JSON path for cross-process autotune persistence.
-autotune_cache_path: Optional[str] = (
-    os.environ.get("REPRO_KERNEL_AUTOTUNE_CACHE") or None
-)
-
-
-def plans_enabled() -> bool:
-    """Whether the shape-static kernel plans are globally enabled."""
-    return _enabled
-
-
-def set_plans_enabled(flag: bool) -> bool:
-    """Set the global switch; returns the previous value."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(flag)
-    return previous
-
-
-@contextmanager
-def plans_override(flag: bool):
-    """Temporarily force the global switch (for A/B tests)."""
-    previous = set_plans_enabled(flag)
-    try:
-        yield
-    finally:
-        set_plans_enabled(previous)
 
 
 def forced_backend(op: str) -> Optional[str]:
@@ -149,16 +90,12 @@ def backend_override(spec: Optional[str]):
         set_forced_backends(previous)
 
 
-def resolve_kernel_state(ctx) -> Tuple[bool, Optional[object]]:
-    """Resolve (enabled, arena) for a layer call.
+def resolve_arena(ctx) -> Optional[object]:
+    """The pooling workspace arena of a layer call, or ``None``.
 
-    An executor-provided :class:`~repro.layers.base.OpContext` may carry
-    ``kernels_enabled`` and ``arena`` attributes; standalone contexts
-    (gradient-check harness, ``ctx=None`` inference) fall back to the
-    global switch and a fresh-allocation arena.
+    Standalone contexts (gradient-check harness, ``ctx=None`` inference)
+    carry no arena and ``GraphExecutor(use_kernel_plans=False)`` carries
+    a pass-through one; both mean "allocate fresh".
     """
-    enabled = getattr(ctx, "kernels_enabled", None)
-    if enabled is None:
-        enabled = _enabled
-    arena = getattr(ctx, "arena", None) if enabled else None
-    return bool(enabled), arena
+    arena = getattr(ctx, "arena", None)
+    return arena if arena is not None and arena.enabled else None

@@ -43,6 +43,23 @@ from repro.layers.im2col import conv_output_hw
 Shape4 = Tuple[int, int, int, int]
 
 
+def bit_identical(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same dtype, shape and *bytes*: unlike ``np.array_equal``, ``+0.0``
+    differs from ``-0.0`` and a NaN equals the same NaN.  The one meaning
+    of "bit-identical" for the GEMM probes below, the backend chooser and
+    the differential oracle."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def _has_nan_or_negative_zero(x: np.ndarray) -> bool:
+    """Two reductions, no temporaries: ``min`` propagates a NaN, and
+    ``-0.0`` is the one float whose bits are the signed-integer minimum."""
+    bits = x.view(f"i{x.itemsize}")
+    return bool(np.isnan(x.min())
+                or bits.min() == np.iinfo(bits.dtype).min)
+
+
 class KernelPlan:
     """Precomputed gather/scatter geometry for one conv/pool signature."""
 
@@ -282,7 +299,11 @@ class KernelPlan:
         is never materialised at all: strided views of the input are
         max-reduced slot by slot.  Ties, values and winner indices are
         bit-identical to the reference formulation either way: the slots
-        are compared in the same ``(ki, kj)`` order.
+        are compared in the same ``(ki, kj)`` order.  An input holding a
+        NaN or a ``-0.0`` takes the general path, whose ``argmax`` +
+        gather *is* the reference rule: ``>`` never selects a NaN, and
+        which of two equal operands ``np.maximum`` returns is unspecified
+        — harmless only when equal means same bits, i.e. no ``-0.0``.
         """
         arena = arena if arena is not None else NULL_ARENA
         n, c, h, w = self.shape
@@ -291,6 +312,7 @@ class KernelPlan:
             and self.stride == self.kh == self.kw
             and h == self.oh * self.kh
             and w == self.ow * self.kw
+            and not _has_nan_or_negative_zero(x)
         )
         if disjoint:
             v = x.reshape(n, c, self.oh, self.kh, self.ow, self.kw)
@@ -301,9 +323,9 @@ class KernelPlan:
             am3 = argmax.reshape(n, c, self.oh, self.ow)
             mask = arena.rent((n, c, self.oh, self.ow), np.bool_)
             # Running strict-greater max over ascending slots: ties keep
-            # the earlier slot, exactly argmax's first-max rule, and
-            # np.maximum returns its first operand on equality, so tied
-            # values (including signed zeros) match take_along_axis too.
+            # the earlier slot, exactly argmax's first-max rule, and tied
+            # values here are bit-equal (see above), so np.maximum yields
+            # the element take_along_axis would gather.
             for slot in range(1, self.S):
                 ki, kj = divmod(slot, self.kw)
                 vs = v[:, :, :, ki, :, kj]
@@ -413,7 +435,7 @@ def gemm_forward(wmat: np.ndarray, cols: np.ndarray) -> np.ndarray:
         # into a layout-matched buffer can itself take a different
         # (non-BLAS) kernel than plain matmul on small shapes.
         trial = _empty_like_layout(ref.shape, ref.strides, ref.dtype)
-        fast = bool(np.array_equal(ref, np.matmul(wmat, cols, out=trial)))
+        fast = bit_identical(ref, np.matmul(wmat, cols, out=trial))
         _gemm_fast[key] = (fast, ref.strides)
         return ref
     fast, strides = spec
@@ -446,7 +468,7 @@ def gemm_dcols(
         # (plain matmul or an arena buffer), so probe exactly that.
         trial = np.empty(ref.shape, ref.dtype)
         _gemm_fast[key] = (
-            bool(np.array_equal(ref, np.matmul(wmat.T, dy_mat, out=trial))),
+            bit_identical(ref, np.matmul(wmat.T, dy_mat, out=trial)),
             ref.strides,
         )
         if out is not None:

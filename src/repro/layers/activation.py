@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.config import resolve_kernel_state
+from repro.kernels.config import resolve_arena
 from repro.layers.base import Layer, OpContext, Shape
 
 
@@ -70,19 +70,18 @@ class ReLU(Layer):
         ctx: OpContext,
     ) -> Tuple[List[np.ndarray], Dict[str, np.ndarray]]:
         y = ctx.stashed_output()
-        enabled, arena = resolve_kernel_state(ctx)
-        enabled = enabled and arena is not None
+        arena = resolve_arena(ctx)
         if y.dtype == np.bool_:
             mask = y  # Binarize handed us the 1-bit positivity mask directly.
             scratch = None
-        elif enabled:
+        elif arena is not None:
             scratch = arena.rent(y.shape, np.bool_)
             np.greater(y, 0, out=scratch)
             mask = scratch
         else:
             mask = y > 0
             scratch = None
-        if enabled:
+        if arena is not None:
             # The gradient rides an arena buffer: it is dead by the next
             # step's reset, and renting skips a fresh multi-MB allocation
             # (and its page faults) on every backward call.

@@ -12,13 +12,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.config import resolve_kernel_state
+from repro.kernels.config import resolve_arena
 from repro.layers.base import Layer, OpContext, Shape
-from repro.layers.im2col import (
-    col2im_reference,
-    conv_output_hw,
-    im2col_reference,
-)
+from repro.layers.im2col import conv_output_hw
 
 
 class Conv2D(Layer):
@@ -105,38 +101,28 @@ class Conv2D(Layer):
         ctx: Optional[OpContext],
         train: bool = True,
     ) -> np.ndarray:
-        (x,) = xs
-        n, c, h, w = x.shape
-        oh, ow = conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
-        enabled, arena = resolve_kernel_state(ctx)
-        bias = params["b"] if self.bias else None
-        if enabled:
-            from repro.kernels.backends import select_conv_backend
+        from repro.kernels.backends import select_backend
 
-            # Per-signature autotuned backend: the chooser probes every
-            # registered arm on live data and promotes the fastest one
-            # that is bit-identical (values + layout) to the incumbent.
-            backend = select_conv_backend(ctx, x, params["w"], bias,
-                                          self.stride, self.pad)
-            want_saved = bool(
-                train and ctx is not None and ctx.stashed_input_lossless()
-            )
-            y, saved = backend.forward(x, params["w"], bias, self.stride,
-                                       self.pad, arena=arena,
-                                       want_saved=want_saved)
-            if want_saved and saved is not None:
-                # The stash decodes to exactly this x, so the backward
-                # pass can reuse the arm's columns instead of
-                # re-gathering (the arm name keys the stash because
-                # each arm's column layout is its own).
-                ctx.save_state("cols", (backend.name, saved))
-            return y
-        wmat = params["w"].reshape(self.out_channels, -1)
-        cols = im2col_reference(x, self.kh, self.kw, self.stride, self.pad)
-        y = np.einsum("fk,nkp->nfp", wmat, cols, optimize=True)
-        if self.bias:
-            y += params["b"][None, :, None]
-        return y.reshape(n, self.out_channels, oh, ow).astype(np.float32, copy=False)
+        (x,) = xs
+        bias = params["b"] if self.bias else None
+        # Per-signature autotuned backend: the chooser probes every
+        # candidate arm on live data and promotes the fastest one that
+        # is bit-identical (values + layout) to the incumbent.
+        backend = select_backend("conv2d", ctx, x, params["w"], bias,
+                                 self.stride, self.pad)
+        want_saved = bool(
+            train and ctx is not None and ctx.stashed_input_lossless()
+        )
+        y, saved = backend.forward(x, params["w"], bias, self.stride,
+                                   self.pad, arena=resolve_arena(ctx),
+                                   want_saved=want_saved)
+        if want_saved and saved is not None:
+            # The stash decodes to exactly this x, so the backward
+            # pass can reuse the arm's columns instead of
+            # re-gathering (the arm name keys the stash because
+            # each arm's column layout is its own).
+            ctx.save_state("cols", (backend.name, saved))
+        return y
 
     def backward(
         self,
@@ -144,39 +130,25 @@ class Conv2D(Layer):
         params: Dict[str, np.ndarray],
         ctx: OpContext,
     ) -> Tuple[List[np.ndarray], Dict[str, np.ndarray]]:
-        x = ctx.stashed_input()
-        n, f, oh, ow = dy.shape
-        p = oh * ow
-        dy_mat = dy.reshape(n, f, p)
-        wmat = params["w"].reshape(f, -1)
-        k = wmat.shape[1]
-        enabled, arena = resolve_kernel_state(ctx)
-        if enabled:
-            from repro.kernels.backends import select_conv_backend
+        from repro.kernels.backends import select_backend
 
-            bias = params["b"] if self.bias else None
-            backend = select_conv_backend(ctx, x, params["w"], bias,
-                                          self.stride, self.pad)
-            try:
-                saved_entry = ctx.get_state("cols")
-            except KeyError:
-                saved_entry = None
-            saved = None
-            if saved_entry is not None:
-                saved_name, saved_obj = saved_entry
-                if saved_name == backend.name:
-                    saved = saved_obj
-            dx, dw = backend.backward(x, params["w"], dy, self.stride,
-                                      self.pad, arena=arena, saved=saved)
-            ctx.save_state("cols", None)
-        else:
-            cols = im2col_reference(x, self.kh, self.kw, self.stride, self.pad)
-            dw = np.einsum("nfp,nkp->fk", dy_mat, cols, optimize=True).reshape(
-                params["w"].shape
-            )
-            dcols = np.einsum("fk,nfp->nkp", wmat, dy_mat, optimize=True)
-            dx = col2im_reference(dcols, x.shape, self.kh, self.kw,
-                                  self.stride, self.pad)
+        x = ctx.stashed_input()
+        bias = params["b"] if self.bias else None
+        backend = select_backend("conv2d", ctx, x, params["w"], bias,
+                                 self.stride, self.pad)
+        try:
+            saved_entry = ctx.get_state("cols")
+        except KeyError:
+            saved_entry = None
+        saved = None
+        if saved_entry is not None:
+            saved_name, saved_obj = saved_entry
+            if saved_name == backend.name:
+                saved = saved_obj
+        dx, dw = backend.backward(x, params["w"], dy, self.stride,
+                                  self.pad, arena=resolve_arena(ctx),
+                                  saved=saved)
+        ctx.save_state("cols", None)
         dparams = {"w": dw.astype(np.float32, copy=False)}
         if self.bias:
             dparams["b"] = dy.sum(axis=(0, 2, 3)).astype(np.float32, copy=False)

@@ -14,9 +14,8 @@ Two interchangeable implementations live behind :func:`im2col` /
   window-view copy / slot-scatter reduction with no Python loops,
   renting its workspaces from a :class:`~repro.kernels.arena.WorkspaceArena`;
 * the **reference** path (:func:`im2col_reference` /
-  :func:`col2im_reference`) is the original ``kh x kw`` slice loop, kept
-  as the A/B baseline selected by ``REPRO_KERNEL_PLANS=0`` or a
-  per-executor switch.
+  :func:`col2im_reference`) is the original ``kh x kw`` slice loop — what
+  the registry's ``reference`` arms (the A/B baseline) are built from.
 
 Both produce bit-identical results (asserted by the kernel property
 tests), including floating-point accumulation order in ``col2im``.
@@ -24,7 +23,7 @@ tests), including floating-point accumulation order in ``col2im``.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -94,21 +93,16 @@ def im2col(
     stride: int,
     pad: int,
     arena=None,
-    enabled: Optional[bool] = None,
+    planned: bool = True,
 ) -> np.ndarray:
     """Unfold ``x`` (N, C, H, W) into columns (N, C*kh*kw, OH*OW).
 
     Args:
         arena: Optional workspace arena the planned path rents buffers
             from (the caller owns, and may release, the result).
-        enabled: Force the planned (True) or reference (False) path;
-            ``None`` defers to the global kernel-plan switch.
+        planned: Take the planned (True) or reference (False) path.
     """
-    if enabled is None:
-        from repro.kernels.config import plans_enabled
-
-        enabled = plans_enabled()
-    if not enabled:
+    if not planned:
         return im2col_reference(x, kh, kw, stride, pad)
     from repro.kernels.plan import get_plan
 
@@ -123,19 +117,15 @@ def col2im(
     stride: int,
     pad: int,
     arena=None,
-    enabled: Optional[bool] = None,
+    planned: bool = True,
 ) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add columns back to (N, C, H, W).
 
-    See :func:`im2col` for the ``arena``/``enabled`` semantics.  The
+    See :func:`im2col` for the ``arena``/``planned`` semantics.  The
     planned path may return a view of an arena buffer; it stays valid
     until the owning arena's next ``reset``.
     """
-    if enabled is None:
-        from repro.kernels.config import plans_enabled
-
-        enabled = plans_enabled()
-    if not enabled:
+    if not planned:
         return col2im_reference(cols, x_shape, kh, kw, stride, pad)
     from repro.kernels.plan import get_plan
 

@@ -18,9 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.dtypes import NIBBLE4, UINT8
-from repro.kernels.config import resolve_kernel_state
+from repro.kernels.config import resolve_arena
 from repro.layers.base import Layer, OpContext, Shape, StateSpec
-from repro.layers.im2col import conv_output_hw, im2col, im2col_reference
+from repro.layers.im2col import col2im, conv_output_hw, im2col
 
 
 class _Pool2D(Layer):
@@ -89,39 +89,15 @@ class MaxPool2D(_Pool2D):
         ctx: Optional[OpContext],
         train: bool = True,
     ) -> np.ndarray:
-        (x,) = xs
-        n, c, h, w = x.shape
-        oh, ow = conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
-        enabled, arena = resolve_kernel_state(ctx)
-        if enabled:
-            from repro.kernels.backends import select_pool_backend
+        from repro.kernels.backends import select_backend
 
-            backend = select_pool_backend(ctx, x, self.kh, self.kw,
-                                          self.stride, self.pad)
-            y, argmax = backend.forward(x, self.kh, self.kw, self.stride,
-                                        self.pad, arena=arena)
-            if ctx is not None:
-                # The backward pass replays the same arm without needing
-                # the (no longer live) input tensor for re-selection.
-                ctx.save_state("pool_backend", backend.name)
-        else:
-            if self.pad > 0:
-                x = np.pad(
-                    x,
-                    ((0, 0), (0, 0), (self.pad, self.pad), (self.pad, self.pad)),
-                    mode="constant",
-                    constant_values=-np.inf,
-                )
-            cols = im2col_reference(x, self.kh, self.kw, self.stride, 0)
-            cols = cols.reshape(n, c, self.kh * self.kw, oh * ow)
-            argmax = cols.argmax(axis=2).astype(np.uint8)
-            y = np.take_along_axis(
-                cols, argmax[:, :, None, :].astype(np.intp), axis=2
-            )
-            y = y[:, :, 0, :].reshape(n, c, oh, ow)
+        (x,) = xs
+        backend = select_backend("maxpool2d", ctx)
+        y, argmax = backend.forward(x, self.kh, self.kw, self.stride,
+                                    self.pad, arena=resolve_arena(ctx))
         if ctx is not None:
             ctx.save_state("argmax", argmax)
-            ctx.save_state("in_shape", np.array(xs[0].shape))
+            ctx.save_state("in_shape", np.array(x.shape))
         return y.astype(np.float32, copy=False)
 
     def backward(
@@ -130,40 +106,14 @@ class MaxPool2D(_Pool2D):
         params: Dict[str, np.ndarray],
         ctx: OpContext,
     ) -> Tuple[List[np.ndarray], Dict[str, np.ndarray]]:
-        argmax = ctx.get_state("argmax")
-        n, c, h, w = (int(v) for v in ctx.get_state("in_shape"))
-        oh, ow = conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
-        enabled, arena = resolve_kernel_state(ctx)
-        if enabled:
-            from repro.kernels.backends import default_backend, get_backend
+        from repro.kernels.backends import select_backend
 
-            try:
-                name = ctx.get_state("pool_backend")
-            except KeyError:
-                name = None
-            backend = (get_backend("maxpool2d", name) if name
-                       else default_backend("maxpool2d"))
-            return [backend.backward(argmax, dy, (n, c, h, w), self.kh,
-                                     self.kw, self.stride, self.pad,
-                                     arena=arena)], {}
-        hp, wp = h + 2 * self.pad, w + 2 * self.pad
-        dx = np.zeros((n, c, hp, wp), dtype=dy.dtype)
-        # Decompose the window-local winner index into (di, dj) offsets and
-        # scatter dY into the padded input at the winning locations.
-        oy, ox = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
-        base_i = (oy * self.stride).ravel()
-        base_j = (ox * self.stride).ravel()
-        amax = argmax.reshape(n, c, oh * ow)
-        di = amax // self.kw
-        dj = amax % self.kw
-        rows = base_i[None, None, :] + di
-        colsj = base_j[None, None, :] + dj
-        nn = np.arange(n)[:, None, None]
-        cc = np.arange(c)[None, :, None]
-        np.add.at(dx, (nn, cc, rows, colsj), dy.reshape(n, c, oh * ow))
-        if self.pad > 0:
-            dx = dx[:, :, self.pad : self.pad + h, self.pad : self.pad + w]
-        return [dx], {}
+        argmax = ctx.get_state("argmax")
+        x_shape = tuple(int(v) for v in ctx.get_state("in_shape"))
+        backend = select_backend("maxpool2d", ctx)
+        return [backend.backward(argmax, dy, x_shape, self.kh, self.kw,
+                                 self.stride, self.pad,
+                                 arena=resolve_arena(ctx))], {}
 
 
 class ArgmaxMaxPool2D(MaxPool2D):
@@ -192,6 +142,18 @@ class ArgmaxMaxPool2D(MaxPool2D):
         return [self.argmax_map_spec(output_shape)]
 
 
+def _pool_route_planned(ctx) -> bool:
+    """Whether pooling runs the plan-cache lowering for this call.
+
+    Average pooling registers no arms of its own: it follows max-pool's
+    route, taking the loop ``im2col``/``col2im`` exactly when that
+    resolves to the ``reference`` arm.
+    """
+    from repro.kernels.backends import REFERENCE, select_backend
+
+    return select_backend("maxpool2d", ctx).name != REFERENCE
+
+
 class AvgPool2D(_Pool2D):
     """Average pooling.  Backward needs neither X nor Y — only shapes."""
 
@@ -209,27 +171,25 @@ class AvgPool2D(_Pool2D):
         (x,) = xs
         n, c, h, w = x.shape
         oh, ow = conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
-        enabled, arena = resolve_kernel_state(ctx)
+        arena = resolve_arena(ctx)
         cols = im2col(x, self.kh, self.kw, self.stride, self.pad,
-                      arena=arena, enabled=enabled)
+                      arena=arena, planned=_pool_route_planned(ctx))
         rented = cols
         cols = cols.reshape(n, c, self.kh * self.kw, oh * ow)
         y = cols.mean(axis=2).reshape(n, c, oh, ow)
-        if enabled and arena is not None:
+        if arena is not None:
             arena.release(rented)
         if ctx is not None:
             ctx.save_state("in_shape", np.array(x.shape))
         return y.astype(np.float32, copy=False)
 
     def backward(self, dy, params, ctx):
-        from repro.layers.im2col import col2im
-
         n, c, h, w = (int(v) for v in ctx.get_state("in_shape"))
         oh, ow = conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
         scale = 1.0 / (self.kh * self.kw)
-        enabled, arena = resolve_kernel_state(ctx)
+        arena = resolve_arena(ctx)
         scaled = (dy * scale).reshape(n, c, 1, oh * ow)
-        if enabled and arena is not None:
+        if arena is not None:
             dcols = arena.rent((n, c * self.kh * self.kw, oh * ow), dy.dtype)
             dcols.reshape(n, c, self.kh * self.kw, oh * ow)[:] = scaled
         else:
@@ -237,8 +197,8 @@ class AvgPool2D(_Pool2D):
                 scaled, (n, c, self.kh * self.kw, oh * ow)
             ).reshape(n, c * self.kh * self.kw, oh * ow))
         dx = col2im(dcols, (n, c, h, w), self.kh, self.kw, self.stride,
-                    self.pad, arena=arena, enabled=enabled)
-        if enabled and arena is not None:
+                    self.pad, arena=arena, planned=_pool_route_planned(ctx))
+        if arena is not None:
             arena.release(dcols)
         return [dx], {}
 

@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.diagnostics.invariants import InvariantSuite
     from repro.diagnostics.tracer import StepTracer
-from repro.kernels import WorkspaceArena, plans_enabled
+from repro.kernels import WorkspaceArena
+from repro.kernels.backends import REFERENCE, validate_backend_name
 from repro.layers.base import OpContext
 from repro.layers.loss import SoftmaxCrossEntropy
 from repro.train.stash import BaselinePolicy, StashPolicy
@@ -64,11 +65,6 @@ class _Context(OpContext):
         return entry is not None and entry[0].lossless
 
     @property
-    def kernels_enabled(self) -> bool:
-        """Whether this executor runs the shape-static kernel plans."""
-        return self._executor.kernels_enabled
-
-    @property
     def arena(self) -> WorkspaceArena:
         """The executor's per-instance workspace arena."""
         return self._executor.arena
@@ -86,9 +82,9 @@ class GraphExecutor:
         graph: The execution graph (must end in a loss node).
         policy: Stash policy (defaults to the FP32 baseline).
         seed: Parameter-initialisation seed.
-        use_kernel_plans: Run the shape-static plan-cache + arena kernels
-            (``None`` defers to the global ``REPRO_KERNEL_PLANS`` switch).
-            Disabling restores the original per-call kernels for A/B runs.
+        use_kernel_plans: ``False`` is the A/B shorthand for
+            ``kernel_backend="reference"`` plus a pass-through arena: the
+            original per-call loop kernels, every buffer freshly allocated.
         arena: Workspace arena to rent scratch buffers from.  Each
             executor owns one by default; it is reset at the start of
             every forward pass, so arrays returned by ``backward`` (input
@@ -102,6 +98,9 @@ class GraphExecutor:
             ``"blas-fat"``).  Wins over ``REPRO_KERNEL_BACKEND`` and the
             measured autotuner; ops that do not register the name fall
             back to their normal selection.
+
+    Raises:
+        ValueError: If ``kernel_backend`` names an arm no op registers.
     """
 
     def __init__(self, graph: Graph, policy: Optional[StashPolicy] = None,
@@ -113,14 +112,15 @@ class GraphExecutor:
         self.policy = policy or BaselinePolicy()
         self.tracer = tracer
         self._invariants = None
-        self.kernels_enabled = (
-            plans_enabled() if use_kernel_plans is None
-            else bool(use_kernel_plans)
-        )
+        plans_off = use_kernel_plans is not None and not use_kernel_plans
+        if plans_off and kernel_backend is None:
+            kernel_backend = REFERENCE
+        if kernel_backend is not None:
+            validate_backend_name(kernel_backend)
         self.kernel_backend = kernel_backend
         self.arena = (
             arena if arena is not None
-            else WorkspaceArena(enabled=self.kernels_enabled)
+            else WorkspaceArena(enabled=not plans_off)
         )
         rng = np.random.default_rng(seed)
         self.params: Dict[int, Dict[str, np.ndarray]] = {}
@@ -395,7 +395,7 @@ class GraphExecutor:
             # terminal's kept stash and is re-sliced on demand.
             return
         encoding = self.policy.encoding_for(self.graph, node.node_id)
-        encoding.bind_arena(self.arena if self.kernels_enabled else None)
+        encoding.bind_arena(self.arena if self.arena.enabled else None)
         tracer = self.tracer
         if tracer is not None:
             t0 = perf_counter()

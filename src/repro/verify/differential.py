@@ -6,8 +6,9 @@ for each op family it draws shared random inputs, runs **every**
 registered arm end-to-end (forward and backward for the layer ops) and
 compares each arm's outputs against the family's ground-truth arm —
 
-* an ``exact=True`` arm must match bit-for-bit (``np.array_equal``,
-  shape and dtype included);
+* an ``exact=True`` arm must match byte for byte
+  (:func:`~repro.kernels.plan.bit_identical`: dtype, shape and
+  ``tobytes()``, so ``-0.0`` is not ``+0.0`` and a NaN matches itself);
 * an ``exact=False`` arm must stay within the tolerance it declared at
   registration, and its integer outputs (argmax maps, CSR meta arrays)
   must still match exactly — tolerances only ever cover float
@@ -26,6 +27,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.kernels.backends import OpFamily, backends_for, op_families
+from repro.kernels.plan import bit_identical
 from repro.verify.oracles import Violation
 
 ORACLE_BACKEND_DIFFERENTIAL = "backend-differential"
@@ -70,8 +72,9 @@ def _compare_outputs(
             backend.exact or not np.issubdtype(ref.dtype, np.inexact)
         )
         if must_be_exact:
-            if not np.array_equal(ref, got):
-                n_bad = int(np.sum(ref != got))
+            if not bit_identical(ref, got):
+                bits = f"u{ref.itemsize}"
+                n_bad = int(np.sum(ref.view(bits) != got.view(bits)))
                 err = _max_abs(ref.astype(np.float64)
                                - got.astype(np.float64))
                 contract = ("exact" if backend.exact

@@ -7,15 +7,18 @@ baseline case.
 """
 
 import numpy as np
+import pytest
 
 from repro.kernels.backends import (
     ConvBackend,
     FnBackend,
     PoolBackend,
     default_backend,
+    get_backend,
     register_backend,
     unregister_backend,
 )
+from repro.kernels.plan import bit_identical
 from repro.verify import (
     ORACLE_BACKEND_DIFFERENTIAL,
     verify_backends,
@@ -27,8 +30,77 @@ def _oracle_subjects(violations):
 
 
 def test_clean_registry_has_no_violations():
-    for seed in (0, 1, 7):
+    # 30 seeds x 2 trials: enough pool inputs hit the disjoint-window fast
+    # path for its planted signed-zero ties to have caught the np.maximum
+    # tie-break defect (7 findings at the commit before the fix).
+    for seed in range(30):
         assert verify_backends(seed) == []
+
+
+def test_bit_identical_means_bytes():
+    pos, neg = np.float32([0.0, 1.0]), np.float32([-0.0, 1.0])
+    nan = np.float32([np.nan])
+    assert np.array_equal(pos, neg) and not bit_identical(pos, neg)
+    assert not np.array_equal(nan, nan) and bit_identical(nan, nan)
+    assert not bit_identical(pos, pos.astype(np.float64))
+    assert not bit_identical(pos, pos.reshape(1, 2))
+    assert bit_identical(pos[::-1], np.float32([1.0, 0.0]))  # strided ok
+
+
+class _SignFlippingPool(PoolBackend):
+    """Claims exactness but returns -0.0 wherever the truth is +0.0."""
+
+    name = "evil-negzero"
+
+    def forward(self, x, kh, kw, stride, pad, arena=None):
+        y, argmax = default_backend("maxpool2d").forward(
+            x, kh, kw, stride, pad, arena=arena
+        )
+        y = y.copy()
+        y[(y == 0) & ~np.signbit(y)] = -0.0
+        return y, argmax
+
+    def backward(self, argmax, dy, x_shape, kh, kw, stride, pad,
+                 arena=None):
+        return default_backend("maxpool2d").backward(
+            argmax, dy, x_shape, kh, kw, stride, pad, arena=arena
+        )
+
+
+def test_signed_zero_swap_is_caught_under_the_exact_contract():
+    register_backend(_SignFlippingPool())
+    try:
+        violations = [v for seed in range(4) for v in verify_backends(seed)]
+    finally:
+        unregister_backend("maxpool2d", "evil-negzero")
+    assert violations, "== would have waved -0.0 through as +0.0"
+    assert _oracle_subjects(violations) == {"maxpool2d:evil-negzero"}
+    assert all(v.detail.startswith("y:") for v in violations)
+
+
+@pytest.mark.parametrize("window", [
+    (0.0, -0.0, -1.0, -1.0),
+    (-0.0, 0.0, -1.0, -1.0),
+    (-1.0, -0.0, 0.0, -0.0),
+    (-1.0, np.nan, -1.0, -1.0),
+    (2.0, -1.0, np.nan, np.nan),
+    (np.nan, 3.0, np.nan, -np.inf),
+    (-np.inf, -np.inf, -np.inf, -np.inf),
+])
+def test_default_maxpool_equals_reference_on_hostile_windows(window):
+    """Disjoint 2x2/s2 windows (every VGG pool): the fast path must return
+    the bytes of the *first* maximum, and the first NaN when there is one."""
+    x = np.full((2, 3, 4, 4), -2.0, np.float32)
+    x[1, 2, 2:4, 0:2] = np.float32(window).reshape(2, 2)
+    dy = np.arange(2 * 3 * 2 * 2, dtype=np.float32).reshape(2, 3, 2, 2)
+    outs = []
+    for name in ("reference", "numpy-plan"):
+        arm = get_backend("maxpool2d", name)
+        y, argmax = arm.forward(x, 2, 2, 2, 0)
+        dx = arm.backward(argmax, dy, x.shape, 2, 2, 2, 0)
+        outs.append((y, argmax, dx))
+    for ref, got in zip(*outs):
+        assert bit_identical(ref, got)
 
 
 def test_wrong_exact_arm_is_caught():

@@ -1,20 +1,17 @@
-"""Regression tests for the kernel env switches and backend registry.
+"""Regression tests for the kernel env switch and backend registry.
 
-``REPRO_KERNEL_PLANS`` and ``REPRO_KERNEL_BACKEND`` share a contract:
-values are validated, and an unknown value warns instead of silently
-falling back (the satellite regression this file pins).  The registry
-side covers the registration contract (exact XOR tolerance), forced-arm
-resolution precedence, and the autotuner's persisted-selection
-round-trip.
+``REPRO_KERNEL_BACKEND`` values are validated, and an unknown value
+warns instead of silently falling back (the satellite regression this
+file pins); an unknown ``GraphExecutor(kernel_backend=...)`` is a
+``ValueError``.  The registry side covers the registration contract
+(exact XOR tolerance), the exact arm sets the keep rule leaves, and
+forced-arm resolution precedence.
 """
 
 import warnings
 
-import numpy as np
 import pytest
 
-from repro.kernels import autotune
-from repro.kernels import config
 from repro.kernels.backends import (
     FnBackend,
     backends_for,
@@ -27,31 +24,9 @@ from repro.kernels.backends import (
 )
 from repro.kernels.config import (
     _parse_backend_env,
-    _parse_bool_env,
     backend_override,
     forced_backend,
 )
-
-
-# ----------------------------------------------------------------------
-# REPRO_KERNEL_PLANS: validated boolean
-# ----------------------------------------------------------------------
-def test_plans_env_accepts_known_booleans(monkeypatch):
-    for raw, expected in [("0", False), ("off", False), ("No", False),
-                          ("1", True), ("true", True), ("YES", True)]:
-        monkeypatch.setenv("REPRO_TEST_BOOL", raw)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _parse_bool_env("REPRO_TEST_BOOL", True) is expected
-
-
-def test_plans_env_unknown_value_warns_and_uses_default(monkeypatch):
-    monkeypatch.setenv("REPRO_TEST_BOOL", "banana")
-    with pytest.warns(RuntimeWarning, match="not a recognised boolean"):
-        assert _parse_bool_env("REPRO_TEST_BOOL", True) is True
-    monkeypatch.setenv("REPRO_TEST_BOOL", "banana")
-    with pytest.warns(RuntimeWarning):
-        assert _parse_bool_env("REPRO_TEST_BOOL", False) is False
 
 
 # ----------------------------------------------------------------------
@@ -101,15 +76,43 @@ def test_unknown_backend_name_warns_instead_of_silent_fallback():
 # Registry contract
 # ----------------------------------------------------------------------
 def test_every_op_registers_reference_and_default():
-    assert registered_ops() == [
-        "conv2d", "csr_build", "maxpool2d", "pack_bits", "pack_nibbles",
-    ]
+    # Exactly the arms the keep rule (docs/architecture.md §9) leaves.
+    assert {op: [b.name for b in backends_for(op)]
+            for op in registered_ops()} == {
+        "conv2d": ["reference", "blas-fat", "numpy-plan"],
+        "csr_build": ["loop", "numpy"],
+        "maxpool2d": ["reference", "numpy-plan"],
+        "pack_bits": ["loop", "numpy"],
+        "pack_nibbles": ["loop", "numpy"],
+    }
     for op in registered_ops():
-        arms = backends_for(op)
-        assert len(arms) >= 2, f"{op} needs at least two arms"
-        assert default_backend(op) is not None
-        # The first-listed arm is the family's ground-truth arm.
-        assert arms[0].name in ("reference", "loop")
+        # The first-listed arm is the family's ground truth; the default
+        # is the other side of the A/B.
+        assert default_backend(op).name in ("numpy-plan", "numpy")
+
+
+def test_executor_kwarg_wins_over_env_force():
+    class Ctx:
+        kernel_backend = "reference"
+
+    with backend_override("numpy-plan"):
+        assert resolve_forced_backend("conv2d", Ctx()).name == "reference"
+        assert resolve_forced_backend("conv2d").name == "numpy-plan"
+        # Codec ops register no ``reference`` arm: the kwarg passes.
+        assert resolve_forced_backend("pack_bits", Ctx()) is None
+
+
+def test_unknown_executor_backend_is_a_precise_error():
+    from repro.models import tiny_cnn
+    from repro.train import GraphExecutor
+
+    graph = tiny_cnn(batch_size=2)
+    with pytest.raises(ValueError) as err:
+        GraphExecutor(graph, kernel_backend="no-such-arm")
+    message = str(err.value)
+    assert "'no-such-arm'" in message
+    for name in ("reference", "numpy-plan", "blas-fat", "loop", "numpy"):
+        assert name in message
 
 
 def test_nonexact_arm_without_tolerance_is_rejected():
@@ -125,94 +128,3 @@ def test_unregister_is_idempotent():
     unregister_backend("pack_bits", "never-registered")  # no raise
     with pytest.raises(KeyError, match="known:"):
         get_backend("pack_bits", "never-registered")
-
-
-# ----------------------------------------------------------------------
-# Autotune persistence round-trip
-# ----------------------------------------------------------------------
-def test_autotune_selection_persists_across_cache_clears(tmp_path,
-                                                         monkeypatch):
-    cache = tmp_path / "autotune.json"
-    monkeypatch.setattr(config, "autotune_cache_path", str(cache))
-    autotune.clear_selection_cache()
-    try:
-        rng = np.random.default_rng(0)
-        x = rng.normal(0, 1, (2, 3, 8, 8)).astype(np.float32)
-        w4 = rng.normal(0, 0.5, (4, 3, 3, 3)).astype(np.float32)
-        first = autotune.autotuned_backend("conv2d", x, w4, None, 1, 1)
-        report = autotune.autotune_report()
-        assert len(report) == 1 and report[0]["source"] == "tuned"
-        assert cache.exists(), "selection was not persisted"
-
-        # A fresh in-memory cache must reload — and re-verify — the
-        # persisted selection instead of re-timing every arm.
-        autotune.clear_selection_cache()
-        second = autotune.autotuned_backend("conv2d", x, w4, None, 1, 1)
-        report = autotune.autotune_report()
-        assert second.name == first.name
-        assert report[0]["source"] == "persisted"
-    finally:
-        autotune.clear_selection_cache()
-
-
-def test_autotune_survives_corrupt_cache_file(tmp_path, monkeypatch):
-    cache = tmp_path / "autotune.json"
-    cache.write_text("{not json")
-    monkeypatch.setattr(config, "autotune_cache_path", str(cache))
-    autotune.clear_selection_cache()
-    try:
-        rng = np.random.default_rng(1)
-        x = rng.normal(0, 1, (1, 2, 6, 6)).astype(np.float32)
-        w4 = rng.normal(0, 0.5, (3, 2, 3, 3)).astype(np.float32)
-        chosen = autotune.autotuned_backend("conv2d", x, w4, None, 1, 0)
-        assert chosen.name in {b.name for b in backends_for("conv2d")}
-        assert autotune.autotune_report()[0]["source"] == "tuned"
-    finally:
-        autotune.clear_selection_cache()
-
-
-def test_autotune_cache_from_different_host_warns_and_retunes(tmp_path,
-                                                              monkeypatch):
-    cache = tmp_path / "autotune.json"
-    monkeypatch.setattr(config, "autotune_cache_path", str(cache))
-    autotune.clear_selection_cache()
-    try:
-        rng = np.random.default_rng(2)
-        x = rng.normal(0, 1, (1, 2, 6, 6)).astype(np.float32)
-        w4 = rng.normal(0, 0.5, (3, 2, 3, 3)).astype(np.float32)
-        autotune.autotuned_backend("conv2d", x, w4, None, 1, 0)
-        assert cache.exists()
-
-        # Forge a cache tuned on a machine with a different core count:
-        # its timings are meaningless here, so loading must warn and
-        # fall back to re-timing every arm on *this* host.
-        import json
-        data = json.loads(cache.read_text())
-        assert data["host"] == autotune._host_signature()
-        data["host"] = {"usable_cores": data["host"]["usable_cores"] + 7}
-        cache.write_text(json.dumps(data))
-
-        autotune.clear_selection_cache()
-        with pytest.warns(RuntimeWarning, match="host signature"):
-            autotune.autotuned_backend("conv2d", x, w4, None, 1, 0)
-        assert autotune.autotune_report()[0]["source"] == "tuned"
-    finally:
-        autotune.clear_selection_cache()
-
-
-def test_autotune_unstamped_legacy_cache_is_ignored(tmp_path, monkeypatch):
-    import json
-    cache = tmp_path / "autotune.json"
-    # Pre-host-stamp cache layout: selections at top level, no "host".
-    cache.write_text(json.dumps({
-        "version": 1,
-        "selections": {"conv2d|bogus": {"backend": "reference",
-                                        "timings_ms": {}}},
-    }))
-    monkeypatch.setattr(config, "autotune_cache_path", str(cache))
-    autotune.clear_selection_cache()
-    try:
-        with pytest.warns(RuntimeWarning, match="host signature"):
-            assert autotune._load_persisted() == {}
-    finally:
-        autotune.clear_selection_cache()
