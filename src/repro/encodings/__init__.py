@@ -13,7 +13,9 @@ from repro.encodings.binarize import (
 from repro.encodings.dpr import (
     DPREncoding,
     DPRTensor,
+    decode_words,
     dpr_encoding,
+    encode_words,
     pack_codes,
     unpack_codes,
 )
@@ -70,8 +72,10 @@ __all__ = [
     "csr_encode",
     "csr_positions",
     "decode_minifloat",
+    "decode_words",
     "dpr_encoding",
     "encode_minifloat",
+    "encode_words",
     "inplace_eligible_edges",
     "max_relative_error",
     "pack_bits",

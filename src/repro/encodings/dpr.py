@@ -19,9 +19,14 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.dtypes import DPR_FORMATS, DType
+from repro.dtypes import DPR_FORMATS, FP16, DType
 from repro.encodings.base import Encoding
-from repro.encodings.floatsim import decode_minifloat, encode_minifloat
+from repro.encodings.floatsim import (
+    decode_half,
+    decode_minifloat,
+    encode_half,
+    encode_minifloat,
+)
 
 # Bit offsets of each packed value within a 32-bit word, per format.
 _OFFSETS = {2: (0, 16), 3: (0, 10, 20), 4: (0, 8, 16, 24)}
@@ -52,6 +57,32 @@ def unpack_codes(words: np.ndarray, n: int, dtype: DType) -> np.ndarray:
     ]
     inter = np.stack(lanes, axis=1).ravel()
     return inter[:n]
+
+
+def encode_words(x: np.ndarray, dtype: DType,
+                 rounding: str = "nearest") -> np.ndarray:
+    """Quantise ``x`` to ``dtype`` and pack it: the whole DPR encode.
+
+    Always equal to ``pack_codes(encode_minifloat(x, dtype, rounding),
+    dtype)``; FP16 round-to-nearest takes the native-half route, whose
+    uint16 codes *are* the 2-per-word packing once viewed as uint32 (first
+    code in the low half: hosts are little-endian, as the bit packers'
+    uint8 -> uint32 views already assume).
+    """
+    if dtype == FP16 and rounding == "nearest":
+        codes = encode_half(x)
+        if codes.size % 2:
+            codes = np.append(codes, np.uint16(0))
+        return codes.view(np.uint32)
+    return pack_codes(encode_minifloat(x, dtype, rounding), dtype)
+
+
+def decode_words(words: np.ndarray, n: int, dtype: DType) -> np.ndarray:
+    """The first ``n`` values of packed ``words`` as flat float32: always
+    equal to ``decode_minifloat(unpack_codes(words, n, dtype), dtype)``."""
+    if dtype == FP16:
+        return decode_half(words.view(np.uint16)[:n])
+    return decode_minifloat(unpack_codes(words, n, dtype), dtype)
 
 
 @dataclass(frozen=True)
@@ -86,13 +117,13 @@ class DPREncoding(Encoding):
         return self.dtype.size_bytes(num_elements)
 
     def encode(self, x: np.ndarray) -> DPRTensor:
-        codes = encode_minifloat(x, self.dtype, self.rounding)
-        return DPRTensor(pack_codes(codes, self.dtype), tuple(x.shape), self.dtype)
+        words = encode_words(x, self.dtype, self.rounding)
+        return DPRTensor(words, tuple(x.shape), self.dtype)
 
     def decode(self, encoded: DPRTensor) -> np.ndarray:
         n = int(np.prod(encoded.shape))
-        codes = unpack_codes(encoded.words, n, encoded.dtype)
-        return decode_minifloat(codes, encoded.dtype).reshape(encoded.shape)
+        return decode_words(encoded.words, n, encoded.dtype).reshape(
+            encoded.shape)
 
     def measure_bytes(self, encoded: DPRTensor) -> int:
         return encoded.nbytes

@@ -15,6 +15,9 @@ Two levels of API:
 
 * :func:`encode_minifloat` / :func:`decode_minifloat` — produce and consume
   raw integer *bit patterns*, used by the DPR packer.
+  :func:`encode_half` / :func:`decode_half` are their FP16
+  round-to-nearest special case on the hardware half type, bit-identical
+  and several times cheaper.
 * :func:`quantize` — encode-then-decode in one step, used wherever only the
   value error matters (accuracy experiments, error-bound property tests).
 """
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dtypes import DType
+from repro.dtypes import FP16, DType
 
 
 def _check_minifloat(dtype: DType) -> None:
@@ -121,6 +124,44 @@ def decode_minifloat(codes: np.ndarray, dtype: DType) -> np.ndarray:
     value = np.ldexp(frac, biased.astype(np.int32) - np.int32(bias))
     value[biased == 0] = 0.0
     np.negative(value, out=value, where=sign == 1)
+    return value
+
+
+# FP16 is IEEE half with three paper-rule differences: no infinities
+# (clamp at +-65504, NaN -> +0), no denormals, and no negative zero.  The
+# flush threshold is *not* 2**-14: the generic path rounds first and
+# flushes after, so it keeps every magnitude that rounds up to 2**-14 at
+# normal (10-bit) precision, i.e. from 2**-14 - 2**-26 = 0x387FF000.  IEEE
+# would also round [2**-14 - 2**-25, 2**-14 - 2**-26) up, through the
+# denormal range; those must flush.
+_HALF_KEEP_MIN = np.array([0x387FF000], np.uint32).view(np.float32)[0]
+_HALF_MAX = np.float32(FP16.max_finite)
+
+
+def encode_half(x: np.ndarray) -> np.ndarray:
+    """``encode_minifloat(x, FP16, "nearest")`` as flat ``uint16`` codes,
+    via the native float32 -> half conversion plus the paper-rule fix-ups."""
+    x = np.asarray(x, dtype=np.float32).ravel()
+    keep = np.abs(x) >= _HALF_KEEP_MIN  # False for NaN, +-0 and the flushed
+    codes = np.clip(x, -_HALF_MAX, _HALF_MAX).astype(np.float16).view(
+        np.uint16)
+    codes *= keep
+    return codes
+
+
+def decode_half(codes: np.ndarray) -> np.ndarray:
+    """``decode_minifloat(codes, FP16)`` for ``uint16`` codes.
+
+    Codes the encoder never emits are still read by the paper rule, not
+    IEEE's: denormal codes are signed zeros and the reserved top exponent
+    is one more binade (2**16), never Inf/NaN.
+    """
+    codes = np.asarray(codes, dtype=np.uint16)
+    value = codes.view(np.float16).astype(np.float32)
+    mag = codes & np.uint16(0x7FFF)
+    odd = ((mag != 0) & (mag < 0x0400)) | (mag >= 0x7C00)
+    if odd.any():
+        value[odd] = decode_minifloat(codes[odd], FP16)
     return value
 
 

@@ -17,7 +17,7 @@ the format-choice ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -25,8 +25,7 @@ import numpy as np
 from repro.dtypes import DType
 from repro.encodings.base import Encoding
 from repro.encodings.binarize import pack_bits, unpack_bits
-from repro.encodings.dpr import DPRTensor, pack_codes, unpack_codes
-from repro.encodings.floatsim import decode_minifloat, encode_minifloat
+from repro.encodings.dpr import DPRTensor, decode_words, encode_words
 from repro.kernels.backends import run_codec
 
 #: Row width of the narrow-value reshape: 256 columns -> uint8 indices.
@@ -47,13 +46,6 @@ class CSRTensor:
     row_ptr: np.ndarray
     shape: Tuple[int, ...]
     cols: int
-    #: Cached flat nonzero positions (``rows * cols + col_idx``).  The
-    #: encoder knows them for free; decoders cache them here so repeated
-    #: backward reads never recompute the row expansion.  A runtime-only
-    #: derived quantity: excluded from equality and not charged to nbytes.
-    positions: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def nnz(self) -> int:
@@ -92,22 +84,20 @@ def csr_encode(
     if value_dtype is None:
         values: object = raw_values
     else:
-        codes = encode_minifloat(raw_values, value_dtype)
-        values = DPRTensor(pack_codes(codes, value_dtype),
+        values = DPRTensor(encode_words(raw_values, value_dtype),
                            (raw_values.size,), value_dtype)
-    return CSRTensor(values, col_positions, row_ptr, tuple(x.shape), cols,
-                     positions=nz_flat)
+    # nz_flat (int64, 8 B/nnz) is dropped here: the stash keeps only what
+    # ``nbytes`` charges, and decode rebuilds positions from the indices.
+    return CSRTensor(values, col_positions, row_ptr, tuple(x.shape), cols)
 
 
 def csr_positions(enc: CSRTensor) -> np.ndarray:
-    """Flat dense positions of the stored non-zeros (cached on ``enc``)."""
-    positions = enc.positions
-    if positions is None:
-        counts = np.diff(enc.row_ptr)
-        rows = np.repeat(np.arange(counts.size), counts)
-        positions = (rows.astype(np.int64) * enc.cols
-                     + enc.col_idx.astype(np.int64))
-        object.__setattr__(enc, "positions", positions)
+    """Flat dense positions of the stored non-zeros, rebuilt from
+    ``row_ptr`` + ``col_idx`` on every call (int64, 8 B/nnz: a transient
+    of the decode, never part of the stash)."""
+    row_base = np.arange(enc.row_ptr.size - 1, dtype=np.int64) * enc.cols
+    positions = np.repeat(row_base, np.diff(enc.row_ptr))
+    positions += enc.col_idx
     return positions
 
 
@@ -115,14 +105,11 @@ def csr_decode(enc: CSRTensor) -> np.ndarray:
     """Reconstruct the dense array from CSR (dense compute side of SSDC)."""
     n = int(np.prod(enc.shape))
     flat = np.zeros(n, dtype=np.float32)
-    positions = csr_positions(enc)
     if isinstance(enc.values, DPRTensor):
-        nnz = enc.nnz
-        codes = unpack_codes(enc.values.words, nnz, enc.values.dtype)
-        values = decode_minifloat(codes, enc.values.dtype)
+        values = decode_words(enc.values.words, enc.nnz, enc.values.dtype)
     else:
         values = enc.values
-    flat[positions] = values
+    flat[csr_positions(enc)] = values
     return flat.reshape(enc.shape)
 
 

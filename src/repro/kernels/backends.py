@@ -564,14 +564,20 @@ def _csr_build_loop(flat: np.ndarray, cols: int):
 
 
 def _csr_build_numpy(flat: np.ndarray, cols: int):
-    """Vectorised build: flatnonzero + divmod + bincount/cumsum."""
-    n_rows = _csr_rows(flat.size, cols)
-    nz = np.flatnonzero(flat).astype(np.int64, copy=False)
-    rows, col_idx = np.divmod(nz, cols)
-    col_idx = col_idx.astype(_csr_index_dtype(cols))
-    row_ptr = np.zeros(n_rows + 1, np.int32)
-    counts = np.bincount(rows, minlength=n_rows)
-    np.cumsum(counts, out=row_ptr[1:])
+    """Mask-driven build: every pass after ``flat != 0`` reads the bool
+    mask (flatnonzero on float32 is branchy), columns come from narrowing
+    the flat positions and row counts from per-row sums of the mask."""
+    n = flat.size
+    mask = flat != 0
+    nz = np.flatnonzero(mask).astype(np.int64, copy=False)
+    # 256 columns: the low byte of a flat position *is* its column.
+    col_idx = (nz.astype(np.uint8) if cols == 256
+               else (nz % cols).astype(_csr_index_dtype(cols)))
+    row_ptr = np.zeros(_csr_rows(n, cols) + 1, np.int32)
+    if n:
+        # reduceat sums [start, next start): the ragged last row is free.
+        counts = np.add.reduceat(mask, np.arange(0, n, cols), dtype=np.int32)
+        np.cumsum(counts, out=row_ptr[1:])
     return nz, col_idx, row_ptr
 
 
@@ -688,6 +694,18 @@ def _make_csr_inputs(rng: np.random.Generator) -> tuple:
     flat = np.where(rng.random(size) < 0.7, 0.0,
                     rng.normal(0, 2, size)).astype(np.float32)
     cols = int(rng.choice([7, 32, 256, 300]))
+    # Hostile structure, planted after the last draw so it costs none (the
+    # fuzz decision stream must not depend on it): a ragged last row, an
+    # all-zero row, an all-dense row, and the two values whose "is it a
+    # zero?" answer is easy to get wrong (-0.0 is one, NaN is not).
+    if size > 1 and size % cols == 0:
+        flat = flat[:-1]
+    rows = flat[: flat.size // cols * cols].reshape(-1, cols)
+    rows[:1] = 0.0
+    dense = rows[1:2]
+    dense[dense == 0] = 1.0
+    if flat.size > 1:
+        flat[-2:] = (-0.0, np.nan)
     return flat, cols
 
 
@@ -750,5 +768,5 @@ register_backend(FnBackend("pack_nibbles", "numpy", _pack_nibbles_numpy,
 register_backend(FnBackend("csr_build", "loop", _csr_build_loop,
                            description="per-row flatnonzero loop"))
 register_backend(FnBackend("csr_build", "numpy", _csr_build_numpy,
-                           description="divmod + bincount/cumsum"),
+                           description="bool mask: flatnonzero, row sums"),
                  default=True)

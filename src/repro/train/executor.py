@@ -320,9 +320,11 @@ class GraphExecutor:
             y = self.policy.transform_forward(y, node)
             values[node.node_id] = y
             if node.kind in _SPARSITY_KINDS:
-                # count_nonzero avoids materialising a boolean temporary.
+                # count_nonzero avoids materialising a boolean temporary;
+                # counting in memory order (a view for the NHWC-strided
+                # maps the planned convs hand out) keeps it one flat scan.
                 self.last_sparsity[node.name] = (
-                    1.0 - np.count_nonzero(y) / y.size
+                    1.0 - np.count_nonzero(y.ravel(order="K")) / y.size
                 )
             if node.node_id == self.graph.output_id:
                 loss = float(y[0])

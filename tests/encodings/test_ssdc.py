@@ -1,9 +1,14 @@
 """Tests for SSDC (CSR + narrow value optimisation) and the bitmap ablation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.dtypes import FP8, FP16
+from repro.dtypes import FP8, FP10, FP16
 from repro.encodings.floatsim import quantize
 from repro.encodings.ssdc import (
     NARROW_COLS,
@@ -15,6 +20,8 @@ from repro.encodings.ssdc import (
     csr_decode,
     csr_encode,
 )
+from repro.kernels.backends import select_backend
+from repro.kernels.config import backend_override
 
 
 def sparse_array(rng, shape, sparsity):
@@ -140,3 +147,51 @@ class TestBitmapAblation:
         assert bitmap_bytes(n, 0.5) < csr_bytes(n, 0.5)
         # ...but CSR wins at extreme sparsity (bitmap still pays n bits).
         assert csr_bytes(n, 0.995) < bitmap_bytes(n, 0.995)
+
+
+class TestGroundTruthArm:
+    """The stash must not depend on which ``csr_build`` arm built it."""
+
+    @pytest.mark.parametrize("cols", [7, 256, 300])
+    @pytest.mark.parametrize("value_dtype", [None, FP16, FP10, FP8],
+                             ids=lambda d: getattr(d, "name", "fp32"))
+    def test_loop_arm_gives_byte_equal_stash(self, value_dtype, cols, rng):
+        x = rng.normal(0, 3, 1543).astype(np.float32)  # ragged for all cols
+        x[rng.random(x.size) < 0.6] = 0.0
+        x[:cols] = 0.0  # an all-zero row ...
+        x[cols:2 * cols] = 1.5  # ... an all-dense one, and hostile values
+        x[-5:] = (-0.0, np.nan, np.inf, 1e-30, -7e4)
+        default = csr_encode(x, cols, value_dtype)
+        with backend_override("loop"):
+            assert select_backend("csr_build", None).name == "loop"
+            truth = csr_encode(x, cols, value_dtype)
+        for got, want in ((default.col_idx, truth.col_idx),
+                          (default.row_ptr, truth.row_ptr),
+                          (getattr(default.values, "words", default.values),
+                           getattr(truth.values, "words", truth.values))):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert csr_decode(default).tobytes() == csr_decode(truth).tobytes()
+
+    def test_env_switch_reaches_the_codec(self):
+        script = (
+            "import numpy as np\n"
+            "from repro.dtypes import FP16\n"
+            "from repro.encodings.ssdc import csr_encode\n"
+            "from repro.kernels.backends import select_backend\n"
+            "x = np.float32([0, 1.5, -0.0, np.nan, 0, 3e-8, 7] * 99)\n"
+            "enc = csr_encode(x, 256, FP16)\n"
+            "print(select_backend('csr_build', None).name,\n"
+            "      enc.values.words.tobytes().hex(),\n"
+            "      enc.col_idx.tobytes().hex(), enc.row_ptr.tobytes().hex())\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outs = {}
+        for arm in ("loop", "numpy"):
+            env = dict(os.environ, REPRO_KERNEL_BACKEND=arm)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            outs[arm] = subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout.split()
+        assert outs["loop"][0] == "loop" and outs["numpy"][0] == "numpy"
+        assert outs["loop"][1:] == outs["numpy"][1:]

@@ -5,11 +5,14 @@ these tests pin that down at the pool level, through a full executor
 step, and through the arena-aware codec paths.
 """
 
+from dataclasses import is_dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dtypes import FP16
 from repro.encodings.binarize import (
     pack_bits,
     pack_nibbles,
@@ -160,13 +163,33 @@ class TestCodecFastPaths:
         assert np.array_equal(words, pack_nibbles(values))
         assert np.array_equal(unpack_nibbles(words, values.shape), values)
 
-    def test_csr_positions_cached_on_encode(self):
+    @pytest.mark.parametrize("value_dtype", [None, FP16],
+                             ids=["plain", "fp16"])
+    def test_csr_stash_holds_exactly_nbytes(self, value_dtype):
+        """Memory honesty: a stash keeps alive what ``nbytes`` charges and
+        nothing else (it once carried 8 B/nnz of uncounted int64
+        positions), and decoding leaves it that way."""
         rng = np.random.default_rng(2)
         x = rng.normal(0, 1, 97).astype(np.float32)
         x[x < 0.5] = 0.0
-        enc = csr_encode(x, cols=16)
-        assert enc.positions is not None  # encode caches the flat indices
-        pos = csr_positions(enc)
-        assert pos is enc.positions
-        np.testing.assert_array_equal(pos, np.flatnonzero(x))
-        assert np.array_equal(csr_decode(enc), x)
+        enc = csr_encode(x, cols=16, value_dtype=value_dtype)
+
+        def reachable(obj):
+            if isinstance(obj, np.ndarray):
+                return [obj]
+            return [a for v in vars(obj).values()
+                    if isinstance(v, np.ndarray) or is_dataclass(v)
+                    for a in reachable(v)]
+
+        arrays = reachable(enc)
+        # Charge what each array keeps alive: its owning buffer, not the
+        # (possibly smaller) window it views.
+        owners = [a if a.base is None else a.base for a in arrays]
+        assert sum(o.nbytes for o in owners) == enc.nbytes
+        before = [a.copy() for a in arrays]
+        np.testing.assert_array_equal(csr_positions(enc), np.flatnonzero(x))
+        csr_decode(enc)
+        after = reachable(enc)
+        assert len(after) == len(before)
+        assert all(a is b for a, b in zip(after, arrays))
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))

@@ -6,6 +6,8 @@ that arm, and unregisters it again.  A passing clean registry is the
 baseline case.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.kernels.backends import (
     ConvBackend,
     FnBackend,
     PoolBackend,
+    _make_csr_inputs,
     default_backend,
     get_backend,
     register_backend,
@@ -226,3 +229,43 @@ def test_oracle_is_seed_deterministic():
         unregister_backend("conv2d", "evil-tolerance")
     assert [str(v) for v in first] == [str(v) for v in second]
     assert first
+
+
+def test_csr_inputs_plant_hostile_structure_without_moving_the_rng():
+    seen = Counter()
+    for seed in range(120):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        flat, cols = _make_csr_inputs(rng)
+        # The pre-plant draws, replayed: size, mask, values, cols.
+        size = int(ref.choice([0, 1, int(ref.integers(1, 900))]))
+        ref.random(size), ref.normal(0, 2, size)
+        assert cols == int(ref.choice([7, 32, 256, 300]))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert flat.dtype == np.float32 and size - 1 <= flat.size <= size
+        rows = flat[: flat.size // cols * cols].reshape(-1, cols)
+        seen["-0.0"] += bool((np.signbit(flat) & (flat == 0)).any())
+        seen["nan"] += bool(np.isnan(flat).any())
+        seen["all-zero row"] += bool((rows == 0).all(axis=1).any())
+        seen["all-dense row"] += bool((rows != 0).all(axis=1).any())
+        seen["ragged tail"] += bool(flat.size > cols and flat.size % cols)
+    assert all(seen[k] >= 20 for k in
+               ("-0.0", "nan", "all-zero row", "all-dense row",
+                "ragged tail")), seen
+
+
+@pytest.mark.parametrize("name,is_nonzero", [
+    ("evil-negzero-kept", lambda flat: flat.view(np.uint32) != 0),
+    ("evil-nan-dropped", lambda flat: (flat > 0) | (flat < 0)),
+])
+def test_planted_values_catch_a_wrong_notion_of_zero(name, is_nonzero):
+    def build(flat, cols):
+        patched = np.where(is_nonzero(flat), np.float32(1), np.float32(0))
+        return default_backend("csr_build").fn(patched, cols)
+
+    register_backend(FnBackend("csr_build", name, build,
+                               description="fault injection"))
+    try:
+        violations = [v for seed in range(6) for v in verify_backends(seed)]
+    finally:
+        unregister_backend("csr_build", name)
+    assert _oracle_subjects(violations) == {f"csr_build:{name}"}

@@ -8,6 +8,7 @@ output, plus the exact adjoint relationship between im2col and col2im.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -242,6 +243,36 @@ def test_autotuned_gemms_match_reference_einsum(f, k, n, p, seed):
         assert np.array_equal(gemm_dcols(wmat, dy), want_dcols)
     out = np.empty((n, k, p), np.float32)
     assert np.array_equal(gemm_dcols(wmat, dy, out=out), want_dcols)
+
+
+@pytest.mark.parametrize("f,k,n,p", [
+    (1, 4, 4, 1),   # the recorded flake: four-term reduction
+    (8, 3, 2, 16),  # short reduction, ordinary free dimensions
+    (9, 7, 2, 1),   # long enough reduction, but a matrix-vector product
+])
+def test_gemm_probe_never_trusts_data_dependent_signatures(f, k, n, p):
+    """Where matmul == einsum depends on the data (matrix-vector shapes;
+    reductions of <= 4 terms are pinned with them) one agreeing probe must
+    not select matmul: re-probe on 50 fresh draws, each followed by a draw
+    the probe never saw.  fwd contracts K and dcols contracts F, so the
+    signature runs both ways round."""
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        clear_plan_cache()
+        for _call in range(2):  # the probe, then the path it chose
+            wmat = rng.normal(0, 1, (f, k)).astype(np.float32)
+            cols = rng.normal(0, 1, (n, k, p)).astype(np.float32)
+            dy = rng.normal(0, 1, (n, f, p)).astype(np.float32)
+            assert np.array_equal(
+                gemm_forward(wmat, cols),
+                np.einsum("fk,nkp->nfp", wmat, cols, optimize=True))
+            assert np.array_equal(
+                gemm_dcols(wmat.T.copy(), cols),
+                np.einsum("fk,nfp->nkp", wmat.T.copy(), cols, optimize=True))
+            assert np.array_equal(
+                gemm_dcols(wmat, dy),
+                np.einsum("fk,nfp->nkp", wmat, dy, optimize=True))
+    clear_plan_cache()
 
 
 class TestPlanCache:

@@ -160,6 +160,18 @@ class TestExecutor:
         assert "relu1" in ex.last_sparsity
         assert 0.0 <= ex.last_sparsity["relu1"] <= 1.0
 
+    def test_sparsity_does_not_depend_on_map_layout(self):
+        # The default kernels hand out NHWC-strided maps and the reference
+        # ones contiguous NCHW; the zero count is taken in memory order.
+        g = tiny_cnn(batch_size=8, num_classes=4)
+        train, _ = make_synthetic(32, 4, 8, seed=2)
+        seen = []
+        for backend in (None, "reference"):
+            ex = GraphExecutor(g, kernel_backend=backend)
+            ex.forward(train.images[:8], train.labels[:8])
+            seen.append(ex.last_sparsity)
+        assert seen[0] == seen[1] and len(seen[0]) >= 2
+
     def test_stash_bytes_measured(self):
         g = tiny_cnn(batch_size=8, num_classes=4)
         train, _ = make_synthetic(32, 4, 8, seed=2)
