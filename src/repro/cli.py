@@ -310,7 +310,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     rows = []
     for d in hybrid.decisions.values():
         what = d.choice if d.encoding is None else f"{d.choice}:{d.encoding}"
-        if d.choice == "recompute":
+        if d.source_id is not None:
             src = graph.node(d.source_id).name
             what += f" <- {src} ({len(d.chain)} op(s))"
         rows.append([
@@ -326,22 +326,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
               f"{policy.describe()}, budget {policy.cost_budget_frac:.0%} "
               f"of step",
     ))
-    # The planner sizes SSDC against modelled sparsity; the runtime's
-    # GistPolicy applies the bare class rule.  Name where they disagree.
-    from repro.core import build_gist_plan
-    from repro.graph.liveness import _runtime_needs_stash
-    from repro.train import GistPolicy
-
-    planned = build_gist_plan(graph, gist).decisions
-    runtime_only = [
-        graph.node(nid).name
-        for nid in GistPolicy(graph, gist).encodings
-        if nid not in planned and _runtime_needs_stash(graph, graph.node(nid))
-    ]
-    if runtime_only:
-        print(f"note: below the modelled SSDC breakeven, so planned as FP32 "
-              f"but still SSDC-encoded by GistPolicy at run time: "
-              f"{', '.join(runtime_only)}")
     print(f"\nbaseline allocated: {hybrid.baseline_allocated_bytes / MiB:8.2f}"
           f" MiB")
     print(f"plan allocated:     {hybrid.allocated_bytes / MiB:8.2f} MiB "
@@ -351,7 +335,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         for strategy, footprint in sorted(hybrid.pure_footprints.items()):
             marker = (" <- adopted" if strategy == hybrid.fallback_strategy
                       else "")
-            print(f"  pure {strategy:<9} {footprint / MiB:8.2f} MiB{marker}")
+            print(f"  pure {strategy:<13} {footprint / MiB:8.2f} MiB{marker}")
     return 0
 
 

@@ -12,8 +12,9 @@ PlanDecision}`` — and one rewrite:
   :class:`~repro.memory.planner.MemoryPlan` — the only place encoded,
   decoded, prefetch and argmax tensors are constructed — which the
   static allocator prices;
-* :mod:`repro.train.stash` maps a table to codecs and directives the
-  executor runs.
+* :mod:`repro.train.stash` maps a table to codecs, and the executor
+  reads the same records: a ``recompute`` / ``shared_concat`` decision's
+  ``source_id`` and ``chain`` are what it replays or re-slices.
 
 The hybrid selector prices, for every stashed feature map, with the
 roofline cost model —
@@ -45,12 +46,12 @@ This planner never merges inplace pairs (that is a post-pass of
 ``build_gist_plan``): all arms share the same base liveness table, so
 footprint deltas are attributable to the per-tensor decisions alone.
 
-Execution: :class:`repro.train.stash.HybridExecutionPolicy` turns a
-:class:`HybridPlan` into stash-layer behaviour — codecs for gist
-choices, a host-buffer identity codec for swaps, and
-:class:`RecomputeDirective`\\ s the executor replays (bit-identically,
-because chains exclude RNG/state-mutating layers and sources are pinned
-to value-exact choices).
+Execution: :class:`repro.train.stash.HybridExecutionPolicy` hands the
+:class:`HybridPlan`'s table to the stash layer — codecs for gist
+choices, a host-buffer identity codec for swaps, and for recompute
+decisions the record itself, whose chain the executor replays
+(bit-identically, because chains exclude RNG/state-mutating layers and
+sources are pinned to value-exact choices).
 """
 
 from __future__ import annotations
@@ -115,36 +116,6 @@ _MAX_CHAIN_LENGTH = 12
 
 
 @dataclass(frozen=True)
-class RecomputeDirective:
-    """Runtime instruction: rebuild a stash instead of storing it.
-
-    Attributes:
-        source_id: Ancestor node whose stashed (value-exact) output seeds
-            the re-execution.
-        chain: Node ids to re-run in forward order; the last entry is the
-            tensor being rebuilt, the first consumes the source's output.
-    """
-
-    source_id: int
-    chain: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SharedConcatDirective:
-    """Runtime instruction: read a stash as a prefix of a concat terminal.
-
-    Attributes:
-        source_id: The concat chain's terminal node, whose stash is kept
-            bit-exact (the planner pins it to ``keep``).
-        channels: Leading axis-1 extent to slice: the member's value is
-            ``terminal[:, :channels]`` bit-exactly.
-    """
-
-    source_id: int
-    channels: int
-
-
-@dataclass(frozen=True)
 class PlanDecision:
     """What a selector decided for one stashed feature map.
 
@@ -165,7 +136,11 @@ class PlanDecision:
     #: Modeled step-time cost of the choice, seconds.
     cost_s: float
     lossless: bool
+    #: Recompute: the value-exact ancestor whose stash seeds the replay.
+    #: Shared concat: the chain terminal whose kept stash is re-sliced.
     source_id: Optional[int] = None
+    #: Recompute: node ids re-run in forward order, ending at this node.
+    #: Shared concat: the concat path from this member to the terminal.
     chain: Tuple[int, ...] = ()
     sparsity: Optional[float] = None
     #: FP32 staging bytes live across the backward reads (0 when the
@@ -219,25 +194,6 @@ class HybridPlan:
     def footprint_ratio(self) -> float:
         """Baseline allocated bytes over this plan's allocated bytes."""
         return self.baseline_allocated_bytes / self.allocated_bytes
-
-    def recompute_directives(self) -> Dict[int, RecomputeDirective]:
-        """Executable directives for every recompute decision."""
-        return {
-            nid: RecomputeDirective(d.source_id, d.chain)
-            for nid, d in self.decisions.items()
-            if d.choice == CHOICE_RECOMPUTE
-        }
-
-    def shared_concat_directives(self) -> Dict[int, SharedConcatDirective]:
-        """Executable directives for every shared-concat decision."""
-        return {
-            nid: SharedConcatDirective(
-                source_id=d.source_id,
-                channels=self.graph.node(nid).output_shape[1],
-            )
-            for nid, d in self.decisions.items()
-            if d.choice == CHOICE_SHARED_CONCAT
-        }
 
     def bytes_by_choice(self) -> Dict[str, int]:
         """FP32 stash bytes governed by each choice (keep included)."""
@@ -584,15 +540,20 @@ def apply_decisions(
                     )
                 )
 
-    # A swapped recompute-source is prefetched for the *target's* first
-    # backward read, which precedes the source's own backward window.
+    # A recompute source is read at the *target's* first backward read,
+    # which precedes the source's own backward window (if it has one):
+    # an FP32-kept source stays live until then, a swapped one is
+    # prefetched for it.
     for option in decisions.values():
         if option.choice != CHOICE_RECOMPUTE:
             continue
+        _, target_first_bwd, _ = uses[option.node_id]
         source_option = decisions.get(option.source_id)
-        if source_option is not None and source_option.choice == CHOICE_SWAP:
+        if source_option is None:
+            source_fm = fm_by_node[option.source_id]
+            source_fm.death = max(source_fm.death, target_first_bwd)
+        elif source_option.choice == CHOICE_SWAP:
             prefetch = prefetch_by_node[option.source_id]
-            _, target_first_bwd, _ = uses[option.node_id]
             prefetch.birth = min(prefetch.birth, target_first_bwd)
 
     # A shared-concat terminal's buffer is re-read by its members during

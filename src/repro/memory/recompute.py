@@ -8,17 +8,26 @@ take the longest to recompute", so checkpointing trades memory for
 significant time, while Gist's codecs are cheap bandwidth passes.
 
 This module implements segment checkpointing for the *trunk* of a
-training graph (the dominant chain through the DAG):
+training graph (the dominant chain through the DAG) as one more selector
+over the plan IR of :mod:`repro.memory.hybrid`:
 
 * every ``segment_length``-th trunk feature map is a checkpoint and keeps
-  its baseline (stashed) lifetime;
-* other trunk maps are dropped after their last forward use and
-  re-materialised segment-by-segment during the backward pass — modelled
-  as a short-lived segment buffer plus the segment's forward FLOPs run a
-  second time.
+  its FP32 map — live until the last map of its segment has been
+  rebuilt, even where the baseline would have freed it in the forward
+  pass;
+* every other stashed trunk map gets a ``recompute``
+  :class:`~repro.memory.hybrid.PlanDecision` whose ``source_id`` is its
+  segment's checkpoint and whose ``chain`` is the trunk from there to
+  the map; :func:`~repro.memory.hybrid.apply_decisions` turns the table
+  into lifetimes (the map dies after its last forward use, a rebuilt
+  copy spans its backward reads, the replayed chain's intermediates are
+  charged as scratch);
+* the time price is the segment's forward FLOPs run a second time.
 
 It exists as a *comparison baseline*: the recompute bench pits it against
-Gist on both footprint and step-time overhead.
+Gist on both footprint and step-time overhead.  The tables are priced,
+not executed — trunk segments cross dropout, which a bit-exact replay
+cannot re-run.
 """
 
 from __future__ import annotations
@@ -28,9 +37,8 @@ from dataclasses import dataclass
 from typing import List, Optional, TYPE_CHECKING, Tuple
 
 from repro.graph.graph import Graph
-from repro.graph.liveness import ROLE_FEATURE_MAP, feature_map_last_uses
 from repro.graph.schedule import TrainingSchedule
-from repro.memory.planner import CLASS_STASHED, MemoryPlan, build_memory_plan
+from repro.memory.planner import MemoryPlan, build_memory_plan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.perf.cost import CostModel
@@ -128,75 +136,59 @@ def build_recompute_plan(
             ``ceil(sqrt(trunk length))``.
         schedule: Precomputed schedule (built if omitted).
     """
+    # local: memory<->core cycle (core's selectors import memory.hybrid)
+    from repro.core.analysis import STASH_OTHER, classify_all_stashes
+    from repro.core.policy import GistConfig
+    from repro.core.schedule_builder import feature_map_uses
+    from repro.memory.hybrid import (
+        CHOICE_RECOMPUTE,
+        _drop_option,
+        apply_decisions,
+    )
+
     if schedule is None:
         schedule = TrainingSchedule(graph)
-    plan = build_memory_plan(graph, schedule)
     trunk = trunk_nodes(graph)
     if segment_length is None:
         segment_length = max(1, math.isqrt(len(trunk)))
     if segment_length < 1:
         raise ValueError(f"segment_length must be >= 1, got {segment_length}")
 
-    stashed_ids = {
-        t.node_id
-        for t in plan.tensors
-        if t.role == ROLE_FEATURE_MAP and plan.classify(t) == CLASS_STASHED
-    }
-    # Checkpoints: every segment_length-th trunk position.  The maps in
-    # between form segments that are re-materialised together when the
-    # backward pass enters the segment.
+    cfg = GistConfig.disabled()
+    uses = feature_map_uses(graph, schedule, cfg)
+    stash_infos = classify_all_stashes(graph, schedule)
     checkpoints: List[int] = []
-    segments: List[List[int]] = []       # stashed maps to drop, per segment
-    segment_all: List[List[int]] = []    # every trunk op re-run, per segment
-    for position, node_id in enumerate(trunk):
-        if position % segment_length == 0:
-            if node_id in stashed_ids:
-                checkpoints.append(node_id)
-            segments.append([])
-            segment_all.append([])
-        else:
-            if not segments:
-                segments.append([])
-                segment_all.append([])
-            segment_all[-1].append(node_id)
-            if node_id in stashed_ids:
-                segments[-1].append(node_id)
-
+    decisions = {}
     extra_flops = 0
-    recomputed: List[int] = []
-    fm_by_node = {
-        t.node_id: t for t in plan.tensors if t.role == ROLE_FEATURE_MAP
-    }
-    for segment, whole_segment in zip(segments, segment_all):
-        if not segment:
-            continue
-        # Re-materialising any map in the segment re-executes the whole
-        # sub-chain from the checkpoint — convolutions included.  This is
-        # the cost the paper's Section II-B points at: "the largest layers
-        # are usually the ones that also take the longest to recompute".
-        extra_flops += chain_forward_flops(graph, whole_segment)
-        # The backward pass enters a segment at the *deepest* member's
-        # backward op (reverse-topological order); all segment maps are
-        # re-materialised there and live until their own last use.
-        entry = min(schedule.backward_time(nid) for nid in segment
-                    if schedule.has_backward(nid))
-        for node_id in segment:
-            tensor = fm_by_node[node_id]
-            last_fwd, _, _ = feature_map_last_uses(graph, schedule, node_id)
-            original_death = tensor.death
-            if original_death <= last_fwd:
-                continue  # was not actually stashed
-            tensor.death = last_fwd  # dropped after the forward pass
-            rebuilt = type(tensor)(
-                tensor.spec.with_dtype(tensor.spec.dtype, ".recomp"),
-                birth=min(entry, original_death),
-                death=original_death,
-                node_id=node_id,
-                role=ROLE_FEATURE_MAP,
+    # Every segment_length-th trunk map heads a segment and is its
+    # checkpoint; the stashed maps behind it are dropped and rebuilt by
+    # re-running the trunk from the checkpoint.
+    for start in range(0, len(trunk), segment_length):
+        head, *body = trunk[start:start + segment_length]
+        if uses[head][1] is not None:
+            checkpoints.append(head)
+        # Positions (1-based) of the stashed maps behind the checkpoint.
+        dropped = [depth for depth, nid in enumerate(body, start=1)
+                   if uses[nid][1] is not None]
+        if dropped:
+            # Re-materialising any map in the segment re-executes the
+            # whole sub-chain from the checkpoint — convolutions included.
+            # This is the cost the paper's Section II-B points at: "the
+            # largest layers are usually the ones that also take the
+            # longest to recompute".
+            extra_flops += chain_forward_flops(graph, body)
+        for depth in dropped:
+            chain = tuple(body[:depth])
+            node = graph.node(chain[-1])
+            info = stash_infos.get(node.node_id)
+            decisions[node.node_id] = _drop_option(
+                node, info.stash_class if info else STASH_OTHER,
+                4 * math.prod(node.output_shape), CHOICE_RECOMPUTE,
+                chain_forward_seconds(graph, chain), head, chain,
             )
-            plan.tensors.append(rebuilt)
-            recomputed.append(node_id)
 
+    plan = build_memory_plan(graph, schedule)
+    apply_decisions(plan, uses, decisions, cfg)
     return RecomputePlan(
-        plan, tuple(sorted(checkpoints)), tuple(recomputed), extra_flops
+        plan, tuple(sorted(checkpoints)), tuple(decisions), extra_flops
     )

@@ -29,6 +29,7 @@ from repro.kernels import WorkspaceArena
 from repro.kernels.backends import REFERENCE, validate_backend_name
 from repro.layers.base import OpContext
 from repro.layers.loss import SoftmaxCrossEntropy
+from repro.memory.hybrid import CHOICE_RECOMPUTE, CHOICE_SHARED_CONCAT
 from repro.train.stash import BaselinePolicy, StashPolicy
 
 #: Node kinds whose outputs are sparsity-tracked each forward pass.
@@ -175,16 +176,11 @@ class GraphExecutor:
                 flat[f"{node.name}.{pname}"] = arr
         return flat
 
-    def _recompute_directive(self, node_id: int):
-        # ``recompute_directive`` is an optional StashPolicy hook; external
+    def _decision(self, node_id: int):
+        # ``decision_for`` is an optional StashPolicy hook; external
         # policies duck-typed against the protocol (e.g. GroupQuantPolicy)
         # may not define it.
-        hook = getattr(self.policy, "recompute_directive", None)
-        return None if hook is None else hook(node_id)
-
-    def _shared_concat_directive(self, node_id: int):
-        # Optional StashPolicy hook, same protocol caveat as above.
-        hook = getattr(self.policy, "shared_concat_directive", None)
+        hook = getattr(self.policy, "decision_for", None)
         return None if hook is None else hook(node_id)
 
     def stashed_value(self, node_id: int) -> np.ndarray:
@@ -197,12 +193,12 @@ class GraphExecutor:
         try:
             encoding, encoded = self._stash[node_id]
         except KeyError:
-            directive = self._recompute_directive(node_id)
-            if directive is not None:
-                return self._materialize_recompute(node_id, directive)
-            shared = self._shared_concat_directive(node_id)
-            if shared is not None:
-                return self._materialize_shared_concat(node_id, shared)
+            decision = self._decision(node_id)
+            choice = None if decision is None else decision.choice
+            if choice == CHOICE_RECOMPUTE:
+                return self._materialize_recompute(node_id, decision)
+            if choice == CHOICE_SHARED_CONCAT:
+                return self._materialize_shared_concat(node_id, decision)
             name = self.graph.node(node_id).name
             raise KeyError(f"feature map of {name!r} was not stashed") from None
         tracer = self.tracer
@@ -338,10 +334,10 @@ class GraphExecutor:
             tracer.record_loss(loss)
         return loss
 
-    def _materialize_recompute(self, node_id: int, directive) -> np.ndarray:
+    def _materialize_recompute(self, node_id: int, decision) -> np.ndarray:
         """Rebuild a dropped stash by replaying its forward chain.
 
-        Re-executes the directive's chain from the source's stashed value
+        Re-executes the decision's chain from the source's stashed value
         with throwaway per-node contexts (the original forward contexts —
         saved argmax maps, masks — stay untouched for the chain members'
         own backward ops).  Parameters have not changed since the forward
@@ -349,10 +345,10 @@ class GraphExecutor:
         value is bit-identical to the dropped one.  Cached in the decoded
         store, so each chain replays at most once per backward pass.
         """
-        x = self.stashed_value(directive.source_id)
+        x = self.stashed_value(decision.source_id)
         tracer = self.tracer
         t0 = perf_counter() if tracer is not None else 0.0
-        for chain_id in directive.chain:
+        for chain_id in decision.chain:
             node = self.graph.node(chain_id)
             ctx = _Context(self, node)
             x = node.layer.forward([x], self.params[chain_id], ctx, True)
@@ -364,7 +360,7 @@ class GraphExecutor:
         return x
 
     def _materialize_shared_concat(self, node_id: int,
-                                   directive) -> np.ndarray:
+                                   decision) -> np.ndarray:
         """Rebuild a dropped stash as a prefix of its concat terminal.
 
         ``np.concatenate`` copies its first argument to the front of the
@@ -374,10 +370,11 @@ class GraphExecutor:
         read in their backward ops; cached so the slice is cut at most
         once per backward pass.
         """
-        base = self.stashed_value(directive.source_id)
+        base = self.stashed_value(decision.source_id)
+        channels = self.graph.node(node_id).output_shape[1]
         tracer = self.tracer
         t0 = perf_counter() if tracer is not None else 0.0
-        value = np.ascontiguousarray(base[:, : directive.channels])
+        value = np.ascontiguousarray(base[:, :channels])
         if tracer is not None:
             tracer.record_decode(self.graph.node(node_id).name,
                                  "shared-concat", value.nbytes,
@@ -388,13 +385,12 @@ class GraphExecutor:
     def _maybe_stash(self, node: OpNode, y: np.ndarray) -> None:
         if not _runtime_needs_stash(self.graph, node):
             return
-        if self._recompute_directive(node.node_id) is not None:
-            # A hybrid recompute decision: the map is dropped after its
-            # last forward use and rebuilt on demand in the backward pass.
-            return
-        if self._shared_concat_directive(node.node_id) is not None:
-            # A shared-concat decision: the map is a prefix of its chain
-            # terminal's kept stash and is re-sliced on demand.
+        decision = self._decision(node.node_id)
+        if decision is not None and decision.choice in (
+                CHOICE_RECOMPUTE, CHOICE_SHARED_CONCAT):
+            # Dropped after its last forward use: rebuilt on demand in the
+            # backward pass by replaying its chain, or re-sliced out of
+            # its concat terminal's kept stash.
             return
         encoding = self.policy.encoding_for(self.graph, node.node_id)
         encoding.bind_arena(self.arena if self.arena.enabled else None)

@@ -6,14 +6,14 @@ The executor routes every stashed feature map through a policy:
   baseline, and the exact-gradient path used by the gradient-check tests).
 * :class:`GistPolicy` and :class:`HybridExecutionPolicy` — two
   constructors over one table-driven policy (:class:`_TablePolicy`) and
-  one codec factory (:func:`_make_codec`).  ``GistPolicy(graph, cfg)``
-  feeds it the bare Table-I class rule — Binarize for ReLU-Pool maps,
-  SSDC for ReLU-Conv maps, DPR for the rest, with *no* sizing, so a map
-  the planner prices below the SSDC breakeven is still SSDC-encoded at
-  run time; ``HybridExecutionPolicy(plan)`` feeds it a planner's
-  :class:`~repro.memory.hybrid.PlanDecision` table.  Lossless edges
-  reconstruct exactly; DPR edges inject precisely the quantisation error
-  the paper's Figure 12 accuracy study measures.
+  one codec factory (:func:`_make_codec`).  Both hand it a selector's
+  ``{node_id: PlanDecision}`` table — the very records the allocator was
+  priced with: ``GistPolicy(graph, cfg)`` the Table-I table of
+  :func:`~repro.core.schedule_builder.build_gist_plan` (Binarize for
+  ReLU-Pool maps, SSDC for ReLU-Conv maps above the CSR breakeven, DPR
+  for the rest), ``HybridExecutionPolicy(plan)`` a budgeted planner's.
+  Lossless edges reconstruct exactly; DPR edges inject precisely the
+  quantisation error the paper's Figure 12 accuracy study measures.
 * :class:`AllFP16Policy` — the prior-work baseline: quantise every layer
   output *in the forward pass*, so error propagates through subsequent
   layers (the curve that diverges in Figure 12).
@@ -22,17 +22,16 @@ The executor routes every stashed feature map through a policy:
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.analysis import classify_all_stashes
 from repro.core.policy import GistConfig
 from repro.core.schedule_builder import (
     ENC_BINARIZE,
     ENC_DPR,
     ENC_SSDC,
-    _encoding_for,
+    build_gist_plan,
 )
 from repro.dtypes import DPR_FORMATS, FP16
 from repro.encodings.base import Encoding, HostSwapEncoding, IdentityEncoding
@@ -42,14 +41,10 @@ from repro.encodings.floatsim import quantize
 from repro.encodings.ssdc import SSDCEncoding
 from repro.graph.graph import Graph
 from repro.graph.node import OpNode
-from repro.memory.hybrid import CHOICE_GIST, CHOICE_SWAP
+from repro.memory.hybrid import CHOICE_GIST, CHOICE_SWAP, PlanDecision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.memory.hybrid import (
-        HybridPlan,
-        RecomputeDirective,
-        SharedConcatDirective,
-    )
+    from repro.memory.hybrid import HybridPlan
 
 
 class StashPolicy(abc.ABC):
@@ -71,29 +66,15 @@ class StashPolicy(abc.ABC):
         """Hook applied to every gradient map a backward op produces."""
         return dx
 
-    def recompute_directive(
-        self, node_id: int
-    ) -> "Optional[RecomputeDirective]":
-        """Rebuild instruction for ``node_id``'s stash, or ``None``.
+    def decision_for(self, node_id: int) -> Optional[PlanDecision]:
+        """The plan's decision for ``node_id``'s stash, or ``None``.
 
-        When set, the executor skips stashing the node's output in the
-        forward pass and re-executes the directive's chain on the first
-        backward read instead.  Only :class:`HybridExecutionPolicy`
-        returns directives.
-        """
-        return None
-
-    def shared_concat_directive(
-        self, node_id: int
-    ) -> "Optional[SharedConcatDirective]":
-        """Prefix-read instruction for ``node_id``'s stash, or ``None``.
-
-        When set, the executor skips stashing the node's output and
-        instead re-slices the leading channels of the directive's concat
-        terminal on the first backward read (the DenseNet shared-buffer
-        trick — bit-exact because ``np.concatenate`` copies its first
-        argument to the front).  Only :class:`HybridExecutionPolicy`
-        returns directives.
+        The executor does not stash a map whose decision is ``recompute``
+        or ``shared_concat``; on the first backward read it replays the
+        decision's ``chain`` from ``source_id``'s stash, or re-slices the
+        leading channels of the concat terminal ``source_id`` (bit-exact
+        because ``np.concatenate`` copies its first argument to the
+        front).  Only the table policies return decisions.
         """
         return None
 
@@ -117,93 +98,74 @@ class BaselinePolicy(StashPolicy):
         return "baseline"
 
 
-def _make_codec(choice: str, encoding: Optional[str], cfg: GistConfig,
-                node_name: str) -> Encoding:
-    """The codec a ``(choice, encoding)`` table row stashes through.
+def _make_codec(decision: PlanDecision, cfg: GistConfig) -> Encoding:
+    """The codec a gist or swap decision stashes through.
 
     Raises:
-        ValueError: A gist row names an encoding Table I does not have —
-            silently substituting a lossy codec would corrupt training.
+        ValueError: A gist decision names an encoding Table I does not
+            have — silently substituting a lossy codec would corrupt
+            training.
     """
-    if choice == CHOICE_SWAP:
+    if decision.choice == CHOICE_SWAP:
         return HostSwapEncoding()
     dpr_dtype = DPR_FORMATS[cfg.dpr_format]
-    if encoding == ENC_BINARIZE:
+    if decision.encoding == ENC_BINARIZE:
         return BinarizeEncoding()
-    if encoding == ENC_SSDC:
+    if decision.encoding == ENC_SSDC:
         return SSDCEncoding(
             cols=cfg.ssdc_cols,
             value_dtype=dpr_dtype if (cfg.dpr and cfg.dpr_over_ssdc) else None,
         )
-    if encoding == ENC_DPR:
+    if decision.encoding == ENC_DPR:
         return DPREncoding(dpr_dtype, cfg.rounding)
     raise ValueError(
-        f"{node_name}: unknown gist encoding {encoding!r} (expected one of "
-        f"{ENC_BINARIZE!r}, {ENC_SSDC!r}, {ENC_DPR!r})"
+        f"{decision.node_name}: unknown gist encoding {decision.encoding!r} "
+        f"(expected one of {ENC_BINARIZE!r}, {ENC_SSDC!r}, {ENC_DPR!r})"
     )
 
 
 class _TablePolicy(StashPolicy):
-    """Executes ``(node_id, node_name, choice, encoding)`` rows at the
-    stash layer, with codecs parameterised by ``cfg``:
+    """Executes a ``{node_id: PlanDecision}`` table at the stash layer,
+    with codecs parameterised by ``cfg``:
 
-    * **gist** rows stash through the row's codec (Binarize / SSDC / DPR);
-    * **swap** rows stash through :class:`HostSwapEncoding` — a
+    * **gist** decisions stash through their codec (Binarize / SSDC /
+      DPR);
+    * **swap** decisions stash through :class:`HostSwapEncoding` — a
       bit-exact host-buffer copy standing in for the PCIe offload;
-    * **recompute** rows are *not stashed at all*: the executor
-      queries :meth:`recompute_directive` and replays the forward chain
-      from the directive's source on the first backward read;
-    * **shared_concat** rows are not stashed either: the executor
-      queries :meth:`shared_concat_directive` and re-slices the leading
-      channels of the chain terminal's kept FP32 stash (bit-exact by the
-      concat prefix-copy property);
-    * nodes without a row keep the FP32 identity baseline.
+    * **recompute** and **shared_concat** decisions are *not stashed at
+      all*: the executor reads them through :meth:`decision_for` and
+      rebuilds the map on its first backward read;
+    * nodes without a decision keep the FP32 identity baseline.
     """
 
-    def __init__(self, cfg: GistConfig,
-                 rows: Iterable[Tuple[int, str, str, Optional[str]]],
-                 recompute=None, shared_concat=None):
+    def __init__(self, cfg: GistConfig, decisions: Dict[int, PlanDecision]):
         self._identity = IdentityEncoding()
-        self._directives = recompute or {}
-        self._shared = shared_concat or {}
-        #: ``{node_id: Table-I encoding name}`` of the gist rows — what
-        #: plan-vs-runtime conformance compares against a plan's decisions.
-        self.encodings: Dict[int, str] = {}
+        self._decisions = decisions
         # One codec instance per distinct (choice, encoding) pair.
         codecs: Dict[Tuple[str, Optional[str]], Encoding] = {}
         self._table: Dict[int, Encoding] = {}
-        for node_id, node_name, choice, encoding in rows:
-            if choice not in (CHOICE_GIST, CHOICE_SWAP):
+        for node_id, decision in decisions.items():
+            if decision.choice not in (CHOICE_GIST, CHOICE_SWAP):
                 continue
-            key = (choice, encoding)
+            key = (decision.choice, decision.encoding)
             if key not in codecs:
-                codecs[key] = _make_codec(choice, encoding, cfg, node_name)
+                codecs[key] = _make_codec(decision, cfg)
             self._table[node_id] = codecs[key]
-            if choice == CHOICE_GIST:
-                self.encodings[node_id] = encoding
 
     def encoding_for(self, graph: Graph, node_id: int) -> Encoding:
         return self._table.get(node_id, self._identity)
 
-    def recompute_directive(self, node_id: int):
-        return self._directives.get(node_id)
-
-    def shared_concat_directive(self, node_id: int):
-        return self._shared.get(node_id)
+    def decision_for(self, node_id: int) -> Optional[PlanDecision]:
+        return self._decisions.get(node_id)
 
 
 class GistPolicy(_TablePolicy):
-    """Layer-pair-aware encodings: the bare Table-I class rule."""
+    """Layer-pair-aware encodings: executes the Schedule Builder's table."""
 
     def __init__(self, graph: Graph, config: Optional[GistConfig] = None):
         self.config = config or GistConfig()
-        rows = []
-        for node_id, info in classify_all_stashes(graph).items():
-            encoding = _encoding_for(info.stash_class, self.config)
-            if encoding is not None:
-                rows.append((node_id, graph.node(node_id).name, CHOICE_GIST,
-                             encoding))
-        super().__init__(self.config, rows)
+        super().__init__(self.config,
+                         build_gist_plan(graph, self.config).decisions)
 
     def describe(self) -> str:
         """Label: ``"gist-lossless"`` or ``"gist-<dpr format>"``."""
@@ -290,13 +252,7 @@ class HybridExecutionPolicy(_TablePolicy):
 
     def __init__(self, plan: "HybridPlan"):
         self.plan = plan
-        super().__init__(
-            plan.policy.gist,
-            ((node_id, d.node_name, d.choice, d.encoding)
-             for node_id, d in plan.decisions.items()),
-            recompute=plan.recompute_directives(),
-            shared_concat=plan.shared_concat_directives(),
-        )
+        super().__init__(plan.policy.gist, plan.decisions)
 
     def describe(self) -> str:
         """Label: the plan policy's (``"hybrid"`` / ``"hybrid-<arm>"``)."""

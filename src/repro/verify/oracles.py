@@ -407,8 +407,7 @@ def check_decision_bytes(gist_plan: GistPlan, rng=None) -> List[Violation]:
         else:
             continue
         # Measure the very codec the runtime would stash this map through.
-        codec = _make_codec(decision.choice, decision.encoding,
-                            gist_plan.config, decision.node_name)
+        codec = _make_codec(decision, gist_plan.config)
         measured = codec.measure_bytes(codec.encode(x))
         if measured != decision.encoded_bytes:
             violations.append(Violation(

@@ -110,13 +110,14 @@ class TestRecomputeChains:
     def test_chains_selected(self, recompute_arm):
         assert any(d.choice == CHOICE_RECOMPUTE
                    for d in recompute_arm.decisions.values())
-        assert recompute_arm.recompute_directives()
 
     def test_chain_links_are_valid(self, graph, recompute_arm):
-        for nid, directive in recompute_arm.recompute_directives().items():
-            assert directive.chain[-1] == nid
-            prev = directive.source_id
-            for chain_id in directive.chain:
+        for nid, decision in recompute_arm.decisions.items():
+            if decision.choice != CHOICE_RECOMPUTE:
+                continue
+            assert decision.chain[-1] == nid
+            prev = decision.source_id
+            for chain_id in decision.chain:
                 node = graph.node(chain_id)
                 assert node.kind not in NON_RECOMPUTABLE_KINDS
                 assert list(node.inputs) == [prev]
@@ -165,8 +166,10 @@ class TestRecomputeChains:
         plan = build_hybrid_plan(
             g, HybridPolicy(strategy=STRATEGY_HYBRID, cost_budget_frac=0.3)
         )
-        for directive in plan.recompute_directives().values():
-            for chain_id in directive.chain:
+        for decision in plan.decisions.values():
+            if decision.choice != CHOICE_RECOMPUTE:
+                continue
+            for chain_id in decision.chain:
                 assert len(g.node(chain_id).inputs) == 1
 
 

@@ -1,5 +1,7 @@
 """Tests for the recompute/checkpointing baseline."""
 
+import math
+
 import pytest
 
 from repro.memory import (
@@ -10,7 +12,7 @@ from repro.memory import (
     chain_forward_seconds,
     trunk_nodes,
 )
-from repro.models import scaled_vgg, tiny_cnn, vgg16
+from repro.models import build_model, scaled_vgg, tiny_cnn, vgg16
 
 
 class TestTrunk:
@@ -110,6 +112,60 @@ class TestRecomputePlan:
         long_bytes = alloc.allocate(long.plan.tensors).total_bytes
         assert long_bytes <= short_bytes
         assert long.extra_forward_flops >= short.extra_forward_flops
+
+
+class TestSegmentAccounting:
+    """The sqrt(N) table goes through ``apply_decisions``: a replay reads
+    a checkpoint that is still allocated and pays for what it re-runs."""
+
+    @pytest.fixture(scope="class", params=["alexnet", "overfeat", "vgg16",
+                                            "scaled_vgg"])
+    def graph(self, request):
+        return build_model(request.param, batch_size=8)
+
+    def test_checkpoint_is_live_when_its_segment_replays(self, graph):
+        from repro.core import GistConfig
+        from repro.core.schedule_builder import feature_map_uses
+
+        rp = build_recompute_plan(graph, segment_length=4)
+        uses = feature_map_uses(graph, rp.plan.schedule,
+                                GistConfig.disabled())
+        tensors = {t.spec.name: t for t in rp.plan.tensors}
+        trunk = trunk_nodes(graph)
+        assert rp.recomputed
+        freed_in_baseline = 0
+        for nid in rp.recomputed:
+            position = trunk.index(nid)
+            head = trunk[position - position % 4]
+            source = tensors[f"{graph.node(head).name}.out"]
+            first_bwd = uses[nid][1]
+            assert source.birth <= first_bwd <= source.death, (
+                graph.node(head).name, graph.node(nid).name)
+            freed_in_baseline += uses[head][1] is None
+            # The replay's un-stashed intermediates are charged as scratch
+            # at the read that triggers it.
+            chain = trunk[trunk.index(head) + 1:position + 1]
+            name = f"{graph.node(nid).name}.out.rechain"
+            if len(chain) > 1:
+                scratch = tensors[name]
+                assert scratch.birth == scratch.death == first_bwd
+                assert scratch.size_bytes == max(
+                    4 * math.prod(graph.node(i).output_shape)
+                    for i in chain[:-1])
+            else:
+                assert name not in tensors
+        # Every chain network has a segment head that baseline liveness
+        # frees in the forward pass (a conv/fc output) — the case the
+        # old private model replayed from anyway.
+        assert freed_in_baseline
+
+    def test_segment_length_one_is_the_baseline(self, graph):
+        alloc = StaticAllocator()
+        rp = build_recompute_plan(graph, segment_length=1)
+        assert rp.recomputed == ()
+        assert (alloc.allocate(rp.plan.tensors).total_bytes
+                == alloc.allocate(build_memory_plan(graph).tensors)
+                .total_bytes)
 
 
 class TestChainCost:

@@ -24,7 +24,12 @@ from repro.layers import (
     SoftmaxCrossEntropy,
 )
 from repro.memory.allocator import POLICY_NO_SHARING, StaticAllocator
-from repro.memory.hybrid import CHOICE_SHARED_CONCAT, build_hybrid_plan
+from repro.diagnostics import StepTracer
+from repro.memory.hybrid import (
+    CHOICE_RECOMPUTE,
+    CHOICE_SHARED_CONCAT,
+    build_hybrid_plan,
+)
 from repro.memory.shared_concat import find_concat_chains, member_to_terminal
 from repro.models import build_model
 from repro.tensor import TensorSpec
@@ -132,14 +137,28 @@ class TestExecutorBitIdentity:
                          shape[0]).astype(np.int64)
 
         base = GraphExecutor(densenet_graph, BaselinePolicy(), seed=0)
+        tracer = StepTracer()
         planned = GraphExecutor(densenet_graph,
-                                HybridExecutionPolicy(plan), seed=0)
+                                HybridExecutionPolicy(plan), seed=0,
+                                tracer=tracer)
         assert base.forward(x, y, train=True) == \
             planned.forward(x, y, train=True)
         base_grads, plan_grads = base.backward(), planned.backward()
         assert set(base_grads) == set(plan_grads)
         for name in base_grads:
             np.testing.assert_array_equal(base_grads[name], plan_grads[name])
+        # Bit-identity proves nothing unless the decisions were executed:
+        # every dropped map was rebuilt through the path its choice names.
+        rebuilt = {(e.node, e.encoding) for e in tracer.events
+                   if e.phase == "decode"}
+        labels = {CHOICE_RECOMPUTE: "recompute",
+                  CHOICE_SHARED_CONCAT: "shared-concat"}
+        dropped = {(d.node_name, labels[d.choice])
+                   for d in plan.decisions.values() if d.choice in labels}
+        assert dropped <= rebuilt
+        executed = {label for _, label in dropped}
+        assert "shared-concat" in executed
+        assert strategy != "hybrid" or "recompute" in executed
 
     def test_members_are_not_stashed(self, densenet_graph, arm_plan):
         policy = HybridExecutionPolicy(arm_plan)

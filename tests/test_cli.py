@@ -109,9 +109,8 @@ class TestCLIPlan:
         assert "baseline allocated" in out
         assert "plan allocated" in out
         assert "pure gist" in out and "pure swap" in out
-        # The plan-vs-runtime disagreement is named, not implicit.
-        (note,) = [ln for ln in out.splitlines() if ln.startswith("note:")]
-        assert note.endswith("run time: pool1, pool2")
+        # GistPolicy executes the plan's table: nothing left to footnote.
+        assert not any(ln.startswith("note:") for ln in out.splitlines())
 
     def test_plan_recompute_strategy_shows_chains(self, capsys):
         assert main(["plan", "scaled_vgg", "--batch-size", "8",
@@ -120,12 +119,22 @@ class TestCLIPlan:
         assert "hybrid-recompute" in out
         assert "recompute <-" in out  # per-tensor source chains
 
+    def test_plan_shared_concat_rows_name_their_terminal(self, capsys):
+        assert main(["plan", "densenet", "--batch-size", "8"]) == 0
+        out = capsys.readouterr().out
+        assert any("shared_concat <- " in ln and "op(s))" in ln
+                   for ln in out.splitlines())
+        # The pure-arm footer is wide enough for its longest strategy.
+        gist, shared = (next(ln for ln in out.splitlines()
+                             if ln.startswith(f"  pure {arm} "))
+                        for arm in ("gist", "shared_concat"))
+        assert gist.index("MiB") == shared.index("MiB")
+
     def test_plan_lossy_config(self, capsys):
         assert main(["plan", "scaled_vgg", "--batch-size", "8",
                      "--config", "fp8"]) == 0
         out = capsys.readouterr().out
         assert "budget" in out
-        assert "note:" not in out  # no map is below the DPR-valued breakeven
 
     def test_plan_rejects_unknown_strategy(self):
         with pytest.raises(SystemExit):

@@ -22,7 +22,8 @@ from repro.core.policy import (
     STRATEGY_SWAP,
 )
 from repro.diagnostics import capture_digest
-from repro.memory import CHOICE_SWAP, build_hybrid_plan
+from repro.encodings import GroupQuantPolicy
+from repro.memory import CHOICE_RECOMPUTE, CHOICE_SWAP, build_hybrid_plan
 from repro.models import scaled_vgg
 from repro.train import (
     BaselinePolicy,
@@ -101,13 +102,14 @@ class TestBitIdentity:
     def test_recompute_arm_actually_recomputes(self, batches):
         graph = fresh_graph()
         plan, policy = hybrid_policy_for(graph, STRATEGY_RECOMPUTE)
-        directives = plan.recompute_directives()
-        assert directives  # otherwise the bit-identity test proves nothing
+        recomputed = [nid for nid, d in plan.decisions.items()
+                      if d.choice == CHOICE_RECOMPUTE]
+        assert recomputed  # otherwise the bit-identity test proves nothing
         ex = GraphExecutor(graph, policy, seed=0)
         images, labels = batches[0]
         ex.forward(images, labels)
         # Recompute-chosen maps are dropped, yet stashed_value rebuilds them.
-        for nid in directives:
+        for nid in recomputed:
             assert nid not in ex.stashed_node_ids()
             rebuilt = ex.stashed_value(nid)
             assert rebuilt.shape == tuple(graph.node(nid).output_shape)
@@ -125,6 +127,17 @@ class TestBitIdentity:
         measured = ex.stash_bytes()
         for decision in swapped:
             assert measured[decision.node_name] == 0
+
+    def test_policy_without_the_decision_hook_still_trains(self, batches):
+        """``decision_for`` is optional: a policy duck-typed against the
+        protocol (no StashPolicy base) runs a full step."""
+        policy = GroupQuantPolicy(bits=8)
+        assert not hasattr(policy, "decision_for")
+        ex = GraphExecutor(fresh_graph(), policy, seed=0)
+        images, labels = batches[0]
+        assert np.isfinite(ex.forward(images, labels))
+        grads = ex.backward()
+        assert grads and all(np.isfinite(g).all() for g in grads.values())
 
     def test_describe_names_the_strategy(self):
         graph = fresh_graph()

@@ -1,8 +1,8 @@
 """Plan ≡ runtime conformance for the one decision table.
 
-``build_gist_plan`` (what the allocator is sold) and ``GistPolicy`` (what
-the executor runs) read the same Table-I class rule; the only place they
-may disagree is SSDC sizing, which only the planner does.
+``GistPolicy`` executes ``build_gist_plan``'s table, so what the
+allocator is sold and what the executor stashes are the same records —
+on every registry model, with no exceptions.
 """
 
 import dataclasses
@@ -24,24 +24,6 @@ from repro.train import (
     HybridExecutionPolicy,
 )
 
-#: Pool→Conv maps the planner's modelled sparsity prices below the CSR
-#: breakeven under ``lossless`` (so the plan keeps them FP32) while the
-#: runtime's bare class rule SSDC-encodes them.  The checked-in
-#: ``*--gist-lossless`` goldens pin the runtime side of this.
-BELOW_BREAKEVEN = {
-    "alexnet": {"pool5"},
-    "nin": {"pool1", "pool2"},
-    "overfeat": {"pool1", "pool2"},
-    "resnet50": {"pool1"},
-    "resnet101": {"pool1"},
-    "resnet152": {"pool1"},
-    "scaled_alexnet": {"pool1", "pool2"},
-    "scaled_vgg": {"pool1", "pool2"},
-    "tiny_cnn": {"pool1"},
-    "vgg16": {"pool1", "pool2", "pool3"},
-    "vgg19": {"pool1", "pool2", "pool3"},
-}
-
 CONFIGS = {"lossless": GistConfig.lossless(), "full": GistConfig.full()}
 
 
@@ -50,20 +32,41 @@ CONFIGS = {"lossless": GistConfig.lossless(), "full": GistConfig.full()}
 def test_runtime_table_equals_plan_decisions(model, config_name):
     cfg = CONFIGS[config_name]
     graph = build_model(model, batch_size=32)
-    runtime = {
-        nid: encoding
-        for nid, encoding in GistPolicy(graph, cfg).encodings.items()
-        if _runtime_needs_stash(graph, graph.node(nid))
-    }
-    planned = {nid: d.encoding
-               for nid, d in build_gist_plan(graph, cfg).decisions.items()}
-    runtime_only = {graph.node(nid).name for nid in runtime.keys() - planned}
-    expected = (BELOW_BREAKEVEN.get(model, set())
-                if config_name == "lossless" else set())
-    assert runtime_only == expected
-    assert all(runtime[nid] == "ssdc" for nid in runtime.keys() - planned)
-    assert not planned.keys() - runtime
-    assert all(runtime[nid] == planned[nid] for nid in planned)
+    policy = GistPolicy(graph, cfg)
+    planned = build_gist_plan(graph, cfg).decisions
+    stashed = {node.node_id for node in graph.nodes
+               if node.node_id != graph.output_id
+               and _runtime_needs_stash(graph, node)}
+    # Runtime -> plan: every stashed map runs its decision's codec, and
+    # the FP32 identity where the plan decided nothing.
+    for nid in stashed:
+        codec = policy.encoding_for(graph, nid).name
+        decision = planned.get(nid)
+        if decision is None:
+            assert codec == "identity", graph.node(nid).name
+        else:
+            # Codec names carry their width ("dpr-fp16", "ssdc+dpr-fp16").
+            assert codec.startswith(decision.encoding), graph.node(nid).name
+    # Plan -> runtime: no decision is for a map the executor never stashes.
+    assert planned.keys() <= stashed
+
+
+@pytest.mark.parametrize("model", ["scaled_vgg", "tiny_cnn"])
+def test_below_breakeven_pool_is_stashed_as_planned(model):
+    """``pool1`` is below the modelled CSR breakeven under ``lossless``:
+    the plan keeps it FP32, and so — executed — does the runtime."""
+    graph = build_model(model, batch_size=4)
+    pool1 = graph.node_by_name("pool1")
+    assert pool1.node_id not in build_gist_plan(
+        graph, GistConfig.lossless()).decisions
+    executor = GraphExecutor(graph, GistPolicy(graph, GistConfig.lossless()),
+                             seed=0)
+    rng = np.random.default_rng(0)
+    shape = graph.node(graph.input_id).output_shape
+    executor.forward(rng.normal(0, 1, shape).astype(np.float32),
+                     rng.integers(0, 4, shape[0]))
+    assert executor.stash_bytes()["pool1"] == 4 * int(
+        np.prod(pool1.output_shape))
 
 
 def test_unknown_encoding_is_rejected_not_run_as_dpr():
