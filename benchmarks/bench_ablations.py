@@ -15,6 +15,7 @@ import numpy as np
 from repro.analysis import format_table
 from repro.core import GistConfig, build_gist_plan
 from repro.encodings import bitmap_bytes, csr_bytes
+from repro.experiments import scaled_study
 from repro.memory import (
     POLICY_FIRST_FIT,
     POLICY_GREEDY_SIZE,
@@ -22,8 +23,7 @@ from repro.memory import (
     StaticAllocator,
     build_memory_plan,
 )
-from repro.models import scaled_vgg
-from repro.train import GistPolicy, SGD, Trainer, make_synthetic
+from repro.train import GistPolicy
 
 from conftest import print_header
 
@@ -108,18 +108,15 @@ def test_ablation_pool_argmax_rewrite(benchmark, suite):
 
 def test_ablation_dpr_rounding(benchmark):
     def run():
-        train, test = make_synthetic(num_samples=512, num_classes=8,
-                                     image_size=16, noise=1.2, seed=3)
         accs = {}
         for rounding in ("nearest", "truncate"):
-            graph = scaled_vgg(batch_size=32, num_classes=8, image_size=16,
-                               width=8)
-            policy = GistPolicy(
-                graph, GistConfig(dpr_format="fp8", rounding=rounding)
+            # ``rounding`` is a config switch no vocabulary name carries.
+            _, result = scaled_study(
+                lambda g: GistPolicy(
+                    g, GistConfig(dpr_format="fp8", rounding=rounding)),
+                5, num_samples=512,
             )
-            trainer = Trainer(graph, policy, SGD(lr=0.01, momentum=0.9),
-                              seed=0)
-            accs[rounding] = trainer.train(train, test, epochs=5).final_accuracy
+            accs[rounding] = result.final_accuracy
         return accs
 
     accs = benchmark.pedantic(run, rounds=1, iterations=1)

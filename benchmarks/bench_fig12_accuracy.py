@@ -18,17 +18,7 @@ load-bearing comparison.
 """
 
 from repro.analysis import format_series
-from repro.core import GistConfig
-from repro.dtypes import FP8, FP10, FP16
-from repro.models import scaled_vgg
-from repro.train import (
-    GistPolicy,
-    GradientOnlyReductionPolicy,
-    SGD,
-    Trainer,
-    UniformReductionPolicy,
-    make_synthetic,
-)
+from repro.experiments import figure12_accuracy
 
 from conftest import print_header
 
@@ -36,38 +26,16 @@ EPOCHS = 6
 NUM_CLASSES = 8
 
 
-def run_policies():
-    train, test = make_synthetic(num_samples=640, num_classes=NUM_CLASSES,
-                                 image_size=16, noise=1.2, seed=3)
-    arms = [
-        ("baseline-fp32", lambda g: None),
-        ("all-fp16", lambda g: UniformReductionPolicy(FP16)),
-        ("all-fp10", lambda g: UniformReductionPolicy(FP10)),
-        ("all-fp8", lambda g: UniformReductionPolicy(FP8)),
-        ("grad-only-fp16", lambda g: GradientOnlyReductionPolicy(FP16)),
-        ("gist-dpr-fp16", lambda g: GistPolicy(g, GistConfig(dpr_format="fp16"))),
-        ("gist-dpr-fp10", lambda g: GistPolicy(g, GistConfig(dpr_format="fp10"))),
-        ("gist-dpr-fp8", lambda g: GistPolicy(g, GistConfig(dpr_format="fp8"))),
-    ]
-    results = {}
-    for label, make_policy in arms:
-        graph = scaled_vgg(batch_size=32, num_classes=NUM_CLASSES,
-                           image_size=16, width=8)
-        trainer = Trainer(graph, make_policy(graph),
-                          SGD(lr=0.01, momentum=0.9), seed=0)
-        results[label] = trainer.train(train, test, epochs=EPOCHS,
-                                       label=label)
-    return results
-
-
 def test_fig12_training_accuracy(benchmark):
-    results = benchmark.pedantic(run_policies, rounds=1, iterations=1)
+    curves = benchmark.pedantic(figure12_accuracy, kwargs={"epochs": EPOCHS},
+                                rounds=1, iterations=1)
     print_header("Figure 12 — accuracy-loss curves (1 - test accuracy) "
                  "per epoch")
-    for label, result in results.items():
-        print(format_series(f"{label:>15s}", result.accuracy_loss_curve))
+    for label, curve in curves.items():
+        print(format_series(f"{label:>15s}", curve))
 
-    base = results["baseline-fp32"].final_accuracy
+    final = {label: 1.0 - curve[-1] for label, curve in curves.items()}
+    base = final["baseline-fp32"]
     chance = 1.0 / NUM_CLASSES
 
     # The baseline must learn for this figure to mean anything.
@@ -75,16 +43,15 @@ def test_fig12_training_accuracy(benchmark):
 
     # Uniform FP8 stops training (weight updates vanish under the
     # 3-mantissa-bit grid).
-    assert results["all-fp8"].final_accuracy < chance + 0.1
+    assert final["all-fp8"] < chance + 0.1
 
     # Delayed FP8 tracks the baseline — the headline claim at equal width.
-    assert results["gist-dpr-fp8"].final_accuracy > base - 0.15
-    assert (results["gist-dpr-fp8"].final_accuracy
-            - results["all-fp8"].final_accuracy) > 0.4
+    assert final["gist-dpr-fp8"] > base - 0.15
+    assert final["gist-dpr-fp8"] - final["all-fp8"] > 0.4
 
     # DPR never visibly deviates from baseline at any width.
     for label in ("gist-dpr-fp16", "gist-dpr-fp10"):
-        assert results[label].final_accuracy > base - 0.15, label
+        assert final[label] > base - 0.15, label
 
     # Section III-B's stepping stone: gradient-map-only reduction is safe.
-    assert results["grad-only-fp16"].final_accuracy > base - 0.15
+    assert final["grad-only-fp16"] > base - 0.15

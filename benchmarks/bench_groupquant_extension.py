@@ -12,9 +12,8 @@ delayed-error budget is generous but not unlimited.
 """
 
 from repro.analysis import format_table
-from repro.encodings import GroupQuantEncoding, GroupQuantPolicy
-from repro.models import scaled_vgg
-from repro.train import SGD, Trainer, make_synthetic
+from repro.encodings import GroupQuantEncoding
+from repro.experiments import scaled_study
 
 from conftest import print_header
 
@@ -23,19 +22,10 @@ BITS = [8, 4, 2, 1]
 
 
 def run_sweep():
-    train_set, test_set = make_synthetic(num_samples=640, num_classes=8,
-                                         image_size=16, noise=1.2, seed=3)
-
-    def run(label, policy):
-        graph = scaled_vgg(batch_size=32, num_classes=8, image_size=16,
-                           width=8)
-        trainer = Trainer(graph, policy, SGD(lr=0.01, momentum=0.9), seed=0)
-        return trainer.train(train_set, test_set, epochs=EPOCHS, label=label)
-
-    results = {"baseline": run("baseline", None)}
+    results = {"baseline": scaled_study("baseline", EPOCHS)[1]}
     for bits in BITS:
-        results[f"int{bits}"] = run(f"int{bits}",
-                                    GroupQuantPolicy(bits, group_size=256))
+        results[f"int{bits}"] = scaled_study(f"groupquant-int{bits}",
+                                             EPOCHS)[1]
     return results
 
 

@@ -16,8 +16,6 @@ Commands:
 * ``plan`` — hybrid memory planner: per-tensor encode/recompute/swap
   decision table plus footprints of every strategy arm.
 * ``sweep`` — figure drivers across the model suite as parallel units.
-* ``bench`` — per-arm kernel-backend microbenchmark on this machine,
-  plus the autotuner's measured selections.
 * ``disttrain`` — simulated data-parallel SGD over the process pool:
   compressed all-reduce, journal resume, and a replicas-N ≡ serial
   bit-identity check via ``--compare-serial``.
@@ -35,9 +33,10 @@ import sys
 from typing import List, Optional
 
 from repro.analysis import format_table
-from repro.core import Gist, GistConfig, stash_bytes_by_class
+from repro.core import CONFIG_ARMS, Gist, GistConfig, stash_bytes_by_class
 from repro.memory import GiB, MiB, build_memory_plan
 from repro.models import available_models, build_model
+from repro.train.stash import LOSSLESS_POLICY_NAMES, POLICY_NAMES
 
 
 def _add_model_argument(parser: argparse.ArgumentParser) -> None:
@@ -62,14 +61,6 @@ def _add_orchestration_arguments(parser: argparse.ArgumentParser) -> None:
                              "then recorded as failed)")
 
 
-def _config_from_args(args: argparse.Namespace) -> GistConfig:
-    if args.config == "lossless":
-        return GistConfig.lossless()
-    if args.config == "network":
-        return GistConfig.for_network(args.model)
-    return GistConfig.full(args.config)
-
-
 def cmd_models(args: argparse.Namespace) -> int:
     for name in available_models():
         print(name)
@@ -85,7 +76,7 @@ def cmd_summary(args: argparse.Namespace) -> int:
 
 def cmd_mfr(args: argparse.Namespace) -> int:
     graph = build_model(args.model, batch_size=args.batch_size)
-    gist = Gist(_config_from_args(args))
+    gist = Gist(GistConfig.from_name(args.config, args.model))
     report = gist.measure_mfr(graph, dynamic=args.dynamic)
     print(report)
     plan = gist.apply(graph)
@@ -130,7 +121,8 @@ def cmd_overhead(args: argparse.Namespace) -> int:
     from repro.perf import measure_overhead, simulate_swapping
 
     graph = build_model(args.model, batch_size=args.batch_size)
-    gist = measure_overhead(graph, _config_from_args(args))
+    gist = measure_overhead(
+        graph, GistConfig.from_name(args.config, args.model))
     swap = simulate_swapping(graph)
     print(f"baseline step:  {gist.baseline_s * 1000:8.1f} ms")
     print(f"gist overhead:  {gist.overhead_frac:+8.1%}")
@@ -140,29 +132,9 @@ def cmd_overhead(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from repro.models import scaled_vgg
-    from repro.train import (
-        GistPolicy,
-        SGD,
-        Trainer,
-        UniformReductionPolicy,
-        make_synthetic,
-    )
-    from repro.dtypes import DPR_FORMATS
+    from repro.experiments import scaled_study
 
-    train_set, test_set = make_synthetic(
-        num_samples=640, num_classes=8, image_size=16, noise=1.2, seed=3
-    )
-    graph = scaled_vgg(batch_size=32, num_classes=8, image_size=16, width=8)
-    if args.policy == "baseline":
-        policy = None
-    elif args.policy.startswith("uniform-"):
-        policy = UniformReductionPolicy(DPR_FORMATS[args.policy[8:]])
-    else:
-        policy = GistPolicy(graph, GistConfig(dpr_format=args.policy[4:]))
-    trainer = Trainer(graph, policy, SGD(lr=0.01, momentum=0.9), seed=0)
-    result = trainer.train(train_set, test_set, epochs=args.epochs,
-                           label=args.policy)
+    _, result = scaled_study(args.policy, args.epochs)
     for epoch, (loss, acc) in enumerate(
         zip(result.epoch_losses, result.test_accuracy), start=1
     ):
@@ -302,7 +274,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         graph = result.graph
         print(result.report())
         print()
-    gist = _config_from_args(args)
+    gist = GistConfig.from_name(args.config, args.model)
     policy = HybridPolicy(strategy=args.strategy,
                           cost_budget_frac=args.budget, gist=gist)
     hybrid = build_hybrid_plan(graph, policy)
@@ -366,69 +338,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               f"{error['message']}) payload={failure['payload']}")
     print(f"wrote {out}")
     return 0 if data["ok"] else 1
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    import statistics
-    import time
-
-    import numpy as np
-
-    from repro.kernels import autotune_report, backends_for
-    from repro.kernels.backends import op_families
-
-    wanted = set(args.ops.split(",")) if args.ops else None
-    rng = np.random.default_rng(args.seed)
-    rows: List[dict] = []
-    for family in op_families():
-        if wanted is not None and family.op not in wanted:
-            continue
-        inputs = family.make_inputs(rng)
-        timings = {}
-        for backend in backends_for(family.op):
-            reps = []
-            for _ in range(max(1, args.repeats)):
-                t0 = time.perf_counter()
-                family.run(backend, inputs)
-                reps.append(time.perf_counter() - t0)
-            timings[backend.name] = (statistics.median(reps), backend)
-        fastest = min(timings, key=lambda n: timings[n][0])
-        for name, (median_s, backend) in timings.items():
-            rows.append({
-                "op": family.op,
-                "backend": name,
-                "median_ms": median_s * 1000,
-                "contract": ("exact" if backend.exact
-                             else f"tolerance={backend.tolerance:g}"),
-                "fastest": name == fastest,
-            })
-    if wanted is not None and not rows:
-        print(f"no registered ops match {sorted(wanted)}", file=sys.stderr)
-        return 2
-    print(format_table(
-        ["op", "backend", "median", "contract", ""],
-        [[r["op"], r["backend"], f"{r['median_ms']:.3f} ms",
-          r["contract"], "<- fastest" if r["fastest"] else ""]
-         for r in rows],
-    ))
-    selections = autotune_report()
-    if selections:
-        print("\nautotuned selections (this process):")
-        for record in selections:
-            print(f"  {record['op']} {record['signature']}: "
-                  f"{record['backend']}")
-    if args.out:
-        from repro.ioutil import atomic_write_json
-
-        out = atomic_write_json(args.out, {
-            "benchmark": "kernel_backends_micro",
-            "seed": args.seed,
-            "repeats": args.repeats,
-            "rows": rows,
-            "autotune": selections,
-        })
-        print(f"wrote {out}")
-    return 0
 
 
 def _load_spec_files(paths):
@@ -504,8 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mfr", help="memory footprint ratio")
     _add_model_argument(p)
-    p.add_argument("--config", default="network",
-                   choices=["network", "lossless", "fp16", "fp10", "fp8"],
+    p.add_argument("--config", default="network", choices=CONFIG_ARMS,
                    help="gist configuration (default: paper per-network)")
     p.add_argument("--dynamic", action="store_true",
                    help="use the dynamic-allocation simulator")
@@ -519,25 +427,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overhead", help="performance overheads (Figures 9/15)")
     _add_model_argument(p)
-    p.add_argument("--config", default="network",
-                   choices=["network", "lossless", "fp16", "fp10", "fp8"])
+    p.add_argument("--config", default="network", choices=CONFIG_ARMS)
     p.set_defaults(func=cmd_overhead)
 
     p = sub.add_parser("train", help="scaled training demo (Figure 12)")
-    p.add_argument("--policy", default="dpr-fp8",
-                   choices=["baseline", "uniform-fp16", "uniform-fp10",
-                            "uniform-fp8", "dpr-fp16", "dpr-fp10", "dpr-fp8"])
+    p.add_argument("--policy", default="gist-fp8", choices=POLICY_NAMES)
     p.add_argument("--epochs", type=int, default=4)
     p.set_defaults(func=cmd_train)
 
-    from repro.diagnostics.golden import GOLDEN_MODELS, TRACE_POLICIES
+    from repro.diagnostics.golden import GOLDEN_MODELS
 
     p = sub.add_parser("trace", help="traced run with golden conformance")
     p.add_argument("--model", default="tiny_cnn",
                    choices=sorted(GOLDEN_MODELS),
                    help="golden-recipe model (default: tiny_cnn)")
     p.add_argument("--policy", default="gist-lossless",
-                   choices=list(TRACE_POLICIES),
+                   choices=POLICY_NAMES,
                    help="stash policy arm (default: gist-lossless)")
     p.add_argument("--steps", type=int, default=3,
                    help="SGD steps to trace (goldens pin 3)")
@@ -591,8 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=0.15, metavar="FRAC",
                    help="step-time overhead budget as a fraction of the "
                         "baseline step (default: 0.15)")
-    p.add_argument("--config", default="lossless",
-                   choices=["lossless", "network", "fp16", "fp10", "fp8"],
+    p.add_argument("--config", default="lossless", choices=CONFIG_ARMS,
                    help="gist switches for the encode lever (default: "
                         "lossless, so every decision is bit-exact)")
     rewrite = p.add_mutually_exclusive_group()
@@ -626,19 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_orchestration_arguments(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bench", help="time every kernel-backend arm per "
-                                     "op on this machine")
-    p.add_argument("--ops", default=None, metavar="A,B,...",
-                   help="comma-separated op filter (default: every "
-                        "registered op family)")
-    p.add_argument("--repeats", type=int, default=5,
-                   help="timed repetitions per arm (default: 5)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the shared random inputs (default: 0)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write machine-readable JSON here")
-    p.set_defaults(func=cmd_bench)
-
     from repro.distributed.wire import WIRE_CODECS
 
     p = sub.add_parser("disttrain", help="simulated data-parallel training "
@@ -660,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wire-codec", default="auto", choices=WIRE_CODECS,
                    help="gradient wire encoding (default: auto)")
     p.add_argument("--policy", default="baseline",
-                   choices=["baseline", "gist"],
+                   choices=LOSSLESS_POLICY_NAMES,
                    help="activation stash policy inside each replica "
                         "(default: baseline)")
     p.add_argument("--seed", type=int, default=0,

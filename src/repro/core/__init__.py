@@ -12,6 +12,7 @@ from repro.core.analysis import (
 )
 from repro.core.gist import Gist, MFRReport, class_mfr_breakdown, footprint_bytes
 from repro.core.policy import (
+    CONFIG_ARMS,
     GistConfig,
     HYBRID_STRATEGIES,
     HybridPolicy,
@@ -31,6 +32,7 @@ from repro.core.schedule_builder import (
 )
 
 __all__ = [
+    "CONFIG_ARMS",
     "ENC_BINARIZE",
     "ENC_DPR",
     "ENC_SSDC",

@@ -18,6 +18,7 @@ host swap — priced by the cost model (see
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 from repro.dtypes import DPR_FORMATS
 
@@ -47,6 +48,10 @@ PAPER_DPR_FORMATS = {
     "vgg16": "fp16",
     "resnet50": "fp10",
 }
+
+#: The one ``--config`` vocabulary (CLI flags and serve ``plan`` jobs);
+#: :meth:`GistConfig.from_name` is its parser.
+CONFIG_ARMS = ("network", "lossless", "fp16", "fp10", "fp8")
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,27 @@ class GistConfig:
         """All techniques with the paper's per-network DPR format."""
         fmt = PAPER_DPR_FORMATS.get(model_name, "fp16")
         return cls(dpr_format=fmt, **overrides)
+
+    @classmethod
+    def from_name(cls, arm: str, model: Optional[str] = None) -> "GistConfig":
+        """The preset a :data:`CONFIG_ARMS` name selects: ``lossless`` ->
+        :meth:`lossless`, ``network`` -> :meth:`for_network` of ``model``,
+        a DPR format -> :meth:`full` at that width.
+
+        Raises:
+            ValueError: Unknown arm, or ``network`` without a model.
+        """
+        if arm not in CONFIG_ARMS:
+            raise ValueError(
+                f"unknown gist config arm {arm!r}; known: {CONFIG_ARMS}"
+            )
+        if arm == "lossless":
+            return cls.lossless()
+        if arm == "network":
+            if model is None:
+                raise ValueError("config arm 'network' needs a model name")
+            return cls.for_network(model)
+        return cls.full(arm)
 
     @classmethod
     def binarize_only(cls) -> "GistConfig":

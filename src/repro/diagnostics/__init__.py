@@ -35,8 +35,6 @@ from repro.diagnostics.digest import (
 from repro.diagnostics.golden import (
     GOLDEN_MODELS,
     GOLDEN_POLICIES,
-    TRACE_POLICIES,
-    build_trace_policy,
     golden_batches,
     golden_filename,
     run_traced,
@@ -57,11 +55,9 @@ __all__ = [
     "StepDigest",
     "StepRecord",
     "StepTracer",
-    "TRACE_POLICIES",
     "TraceDigest",
     "TraceEvent",
     "array_digest",
-    "build_trace_policy",
     "capture_digest",
     "golden_batches",
     "golden_filename",

@@ -14,27 +14,16 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.policy import GistConfig
 from repro.diagnostics.digest import TraceDigest, capture_digest
 from repro.diagnostics.tracer import StepTracer
-from repro.dtypes import DPR_FORMATS
-from repro.encodings.groupquant import GroupQuantPolicy
-from repro.graph.graph import Graph
 from repro.models import build_model
 from repro.train.executor import GraphExecutor
 from repro.train.optimizer import SGD
-from repro.train.stash import (
-    BaselinePolicy,
-    GistPolicy,
-    StashPolicy,
-    UniformReductionPolicy,
-)
+from repro.train.stash import LOSSLESS_POLICY_NAMES, policy_from_name
 
 __all__ = [
     "GOLDEN_MODELS",
     "GOLDEN_POLICIES",
-    "TRACE_POLICIES",
-    "build_trace_policy",
     "golden_batches",
     "golden_filename",
     "run_traced",
@@ -58,34 +47,7 @@ GOLDEN_MODELS: Dict[str, Dict[str, int]] = {
 }
 
 #: The policy arms pinned as goldens in the conformance suite.
-GOLDEN_POLICIES: Tuple[str, ...] = ("baseline", "gist-lossless")
-
-#: Policy names accepted by :func:`build_trace_policy`.
-TRACE_POLICIES: Tuple[str, ...] = (
-    "baseline", "gist-lossless", "gist-fp16", "gist-fp10", "gist-fp8",
-    "uniform-fp16", "groupquant", "groupquant-int8",
-)
-
-
-def build_trace_policy(name: str, graph: Graph) -> StashPolicy:
-    """Build the stash policy a trace/golden arm names.
-
-    ``baseline``, ``gist-lossless``, ``gist-fp16/fp10/fp8`` (full Gist at
-    that DPR width) and ``uniform-fp16`` are supported.
-    """
-    if name == "baseline":
-        return BaselinePolicy()
-    if name == "gist-lossless":
-        return GistPolicy(graph, GistConfig.lossless())
-    if name.startswith("gist-") and name[5:] in DPR_FORMATS:
-        return GistPolicy(graph, GistConfig.full(name[5:]))
-    if name.startswith("uniform-") and name[8:] in DPR_FORMATS:
-        return UniformReductionPolicy(DPR_FORMATS[name[8:]])
-    if name == "groupquant":
-        return GroupQuantPolicy(bits=4)
-    if name.startswith("groupquant-int"):
-        return GroupQuantPolicy(bits=int(name[len("groupquant-int"):]))
-    raise KeyError(f"unknown trace policy {name!r}; known: {TRACE_POLICIES}")
+GOLDEN_POLICIES = LOSSLESS_POLICY_NAMES
 
 
 def golden_filename(model: str, policy: str) -> str:
@@ -132,7 +94,7 @@ def run_traced(
 
     Args:
         model: A key of :data:`GOLDEN_MODELS`.
-        policy: A :data:`TRACE_POLICIES` name.
+        policy: A :data:`~repro.train.stash.POLICY_NAMES` name.
         steps: Number of SGD steps (goldens pin 3).
         seed: Master seed for parameters and the batch stream.
         tracer: Optional :class:`StepTracer` to observe the run with.
@@ -149,7 +111,7 @@ def run_traced(
         from repro.rewrite import apply_passes
 
         graph = apply_passes(graph).graph
-    executor = GraphExecutor(graph, build_trace_policy(policy, graph),
+    executor = GraphExecutor(graph, policy_from_name(policy, graph),
                              seed=seed, tracer=tracer)
     if check_invariants:
         executor.enable_invariants()

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.diagnostics.digest import array_digest, step_digest
+from repro.diagnostics.digest import array_digest, capture_digest
 from repro.graph.graph import Graph
 # The runtime stash-dependence resolvers are shared with the executor so
 # the liveness table here matches what the executor actually stashes.
@@ -216,25 +216,12 @@ def verify_kernel_agreement(
         InvariantViolation: On the first step where the two paths diverge.
     """
     def run(use_plans: bool) -> List:
-        # Stateful layers (dropout) live on the shared graph: restart their
-        # mask streams so both modes draw identical randomness.
-        for node in graph.nodes:
-            reset = getattr(node.layer, "reset_rng", None)
-            if reset is not None:
-                reset()
+        # Each executor's constructor rewinds the shared graph's stateful
+        # layers (dropout), so both modes draw identical randomness.
         policy = policy_factory(graph) if policy_factory is not None else None
         ex = GraphExecutor(graph, policy, seed=seed,
                            use_kernel_plans=use_plans)
-        digests = []
-        for images, labels in batches:
-            loss = ex.forward(images, labels, train=True)
-            stashes = {
-                graph.node(nid).name: ex.stashed_value(nid)
-                for nid in ex.stashed_node_ids()
-            }
-            grads = ex.backward()
-            digests.append(step_digest(loss, grads, stashes))
-        return digests
+        return capture_digest(ex, batches).steps
 
     plan_digests, ref_digests = run(True), run(False)
     for step, (mine, theirs) in enumerate(zip(plan_digests, ref_digests)):

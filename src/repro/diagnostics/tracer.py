@@ -11,9 +11,11 @@ and records, for every training step:
   footprint), rent hits/misses, and peak outstanding buffers.
 
 The executor's hook sites are guarded by a single ``tracer is not None``
-branch, so a detached tracer costs nothing on the hot path — the
-``benchmarks/bench_trace_overhead.py`` gate holds tracer-off overhead
-under 1% and tracer-on overhead under 10% of median step time.
+branch, so a detached tracer costs nothing on the hot path; what an
+attached one costs is the performance ledger's
+``diagnostics.tracer.overhead_pct`` (traced over untraced ``op_ms``,
+``benchmarks/ledger/``), and ``tests/diagnostics/test_observer_effect.py``
+pins that tracing never changes a bit.
 """
 
 from __future__ import annotations

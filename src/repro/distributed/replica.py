@@ -29,9 +29,6 @@ from repro.distributed.wire import decode_wire, wire_codec
 _BATCH_TAG = 0xBA7C
 _MASK_TAG = 0xD120
 
-#: Stash policies a replica unit can run under.
-_POLICIES = ("baseline", "gist-lossless")
-
 
 # ----------------------------------------------------------------------
 # Parameter transport
@@ -57,17 +54,6 @@ def decode_params(encoded: Dict[str, dict]) -> Dict[str, np.ndarray]:
         ).reshape(tuple(spec["shape"])).copy()
         for name, spec in encoded.items()
     }
-
-
-def _build_policy(name: str, graph):
-    if name == "baseline":
-        return None
-    if name == "gist-lossless":
-        from repro.core.policy import GistConfig
-        from repro.train.stash import GistPolicy
-
-        return GistPolicy(graph, GistConfig.lossless())
-    raise ValueError(f"unknown replica policy {name!r}; known: {_POLICIES}")
 
 
 def step_batch_indices(
@@ -104,6 +90,7 @@ def run_replica_unit(payload: dict) -> dict:
     from repro.models.registry import build_model
     from repro.train.data import make_synthetic_for
     from repro.train.executor import GraphExecutor
+    from repro.train.stash import policy_from_name
 
     seed = int(payload["seed"])
     step = int(payload["step"])
@@ -118,7 +105,7 @@ def run_replica_unit(payload: dict) -> dict:
     graph = build_model(payload["model"], batch_size=shard_size,
                         **model_kwargs)
     executor = GraphExecutor(
-        graph, _build_policy(payload.get("policy", "baseline"), graph),
+        graph, policy_from_name(payload.get("policy", "baseline"), graph),
         seed=seed,
     )
     params = executor.parameters()

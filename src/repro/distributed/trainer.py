@@ -32,6 +32,7 @@ from repro.distributed.replica import (
 )
 from repro.distributed.shard import shard_slices
 from repro.distributed.wire import WIRE_CODECS
+from repro.train.stash import LOSSLESS_POLICY_NAMES
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,11 @@ class DistConfig:
             raise ValueError(
                 f"unknown wire codec {self.wire_codec!r}; "
                 f"known: {WIRE_CODECS}"
+            )
+        if self.policy not in LOSSLESS_POLICY_NAMES:
+            raise ValueError(
+                f"unknown replica policy {self.policy!r}; "
+                f"known: {LOSSLESS_POLICY_NAMES}"
             )
         if self.steps <= 0:
             raise ValueError(f"steps must be positive, got {self.steps}")

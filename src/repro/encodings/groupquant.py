@@ -24,6 +24,9 @@ from repro.encodings.base import Encoding
 #: Bytes of per-group metadata: one float32 scale + one float32 offset.
 _GROUP_META_BYTES = 8
 
+#: Supported code widths (32 must be divisible by each), widest first.
+GROUPQUANT_BITS = (8, 4, 2, 1)
+
 
 @dataclass(frozen=True)
 class GroupQuantTensor:
@@ -54,7 +57,7 @@ class GroupQuantEncoding(Encoding):
     lossless = False
 
     def __init__(self, bits: int = 4, group_size: int = 256):
-        if bits not in (1, 2, 4, 8):
+        if bits not in GROUPQUANT_BITS:
             raise ValueError(f"bits must be one of 1/2/4/8, got {bits}")
         if group_size <= 0:
             raise ValueError(f"group_size must be positive, got {group_size}")

@@ -115,69 +115,82 @@ def figure16_speedups(depths: Sequence[int] = FIGURE16_DEPTHS,
     return [_figure16_row(depth, dpr_format, device) for depth in depths]
 
 
-#: Figure 12's stash-policy arms, in plot order.
-FIGURE12_ARMS: Sequence[str] = (
-    "baseline-fp32", "all-fp16", "all-fp8",
-    "gist-dpr-fp16", "gist-dpr-fp10", "gist-dpr-fp8",
-)
+def scaled_study(policy, epochs: int, *, lr: float = 0.01,
+                 num_samples: int = 640, seed: int = 3,
+                 sparsity_every: int = 0):
+    """The scaled-VGG training study behind ``repro train`` and Figures 12/14.
+
+    One recipe (DESIGN.md §2) — the synthetic 8-class 16x16 task, a
+    width-8 ``scaled_vgg`` at minibatch 32, SGD momentum 0.9,
+    ``Trainer(seed=0)`` — so two arms differ only in the arguments here.
+
+    Args:
+        policy: A :data:`~repro.train.POLICY_NAMES` name, or a
+            ``graph -> StashPolicy`` callable for an arm with no name.
+        epochs: Passes over the training split.
+        lr: SGD learning rate.
+        num_samples: Synthetic training-set size.
+        seed: Dataset seed.
+        sparsity_every: Forwarded to :meth:`~repro.train.Trainer.train`.
+
+    Returns:
+        ``(graph, TrainResult)``.
+    """
+    from repro.models import scaled_vgg
+    from repro.train import SGD, Trainer, make_synthetic, policy_from_name
+
+    train_set, test_set = make_synthetic(num_samples=num_samples,
+                                         num_classes=8, image_size=16,
+                                         noise=1.2, seed=seed)
+    graph = scaled_vgg(batch_size=32, num_classes=8, image_size=16, width=8)
+    if isinstance(policy, str):
+        label, built = policy, policy_from_name(policy, graph)
+    else:
+        label, built = "", policy(graph)
+    trainer = Trainer(graph, built, SGD(lr=lr, momentum=0.9), seed=0)
+    return graph, trainer.train(train_set, test_set, epochs=epochs,
+                                label=label, sparsity_every=sparsity_every)
 
 
-def _figure12_policy(label: str, graph):
-    from repro.dtypes import DPR_FORMATS
-    from repro.train import GistPolicy, UniformReductionPolicy
-
-    if label == "baseline-fp32":
-        return None
-    if label.startswith("all-"):
-        return UniformReductionPolicy(DPR_FORMATS[label[4:]])
-    if label.startswith("gist-dpr-"):
-        return GistPolicy(graph, GistConfig(dpr_format=label[9:]))
-    raise KeyError(f"unknown figure-12 arm {label!r}; known: "
-                   f"{list(FIGURE12_ARMS)}")
+#: Figure 12's arms in plot order: paper label -> policy vocabulary name.
+FIGURE12_ARMS: Dict[str, str] = {
+    "baseline-fp32": "baseline",
+    "all-fp16": "uniform-fp16",
+    "all-fp10": "uniform-fp10",
+    "all-fp8": "uniform-fp8",
+    "grad-only-fp16": "grad-only-fp16",
+    "gist-dpr-fp16": "gist-fp16",
+    "gist-dpr-fp10": "gist-fp10",
+    "gist-dpr-fp8": "gist-fp8",
+}
 
 
 def _figure12_arm(label: str, epochs: int, seed: int) -> List[float]:
-    from repro.models import scaled_vgg
-    from repro.train import SGD, Trainer, make_synthetic
-
-    train_set, test_set = make_synthetic(num_samples=640, num_classes=8,
-                                         image_size=16, noise=1.2, seed=seed)
-    graph = scaled_vgg(batch_size=32, num_classes=8, image_size=16, width=8)
-    trainer = Trainer(graph, _figure12_policy(label, graph),
-                      SGD(lr=0.01, momentum=0.9), seed=0)
-    result = trainer.train(train_set, test_set, epochs=epochs, label=label)
+    _, result = scaled_study(FIGURE12_ARMS[label], epochs, seed=seed)
     return result.accuracy_loss_curve
 
 
 def figure12_accuracy(epochs: int = 6, seed: int = 3) -> Dict[str, List[float]]:
     """Figure 12: accuracy-loss curves per stash policy (scaled workload).
 
-    Returns ``policy label -> per-epoch accuracy-loss``.
+    Returns ``paper label -> per-epoch accuracy-loss``.
     """
     return {label: _figure12_arm(label, epochs, seed)
             for label in FIGURE12_ARMS}
 
 
 def figure14_ssdc_series(epochs: int = 3, sample_every: int = 4,
-                         seed: int = 3) -> Dict[str, List[float]]:
-    """Figure 14: per-layer SSDC compression over training minibatches."""
-    from repro.core import STASH_RELU_CONV, classify_all_stashes
-    from repro.models import scaled_vgg
-    from repro.train import (
-        GistPolicy,
-        SGD,
-        Trainer,
-        feature_map_elements,
-        make_synthetic,
-    )
+                         seed: int = 3,
+                         lr: float = 0.01) -> Dict[str, List[float]]:
+    """Figure 14: per-layer SSDC compression over training minibatches.
 
-    graph = scaled_vgg(batch_size=32, num_classes=8, image_size=16, width=8)
-    train_set, test_set = make_synthetic(num_samples=640, num_classes=8,
-                                         image_size=16, noise=1.2, seed=seed)
-    trainer = Trainer(graph, GistPolicy(graph, GistConfig.lossless()),
-                      SGD(lr=0.01, momentum=0.9), seed=0)
-    result = trainer.train(train_set, test_set, epochs=epochs,
-                           sparsity_every=sample_every)
+    Sample ``i`` of every series is minibatch ``i * sample_every``.
+    """
+    from repro.core import STASH_RELU_CONV, classify_all_stashes
+    from repro.train import feature_map_elements
+
+    graph, result = scaled_study("gist-lossless", epochs, lr=lr, seed=seed,
+                                 sparsity_every=sample_every)
     layers = [
         graph.node(nid).name
         for nid, info in classify_all_stashes(graph).items()

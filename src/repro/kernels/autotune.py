@@ -112,7 +112,7 @@ def autotuned_backend(op: str, x, w4, bias, stride, pad) -> ConvBackend:
 # Introspection
 # ----------------------------------------------------------------------
 def autotune_report() -> List[dict]:
-    """Per-signature selection records (for ``repro bench`` and tests)."""
+    """Per-signature selection records (for the benches and tests)."""
     return [dict(_records[key]) for key in sorted(_records)]
 
 

@@ -32,10 +32,6 @@ class Dropout(Layer):
         # output aliases the producer's buffer exactly like a view.
         self.aliases_input = p == 0.0
 
-    def reset_rng(self, seed: Optional[int] = None) -> None:
-        """Restart the mask stream (reproducible A/B runs on one graph)."""
-        self._rng = np.random.default_rng(self._seed if seed is None else seed)
-
     def reset_state(self, rng: Optional[np.random.Generator] = None) -> None:
         """Restart the mask stream, or adopt an externally split ``rng``."""
         if rng is None:

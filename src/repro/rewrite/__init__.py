@@ -21,7 +21,6 @@ the fuzz harness.
 
 from repro.rewrite.base import PassStats, RewritePass, RewriteResult
 from repro.rewrite.equivalence import (
-    LOSSLESS_POLICIES,
     check_rewrite_equivalence,
     make_batches,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "DeadStashEliminationPass",
     "FuseConvReLUPass",
     "InplacePass",
-    "LOSSLESS_POLICIES",
     "PASS_FACTORIES",
     "PassStats",
     "PoolArgmaxPass",

@@ -20,37 +20,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.policy import GistConfig
 from repro.graph.graph import Graph
 from repro.rewrite.base import RewriteResult
 from repro.rewrite.manager import PassLike, apply_passes
 from repro.train.executor import GraphExecutor
-from repro.train.stash import BaselinePolicy, GistPolicy, StashPolicy
+from repro.train.stash import LOSSLESS_POLICY_NAMES, policy_from_name
 from repro.verify.oracles import ORACLE_REWRITE, Violation
-
-#: Policies under which equivalence must be bit-exact.  Lossy policies
-#: (DPR) are excluded: their rounding is value-dependent, so reordering
-#: *allocations* is fine but the oracle's bit-for-bit bar does not apply.
-LOSSLESS_POLICIES = ("baseline", "gist-lossless")
-
-
-def _make_policy(name: str, graph: Graph) -> StashPolicy:
-    if name == "baseline":
-        return BaselinePolicy()
-    if name == "gist-lossless":
-        return GistPolicy(graph, GistConfig.lossless())
-    raise ValueError(f"unknown equivalence policy {name!r}")
-
-
-def _reset_layer_rngs(graph: Graph) -> None:
-    # Layers (and so their RNG streams, e.g. dropout masks) are shared
-    # between the original and rewritten graph; resetting before each run
-    # gives both runs the same draws.  Each layer owns its own generator,
-    # so removed dead-code layers do not shift the survivors' streams.
-    for node in graph.nodes:
-        reset = getattr(node.layer, "reset_rng", None)
-        if reset is not None:
-            reset()
 
 
 def make_batches(
@@ -83,8 +58,10 @@ def _train(
     When ``initial_params`` is given, matching parameters are copied in
     before the first step (the caller checks name-set compatibility).
     """
-    _reset_layer_rngs(graph)
-    ex = GraphExecutor(graph, _make_policy(policy_name, graph), seed=0)
+    # Layers (and so their dropout mask streams) are shared between the
+    # original and rewritten graph; the constructor rewinds them, so both
+    # runs get the same draws.
+    ex = GraphExecutor(graph, policy_from_name(policy_name, graph), seed=0)
     params = ex.parameters()
     if initial_params is not None:
         for key, value in params.items():
@@ -108,14 +85,16 @@ def check_rewrite_equivalence(
     seed: int = 0,
     passes: Optional[Iterable[PassLike]] = None,
     steps: int = 2,
-    policies: Sequence[str] = LOSSLESS_POLICIES,
+    policies: Sequence[str] = LOSSLESS_POLICY_NAMES,
     rewrite_result: Optional[RewriteResult] = None,
 ) -> List[Violation]:
     """Fuzzable oracle: the rewritten graph trains bit-identically.
 
     Applies the passes (or uses ``rewrite_result`` if the caller already
     ran them), then compares ``steps`` SGD steps between the original and
-    rewritten graph under each policy.  Returns an empty list when the
+    rewritten graph under each policy — by default the lossless ones: a
+    lossy policy's rounding is value-dependent, so the bit-for-bit bar
+    does not apply to it.  Returns an empty list when the
     rewrite is a no-op or equivalence holds; otherwise one
     :class:`Violation` per divergence, carrying the policy, step and
     tensor that differed.

@@ -29,12 +29,10 @@ def build_plan_policy(params: dict):
     """The :class:`~repro.core.policy.HybridPolicy` a plan job prices."""
     from repro.core.policy import GistConfig, HybridPolicy
 
-    config = params["config"]
-    gist = (GistConfig.lossless() if config == "lossless"
-            else GistConfig.for_network(params["model"])
-            if config == "network" else GistConfig.full(config))
-    return HybridPolicy(strategy=params["strategy"],
-                        cost_budget_frac=params["budget"], gist=gist)
+    return HybridPolicy(
+        strategy=params["strategy"], cost_budget_frac=params["budget"],
+        gist=GistConfig.from_name(params["config"], params["model"]),
+    )
 
 
 def plan_job_graph(params: dict):

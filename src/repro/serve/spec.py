@@ -124,12 +124,10 @@ def _check_budget(value):
     return float(value)
 
 
-_CONFIG_ARMS = ("lossless", "network", "fp16", "fp10", "fp8")
-
-
 def _schema(kind: str) -> Dict[str, tuple]:
     if kind == "train":
         from repro.distributed.wire import WIRE_CODECS
+        from repro.train.stash import LOSSLESS_POLICY_NAMES
 
         return {
             "model": ("tiny_cnn", _check_model),
@@ -139,11 +137,11 @@ def _schema(kind: str) -> Dict[str, tuple]:
             "seed": (0, _check_non_negative_int("seed")),
             "wire_codec": ("auto", _check_choice("wire_codec", WIRE_CODECS)),
             "policy": ("baseline",
-                       _check_choice("policy", ("baseline", "gist"))),
+                       _check_choice("policy", LOSSLESS_POLICY_NAMES)),
             "num_samples": (64, _check_positive_int("num_samples")),
         }
     if kind == "plan":
-        from repro.core.policy import HYBRID_STRATEGIES
+        from repro.core.policy import CONFIG_ARMS, HYBRID_STRATEGIES
 
         return {
             "model": ("tiny_cnn", _check_model),
@@ -151,7 +149,7 @@ def _schema(kind: str) -> Dict[str, tuple]:
             "strategy": ("hybrid",
                          _check_choice("strategy", HYBRID_STRATEGIES)),
             "budget": (0.15, _check_budget),
-            "config": ("lossless", _check_choice("config", _CONFIG_ARMS)),
+            "config": ("lossless", _check_choice("config", CONFIG_ARMS)),
             "rewrite": (False, _check_bool("rewrite")),
         }
     if kind == "fuzz":

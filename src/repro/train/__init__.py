@@ -16,8 +16,11 @@ from repro.train.stash import (
     BaselinePolicy,
     GistPolicy,
     HybridExecutionPolicy,
+    LOSSLESS_POLICY_NAMES,
+    POLICY_NAMES,
     StashPolicy,
     UniformReductionPolicy,
+    policy_from_name,
 )
 from repro.train.trainer import (
     SparsitySample,
@@ -34,6 +37,8 @@ __all__ = [
     "GradientOnlyReductionPolicy",
     "GraphExecutor",
     "HybridExecutionPolicy",
+    "LOSSLESS_POLICY_NAMES",
+    "POLICY_NAMES",
     "SGD",
     "SparsitySample",
     "StashPolicy",
@@ -47,4 +52,5 @@ __all__ = [
     "make_synthetic_for",
     "make_synthetic_sequences",
     "minibatches",
+    "policy_from_name",
 ]

@@ -17,6 +17,9 @@ The executor routes every stashed feature map through a policy:
 * :class:`AllFP16Policy` — the prior-work baseline: quantise every layer
   output *in the forward pass*, so error propagates through subsequent
   layers (the curve that diverges in Figure 12).
+
+:data:`POLICY_NAMES` is the one policy vocabulary — the ``describe()``
+labels — and :func:`policy_from_name` its one parser.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from repro.encodings.base import Encoding, HostSwapEncoding, IdentityEncoding
 from repro.encodings.binarize import BinarizeEncoding
 from repro.encodings.dpr import DPREncoding
 from repro.encodings.floatsim import quantize
+from repro.encodings.groupquant import GROUPQUANT_BITS, GroupQuantPolicy
 from repro.encodings.ssdc import SSDCEncoding
 from repro.graph.graph import Graph
 from repro.graph.node import OpNode
@@ -257,3 +261,44 @@ class HybridExecutionPolicy(_TablePolicy):
     def describe(self) -> str:
         """Label: the plan policy's (``"hybrid"`` / ``"hybrid-<arm>"``)."""
         return self.plan.policy.describe()
+
+
+#: The policies whose backward inputs are bit-identical to FP32 stashes:
+#: the arms pinned as goldens, fuzzed for rewrite equivalence and allowed
+#: inside data-parallel replicas.
+LOSSLESS_POLICY_NAMES = ("baseline", "gist-lossless")
+
+#: Every policy constructible from a name.  Hybrid policies are absent on
+#: purpose: their label does not determine the budget or gist switches.
+POLICY_NAMES = (
+    LOSSLESS_POLICY_NAMES
+    + tuple(f"{family}-{fmt}"
+            for family in ("gist", "uniform", "grad-only")
+            for fmt in DPR_FORMATS)
+    + tuple(f"groupquant-int{bits}" for bits in GROUPQUANT_BITS)
+)
+
+
+def policy_from_name(name: str, graph: Graph) -> StashPolicy:
+    """Build the policy a :data:`POLICY_NAMES` entry names.
+
+    The inverse of ``describe()``: ``policy_from_name(n, g).describe() ==
+    n`` for every name in the vocabulary.
+
+    Raises:
+        ValueError: ``name`` is not in :data:`POLICY_NAMES`.
+    """
+    if name not in POLICY_NAMES:
+        raise ValueError(
+            f"unknown stash policy {name!r}; known: {POLICY_NAMES}"
+        )
+    if name == "baseline":
+        return BaselinePolicy()
+    family, _, arm = name.rpartition("-")
+    if family == "gist":
+        return GistPolicy(graph, GistConfig.from_name(arm))
+    if family == "uniform":
+        return UniformReductionPolicy(DPR_FORMATS[arm])
+    if family == "grad-only":
+        return GradientOnlyReductionPolicy(DPR_FORMATS[arm])
+    return GroupQuantPolicy(bits=int(arm[len("int"):]))

@@ -12,7 +12,6 @@ import pytest
 from repro.diagnostics import (
     GOLDEN_MODELS,
     InvariantViolation,
-    build_trace_policy,
     golden_batches,
     run_traced,
     verify_kernel_agreement,
@@ -20,13 +19,13 @@ from repro.diagnostics import (
 from repro.encodings.binarize import BinarizedTensor
 from repro.models import build_model
 from repro.train.executor import GraphExecutor
-from repro.train.stash import GistPolicy
+from repro.train.stash import GistPolicy, policy_from_name
 from repro.core.policy import GistConfig
 
 
 def _executor(policy="gist-lossless", model="tiny_cnn", **inv_kwargs):
     graph = build_model(model, **GOLDEN_MODELS[model])
-    executor = GraphExecutor(graph, build_trace_policy(policy, graph), seed=0)
+    executor = GraphExecutor(graph, policy_from_name(policy, graph), seed=0)
     executor.enable_invariants(**inv_kwargs)
     images, labels = golden_batches(model, 1)[0]
     return executor, images, labels

@@ -7,21 +7,20 @@ import numpy as np
 from repro.diagnostics import (
     GOLDEN_MODELS,
     StepTracer,
-    build_trace_policy,
     golden_batches,
 )
 from repro.models import build_model
 from repro.train.executor import GraphExecutor
 from repro.train.optimizer import SGD
 from repro.train.trainer import Trainer
-from repro.train import make_synthetic
+from repro.train import make_synthetic, policy_from_name
 
 
 def _traced_run(policy_name="gist-lossless", steps=2):
     graph = build_model("tiny_cnn", **GOLDEN_MODELS["tiny_cnn"])
     tracer = StepTracer()
     executor = GraphExecutor(
-        graph, build_trace_policy(policy_name, graph), seed=0, tracer=tracer
+        graph, policy_from_name(policy_name, graph), seed=0, tracer=tracer
     )
     for images, labels in golden_batches("tiny_cnn", steps):
         executor.forward(images, labels)
@@ -76,7 +75,7 @@ class TestStepRecords:
         graph = build_model("tiny_cnn", **GOLDEN_MODELS["tiny_cnn"])
         tracer = StepTracer(keep_events=False)
         executor = GraphExecutor(
-            graph, build_trace_policy("gist-lossless", graph),
+            graph, policy_from_name("gist-lossless", graph),
             seed=0, tracer=tracer,
         )
         images, labels = golden_batches("tiny_cnn", 1)[0]

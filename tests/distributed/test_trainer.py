@@ -42,6 +42,14 @@ def test_lossy_wire_codec_is_still_replica_invariant():
     assert serial.digest() != _GOLDEN  # the rounding really happened
 
 
+def test_gist_lossless_replicas_match_serial_and_baseline():
+    serial = _run(replicas=1, num_shards=2, policy="gist-lossless")
+    parallel = _run(replicas=2, num_shards=2, policy="gist-lossless")
+    assert parallel.digest() == serial.digest()
+    # Lossless stashes: the same bits as FP32 stashes on the same shards.
+    assert serial.digest() == _run(replicas=1, num_shards=2).digest()
+
+
 def test_loss_is_finite_and_wire_accounting_consistent():
     result = _run(replicas=1)
     assert all(np.isfinite(result.losses))
@@ -79,6 +87,8 @@ def test_journal_replay_reproduces_the_run(tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError, match="wire codec"):
         DistConfig(wire_codec="gzip")
+    with pytest.raises(ValueError, match="replica policy.*gist-lossless"):
+        DistConfig(policy="nope")
     with pytest.raises(ValueError, match="steps"):
         DistConfig(steps=0)
     with pytest.raises(ValueError, match="replicas"):

@@ -144,27 +144,26 @@ class TestDescribeAndTrace:
         assert GroupQuantPolicy(bits=8).describe() == "groupquant-int8"
 
     def test_trace_policy_registered(self):
-        from repro.diagnostics.golden import TRACE_POLICIES, build_trace_policy
         from repro.models import tiny_cnn
+        from repro.train import POLICY_NAMES, policy_from_name
 
         g = tiny_cnn(batch_size=4, num_classes=4)
-        assert "groupquant" in TRACE_POLICIES
-        assert "groupquant-int8" in TRACE_POLICIES
-        assert build_trace_policy(
-            "groupquant", g).describe() == "groupquant-int4"
-        assert build_trace_policy(
-            "groupquant-int8", g).describe() == "groupquant-int8"
+        assert "groupquant" not in POLICY_NAMES  # the label is the spelling
+        for bits in (8, 4, 2, 1):
+            name = f"groupquant-int{bits}"
+            assert name in POLICY_NAMES
+            assert isinstance(policy_from_name(name, g), GroupQuantPolicy)
 
     def test_traced_run_smoke(self):
         from repro.diagnostics import run_traced
 
-        digest = run_traced("tiny_cnn", "groupquant", steps=1)
+        digest = run_traced("tiny_cnn", "groupquant-int4", steps=1)
         assert digest.steps
 
     def test_cli_trace_groupquant(self, capsys):
         from repro.cli import main
 
-        assert main(["trace", "--policy", "groupquant", "--steps", "1"]) == 0
+        assert main(["trace", "--policy", "groupquant-int4", "--steps", "1"]) == 0
         assert "loss" in capsys.readouterr().out
 
 

@@ -167,17 +167,11 @@ class TestExecutorProperties:
         images = rng.normal(0, 1, input_shape).astype(np.float32)
         labels = rng.integers(0, 3, input_shape[0])
 
-        def reset_dropout():
-            for node in graph.nodes:
-                if node.kind == "dropout":
-                    node.layer.reset_rng()
-
-        reset_dropout()
+        # Each executor's constructor rewinds the shared dropout streams.
         base = GraphExecutor(graph, BaselinePolicy(), seed=0)
         base_loss = base.forward(images, labels)
         base_grads = base.backward()
 
-        reset_dropout()
         gist = GraphExecutor(graph, GistPolicy(graph, GistConfig.lossless()),
                              seed=0)
         gist_loss = gist.forward(images, labels)

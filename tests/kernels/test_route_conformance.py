@@ -16,11 +16,7 @@ import numpy as np
 import pytest
 
 from repro.diagnostics import step_digest
-from repro.diagnostics.golden import (
-    GOLDEN_MODELS,
-    build_trace_policy,
-    golden_batches,
-)
+from repro.diagnostics.golden import GOLDEN_MODELS, golden_batches
 from repro.kernels import (
     autotune_report,
     backend_override,
@@ -28,10 +24,14 @@ from repro.kernels import (
     clear_selection_cache,
 )
 from repro.models import build_model
-from repro.train import SGD, GraphExecutor
+from repro.train import (
+    LOSSLESS_POLICY_NAMES as POLICIES,
+    SGD,
+    GraphExecutor,
+    policy_from_name,
+)
 
 MODELS = ("tiny_cnn", "densenet")
-POLICIES = ("baseline", "gist-lossless")
 STEPS = 2
 
 ARM_PAIRS = list(itertools.product(backends_for("conv2d"),
@@ -41,7 +41,7 @@ ARM_PAIRS = list(itertools.product(backends_for("conv2d"),
 def _train(model, policy, **executor_kwargs):
     """(per-step digests, last step's raw loss + gradients)."""
     graph = build_model(model, **GOLDEN_MODELS[model])
-    executor = GraphExecutor(graph, build_trace_policy(policy, graph),
+    executor = GraphExecutor(graph, policy_from_name(policy, graph),
                              seed=0, **executor_kwargs)
     optimizer = SGD(lr=0.01, momentum=0.9)
     params = executor.parameters()

@@ -87,7 +87,7 @@ class TestSweepSemantics:
 
     def test_training_arm_unit_runs_from_payload_alone(self):
         curve = run_sweep_unit({"driver": "figure12_accuracy",
-                                "arm": FIGURE12_ARMS[0],
+                                "arm": next(iter(FIGURE12_ARMS)),
                                 "epochs": 1, "seed": 3})
         assert isinstance(curve, list) and len(curve) == 1
 

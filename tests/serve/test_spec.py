@@ -44,6 +44,17 @@ class TestValidate:
         with pytest.raises(JobSpecError, match="rewrite"):
             validate_job_spec({"kind": "plan", "rewrite": "yes"})
 
+    def test_train_policy_names_its_vocabulary(self):
+        from repro.train import LOSSLESS_POLICY_NAMES
+
+        with pytest.raises(JobSpecError) as excinfo:
+            validate_job_spec({"kind": "train", "policy": "gist"})
+        for name in LOSSLESS_POLICY_NAMES:
+            assert name in str(excinfo.value)
+        spec = validate_job_spec({"kind": "train",
+                                  "policy": "gist-lossless"})
+        assert spec.params["policy"] == "gist-lossless"
+
     def test_non_mapping_rejected(self):
         with pytest.raises(JobSpecError, match="mapping"):
             validate_job_spec(["kind", "plan"])

@@ -59,16 +59,6 @@ class TestDropoutEdgeCases:
         (dx,), _ = layer.backward(dy, {}, ctx)
         np.testing.assert_array_equal(dx, dy)
 
-    def test_reset_rng_reproduces_masks(self, rng):
-        from repro.layers import Dropout
-
-        layer = Dropout(0.5, seed=9)
-        x = np.ones((8, 8), np.float32)
-        y1, _ = run_layer(layer, [x])
-        layer.reset_rng()
-        y2, _ = run_layer(layer, [x])
-        np.testing.assert_array_equal(y1, y2)
-
 
 class TestExecutorEdgeCases:
     def test_stashed_value_unknown_node(self):
