@@ -10,7 +10,7 @@ from repro.core.analysis import (
     classify_stash,
     stash_bytes_by_class,
 )
-from repro.core.gist import Gist, MFRReport, class_mfr_breakdown, footprint_bytes
+from repro.core.gist import Gist, MFRReport, footprint_bytes
 from repro.core.policy import (
     CONFIG_ARMS,
     GistConfig,
@@ -54,7 +54,6 @@ __all__ = [
     "STASH_RELU_POOL",
     "StashInfo",
     "build_gist_plan",
-    "class_mfr_breakdown",
     "classify_all_stashes",
     "classify_stash",
     "footprint_bytes",

@@ -7,7 +7,7 @@ and benches can express each paper experiment in a few lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.analysis.sparsity import DEFAULT_SPARSITY_MODEL, SparsityModel
 from repro.core.policy import GistConfig
@@ -128,17 +128,3 @@ def footprint_bytes(
     if dynamic:
         return simulate_dynamic(tensors, schedule.num_steps).peak_bytes
     return StaticAllocator().allocate(tensors).total_bytes
-
-
-def class_mfr_breakdown(gist_plan: GistPlan) -> Dict[str, float]:
-    """Per-stash-class raw compression achieved by the decisions."""
-    totals: Dict[str, Dict[str, int]] = {}
-    for decision in gist_plan.decisions.values():
-        entry = totals.setdefault(decision.stash_class,
-                                  {"fp32": 0, "encoded": 0})
-        entry["fp32"] += decision.fp32_bytes
-        entry["encoded"] += decision.encoded_bytes
-    return {
-        cls: (v["fp32"] / v["encoded"]) if v["encoded"] else float("inf")
-        for cls, v in totals.items()
-    }

@@ -30,7 +30,7 @@ build_hybrid_plan`, which reuses steps 2-3 as its gist lever).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.analysis.sparsity import DEFAULT_SPARSITY_MODEL, SparsityModel
@@ -51,11 +51,15 @@ from repro.graph.liveness import (
 )
 from repro.graph.node import OpNode
 from repro.graph.schedule import TrainingSchedule
-from repro.memory.hybrid import CHOICE_GIST, PlanDecision, apply_decisions
+from repro.memory.hybrid import (
+    CHOICE_GIST,
+    PlanDecision,
+    PlanRecord,
+    apply_decisions,
+)
 from repro.memory.planner import (
     CLASS_ENCODED,
     CLASS_STASHED,
-    MemoryPlan,
     build_memory_plan,
 )
 
@@ -69,15 +73,8 @@ EncodingDecision = PlanDecision
 
 
 @dataclass
-class GistPlan:
+class GistPlan(PlanRecord):
     """A rewritten memory plan plus the decisions that produced it."""
-
-    graph: Graph
-    schedule: TrainingSchedule
-    plan: MemoryPlan
-    config: GistConfig
-    decisions: Dict[int, PlanDecision] = field(default_factory=dict)
-    rewritten_pools: Tuple[int, ...] = ()
 
     def raw_region_bytes(self) -> Dict[str, int]:
         """Raw bytes per Figure 10 region after the rewrite.

@@ -1,60 +1,9 @@
-"""Footprint reports and the paper's Memory Footprint Ratio (MFR) metric."""
+"""The paper's Memory Footprint Ratio (MFR) metric and its byte units."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
-
-from repro.memory.allocator import POLICY_GREEDY_SIZE, StaticAllocator
-from repro.memory.dynamic import simulate_dynamic
-from repro.memory.planner import ALL_CLASSES, MemoryPlan
-
 MiB = 1024 * 1024
 GiB = 1024 * MiB
-
-
-@dataclass(frozen=True)
-class FootprintReport:
-    """Memory accounting for one plan under one allocation discipline."""
-
-    model: str
-    allocated_bytes: int
-    raw_bytes_by_class: Dict[str, int]
-
-    @property
-    def raw_total_bytes(self) -> int:
-        """Unshared total across all classes."""
-        return sum(self.raw_bytes_by_class.values())
-
-    def fraction(self, class_name: str) -> float:
-        """Share of the raw total attributable to one class."""
-        total = self.raw_total_bytes
-        return self.raw_bytes_by_class.get(class_name, 0) / total if total else 0.0
-
-    def format_table(self) -> str:
-        """Human-readable per-class breakdown."""
-        lines = [f"{self.model}: allocated {self.allocated_bytes / GiB:.3f} GiB "
-                 f"(raw {self.raw_total_bytes / GiB:.3f} GiB)"]
-        for cls in ALL_CLASSES:
-            nbytes = self.raw_bytes_by_class.get(cls, 0)
-            if nbytes == 0:
-                continue
-            lines.append(
-                f"  {cls:<24} {nbytes / MiB:10.1f} MiB  ({self.fraction(cls):5.1%})"
-            )
-        return "\n".join(lines)
-
-
-def measure_static(plan: MemoryPlan, policy: str = POLICY_GREEDY_SIZE) -> FootprintReport:
-    """Allocate the plan statically and report."""
-    result = StaticAllocator(policy).allocate(plan.tensors)
-    return FootprintReport(plan.graph.name, result.total_bytes, plan.bytes_by_class())
-
-
-def measure_dynamic(plan: MemoryPlan) -> FootprintReport:
-    """Simulate dynamic allocation and report peak footprint."""
-    result = simulate_dynamic(plan.tensors, plan.schedule.num_steps)
-    return FootprintReport(plan.graph.name, result.peak_bytes, plan.bytes_by_class())
 
 
 def memory_footprint_ratio(baseline_bytes: int, encoded_bytes: int) -> float:

@@ -75,13 +75,12 @@ from repro.graph.liveness import (
 from repro.graph.schedule import TrainingSchedule
 from repro.memory.allocator import StaticAllocator
 from repro.memory.planner import MemoryPlan, build_memory_plan
-from repro.memory.recompute import chain_forward_seconds
 from repro.tensor.categories import TensorCategory
 from repro.tensor.spec import TensorSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.sparsity import SparsityModel
-    from repro.core.policy import HybridPolicy
+    from repro.core.policy import GistConfig, HybridPolicy
     from repro.perf.cost import CostModel
 
 # Per-tensor decision labels.
@@ -159,14 +158,27 @@ class PlanDecision:
 
 
 @dataclass
-class HybridPlan:
-    """A rewritten memory plan plus the per-tensor decisions behind it."""
+class PlanRecord:
+    """What every selector returns: the decision table, the liveness
+    table :func:`apply_decisions` rewrote under it, and what they were
+    built from.  The plan oracles of :mod:`repro.verify` read only this.
+    """
 
     graph: Graph
     schedule: TrainingSchedule
     plan: MemoryPlan
-    policy: "HybridPolicy"
+    #: The Gist switches the table was selected and rewritten under.
+    config: "GistConfig"
     decisions: Dict[int, PlanDecision]
+    #: Ids of the max-pools rewritten to stash an argmax map.
+    rewritten_pools: Tuple[int, ...]
+
+
+@dataclass
+class HybridPlan(PlanRecord):
+    """A rewritten memory plan plus the per-tensor decisions behind it."""
+
+    policy: "HybridPolicy"
     baseline_step_s: float
     budget_s: float
     total_cost_s: float
@@ -178,7 +190,6 @@ class HybridPlan:
     #: Pure arm whose selection the hybrid adopted outright because greedy
     #: mixing did not beat it (``None`` when the mixed selection stood).
     fallback_strategy: Optional[str] = None
-    rewritten_pools: Tuple[int, ...] = ()
 
     @property
     def overhead_frac(self) -> float:
@@ -320,6 +331,7 @@ def _candidate_options(
     swap_stall, concat_index=None,
 ) -> List[PlanDecision]:
     from repro.core.schedule_builder import _gist_option
+    from repro.memory.recompute import chain_forward_seconds
 
     concat_index = concat_index or {}
     options: List[PlanDecision] = []
@@ -703,8 +715,10 @@ def build_hybrid_plan(
         graph=graph,
         schedule=schedule,
         plan=plan,
-        policy=policy,
+        config=cfg,
         decisions=dict(sorted(assigned.items())),
+        rewritten_pools=pools,
+        policy=policy,
         baseline_step_s=baseline_step_s,
         budget_s=budget_s,
         total_cost_s=spent,
@@ -712,7 +726,6 @@ def build_hybrid_plan(
         baseline_allocated_bytes=baseline_allocated,
         pure_footprints=pure_footprints,
         fallback_strategy=fallback_strategy,
-        rewritten_pools=pools,
     )
 
 
@@ -739,34 +752,3 @@ def plan_cache_key(graph: Graph, policy: "Optional[HybridPolicy]" = None
         "cost_budget_frac": float(policy.cost_budget_frac),
         "gist": asdict(policy.gist),
     }
-
-
-def build_hybrid_plan_summary(
-    graph: Graph,
-    policy: "Optional[HybridPolicy]" = None,
-    cache=None,
-) -> Tuple[dict, bool]:
-    """Plan summary for ``graph``, served from ``cache`` when possible.
-
-    Args:
-        graph: Training execution graph.
-        policy: Planner policy (defaults like :func:`build_hybrid_plan`).
-        cache: Optional content-addressed store with ``get(key)`` /
-            ``put(key, value)`` (e.g.
-            :class:`repro.serve.cache.ContentCache`).  ``None`` always
-            re-plans.
-
-    Returns:
-        ``(summary, cached)`` — the :meth:`HybridPlan.summary_json`
-        mapping, and whether it was served from the cache without
-        re-pricing the graph.
-    """
-    key = plan_cache_key(graph, policy)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit, True
-    summary = build_hybrid_plan(graph, policy).summary_json()
-    if cache is not None:
-        summary = cache.put(key, summary)
-    return summary, False

@@ -15,10 +15,10 @@ over the plan IR of :mod:`repro.memory.hybrid`:
   its FP32 map — live until the last map of its segment has been
   rebuilt, even where the baseline would have freed it in the forward
   pass;
-* every other stashed trunk map gets a ``recompute``
-  :class:`~repro.memory.hybrid.PlanDecision` whose ``source_id`` is its
-  segment's checkpoint and whose ``chain`` is the trunk from there to
-  the map; :func:`~repro.memory.hybrid.apply_decisions` turns the table
+* every other stashed trunk map (the loss output excepted) gets a
+  ``recompute`` :class:`~repro.memory.hybrid.PlanDecision` whose
+  ``source_id`` is its segment's checkpoint and whose ``chain`` is the
+  trunk from there to the map; :func:`~repro.memory.hybrid.apply_decisions` turns the table
   into lifetimes (the map dies after its last forward use, a rebuilt
   copy spans its backward reads, the replayed chain's intermediates are
   charged as scratch);
@@ -38,20 +38,29 @@ from typing import List, Optional, TYPE_CHECKING, Tuple
 
 from repro.graph.graph import Graph
 from repro.graph.schedule import TrainingSchedule
-from repro.memory.planner import MemoryPlan, build_memory_plan
+from repro.memory.hybrid import (
+    CHOICE_RECOMPUTE,
+    PlanRecord,
+    _drop_option,
+    apply_decisions,
+)
+from repro.memory.planner import build_memory_plan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.perf.cost import CostModel
 
 
-@dataclass(frozen=True)
-class RecomputePlan:
+@dataclass
+class RecomputePlan(PlanRecord):
     """A rewritten plan plus the cost of the re-executed forward work."""
 
-    plan: MemoryPlan
     checkpoints: Tuple[int, ...]
-    recomputed: Tuple[int, ...]
     extra_forward_flops: int
+
+    @property
+    def recomputed(self) -> Tuple[int, ...]:
+        """Ids of the trunk maps dropped and rebuilt, in trunk order."""
+        return tuple(self.decisions)
 
     def overhead_frac(self, graph: Graph,
                       cost: "Optional[CostModel]" = None) -> float:
@@ -137,14 +146,9 @@ def build_recompute_plan(
         schedule: Precomputed schedule (built if omitted).
     """
     # local: memory<->core cycle (core's selectors import memory.hybrid)
-    from repro.core.analysis import STASH_OTHER, classify_all_stashes
+    from repro.core.analysis import classify_all_stashes
     from repro.core.policy import GistConfig
     from repro.core.schedule_builder import feature_map_uses
-    from repro.memory.hybrid import (
-        CHOICE_RECOMPUTE,
-        _drop_option,
-        apply_decisions,
-    )
 
     if schedule is None:
         schedule = TrainingSchedule(graph)
@@ -167,9 +171,11 @@ def build_recompute_plan(
         head, *body = trunk[start:start + segment_length]
         if uses[head][1] is not None:
             checkpoints.append(head)
-        # Positions (1-based) of the stashed maps behind the checkpoint.
+        # Positions (1-based) of the stashed maps behind the checkpoint —
+        # but never the loss output, which only seeds the backward pass
+        # and whose op no replay may re-run.
         dropped = [depth for depth, nid in enumerate(body, start=1)
-                   if uses[nid][1] is not None]
+                   if uses[nid][1] is not None and nid != graph.output_id]
         if dropped:
             # Re-materialising any map in the segment re-executes the
             # whole sub-chain from the checkpoint — convolutions included.
@@ -180,15 +186,13 @@ def build_recompute_plan(
         for depth in dropped:
             chain = tuple(body[:depth])
             node = graph.node(chain[-1])
-            info = stash_infos.get(node.node_id)
             decisions[node.node_id] = _drop_option(
-                node, info.stash_class if info else STASH_OTHER,
+                node, stash_infos[node.node_id].stash_class,
                 4 * math.prod(node.output_shape), CHOICE_RECOMPUTE,
                 chain_forward_seconds(graph, chain), head, chain,
             )
 
     plan = build_memory_plan(graph, schedule)
-    apply_decisions(plan, uses, decisions, cfg)
-    return RecomputePlan(
-        plan, tuple(sorted(checkpoints)), tuple(decisions), extra_flops
-    )
+    pools = apply_decisions(plan, uses, decisions, cfg)
+    return RecomputePlan(graph, schedule, plan, cfg, decisions, pools,
+                         tuple(sorted(checkpoints)), extra_flops)

@@ -1,8 +1,8 @@
 """Analytical performance substrate: device model, kernel costs, Gist
 overhead, swapping baselines (naive / vDNN) and utilisation modelling."""
 
-from repro.perf.comm import CommModel, DistStepTime
-from repro.perf.cost import CostModel, StepTime, scale_step
+from repro.perf.comm import CommModel
+from repro.perf.cost import CostModel, StepTime
 from repro.perf.device import DeviceSpec, TITAN_X_MAXWELL
 from repro.perf.energy import (
     DRAM_J_PER_BYTE,
@@ -30,7 +30,6 @@ __all__ = [
     "CommModel",
     "CostModel",
     "DRAM_J_PER_BYTE",
-    "DistStepTime",
     "EnergyReport",
     "PCIE_J_PER_BYTE",
     "DeviceSpec",
@@ -44,7 +43,6 @@ __all__ = [
     "encoding_time_delta",
     "larger_minibatch_speedup",
     "max_minibatch",
-    "scale_step",
     "measure_overhead",
     "measure_transfer_energy",
     "simulate_cdma",

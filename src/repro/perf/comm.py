@@ -10,29 +10,9 @@ rounds, a smaller serial fraction next to the per-shard compute time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.perf.cost import CostModel, StepTime
-
-
-@dataclass(frozen=True)
-class DistStepTime:
-    """Timing breakdown of one data-parallel training step."""
-
-    compute_s: float
-    comm_s: float
-
-    @property
-    def total_s(self) -> float:
-        """Per-step wall-clock: shard compute plus the all-reduce."""
-        return self.compute_s + self.comm_s
-
-    def samples_per_s(self, effective_batch: int) -> float:
-        """Throughput over the whole effective batch."""
-        if self.total_s <= 0.0:
-            raise ValueError("step time must be positive")
-        return effective_batch / self.total_s
+from repro.perf.cost import CostModel
 
 
 class CommModel:
@@ -69,15 +49,3 @@ class CommModel:
             total += round_s
             level = merged
         return total
-
-    def dist_step(self, shard_step: StepTime,
-                  shard_wire_bytes: Sequence[float]) -> DistStepTime:
-        """Compose a per-shard compute estimate with the all-reduce.
-
-        Shards run concurrently, so compute contributes one shard's
-        forward + backward; the merge is the serial fraction on top.
-        """
-        return DistStepTime(
-            compute_s=shard_step.total_s,
-            comm_s=self.allreduce_s(shard_wire_bytes),
-        )

@@ -103,27 +103,6 @@ class CostModel:
         return nbytes / self.device.mem_bandwidth
 
 
-def scale_step(step: StepTime, speedup: float) -> StepTime:
-    """Fold a measured kernel-backend speedup into an analytical step.
-
-    The backend benchmark (``benchmarks/bench_backends.py``,
-    ``BENCH_backends.json``) records how much faster the best registry
-    arm runs a real step than the reference loops on the current host.
-    Dividing every analytical kernel time by that factor re-expresses a
-    :class:`CostModel` estimate against the accelerated baseline, so
-    overhead ratios (Figures 9/15) stay comparable as backends improve.
-    """
-    if not speedup > 0.0:
-        raise ValueError(f"speedup must be positive, got {speedup!r}")
-    inv = 1.0 / speedup
-    return StepTime(
-        step.forward_s * inv,
-        step.backward_s * inv,
-        {k: v * inv for k, v in step.per_node_forward.items()},
-        {k: v * inv for k, v in step.per_node_backward.items()},
-    )
-
-
 def _check_nbytes(nbytes: float, where: str) -> None:
     """Reject sizes no transfer could have.
 

@@ -67,6 +67,8 @@ class JobRecord:
         return self.status == "ok"
 
     def to_json(self) -> dict:
+        """The job's row in :meth:`ServeReport.to_json` — everything but
+        the result payload, which ``digest`` stands in for."""
         return {
             "fingerprint": self.fingerprint,
             "kind": self.kind,
@@ -97,6 +99,8 @@ class ServeReport:
         return all(job.ok for job in self.jobs)
 
     def to_json(self) -> dict:
+        """JSON form of the pass: one row per job plus the cache and
+        journal counters."""
         return {
             "jobs": [job.to_json() for job in self.jobs],
             "scheduled": self.scheduled,

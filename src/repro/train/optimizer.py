@@ -44,9 +44,3 @@ class SGD:
                 v += g
                 g = v
             p -= self.lr * g
-
-    def set_lr(self, lr: float) -> None:
-        """Adjust the learning rate (step-decay schedules)."""
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        self.lr = lr

@@ -1,8 +1,8 @@
 """Differential oracles for plans, allocators and encodings.
 
 Each oracle is a pure function from finished artifacts (an
-:class:`~repro.memory.allocator.AllocationResult`, a
-:class:`~repro.core.schedule_builder.GistPlan`, a codec plus input) to a
+:class:`~repro.memory.allocator.AllocationResult`, a selector's
+:class:`~repro.memory.hybrid.PlanRecord`, a codec plus input) to a
 list of :class:`Violation`.  Keeping them artifact-level rather than
 end-to-end is what makes the fault-injection tests possible: a test can
 corrupt one group/death/codec and assert the matching oracle — and only
@@ -10,7 +10,10 @@ it — fires.
 
 The checks are *differential* where it matters: plan deaths are compared
 against an independent reimplementation of the last-use computation (not
-against the Schedule Builder's own helpers), allocator totals across
+against the Schedule Builder's own helpers) by one walker,
+:func:`_check_liveness`, that every selector's table goes through —
+``check_plan_safety`` and ``check_hybrid_plan`` differ in the label they
+stamp and in the non-liveness legs each adds — allocator totals across
 policies are compared against each other, and static totals are compared
 against the dynamic simulator and an interval max-clique lower bound that
 is recomputed here from raw ``[birth, death]`` intervals.
@@ -18,17 +21,13 @@ is recomputed here from raw ``[birth, death]`` intervals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.schedule_builder import (
-    ENC_BINARIZE,
-    ENC_DPR,
-    ENC_SSDC,
-    GistPlan,
-)
+from repro.core.schedule_builder import ENC_BINARIZE, ENC_DPR, ENC_SSDC
 from repro.encodings.base import Encoding
 from repro.encodings.dpr import DPREncoding
 from repro.encodings.floatsim import max_relative_error
@@ -42,6 +41,15 @@ from repro.graph.liveness import (
     ROLE_FEATURE_MAP,
 )
 from repro.memory.allocator import AllocationResult
+from repro.memory.hybrid import (
+    CHOICE_GIST,
+    CHOICE_RECOMPUTE,
+    CHOICE_SHARED_CONCAT,
+    CHOICE_SWAP,
+    NON_RECOMPUTABLE_KINDS,
+    HybridPlan,
+    PlanRecord,
+)
 from repro.train.stash import _make_codec
 
 # Oracle identifiers (stable strings used in reports and tests).
@@ -244,112 +252,175 @@ def _independent_uses(graph, schedule, node_id: int, pools_rewritten: bool):
     return last_fwd, min(bwd), max(bwd)
 
 
-def check_plan_safety(
-    gist_plan: GistPlan, baseline_allocated: Optional[int] = None,
-    gist_allocated: Optional[int] = None,
-) -> List[Violation]:
-    """The Schedule Builder must never kill a buffer before its last use.
+def _check_replay(record: PlanRecord, decision, first_bwd: Optional[int],
+                  tensors, fire) -> None:
+    """The recompute leg of :func:`_check_liveness`, for one decision."""
+    graph, name, chain = record.graph, decision.node_name, decision.chain
+    if not chain or chain[-1] != decision.node_id:
+        fire(f"{name}: recompute chain {chain} does not end at the "
+             f"target node {decision.node_id}")
+        return
+    source = record.decisions.get(decision.source_id)
+    if source is not None and source.choice != CHOICE_SWAP:
+        fire(f"{name}: recompute source {source.node_name!r} carries a "
+             f"{source.choice}"
+             + (f"/{source.encoding}" if source.encoding else "")
+             + " decision — replays would read inexact or missing values")
+    for prev, chain_id in zip((decision.source_id,) + chain, chain):
+        member = graph.node(chain_id)
+        if list(member.inputs) != [prev]:
+            fire(f"{name}: chain member {member.name!r} has inputs "
+                 f"{list(member.inputs)}, expected [{prev}]")
+            return
+    if first_bwd is None:
+        return
+    swapped = source is not None and source.choice == CHOICE_SWAP
+    read = [("source tensor", tensors.get(
+        (decision.source_id, ".prefetch" if swapped else "")))]
+    if len(chain) > 1:
+        scratch = tensors.get((decision.node_id, ".rechain"))
+        if scratch is None:
+            fire(f"{name}: replaying {len(chain)} ops needs a scratch "
+                 f"region the plan does not carry")
+        read.append(("replay scratch", scratch))
+    for what, live in read:
+        if live is not None and not live.birth <= first_bwd <= live.death:
+            fire(f"{name}: {what} {live.spec.name!r} "
+                 f"[{live.birth},{live.death}] is not live at the target's "
+                 f"first backward read {first_bwd}")
 
-    For every node: the FP32 feature map must survive to its last forward
-    use; if the stash was *not* encoded, it must additionally survive to
-    its last backward use; if it *was* encoded, the encoded tensor must
-    span ``[<= last_fwd, >= last_bwd]`` and any decoded staging buffer
-    must cover ``[<= first_bwd, >= last_bwd]``.  Optionally also checks
-    that lossless Gist never *increases* the allocated footprint over the
-    baseline (pass both totals).
+
+#: The tensor ``apply_decisions`` builds in a decided map's place, by
+#: choice, as a suffix of the FP32 map's ``<node>.out`` name.
+_REPLACEMENT_SUFFIX = {
+    CHOICE_GIST: ".enc",
+    CHOICE_SWAP: ".prefetch",
+    CHOICE_RECOMPUTE: ".recomp",
+    CHOICE_SHARED_CONCAT: ".shared",
+}
+
+
+def _check_liveness(record: PlanRecord, oracle: str) -> List[Violation]:
+    """The liveness differential every selector's table goes through.
+
+    ``record`` is any :class:`~repro.memory.hybrid.PlanRecord`; every
+    finding is stamped ``oracle``.  Against :func:`_independent_uses`,
+    per node:
+
+    * the FP32 map is in the plan (or, under ``config.inplace``, the
+      buffer that absorbed it is born by this node's forward step) and
+      survives its last forward use; with no decision it also survives
+      its last backward use;
+    * a decided map has its choice's replacement tensor, born no later
+      than the last forward use (gist) / first backward use (rebuilt
+      copies) and alive to the last backward use;
+    * gist: the carried stash has exactly the priced ``resident_bytes``,
+      which never exceed the FP32 map (SSDC falls back at its breakeven,
+      Binarize is 1 bit, DPR sub-32-bit), and a priced decoded staging
+      buffer exists and covers the backward reads;
+    * recompute: the chain ends at its target and each link is the sole
+      input of the next, starting from the source (which also makes it
+      acyclic: a repeated node would need two distinct successors); the
+      source carries no decision but the value-exact swap and its
+      surviving tensor (FP32 map, or prefetch buffer) is live at the
+      target's first backward read, where the replay happens — as is
+      the scratch region a chain of two or more ops replays through;
+    * no decision targets the loss output.
     """
-    graph, schedule = gist_plan.graph, gist_plan.schedule
-    pools_rewritten = gist_plan.config.binarize
+    graph, schedule, config = record.graph, record.schedule, record.config
     violations: List[Violation] = []
 
-    fm: Dict[int, LiveTensor] = {}
-    enc: Dict[int, LiveTensor] = {}
-    dec: Dict[int, LiveTensor] = {}
-    for t in gist_plan.plan.tensors:
-        if t.role == ROLE_FEATURE_MAP and not t.spec.name.endswith(".dec"):
-            fm[t.node_id] = t
-        elif t.role == ROLE_ENCODED and t.spec.name.endswith(".enc"):
-            enc[t.node_id] = t
-        elif t.role == ROLE_DECODED:
-            dec[t.node_id] = t
+    def fire(detail: str) -> None:
+        violations.append(Violation(oracle, detail))
 
-    merged_away = {
-        n.node_id for n in graph.nodes if n.node_id not in fm
-    }
+    tensors: Dict[tuple, LiveTensor] = {}
+    for t in record.plan.tensors:
+        _, out, suffix = t.spec.name.rpartition(".out")
+        if out:
+            tensors[t.node_id, suffix] = t
+
+    if graph.output_id in record.decisions:
+        fire(f"{record.decisions[graph.output_id].choice} decision targets "
+             f"the loss output {graph.node(graph.output_id).name!r}")
+
     for node in graph.nodes:
         nid = node.node_id
         last_fwd, first_bwd, last_bwd = _independent_uses(
-            graph, schedule, nid, pools_rewritten
+            graph, schedule, nid, config.binarize
         )
-        decision = gist_plan.decisions.get(nid)
-        t = fm.get(nid)
+        decision = record.decisions.get(nid)
+        t = tensors.get((nid, ""))
         if t is None:
-            # Inplace-merged into a consumer: the consumer's buffer must
-            # cover this node's forward production point instead.
-            if nid in merged_away and gist_plan.config.inplace:
-                continue
-            violations.append(Violation(
-                ORACLE_PLAN_SAFETY,
-                f"feature map of node {node.name!r} missing from plan",
-            ))
+            # Inplace-merged into its consumer (transitively): that
+            # buffer must cover this node's forward production point.
+            heir, consumers = None, graph.consumers(nid)
+            while config.inplace and heir is None and len(consumers) == 1:
+                heir = tensors.get((consumers[0].node_id, ""))
+                consumers = graph.consumers(consumers[0].node_id)
+            if heir is None or heir.birth > schedule.forward_time(nid):
+                fire(f"feature map of node {node.name!r} missing from plan")
+        else:
+            if t.death < last_fwd:
+                fire(f"{t.spec.name!r} dies at {t.death} before its last "
+                     f"forward use at {last_fwd}")
+            if (decision is None and last_bwd is not None
+                    and t.death < last_bwd):
+                fire(f"undecided stash {t.spec.name!r} dies at {t.death} "
+                     f"before its last backward use at {last_bwd}")
+        if decision is None:
             continue
-        if t.death < last_fwd:
-            violations.append(Violation(
-                ORACLE_PLAN_SAFETY,
-                f"{t.spec.name!r} dies at {t.death} before its last "
-                f"forward use at {last_fwd}",
-            ))
-        if decision is None and last_bwd is not None and t.death < last_bwd:
-            violations.append(Violation(
-                ORACLE_PLAN_SAFETY,
-                f"unencoded stash {t.spec.name!r} dies at {t.death} before "
-                f"its last backward use at {last_bwd}",
-            ))
-        if decision is not None:
-            e = enc.get(nid)
-            if e is None:
-                violations.append(Violation(
-                    ORACLE_PLAN_SAFETY,
-                    f"decision for {node.name!r} has no encoded tensor",
-                ))
-            else:
-                if e.birth > last_fwd:
-                    violations.append(Violation(
-                        ORACLE_PLAN_SAFETY,
-                        f"{e.spec.name!r} born at {e.birth}, after the FP32 "
-                        f"map's last forward use at {last_fwd}",
-                    ))
-                if last_bwd is not None and e.death < last_bwd:
-                    violations.append(Violation(
-                        ORACLE_PLAN_SAFETY,
-                        f"{e.spec.name!r} dies at {e.death} before the last "
-                        f"backward use at {last_bwd}",
-                    ))
-            d = dec.get(nid)
+
+        name = decision.node_name
+        r = tensors.get((nid, _REPLACEMENT_SUFFIX.get(decision.choice)))
+        if r is None:
+            fire(f"{decision.choice} decision for {node.name!r} has no "
+                 f"replacement tensor in the plan")
+        else:
+            if decision.choice == CHOICE_GIST:
+                if r.birth > last_fwd:
+                    fire(f"{r.spec.name!r} born at {r.birth}, after the FP32 "
+                         f"map's last forward use at {last_fwd}")
+                if r.size_bytes != decision.resident_bytes:
+                    fire(f"{name}: decision prices {decision.resident_bytes} "
+                         f"resident bytes, plan carries {r.size_bytes}")
+            elif first_bwd is not None and r.birth > first_bwd:
+                fire(f"{r.spec.name!r} born at {r.birth}, after the first "
+                     f"backward use at {first_bwd}")
+            if last_bwd is not None and r.death < last_bwd:
+                fire(f"{r.spec.name!r} dies at {r.death} before the last "
+                     f"backward use at {last_bwd}")
+
+        if decision.choice == CHOICE_GIST:
+            if decision.resident_bytes > decision.fp32_bytes:
+                fire(f"{name}: encoded stash ({decision.resident_bytes} B, "
+                     f"{decision.encoding}) larger than the FP32 map it "
+                     f"replaces ({decision.fp32_bytes} B)")
+            d = tensors.get((nid, ".dec"))
             if decision.decoded_bytes and d is None:
-                violations.append(Violation(
-                    ORACLE_PLAN_SAFETY,
-                    f"decision for {node.name!r} prices a decoded buffer "
-                    f"but the plan carries none",
-                ))
-            if d is not None and last_bwd is not None:
-                if d.birth > first_bwd or d.death < last_bwd:
-                    violations.append(Violation(
-                        ORACLE_PLAN_SAFETY,
-                        f"{d.spec.name!r} [{d.birth},{d.death}] does not "
-                        f"cover backward uses [{first_bwd},{last_bwd}]",
-                    ))
-    for decision in gist_plan.decisions.values():
-        # A per-decision theorem of the Schedule Builder: it never encodes
-        # a stash into *more* bytes than the FP32 map (SSDC falls back at
-        # its breakeven, Binarize is 1 bit, DPR is sub-32-bit).
-        if decision.encoded_bytes > decision.fp32_bytes:
-            violations.append(Violation(
-                ORACLE_PLAN_SAFETY,
-                f"{decision.node_name}: encoded stash "
-                f"({decision.encoded_bytes} B, {decision.encoding}) larger "
-                f"than the FP32 map it replaces ({decision.fp32_bytes} B)",
-            ))
+                fire(f"decision for {node.name!r} prices a decoded buffer "
+                     f"but the plan carries none")
+            if d is not None and last_bwd is not None and (
+                    d.birth > first_bwd or d.death < last_bwd):
+                fire(f"{d.spec.name!r} [{d.birth},{d.death}] does not cover "
+                     f"backward uses [{first_bwd},{last_bwd}]")
+        elif decision.choice == CHOICE_RECOMPUTE:
+            _check_replay(record, decision, first_bwd, tensors, fire)
+    return violations
+
+
+def check_plan_safety(
+    gist_plan: PlanRecord, baseline_allocated: Optional[int] = None,
+    gist_allocated: Optional[int] = None,
+) -> List[Violation]:
+    """A selector's table must never kill a buffer before its last use.
+
+    The liveness differential (:func:`_check_liveness`) on any
+    :class:`~repro.memory.hybrid.PlanRecord` — a Table-I ``GistPlan`` or
+    a sqrt(N) ``RecomputePlan`` alike.  Optionally also checks that
+    lossless Gist never *increases* the allocated footprint over the
+    baseline (pass both totals).
+    """
+    violations = _check_liveness(gist_plan, ORACLE_PLAN_SAFETY)
     if (baseline_allocated is not None and gist_allocated is not None
             and not gist_plan.config.dpr):
         # Lossless Gist must not inflate the shared footprint beyond the
@@ -366,13 +437,11 @@ def check_plan_safety(
         # added tensor, with the same bounded grouping perturbation: up to
         # the merged buffer's size.
         if gist_plan.config.inplace:
-            for node in graph.nodes:
-                if node.node_id not in merged_away:
-                    continue
-                elements = 1
-                for d in node.output_shape:
-                    elements *= d
-                added += 4 * elements
+            kept = {t.node_id for t in gist_plan.plan.tensors
+                    if t.role == ROLE_FEATURE_MAP}
+            added += sum(4 * math.prod(node.output_shape)
+                         for node in gist_plan.graph.nodes
+                         if node.node_id not in kept)
         if gist_allocated > baseline_allocated + added:
             violations.append(Violation(
                 ORACLE_PLAN_SAFETY,
@@ -382,8 +451,9 @@ def check_plan_safety(
     return violations
 
 
-def check_decision_bytes(gist_plan: GistPlan, rng=None) -> List[Violation]:
-    """Every priced ``encoded_bytes`` must match a measured ``encode()``.
+def check_decision_bytes(gist_plan: PlanRecord, rng=None) -> List[Violation]:
+    """Every gist decision's priced ``encoded_bytes`` — in a Table-I plan
+    or a hybrid one — must match a measured ``encode()``.
 
     Synthesises realistic data per decision (normal activations; for SSDC,
     with exactly the nonzero count the sparsity model priced) and compares
@@ -551,7 +621,7 @@ def _check_groupquant_bound(codec: GroupQuantEncoding, x, encoded,
 # ----------------------------------------------------------------------
 # (e) Hybrid plan safety
 # ----------------------------------------------------------------------
-def check_hybrid_plan(hybrid_plan) -> List[Violation]:
+def check_hybrid_plan(hybrid_plan: HybridPlan) -> List[Violation]:
     """Safety of a hybrid (encode x recompute x swap) memory plan.
 
     Checks, on a :class:`~repro.memory.hybrid.HybridPlan`:
@@ -561,31 +631,15 @@ def check_hybrid_plan(hybrid_plan) -> List[Violation]:
     * **dominance** — the hybrid arm's allocated footprint is <= every
       pure arm's under the same budget (the planner's argmin fallback
       makes this structural; a violation means the fallback broke);
-    * **chain validity** — every recompute chain ends at its target, each
-      link is the sole input of the next (which also makes it acyclic: a
-      repeated node would need two distinct successors), and no member is
-      an RNG/state-mutating kind the executor cannot replay;
-    * **lossy-ancestor regression** — a recompute source carries no
-      value-destroying decision (gist Binarize/DPR) and is not itself
-      recomputed, so replays always read exact forward values;
-    * **liveness** — against independently recomputed uses: every FP32
-      map survives its last forward use, undecided stashes survive their
-      last backward use, and each decision's replacement tensor (encoded
-      stash / prefetch buffer / rebuilt map) covers the backward reads —
-      with a swapped recompute-source's prefetch additionally covering
-      the *target's* first backward read, where the replay happens.
+    * **replayability** — no recompute chain member is an
+      RNG/state-mutating kind the executor cannot re-run.  This is the
+      one rule a hybrid table owes beyond liveness: it is *executed*,
+      where a sqrt(N) table (whose trunk segments cross dropout) is only
+      priced;
+    * **liveness** — the differential every selector's table goes
+      through (:func:`_check_liveness`).
     """
-    from repro.memory.hybrid import (
-        CHOICE_GIST,
-        CHOICE_RECOMPUTE,
-        CHOICE_SWAP,
-        NON_RECOMPUTABLE_KINDS,
-    )
-
-    graph, schedule = hybrid_plan.graph, hybrid_plan.schedule
-    pools_rewritten = hybrid_plan.policy.gist.binarize
     violations: List[Violation] = []
-
     if hybrid_plan.total_cost_s > hybrid_plan.budget_s * (1 + 1e-9) + 1e-12:
         violations.append(Violation(
             ORACLE_HYBRID,
@@ -599,150 +653,24 @@ def check_hybrid_plan(hybrid_plan) -> List[Violation]:
                 f"hybrid allocated {hybrid_plan.allocated_bytes} bytes > "
                 f"pure-{strategy} {footprint} under the same budget",
             ))
-
-    fm: Dict[int, LiveTensor] = {}
-    replacement: Dict[int, LiveTensor] = {}
-    for t in hybrid_plan.plan.tensors:
-        name = t.spec.name
-        if t.role == ROLE_FEATURE_MAP and name.endswith(".out"):
-            fm[t.node_id] = t
-        elif name.endswith((".out.enc", ".out.prefetch", ".out.recomp",
-                            ".out.shared")):
-            replacement[t.node_id] = t
-
-    for node in graph.nodes:
-        nid = node.node_id
-        last_fwd, first_bwd, last_bwd = _independent_uses(
-            graph, schedule, nid, pools_rewritten
-        )
-        decision = hybrid_plan.decisions.get(nid)
-        t = fm.get(nid)
-        if t is None:
-            violations.append(Violation(
-                ORACLE_HYBRID,
-                f"feature map of node {node.name!r} missing from plan",
-            ))
-            continue
-        if t.death < last_fwd:
-            violations.append(Violation(
-                ORACLE_HYBRID,
-                f"{t.spec.name!r} dies at {t.death} before its last "
-                f"forward use at {last_fwd}",
-            ))
-        if decision is None:
-            if last_bwd is not None and t.death < last_bwd:
-                violations.append(Violation(
-                    ORACLE_HYBRID,
-                    f"undecided stash {t.spec.name!r} dies at {t.death} "
-                    f"before its last backward use at {last_bwd}",
-                ))
-            continue
-        r = replacement.get(nid)
-        if r is None:
-            violations.append(Violation(
-                ORACLE_HYBRID,
-                f"{decision.choice} decision for {node.name!r} has no "
-                f"replacement tensor in the plan",
-            ))
-            continue
-        if decision.choice == CHOICE_GIST:
-            if r.birth > last_fwd:
-                violations.append(Violation(
-                    ORACLE_HYBRID,
-                    f"{r.spec.name!r} born at {r.birth}, after the FP32 "
-                    f"map's last forward use at {last_fwd}",
-                ))
-        elif first_bwd is not None and r.birth > first_bwd:
-            violations.append(Violation(
-                ORACLE_HYBRID,
-                f"{r.spec.name!r} born at {r.birth}, after the first "
-                f"backward use at {first_bwd}",
-            ))
-        if last_bwd is not None and r.death < last_bwd:
-            violations.append(Violation(
-                ORACLE_HYBRID,
-                f"{r.spec.name!r} dies at {r.death} before the last "
-                f"backward use at {last_bwd}",
-            ))
-        if decision.choice == CHOICE_GIST and r.size_bytes != \
-                decision.resident_bytes:
-            violations.append(Violation(
-                ORACLE_HYBRID,
-                f"{decision.node_name}: decision prices "
-                f"{decision.resident_bytes} resident bytes, plan carries "
-                f"{r.size_bytes}",
-            ))
-
     for decision in hybrid_plan.decisions.values():
         if decision.choice != CHOICE_RECOMPUTE:
             continue
-        name = decision.node_name
-        chain = decision.chain
-        if not chain or chain[-1] != decision.node_id:
-            violations.append(Violation(
-                ORACLE_HYBRID,
-                f"{name}: recompute chain {chain} does not end at the "
-                f"target node {decision.node_id}",
-            ))
-            continue
-        prev = decision.source_id
-        valid = True
-        for chain_id in chain:
-            chain_node = graph.node(chain_id)
-            if chain_node.kind in NON_RECOMPUTABLE_KINDS:
+        for chain_id in decision.chain:
+            member = hybrid_plan.graph.node(chain_id)
+            if member.kind in NON_RECOMPUTABLE_KINDS:
                 violations.append(Violation(
                     ORACLE_HYBRID,
-                    f"{name}: chain member {chain_node.name!r} is a "
-                    f"non-replayable {chain_node.kind!r} op",
+                    f"{decision.node_name}: chain member {member.name!r} is "
+                    f"a non-replayable {member.kind!r} op",
                 ))
-                valid = False
-            if list(chain_node.inputs) != [prev]:
-                violations.append(Violation(
-                    ORACLE_HYBRID,
-                    f"{name}: chain member {chain_node.name!r} has inputs "
-                    f"{list(chain_node.inputs)}, expected [{prev}]",
-                ))
-                valid = False
-                break
-            prev = chain_id
-        source = hybrid_plan.decisions.get(decision.source_id)
-        if source is not None and source.choice not in (CHOICE_SWAP,):
-            violations.append(Violation(
-                ORACLE_HYBRID,
-                f"{name}: recompute source {source.node_name!r} carries a "
-                f"{source.choice}"
-                + (f"/{source.encoding}" if source.encoding else "")
-                + " decision — replays would read inexact or missing values",
-            ))
-        if not valid:
-            continue
-        # The source's surviving representation must be live at the
-        # target's first backward read, where the replay happens.
-        _, target_first_bwd, _ = _independent_uses(
-            graph, schedule, decision.node_id, pools_rewritten
-        )
-        if target_first_bwd is None:
-            continue
-        if source is not None and source.choice == CHOICE_SWAP:
-            live = replacement.get(decision.source_id)
-        else:
-            live = fm.get(decision.source_id)
-        if live is not None and not (
-            live.birth <= target_first_bwd <= live.death
-        ):
-            violations.append(Violation(
-                ORACLE_HYBRID,
-                f"{name}: source tensor {live.spec.name!r} "
-                f"[{live.birth},{live.death}] is not live at the target's "
-                f"first backward read {target_first_bwd}",
-            ))
-    return violations
+    return violations + _check_liveness(hybrid_plan, ORACLE_HYBRID)
 
 
 # ----------------------------------------------------------------------
 # (f) Shared-concat chains
 # ----------------------------------------------------------------------
-def check_shared_concat(hybrid_plan) -> List[Violation]:
+def check_shared_concat(hybrid_plan: HybridPlan) -> List[Violation]:
     """Structural safety of shared-concat decisions in a hybrid plan.
 
     The runtime read is ``terminal_stash[:, :channels]``, so each
@@ -758,10 +686,8 @@ def check_shared_concat(hybrid_plan) -> List[Violation]:
       backward read, and both maps carry the chain's alias-group label
       (what makes the allocator price the chain as one region).
     """
-    from repro.memory.hybrid import CHOICE_SHARED_CONCAT
-
     graph, schedule = hybrid_plan.graph, hybrid_plan.schedule
-    pools_rewritten = hybrid_plan.policy.gist.binarize
+    pools_rewritten = hybrid_plan.config.binarize
     violations: List[Violation] = []
     fm: Dict[int, LiveTensor] = {
         t.node_id: t for t in hybrid_plan.plan.tensors

@@ -8,18 +8,22 @@ oracle                 property checked
 =====================  ==============================================
 allocator-safety       no two live-overlapping tensors share a group,
                        for all three policies, on baseline AND every
-                       Gist-rewritten plan
+                       selector's rewritten plan
 policy-bounds          greedy-size <= first-fit <= none;
                        static total >= dynamic peak >= clique bound
 plan-safety            no buffer's death precedes its true last use
-                       (differential vs an independent last-use walk);
+                       (differential vs an independent last-use walk),
+                       on the Table-I and sqrt(N) selectors' tables;
                        lossless Gist never allocates more than baseline
-decision-bytes         every EncodingDecision.encoded_bytes matches a
-                       measured encode() on realistic data
+decision-bytes         every gist PlanDecision.encoded_bytes, in a
+                       Table-I or hybrid table, matches a measured
+                       encode() on realistic data
 encoding-roundtrip     lossless codecs bit-exact, lossy codecs within
                        declared bounds, on adversarial inputs
-hybrid-plan            hybrid planner budget/dominance/chain/liveness
-                       safety; hybrid footprint <= every pure arm
+hybrid-plan            the same last-use walk on the budgeted
+                       selector's tables, plus budget, dominance
+                       (hybrid footprint <= every pure arm) and
+                       replayable recompute chains
 shared-concat          every shared-concat decision re-slices a kept
                        concat terminal along a prefix-linked chain
                        that stays live and alias-labelled
@@ -43,6 +47,11 @@ distributed-replica    replica shards reassemble the serial batch
                        execution
 =====================  ==============================================
 
+Every selector's table goes through one loop in :func:`verify_graph`
+(subjects ``lossless`` / ``full-fp16`` / ``full-fp8``, ``hybrid``,
+``shared-concat-arm``, ``recompute``): checking a new selector is
+appending one ``(label, plan)`` pair.
+
 Violations carry the seed, so ``repro fuzz --seeds 1 --start-seed S``
 replays any failure; :func:`minimize` then shrinks the graph by replaying
 the same seed at smaller ``max_ops``.
@@ -55,8 +64,12 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.policy import GistConfig
-from repro.core.schedule_builder import build_gist_plan
+from repro.core.policy import (
+    STRATEGY_SHARED_CONCAT,
+    GistConfig,
+    HybridPolicy,
+)
+from repro.core.schedule_builder import GistPlan, build_gist_plan
 from repro.dtypes import FP8, FP16
 from repro.encodings.base import IdentityEncoding
 from repro.encodings.binarize import BinarizeEncoding
@@ -73,7 +86,10 @@ from repro.memory.allocator import (
     StaticAllocator,
 )
 from repro.memory.dynamic import simulate_dynamic
+from repro.memory.hybrid import HybridPlan, build_hybrid_plan
 from repro.memory.planner import build_memory_plan
+from repro.memory.recompute import build_recompute_plan
+from repro.memory.shared_concat import find_concat_chains
 from repro.verify.differential import verify_backends
 from repro.verify.fuzzer import DEFAULT_MAX_OPS, GraphFuzzer
 from repro.verify.oracles import (
@@ -180,7 +196,14 @@ def verify_encodings(seed: int) -> List[Violation]:
         for x in inputs:
             violations += check_roundtrip(codec, x)
             violations += check_measured_bytes(codec, x)
-    return [Violation(v.oracle, v.detail, seed, v.subject or "encodings")
+    return _stamped(violations, seed, "encodings")
+
+
+def _stamped(violations: List[Violation], seed: Optional[int],
+             subject: str = "") -> List[Violation]:
+    """``violations`` relabelled with the seed that replays them and,
+    where an oracle named none, the ``subject`` it was checking."""
+    return [Violation(v.oracle, v.detail, seed, v.subject or subject)
             for v in violations]
 
 
@@ -210,73 +233,42 @@ def verify_graph(
         strict=strict,
     )
 
-    # (c) plan safety for every Gist configuration, and allocator safety
-    # again on the *rewritten* liveness tables (shorter, denser intervals
-    # are where a grouping bug would hide).
-    baseline_alloc = totals[POLICY_GREEDY_SIZE]
-    rng = np.random.default_rng((seed or 0) + 0x91A7)
-    for label, config in _PLAN_CONFIGS:
-        plan = build_gist_plan(graph, config, schedule=schedule)
-        gist_alloc = StaticAllocator().allocate(plan.plan.tensors).total_bytes
-        violations += [
-            Violation(v.oracle, v.detail, seed, label)
-            for v in check_plan_safety(
-                plan,
-                baseline_allocated=baseline_alloc,
-                gist_allocated=gist_alloc,
-            )
-        ]
-        violations += [
-            Violation(v.oracle, v.detail, seed, label)
-            for v in check_decision_bytes(plan, rng)
-        ]
-        for policy in _ALL_POLICIES:
-            result = StaticAllocator(policy).allocate(plan.plan.tensors)
-            violations += [
-                Violation(v.oracle, v.detail, seed, label)
-                for v in check_allocator_safety(result, plan.plan.tensors)
-            ]
-
-    # (e) hybrid planner: budget/dominance/chain/liveness safety, plus
-    # allocator safety on the hybrid-rewritten liveness table.
-    from repro.memory.hybrid import build_hybrid_plan
-
-    hybrid = build_hybrid_plan(graph, schedule=schedule)
-    violations += [
-        Violation(v.oracle, v.detail, seed, "hybrid")
-        for v in check_hybrid_plan(hybrid)
-    ]
-    violations += [
-        Violation(v.oracle, v.detail, seed, "hybrid")
-        for v in check_shared_concat(hybrid)
-    ]
-    hybrid_result = StaticAllocator().allocate(hybrid.plan.tensors)
-    violations += [
-        Violation(v.oracle, v.detail, seed, "hybrid")
-        for v in check_allocator_safety(hybrid_result, hybrid.plan.tensors)
-    ]
-
-    # (e') pure shared-concat arm, when the graph has a concat chain at
-    # all: the arm concentrates every chain decision in one plan, which
-    # is where a prefix-linkage or alias-labelling bug would surface.
-    from repro.core.policy import STRATEGY_SHARED_CONCAT, HybridPolicy
-    from repro.memory.shared_concat import find_concat_chains
-
+    # (c) every selector's table — the Table-I selector under each Gist
+    # configuration, the budgeted hybrid selector (and its pure
+    # shared-concat arm when the graph has a concat chain at all: the arm
+    # concentrates every chain decision in one plan, which is where a
+    # prefix-linkage or alias-labelling bug would surface) and sqrt(N)
+    # checkpointing — through one battery: the liveness differential,
+    # decision-bytes on every gist decision, and allocator safety again
+    # on the *rewritten* liveness table (shorter, denser intervals are
+    # where a grouping bug would hide).
+    plans = [(label, build_gist_plan(graph, config, schedule=schedule))
+             for label, config in _PLAN_CONFIGS]
+    plans.append(("hybrid", build_hybrid_plan(graph, schedule=schedule)))
     if find_concat_chains(graph):
-        arm = build_hybrid_plan(
+        plans.append(("shared-concat-arm", build_hybrid_plan(
             graph, HybridPolicy(strategy=STRATEGY_SHARED_CONCAT),
             schedule=schedule,
-        )
-        for checker in (check_hybrid_plan, check_shared_concat):
-            violations += [
-                Violation(v.oracle, v.detail, seed, "shared-concat-arm")
-                for v in checker(arm)
-            ]
-        arm_result = StaticAllocator().allocate(arm.plan.tensors)
-        violations += [
-            Violation(v.oracle, v.detail, seed, "shared-concat-arm")
-            for v in check_allocator_safety(arm_result, arm.plan.tensors)
-        ]
+        )))
+    plans.append(("recompute", build_recompute_plan(graph,
+                                                    schedule=schedule)))
+    rng = np.random.default_rng((seed or 0) + 0x91A7)
+    for label, plan in plans:
+        tensors = plan.plan.tensors
+        results = [StaticAllocator(policy).allocate(tensors)
+                   for policy in _ALL_POLICIES]
+        if isinstance(plan, HybridPlan):
+            found = check_hybrid_plan(plan) + check_shared_concat(plan)
+        elif isinstance(plan, GistPlan):
+            # Lossless Gist also owes the baseline its footprint.
+            found = check_plan_safety(plan, totals[POLICY_GREEDY_SIZE],
+                                      results[0].total_bytes)
+        else:
+            found = check_plan_safety(plan)
+        found += check_decision_bytes(plan, rng)
+        for result in results:
+            found += check_allocator_safety(result, tensors)
+        violations += _stamped(found, seed, label)
 
     # (e'') recurrent unrolling: weight-tying structure, and — because a
     # tie that is merely value-equal would silently break on the first
@@ -285,10 +277,8 @@ def verify_graph(
         from repro.train.executor import GraphExecutor
 
         executor = GraphExecutor(graph, seed=(seed or 0))
-        violations += [
-            Violation(v.oracle, v.detail, seed, "recurrent")
-            for v in check_recurrent_unroll(graph, executor)
-        ]
+        violations += _stamped(check_recurrent_unroll(graph, executor),
+                               seed, "recurrent")
 
     # (f) rewrite equivalence: the rewrite passes applied to this graph
     # must train bit-identically under every lossless policy (no-op when
@@ -296,8 +286,7 @@ def verify_graph(
     from repro.rewrite import check_rewrite_equivalence
 
     violations += check_rewrite_equivalence(graph, seed=seed or 0)
-    return [Violation(v.oracle, v.detail, seed, v.subject)
-            for v in violations]
+    return _stamped(violations, seed)
 
 
 def verify_seed(

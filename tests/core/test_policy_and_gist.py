@@ -6,7 +6,6 @@ from repro.core import (
     Gist,
     GistConfig,
     PAPER_DPR_FORMATS,
-    class_mfr_breakdown,
     footprint_bytes,
 )
 from repro.models import scaled_vgg
@@ -92,10 +91,3 @@ class TestGistFacade:
         assert footprint_bytes(g, None) == footprint_bytes(
             g, GistConfig.disabled()
         )
-
-    def test_class_mfr_breakdown(self):
-        g = scaled_vgg(batch_size=8)
-        plan = Gist(GistConfig.full("fp8")).apply(g)
-        breakdown = class_mfr_breakdown(plan)
-        assert breakdown["relu_pool"] == pytest.approx(32.0)
-        assert breakdown["relu_conv"] > 1.0

@@ -13,8 +13,6 @@ from repro.memory import (
     MemoryPlan,
     build_memory_plan,
     dynamic_footprint,
-    measure_dynamic,
-    measure_static,
     memory_footprint_ratio,
     simulate_dynamic,
 )
@@ -104,31 +102,6 @@ class TestPlanner:
 
 
 class TestFootprintReport:
-    def test_static_report(self, tiny_graph):
-        plan = build_memory_plan(tiny_graph)
-        report = measure_static(plan)
-        assert report.allocated_bytes > 0
-        assert report.allocated_bytes <= report.raw_total_bytes
-        assert report.model == tiny_graph.name
-
-    def test_dynamic_report_smaller(self, tiny_graph):
-        plan = build_memory_plan(tiny_graph)
-        assert (measure_dynamic(plan).allocated_bytes
-                <= measure_static(plan).allocated_bytes)
-
-    def test_fractions_sum_to_one(self, tiny_graph):
-        plan = build_memory_plan(tiny_graph, include_weights=True)
-        report = measure_static(plan)
-        total = sum(
-            report.fraction(c) for c in report.raw_bytes_by_class
-        )
-        assert total == pytest.approx(1.0)
-
-    def test_format_table(self, tiny_graph):
-        report = measure_static(build_memory_plan(tiny_graph))
-        text = report.format_table()
-        assert "stashed_feature_maps" in text
-
     def test_mfr(self):
         assert memory_footprint_ratio(200, 100) == 2.0
         with pytest.raises(ValueError):

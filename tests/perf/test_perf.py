@@ -12,7 +12,6 @@ from repro.perf import (
     larger_minibatch_speedup,
     max_minibatch,
     measure_overhead,
-    scale_step,
     simulate_swapping,
     throughput_images_per_s,
     training_footprint_bytes,
@@ -62,16 +61,6 @@ class TestCostModel:
         g = scaled_vgg(batch_size=8)
         cm = CostModel()
         assert cm.forward_time(g, g.node(g.input_id)) == 0.0
-
-    def test_scale_step_folds_measured_backend_speedup(self):
-        step = CostModel().step_time(scaled_vgg(batch_size=8))
-        faster = scale_step(step, 2.0)
-        assert faster.total_s == pytest.approx(step.total_s / 2.0)
-        assert faster.per_node_forward.keys() == step.per_node_forward.keys()
-        for node_id, t in step.per_node_backward.items():
-            assert faster.per_node_backward[node_id] == pytest.approx(t / 2.0)
-        with pytest.raises(ValueError, match="positive"):
-            scale_step(step, 0.0)
 
 
 class TestGistOverhead:

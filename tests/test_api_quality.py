@@ -10,15 +10,22 @@ PUBLIC_MODULES = [
     "repro",
     "repro.analysis",
     "repro.core",
+    "repro.diagnostics",
+    "repro.distributed",
     "repro.dtypes",
     "repro.encodings",
     "repro.graph",
+    "repro.kernels",
     "repro.layers",
     "repro.memory",
     "repro.models",
+    "repro.orchestrate",
     "repro.perf",
+    "repro.rewrite",
+    "repro.serve",
     "repro.tensor",
     "repro.train",
+    "repro.verify",
 ]
 
 
