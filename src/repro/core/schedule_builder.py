@@ -4,8 +4,9 @@ Given a training graph and a :class:`~repro.core.policy.GistConfig`, this
 pass:
 
 1. classifies every stashed feature map (ReLU-Pool / ReLU-Conv / Other);
-2. selects the encoding Table I assigns to each class and sizes it
-   (:func:`_encoding_for` + :func:`_gist_option` — the *Table-I
+2. selects the encoding Table I assigns to each class, builds its codec
+   (:func:`gist_codec`) and sizes and prices the decision by asking that
+   codec (:func:`_encoding_for` + :func:`_gist_option` — the *Table-I
    selector*), emitting one
    :class:`~repro.memory.hybrid.PlanDecision` per encoded map;
 3. hands that decision table to
@@ -40,9 +41,12 @@ from repro.core.analysis import (
     classify_all_stashes,
 )
 from repro.core.policy import GistConfig
-from repro.dtypes import BIT1, DPR_FORMATS
+from repro.dtypes import DPR_FORMATS
+from repro.encodings.base import Encoding
+from repro.encodings.binarize import BinarizeEncoding
+from repro.encodings.dpr import DPREncoding
 from repro.encodings.inplace import inplace_eligible_edges
-from repro.encodings.ssdc import csr_bytes
+from repro.encodings.ssdc import SSDCEncoding
 from repro.graph.graph import Graph
 from repro.graph.liveness import (
     ROLE_ENCODED,
@@ -66,6 +70,38 @@ from repro.memory.planner import (
 ENC_BINARIZE = "binarize"
 ENC_SSDC = "ssdc"
 ENC_DPR = "dpr"
+
+#: Streaming inefficiency of dense<->CSR conversion kernels relative to a
+#: straight memory copy (scatter/gather plus index arithmetic).
+SSDC_CONVERSION_FACTOR = 2.0
+
+
+def gist_codec(encoding: str, config: GistConfig) -> Encoding:
+    """The one codec behind a gist decision under ``config``.
+
+    The selector sizes and prices the decision by asking this codec
+    (:func:`_gist_option`) and the stash layer runs it
+    (:mod:`repro.train.stash`), so planned bytes, modelled seconds and
+    stashed bytes are three readings of one object.
+
+    Raises:
+        ValueError: ``encoding`` is not a Table-I technique.
+    """
+    dpr_dtype = DPR_FORMATS[config.dpr_format]
+    if encoding == ENC_BINARIZE:
+        return BinarizeEncoding()
+    if encoding == ENC_SSDC:
+        # DPR may compress the CSR values array, never the meta arrays.
+        return SSDCEncoding(
+            config.ssdc_cols,
+            dpr_dtype if (config.dpr and config.dpr_over_ssdc) else None,
+        )
+    if encoding == ENC_DPR:
+        return DPREncoding(dpr_dtype, config.rounding)
+    raise ValueError(
+        f"unknown gist encoding {encoding!r} "
+        f"(expected one of {ENC_BINARIZE!r}, {ENC_SSDC!r}, {ENC_DPR!r})"
+    )
 
 
 #: The Schedule Builder's historical name for the one decision record.
@@ -175,40 +211,35 @@ def _gist_option(graph: Graph, node: OpNode, stash_class: str,
         return None
     num_elements = math.prod(node.output_shape)
     fp32_bytes = 4 * num_elements
-    dpr_dtype = DPR_FORMATS[config.dpr_format]
-    sparsity: Optional[float] = None
-    if encoding == ENC_BINARIZE:
-        enc_bytes = BIT1.size_bytes(num_elements)
-        decoded_bytes = 0  # ReLU backward reads the mask directly.
-        lossless = True
-    else:
-        if encoding == ENC_SSDC:
-            sparsity = sparsity_model.sparsity(graph, node.node_id)
-            value_bits = (
-                dpr_dtype.bits
-                if (config.dpr and config.dpr_over_ssdc)
-                else 32
-            )
-            enc_bytes = csr_bytes(num_elements, sparsity, config.ssdc_cols,
-                                  value_bits)
-            if enc_bytes >= fp32_bytes:
-                # Below the compression breakeven (paper: ~20% sparsity
-                # with narrow indices) CSR would expand the stash; fall
-                # back to DPR when lossy is on, else leave it untouched.
-                if not config.dpr:
-                    return None
-                encoding = ENC_DPR
-                sparsity = None
-        if encoding == ENC_DPR:
-            enc_bytes = dpr_dtype.size_bytes(num_elements)
-        decoded_bytes = 0 if config.optimized_software else fp32_bytes
-        lossless = encoding == ENC_SSDC and not (
-            config.dpr and config.dpr_over_ssdc)
-    # Codec cost: one bandwidth pass to encode (read FP32, write encoded)
-    # and, where a staging buffer exists, one to decode.
+    sparsity = (sparsity_model.sparsity(graph, node.node_id)
+                if encoding == ENC_SSDC else None)
+    codec = gist_codec(encoding, config)
+    enc_bytes = codec.encoded_bytes(num_elements, sparsity=sparsity)
+    if encoding == ENC_SSDC and enc_bytes >= fp32_bytes:
+        # Below the compression breakeven (paper: ~20% sparsity with
+        # narrow indices) CSR would expand the stash; fall back to DPR
+        # when lossy is on, else leave it untouched.
+        if not config.dpr:
+            return None
+        encoding, sparsity = ENC_DPR, None
+        codec = gist_codec(encoding, config)
+        enc_bytes = codec.encoded_bytes(num_elements)
+    # ReLU backward reads the Binarize mask directly; SSDC/DPR decode
+    # into an FP32 staging buffer unless the kernels consume them encoded.
+    decoded_bytes = (0 if encoding == ENC_BINARIZE or config.optimized_software
+                     else fp32_bytes)
+    # The step-time delta of the decision (Figures 9/11 sum it, the
+    # budgeted planner ranks by it): one streaming pass to encode (read
+    # FP32, write encoded) and, where a staging buffer exists, one to
+    # decode, at the codec's streaming efficiency; Binarize is credited
+    # the ReLU backward reading the mask instead of the FP32 map.
     cost_s = cost.copy_time(fp32_bytes + enc_bytes)
     if decoded_bytes:
         cost_s += cost.copy_time(enc_bytes + decoded_bytes)
+    if encoding == ENC_SSDC:
+        cost_s *= SSDC_CONVERSION_FACTOR
+    elif encoding == ENC_BINARIZE:
+        cost_s -= cost.copy_time(fp32_bytes - enc_bytes)
     return PlanDecision(
         node_id=node.node_id,
         node_name=node.name,
@@ -218,7 +249,7 @@ def _gist_option(graph: Graph, node: OpNode, stash_class: str,
         fp32_bytes=fp32_bytes,
         resident_bytes=enc_bytes,
         cost_s=cost_s,
-        lossless=lossless,
+        lossless=codec.lossless,
         sparsity=sparsity,
         decoded_bytes=decoded_bytes,
     )

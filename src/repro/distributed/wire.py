@@ -37,8 +37,9 @@ import numpy as np
 
 from repro.dtypes import DPR_FORMATS
 from repro.encodings.dpr import DPRTensor, dpr_encoding
-from repro.encodings.runlength import RunLengthEncoding
-from repro.encodings.ssdc import csr_decode, csr_encode
+from repro.encodings.runlength import RLETensor, RunLengthEncoding
+from repro.encodings.ssdc import CSRTensor, csr_decode, csr_encode
+from repro.kernels.backends import csr_index_dtype
 
 #: Names accepted by :func:`wire_codec`.
 WIRE_CODECS: List[str] = [
@@ -82,49 +83,47 @@ class WireCodec:
     def encode(self, x: np.ndarray) -> dict:
         """Encode one gradient tensor into a wire message."""
         flat = np.ascontiguousarray(x, dtype=np.float32).reshape(-1)
-        shape = list(np.asarray(x).shape)
         name = self.name
         if name == "auto":
-            name = self._auto_pick(flat)
+            # Cheapest lossless representation for this tensor, each
+            # candidate encoded once and the winner's encoding sent.  CSR
+            # canonicalises ``-0.0`` (its zero test is by value), so it is
+            # only eligible when the tensor carries none — ``auto``
+            # promises a bit-exact round trip.
+            candidates = ["fp32", "rle"]
+            if not _has_negative_zero(flat):
+                candidates.append("csr")
+            encoded = {n: _encode_as(n, flat) for n in candidates}
+            # Deterministic tie-break: cheapest, then alphabetical.
+            name = min(sorted(encoded), key=lambda n: encoded[n].nbytes)
+            enc = encoded[name]
+        else:
+            enc = _encode_as(name, flat)
+        message = {"codec": name, "shape": list(np.asarray(x).shape),
+                   "wire_bytes": int(enc.nbytes)}
         if name == "fp32":
-            return {"codec": "fp32", "shape": shape,
-                    "wire_bytes": 4 * flat.size, "data": _b64(flat)}
-        if name == "rle":
-            enc = RunLengthEncoding().encode(flat)
-            return {"codec": "rle", "shape": shape,
-                    "wire_bytes": enc.nbytes,
-                    "runs": _b64(enc.run_lengths),
-                    "values": _b64(enc.values)}
-        if name == "csr":
-            enc = csr_encode(flat)
-            return {"codec": "csr", "shape": shape,
-                    "wire_bytes": enc.nbytes,
-                    "cols": enc.cols,
-                    "n": flat.size,
-                    "values": _b64(enc.values),
-                    "col_idx": _b64(enc.col_idx),
-                    "row_ptr": _b64(enc.row_ptr)}
-        fmt = name[len("dpr-"):]
-        enc = dpr_encoding(fmt).encode(flat)
-        return {"codec": name, "shape": shape,
-                "wire_bytes": int(enc.words.nbytes),
-                "words": _b64(enc.words)}
+            message["data"] = _b64(enc)
+        elif name == "rle":
+            message.update(runs=_b64(enc.run_lengths), values=_b64(enc.values))
+        elif name == "csr":
+            message.update(cols=enc.cols, values=_b64(enc.values),
+                           col_idx=_b64(enc.col_idx),
+                           row_ptr=_b64(enc.row_ptr))
+        else:
+            message["words"] = _b64(enc.words)
+        return message
 
-    def _auto_pick(self, flat: np.ndarray) -> str:
-        """Cheapest lossless representation for this tensor.
 
-        CSR canonicalises ``-0.0`` (its zero test is by value), so it is
-        only eligible when the tensor carries none — ``auto`` promises a
-        bit-exact round trip.
-        """
-        sizes = {
-            "fp32": 4 * flat.size,
-            "rle": RunLengthEncoding().encode(flat).nbytes,
-        }
-        if not _has_negative_zero(flat):
-            sizes["csr"] = csr_encode(flat).nbytes
-        # Deterministic tie-break: cheapest, then alphabetical.
-        return min(sorted(sizes), key=lambda n: sizes[n])
+def _encode_as(name: str, flat: np.ndarray):
+    """The stash-codec representation wire codec ``name`` sends (each has
+    an ``nbytes``: the measured bytes-on-wire)."""
+    if name == "fp32":
+        return flat
+    if name == "rle":
+        return RunLengthEncoding().encode(flat)
+    if name == "csr":
+        return csr_encode(flat)
+    return dpr_encoding(name[len("dpr-"):]).encode(flat)
 
 
 def wire_codec(name: str) -> WireCodec:
@@ -139,36 +138,24 @@ def decode_wire(message: dict) -> np.ndarray:
     if codec == "fp32":
         return _unb64(message["data"], np.float32).reshape(shape)
     if codec == "rle":
-        runs = _unb64(message["runs"], np.uint32).astype(np.int64)
-        values = _unb64(message["values"], np.float32)
-        flat = np.zeros(int(runs.sum()), dtype=np.float32)
-        live = np.repeat(np.arange(runs.size, dtype=np.int64) % 2 == 1, runs)
-        flat[live] = values
-        return flat.reshape(shape)
+        return RunLengthEncoding().decode(RLETensor(
+            _unb64(message["runs"], np.uint32),
+            _unb64(message["values"], np.float32),
+            shape,
+        ))
     if codec == "csr":
-        from repro.encodings.ssdc import CSRTensor
-
-        enc = CSRTensor(
+        cols = message["cols"]
+        return csr_decode(CSRTensor(
             values=_unb64(message["values"], np.float32),
-            col_idx=_unb64(
-                message["col_idx"],
-                np.uint8 if message["cols"] <= 256 else np.int32,
-            ),
+            col_idx=_unb64(message["col_idx"], csr_index_dtype(cols)),
             row_ptr=_unb64(message["row_ptr"], np.int32),
-            shape=(message["n"],),
-            cols=message["cols"],
-        )
-        return csr_decode(enc).reshape(shape)
+            shape=shape,
+            cols=cols,
+        ))
     if codec.startswith("dpr-"):
         fmt = codec[len("dpr-"):]
-        dtype = DPR_FORMATS[fmt]
-        words = _unb64(message["words"], np.uint32)
-        n = 1
-        for d in shape:
-            n *= d
-        return dpr_encoding(fmt).decode(
-            DPRTensor(words, (n,), dtype)
-        ).reshape(shape)
+        return dpr_encoding(fmt).decode(DPRTensor(
+            _unb64(message["words"], np.uint32), shape, DPR_FORMATS[fmt]))
     raise ValueError(f"unknown wire codec in message: {codec!r}")
 
 

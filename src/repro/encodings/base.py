@@ -10,6 +10,11 @@ the whole library:
   the training executor stores what the paper's CUDA kernels would have
   stored and the accuracy experiments see the true injected error.
 
+Both roles are played by one object per decision:
+:func:`repro.core.schedule_builder.gist_codec` builds the codec the
+selector sizes a ``PlanDecision`` with (``resident_bytes``, ``lossless``)
+and the stash policies then run.
+
 ``decode(encode(x))`` must reproduce ``x`` exactly for lossless encodings
 (Binarize reproduces the information ReLU's backward pass needs — the
 positivity mask — rather than the values; see its docstring).

@@ -544,7 +544,9 @@ def _csr_rows(n: int, cols: int) -> int:
     return max(1, -(-n // cols))
 
 
-def _csr_index_dtype(cols: int):
+def csr_index_dtype(cols: int):
+    """NumPy dtype of a CSR column index at row width ``cols`` (the narrow
+    value optimisation: one byte up to 256 columns)."""
     return np.uint8 if cols <= 256 else np.int32
 
 
@@ -559,7 +561,7 @@ def _csr_build_loop(flat: np.ndarray, cols: int):
         col_parts.append(seg_nz)
         row_ptr[r + 1] = row_ptr[r] + seg_nz.size
     nz = np.concatenate(nz_parts).astype(np.int64, copy=False)
-    col_idx = np.concatenate(col_parts).astype(_csr_index_dtype(cols))
+    col_idx = np.concatenate(col_parts).astype(csr_index_dtype(cols))
     return nz, col_idx, row_ptr
 
 
@@ -572,7 +574,7 @@ def _csr_build_numpy(flat: np.ndarray, cols: int):
     nz = np.flatnonzero(mask).astype(np.int64, copy=False)
     # 256 columns: the low byte of a flat position *is* its column.
     col_idx = (nz.astype(np.uint8) if cols == 256
-               else (nz % cols).astype(_csr_index_dtype(cols)))
+               else (nz % cols).astype(csr_index_dtype(cols)))
     row_ptr = np.zeros(_csr_rows(n, cols) + 1, np.int32)
     if n:
         # reduceat sums [start, next start): the ragged last row is free.

@@ -20,7 +20,8 @@ The hybrid selector prices, for every stashed feature map, with the
 roofline cost model —
 
 * **Gist encoding** — the per-class choice (Binarize / SSDC / DPR);
-  cost is the codec's bandwidth passes;
+  cost is the decision's step-time delta, the price Figures 9/11 sum
+  (:func:`repro.core.schedule_builder._gist_option`);
 * **recompute** — drop the map after its last forward use and re-execute
   the forward chain from the cheapest *value-exact* ancestor during the
   backward pass; cost is the chain's forward kernel time
@@ -60,7 +61,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.dtypes import BIT1, DPR_FORMATS, UINT8
+from repro.dtypes import UINT8
 from repro.graph.graph import Graph
 from repro.graph.liveness import (
     LiveTensor,
@@ -223,17 +224,12 @@ class HybridPlan(PlanRecord):
         that only an executor needs (those are cheap to rebuild, the
         pricing is what amortises).
         """
-        # ``decoded_bytes`` stays out of the rows: summaries are cached
-        # content-addressed by the serve layer, and a cold entry must
-        # equal one written before the field existed.
-        rows = [asdict(self.decisions[nid]) for nid in sorted(self.decisions)]
-        for row in rows:
-            del row["decoded_bytes"]
         return {
             "graph": self.graph.name,
             "strategy": self.policy.strategy,
             "cost_budget_frac": float(self.policy.cost_budget_frac),
-            "decisions": rows,
+            "decisions": [asdict(self.decisions[nid])
+                          for nid in sorted(self.decisions)],
             "baseline_step_s": float(self.baseline_step_s),
             "budget_s": float(self.budget_s),
             "total_cost_s": float(self.total_cost_s),
@@ -466,13 +462,11 @@ def apply_decisions(
             backward use)}`` under ``cfg``'s pool rewrite.
         decisions: The table; undecided stashes keep their FP32 lifetime.
         cfg: The :class:`~repro.core.policy.GistConfig` the table was
-            selected under (DPR width, pool argmax rewrite).
+            selected under (pool argmax rewrite).
 
     Returns:
         Ids of the max-pools rewritten to stash an argmax map.
     """
-    from repro.core.schedule_builder import ENC_BINARIZE, ENC_SSDC
-
     graph, schedule = plan.graph, plan.schedule
     fm_by_node: Dict[int, LiveTensor] = {
         t.node_id: t for t in plan.tensors if t.role == ROLE_FEATURE_MAP
@@ -506,16 +500,10 @@ def apply_decisions(
 
         fm.death = last_fwd
         if option.choice == CHOICE_GIST:
-            if option.encoding == ENC_SSDC:
-                # CSR arrays: an opaque byte blob of the priced size.
-                shape, dtype = (option.resident_bytes,), UINT8
-            elif option.encoding == ENC_BINARIZE:
-                shape, dtype = node.output_shape, BIT1
-            else:  # ENC_DPR
-                shape, dtype = node.output_shape, DPR_FORMATS[cfg.dpr_format]
+            # Whatever the codec: an opaque byte blob of the priced size.
             new_tensors.append(LiveTensor(
-                TensorSpec(f"{node.name}.out.enc", shape, dtype,
-                           TensorCategory.ENCODED),
+                TensorSpec(f"{node.name}.out.enc", (option.resident_bytes,),
+                           UINT8, TensorCategory.ENCODED),
                 birth=last_fwd, death=last_bwd, node_id=nid,
                 role=ROLE_ENCODED,
             ))
@@ -732,14 +720,20 @@ def build_hybrid_plan(
 # ----------------------------------------------------------------------
 # Content-addressed plan caching (the serve layer's hook)
 # ----------------------------------------------------------------------
+#: Bumped, with :data:`repro.serve.spec.SPEC_FORMAT`, whenever the same
+#: inputs would price or summarise differently; part of the cache key so
+#: a summary written under another formula is unreachable.
+PLAN_FORMAT = 2
+
+
 def plan_cache_key(graph: Graph, policy: "Optional[HybridPolicy]" = None
                    ) -> dict:
     """Content-addressed cache key for a priced plan.
 
-    ``(graph-fingerprint, strategy, budget, gist switches)`` — a pure
-    function of what the planner sees, never of node names, model-zoo
-    spelling or who asked.  Two isomorphic graphs requested under the
-    same policy share one cache slot.
+    ``(plan format, graph-fingerprint, strategy, budget, gist switches)``
+    — a pure function of what the planner sees, never of node names,
+    model-zoo spelling or who asked.  Two isomorphic graphs requested
+    under the same policy share one cache slot.
     """
     from repro.core.policy import HybridPolicy
     from repro.graph.fingerprint import graph_fingerprint
@@ -747,6 +741,7 @@ def plan_cache_key(graph: Graph, policy: "Optional[HybridPolicy]" = None
     policy = policy or HybridPolicy()
     return {
         "kind": "hybrid-plan",
+        "format": PLAN_FORMAT,
         "graph_fingerprint": graph_fingerprint(graph),
         "strategy": policy.strategy,
         "cost_budget_frac": float(policy.cost_budget_frac),

@@ -12,7 +12,6 @@ from repro.perf.energy import (
 )
 from repro.perf.overhead import (
     OverheadReport,
-    SSDC_CONVERSION_FACTOR,
     encoding_time_delta,
     measure_overhead,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "PCIE_J_PER_BYTE",
     "DeviceSpec",
     "OverheadReport",
-    "SSDC_CONVERSION_FACTOR",
     "SpeedupReport",
     "StepTime",
     "SwapReport",

@@ -1,6 +1,9 @@
 """Encode/decode overhead model for Gist (Figures 9 and 11).
 
-Every Gist codec is a bandwidth-bound streaming kernel:
+Every Gist codec is a bandwidth-bound streaming kernel, priced once per
+decision by the Schedule Builder (``PlanDecision.cost_s``, see
+:func:`repro.core.schedule_builder._gist_option`); this module sums those
+prices per technique and adds the plan-level pool-rewrite credit:
 
 * **Binarize** — the encode pass reads the FP32 map and writes 1 bit per
   element; afterwards ReLU's backward kernel reads the 1-bit mask instead
@@ -17,6 +20,7 @@ Every Gist codec is a bandwidth-bound streaming kernel:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -31,10 +35,6 @@ from repro.core.schedule_builder import (
 )
 from repro.graph.graph import Graph
 from repro.perf.cost import CostModel
-
-#: Streaming inefficiency of dense<->CSR conversion kernels relative to a
-#: straight memory copy (scatter/gather plus index arithmetic).
-SSDC_CONVERSION_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -55,35 +55,20 @@ class OverheadReport:
 def encoding_time_delta(
     plan: GistPlan, cost: CostModel
 ) -> Dict[str, float]:
-    """Per-technique wall-clock delta (seconds) for one training step."""
+    """Per-technique wall-clock delta (seconds) for one training step:
+    the plan's own decision prices (``PlanDecision.cost_s``, the number
+    the budgeted planner ranks by) summed per technique, plus the
+    plan-level pool-rewrite credit priced with ``cost``."""
     deltas = {ENC_BINARIZE: 0.0, ENC_SSDC: 0.0, ENC_DPR: 0.0}
     graph = plan.graph
     for decision in plan.decisions.values():
-        n_bytes = decision.fp32_bytes
-        if decision.encoding == ENC_BINARIZE:
-            # Encode: read FP32, write bits.  Backward: ReLU reads the mask
-            # (1/32 of the bytes) instead of the FP32 map.
-            encode = cost.copy_time(n_bytes + decision.encoded_bytes)
-            backward_saving = cost.copy_time(n_bytes - decision.encoded_bytes)
-            deltas[ENC_BINARIZE] += encode - backward_saving
-        elif decision.encoding == ENC_SSDC:
-            touched = n_bytes + decision.encoded_bytes
-            deltas[ENC_SSDC] += 2.0 * SSDC_CONVERSION_FACTOR * cost.copy_time(
-                touched
-            )
-        elif decision.encoding == ENC_DPR:
-            touched = n_bytes + decision.encoded_bytes
-            deltas[ENC_DPR] += 2.0 * cost.copy_time(touched)
+        deltas[decision.encoding] += decision.cost_s
     # The pool argmax rewrite: backward reads the 4-bit map instead of the
     # stashed X and Y maps.
     for pool_id in plan.rewritten_pools:
         node = graph.node(pool_id)
-        out_elems = 1
-        for d in node.output_shape:
-            out_elems *= d
-        in_elems = 1
-        for d in graph.node(node.inputs[0]).output_shape:
-            in_elems *= d
+        out_elems = math.prod(node.output_shape)
+        in_elems = math.prod(graph.node(node.inputs[0]).output_shape)
         baseline_read = 4.0 * (in_elems + out_elems)
         map_read = 0.5 * out_elems
         deltas[ENC_BINARIZE] -= cost.copy_time(baseline_read - map_read)
@@ -96,7 +81,12 @@ def measure_overhead(
     sparsity_model: Optional[SparsityModel] = None,
     cost: Optional[CostModel] = None,
 ) -> OverheadReport:
-    """Baseline vs Gist step time for one network."""
+    """Baseline vs Gist step time for one network.
+
+    ``cost`` prices the baseline step and the pool-rewrite credit; the
+    decisions carry the price their plan was built with (the default
+    Titan X :class:`CostModel`).
+    """
     cost = cost or CostModel()
     plan = build_gist_plan(graph, config, sparsity_model)
     base = cost.step_time(graph).total_s

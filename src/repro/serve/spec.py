@@ -35,8 +35,9 @@ from repro.orchestrate.units import canonical_json, normalise_json
 JOB_KINDS = ("train", "plan", "fuzz", "sweep")
 
 #: Bumped when a job's semantics change incompatibly; part of the
-#: fingerprint so stale cached results can never be served.
-SPEC_FORMAT = 1
+#: fingerprint so stale cached results can never be served.  2: ``plan``
+#: jobs price gist decisions with the one codec price (Figs 9/11's).
+SPEC_FORMAT = 2
 
 
 class JobSpecError(ValueError):

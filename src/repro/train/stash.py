@@ -6,9 +6,10 @@ The executor routes every stashed feature map through a policy:
   baseline, and the exact-gradient path used by the gradient-check tests).
 * :class:`GistPolicy` and :class:`HybridExecutionPolicy` — two
   constructors over one table-driven policy (:class:`_TablePolicy`) and
-  one codec factory (:func:`_make_codec`).  Both hand it a selector's
-  ``{node_id: PlanDecision}`` table — the very records the allocator was
-  priced with: ``GistPolicy(graph, cfg)`` the Table-I table of
+  the selector's own codec factory
+  (:func:`~repro.core.schedule_builder.gist_codec`).  Both hand it a
+  selector's ``{node_id: PlanDecision}`` table — the very records the
+  allocator was priced with: ``GistPolicy(graph, cfg)`` the Table-I table of
   :func:`~repro.core.schedule_builder.build_gist_plan` (Binarize for
   ReLU-Pool maps, SSDC for ReLU-Conv maps above the CSR breakeven, DPR
   for the rest), ``HybridExecutionPolicy(plan)`` a budgeted planner's.
@@ -30,19 +31,11 @@ from typing import Dict, Optional, Tuple, TYPE_CHECKING
 import numpy as np
 
 from repro.core.policy import GistConfig
-from repro.core.schedule_builder import (
-    ENC_BINARIZE,
-    ENC_DPR,
-    ENC_SSDC,
-    build_gist_plan,
-)
+from repro.core.schedule_builder import build_gist_plan, gist_codec
 from repro.dtypes import DPR_FORMATS, FP16
 from repro.encodings.base import Encoding, HostSwapEncoding, IdentityEncoding
-from repro.encodings.binarize import BinarizeEncoding
-from repro.encodings.dpr import DPREncoding
 from repro.encodings.floatsim import quantize
 from repro.encodings.groupquant import GROUPQUANT_BITS, GroupQuantPolicy
-from repro.encodings.ssdc import SSDCEncoding
 from repro.graph.graph import Graph
 from repro.graph.node import OpNode
 from repro.memory.hybrid import CHOICE_GIST, CHOICE_SWAP, PlanDecision
@@ -112,20 +105,10 @@ def _make_codec(decision: PlanDecision, cfg: GistConfig) -> Encoding:
     """
     if decision.choice == CHOICE_SWAP:
         return HostSwapEncoding()
-    dpr_dtype = DPR_FORMATS[cfg.dpr_format]
-    if decision.encoding == ENC_BINARIZE:
-        return BinarizeEncoding()
-    if decision.encoding == ENC_SSDC:
-        return SSDCEncoding(
-            cols=cfg.ssdc_cols,
-            value_dtype=dpr_dtype if (cfg.dpr and cfg.dpr_over_ssdc) else None,
-        )
-    if decision.encoding == ENC_DPR:
-        return DPREncoding(dpr_dtype, cfg.rounding)
-    raise ValueError(
-        f"{decision.node_name}: unknown gist encoding {decision.encoding!r} "
-        f"(expected one of {ENC_BINARIZE!r}, {ENC_SSDC!r}, {ENC_DPR!r})"
-    )
+    try:
+        return gist_codec(decision.encoding, cfg)
+    except ValueError as err:
+        raise ValueError(f"{decision.node_name}: {err}") from None
 
 
 class _TablePolicy(StashPolicy):

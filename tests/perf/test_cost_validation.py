@@ -42,12 +42,13 @@ def test_valid_byte_counts_still_priced(cost):
 def test_hybrid_planner_surfaces_nan_sizes_instead_of_nan_plans(monkeypatch):
     # Pre-fix, a NaN CSR size estimate flowed through copy_time into the
     # option costs and the planner quietly emitted a NaN-costed plan.
-    from repro.core import schedule_builder
+    from repro.encodings import ssdc
     from repro.memory import hybrid
     from repro.models import build_model
 
-    # The one place SSDC is sized, for every planner.
-    monkeypatch.setattr(schedule_builder, "csr_bytes",
+    # The one place SSDC is sized, for every planner: the codec's own
+    # ``encoded_bytes``, which reads this model.
+    monkeypatch.setattr(ssdc, "csr_bytes",
                         lambda *args, **kwargs: float("nan"))
     graph = build_model("tiny_cnn", batch_size=4, num_classes=4,
                         image_size=8, channels=8)

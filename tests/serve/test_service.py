@@ -103,6 +103,35 @@ class TestRunPending:
         assert healed.jobs[0].source == "result-cache"
         assert healed.jobs[0].digest == cold.jobs[0].digest
 
+    def test_cache_written_under_format_1_keys_is_a_miss(self, tmp_path):
+        """A state dir written before gist decisions were re-priced must
+        not answer with a plan priced by the deleted formula: both its
+        result entry (spec format 1) and its plan entry (no format
+        stamp) are unreachable, and the job recomputes."""
+        from repro.serve import SPEC_FORMAT, validate_job_spec
+        from repro.serve.jobs import plan_cache_probe
+
+        service = JobService(tmp_path / "state")
+        spec = validate_job_spec(_plan_spec())
+        key, _graph = plan_cache_probe(spec)
+        assert key["format"] == SPEC_FORMAT == 2
+        stale = {"priced_by": "format 1"}
+        service.cache.put({k: v for k, v in key.items() if k != "format"},
+                          stale)
+        service.cache.put(
+            {"kind": "job-result",
+             "fingerprint": content_address({**spec.payload(), "format": 1})},
+            {"plan": stale})
+
+        service.submit(spec)
+        report = service.run_pending()
+        (job,) = report.jobs
+        assert job.source == "computed"
+        assert report.scheduled == 1
+        assert report.plan_cache_hits == report.result_cache_hits == 0
+        assert job.result["plan"] != stale
+        assert job.result["plan"]["decisions"]
+
     def test_failed_job_reported_nonfatal(self, tmp_path):
         service = JobService(tmp_path / "state")
         # Valid spec whose execution fails: unknown model reaches the

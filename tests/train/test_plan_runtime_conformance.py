@@ -6,12 +6,13 @@ on every registry model, with no exceptions.
 """
 
 import dataclasses
+import math
 import threading
 
 import numpy as np
 import pytest
 
-from repro.core import GistConfig, build_gist_plan
+from repro.core import GistConfig, build_gist_plan, gist_codec
 from repro.graph.liveness import _runtime_needs_stash
 from repro.kernels import clear_plan_cache, clear_selection_cache
 from repro.memory import build_hybrid_plan
@@ -37,16 +38,24 @@ def test_runtime_table_equals_plan_decisions(model, config_name):
     stashed = {node.node_id for node in graph.nodes
                if node.node_id != graph.output_id
                and _runtime_needs_stash(graph, node)}
-    # Runtime -> plan: every stashed map runs its decision's codec, and
+    # Runtime -> plan: every stashed map runs the codec its decision was
+    # sized with — the one factory's, reproducing the priced bytes — and
     # the FP32 identity where the plan decided nothing.
     for nid in stashed:
-        codec = policy.encoding_for(graph, nid).name
+        node = graph.node(nid)
+        codec = policy.encoding_for(graph, nid)
         decision = planned.get(nid)
         if decision is None:
-            assert codec == "identity", graph.node(nid).name
-        else:
-            # Codec names carry their width ("dpr-fp16", "ssdc+dpr-fp16").
-            assert codec.startswith(decision.encoding), graph.node(nid).name
+            assert codec.name == "identity", node.name
+            continue
+        expected = gist_codec(decision.encoding, cfg)
+        assert type(codec) is type(expected), node.name
+        assert (codec.name, codec.lossless) == (
+            expected.name, expected.lossless), node.name
+        assert decision.lossless == codec.lossless, node.name
+        assert codec.encoded_bytes(
+            math.prod(node.output_shape), sparsity=decision.sparsity
+        ) == decision.resident_bytes, node.name
     # Plan -> runtime: no decision is for a map the executor never stashes.
     assert planned.keys() <= stashed
 
