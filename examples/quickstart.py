@@ -42,8 +42,8 @@ def main() -> None:
                 decision.stash_class,
                 decision.encoding,
                 decision.fp32_bytes // 1024**2,
-                decision.encoded_bytes // 1024**2,
-                f"{decision.fp32_bytes / decision.encoded_bytes:.1f}x",
+                decision.resident_bytes // 1024**2,
+                f"{decision.fp32_bytes / decision.resident_bytes:.1f}x",
             ]
         )
     print(format_table(
@@ -52,7 +52,7 @@ def main() -> None:
         rows,
         title="first 10 encoding decisions:",
     ))
-    total_enc = sum(d.encoded_bytes for d in plan.decisions.values())
+    total_enc = sum(d.resident_bytes for d in plan.decisions.values())
     total_fp32 = sum(d.fp32_bytes for d in plan.decisions.values())
     print(f"\nacross all {len(plan.decisions)} stashed maps: "
           f"{total_fp32 / GiB:.2f} GiB stashed in FP32 -> "

@@ -88,7 +88,7 @@ def cmd_mfr(args: argparse.Namespace) -> int:
         print(f"gist:     {memory_timeline(plan.plan.tensors)}\n")
     rows = [
         [d.node_name, d.stash_class, d.encoding,
-         d.fp32_bytes / MiB, d.encoded_bytes / MiB]
+         d.fp32_bytes / MiB, d.resident_bytes / MiB]
         for d in plan.decisions.values()
     ]
     print(format_table(

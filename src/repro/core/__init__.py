@@ -26,7 +26,6 @@ from repro.core.schedule_builder import (
     ENC_BINARIZE,
     ENC_DPR,
     ENC_SSDC,
-    EncodingDecision,
     GistPlan,
     SSDC_CONVERSION_FACTOR,
     build_gist_plan,
@@ -38,7 +37,6 @@ __all__ = [
     "ENC_BINARIZE",
     "ENC_DPR",
     "ENC_SSDC",
-    "EncodingDecision",
     "Gist",
     "GistConfig",
     "GistPlan",

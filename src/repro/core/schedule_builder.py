@@ -104,10 +104,6 @@ def gist_codec(encoding: str, config: GistConfig) -> Encoding:
     )
 
 
-#: The Schedule Builder's historical name for the one decision record.
-EncodingDecision = PlanDecision
-
-
 @dataclass
 class GistPlan(PlanRecord):
     """A rewritten memory plan plus the decisions that produced it."""

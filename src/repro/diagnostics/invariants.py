@@ -31,11 +31,7 @@ from repro.diagnostics.digest import array_digest, capture_digest
 from repro.graph.graph import Graph
 # The runtime stash-dependence resolvers are shared with the executor so
 # the liveness table here matches what the executor actually stashes.
-from repro.graph.liveness import (
-    _feature_map_uses,
-    _runtime_needs_input,
-    _runtime_needs_output,
-)
+from repro.graph.liveness import runtime_feature_map_uses
 from repro.graph.node import OpNode
 from repro.graph.schedule import TrainingSchedule
 from repro.train.executor import GraphExecutor
@@ -101,16 +97,11 @@ class InvariantSuite:
     @staticmethod
     def _death_table(graph: Graph, schedule: TrainingSchedule) -> Dict[int, int]:
         """Last legitimate read time of each node's stash, runtime flags."""
-        death: Dict[int, int] = {}
-        for node in graph.nodes:
-            last_fwd, _, last_bwd = _feature_map_uses(
-                graph, schedule, node.node_id,
-                _runtime_needs_input, _runtime_needs_output,
-            )
-            death[node.node_id] = (
-                last_fwd if last_bwd is None else max(last_fwd, last_bwd)
-            )
-        return death
+        return {
+            nid: last_fwd if last_bwd is None else max(last_fwd, last_bwd)
+            for nid, (last_fwd, _, last_bwd)
+            in runtime_feature_map_uses(graph, schedule).items()
+        }
 
     # -- executor hooks -------------------------------------------------
     def begin_step(self) -> None:

@@ -12,7 +12,7 @@ tensors with disjoint intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.dtypes import FP32, UINT8
 from repro.graph.graph import Graph
@@ -65,6 +65,13 @@ class LiveTensor:
                 f"tensor {self.spec.name!r}: death {self.death} precedes "
                 f"birth {self.birth}"
             )
+
+    def __copy__(self) -> "LiveTensor":
+        # MemoryPlan.clone copies a whole table per planner arm; copy's
+        # reduce protocol costs four times this.
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        return twin
 
     @property
     def size_bytes(self) -> int:
@@ -133,6 +140,19 @@ def _feature_map_uses(
     if not backward_uses:
         return last_fwd, None, None
     return last_fwd, min(backward_uses), max(backward_uses)
+
+
+def runtime_feature_map_uses(
+    graph: Graph, schedule: TrainingSchedule
+) -> Dict[int, tuple]:
+    """``{node_id:`` :func:`_feature_map_uses` ``}`` of every node under
+    the executor's stash rules (``_runtime_needs_*``)."""
+    return {
+        node.node_id: _feature_map_uses(graph, schedule, node.node_id,
+                                        _runtime_needs_input,
+                                        _runtime_needs_output)
+        for node in graph.nodes
+    }
 
 
 def _declared_needs_input(node) -> bool:

@@ -14,11 +14,8 @@ allocator ablation bench.
 
 from __future__ import annotations
 
-import bisect
-
 from dataclasses import dataclass, field
 from typing import List, Sequence
-
 
 from repro.graph.liveness import LiveTensor
 
@@ -92,9 +89,10 @@ class StaticAllocator:
             death reaches past it).  Inferred from the tensors if omitted;
             pass it explicitly when allocating a subset of a plan so the
             check still sees the full schedule.  (Overlap testing itself
-            needs no occupancy structure: each group keeps its member
-            intervals as sorted birth/death lists and two bisects decide
-            whether a candidate interval fits.)
+            does not read it: each open group's occupancy is one Python
+            int with a bit per schedule step, as wide as its latest
+            death, and one ``&`` decides whether a candidate interval
+            fits.)
     """
 
     def __init__(self, policy: str = POLICY_GREEDY_SIZE, horizon: int = 0):
@@ -142,39 +140,30 @@ class StaticAllocator:
         else:
             order = tensors
 
-        # For each *open* group, the member intervals as two parallel
-        # sorted lists (births, deaths) — disjoint by construction, so an
-        # overlap test is two bisects instead of an O(horizon) scan.
+        # For each *open* group, its occupancy over the schedule clock as
+        # one int (bit t set = some member is live at step t), so an
+        # overlap test is one ``&`` instead of an O(members) scan.
         open_groups: List[AllocationGroup] = []
-        births: List[List[int]] = []
-        deaths: List[List[int]] = []
+        occupied: List[int] = []
 
         for tensor in order:
-            placed = False
             if share and tensor.shareable:
-                b, d = tensor.birth, tensor.death
-                for group, g_births, g_deaths in zip(open_groups, births,
-                                                     deaths):
-                    # Candidate slot: after the last interval that starts
-                    # before b.  Fits iff that interval ends before b and
-                    # the next one starts after d.
-                    idx = bisect.bisect_left(g_births, b)
-                    if idx > 0 and g_deaths[idx - 1] >= b:
-                        continue
-                    if idx < len(g_births) and g_births[idx] <= d:
-                        continue
-                    group.members.append(tensor)
-                    g_births.insert(idx, b)
-                    g_deaths.insert(idx, d)
-                    placed = True
-                    break
-            if not placed:
-                group = AllocationGroup([tensor], open=share and tensor.shareable)
-                groups.append(group)
-                if group.open:
+                # An inverted interval (a corrupted table; LiveTensor only
+                # validates at construction) still occupies its birth step.
+                width = max(tensor.death - tensor.birth, 0) + 1
+                mask = ((1 << width) - 1) << tensor.birth
+                for i, occ in enumerate(occupied):
+                    if not occ & mask:
+                        open_groups[i].members.append(tensor)
+                        occupied[i] = occ | mask
+                        break
+                else:
+                    group = AllocationGroup([tensor])
+                    groups.append(group)
                     open_groups.append(group)
-                    births.append([tensor.birth])
-                    deaths.append([tensor.death])
+                    occupied.append(mask)
+            else:
+                groups.append(AllocationGroup([tensor], open=False))
 
         return AllocationResult(groups, self.policy)
 

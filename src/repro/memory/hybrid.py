@@ -24,8 +24,8 @@ roofline cost model —
   (:func:`repro.core.schedule_builder._gist_option`);
 * **recompute** — drop the map after its last forward use and re-execute
   the forward chain from the cheapest *value-exact* ancestor during the
-  backward pass; cost is the chain's forward kernel time
-  (:func:`repro.memory.recompute.chain_forward_seconds`);
+  backward pass; cost is the chain's forward kernel time (what
+  :func:`repro.memory.recompute.chain_forward_seconds` sums);
 * **host swap** — offload over PCIe after the forward use, prefetch
   before the backward use; cost is the un-hidden fraction of the two
   transfers, calibrated per graph against the vDNN event simulation;
@@ -46,6 +46,10 @@ so ``hybrid footprint <= min(pure footprints)`` holds structurally.
 This planner never merges inplace pairs (that is a post-pass of
 ``build_gist_plan``): all arms share the same base liveness table, so
 footprint deltas are attributable to the per-tensor decisions alone.
+"Share" is literal: the graph is static, so one build derives the
+baseline liveness table, the step-time table and the runtime-uses table
+once and hands them to the swap calibration, the option pricing and
+every arm (each arm rewrites its own ``clone()`` of the table).
 
 Execution: :class:`repro.train.stash.HybridExecutionPolicy` hands the
 :class:`HybridPlan`'s table to the stash layer — codecs for gist
@@ -69,9 +73,7 @@ from repro.graph.liveness import (
     ROLE_ENCODED,
     ROLE_FEATURE_MAP,
     ROLE_WORKSPACE,
-    _feature_map_uses,
-    _runtime_needs_input,
-    _runtime_needs_output,
+    runtime_feature_map_uses,
 )
 from repro.graph.schedule import TrainingSchedule
 from repro.memory.allocator import StaticAllocator
@@ -82,7 +84,7 @@ from repro.tensor.spec import TensorSpec
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.sparsity import SparsityModel
     from repro.core.policy import GistConfig, HybridPolicy
-    from repro.perf.cost import CostModel
+    from repro.perf.cost import CostModel, StepTime
 
 # Per-tensor decision labels.
 CHOICE_KEEP = "keep"
@@ -120,8 +122,8 @@ class PlanDecision:
     """What a selector decided for one stashed feature map.
 
     The one decision record: candidate options, selected hybrid
-    decisions and the Schedule Builder's Table-I decisions (where it is
-    also importable as ``EncodingDecision``) are all instances.
+    decisions and the Schedule Builder's Table-I decisions are all
+    instances.
     """
 
     node_id: int
@@ -146,11 +148,6 @@ class PlanDecision:
     #: FP32 staging bytes live across the backward reads (0 when the
     #: backward kernel consumes the resident form directly).
     decoded_bytes: int = 0
-
-    @property
-    def encoded_bytes(self) -> int:
-        """``resident_bytes`` under the Schedule Builder's name for it."""
-        return self.resident_bytes
 
     @property
     def savings_bytes(self) -> int:
@@ -251,11 +248,17 @@ class HybridPlan(PlanRecord):
 # ----------------------------------------------------------------------
 def find_recompute_chain(
     graph: Graph,
-    schedule: TrainingSchedule,
+    runtime_uses: Dict[int, tuple],
     target_id: int,
     target_first_bwd: int,
 ) -> Optional[Tuple[int, Tuple[int, ...]]]:
     """Walk toward the input for the nearest value-exact recompute source.
+
+    ``runtime_uses`` is the graph's
+    :func:`~repro.graph.liveness.runtime_feature_map_uses` table, built
+    once per plan: sources are judged by the executor's stash rules (a
+    max-pool replays its argmax map, never X/Y), not the declared
+    baseline needs.
 
     Returns ``(source_id, chain)`` — the chain re-runs in order and ends
     at ``target_id`` — or ``None`` when no valid source exists.  A source
@@ -271,12 +274,7 @@ def find_recompute_chain(
     current = target
     for _ in range(_MAX_CHAIN_LENGTH):
         parent = graph.node(current.inputs[0])
-        # Judged by the executor's stash rules (a max-pool replays its
-        # argmax map, never X/Y), not the declared baseline needs.
-        _, _, parent_last_bwd = _feature_map_uses(
-            graph, schedule, parent.node_id,
-            _runtime_needs_input, _runtime_needs_output,
-        )
+        parent_last_bwd = runtime_uses[parent.node_id][2]
         if parent_last_bwd is not None and parent_last_bwd >= target_first_bwd:
             return parent.node_id, tuple(chain)
         if (
@@ -289,16 +287,17 @@ def find_recompute_chain(
     return None
 
 
-def _swap_stall_fraction(graph: Graph, cost: "CostModel") -> float:
+def _swap_stall_fraction(cost: "CostModel", step: "StepTime",
+                         baseline: MemoryPlan) -> float:
     """Un-hidden fraction of a PCIe transfer, calibrated per graph.
 
     The vDNN event simulation says how much of the graph's total transfer
     volume its one-deep DMA pipeline fails to hide behind compute; that
     ratio prices each individual offload+prefetch pair here.
     """
-    from repro.perf.swap import simulate_swapping  # local: memory<->perf
+    from repro.perf.swap import _simulate  # local: memory<->perf
 
-    sim = simulate_swapping(graph, cost)
+    sim = _simulate(cost, step, baseline)
     naive_extra = sim.naive_s - sim.baseline_s
     if naive_extra <= 0.0:
         # No offloadable stashes in the vDNN sim; assume half hides.
@@ -323,13 +322,13 @@ def _drop_option(node, stash_class, fp32_bytes, choice, cost_s,
 
 
 def _candidate_options(
-    graph, schedule, stash_infos, uses, cfg, sparsity_model, cost,
+    graph, schedule, stash_infos, uses, cfg, sparsity_model, cost, step,
     swap_stall, concat_index=None,
 ) -> List[PlanDecision]:
     from repro.core.schedule_builder import _gist_option
-    from repro.memory.recompute import chain_forward_seconds
 
     concat_index = concat_index or {}
+    runtime_uses = runtime_feature_map_uses(graph, schedule)
     options: List[PlanDecision] = []
     for node in graph.nodes:
         nid = node.node_id
@@ -346,12 +345,14 @@ def _candidate_options(
         if gist is not None:
             options.append(gist)
 
-        found = find_recompute_chain(graph, schedule, nid, first_bwd)
+        found = find_recompute_chain(graph, runtime_uses, nid, first_bwd)
         if found is not None:
             source_id, chain = found
+            # Priced as chain_forward_seconds does, from the step table.
             options.append(_drop_option(
                 node, info.stash_class, fp32_bytes, CHOICE_RECOMPUTE,
-                chain_forward_seconds(graph, chain, cost), source_id, chain,
+                sum(step.per_node_forward[i] for i in chain),
+                source_id, chain,
             ))
 
         # Host swap: offload after the last forward use, prefetch before
@@ -649,18 +650,21 @@ def build_hybrid_plan(
     cost = cost or CostModel()
     cfg = policy.gist
 
-    baseline_step_s = cost.step_time(graph).total_s
+    # The graph is static: its baseline step timing and liveness table
+    # are derived once here and handed to everything below.
+    step = cost.step_time(graph)
+    baseline_step_s = step.total_s
     budget_s = policy.cost_budget_frac * baseline_step_s
+    baseline = build_memory_plan(graph, schedule)
+    baseline_allocated = StaticAllocator().allocate(
+        baseline.tensors).total_bytes
     stash_infos = classify_all_stashes(graph, schedule)
     uses = feature_map_uses(graph, schedule, cfg)
-    swap_stall = _swap_stall_fraction(graph, cost)
+    swap_stall = _swap_stall_fraction(cost, step, baseline)
     concat_index = member_to_terminal(find_concat_chains(graph))
     options = _candidate_options(graph, schedule, stash_infos, uses, cfg,
-                                 sparsity_model, cost, swap_stall,
+                                 sparsity_model, cost, step, swap_stall,
                                  concat_index)
-    baseline_allocated = StaticAllocator().allocate(
-        build_memory_plan(graph, schedule).tensors
-    ).total_bytes
 
     choices_of = {
         STRATEGY_GIST: {CHOICE_GIST},
@@ -673,7 +677,7 @@ def build_hybrid_plan(
 
     def build_arm(allowed):
         assigned, spent = _select(options, budget_s, allowed)
-        plan = build_memory_plan(graph, schedule)
+        plan = baseline.clone()
         pools = apply_decisions(plan, uses, assigned, cfg)
         allocated = StaticAllocator().allocate(plan.tensors).total_bytes
         return assigned, spent, plan, pools, allocated

@@ -61,7 +61,7 @@ def measure_transfer_energy(
     plan = build_gist_plan(graph, config, sparsity_model)
     gist_j = 0.0
     for decision in plan.decisions.values():
-        moved = decision.fp32_bytes + decision.encoded_bytes
+        moved = decision.fp32_bytes + decision.resident_bytes
         passes = 2.0 if decision.decoded_bytes else 1.0
         gist_j += passes * moved * DRAM_J_PER_BYTE
 

@@ -12,18 +12,22 @@ whenever the engine falls behind the compute timeline.
   backward pass; residual stalls remain where PCIe bandwidth cannot keep
   up with compute (paper: ~15% average, up to 27% on Inception).
 * **Gist** keeps everything on-device and pays only codec bandwidth.
+
+:func:`simulate_swapping` is the public entry; it prices the step and
+builds the baseline liveness table, then runs :func:`_simulate`, which
+the hybrid planner calls directly with the two it already holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from repro.graph.graph import Graph
 from repro.graph.liveness import ROLE_FEATURE_MAP
-from repro.graph.schedule import TrainingSchedule
-from repro.memory.planner import CLASS_STASHED, build_memory_plan
-from repro.perf.cost import CostModel
+from repro.graph.schedule import FORWARD
+from repro.memory.planner import CLASS_STASHED, MemoryPlan, build_memory_plan
+from repro.perf.cost import CostModel, StepTime
 
 
 @dataclass(frozen=True)
@@ -51,11 +55,10 @@ class SwapReport:
 _OFFLOAD_CONSUMER_KINDS = {"conv", "dense"}
 
 
-def _stashed_transfers(
-    graph: Graph, schedule: TrainingSchedule
-) -> List[Tuple[int, int, int]]:
-    """(producer forward t, consumer backward t, bytes) per offloaded map."""
-    plan = build_memory_plan(graph, schedule)
+def _stashed_transfers(plan: MemoryPlan) -> List[Tuple[int, int, int]]:
+    """(producer forward t, consumer backward t, bytes) per offloaded map
+    of a baseline plan."""
+    graph = plan.graph
     offloadable = set()
     for node in graph.nodes:
         if node.kind in _OFFLOAD_CONSUMER_KINDS and node.layer.backward_needs_input:
@@ -76,32 +79,34 @@ def simulate_swapping(
     graph: Graph,
     cost: Optional[CostModel] = None,
 ) -> SwapReport:
-    """Event-simulate naive swapping and vDNN against the in-GPU baseline."""
+    """Event-simulate naive swapping and vDNN against the in-GPU baseline.
+
+    The compute timeline is ``cost.step_time(graph)``; the transfers are
+    the conv/dense-input stashes of the graph's baseline memory plan.
+    """
     cost = cost or CostModel()
-    schedule = TrainingSchedule(graph)
-    step = cost.step_time(graph)
+    return _simulate(cost, cost.step_time(graph), build_memory_plan(graph))
+
+
+def _simulate(cost: CostModel, step: StepTime, plan: MemoryPlan) -> SwapReport:
+    """:func:`simulate_swapping` over what its caller already holds:
+    ``step`` is ``cost.step_time(plan.graph)`` (the compute timeline),
+    ``plan`` the graph's baseline memory plan (read, never modified);
+    ``cost`` prices the PCIe transfers."""
+    schedule = plan.schedule
     baseline_s = step.total_s
 
-    transfers = _stashed_transfers(graph, schedule)
+    transfers = _stashed_transfers(plan)
     total_bytes = sum(b for _, _, b in transfers)
     naive_s = baseline_s + 2.0 * cost.transfer_time(total_bytes)
 
     # --- vDNN forward: offloads overlap compute, single DMA engine -------
-    op_time = {}
-    for op in schedule.ops:
-        node = graph.node(op.node_id)
-        op_time[(op.phase, op.node_id)] = (
-            cost.forward_time(graph, node)
-            if op.phase == "forward"
-            else cost.backward_time(graph, node)
-        )
-    # Compute completion time of each scheduled op (pure compute timeline).
-    completion = []
-    now = 0.0
-    for op in schedule.ops:
-        now += op_time[(op.phase, op.node_id)]
-        completion.append(now)
-    forward_compute_end = completion[schedule.forward_end - 1]
+    # Compute time of each scheduled op, indexed by schedule time.
+    op_time = [
+        (step.per_node_forward if op.phase == FORWARD
+         else step.per_node_backward)[op.node_id]
+        for op in schedule.ops
+    ]
 
     # Offload each stashed map when its producer's forward op completes.
     # vDNN double-buffers offloads: a producer whose output must be
@@ -115,10 +120,9 @@ def simulate_swapping(
     dma_free = 0.0
     prev_offload_done = 0.0
     for idx in range(schedule.forward_end):
-        op = schedule.ops[idx]
         if idx in offload_bytes:
             now = max(now, prev_offload_done)
-        now += op_time[(op.phase, op.node_id)]
+        now += op_time[idx]
         if idx in offload_bytes:
             dma_free = max(dma_free, now) + cost.transfer_time(
                 offload_bytes[idx]
@@ -138,19 +142,18 @@ def simulate_swapping(
     dma_free = forward_end
     issue_time = forward_end  # start of the previously needing op
     for idx in range(schedule.forward_end, schedule.num_steps):
-        op = schedule.ops[idx]
         if idx in needs_bytes:
             dma_free = max(dma_free, issue_time) + cost.transfer_time(
                 needs_bytes[idx]
             )
             now = max(now, dma_free)
             issue_time = now
-        now += op_time[(op.phase, op.node_id)]
+        now += op_time[idx]
     vdnn_s = now
 
     # Guard: vDNN can never beat the no-swap baseline or lose to naive.
     vdnn_s = min(max(vdnn_s, baseline_s), naive_s)
-    return SwapReport(graph.name, baseline_s, naive_s, vdnn_s)
+    return SwapReport(plan.graph.name, baseline_s, naive_s, vdnn_s)
 
 
 def simulate_cdma(
@@ -170,20 +173,14 @@ def simulate_cdma(
         raise ValueError(
             f"compression_ratio must be >= 1, got {compression_ratio}"
         )
-    base = simulate_swapping(graph, cost)
-    squeezed = CostModel(
-        (cost or CostModel()).device
-    )
-    # Re-run the simulation with an effectively faster link.
-    scaled_device = type(squeezed.device)(
-        name=squeezed.device.name + " (CDMA)",
-        peak_flops=squeezed.device.peak_flops,
-        mem_bandwidth=squeezed.device.mem_bandwidth,
-        memory_bytes=squeezed.device.memory_bytes,
-        pcie_bandwidth=squeezed.device.pcie_bandwidth * compression_ratio,
-        kernel_overhead=squeezed.device.kernel_overhead,
-        compute_efficiency=squeezed.device.compute_efficiency,
-        batch_half_saturation=squeezed.device.batch_half_saturation,
-    )
-    cdma = simulate_swapping(graph, CostModel(scaled_device))
+    cost = cost or CostModel()
+    # The link speed prices transfers only, so both runs share one step
+    # timing and one liveness table.
+    step, plan = cost.step_time(graph), build_memory_plan(graph)
+    base = _simulate(cost, step, plan)
+    cdma = _simulate(CostModel(replace(
+        cost.device,
+        name=cost.device.name + " (CDMA)",
+        pcie_bandwidth=cost.device.pcie_bandwidth * compression_ratio,
+    )), step, plan)
     return SwapReport(graph.name, base.baseline_s, base.naive_s, cdma.vdnn_s)

@@ -479,10 +479,10 @@ def check_decision_bytes(gist_plan: PlanRecord, rng=None) -> List[Violation]:
         # Measure the very codec the runtime would stash this map through.
         codec = _make_codec(decision, gist_plan.config)
         measured = codec.measure_bytes(codec.encode(x))
-        if measured != decision.encoded_bytes:
+        if measured != decision.resident_bytes:
             violations.append(Violation(
                 ORACLE_DECISION_BYTES,
-                f"{decision.node_name}: plan prices {decision.encoded_bytes} "
+                f"{decision.node_name}: plan prices {decision.resident_bytes} "
                 f"bytes for {decision.encoding}, measured encode is "
                 f"{measured}",
             ))

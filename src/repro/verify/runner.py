@@ -15,7 +15,7 @@ plan-safety            no buffer's death precedes its true last use
                        (differential vs an independent last-use walk),
                        on the Table-I and sqrt(N) selectors' tables;
                        lossless Gist never allocates more than baseline
-decision-bytes         every gist PlanDecision.encoded_bytes, in a
+decision-bytes         every gist PlanDecision.resident_bytes, in a
                        Table-I or hybrid table, matches a measured
                        encode() on realistic data
 encoding-roundtrip     lossless codecs bit-exact, lossy codecs within

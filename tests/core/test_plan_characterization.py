@@ -10,6 +10,7 @@ recorded before the refactor.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.core import GistConfig, build_gist_plan
 from repro.core.policy import HybridPolicy, STRATEGY_GIST
 from repro.memory import StaticAllocator, build_hybrid_plan
 from repro.models import available_models, build_model
+from repro.perf.swap import simulate_swapping
 
 BATCH = 32
 
@@ -70,7 +72,7 @@ def test_schedule_builder_equals_unbudgeted_gist_arm(graphs, config_name):
         rows = _rows(gist.plan.tensors)
         assert rows == _rows(hybrid.plan.tensors), model
         assert {
-            nid: (d.encoding, d.encoded_bytes)
+            nid: (d.encoding, d.resident_bytes)
             for nid, d in gist.decisions.items()
         } == {
             nid: (d.encoding, d.resident_bytes)
@@ -99,3 +101,63 @@ def test_schedule_builder_never_prices_or_allocates(graphs, monkeypatch):
     for model in ("scaled_vgg", "densenet", "resnet50"):
         plan = build_gist_plan(graphs[model], GistConfig.for_network(model))
         assert plan.decisions
+
+
+def _count_calls(monkeypatch, owner, name, counter, key=lambda *a, **k: None):
+    """Wrap ``owner.name`` so each call bumps ``counter[(name, key(...))]``."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counter[name, key(*args, **kwargs)] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_hybrid_planner_derives_each_graph_fact_once(graphs, monkeypatch):
+    """The graph is static, so one hybrid build walks liveness once,
+    prices each node once and builds no schedule of its own; the five
+    arms plus the baseline are its only allocator runs.  A re-introduced
+    per-arm rebuild fails here by count, not by a timing nobody gates."""
+    import repro.memory.planner as planner
+    from repro.graph.schedule import TrainingSchedule
+    from repro.perf.cost import CostModel
+
+    calls = Counter()
+    _count_calls(monkeypatch, planner, "compute_lifetimes", calls)
+    _count_calls(monkeypatch, TrainingSchedule, "__init__", calls)
+    _count_calls(monkeypatch, StaticAllocator, "allocate", calls)
+    for name in ("forward_time", "backward_time"):
+        _count_calls(monkeypatch, CostModel, name, calls,
+                     key=lambda self, graph, node: node.node_id)
+    for model, graph in sorted(graphs.items()):
+        schedule = TrainingSchedule(graph)
+        calls.clear()
+        plan = build_hybrid_plan(graph, HybridPolicy(), schedule=schedule)
+        assert plan.pure_footprints, model
+        assert calls.pop(("compute_lifetimes", None)) == 1, model
+        assert calls.pop(("allocate", None)) == 6, model
+        assert ("__init__", None) not in calls, model
+        assert set(calls.values()) == {1}, (model, calls.most_common(3))
+
+
+#: ``simulate_swapping(build_model(m, batch_size=BATCH))`` at the commit
+#: before it became a wrapper: (baseline_s, naive_s, vdnn_s) as float.hex().
+PINNED_SWAP_REPORTS = {
+    "vgg16": ("0x1.15a5f5baaefb7p+0", "0x1.51629ed4c26dbp+0",
+              "0x1.15a904b03b8c7p+0"),
+    "resnet50": ("0x1.4f24e6ef1f63fp-2", "0x1.1766fc2c52e86p-1",
+                 "0x1.991096fa88f75p-2"),
+    "densenet": ("0x1.d8d06c84bdbf6p-10", "0x1.9612038a95032p-8",
+                 "0x1.318f5e579217ap-8"),
+    "lstm": ("0x1.2fb3eb7b3d9bep-12", "0x1.316bb978db17cp-12",
+             "0x1.2fb3eb7b3d9bep-12"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_SWAP_REPORTS))
+def test_simulate_swapping_on_its_own_is_unchanged(graphs, model):
+    report = simulate_swapping(graphs[model])
+    assert report.model == model
+    assert (report.baseline_s.hex(), report.naive_s.hex(),
+            report.vdnn_s.hex()) == PINNED_SWAP_REPORTS[model]

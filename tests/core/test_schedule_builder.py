@@ -103,13 +103,13 @@ class TestDecisions:
     def test_binarize_is_32x(self, tiny_graph):
         gp = build_gist_plan(tiny_graph, GistConfig())
         d = {d.node_name: d for d in gp.decisions.values()}["relu1"]
-        assert d.fp32_bytes / d.encoded_bytes == 32.0
+        assert d.fp32_bytes / d.resident_bytes == 32.0
         assert d.decoded_bytes == 0
 
     def test_dpr_fp16_is_2x(self, tiny_graph):
         gp = build_gist_plan(tiny_graph, GistConfig(dpr_format="fp16"))
         d = {d.node_name: d for d in gp.decisions.values()}["input"]
-        assert d.fp32_bytes / d.encoded_bytes == pytest.approx(2.0, rel=1e-3)
+        assert d.fp32_bytes / d.resident_bytes == pytest.approx(2.0, rel=1e-3)
 
     def test_ssdc_uses_sparsity_model(self, tiny_graph):
         dense = build_gist_plan(tiny_graph, GistConfig(),
@@ -118,7 +118,7 @@ class TestDecisions:
                                  ConstantSparsity(0.9))
         d_dense = {d.node_name: d for d in dense.decisions.values()}["relu2"]
         d_sparse = {d.node_name: d for d in sparse.decisions.values()}["relu2"]
-        assert d_sparse.encoded_bytes < d_dense.encoded_bytes
+        assert d_sparse.resident_bytes < d_dense.resident_bytes
         assert d_sparse.sparsity == 0.9
 
     def test_dpr_over_ssdc_shrinks_values(self, tiny_graph):
@@ -131,7 +131,7 @@ class TestDecisions:
         )
         d_with = {d.node_name: d for d in with_dpr.decisions.values()}["relu2"]
         d_without = {d.node_name: d for d in without.decisions.values()}["relu2"]
-        assert d_with.encoded_bytes < d_without.encoded_bytes
+        assert d_with.resident_bytes < d_without.resident_bytes
 
     def test_region_bytes_cover_all_stash_regions(self, tiny_graph):
         gp = build_gist_plan(tiny_graph, GistConfig())

@@ -112,7 +112,7 @@ class TestCrossModelConsistency:
         runtime_bytes = ex.stash_bytes()
         for decision in plan.decisions.values():
             if decision.encoding == "binarize":
-                assert runtime_bytes[decision.node_name] == decision.encoded_bytes
+                assert runtime_bytes[decision.node_name] == decision.resident_bytes
 
     def test_measured_sparsity_feeds_static_model(self):
         """Round trip: measure sparsity at runtime, hand it to the static
@@ -130,7 +130,7 @@ class TestCrossModelConsistency:
         for decision in plan.decisions.values():
             if decision.encoding == "ssdc":
                 assert (runtime_bytes[decision.node_name]
-                        == decision.encoded_bytes), decision.node_name
+                        == decision.resident_bytes), decision.node_name
 
 
 class TestPerfIntegration:

@@ -151,7 +151,7 @@ class TestScheduleBuilderProperties:
     def test_every_decision_compresses(self, graph):
         gist = build_gist_plan(graph, GistConfig.full("fp8"))
         for decision in gist.decisions.values():
-            assert decision.encoded_bytes < decision.fp32_bytes, (
+            assert decision.resident_bytes < decision.fp32_bytes, (
                 decision.node_name
             )
 

@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import GistConfig, build_gist_plan
 from repro.graph.liveness import LiveTensor, ROLE_FEATURE_MAP
 from repro.memory import (
     POLICY_FIRST_FIT,
     POLICY_GREEDY_SIZE,
     POLICY_NO_SHARING,
     StaticAllocator,
+    build_hybrid_plan,
+    build_memory_plan,
     static_footprint,
 )
+from repro.models import available_models, build_model
 from repro.tensor import TensorSpec
+from repro.verify.fuzzer import GraphFuzzer
 
 
 def lt(name, elements, birth, death, shareable=True):
@@ -126,6 +131,23 @@ class TestCorrectness:
         with pytest.raises(ValueError):
             StaticAllocator(horizon=3).allocate([lt("a", 1, 0, 5)])
 
+    def test_inverted_interval_occupies_its_birth_step(self):
+        # LiveTensor validates death >= birth only at construction; the
+        # fault-injection battery truncates .death afterwards.  Such a
+        # tensor must not become a zero-width interval that fits (and
+        # never blocks) every group.
+        bad = lt("bad", 50, 4, 4)
+        bad.death = 3
+
+        def groups(*tensors):
+            result = StaticAllocator(POLICY_FIRST_FIT).allocate(tensors)
+            return [[t.spec.name for t in g.members] for g in result.groups]
+
+        assert groups(lt("a", 100, 3, 5), bad) == [["a"], ["bad"]]
+        assert groups(bad, lt("c", 10, 4, 4)) == [["bad"], ["c"]]
+        assert groups(bad, lt("d", 10, 5, 6)) == [["bad", "d"]]
+        assert groups(bad, lt("e", 10, 2, 3)) == [["bad", "e"]]
+
     def test_sharing_ratio(self):
         tensors = [lt("a", 100, 0, 1), lt("b", 100, 2, 3)]
         result = StaticAllocator().allocate(tensors)
@@ -135,6 +157,76 @@ class TestCorrectness:
         result = StaticAllocator().allocate([lt("a", 1, 0, 0)])
         with pytest.raises(KeyError):
             result.group_of("zzz")
+
+
+def reference_groups(tensors, policy):
+    """First-fit by pairwise ``overlaps`` — O(n^2), no occupancy
+    structure: the ground truth ``StaticAllocator`` must match group for
+    group, member for member."""
+    share = policy != POLICY_NO_SHARING
+    aliased, rest = {}, []
+    for t in tensors:
+        if share and t.shareable and t.alias_group is not None:
+            aliased.setdefault(t.alias_group, []).append(t)
+        else:
+            rest.append(t)
+    groups = [aliased[label] for label in sorted(aliased)]
+    if policy == POLICY_GREEDY_SIZE:
+        rest.sort(key=lambda t: (-t.size_bytes, t.spec.name))
+    open_groups = []
+    for t in rest:
+        home = None
+        if share and t.shareable:
+            home = next((g for g in open_groups
+                         if not any(t.overlaps(m) for m in g)), None)
+        if home is None:
+            home = []
+            groups.append(home)
+            if share and t.shareable:
+                open_groups.append(home)
+        home.append(t)
+    return groups
+
+
+def _assert_matches_reference(tensors, context):
+    for policy in (POLICY_GREEDY_SIZE, POLICY_FIRST_FIT, POLICY_NO_SHARING):
+        result = StaticAllocator(policy).allocate(tensors)
+        expected = reference_groups(tensors, policy)
+        assert [[t.spec.name for t in g.members] for g in result.groups] == [
+            [t.spec.name for t in g] for g in expected], (context, policy)
+        assert result.total_bytes == sum(
+            max(t.size_bytes for t in g) for g in expected), (context, policy)
+
+
+def _plans_of(graph, config):
+    """Baseline (with unshareable weights and, under the investigation
+    discipline, unshareable stashes), Table-I and hybrid liveness tables."""
+    return {
+        "baseline": build_memory_plan(graph),
+        "investigation": build_memory_plan(graph, include_weights=True,
+                                           investigation=True),
+        "gist": build_gist_plan(graph, config).plan,
+        "hybrid": build_hybrid_plan(graph).plan,
+    }
+
+
+class TestAgainstPairwiseReference:
+    """The occupancy-int overlap test changes no grouping."""
+
+    @pytest.mark.parametrize("model", available_models())
+    def test_registry_models(self, model):
+        graph = build_model(model, batch_size=8)
+        plans = _plans_of(graph, GistConfig.for_network(model))
+        if model == "densenet":
+            assert any(t.alias_group for t in plans["hybrid"].tensors)
+        for label, plan in plans.items():
+            _assert_matches_reference(plan.tensors, (model, label))
+
+    def test_fuzzed_graphs(self):
+        for seed in range(50):
+            graph = GraphFuzzer(seed).graph()
+            for label, plan in _plans_of(graph, GistConfig.full()).items():
+                _assert_matches_reference(plan.tensors, (seed, label))
 
 
 class TestAllocatorProperties:

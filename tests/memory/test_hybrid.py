@@ -11,6 +11,7 @@ from repro.core.policy import (
     STRATEGY_SHARED_CONCAT,
     STRATEGY_SWAP,
 )
+from repro.graph.liveness import runtime_feature_map_uses
 from repro.graph.schedule import TrainingSchedule
 from repro.memory import (
     ALL_CHOICES,
@@ -145,18 +146,19 @@ class TestRecomputeChains:
                 assert source.lossless
 
     def test_input_and_loss_are_never_targets(self, tiny_graph):
-        schedule = TrainingSchedule(tiny_graph)
+        uses = runtime_feature_map_uses(tiny_graph,
+                                        TrainingSchedule(tiny_graph))
         assert find_recompute_chain(
-            tiny_graph, schedule, tiny_graph.input_id, 0) is None
+            tiny_graph, uses, tiny_graph.input_id, 0) is None
         assert find_recompute_chain(
-            tiny_graph, schedule, tiny_graph.output_id, 0) is None
+            tiny_graph, uses, tiny_graph.output_id, 0) is None
 
     def test_multi_input_target_rejected(self):
         g = resnet_cifar(14, batch_size=2)
         schedule = TrainingSchedule(g)
         join = next(n for n in g.nodes if len(n.inputs) > 1)
         assert find_recompute_chain(
-            g, schedule, join.node_id,
+            g, runtime_feature_map_uses(g, schedule), join.node_id,
             schedule.backward_time(join.node_id)) is None
 
     def test_chains_never_cross_joins(self):

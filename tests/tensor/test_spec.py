@@ -23,6 +23,15 @@ class TestTensorSpec:
         assert enc.dtype is FP16
         assert spec.dtype is FP32  # original untouched
 
+    def test_size_bytes_is_derived_not_identity(self):
+        # Computed once at construction: recomputed for a re-typed copy,
+        # and no part of equality, hash or repr.
+        spec = TensorSpec("fm", (10, 10))
+        assert spec.with_dtype(FP16).size_bytes == spec.size_bytes // 2
+        assert spec == TensorSpec("fm", (10, 10))
+        assert hash(spec) == hash(TensorSpec("fm", (10, 10)))
+        assert "size_bytes" not in repr(spec)
+
     def test_with_category(self):
         spec = TensorSpec("fm", (4,))
         enc = spec.with_category(TensorCategory.ENCODED)

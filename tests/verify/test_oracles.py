@@ -200,7 +200,7 @@ class TestDecisionBytesOracle:
         nid = next(iter(plan.decisions))
         decision = plan.decisions[nid]
         plan.decisions[nid] = dataclasses.replace(
-            decision, resident_bytes=decision.encoded_bytes - 1
+            decision, resident_bytes=decision.resident_bytes - 1
         )
         violations = check_decision_bytes(plan, np.random.default_rng(0))
         assert [v.oracle for v in violations] == [ORACLE_DECISION_BYTES]
