@@ -6,7 +6,7 @@ conv/pool backend arm (the arm list is read from the registry; each is
 forced via the same ``REPRO_KERNEL_BACKEND`` mechanism users have), plus
 the measured ``auto`` chooser, and reports each arm's median
 forward+backward step time.  The yardstick is the ``reference`` arm —
-the original per-call loop kernels.  Three gates ride on top of the
+the original per-call loop kernels.  Four gates ride on top of the
 timings:
 
 * **speedup** — the best arm must beat the reference loops by
@@ -17,6 +17,10 @@ timings:
   every ``exact`` arm must reproduce the reference loops' losses and
   every parameter gradient bit-for-bit.  Tolerance arms are timed and
   recorded but never gated on exactness.
+* **chooser pick** — ``auto`` runs the whole-batch arm on every
+  signature its record says was proven identical (static GEMM guard and
+  live-data probe, ``exact["blas-fat"]``) and the incumbent on every
+  other: a regressed chooser fails by pick, not by a timing nobody gates.
 * **golden digests** — the default dispatch path must still reproduce
   the checked-in scaled VGG golden traces
   (``tests/diagnostics/goldens/``), pinning the end-to-end bits, not
@@ -105,6 +109,13 @@ def _tolerance_arm(name: str) -> bool:
                for op in LAYER_OPS for b in backends_for(op))
 
 
+def _pick_follows_proof(rows: list) -> bool:
+    """Deterministic: the pick is a function of the proof alone."""
+    return bool(rows) and all(
+        (row["backend"] == "blas-fat") == row["exact"]["blas-fat"]
+        for row in rows)
+
+
 def _check_goldens() -> dict:
     """Default-dispatch runs must still match the checked-in goldens."""
     out = {}
@@ -165,6 +176,8 @@ def main(out_path: str = "BENCH_backends.json") -> dict:
                    if r["exact_contract"])
     golden_ok = all(g["ok"] for g in goldens.values())
     speedup_ok = best_speedup >= REQUIRED_SPEEDUP
+    picks = autotune_report()
+    pick_ok = _pick_follows_proof(picks)
 
     report = {
         "benchmark": "backends",
@@ -178,14 +191,15 @@ def main(out_path: str = "BENCH_backends.json") -> dict:
         "arms": arms,
         "best_arm": best_name,
         "best_speedup": best_speedup,
-        "autotune_report": autotune_report(),
+        "autotune_report": picks,
         "golden_digests": goldens,
         "gates": {
             "speedup": speedup_ok,
             "default_bit_identical": exact_ok,
+            "chooser_pick": pick_ok,
             "golden_digests": golden_ok,
         },
-        "gates_passed": speedup_ok and exact_ok and golden_ok,
+        "gates_passed": speedup_ok and exact_ok and pick_ok and golden_ok,
     }
     Path(out_path).write_text(json.dumps(report, indent=2) + "\n")
 
@@ -198,6 +212,7 @@ def main(out_path: str = "BENCH_backends.json") -> dict:
         print(f"{name:<12} {r['median_ms']:>8.1f}ms {r['speedup']:>7.2f}x "
               f"{str(r['bit_identical']):>14} {contract:>10}")
     print(f"best arm: {best_name} ({best_speedup:.2f}x); "
+          f"picks: {[row['backend'] for row in picks]}; "
           f"goldens: {golden_ok}; gates passed: {report['gates_passed']}")
     print(f"wrote {out_path}")
     return report

@@ -21,12 +21,13 @@ Each backend registers with an explicit numerical contract:
   library-dependent).
 
 The *default selection* is stricter than the registration contract: the
-measured chooser (:mod:`repro.kernels.autotune`) only promotes an arm to
-default for a signature after a live-data probe shows it bit-identical —
-values **and** memory layout of the escaping tensors — to the incumbent
-``numpy-plan`` arm, so the training goldens hold no matter which arm
-wins.  Forcing an arm via ``REPRO_KERNEL_BACKEND`` bypasses that probe
-and accepts the arm's registered contract instead.
+chooser (:mod:`repro.kernels.autotune`) only promotes an arm to
+default for a signature where a live-data probe can settle its GEMMs and
+shows it bit-identical — values **and** memory layout of the escaping
+tensors — to the incumbent ``numpy-plan`` arm, so the training goldens
+hold no matter which arm wins.  Forcing an arm via
+``REPRO_KERNEL_BACKEND`` bypasses that proof and accepts the arm's
+registered contract instead.
 
 An arm stays registered only if it is the op's ground truth (the
 loop-lowered ``reference`` / ``loop`` kernels — the oracle, never a
@@ -98,7 +99,7 @@ def register_backend(backend: KernelBackend, default: bool = False) -> None:
     Args:
         backend: The arm; ``backend.op``/``backend.name`` must be set.
         default: Make this arm the op's static default (the incumbent
-            the measured chooser starts from and codec dispatch uses).
+            the chooser starts from and codec dispatch uses).
 
     Raises:
         ValueError: If the arm declares ``exact=False`` without a
@@ -206,8 +207,9 @@ class ConvBackend(KernelBackend):
     ``forward`` returns ``(y, saved)`` where ``saved`` is an opaque
     per-arm column stash the executor may hand back to ``backward`` (only
     when the layer's input stash is lossless); ``backward`` returns
-    ``(dx, dw)``.  The bias add happens inside the arm so layout-changing
-    arms can apply it before their output transpose.
+    ``(dx, dw)`` — ``(None, dw)`` straight after dW under ``need_dx=False``
+    (the conv reads the graph input).  The bias add happens inside the arm
+    so layout-changing arms can apply it in their own orientation.
     """
 
     op = "conv2d"
@@ -216,7 +218,8 @@ class ConvBackend(KernelBackend):
                 want_saved=False):
         raise NotImplementedError
 
-    def backward(self, x, w4, dy, stride, pad, arena=None, saved=None):
+    def backward(self, x, w4, dy, stride, pad, arena=None, saved=None,
+                 need_dx=True):
         raise NotImplementedError
 
 
@@ -243,12 +246,15 @@ class ConvReference(ConvBackend):
             y += bias[None, :, None]
         return y.reshape(n, f, oh, ow).astype(np.float32, copy=False), None
 
-    def backward(self, x, w4, dy, stride, pad, arena=None, saved=None):
+    def backward(self, x, w4, dy, stride, pad, arena=None, saved=None,
+                 need_dx=True):
         n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
         wmat = w4.reshape(f, -1)
         dy_mat = dy.reshape(n, f, oh * ow)
         cols = im2col_reference(x, kh, kw, stride, pad)
         dw = np.einsum("nfp,nkp->fk", dy_mat, cols, optimize=True)
+        if not need_dx:
+            return None, dw.reshape(w4.shape)
         dcols = np.einsum("fk,nfp->nkp", wmat, dy_mat, optimize=True)
         dx = col2im_reference(dcols, x.shape, kh, kw, stride, pad)
         return dx, dw.reshape(w4.shape)
@@ -280,7 +286,8 @@ class ConvNumpyPlan(ConvBackend):
         return (y.reshape(n, f, oh, ow).astype(np.float32, copy=False),
                 saved)
 
-    def backward(self, x, w4, dy, stride, pad, arena=None, saved=None):
+    def backward(self, x, w4, dy, stride, pad, arena=None, saved=None,
+                 need_dx=True):
         from repro.kernels.plan import gemm_dcols, get_plan
 
         n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
@@ -293,10 +300,10 @@ class ConvNumpyPlan(ConvBackend):
         dw = np.einsum("nfp,nkp->fk", dy_mat, cols, optimize=True)
         if arena is not None:
             arena.release(cols)
-            dcols = gemm_dcols(wmat, dy_mat,
-                               out=arena.rent((n, k, p), np.float32))
-        else:
-            dcols = gemm_dcols(wmat, dy_mat)
+        if not need_dx:
+            return None, dw.reshape(w4.shape)
+        out = None if arena is None else arena.rent((n, k, p), np.float32)
+        dcols = gemm_dcols(wmat, dy_mat, out=out)
         dx = plan.col2im(dcols, arena)
         if arena is not None:
             arena.release(dcols)
@@ -308,37 +315,20 @@ _einsum_y_layouts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]],
 
 
 def _einsum_y_strides(wmat, cols_shape):
-    """Strides of the reference einsum's (N, F, P) output.
-
-    Layout-changing arms write their output into a buffer with exactly
-    these strides so downstream memory-order reductions see identical
-    bits; cached per signature (with a zero-input einsum probe when the
-    plan layer has not probed this GEMM yet).
-    """
-    from repro.kernels import plan as plan_mod
+    """Strides of the reference einsum's (N, F, P) output — a function of
+    the shapes alone: what the plan layer's GEMM probe recorded, else one
+    zero-input einsum.  Layout-changing arms hand out exactly this layout
+    so downstream memory-order reductions see identical bits."""
+    from repro.kernels.plan import _gemm_fast
 
     key = (wmat.shape, cols_shape)
     strides = _einsum_y_layouts.get(key)
     if strides is None:
-        probed = plan_mod._gemm_fast.get(("fwd", wmat.shape, cols_shape))
-        if probed is not None:
-            strides = probed[1]
-        else:
-            ref = np.einsum(
-                "fk,nkp->nfp", wmat,
-                np.zeros(cols_shape, wmat.dtype), optimize=True,
-            )
-            strides = ref.strides
-        _einsum_y_layouts[key] = strides
+        probed = _gemm_fast.get(("fwd", *key))
+        strides = _einsum_y_layouts[key] = probed[1] if probed else np.einsum(
+            "fk,nkp->nfp", wmat, np.zeros(cols_shape, wmat.dtype),
+            optimize=True).strides
     return strides
-
-
-def _rent_like_layout(arena, shape, strides, dtype):
-    """Arena-rented array of ``shape`` in the memory order implied by
-    ``strides`` (the arena analogue of ``plan._empty_like_layout``)."""
-    order = sorted(range(len(shape)), key=lambda a: -strides[a])
-    buf = arena.rent(tuple(shape[a] for a in order), dtype)
-    return buf.transpose(np.argsort(order))
 
 
 class ConvBlasFat(ConvBackend):
@@ -349,9 +339,10 @@ class ConvBlasFat(ConvBackend):
     batched einsum for dW).  BLAS reduction blocking over the fat axis is
     library-dependent, so the arm registers a tolerance; on the
     benchmark library/shapes it probes bit-identical and the chooser
-    promotes it to default.  The forward output is written into a buffer
-    laid out exactly like the reference einsum's so downstream
-    memory-order reductions (BatchNorm) see identical bits.
+    promotes it to default.  The forward output has exactly the
+    reference einsum's memory layout — as a view of the product where
+    that layout is the GEMM's own, through a copy elsewhere — so
+    downstream memory-order reductions (BatchNorm) see identical bits.
     """
 
     name = "blas-fat"
@@ -361,7 +352,7 @@ class ConvBlasFat(ConvBackend):
 
     def forward(self, x, w4, bias, stride, pad, arena=None,
                 want_saved=False):
-        from repro.kernels.plan import get_plan
+        from repro.kernels.plan import _empty_like_layout, get_plan
 
         arena = arena if arena is not None else NULL_ARENA
         n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
@@ -370,15 +361,18 @@ class ConvBlasFat(ConvBackend):
         k = wmat.shape[1]
         plan = get_plan(x.shape, kh, kw, stride, pad)
         cols_t = plan.im2col_t(x, arena)                     # (K, N*P)
-        y2 = arena.rent((f, n * p), np.float32)
-        np.matmul(wmat, cols_t, out=y2)
+        # (N*P, F) row-major *is* the einsum's (N, F, P) output wherever
+        # that is P-major / F-minor: multiply so, and return a view.
+        y2 = arena.rent((n * p, f), np.float32)
+        np.matmul(cols_t.T, wmat.T, out=y2)
         if bias is not None:
-            y2 += bias[:, None]
-        y = _rent_like_layout(
-            arena, (n, f, p), _einsum_y_strides(wmat, (n, k, p)), np.float32
-        )
-        np.copyto(y, y2.reshape(f, n, p).transpose(1, 0, 2))
-        arena.release(y2)
+            y2 += bias
+        y = y_view = y2.reshape(n, p, f).transpose(0, 2, 1)
+        strides = _einsum_y_strides(wmat, (n, k, p))
+        if y.strides != strides:
+            y = _empty_like_layout((n, f, p), strides, np.float32, arena)
+            np.copyto(y, y_view)
+            arena.release(y2)
         saved = None
         if want_saved:
             saved = cols_t
@@ -387,7 +381,8 @@ class ConvBlasFat(ConvBackend):
         return (y.reshape(n, f, oh, ow).astype(np.float32, copy=False),
                 saved)
 
-    def backward(self, x, w4, dy, stride, pad, arena=None, saved=None):
+    def backward(self, x, w4, dy, stride, pad, arena=None, saved=None,
+                 need_dx=True):
         from repro.kernels.plan import get_plan
 
         arena = arena if arena is not None else NULL_ARENA
@@ -400,8 +395,12 @@ class ConvBlasFat(ConvBackend):
         dy2 = arena.rent((f, n * p), np.float32)
         np.copyto(dy2.reshape(f, n, p),
                   dy.reshape(n, f, p).transpose(1, 0, 2))
-        dw = np.matmul(dy2, cols_t.T)                        # (F, K)
+        # (K, F) product: BLAS threads split output rows, and F is few.
+        dw = np.matmul(cols_t, dy2.T).T
         arena.release(cols_t)
+        if not need_dx:
+            arena.release(dy2)
+            return None, dw.reshape(w4.shape)
         dcols_t = arena.rent((k, n * p), np.float32)
         np.matmul(wmat.T, dy2, out=dcols_t)
         arena.release(dy2)
@@ -587,7 +586,7 @@ def run_codec(op: str, *args):
     """Dispatch one codec op through its active arm.
 
     Codec calls are tiny and frequent, so they use the static default
-    (or a forced arm) rather than the measured chooser — the registry
+    (or a forced arm) rather than the chooser — the registry
     still exposes every arm to the differential oracle.
     """
     return select_backend(op, None).run(*args)
@@ -732,8 +731,8 @@ def op_families() -> Tuple[OpFamily, ...]:
 def select_backend(op: str, ctx, *probe_args) -> KernelBackend:
     """The arm for this call: executor kwarg > env force > chooser.
 
-    ``probe_args`` are the live operands the measured chooser times the
-    op's non-reference arms on (conv2d: ``x, w4, bias, stride, pad``).
+    ``probe_args`` are the live operands the chooser proves the op's
+    non-reference arms on (conv2d: ``x, w4, bias, stride, pad``).
     Ops with a single such arm (max-pool, the codecs) pass none and get
     their default.
     """

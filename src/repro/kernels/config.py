@@ -67,7 +67,7 @@ def forced_backend(op: str) -> Optional[str]:
     """The backend name ``REPRO_KERNEL_BACKEND`` forces for ``op``.
 
     Per-op entries win over a bare (``*``) name; ``None`` means the
-    measured chooser decides.
+    chooser decides.
     """
     return _forced_backends.get(op, _forced_backends.get("*"))
 

@@ -13,7 +13,7 @@ per-iteration kernels contain no Python loops at all:
 * ``col2im`` writes the column gradient through a precomputed strided
   *slot view* of an ``(N, kh*kw, C*HP*WP)`` workspace (each window slot
   lands in its own plane, so no two writes collide) and then reduces
-  over the slot axis;
+  over the slot axis — one body for both column layouts;
 * max-pool's backward pass scatters through precomputed flat indices —
   the plan caches the per-channel window-corner offsets, so the
   per-step work is three integer ops and one 1-D ``np.add.at``.
@@ -206,34 +206,39 @@ class KernelPlan:
         np.copyto(out6, self._window_view(src))
         return out
 
-    def col2im(
-        self, cols: np.ndarray, arena: Optional[WorkspaceArena] = None
-    ) -> np.ndarray:
-        """Adjoint of :meth:`im2col`: strided slot scatter + slot sum.
+    def _slot_sum(self, cols6: np.ndarray,
+                  arena: Optional[WorkspaceArena]) -> np.ndarray:
+        """Strided slot scatter + slot sum of a column gradient given as
+        an (N, C, kh, kw, OH, OW) view: the one body of both adjoints.
 
         Returns an (N, C, H, W) array backed by an arena buffer (a view of
         one when ``pad > 0``); the caller owns it until the next reset.
         """
         arena = arena if arena is not None else NULL_ARENA
         n, c, h, w = self.shape
-        cols6 = np.ascontiguousarray(cols).reshape(
-            n, c, self.kh, self.kw, self.oh, self.ow
-        )
         # The slot planes cover the same static cell set on every call,
         # so the never-covered cells only need zeroing once — the
         # persistent workspace replaces a per-step fill of S*Q elements.
-        dt = np.dtype(cols.dtype)
+        dt = cols6.dtype
         g = self._slot_ws.get(dt)
         if g is None:
             g = np.zeros((n, self.S, self.Q), dtype=dt)
             self._slot_ws[dt] = g
         np.copyto(self._slot_view(g), cols6)
-        out = arena.rent((n, self.Q), cols.dtype)
+        out = arena.rent((n, self.Q), dt)
         g.sum(axis=1, out=out)
         x4 = out.reshape(n, c, self.hp, self.wp)
         if self.pad:
             x4 = x4[:, :, self.pad:self.pad + h, self.pad:self.pad + w]
         return x4
+
+    def col2im(
+        self, cols: np.ndarray, arena: Optional[WorkspaceArena] = None
+    ) -> np.ndarray:
+        """Adjoint of :meth:`im2col` (see :meth:`_slot_sum`)."""
+        n, c, _, _ = self.shape
+        return self._slot_sum(np.ascontiguousarray(cols).reshape(
+            n, c, self.kh, self.kw, self.oh, self.ow), arena)
 
     def im2col_t(
         self,
@@ -260,32 +265,13 @@ class KernelPlan:
     def col2im_t(
         self, cols_t: np.ndarray, arena: Optional[WorkspaceArena] = None
     ) -> np.ndarray:
-        """Adjoint of :meth:`im2col_t`; bit-identical to :meth:`col2im`.
-
-        Accumulates the ``S`` shifted slot planes directly into the padded
-        gradient with strided adds, in the same ascending ``(ki, kj)``
-        order as :meth:`col2im`'s sequential slot-axis reduction (numpy
-        reduces a non-contiguous axis serially), so every per-element
-        accumulation — and therefore every bit of the result — matches
-        :meth:`col2im` on the equivalent ``(N, K, P)`` gradient, while
-        skipping the (N, S, Q) scatter workspace and its extra pass.
-        """
-        arena = arena if arena is not None else NULL_ARENA
-        n, c, h, w = self.shape
-        cols6 = np.ascontiguousarray(cols_t).reshape(
+        """Adjoint of :meth:`im2col_t`: :meth:`col2im`'s scatter and
+        ascending ``(ki, kj)`` reduction read through the batch-inner axis
+        order, so the two agree bit for bit on equivalent gradients."""
+        n, c, _, _ = self.shape
+        return self._slot_sum(np.ascontiguousarray(cols_t).reshape(
             c, self.kh, self.kw, n, self.oh, self.ow
-        )
-        out = arena.rent((n, self.Q), cols_t.dtype)
-        x4 = out.reshape(n, c, self.hp, self.wp)
-        x4.fill(0)
-        s = self.stride
-        for ki in range(self.kh):
-            for kj in range(self.kw):
-                x4[:, :, ki:ki + s * self.oh:s, kj:kj + s * self.ow:s] += \
-                    cols6[:, ki, kj].transpose(1, 0, 2, 3)
-        if self.pad:
-            x4 = x4[:, :, self.pad:self.pad + h, self.pad:self.pad + w]
-        return x4
+        ).transpose(3, 0, 1, 2, 4, 5), arena)
 
     def maxpool_forward(
         self, x: np.ndarray, arena: Optional[WorkspaceArena] = None
@@ -426,12 +412,14 @@ def _gemm_probe_decides(reduction: int, *free: int) -> bool:
 
 
 def _empty_like_layout(
-    shape: Tuple[int, ...], strides: Tuple[int, ...], dtype
+    shape: Tuple[int, ...], strides: Tuple[int, ...], dtype,
+    arena: WorkspaceArena = NULL_ARENA,
 ) -> np.ndarray:
-    """An uninitialised array of ``shape`` whose memory order matches an
-    array with the given (positive, non-overlapping) ``strides``."""
+    """An uninitialised array of ``shape``, rented from ``arena``, whose
+    memory order matches an array with the given (positive,
+    non-overlapping) ``strides``."""
     order = sorted(range(len(shape)), key=lambda a: -strides[a])
-    buf = np.empty([shape[a] for a in order], dtype=dtype)
+    buf = arena.rent(tuple(shape[a] for a in order), dtype)
     return buf.transpose(np.argsort(order))
 
 
@@ -529,9 +517,13 @@ def clear_plan_cache() -> None:
 
 
 def plan_cache_stats() -> Dict[str, int]:
-    """Cache effectiveness counters for benchmarks and tests."""
+    """Cache effectiveness counters, and the bytes the cached plans hold
+    in their persistent pad / slot workspaces (no arena sees those)."""
     return {
         "size": len(_plan_cache),
         "hits": _cache_hits,
         "misses": _cache_misses,
+        "workspace_bytes": sum(
+            ws.nbytes for plan in _plan_cache.values()
+            for ws in (*plan._pad_ws.values(), *plan._slot_ws.values())),
     }

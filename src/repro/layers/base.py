@@ -83,6 +83,15 @@ class OpContext(abc.ABC):
         """
         return False
 
+    def input_needs_gradient(self, index: int = 0) -> bool:
+        """Whether anything reads the gradient of input ``index``.
+
+        The executor answers ``False`` for the graph's data input, and a
+        layer may then return ``None`` in that slot instead of computing
+        it; standalone contexts want every gradient.
+        """
+        return True
+
 
 class Layer(abc.ABC):
     """Base class for all operators in the execution graph."""
@@ -197,8 +206,9 @@ class Layer(abc.ABC):
             ctx: The context populated during :meth:`forward`.
 
         Returns:
-            ``(dxs, dparams)`` — one gradient per input, and a dict of
-            parameter gradients matching :meth:`param_shapes`.
+            ``(dxs, dparams)`` — one gradient per input (``None`` is
+            allowed where ``ctx.input_needs_gradient`` is false), and a
+            dict of parameter gradients matching :meth:`param_shapes`.
         """
         raise NotImplementedError(f"{type(self).__name__} has no backward pass")
 

@@ -105,9 +105,8 @@ class Conv2D(Layer):
 
         (x,) = xs
         bias = params["b"] if self.bias else None
-        # Per-signature autotuned backend: the chooser probes every
-        # candidate arm on live data and promotes the fastest one that
-        # is bit-identical (values + layout) to the incumbent.
+        # The chooser's arm for this signature: the whole-batch lowering
+        # wherever it is provably bit-identical to the incumbent.
         backend = select_backend("conv2d", ctx, x, params["w"], bias,
                                  self.stride, self.pad)
         want_saved = bool(
@@ -147,9 +146,12 @@ class Conv2D(Layer):
                 saved = saved_obj
         dx, dw = backend.backward(x, params["w"], dy, self.stride,
                                   self.pad, arena=resolve_arena(ctx),
-                                  saved=saved)
+                                  saved=saved,
+                                  need_dx=ctx.input_needs_gradient())
         ctx.save_state("cols", None)
         dparams = {"w": dw.astype(np.float32, copy=False)}
         if self.bias:
             dparams["b"] = dy.sum(axis=(0, 2, 3)).astype(np.float32, copy=False)
-        return [dx.astype(np.float32, copy=False)], dparams
+        if dx is not None:
+            dx = dx.astype(np.float32, copy=False)
+        return [dx], dparams

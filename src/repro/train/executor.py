@@ -65,6 +65,9 @@ class _Context(OpContext):
         entry = self._executor._stash.get(self._node.inputs[index])
         return entry is not None and entry[0].lossless
 
+    def input_needs_gradient(self, index: int = 0) -> bool:
+        return self._node.inputs[index] != self._executor.graph.input_id
+
     @property
     def arena(self) -> WorkspaceArena:
         """The executor's per-instance workspace arena."""
@@ -450,6 +453,8 @@ class GraphExecutor:
                     f"for {len(node.inputs)} inputs"
                 )
             for input_id, dx in zip(node.inputs, dxs):
+                if dx is None:  # input_needs_gradient() said nobody reads it
+                    continue
                 dx = self.policy.transform_gradient(dx, node)
                 prev = grads_out.get(input_id)
                 if prev is None:
@@ -465,7 +470,6 @@ class GraphExecutor:
                     owned.add(input_id)
             for pname, grad in dparams.items():
                 param_grads[f"{node.name}.{pname}"] = grad
-        self.input_gradient = grads_out.get(self.graph.input_id)
         if checks is not None:
             checks.end_step()
         if tracer is not None:

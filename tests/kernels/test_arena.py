@@ -20,7 +20,12 @@ from repro.encodings.binarize import (
     unpack_nibbles,
 )
 from repro.encodings.ssdc import csr_decode, csr_encode, csr_positions
-from repro.kernels import WorkspaceArena
+from repro.kernels import (
+    WorkspaceArena,
+    clear_plan_cache,
+    get_plan,
+    plan_cache_stats,
+)
 from repro.models import tiny_cnn
 from repro.train import BaselinePolicy, GistPolicy, GraphExecutor
 
@@ -105,6 +110,20 @@ def test_arena_never_aliases_two_live_tensors_in_a_step(policy_cls):
         ex.forward(images, labels)
         ex.backward()
     assert arena.hits > 0  # the pool actually recycled across steps
+
+
+def test_plan_workspaces_are_metered_where_no_arena_sees_them():
+    """A plan's persistent pad and slot workspaces live as long as the
+    plan cache, outside every arena: ``plan_cache_stats`` reports them."""
+    clear_plan_cache()
+    arena = WorkspaceArena()
+    plan = get_plan((2, 3, 6, 6), 3, 3, 1, 1)
+    plan.col2im(plan.im2col(np.ones((2, 3, 6, 6), np.float32), arena), arena)
+    padded = 2 * 3 * 8 * 8 * 4
+    assert plan_cache_stats()["workspace_bytes"] == padded + 9 * padded
+    assert arena.pooled_bytes() < padded + 9 * padded
+    clear_plan_cache()
+    assert plan_cache_stats()["workspace_bytes"] == 0
 
 
 @pytest.mark.parametrize("policy_cls", [BaselinePolicy, GistPolicy])

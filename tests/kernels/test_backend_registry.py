@@ -4,14 +4,22 @@
 warns instead of silently falling back (the satellite regression this
 file pins); an unknown ``GraphExecutor(kernel_backend=...)`` is a
 ``ValueError``.  The registry side covers the registration contract
-(exact XOR tolerance), the exact arm sets the keep rule leaves, and
-forced-arm resolution precedence.
+(exact XOR tolerance), the exact arm sets the keep rule leaves,
+forced-arm resolution precedence, and the chooser's picks: the incumbent
+wherever a probe cannot prove identity, the whole-batch arm on every
+ledger signature, the same vector from every fresh probe.
 """
 
 import warnings
 
+import numpy as np
 import pytest
 
+from repro.kernels.autotune import (
+    autotune_report,
+    autotuned_backend,
+    clear_selection_cache,
+)
 from repro.kernels.backends import (
     FnBackend,
     backends_for,
@@ -27,6 +35,7 @@ from repro.kernels.config import (
     backend_override,
     forced_backend,
 )
+from repro.models import build_model
 
 
 # ----------------------------------------------------------------------
@@ -128,3 +137,67 @@ def test_unregister_is_idempotent():
     unregister_backend("pack_bits", "never-registered")  # no raise
     with pytest.raises(KeyError, match="known:"):
         get_backend("pack_bits", "never-registered")
+
+
+# ----------------------------------------------------------------------
+# The chooser: proof, not stopwatch
+# ----------------------------------------------------------------------
+#: ``(x shape, F, k, pad, stride)`` on which blas-fat agreed with the
+#: incumbent on 1-11 of 12 data draws (400-signature sweep at PR 21): a
+#: matching live-data probe proves nothing there, so the static guard
+#: must keep the incumbent whatever the data says.
+DATA_DEPENDENT_SIGNATURES = [
+    ((3, 8, 3, 3), 1, 3, 0, 2), ((4, 2, 3, 3), 1, 1, 0, 1),
+    ((4, 7, 6, 6), 1, 1, 0, 2), ((4, 1, 6, 6), 2, 1, 0, 1),
+    ((4, 1, 4, 4), 3, 1, 1, 2), ((1, 4, 7, 7), 3, 3, 1, 1),
+    ((2, 1, 8, 8), 2, 1, 0, 2), ((2, 2, 3, 3), 1, 1, 0, 2),
+    ((3, 3, 4, 4), 1, 1, 1, 2), ((2, 3, 5, 5), 1, 1, 0, 2),
+]
+
+
+@pytest.mark.parametrize("shape,f,k,pad,stride", DATA_DEPENDENT_SIGNATURES)
+def test_chooser_keeps_the_incumbent_where_agreement_depends_on_data(
+        shape, f, k, pad, stride):
+    for draw in range(12):
+        rng = np.random.default_rng(draw)
+        x = rng.normal(0, 1, shape).astype(np.float32)
+        w4 = rng.normal(0, 0.5, (f, shape[1], k, k)).astype(np.float32)
+        clear_selection_cache()
+        arm = autotuned_backend("conv2d", x, w4, None, stride, pad)
+        assert arm is default_backend("conv2d"), draw
+        (row,) = autotune_report()
+        assert row["exact"] == {"blas-fat": False, "numpy-plan": True}
+    clear_selection_cache()
+
+
+def _ledger_conv_calls():
+    """One live ``(x, w4, bias, stride, pad)`` per distinct conv signature
+    of the two ledger models at the ledger's batch size."""
+    calls = {}
+    rng = np.random.default_rng(0)
+    for model in ("scaled_vgg", "densenet"):
+        graph = build_model(model, batch_size=16)
+        for node in graph.nodes:
+            if node.kind != "conv":
+                continue
+            conv = node.layer
+            shapes = node.input_shapes(graph)
+            params = conv.init_params(shapes, rng)
+            x = rng.normal(0, 1, shapes[0]).astype(np.float32)
+            key = (shapes[0], params["w"].shape, conv.stride, conv.pad,
+                   conv.bias)
+            calls.setdefault(key, (x, params["w"], params.get("b"),
+                                   conv.stride, conv.pad))
+    return list(calls.values())
+
+
+def test_chooser_picks_the_whole_batch_arm_on_every_ledger_signature():
+    calls = _ledger_conv_calls()
+    assert len(calls) == 13
+    for _ in range(3):  # the same pick vector from every fresh probe
+        clear_selection_cache()
+        picks = [autotuned_backend("conv2d", *call).name for call in calls]
+        assert picks == ["blas-fat"] * len(calls)
+        assert all(set(row) == {"op", "signature", "backend", "exact"}
+                   for row in autotune_report())
+    clear_selection_cache()

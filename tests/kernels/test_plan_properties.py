@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.kernels.plan import (
     KernelPlan,
+    bit_identical,
     clear_plan_cache,
     gemm_dcols,
     gemm_forward,
@@ -297,4 +298,47 @@ class TestPlanCache:
         get_plan((1, 1, 4, 4), 2, 2, 2, 0)
         clear_plan_cache()
         stats = plan_cache_stats()
-        assert stats == {"size": 0, "hits": 0, "misses": 0}
+        assert stats == {"size": 0, "hits": 0, "misses": 0,
+                         "workspace_bytes": 0}
+
+
+# ----------------------------------------------------------------------
+# Whole-batch adjoint: col2im_t shares col2im's slot-plane body
+# ----------------------------------------------------------------------
+def _hostile_columns(rng, shape, dtype):
+    """Column planes of the values whose sums are easy to get wrong."""
+    tiny = np.finfo(dtype).tiny
+    yield "normal", rng.normal(0, 1, shape)
+    yield "negative-zero", np.full(shape, -0.0)
+    yield "nan", np.where(rng.random(shape) < 0.2, np.nan,
+                          rng.normal(0, 1, shape))
+    yield "inf", rng.choice([np.inf, -np.inf, 1.0, -0.0], shape)
+    yield "denormal", rng.choice([tiny / 4, -tiny / 8, tiny, 0.0], shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("sig", [
+    ((2, 3, 6, 6), 3, 3, 1, 1),
+    ((2, 2, 7, 7), 3, 3, 2, 0),
+    ((3, 2, 8, 6), 2, 3, 2, 1),   # non-square kernel and map
+    ((2, 4, 5, 5), 1, 1, 1, 0),   # one slot: the sum has a single term
+])
+def test_col2im_t_conforms_on_hostile_planes_and_a_reused_plan(sig, dtype):
+    """``col2im_t`` == ``col2im_reference`` byte for byte, call after call
+    on ONE plan and interleaved with ``col2im``: the two adjoints share
+    the persistent slot workspace, so a stale cell from either must never
+    leak into the other's sum."""
+    shape, kh, kw, stride, pad = sig
+    n, c = shape[:2]
+    plan = KernelPlan(shape, kh, kw, stride, pad)
+    rng = np.random.default_rng(7)
+    for label, planes in _hostile_columns(rng, (n, plan.K, plan.P), dtype):
+        cols = planes.astype(dtype)
+        cols_t = np.ascontiguousarray(
+            cols.transpose(1, 0, 2)).reshape(plan.K, n * plan.P)
+        with np.errstate(invalid="ignore"):  # inf - inf, NaN + x
+            want = col2im_reference(cols, shape, kh, kw, stride, pad)
+            got = (plan.col2im_t(cols_t), plan.col2im(cols),
+                   plan.col2im_t(cols_t))
+        for dx in got:
+            assert bit_identical(np.ascontiguousarray(dx), want), label

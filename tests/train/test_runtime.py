@@ -13,6 +13,7 @@ from repro.train import (
     Dataset,
     GistPolicy,
     GraphExecutor,
+    LOSSLESS_POLICY_NAMES,
     SGD,
     Trainer,
     UniformReductionPolicy,
@@ -20,6 +21,7 @@ from repro.train import (
     accuracy_loss,
     make_synthetic,
     minibatches,
+    policy_from_name,
 )
 
 
@@ -370,3 +372,92 @@ class TestGradientOnlyPolicy:
             train, test, epochs=3
         )
         assert result.final_accuracy > 0.8
+
+
+def _two_headed_cnn(batch_size=4):
+    """The graph input feeds two convs (one fused with its ReLU)."""
+    from repro.graph import GraphBuilder
+    from repro.layers import (
+        Add, Conv2D, Dense, FusedConvReLU, MaxPool2D, ReLU,
+        SoftmaxCrossEntropy,
+    )
+
+    b = GraphBuilder("two_headed", (batch_size, 3, 8, 8))
+    left = b.add(FusedConvReLU(Conv2D(6, 3, pad=1)), b.input, name="left")
+    right = b.add(Conv2D(6, 3, pad=1), b.input, name="right")
+    x = b.add(Add(), [left, right], name="join")
+    x = b.add(ReLU(), x, name="relu")
+    x = b.add(Conv2D(8, 3, pad=1), x, name="deep")
+    x = b.add(MaxPool2D(2, 2), x, name="pool")
+    x = b.add(Dense(4), x, name="fc")
+    b.mark_output(b.add(SoftmaxCrossEntropy(), x, name="loss"))
+    return b.build()
+
+
+class TestInputGradientIsNeverComputed:
+    """A conv fed by the graph input returns no ``dx``: nothing reads it,
+    so skipping it must not move one bit of any loss or parameter
+    gradient — compared with the same run forced to compute every ``dx``,
+    which is what the executor did before it asked."""
+
+    GRAPHS = {
+        "tiny_cnn": lambda: tiny_cnn(batch_size=4),
+        "scaled_vgg": lambda: scaled_vgg(batch_size=4),
+        "two_headed": _two_headed_cnn,
+    }
+
+    @staticmethod
+    def _train(graph, policy_name, backend, steps=3):
+        policy = policy_from_name(policy_name, graph)
+        seen = []
+        inner = policy.transform_gradient
+
+        def recording(dx, node):
+            assert dx is not None, f"{node.name}: policy handed a None dx"
+            seen.append(node.name)
+            return inner(dx, node)
+
+        policy.transform_gradient = recording
+        ex = GraphExecutor(graph, policy, seed=0, kernel_backend=backend)
+        shape = graph.node(graph.input_id).output_shape
+        rng = np.random.default_rng(3)
+        opt = SGD(lr=0.05)
+        trace = []
+        for _ in range(steps):
+            images = rng.normal(0, 1, shape).astype(np.float32)
+            loss = ex.forward(images, rng.integers(0, 4, shape[0]))
+            grads = ex.backward()
+            trace.append((loss, {k: v.tobytes() for k, v in grads.items()}))
+            opt.step(ex.parameters(), grads)
+        return trace, seen
+
+    @pytest.mark.parametrize("backend",
+                             [None, "reference", "numpy-plan", "blas-fat"])
+    @pytest.mark.parametrize("policy_name", LOSSLESS_POLICY_NAMES)
+    @pytest.mark.parametrize("model", sorted(GRAPHS))
+    def test_skipping_it_moves_no_bit(self, monkeypatch, model, policy_name,
+                                      backend):
+        graph = self.GRAPHS[model]()
+        fed_by_input = [n.name for n in graph.nodes
+                        if graph.input_id in n.inputs]
+        skipped, seen = self._train(graph, policy_name, backend)
+        assert not set(seen) & set(fed_by_input)
+        monkeypatch.setattr(
+            "repro.train.executor._Context.input_needs_gradient",
+            lambda self, index=0: True)
+        full, seen_full = self._train(graph, policy_name, backend)
+        assert skipped == full
+        assert set(fed_by_input) <= set(seen_full)
+
+    def test_standalone_context_still_gets_a_full_dx(self):
+        from repro.layers import Conv2D
+        from tests.conftest import run_layer
+
+        layer = Conv2D(4, 3, pad=1)
+        rng = np.random.default_rng(0)
+        x = rng.normal(0, 1, (2, 3, 6, 6)).astype(np.float32)
+        params = layer.init_params([x.shape], rng)
+        y, ctx = run_layer(layer, [x], params)
+        assert ctx.input_needs_gradient()
+        (dx,), _ = layer.backward(np.ones_like(y), params, ctx)
+        assert dx.shape == x.shape and np.abs(dx).max() > 0
