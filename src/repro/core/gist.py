@@ -14,7 +14,7 @@ from repro.core.policy import GistConfig
 from repro.core.schedule_builder import GistPlan, build_gist_plan
 from repro.graph.graph import Graph
 from repro.graph.schedule import TrainingSchedule
-from repro.memory.allocator import POLICY_GREEDY_SIZE, StaticAllocator
+from repro.memory.allocator import StaticAllocator
 from repro.memory.dynamic import simulate_dynamic
 from repro.memory.footprint import memory_footprint_ratio
 from repro.memory.planner import build_memory_plan
@@ -79,7 +79,6 @@ class Gist:
         graph: Graph,
         investigation: bool = False,
         dynamic: bool = False,
-        allocator_policy: str = POLICY_GREEDY_SIZE,
     ) -> MFRReport:
         """Footprint of baseline vs Gist under one allocation discipline.
 
@@ -89,22 +88,24 @@ class Gist:
                 unshared) on both sides.
             dynamic: Use the dynamic-allocation simulator instead of the
                 static allocator (Figure 17).
-            allocator_policy: Static allocator policy (ablations).
         """
         schedule = TrainingSchedule(graph)
         baseline = build_memory_plan(graph, schedule,
                                      investigation=investigation)
         gist_plan = self.apply(graph, schedule, investigation=investigation)
-        if dynamic:
-            base_bytes = simulate_dynamic(baseline.tensors,
-                                          schedule.num_steps).peak_bytes
-            gist_bytes = simulate_dynamic(gist_plan.plan.tensors,
-                                          schedule.num_steps).peak_bytes
-        else:
-            allocator = StaticAllocator(allocator_policy)
-            base_bytes = allocator.allocate(baseline.tensors).total_bytes
-            gist_bytes = allocator.allocate(gist_plan.plan.tensors).total_bytes
-        return MFRReport(graph.name, base_bytes, gist_bytes)
+        return MFRReport(
+            graph.name,
+            _plan_bytes(baseline.tensors, schedule, dynamic),
+            _plan_bytes(gist_plan.plan.tensors, schedule, dynamic),
+        )
+
+
+def _plan_bytes(tensors, schedule: TrainingSchedule, dynamic: bool) -> int:
+    """Bytes a tensor table needs: the dynamic simulator's peak, or the
+    static allocator's total."""
+    if dynamic:
+        return simulate_dynamic(tensors, schedule.num_steps).peak_bytes
+    return StaticAllocator().allocate(tensors).total_bytes
 
 
 def footprint_bytes(
@@ -118,13 +119,9 @@ def footprint_bytes(
     schedule = TrainingSchedule(graph)
     if config is None or not (config.any_encoding or config.inplace):
         plan = build_memory_plan(graph, schedule, investigation=investigation)
-        tensors = plan.tensors
     else:
-        gist_plan = build_gist_plan(
+        plan = build_gist_plan(
             graph, config, sparsity_model, schedule=schedule,
             investigation=investigation,
-        )
-        tensors = gist_plan.plan.tensors
-    if dynamic:
-        return simulate_dynamic(tensors, schedule.num_steps).peak_bytes
-    return StaticAllocator().allocate(tensors).total_bytes
+        ).plan
+    return _plan_bytes(plan.tensors, schedule, dynamic)

@@ -64,10 +64,6 @@ class GistConfig:
         dpr: Delayed precision reduction on remaining stashed maps.
         inplace: Inplace computation for read-once/write-once layers.
         dpr_format: ``"fp16"`` / ``"fp10"`` / ``"fp8"``.
-        dpr_over_ssdc: Also compress the CSR values array with DPR
-            (never the meta arrays — paper Section IV-A).
-        ssdc_cols: CSR row width; 256 enables the narrow-value
-            optimisation, larger values model stock cuSPARSE (ablation).
         rounding: Minifloat rounding, ``"nearest"`` or ``"truncate"``.
         optimized_software: Drop the decoded-FP32 staging buffer, as if
             cuDNN consumed encoded data directly (Figure 17's rightmost
@@ -79,8 +75,6 @@ class GistConfig:
     dpr: bool = True
     inplace: bool = True
     dpr_format: str = "fp16"
-    dpr_over_ssdc: bool = True
-    ssdc_cols: int = 256
     rounding: str = "nearest"
     optimized_software: bool = False
 
@@ -90,8 +84,6 @@ class GistConfig:
                 f"dpr_format must be one of {sorted(DPR_FORMATS)}, "
                 f"got {self.dpr_format!r}"
             )
-        if self.ssdc_cols <= 0:
-            raise ValueError(f"ssdc_cols must be positive, got {self.ssdc_cols}")
         if self.rounding not in ("nearest", "truncate"):
             raise ValueError(f"unknown rounding mode {self.rounding!r}")
 

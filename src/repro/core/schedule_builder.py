@@ -46,7 +46,7 @@ from repro.encodings.base import Encoding
 from repro.encodings.binarize import BinarizeEncoding
 from repro.encodings.dpr import DPREncoding
 from repro.encodings.inplace import inplace_eligible_edges
-from repro.encodings.ssdc import SSDCEncoding
+from repro.encodings.ssdc import NARROW_COLS, SSDCEncoding
 from repro.graph.graph import Graph
 from repro.graph.liveness import (
     ROLE_ENCODED,
@@ -91,11 +91,9 @@ def gist_codec(encoding: str, config: GistConfig) -> Encoding:
     if encoding == ENC_BINARIZE:
         return BinarizeEncoding()
     if encoding == ENC_SSDC:
-        # DPR may compress the CSR values array, never the meta arrays.
-        return SSDCEncoding(
-            config.ssdc_cols,
-            dpr_dtype if (config.dpr and config.dpr_over_ssdc) else None,
-        )
+        # DPR compresses the CSR values array, never the meta arrays
+        # (paper Section IV-A).
+        return SSDCEncoding(NARROW_COLS, dpr_dtype if config.dpr else None)
     if encoding == ENC_DPR:
         return DPREncoding(dpr_dtype, config.rounding)
     raise ValueError(
@@ -258,7 +256,6 @@ def build_gist_plan(
     schedule: Optional[TrainingSchedule] = None,
     investigation: bool = False,
     include_weights: bool = False,
-    include_workspace: bool = False,
 ) -> GistPlan:
     """Run the Schedule Builder and return the rewritten memory plan.
 
@@ -270,7 +267,6 @@ def build_gist_plan(
         investigation: Exclude stashed/encoded tensors from memory sharing
             (the paper's investigation baseline discipline).
         include_weights: Carry weights/weight-grads in the plan.
-        include_workspace: Carry per-op workspace in the plan.
     """
     from repro.perf.cost import CostModel  # local: core<->perf cycle
 
@@ -293,12 +289,8 @@ def build_gist_plan(
         if option is not None:
             decisions[nid] = option
 
-    plan = build_memory_plan(
-        graph,
-        schedule,
-        include_weights=include_weights,
-        include_workspace=include_workspace,
-    )
+    plan = build_memory_plan(graph, schedule,
+                             include_weights=include_weights)
     rewritten_pools = apply_decisions(plan, uses, decisions, config)
 
     # Inplace merges: the consumer's buffer absorbs the producer's.

@@ -85,11 +85,6 @@ class StepRecord:
     arena_outstanding: int = 0
 
     @property
-    def step_s(self) -> float:
-        """Total traced wall time of the step (forward + backward)."""
-        return self.forward_s + self.backward_s
-
-    @property
     def total_raw_bytes(self) -> int:
         """FP32 bytes entering the stash across all encodings."""
         return sum(self.raw_bytes.values())
@@ -124,14 +119,13 @@ class StepTracer:
         self._arena_misses0 = 0
 
     # -- executor-facing hooks -----------------------------------------
-    def begin_step(self, arena=None) -> None:
+    def begin_step(self, arena) -> None:
         """Open a new step record (finalising any still-open one)."""
         if self._current is not None:
             self.steps.append(self._current)
         self._current = StepRecord(index=len(self.steps))
-        if arena is not None:
-            self._arena_hits0 = arena.hits
-            self._arena_misses0 = arena.misses
+        self._arena_hits0 = arena.hits
+        self._arena_misses0 = arena.misses
 
     def record_loss(self, loss: float) -> None:
         """Attach the step's scalar loss (called at forward end)."""
@@ -183,28 +177,19 @@ class StepTracer:
                 encoding=encoding, raw_bytes=decoded_bytes,
             ))
 
-    def end_step(self, arena=None) -> None:
+    def end_step(self, arena) -> None:
         """Close the current step, snapshotting arena statistics."""
         rec = self._current
         if rec is None:
             return
-        if arena is not None:
-            rec.arena_pooled_bytes = arena.pooled_bytes()
-            rec.arena_hits = arena.hits - self._arena_hits0
-            rec.arena_misses = arena.misses - self._arena_misses0
-            rec.arena_outstanding = arena.outstanding
+        rec.arena_pooled_bytes = arena.pooled_bytes()
+        rec.arena_hits = arena.hits - self._arena_hits0
+        rec.arena_misses = arena.misses - self._arena_misses0
+        rec.arena_outstanding = arena.outstanding
         self.steps.append(rec)
         self._current = None
 
     # -- reporting ------------------------------------------------------
-    def encoded_bytes_by_encoding(self) -> Dict[str, int]:
-        """Total stashed bytes per encoding name across all steps."""
-        out: Dict[str, int] = {}
-        for rec in self.steps:
-            for name, nbytes in rec.encoded_bytes.items():
-                out[name] = out.get(name, 0) + nbytes
-        return out
-
     def to_json(self) -> list:
         """JSON-serialisable list of per-step summaries."""
         return [

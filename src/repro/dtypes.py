@@ -65,11 +65,6 @@ class DType:
         return num_elements * (self.bits // 8)
 
     @property
-    def is_minifloat(self) -> bool:
-        """True for reduced-precision float formats (FP16/FP10/FP8)."""
-        return self.kind == "float" and self.bits < 32
-
-    @property
     def exponent_bias(self) -> int:
         """IEEE-style exponent bias, ``2**(e-1) - 1``."""
         if self.exponent_bits is None:
@@ -114,16 +109,3 @@ UINT32 = DType("uint32", 32, "int")
 
 #: DPR storage formats by name, as selectable in :class:`repro.core.policy.GistConfig`.
 DPR_FORMATS = {"fp16": FP16, "fp10": FP10, "fp8": FP8}
-
-_ALL = {
-    d.name: d
-    for d in (FP32, FP16, FP10, FP8, BIT1, NIBBLE4, UINT8, INT32, UINT32)
-}
-
-
-def dtype_by_name(name: str) -> DType:
-    """Look up a dtype descriptor by its ``name`` field."""
-    try:
-        return _ALL[name.lower()]
-    except KeyError:
-        raise KeyError(f"unknown dtype {name!r}; known: {sorted(_ALL)}") from None

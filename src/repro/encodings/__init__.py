@@ -33,13 +33,10 @@ from repro.encodings.floatsim import (
 from repro.encodings.inplace import inplace_eligible_edges
 from repro.encodings.runlength import RLETensor, RunLengthEncoding, rle_stats
 from repro.encodings.ssdc import (
-    BitmapTensor,
     CSRTensor,
     NARROW_COLS,
     SSDCEncoding,
     bitmap_bytes,
-    bitmap_decode,
-    bitmap_encode,
     csr_bytes,
     csr_decode,
     csr_encode,
@@ -49,7 +46,6 @@ from repro.encodings.ssdc import (
 __all__ = [
     "BinarizeEncoding",
     "BinarizedTensor",
-    "BitmapTensor",
     "CSRTensor",
     "DPREncoding",
     "DPRTensor",
@@ -65,8 +61,6 @@ __all__ = [
     "SSDCEncoding",
     "argmax_map_bytes",
     "bitmap_bytes",
-    "bitmap_decode",
-    "bitmap_encode",
     "csr_bytes",
     "csr_decode",
     "csr_encode",

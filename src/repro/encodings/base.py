@@ -27,6 +27,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.kernels.arena import NULL_ARENA
+
 
 class Encoding(abc.ABC):
     """A storage transform applied to a stashed feature map."""
@@ -35,13 +37,13 @@ class Encoding(abc.ABC):
     name: str = "encoding"
     #: Whether the backward pass sees bit-identical information.
     lossless: bool = True
-    #: Optional workspace arena the runtime codec rents buffers from
-    #: (set by the executor via :meth:`bind_arena`; ``None`` means every
-    #: encode allocates fresh memory).
-    arena = None
+    #: Workspace arena the runtime codec rents buffers from (set by the
+    #: executor via :meth:`bind_arena`; the pass-through default makes
+    #: every encode allocate fresh memory).
+    arena = NULL_ARENA
 
     def bind_arena(self, arena) -> None:
-        """Attach (or detach, with ``None``) a workspace arena.
+        """Attach a workspace arena.
 
         The executor binds its per-instance arena before each stash so
         the codec fast paths write into pooled buffers.  Rented buffers

@@ -21,27 +21,21 @@ import numpy as np
 
 from repro.dtypes import BIT1, NIBBLE4
 from repro.encodings.base import Encoding
+from repro.kernels.arena import NULL_ARENA
 from repro.kernels.backends import run_codec
 
 
-def pack_bits(mask: np.ndarray, arena=None) -> np.ndarray:
+def pack_bits(mask: np.ndarray, arena=NULL_ARENA) -> np.ndarray:
     """Pack a boolean array into uint32 words, 32 values per word.
 
-    With an ``arena`` the padded word buffer is rented instead of
-    allocated, and in either case the words are written directly into
-    the final buffer — no concatenate/copy chain.
+    The padded word buffer is rented from ``arena`` and the words are
+    written directly into it — no concatenate/copy chain.
     """
     flat = np.asarray(mask, dtype=bool).ravel()
-    n = flat.size
-    nbytes_padded = 4 * ((n + 31) // 32)
-    if arena is not None:
-        buf = arena.rent((nbytes_padded,), np.uint8)
-    else:
-        buf = np.zeros(nbytes_padded, dtype=np.uint8)
+    buf = arena.rent((4 * ((flat.size + 31) // 32),), np.uint8)
     packed = run_codec("pack_bits", flat)
     buf[: packed.size] = packed
-    if arena is not None:
-        buf[packed.size:] = 0  # rented buffers arrive uninitialised
+    buf[packed.size:] = 0  # rented buffers arrive uninitialised
     return buf.view(np.uint32)
 
 
@@ -53,22 +47,17 @@ def unpack_bits(words: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return bits.view(bool).reshape(shape)
 
 
-def pack_nibbles(values: np.ndarray, arena=None) -> np.ndarray:
+def pack_nibbles(values: np.ndarray, arena=NULL_ARENA) -> np.ndarray:
     """Pack 0..15 integers into uint32 words, 8 values per word."""
     flat = np.asarray(values).ravel()
     if flat.dtype != np.uint8:
         flat = flat.astype(np.uint8)
     if flat.size and flat.max() > 15:
         raise ValueError("nibble packing requires values in [0, 15]")
-    n = flat.size
-    npairs = (n + 1) // 2
-    nbytes_padded = 4 * ((npairs + 3) // 4)
-    if arena is not None:
-        buf = arena.rent((nbytes_padded,), np.uint8)
-        buf[npairs:] = 0
-    else:
-        buf = np.zeros(nbytes_padded, dtype=np.uint8)
+    npairs = (flat.size + 1) // 2
+    buf = arena.rent((4 * ((npairs + 3) // 4),), np.uint8)
     buf[:npairs] = run_codec("pack_nibbles", flat)
+    buf[npairs:] = 0  # rented buffers arrive uninitialised
     return buf.view(np.uint32)
 
 
@@ -113,13 +102,11 @@ class BinarizeEncoding(Encoding):
         return BIT1.size_bytes(num_elements)
 
     def encode(self, x: np.ndarray) -> BinarizedTensor:
-        if self.arena is not None:
-            mask = self.arena.rent(x.shape, np.bool_)
-            np.greater(x, 0, out=mask)
-            words = pack_bits(mask, arena=self.arena)
-            self.arena.release(mask)
-            return BinarizedTensor(words, tuple(x.shape))
-        return BinarizedTensor(pack_bits(x > 0), tuple(x.shape))
+        mask = self.arena.rent(x.shape, np.bool_)
+        np.greater(x, 0, out=mask)
+        words = pack_bits(mask, arena=self.arena)
+        self.arena.release(mask)
+        return BinarizedTensor(words, tuple(x.shape))
 
     def decode(self, encoded: BinarizedTensor) -> np.ndarray:
         return unpack_bits(encoded.words, encoded.shape)

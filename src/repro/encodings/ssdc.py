@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.dtypes import DType
 from repro.encodings.base import Encoding
-from repro.encodings.binarize import pack_bits, unpack_bits
 from repro.encodings.dpr import DPRTensor, decode_words, encode_words
 from repro.kernels.backends import run_codec
 
@@ -167,40 +166,6 @@ class SSDCEncoding(Encoding):
 
     def measure_bytes(self, encoded: CSRTensor) -> int:
         return encoded.nbytes
-
-
-@dataclass(frozen=True)
-class BitmapTensor:
-    """Bitmap sparse format: 1 bit per element + packed nonzero values."""
-
-    mask_words: np.ndarray
-    values: np.ndarray
-    shape: Tuple[int, ...]
-
-    @property
-    def nbytes(self) -> int:
-        return self.mask_words.size * 4 + self.values.size * 4
-
-
-def bitmap_encode(x: np.ndarray) -> BitmapTensor:
-    """Encode with a *nonzero-occupancy* bitmap + packed value list.
-
-    One bit per element marks whether it is nonzero (sign plays no role —
-    negative values are stored too); the values array then holds exactly
-    the nonzero entries in flat order.  Format-choice ablation vs CSR.
-    """
-    flat = np.asarray(x, dtype=np.float32).ravel()
-    mask = flat != 0
-    return BitmapTensor(pack_bits(mask), flat[mask], tuple(x.shape))
-
-
-def bitmap_decode(enc: BitmapTensor) -> np.ndarray:
-    """Reconstruct the dense array from the bitmap format."""
-    n = int(np.prod(enc.shape))
-    mask = unpack_bits(enc.mask_words, (n,))
-    flat = np.zeros(n, dtype=np.float32)
-    flat[mask] = enc.values
-    return flat.reshape(enc.shape)
 
 
 def bitmap_bytes(num_elements: int, sparsity: float) -> int:

@@ -18,7 +18,6 @@ from repro.graph.liveness import (
     ROLE_WEIGHT_GRAD,
     ROLE_WORKSPACE,
     compute_lifetimes,
-    feature_map_last_uses,
 )
 from repro.graph.node import OpNode
 from repro.graph.schedule import BACKWARD, FORWARD, ScheduledOp, TrainingSchedule
@@ -44,7 +43,6 @@ __all__ = [
     "ScheduledOp",
     "TrainingSchedule",
     "compute_lifetimes",
-    "feature_map_last_uses",
     "graph_fingerprint",
     "node_fingerprints",
 ]

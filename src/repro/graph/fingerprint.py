@@ -20,7 +20,7 @@ distinguishing dead branches.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.graph.graph import Graph
 from repro.graph.node import OpNode
@@ -104,8 +104,3 @@ def graph_fingerprint(graph: Graph) -> str:
         digests[graph.output_id],
         sorted(digests.values()),
     ])
-
-
-def fingerprint_pair(graph: Graph) -> Tuple[str, int]:
-    """``(fingerprint, node_count)`` — the cache key plus a sanity field."""
-    return graph_fingerprint(graph), len(graph)

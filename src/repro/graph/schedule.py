@@ -85,6 +85,3 @@ class TrainingSchedule:
         """Whether ``node_id`` has a backward op in the schedule."""
         return node_id in self._backward_t
 
-    def is_forward_time(self, t: int) -> bool:
-        """Whether time ``t`` falls in the forward pass."""
-        return t < self.forward_end

@@ -22,15 +22,12 @@ from repro.kernels.backends import (
     get_backend,
     op_families,
     register_backend,
-    registered_ops,
     run_codec,
     select_backend,
     unregister_backend,
 )
 from repro.kernels.config import (
     backend_override,
-    forced_backend,
-    set_forced_backends,
 )
 from repro.kernels.plan import (
     KernelPlan,
@@ -51,15 +48,12 @@ __all__ = [
     "clear_plan_cache",
     "clear_selection_cache",
     "default_backend",
-    "forced_backend",
     "get_backend",
     "get_plan",
     "op_families",
     "plan_cache_stats",
     "register_backend",
-    "registered_ops",
     "run_codec",
     "select_backend",
-    "set_forced_backends",
     "unregister_backend",
 ]

@@ -19,9 +19,14 @@ Invariants that make reuse safe:
   invoke it at a point where all tensors from the previous step are dead
   (the executor does so at the start of ``forward``).
 
-A disabled arena degrades to plain ``np.empty`` allocation with no
-pooling, which is the behaviour used for the A/B "cache off" mode and
-for standalone layer calls outside an executor.
+Scratch memory is *always* an arena: there is no "no arena" value.  A
+disabled arena degrades to plain ``np.empty`` allocation with no pooling
+— ``GraphExecutor(use_kernel_plans=False)`` owns one, and
+:data:`NULL_ARENA` is the shared one every arena-taking signature
+defaults to and standalone layer calls get — so pooled and unpooled
+callers run the same statements, and every rent site must initialise
+whatever it relies on (a rented buffer arrives with arbitrary bytes
+either way).
 """
 
 from __future__ import annotations

@@ -76,11 +76,10 @@ def autotuned_backend(op: str, x, w4, bias, stride, pad) -> ConvBackend:
         return backend
 
     def run(arm: ConvBackend, dy=None) -> Dict[str, np.ndarray]:
-        y, saved = arm.forward(x, w4, bias, stride, pad, arena=None,
-                               want_saved=True)
+        y, saved = arm.forward(x, w4, bias, stride, pad, want_saved=True)
         # Synthetic cotangent: the incumbent's own y (shape, magnitudes).
         dx, dw = arm.backward(x, w4, y if dy is None else dy, stride, pad,
-                              arena=None, saved=saved)
+                              saved=saved)
         return {"y": y, "dx": dx, "dw": dw}
 
     incumbent = default_backend(op)

@@ -126,11 +126,6 @@ def unregister_backend(op: str, name: str) -> None:
         del _DEFAULTS[op]
 
 
-def registered_ops() -> List[str]:
-    """Sorted op names with at least one registered arm."""
-    return sorted(_BACKENDS)
-
-
 def backends_for(op: str) -> List[KernelBackend]:
     """All arms of ``op``, reference first, then by name."""
     arms = _BACKENDS.get(op, {})
@@ -214,11 +209,11 @@ class ConvBackend(KernelBackend):
 
     op = "conv2d"
 
-    def forward(self, x, w4, bias, stride, pad, arena=None,
+    def forward(self, x, w4, bias, stride, pad, arena=NULL_ARENA,
                 want_saved=False):
         raise NotImplementedError
 
-    def backward(self, x, w4, dy, stride, pad, arena=None, saved=None,
+    def backward(self, x, w4, dy, stride, pad, arena=NULL_ARENA, saved=None,
                  need_dx=True):
         raise NotImplementedError
 
@@ -236,7 +231,7 @@ class ConvReference(ConvBackend):
     name = REFERENCE
     description = "kh*kw slice-loop im2col + einsum contraction"
 
-    def forward(self, x, w4, bias, stride, pad, arena=None,
+    def forward(self, x, w4, bias, stride, pad, arena=NULL_ARENA,
                 want_saved=False):
         n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
         wmat = w4.reshape(f, -1)
@@ -246,7 +241,7 @@ class ConvReference(ConvBackend):
             y += bias[None, :, None]
         return y.reshape(n, f, oh, ow).astype(np.float32, copy=False), None
 
-    def backward(self, x, w4, dy, stride, pad, arena=None, saved=None,
+    def backward(self, x, w4, dy, stride, pad, arena=NULL_ARENA, saved=None,
                  need_dx=True):
         n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
         wmat = w4.reshape(f, -1)
@@ -267,7 +262,7 @@ class ConvNumpyPlan(ConvBackend):
     description = ("plan-cache strided im2col/col2im + per-signature "
                    "probed matmul")
 
-    def forward(self, x, w4, bias, stride, pad, arena=None,
+    def forward(self, x, w4, bias, stride, pad, arena=NULL_ARENA,
                 want_saved=False):
         from repro.kernels.plan import gemm_forward, get_plan
 
@@ -281,12 +276,12 @@ class ConvNumpyPlan(ConvBackend):
         saved = None
         if want_saved:
             saved = cols
-        elif arena is not None:
+        else:
             arena.release(cols)
         return (y.reshape(n, f, oh, ow).astype(np.float32, copy=False),
                 saved)
 
-    def backward(self, x, w4, dy, stride, pad, arena=None, saved=None,
+    def backward(self, x, w4, dy, stride, pad, arena=NULL_ARENA, saved=None,
                  need_dx=True):
         from repro.kernels.plan import gemm_dcols, get_plan
 
@@ -298,15 +293,13 @@ class ConvNumpyPlan(ConvBackend):
         plan = get_plan(x.shape, kh, kw, stride, pad)
         cols = saved if saved is not None else plan.im2col(x, arena)
         dw = np.einsum("nfp,nkp->fk", dy_mat, cols, optimize=True)
-        if arena is not None:
-            arena.release(cols)
+        arena.release(cols)
         if not need_dx:
             return None, dw.reshape(w4.shape)
-        out = None if arena is None else arena.rent((n, k, p), np.float32)
-        dcols = gemm_dcols(wmat, dy_mat, out=out)
+        dcols = gemm_dcols(wmat, dy_mat,
+                           out=arena.rent((n, k, p), np.float32))
         dx = plan.col2im(dcols, arena)
-        if arena is not None:
-            arena.release(dcols)
+        arena.release(dcols)
         return dx, dw.reshape(w4.shape)
 
 
@@ -350,11 +343,10 @@ class ConvBlasFat(ConvBackend):
     tolerance = 1e-5
     description = "single-GEMM whole-batch im2col^T lowering"
 
-    def forward(self, x, w4, bias, stride, pad, arena=None,
+    def forward(self, x, w4, bias, stride, pad, arena=NULL_ARENA,
                 want_saved=False):
         from repro.kernels.plan import _empty_like_layout, get_plan
 
-        arena = arena if arena is not None else NULL_ARENA
         n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
         p = oh * ow
         wmat = w4.reshape(f, -1)
@@ -381,11 +373,10 @@ class ConvBlasFat(ConvBackend):
         return (y.reshape(n, f, oh, ow).astype(np.float32, copy=False),
                 saved)
 
-    def backward(self, x, w4, dy, stride, pad, arena=None, saved=None,
+    def backward(self, x, w4, dy, stride, pad, arena=NULL_ARENA, saved=None,
                  need_dx=True):
         from repro.kernels.plan import get_plan
 
-        arena = arena if arena is not None else NULL_ARENA
         n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
         p = oh * ow
         wmat = w4.reshape(f, -1)
@@ -418,11 +409,11 @@ class PoolBackend(KernelBackend):
 
     op = "maxpool2d"
 
-    def forward(self, x, kh, kw, stride, pad, arena=None):
+    def forward(self, x, kh, kw, stride, pad, arena=NULL_ARENA):
         raise NotImplementedError
 
     def backward(self, argmax, dy, x_shape, kh, kw, stride, pad,
-                 arena=None):
+                 arena=NULL_ARENA):
         raise NotImplementedError
 
 
@@ -432,7 +423,7 @@ class PoolReference(PoolBackend):
     name = REFERENCE
     description = "slice-loop im2col + multi-index scatter"
 
-    def forward(self, x, kh, kw, stride, pad, arena=None):
+    def forward(self, x, kh, kw, stride, pad, arena=NULL_ARENA):
         n, c, h, w = x.shape
         oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
         if pad > 0:
@@ -448,7 +439,7 @@ class PoolReference(PoolBackend):
                 argmax.reshape(n, c, oh, ow))
 
     def backward(self, argmax, dy, x_shape, kh, kw, stride, pad,
-                 arena=None):
+                 arena=NULL_ARENA):
         n, c, h, w = x_shape
         oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
         hp, wp = h + 2 * pad, w + 2 * pad
@@ -475,14 +466,14 @@ class PoolNumpyPlan(PoolBackend):
     name = "numpy-plan"
     description = "plan-cache strided gather + flat argmax scatter"
 
-    def forward(self, x, kh, kw, stride, pad, arena=None):
+    def forward(self, x, kh, kw, stride, pad, arena=NULL_ARENA):
         from repro.kernels.plan import get_plan
 
         plan = get_plan(x.shape, kh, kw, stride, pad)
         return plan.maxpool_forward(x, arena)
 
     def backward(self, argmax, dy, x_shape, kh, kw, stride, pad,
-                 arena=None):
+                 arena=NULL_ARENA):
         from repro.kernels.plan import get_plan
 
         plan = get_plan(x_shape, kh, kw, stride, pad)
@@ -634,10 +625,8 @@ def _make_conv_inputs(rng: np.random.Generator) -> tuple:
 
 def _run_conv(backend: ConvBackend, inputs: tuple) -> Dict[str, np.ndarray]:
     x, w4, bias, dy, stride, pad = inputs
-    y, saved = backend.forward(x, w4, bias, stride, pad, arena=None,
-                               want_saved=True)
-    dx, dw = backend.backward(x, w4, dy, stride, pad, arena=None,
-                              saved=saved)
+    y, saved = backend.forward(x, w4, bias, stride, pad, want_saved=True)
+    dx, dw = backend.backward(x, w4, dy, stride, pad, saved=saved)
     return {"y": y, "dx": dx, "dw": dw}
 
 
@@ -667,9 +656,8 @@ def _make_pool_inputs(rng: np.random.Generator) -> tuple:
 
 def _run_pool(backend: PoolBackend, inputs: tuple) -> Dict[str, np.ndarray]:
     x, dy, kh, kw, stride, pad = inputs
-    y, argmax = backend.forward(x, kh, kw, stride, pad, arena=None)
-    dx = backend.backward(argmax, dy, x.shape, kh, kw, stride, pad,
-                          arena=None)
+    y, argmax = backend.forward(x, kh, kw, stride, pad)
+    dx = backend.backward(argmax, dy, x.shape, kh, kw, stride, pad)
     return {"y": y, "argmax": argmax, "dx": dx}
 
 

@@ -1,21 +1,23 @@
 """The one global switch of the runtime kernel layer.
 
 ``REPRO_KERNEL_BACKEND`` forces the registry's backend selection instead
-of the measured autotuner.  It accepts a bare backend name
+of the chooser's.  It accepts a bare backend name
 (``reference``, ``numpy-plan``, ``blas-fat``, ``numpy``, ``loop``)
 applied to every op that registers it, or comma-separated ``op=name``
 pairs (``conv2d=blas-fat,maxpool2d=reference``) for per-op control.
-``auto`` (or unset) keeps the autotuner in charge.  Syntax is validated
-at import time; names are validated lazily against the live registry —
-see :func:`repro.kernels.backends.resolve_forced_backend` — and an
-unknown one produces a ``RuntimeWarning`` instead of a silent fallback.
+``auto`` (or unset; also per op, ``conv2d=auto``) keeps the chooser in
+charge.  Syntax is validated at import time; names are validated lazily
+against the live registry — see
+:func:`repro.kernels.backends.resolve_forced_backend` — and an unknown
+one produces a ``RuntimeWarning`` instead of a silent fallback.
 
 ``REPRO_KERNEL_BACKEND=reference`` is the A/B baseline: every conv and
-pool runs the original per-call Python-loop kernels.
+max-pool runs the original per-call Python-loop kernels.
 
-This module is import-cycle-free on purpose: layers import it directly
-(``repro.kernels.config``) while the heavier plan machinery imports the
-layer helpers.
+This module is import-cycle-free on purpose (it needs only
+:mod:`repro.kernels.arena`, which needs only NumPy): layers import it
+directly (``repro.kernels.config``) while the heavier plan machinery
+imports the layer helpers.
 """
 
 from __future__ import annotations
@@ -25,14 +27,17 @@ import warnings
 from contextlib import contextmanager
 from typing import Dict, Optional
 
+from repro.kernels.arena import NULL_ARENA, WorkspaceArena
+
 
 def _parse_backend_env(raw: Optional[str]) -> Dict[str, str]:
     """Parse ``REPRO_KERNEL_BACKEND`` into an ``{op_or_*: name}`` map.
 
     A bare name maps from ``"*"`` (all ops); ``op=name`` pairs scope the
-    force to one op.  ``auto``/empty clears the force.  Syntax is
-    validated here; *name* validity is checked against the registry at
-    dispatch time (the registry may not be imported yet).
+    force to one op.  ``auto``/empty — bare or as ``op=auto`` — forces
+    nothing.  Syntax is validated here; *name* validity is checked
+    against the registry at dispatch time (the registry may not be
+    imported yet).
     """
     forced: Dict[str, str] = {}
     if raw is None:
@@ -52,7 +57,8 @@ def _parse_backend_env(raw: Optional[str]) -> Dict[str, str]:
                     stacklevel=2,
                 )
                 continue
-            forced[op] = name
+            if name.lower() != "auto":
+                forced[op] = name
         else:
             forced["*"] = part
     return forced
@@ -90,12 +96,13 @@ def backend_override(spec: Optional[str]):
         set_forced_backends(previous)
 
 
-def resolve_arena(ctx) -> Optional[object]:
-    """The pooling workspace arena of a layer call, or ``None``.
+def resolve_arena(ctx) -> WorkspaceArena:
+    """The workspace arena of a layer call — always an arena.
 
     Standalone contexts (gradient-check harness, ``ctx=None`` inference)
-    carry no arena and ``GraphExecutor(use_kernel_plans=False)`` carries
-    a pass-through one; both mean "allocate fresh".
+    carry none and get the shared pass-through ``NULL_ARENA``;
+    ``GraphExecutor(use_kernel_plans=False)`` carries a disabled one of
+    its own.  Both allocate fresh on every ``rent``, through the same
+    statements a pooling arena runs.
     """
-    arena = getattr(ctx, "arena", None)
-    return arena if arena is not None and arena.enabled else None
+    return getattr(ctx, "arena", NULL_ARENA)

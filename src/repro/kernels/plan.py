@@ -190,7 +190,7 @@ class KernelPlan:
     def im2col(
         self,
         x: np.ndarray,
-        arena: Optional[WorkspaceArena] = None,
+        arena: WorkspaceArena = NULL_ARENA,
         pad_value: float = 0.0,
     ) -> np.ndarray:
         """Unfold ``x`` into columns (N, C*kh*kw, OH*OW) in one copy.
@@ -198,7 +198,6 @@ class KernelPlan:
         The returned buffer is rented from ``arena``; the caller owns it
         and should ``release`` it once the columns are dead.
         """
-        arena = arena if arena is not None else NULL_ARENA
         n, c, _, _ = self.shape
         src = self._padded(x, pad_value)
         out = arena.rent((n, self.K, self.P), x.dtype)
@@ -207,14 +206,13 @@ class KernelPlan:
         return out
 
     def _slot_sum(self, cols6: np.ndarray,
-                  arena: Optional[WorkspaceArena]) -> np.ndarray:
+                  arena: WorkspaceArena) -> np.ndarray:
         """Strided slot scatter + slot sum of a column gradient given as
         an (N, C, kh, kw, OH, OW) view: the one body of both adjoints.
 
         Returns an (N, C, H, W) array backed by an arena buffer (a view of
         one when ``pad > 0``); the caller owns it until the next reset.
         """
-        arena = arena if arena is not None else NULL_ARENA
         n, c, h, w = self.shape
         # The slot planes cover the same static cell set on every call,
         # so the never-covered cells only need zeroing once — the
@@ -233,7 +231,7 @@ class KernelPlan:
         return x4
 
     def col2im(
-        self, cols: np.ndarray, arena: Optional[WorkspaceArena] = None
+        self, cols: np.ndarray, arena: WorkspaceArena = NULL_ARENA
     ) -> np.ndarray:
         """Adjoint of :meth:`im2col` (see :meth:`_slot_sum`)."""
         n, c, _, _ = self.shape
@@ -243,7 +241,7 @@ class KernelPlan:
     def im2col_t(
         self,
         x: np.ndarray,
-        arena: Optional[WorkspaceArena] = None,
+        arena: WorkspaceArena = NULL_ARENA,
         pad_value: float = 0.0,
     ) -> np.ndarray:
         """Unfold ``x`` into *transposed* columns (C*kh*kw, N*OH*OW).
@@ -254,7 +252,6 @@ class KernelPlan:
         conv backend contracts this with the filter matrix in a single
         BLAS call instead of one GEMM per sample.
         """
-        arena = arena if arena is not None else NULL_ARENA
         n, c, _, _ = self.shape
         src = self._padded(x, pad_value)
         out = arena.rent((self.K, n * self.P), x.dtype)
@@ -263,7 +260,7 @@ class KernelPlan:
         return out
 
     def col2im_t(
-        self, cols_t: np.ndarray, arena: Optional[WorkspaceArena] = None
+        self, cols_t: np.ndarray, arena: WorkspaceArena = NULL_ARENA
     ) -> np.ndarray:
         """Adjoint of :meth:`im2col_t`: :meth:`col2im`'s scatter and
         ascending ``(ki, kj)`` reduction read through the batch-inner axis
@@ -274,7 +271,7 @@ class KernelPlan:
         ).transpose(3, 0, 1, 2, 4, 5), arena)
 
     def maxpool_forward(
-        self, x: np.ndarray, arena: Optional[WorkspaceArena] = None
+        self, x: np.ndarray, arena: WorkspaceArena = NULL_ARENA
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Max-pool ``x``, returning ``(y, argmax)``.
 
@@ -291,7 +288,6 @@ class KernelPlan:
         which of two equal operands ``np.maximum`` returns is unspecified
         — harmless only when equal means same bits, i.e. no ``-0.0``.
         """
-        arena = arena if arena is not None else NULL_ARENA
         n, c, h, w = self.shape
         disjoint = (
             self.pad == 0
@@ -319,7 +315,6 @@ class KernelPlan:
                 np.copyto(am3, np.uint8(slot), where=mask)
                 np.maximum(y3, vs, out=y3)
             arena.release(mask)
-            rented = None
         else:
             rented = self.im2col(x, arena, pad_value=-np.inf)
             cols = rented.reshape(n, c, self.S, self.P)
@@ -327,7 +322,6 @@ class KernelPlan:
             y = np.take_along_axis(
                 cols, argmax[:, :, None, :].astype(np.intp), axis=2
             )[:, :, 0, :]
-        if rented is not None:
             arena.release(rented)
         y = y.reshape(n, c, self.oh, self.ow)
         return y.astype(np.float32, copy=False), argmax.reshape(
@@ -338,7 +332,7 @@ class KernelPlan:
         self,
         argmax: np.ndarray,
         dy: np.ndarray,
-        arena: Optional[WorkspaceArena] = None,
+        arena: WorkspaceArena = NULL_ARENA,
     ) -> np.ndarray:
         """Scatter ``dy`` to the argmax winners via one flat ``np.add.at``.
 
@@ -348,7 +342,6 @@ class KernelPlan:
         reference multi-index scatter, so overlapping windows accumulate
         bit-identically.
         """
-        arena = arena if arena is not None else NULL_ARENA
         n, c, h, w = self.shape
         am = argmax.reshape(n, c * self.P)
         lin = arena.rent((n, c * self.P), np.intp)

@@ -74,23 +74,16 @@ class ReLU(Layer):
         if y.dtype == np.bool_:
             mask = y  # Binarize handed us the 1-bit positivity mask directly.
             scratch = None
-        elif arena is not None:
-            scratch = arena.rent(y.shape, np.bool_)
-            np.greater(y, 0, out=scratch)
-            mask = scratch
         else:
-            mask = y > 0
-            scratch = None
-        if arena is not None:
-            # The gradient rides an arena buffer: it is dead by the next
-            # step's reset, and renting skips a fresh multi-MB allocation
-            # (and its page faults) on every backward call.
-            dx = arena.rent(dy.shape, dy.dtype)
-            np.multiply(dy, mask, out=dx)
-            if scratch is not None:
-                arena.release(scratch)
-            return [dx], {}
-        return [dy * mask], {}
+            mask = scratch = arena.rent(y.shape, np.bool_)
+            np.greater(y, 0, out=mask)
+        # The gradient rides an arena buffer: it is dead by the next
+        # step's reset, and renting skips a fresh multi-MB allocation
+        # (and its page faults) on every backward call.
+        dx = arena.rent(dy.shape, dy.dtype)
+        np.multiply(dy, mask, out=dx)
+        arena.release(scratch)
+        return [dx], {}
 
 
 class Sigmoid(Layer):

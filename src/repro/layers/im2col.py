@@ -6,19 +6,13 @@ becomes a GEMM, and the transposed scatter (``col2im``) implements the
 backward pass.  This mirrors how cuDNN's GEMM-based algorithms work and
 keeps the NumPy kernels fast enough for the scaled training experiments.
 
-Two interchangeable implementations live behind :func:`im2col` /
-:func:`col2im`:
-
-* the **planned** path (default) looks up a cached
-  :class:`~repro.kernels.plan.KernelPlan` and runs a single strided
-  window-view copy / slot-scatter reduction with no Python loops,
-  renting its workspaces from a :class:`~repro.kernels.arena.WorkspaceArena`;
-* the **reference** path (:func:`im2col_reference` /
-  :func:`col2im_reference`) is the original ``kh x kw`` slice loop — what
-  the registry's ``reference`` arms (the A/B baseline) are built from.
-
-Both produce bit-identical results (asserted by the kernel property
-tests), including floating-point accumulation order in ``col2im``.
+This module holds the ground truth: :func:`im2col_reference` /
+:func:`col2im_reference` are the original ``kh x kw`` slice loops — what
+the registry's ``reference`` arms (the A/B baseline) are built from and
+what the kernel property tests compare against.  Everything else (the
+default conv/pool arms, ``AvgPool2D``) runs the loop-free
+:class:`~repro.kernels.plan.KernelPlan` methods, which are bit-identical
+to these loops including ``col2im``'s floating-point accumulation order.
 """
 
 from __future__ import annotations
@@ -84,50 +78,3 @@ def col2im_reference(
     if pad > 0:
         x = x[:, :, pad : pad + h, pad : pad + w]
     return x
-
-
-def im2col(
-    x: np.ndarray,
-    kh: int,
-    kw: int,
-    stride: int,
-    pad: int,
-    arena=None,
-    planned: bool = True,
-) -> np.ndarray:
-    """Unfold ``x`` (N, C, H, W) into columns (N, C*kh*kw, OH*OW).
-
-    Args:
-        arena: Optional workspace arena the planned path rents buffers
-            from (the caller owns, and may release, the result).
-        planned: Take the planned (True) or reference (False) path.
-    """
-    if not planned:
-        return im2col_reference(x, kh, kw, stride, pad)
-    from repro.kernels.plan import get_plan
-
-    return get_plan(x.shape, kh, kw, stride, pad).im2col(x, arena)
-
-
-def col2im(
-    cols: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int,
-    pad: int,
-    arena=None,
-    planned: bool = True,
-) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add columns back to (N, C, H, W).
-
-    See :func:`im2col` for the ``arena``/``planned`` semantics.  The
-    planned path may return a view of an arena buffer; it stays valid
-    until the owning arena's next ``reset``.
-    """
-    if not planned:
-        return col2im_reference(cols, x_shape, kh, kw, stride, pad)
-    from repro.kernels.plan import get_plan
-
-    kh, kw = int(kh), int(kw)
-    return get_plan(x_shape, kh, kw, stride, pad).col2im(cols, arena)

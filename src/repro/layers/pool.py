@@ -20,7 +20,7 @@ import numpy as np
 from repro.dtypes import NIBBLE4, UINT8
 from repro.kernels.config import resolve_arena
 from repro.layers.base import Layer, OpContext, Shape, StateSpec
-from repro.layers.im2col import col2im, conv_output_hw, im2col
+from repro.layers.im2col import conv_output_hw
 
 
 class _Pool2D(Layer):
@@ -142,20 +142,13 @@ class ArgmaxMaxPool2D(MaxPool2D):
         return [self.argmax_map_spec(output_shape)]
 
 
-def _pool_route_planned(ctx) -> bool:
-    """Whether pooling runs the plan-cache lowering for this call.
-
-    Average pooling registers no arms of its own: it follows max-pool's
-    route, taking the loop ``im2col``/``col2im`` exactly when that
-    resolves to the ``reference`` arm.
-    """
-    from repro.kernels.backends import REFERENCE, select_backend
-
-    return select_backend("maxpool2d", ctx).name != REFERENCE
-
-
 class AvgPool2D(_Pool2D):
-    """Average pooling.  Backward needs neither X nor Y — only shapes."""
+    """Average pooling.  Backward needs neither X nor Y — only shapes.
+
+    Registers no arms: it always runs the plan-cache lowering, which is
+    bit-identical to the loop ``im2col_reference`` / ``col2im_reference``
+    by construction (``tests/kernels/test_plan_properties.py``).
+    """
 
     kind = "avgpool"
     backward_needs_input = False
@@ -168,38 +161,31 @@ class AvgPool2D(_Pool2D):
         ctx: Optional[OpContext],
         train: bool = True,
     ) -> np.ndarray:
+        from repro.kernels.plan import get_plan
+
         (x,) = xs
-        n, c, h, w = x.shape
-        oh, ow = conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
+        n, c, _, _ = x.shape
+        plan = get_plan(x.shape, self.kh, self.kw, self.stride, self.pad)
         arena = resolve_arena(ctx)
-        cols = im2col(x, self.kh, self.kw, self.stride, self.pad,
-                      arena=arena, planned=_pool_route_planned(ctx))
-        rented = cols
-        cols = cols.reshape(n, c, self.kh * self.kw, oh * ow)
-        y = cols.mean(axis=2).reshape(n, c, oh, ow)
-        if arena is not None:
-            arena.release(rented)
+        cols = plan.im2col(x, arena)
+        y = cols.reshape(n, c, plan.S, plan.P).mean(axis=2).reshape(
+            n, c, plan.oh, plan.ow)
+        arena.release(cols)
         if ctx is not None:
             ctx.save_state("in_shape", np.array(x.shape))
         return y.astype(np.float32, copy=False)
 
     def backward(self, dy, params, ctx):
+        from repro.kernels.plan import get_plan
+
         n, c, h, w = (int(v) for v in ctx.get_state("in_shape"))
-        oh, ow = conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
-        scale = 1.0 / (self.kh * self.kw)
+        plan = get_plan((n, c, h, w), self.kh, self.kw, self.stride, self.pad)
         arena = resolve_arena(ctx)
-        scaled = (dy * scale).reshape(n, c, 1, oh * ow)
-        if arena is not None:
-            dcols = arena.rent((n, c * self.kh * self.kw, oh * ow), dy.dtype)
-            dcols.reshape(n, c, self.kh * self.kw, oh * ow)[:] = scaled
-        else:
-            dcols = np.ascontiguousarray(np.broadcast_to(
-                scaled, (n, c, self.kh * self.kw, oh * ow)
-            ).reshape(n, c * self.kh * self.kw, oh * ow))
-        dx = col2im(dcols, (n, c, h, w), self.kh, self.kw, self.stride,
-                    self.pad, arena=arena, planned=_pool_route_planned(ctx))
-        if arena is not None:
-            arena.release(dcols)
+        dcols = arena.rent((n, plan.K, plan.P), dy.dtype)
+        dcols.reshape(n, c, plan.S, plan.P)[:] = (
+            dy * (1.0 / plan.S)).reshape(n, c, 1, plan.P)
+        dx = plan.col2im(dcols, arena)
+        arena.release(dcols)
         return [dx], {}
 
 

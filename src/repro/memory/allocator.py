@@ -58,25 +58,6 @@ class AllocationResult:
         """Total static footprint: sum of group sizes."""
         return sum(g.size_bytes for g in self.groups)
 
-    @property
-    def unshared_bytes(self) -> int:
-        """Footprint had every tensor received dedicated space."""
-        return sum(t.size_bytes for g in self.groups for t in g.members)
-
-    @property
-    def sharing_ratio(self) -> float:
-        """unshared / shared — how much the allocator saved."""
-        total = self.total_bytes
-        return self.unshared_bytes / total if total else 1.0
-
-    def group_of(self, tensor_name: str) -> AllocationGroup:
-        """The group containing the named tensor."""
-        for group in self.groups:
-            for t in group.members:
-                if t.spec.name == tensor_name:
-                    return group
-        raise KeyError(f"tensor {tensor_name!r} not in any group")
-
 
 class StaticAllocator:
     """Groups tensors with disjoint lifetimes into shared regions.
@@ -166,10 +147,3 @@ class StaticAllocator:
                 groups.append(AllocationGroup([tensor], open=False))
 
         return AllocationResult(groups, self.policy)
-
-
-def static_footprint(
-    tensors: Sequence[LiveTensor], policy: str = POLICY_GREEDY_SIZE
-) -> int:
-    """Convenience wrapper: total static footprint in bytes."""
-    return StaticAllocator(policy).allocate(tensors).total_bytes

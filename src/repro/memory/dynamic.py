@@ -22,11 +22,6 @@ class DynamicResult:
     peak_time: int
     timeline: Tuple[int, ...]
 
-    @property
-    def average_bytes(self) -> float:
-        """Mean live bytes over the schedule."""
-        return sum(self.timeline) / len(self.timeline) if self.timeline else 0.0
-
 
 def simulate_dynamic(tensors: Sequence[LiveTensor], horizon: int = 0) -> DynamicResult:
     """Peak live bytes assuming allocate-at-birth / free-after-death.
@@ -53,8 +48,3 @@ def simulate_dynamic(tensors: Sequence[LiveTensor], horizon: int = 0) -> Dynamic
         timeline.append(live)
     peak = max(timeline)
     return DynamicResult(peak, timeline.index(peak), tuple(timeline))
-
-
-def dynamic_footprint(tensors: Sequence[LiveTensor]) -> int:
-    """Convenience wrapper: peak dynamic footprint in bytes."""
-    return simulate_dynamic(tensors).peak_bytes

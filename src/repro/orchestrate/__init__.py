@@ -21,25 +21,22 @@ without giving up the determinism contract the verify layer depends on:
 """
 
 from repro.orchestrate.cores import cgroup_cpu_quota, usable_cores
-from repro.orchestrate.journal import JOURNAL_FORMAT, RunJournal
+from repro.orchestrate.journal import RunJournal
 from repro.orchestrate.pool import UnitResult, run_units
 from repro.orchestrate.units import (
     WorkUnit,
     payload_fingerprint,
     register_kind,
-    registered_kinds,
     resolve_kind,
 )
 
 __all__ = [
-    "JOURNAL_FORMAT",
     "RunJournal",
     "UnitResult",
     "WorkUnit",
     "cgroup_cpu_quota",
     "payload_fingerprint",
     "register_kind",
-    "registered_kinds",
     "resolve_kind",
     "run_units",
     "usable_cores",

@@ -18,7 +18,7 @@ import hashlib
 import importlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Union
+from typing import Any, Callable, Dict, Union
 
 #: kind name -> executor callable or lazy ``"module:attr"`` reference.
 _KINDS: Dict[str, Union[Callable[[dict], Any], str]] = {
@@ -94,18 +94,13 @@ def register_kind(name: str,
     _KINDS[name] = fn
 
 
-def registered_kinds() -> List[str]:
-    """Names accepted by :func:`resolve_kind`, sorted."""
-    return sorted(_KINDS)
-
-
 def resolve_kind(name: str) -> Callable[[dict], Any]:
     """Resolve a kind name to its executor, importing lazily if needed."""
     try:
         fn = _KINDS[name]
     except KeyError:
         raise KeyError(
-            f"unknown work-unit kind {name!r}; known: {registered_kinds()}"
+            f"unknown work-unit kind {name!r}; known: {sorted(_KINDS)}"
         ) from None
     if isinstance(fn, str):
         module_name, _, attr = fn.partition(":")

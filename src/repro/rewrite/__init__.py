@@ -22,7 +22,6 @@ the fuzz harness.
 from repro.rewrite.base import PassStats, RewritePass, RewriteResult
 from repro.rewrite.equivalence import (
     check_rewrite_equivalence,
-    make_batches,
 )
 from repro.rewrite.manager import (
     DEFAULT_PASSES,
@@ -51,6 +50,5 @@ __all__ = [
     "RewriteResult",
     "apply_passes",
     "check_rewrite_equivalence",
-    "make_batches",
     "resolve_passes",
 ]

@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.kernels.plan import bit_identical
 from repro.rewrite.base import RewriteResult
 from repro.rewrite.manager import PassLike, apply_passes
 from repro.train.executor import GraphExecutor
@@ -144,12 +145,12 @@ def check_rewrite_equivalence(
                 bad(f"policy {policy_name}: gradient for {key!r} vanished "
                     f"but node {node_name!r} was not removed by any pass")
         for step, (la, lb) in enumerate(zip(losses_a, losses_b)):
-            if not (la == lb or (np.isnan(la) and np.isnan(lb))):
+            if not bit_identical(np.asarray(la), np.asarray(lb)):
                 bad(f"policy {policy_name} step {step}: loss diverged "
                     f"({la!r} original vs {lb!r} rewritten)")
         for step, (ga, gb) in enumerate(zip(grads_a, grads_b)):
             for key in sorted(set(ga) & set(gb)):
-                if not np.array_equal(ga[key], gb[key], equal_nan=True):
+                if not bit_identical(ga[key], gb[key]):
                     bad(f"policy {policy_name} step {step}: gradient "
                         f"{key!r} not bit-identical after rewrite")
         if violations:

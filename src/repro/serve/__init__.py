@@ -1,34 +1,28 @@
 """Training-service daemon: declarative job specs, a durable queue and
 a content-addressed plan/result cache in front of the orchestrate pool."""
 
-from repro.serve.cache import CACHE_FORMAT, ContentCache, content_address, value_digest
+from repro.serve.cache import ContentCache, content_address, value_digest
 from repro.serve.jobs import build_plan_policy, compile_job, plan_cache_probe, run_serve_job
-from repro.serve.service import QUEUE_FORMAT, JobRecord, JobService, ServeReport
+from repro.serve.service import JobRecord, JobService, ServeReport
 from repro.serve.spec import (
-    JOB_KINDS,
     SPEC_FORMAT,
     JobSpec,
     JobSpecError,
-    job_fingerprint,
     load_job_specs,
     validate_job_spec,
 )
 
 __all__ = [
-    "CACHE_FORMAT",
     "ContentCache",
-    "JOB_KINDS",
     "JobRecord",
     "JobService",
     "JobSpec",
     "JobSpecError",
-    "QUEUE_FORMAT",
     "SPEC_FORMAT",
     "ServeReport",
     "build_plan_policy",
     "compile_job",
     "content_address",
-    "job_fingerprint",
     "load_job_specs",
     "plan_cache_probe",
     "run_serve_job",

@@ -13,7 +13,7 @@ that the serve layer compiles onto the existing work-unit machinery:
 
 Validation fills in every default *before* the spec is fingerprinted,
 so two spellings of the same job — one terse, one fully spelled out —
-produce the same :func:`job_fingerprint` and therefore share one
+produce the same :meth:`JobSpec.fingerprint` and therefore share one
 result-cache entry.  The ``name`` label is deliberately excluded from
 the identity: resubmitting a job under a new label is still the same
 job (this is what collapses duplicate submissions onto one cache
@@ -61,11 +61,6 @@ class JobSpec:
         """Content address of this job (label-independent)."""
         blob = canonical_json(self.payload())
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def job_fingerprint(spec: JobSpec) -> str:
-    """Alias for :meth:`JobSpec.fingerprint` (module-level spelling)."""
-    return spec.fingerprint()
 
 
 # ----------------------------------------------------------------------

@@ -56,10 +56,6 @@ class TensorSpec:
         """
         return replace(self, dtype=dtype, name=self.name + suffix)
 
-    def with_category(self, category: TensorCategory) -> "TensorSpec":
-        """A copy of this spec in a different breakdown category."""
-        return replace(self, category=category)
-
     def __str__(self) -> str:
         dims = "x".join(str(d) for d in self.shape)
         return f"{self.name}[{dims}:{self.dtype.name}]"

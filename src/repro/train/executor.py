@@ -88,15 +88,16 @@ class GraphExecutor:
         seed: Parameter-initialisation seed.
         use_kernel_plans: ``False`` is the A/B shorthand for
             ``kernel_backend="reference"`` plus a pass-through arena: the
-            original per-call loop kernels, every buffer freshly allocated.
+            original per-call loop kernels, every buffer freshly allocated
+            (by the same ``rent`` statements the pooled arena serves).
         arena: Workspace arena to rent scratch buffers from.  Each
             executor owns one by default; it is reset at the start of
             every forward pass, so arrays returned by ``backward`` (input
             gradients) are only valid until the next step begins.
         tracer: Optional :class:`~repro.diagnostics.tracer.StepTracer`
-            observing this executor.  Every hook site is guarded by a
-            single ``is not None`` check, so a detached tracer (the
-            default) leaves the hot path untouched.
+            observing this executor.  A traced step runs the same layer
+            and codec calls as an untraced one: each site only reads the
+            clock before and reports after when ``tracer is not None``.
         kernel_backend: Force a registered kernel backend by name for
             every op this executor dispatches (e.g. ``"reference"`` or
             ``"blas-fat"``).  Wins over ``REPRO_KERNEL_BACKEND`` and the
@@ -122,10 +123,7 @@ class GraphExecutor:
         if kernel_backend is not None:
             validate_backend_name(kernel_backend)
         self.kernel_backend = kernel_backend
-        self.arena = (
-            arena if arena is not None
-            else WorkspaceArena(enabled=not plans_off)
-        )
+        self.arena = arena or WorkspaceArena(enabled=not plans_off)
         rng = np.random.default_rng(seed)
         self.params: Dict[int, Dict[str, np.ndarray]] = {}
         for node in graph.nodes:
@@ -205,13 +203,11 @@ class GraphExecutor:
             name = self.graph.node(node_id).name
             raise KeyError(f"feature map of {name!r} was not stashed") from None
         tracer = self.tracer
+        t0 = perf_counter() if tracer is not None else 0.0
+        value = encoding.decode(encoded)
         if tracer is not None:
-            t0 = perf_counter()
-            value = encoding.decode(encoded)
             tracer.record_decode(self.graph.node(node_id).name, encoding.name,
                                  value.nbytes, perf_counter() - t0)
-        else:
-            value = encoding.decode(encoded)
         if checks is not None:
             checks.on_decoded(node_id, encoding, value)
         self._decoded[node_id] = value
@@ -297,25 +293,17 @@ class GraphExecutor:
             # layout-dependent order, so writing into a strided view (conv
             # kernels may return transposed einsum views) would break
             # bit-identity with the unrewritten graph.
-            run_inplace = node.inplace and xs[0].flags["C_CONTIGUOUS"]
-            if tracer is not None:
-                t0 = perf_counter()
-                if run_inplace:
-                    y = node.layer.forward_inplace(
-                        xs[0], self.params[node.node_id], ctx, train
-                    )
-                else:
-                    y = node.layer.forward(xs, self.params[node.node_id],
-                                           ctx, train)
-                tracer.record_node(node.name, "forward",
-                                   perf_counter() - t0)
-            elif run_inplace:
+            t0 = perf_counter() if tracer is not None else 0.0
+            if node.inplace and xs[0].flags["C_CONTIGUOUS"]:
                 y = node.layer.forward_inplace(
                     xs[0], self.params[node.node_id], ctx, train
                 )
             else:
                 y = node.layer.forward(xs, self.params[node.node_id], ctx,
                                        train)
+            if tracer is not None:
+                tracer.record_node(node.name, "forward",
+                                   perf_counter() - t0)
             y = self.policy.transform_forward(y, node)
             values[node.node_id] = y
             if node.kind in _SPARSITY_KINDS:
@@ -396,16 +384,14 @@ class GraphExecutor:
             # its concat terminal's kept stash.
             return
         encoding = self.policy.encoding_for(self.graph, node.node_id)
-        encoding.bind_arena(self.arena if self.arena.enabled else None)
+        encoding.bind_arena(self.arena)
         tracer = self.tracer
+        t0 = perf_counter() if tracer is not None else 0.0
+        encoded = encoding.encode(y)
         if tracer is not None:
-            t0 = perf_counter()
-            encoded = encoding.encode(y)
             tracer.record_encode(node.name, encoding.name, y.nbytes,
                                  encoding.measure_bytes(encoded),
                                  perf_counter() - t0)
-        else:
-            encoded = encoding.encode(y)
         if self._invariants is not None:
             self._invariants.on_stash_encoded(node, y, encoding, encoded)
         self._stash[node.node_id] = (encoding, encoded)
@@ -436,17 +422,13 @@ class GraphExecutor:
                 continue
             if checks is not None:
                 checks.on_backward(node)
+            t0 = perf_counter() if tracer is not None else 0.0
+            dxs, dparams = node.layer.backward(
+                dy, self.params[node.node_id], self._ctx[node.node_id]
+            )
             if tracer is not None:
-                t0 = perf_counter()
-                dxs, dparams = node.layer.backward(
-                    dy, self.params[node.node_id], self._ctx[node.node_id]
-                )
                 tracer.record_node(node.name, "backward",
                                    perf_counter() - t0)
-            else:
-                dxs, dparams = node.layer.backward(
-                    dy, self.params[node.node_id], self._ctx[node.node_id]
-                )
             if len(dxs) != len(node.inputs):
                 raise RuntimeError(
                     f"{node.name}: backward returned {len(dxs)} gradients "

@@ -171,12 +171,10 @@ class UniformReductionPolicy(StashPolicy):
     the *same* width isolates exactly the paper's delayed-reduction claim.
     """
 
-    def __init__(self, dtype=FP16, quantize_gradients: bool = True,
-                 quantize_params: bool = True):
+    def __init__(self, dtype=FP16):
         self.dtype = dtype
         self._identity = IdentityEncoding()
-        self.quantize_gradients = quantize_gradients
-        self.param_dtype = dtype if quantize_params else None
+        self.param_dtype = dtype
 
     def encoding_for(self, graph: Graph, node_id: int) -> Encoding:
         return self._identity  # the stash is already quantised
@@ -187,8 +185,6 @@ class UniformReductionPolicy(StashPolicy):
         return quantize(y, self.dtype)
 
     def transform_gradient(self, dx: np.ndarray, node: OpNode) -> np.ndarray:
-        if not self.quantize_gradients:
-            return dx
         return quantize(dx, self.dtype)
 
     def describe(self) -> str:

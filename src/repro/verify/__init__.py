@@ -13,7 +13,7 @@ from repro.verify.differential import (
     check_backend_agreement,
     verify_backends,
 )
-from repro.verify.fuzzer import DEFAULT_MAX_OPS, GraphFuzzer, fuzz_graphs
+from repro.verify.fuzzer import DEFAULT_MAX_OPS, GraphFuzzer
 from repro.verify.oracles import (
     ORACLE_ALLOCATOR_SAFETY,
     ORACLE_DECISION_BYTES,
@@ -74,7 +74,6 @@ __all__ = [
     "check_recurrent_unroll",
     "check_roundtrip",
     "check_shared_concat",
-    "fuzz_graphs",
     "fuzz_work_units",
     "interval_clique_bound",
     "merge_fuzz_results",

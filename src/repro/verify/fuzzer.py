@@ -302,9 +302,3 @@ class GraphFuzzer:
             x = b.add(ReLU(), x)
         x = b.add(Dense(classes), x)
         return b.add(SoftmaxCrossEntropy(), x)
-
-
-def fuzz_graphs(seeds, max_ops: int = DEFAULT_MAX_OPS):
-    """Yield ``(seed, graph)`` for every seed in ``seeds``."""
-    for seed in seeds:
-        yield seed, GraphFuzzer(seed).graph(max_ops=max_ops)

@@ -49,8 +49,6 @@ class TestGistConfig:
         with pytest.raises(ValueError):
             GistConfig(dpr_format="fp12")
         with pytest.raises(ValueError):
-            GistConfig(ssdc_cols=0)
-        with pytest.raises(ValueError):
             GistConfig(rounding="stochastic")
 
     def test_with_override(self):

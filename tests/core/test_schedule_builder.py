@@ -122,15 +122,16 @@ class TestDecisions:
         assert d_sparse.sparsity == 0.9
 
     def test_dpr_over_ssdc_shrinks_values(self, tiny_graph):
+        # DPR narrows the CSR values array (never the meta arrays).
         with_dpr = build_gist_plan(
             tiny_graph, GistConfig(dpr_format="fp8"), ConstantSparsity(0.5)
         )
         without = build_gist_plan(
-            tiny_graph, GistConfig(dpr_format="fp8", dpr_over_ssdc=False),
-            ConstantSparsity(0.5),
+            tiny_graph, GistConfig.lossless(), ConstantSparsity(0.5)
         )
         d_with = {d.node_name: d for d in with_dpr.decisions.values()}["relu2"]
         d_without = {d.node_name: d for d in without.decisions.values()}["relu2"]
+        assert d_with.encoding == d_without.encoding == "ssdc"
         assert d_with.resident_bytes < d_without.resident_bytes
 
     def test_region_bytes_cover_all_stash_regions(self, tiny_graph):

@@ -15,7 +15,7 @@ from repro.dtypes import FP8, FP10, FP16
 from repro.encodings.binarize import pack_bits, pack_nibbles, unpack_bits, unpack_nibbles
 from repro.encodings.dpr import dpr_encoding, pack_codes, unpack_codes
 from repro.encodings.floatsim import max_relative_error, quantize
-from repro.encodings.ssdc import bitmap_decode, bitmap_encode, csr_bytes, csr_decode, csr_encode
+from repro.encodings.ssdc import csr_bytes, csr_decode, csr_encode
 
 DPR_DTYPES = [FP16, FP10, FP8]
 
@@ -130,11 +130,6 @@ class TestSparseProperties:
     def test_csr_bytes_model_matches(self, x):
         enc = csr_encode(x)
         assert enc.nbytes == csr_bytes(x.size, float((x == 0).mean()))
-
-    @settings(max_examples=60)
-    @given(x=sparse_arrays)
-    def test_bitmap_exact_roundtrip(self, x):
-        np.testing.assert_array_equal(bitmap_decode(bitmap_encode(x)), x)
 
     @settings(max_examples=60)
     @given(x=sparse_arrays, cols=st.sampled_from([16, 100, 256]))

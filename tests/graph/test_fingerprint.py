@@ -7,7 +7,6 @@ that affects planning must produce a different address.
 """
 
 from repro.graph import GraphBuilder, graph_fingerprint, node_fingerprints
-from repro.graph.fingerprint import fingerprint_pair
 from repro.layers import Add, Conv2D, ReLU
 from repro.models import build_model
 
@@ -81,9 +80,3 @@ class TestGraphFingerprint:
         digests = node_fingerprints(g)
         assert set(digests) == {node.node_id for node in g.nodes}
         assert all(len(d) == 64 for d in digests.values())
-
-    def test_fingerprint_pair(self):
-        g = build_model("tiny_cnn", batch_size=4)
-        digest, node_count = fingerprint_pair(g)
-        assert digest == graph_fingerprint(g)
-        assert node_count == len(g)

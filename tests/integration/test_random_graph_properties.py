@@ -32,7 +32,7 @@ from repro.layers import (
 from repro.memory import (
     StaticAllocator,
     build_memory_plan,
-    dynamic_footprint,
+    simulate_dynamic,
 )
 from repro.train import BaselinePolicy, GistPolicy, GraphExecutor
 
@@ -111,7 +111,7 @@ class TestScheduleProperties:
     def test_footprint_ordering(self, graph):
         plan = build_memory_plan(graph)
         static = StaticAllocator().allocate(plan.tensors).total_bytes
-        dynamic = dynamic_footprint(plan.tensors)
+        dynamic = simulate_dynamic(plan.tensors).peak_bytes
         unshared = sum(t.size_bytes for t in plan.tensors)
         assert dynamic <= static <= unshared
 

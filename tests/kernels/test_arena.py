@@ -12,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.diagnostics import capture_digest
+from repro.diagnostics.golden import GOLDEN_MODELS, golden_batches
 from repro.dtypes import FP16
 from repro.encodings.binarize import (
+    BinarizeEncoding,
     pack_bits,
     pack_nibbles,
     unpack_bits,
@@ -21,13 +24,20 @@ from repro.encodings.binarize import (
 )
 from repro.encodings.ssdc import csr_decode, csr_encode, csr_positions
 from repro.kernels import (
+    NULL_ARENA,
     WorkspaceArena,
     clear_plan_cache,
     get_plan,
     plan_cache_stats,
 )
-from repro.models import tiny_cnn
-from repro.train import BaselinePolicy, GistPolicy, GraphExecutor
+from repro.models import build_model, tiny_cnn
+from repro.train import (
+    SGD,
+    BaselinePolicy,
+    GistPolicy,
+    GraphExecutor,
+    policy_from_name,
+)
 
 
 class TestArenaInvariants:
@@ -92,6 +102,34 @@ class _AliasCheckingArena(WorkspaceArena):
                 "arena handed out a buffer aliasing a live tensor"
             )
         return arr
+
+
+class _PoisonedArena(WorkspaceArena):
+    """Arena whose every rent arrives filled with ``0xFF`` bytes (NaN as
+    float, ``True`` as bool, -1 as int): a site that relies on what a
+    rented buffer happens to hold changes the bits downstream."""
+
+    def rent(self, shape, dtype=np.float32):
+        arr = super().rent(shape, dtype)
+        arr.view(np.uint8).fill(0xFF)
+        return arr
+
+
+@pytest.mark.parametrize("policy", ["baseline", "gist-lossless", "gist-fp16"])
+@pytest.mark.parametrize("model", sorted(GOLDEN_MODELS))
+def test_one_body_whatever_the_arena(model, policy):
+    """Scratch memory is always an arena and every arena runs the same
+    statements: pooling, pass-through and poisoned give one digest stream."""
+    def digests(arena):
+        graph = build_model(model, **GOLDEN_MODELS[model])
+        executor = GraphExecutor(graph, policy_from_name(policy, graph),
+                                 seed=0, arena=arena)
+        return capture_digest(executor, golden_batches(model, 3),
+                              optimizer=SGD(lr=0.01, momentum=0.9)).steps
+
+    default = digests(None)
+    assert digests(WorkspaceArena(enabled=False)) == default
+    assert digests(_PoisonedArena()) == default
 
 
 @pytest.mark.parametrize("policy_cls", [BaselinePolicy, GistPolicy])
@@ -181,6 +219,23 @@ class TestCodecFastPaths:
         words = pack_nibbles(values, arena=arena)
         assert np.array_equal(words, pack_nibbles(values))
         assert np.array_equal(unpack_nibbles(words, values.shape), values)
+
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33])
+    def test_poisoned_arena_packs_the_same_bytes(self, n):
+        rng = np.random.default_rng(n)
+        mask = rng.random(n) > 0.5
+        nibbles = rng.integers(0, 16, n).astype(np.uint8)
+        x = rng.normal(0, 1, n).astype(np.float32)
+        codec = BinarizeEncoding()
+        plain = (pack_bits(mask, NULL_ARENA), pack_nibbles(nibbles, NULL_ARENA),
+                 codec.encode(x).words)
+        poisoned = _PoisonedArena()
+        codec.bind_arena(poisoned)
+        for got, want in zip((pack_bits(mask, poisoned),
+                              pack_nibbles(nibbles, poisoned),
+                              codec.encode(x).words), plain):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("value_dtype", [None, FP16],
                              ids=["plain", "fp16"])

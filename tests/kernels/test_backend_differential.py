@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.kernels.arena import NULL_ARENA
 from repro.kernels.backends import (
     ConvBackend,
     FnBackend,
@@ -55,7 +56,7 @@ class _SignFlippingPool(PoolBackend):
 
     name = "evil-negzero"
 
-    def forward(self, x, kh, kw, stride, pad, arena=None):
+    def forward(self, x, kh, kw, stride, pad, arena=NULL_ARENA):
         y, argmax = default_backend("maxpool2d").forward(
             x, kh, kw, stride, pad, arena=arena
         )
@@ -64,7 +65,7 @@ class _SignFlippingPool(PoolBackend):
         return y, argmax
 
     def backward(self, argmax, dy, x_shape, kh, kw, stride, pad,
-                 arena=None):
+                 arena=NULL_ARENA):
         return default_backend("maxpool2d").backward(
             argmax, dy, x_shape, kh, kw, stride, pad, arena=arena
         )
@@ -136,14 +137,14 @@ class _DriftingConv(ConvBackend):
     exact = False
     tolerance = 1e-7
 
-    def forward(self, x, w4, bias, stride, pad, arena=None,
+    def forward(self, x, w4, bias, stride, pad, arena=NULL_ARENA,
                 want_saved=False):
         y, saved = default_backend("conv2d").forward(
             x, w4, bias, stride, pad, arena=arena, want_saved=want_saved
         )
         return y + np.float32(0.5), saved
 
-    def backward(self, x, w4, dy, stride, pad, arena=None, saved=None):
+    def backward(self, x, w4, dy, stride, pad, arena=NULL_ARENA, saved=None):
         return default_backend("conv2d").backward(
             x, w4, dy, stride, pad, arena=arena, saved=saved
         )
@@ -168,14 +169,14 @@ class _ScrambledArgmaxPool(PoolBackend):
     exact = False
     tolerance = 1e9
 
-    def forward(self, x, kh, kw, stride, pad, arena=None):
+    def forward(self, x, kh, kw, stride, pad, arena=NULL_ARENA):
         y, argmax = default_backend("maxpool2d").forward(
             x, kh, kw, stride, pad, arena=arena
         )
         return y, (argmax + np.uint8(1)) % np.uint8(kh * kw)
 
     def backward(self, argmax, dy, x_shape, kh, kw, stride, pad,
-                 arena=None):
+                 arena=NULL_ARENA):
         return default_backend("maxpool2d").backward(
             argmax, dy, x_shape, kh, kw, stride, pad, arena=arena
         )

@@ -21,12 +21,12 @@ from repro.kernels.autotune import (
     clear_selection_cache,
 )
 from repro.kernels.backends import (
+    _BACKENDS,
     FnBackend,
     backends_for,
     default_backend,
     get_backend,
     register_backend,
-    registered_ops,
     resolve_forced_backend,
     unregister_backend,
 )
@@ -66,6 +66,14 @@ def test_per_op_force_wins_over_bare_name():
         assert resolve_forced_backend("maxpool2d").name == "numpy-plan"
 
 
+def test_per_op_auto_keeps_the_chooser():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with backend_override("maxpool2d=reference,conv2d=auto"):
+            assert resolve_forced_backend("conv2d") is None
+            assert resolve_forced_backend("maxpool2d").name == "reference"
+
+
 def test_bare_name_applies_only_where_registered():
     # blas-fat exists for conv2d only: pools silently keep the chooser.
     with backend_override("blas-fat"):
@@ -87,14 +95,14 @@ def test_unknown_backend_name_warns_instead_of_silent_fallback():
 def test_every_op_registers_reference_and_default():
     # Exactly the arms the keep rule (docs/architecture.md §9) leaves.
     assert {op: [b.name for b in backends_for(op)]
-            for op in registered_ops()} == {
+            for op in _BACKENDS} == {
         "conv2d": ["reference", "blas-fat", "numpy-plan"],
         "csr_build": ["loop", "numpy"],
         "maxpool2d": ["reference", "numpy-plan"],
         "pack_bits": ["loop", "numpy"],
         "pack_nibbles": ["loop", "numpy"],
     }
-    for op in registered_ops():
+    for op in _BACKENDS:
         # The first-listed arm is the family's ground truth; the default
         # is the other side of the A/B.
         assert default_backend(op).name in ("numpy-plan", "numpy")

@@ -20,7 +20,8 @@ from repro.layers import (
     ReLU,
     SoftmaxCrossEntropy,
 )
-from repro.layers.im2col import col2im, conv_output_hw, im2col
+from repro.kernels.plan import get_plan
+from repro.layers.im2col import conv_output_hw
 
 from tests.conftest import run_layer
 
@@ -254,8 +255,9 @@ class TestIm2Col:
         # <im2col(x), c> == <x, col2im(c)> (adjoint property).
         x = rng.normal(0, 1, (2, 3, 6, 6)).astype(np.float64)
         cols = rng.normal(0, 1, (2, 3 * 9, 36)).astype(np.float64)
-        lhs = (im2col(x, 3, 3, 1, 1) * cols).sum()
-        rhs = (x * col2im(cols, x.shape, 3, 3, 1, 1)).sum()
+        plan = get_plan(x.shape, 3, 3, 1, 1)
+        lhs = (plan.im2col(x) * cols).sum()
+        rhs = (x * plan.col2im(cols)).sum()
         assert abs(lhs - rhs) < 1e-9
 
     def test_output_hw(self):

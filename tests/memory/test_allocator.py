@@ -13,7 +13,6 @@ from repro.memory import (
     StaticAllocator,
     build_hybrid_plan,
     build_memory_plan,
-    static_footprint,
 )
 from repro.models import available_models, build_model
 from repro.tensor import TensorSpec
@@ -86,7 +85,7 @@ class TestCorrectness:
 
     def test_footprint_bounds(self):
         tensors = [lt(f"t{i}", 100 + i, i, i + 1) for i in range(20)]
-        total = static_footprint(tensors)
+        total = StaticAllocator().allocate(tensors).total_bytes
         assert total >= max(t.size_bytes for t in tensors)
         assert total <= sum(t.size_bytes for t in tensors)
 
@@ -96,19 +95,18 @@ class TestCorrectness:
             lt("other", 100, 5, 5),
         ]
         result = StaticAllocator().allocate(tensors)
-        pinned_group = result.group_of("pinned")
-        assert pinned_group.members[0].spec.name == "pinned"
-        assert len(pinned_group.members) == 1
+        assert sorted([t.spec.name for t in g.members]
+                      for g in result.groups) == [["other"], ["pinned"]]
 
     def test_disjoint_lifetimes_share(self):
         tensors = [lt("a", 100, 0, 1), lt("b", 100, 2, 3)]
-        assert static_footprint(tensors) == 400  # one shared group
+        assert StaticAllocator().allocate(tensors).total_bytes == 400  # one shared group
 
     def test_adjacent_lifetimes_do_not_share(self):
         # Inclusive intervals: death==birth of the next means both live at
         # that step (producer/consumer of one op cannot alias).
         tensors = [lt("a", 100, 0, 2), lt("b", 100, 2, 3)]
-        assert static_footprint(tensors) == 800
+        assert StaticAllocator().allocate(tensors).total_bytes == 800
 
     def test_group_size_is_max_member(self):
         tensors = [lt("big", 1000, 0, 1), lt("small", 10, 5, 6)]
@@ -118,9 +116,10 @@ class TestCorrectness:
 
     def test_policies(self):
         tensors = [lt(f"t{i}", 50 * (i + 1), 2 * i, 2 * i + 1) for i in range(6)]
-        none = static_footprint(tensors, POLICY_NO_SHARING)
-        greedy = static_footprint(tensors, POLICY_GREEDY_SIZE)
-        first = static_footprint(tensors, POLICY_FIRST_FIT)
+        none, greedy, first = (
+            StaticAllocator(policy).allocate(tensors).total_bytes
+            for policy in (POLICY_NO_SHARING, POLICY_GREEDY_SIZE,
+                           POLICY_FIRST_FIT))
         assert greedy <= first <= none
 
     def test_unknown_policy(self):
@@ -147,16 +146,11 @@ class TestCorrectness:
         assert groups(bad, lt("c", 10, 4, 4)) == [["bad"], ["c"]]
         assert groups(bad, lt("d", 10, 5, 6)) == [["bad", "d"]]
         assert groups(bad, lt("e", 10, 2, 3)) == [["bad", "e"]]
-
     def test_sharing_ratio(self):
         tensors = [lt("a", 100, 0, 1), lt("b", 100, 2, 3)]
         result = StaticAllocator().allocate(tensors)
-        assert result.sharing_ratio == pytest.approx(2.0)
-
-    def test_group_of_missing(self):
-        result = StaticAllocator().allocate([lt("a", 1, 0, 0)])
-        with pytest.raises(KeyError):
-            result.group_of("zzz")
+        unshared = sum(t.size_bytes for t in tensors)
+        assert unshared / result.total_bytes == pytest.approx(2.0)
 
 
 def reference_groups(tensors, policy):
@@ -259,6 +253,6 @@ class TestAllocatorProperties:
         assert result.total_bytes <= sum(t.size_bytes for t in tensors)
         assert result.total_bytes >= max(t.size_bytes for t in tensors)
         # Dynamic peak is a lower bound on any correct static allocation.
-        from repro.memory import dynamic_footprint
+        from repro.memory import simulate_dynamic
 
-        assert result.total_bytes >= dynamic_footprint(tensors)
+        assert result.total_bytes >= simulate_dynamic(tensors).peak_bytes

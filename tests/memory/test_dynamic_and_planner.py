@@ -12,7 +12,6 @@ from repro.memory import (
     CLASS_WEIGHT,
     MemoryPlan,
     build_memory_plan,
-    dynamic_footprint,
     memory_footprint_ratio,
     simulate_dynamic,
 )
@@ -40,17 +39,19 @@ class TestDynamicSimulator:
 
     def test_average_below_peak(self):
         result = simulate_dynamic([lt("a", 100, 0, 1), lt("b", 10, 5, 9)])
-        assert result.average_bytes < result.peak_bytes
+        average = sum(result.timeline) / len(result.timeline)
+        assert average < result.peak_bytes
 
     def test_horizon_violation(self):
         with pytest.raises(ValueError):
             simulate_dynamic([lt("a", 1, 0, 5)], horizon=4)
 
     def test_dynamic_never_exceeds_static(self, tiny_graph):
-        from repro.memory import static_footprint
+        from repro.memory import StaticAllocator
 
         plan = build_memory_plan(tiny_graph)
-        assert dynamic_footprint(plan.tensors) <= static_footprint(plan.tensors)
+        assert (simulate_dynamic(plan.tensors).peak_bytes
+                <= StaticAllocator().allocate(plan.tensors).total_bytes)
 
 
 class TestPlanner:

@@ -131,9 +131,10 @@ class TestUtilization:
     def test_footprint_includes_weights(self):
         g = scaled_vgg(batch_size=8)
         fp = training_footprint_bytes(g)
-        from repro.memory import build_memory_plan, static_footprint
+        from repro.memory import StaticAllocator, build_memory_plan
 
-        activations_only = static_footprint(build_memory_plan(g).tensors)
+        activations_only = StaticAllocator().allocate(
+            build_memory_plan(g).tensors).total_bytes
         assert fp > activations_only
 
     def test_speedup_report(self):

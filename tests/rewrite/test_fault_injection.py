@@ -102,6 +102,37 @@ class ForgetfulCSEPass(RewritePass):
         return rebuild(graph, nodes, graph.output_id), len(merges)
 
 
+class FrozenBiasDense(Dense):
+    """A dense layer whose bias is frozen: its gradient is all zeros, of
+    the sign ``zero`` carries."""
+
+    def __init__(self, out_features, zero=0.0):
+        super().__init__(out_features)
+        self.zero = zero
+
+    def backward(self, dy, params, ctx):
+        dxs, dparams = super().backward(dy, params, ctx)
+        dparams["b"] = np.full_like(dparams["b"], self.zero)
+        return dxs, dparams
+
+
+class ZeroSignFlipPass(RewritePass):
+    """Turns every frozen bias gradient from ``+0.0`` into ``-0.0``:
+    equal under ``==``, different bytes."""
+
+    name = "bad-zero-sign"
+
+    def run(self, graph):
+        nodes = {n.node_id: clone_node(n) for n in graph.nodes}
+        changes = 0
+        for node in nodes.values():
+            if (isinstance(node.layer, FrozenBiasDense)
+                    and not np.signbit(node.layer.zero)):
+                node.layer = FrozenBiasDense(node.layer.out_features, -0.0)
+                changes += 1
+        return rebuild(graph, nodes, graph.output_id), changes
+
+
 class TestFaultInjection:
     def test_dropped_bias_fusion_is_caught(self):
         b = GraphBuilder("g", (2, 3, 8, 8))
@@ -154,6 +185,23 @@ class TestFaultInjection:
         assert any("loss diverged" in d for d in details)
         assert any("vanished" in d and "was not removed" in d
                    for d in details)
+
+    def test_flipped_zero_sign_is_caught(self):
+        # "Bit-identical" means bytes: -0.0 == +0.0, so a value-level
+        # comparison lets this through (the max-pool tie escape of
+        # kernels.plan.bit_identical's docstring, on the rewrite side).
+        b = GraphBuilder("g", (2, 3, 8, 8))
+        x = b.add(FrozenBiasDense(6), b.add(Flatten(), b.input))
+        graph = finish(b, b.add(ReLU(), x))
+        violations = check_rewrite_equivalence(
+            graph, passes=[ZeroSignFlipPass()]
+        )
+        assert violations
+        assert all("not bit-identical" in v.detail for v in violations)
+        assert {v.detail.split("'")[1] for v in violations} == {
+            next(n.name for n in graph.nodes
+                 if isinstance(n.layer, FrozenBiasDense)) + ".b"
+        }
 
     def test_violations_carry_seed_and_subject(self):
         b = GraphBuilder("g", (2, 3, 8, 8))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dtypes import BIT1, FP16, FP32
-from repro.tensor import TensorCategory, TensorSpec
+from repro.tensor import TensorSpec
 
 
 class TestTensorSpec:
@@ -31,12 +31,6 @@ class TestTensorSpec:
         assert spec == TensorSpec("fm", (10, 10))
         assert hash(spec) == hash(TensorSpec("fm", (10, 10)))
         assert "size_bytes" not in repr(spec)
-
-    def test_with_category(self):
-        spec = TensorSpec("fm", (4,))
-        enc = spec.with_category(TensorCategory.ENCODED)
-        assert enc.category is TensorCategory.ENCODED
-        assert spec.category is TensorCategory.FEATURE_MAP
 
     def test_rejects_empty_shape(self):
         with pytest.raises(ValueError):

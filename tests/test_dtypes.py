@@ -11,7 +11,6 @@ from repro.dtypes import (
     FP32,
     NIBBLE4,
     UINT8,
-    dtype_by_name,
 )
 
 
@@ -81,17 +80,17 @@ class TestMinifloatFields:
 
 class TestLookup:
     def test_by_name(self):
-        assert dtype_by_name("fp10") is FP10
-        assert dtype_by_name("FP8") is FP8
-
-    def test_unknown(self):
-        with pytest.raises(KeyError):
-            dtype_by_name("fp12")
+        assert DPR_FORMATS["fp10"] is FP10
+        assert DPR_FORMATS["fp8"] is FP8
 
     def test_dpr_formats_registry(self):
         assert set(DPR_FORMATS) == {"fp16", "fp10", "fp8"}
 
     def test_is_minifloat(self):
-        assert FP16.is_minifloat and FP10.is_minifloat and FP8.is_minifloat
-        assert not FP32.is_minifloat
-        assert not UINT8.is_minifloat
+        # The DPR registry holds exactly the reduced-precision floats.
+        def minifloat(d):
+            return d.kind == "float" and d.bits < 32
+
+        assert all(minifloat(d) for d in DPR_FORMATS.values())
+        assert not minifloat(FP32)
+        assert not minifloat(UINT8)

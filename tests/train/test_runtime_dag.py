@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import GistConfig
+from repro.dtypes import FP8
+from repro.encodings import NARROW_COLS
 from repro.graph import GraphBuilder
 from repro.layers import (
     Add,
@@ -124,18 +126,18 @@ class TestConfigPlumbing:
     # tiny_cnn stashes one map of every Table-I class, so each codec
     # below is actually in the policy table.
     def test_ssdc_cols_reaches_runtime(self):
+        # The size model prices narrow (one-byte) column indices.
         g = tiny_cnn(batch_size=4)
-        policy = GistPolicy(g, GistConfig.lossless(ssdc_cols=64))
+        policy = GistPolicy(g, GistConfig.lossless())
         for encoding in _codecs(policy, "ssdc"):
-            assert encoding.cols == 64
+            assert encoding.cols == NARROW_COLS
 
     def test_dpr_over_ssdc_value_dtype(self):
         g = tiny_cnn(batch_size=4)
         with_dpr = GistPolicy(g, GistConfig(dpr_format="fp8"))
         (ssdc,) = _codecs(with_dpr, "ssdc")
-        assert ssdc.value_dtype is not None
-        without = GistPolicy(g, GistConfig(dpr_format="fp8",
-                                           dpr_over_ssdc=False))
+        assert ssdc.value_dtype is FP8
+        without = GistPolicy(g, GistConfig.lossless())
         (ssdc,) = _codecs(without, "ssdc")
         assert ssdc.value_dtype is None
 
