@@ -69,11 +69,21 @@ class StaticAllocator:
             tensor's lifetime fits the schedule (``allocate`` raises if a
             death reaches past it).  Inferred from the tensors if omitted;
             pass it explicitly when allocating a subset of a plan so the
-            check still sees the full schedule.  (Overlap testing itself
-            does not read it: each open group's occupancy is one Python
-            int with a bit per schedule step, as wide as its latest
-            death, and one ``&`` decides whether a candidate interval
-            fits.)
+            check still sees the full schedule.
+
+    Each open group's occupancy is one Python int with a bit per schedule
+    step, as wide as its latest death, and one ``&`` decides whether a
+    candidate interval fits.  The first-fit scan visits only groups that
+    can fit: a tensor live at the *pivot* step (the middle of the clock,
+    ``horizon // 2``) walks the ascending list of open groups still free
+    at that step, every other tensor walks all open groups.  That is exact
+    for any pivot — a group busy at a step can hold no tensor live at it,
+    so the skipped groups would each have failed their ``&``, and the ones
+    left are tried in the same opening order — and the middle is where a
+    training step holds what it stashed for the backward pass, i.e. where
+    the tensors that fit no group and would scan all of them are live.
+    The grouping equals a pairwise-overlap first fit member for member
+    (``tests/memory/test_allocator.py::reference_groups``).
     """
 
     def __init__(self, policy: str = POLICY_GREEDY_SIZE, horizon: int = 0):
@@ -126,6 +136,10 @@ class StaticAllocator:
         # overlap test is one ``&`` instead of an O(members) scan.
         open_groups: List[AllocationGroup] = []
         occupied: List[int] = []
+        # Open groups still free at the pivot step, ascending (= scan
+        # order): all a tensor live at the pivot can fit (class docstring).
+        pivot = 1 << (horizon // 2)
+        free_at_pivot: List[int] = []
 
         for tensor in order:
             if share and tensor.shareable:
@@ -133,12 +147,17 @@ class StaticAllocator:
                 # validates at construction) still occupies its birth step.
                 width = max(tensor.death - tensor.birth, 0) + 1
                 mask = ((1 << width) - 1) << tensor.birth
-                for i, occ in enumerate(occupied):
-                    if not occ & mask:
+                at_pivot = mask & pivot
+                for i in free_at_pivot if at_pivot else range(len(occupied)):
+                    if not occupied[i] & mask:
                         open_groups[i].members.append(tensor)
-                        occupied[i] = occ | mask
+                        occupied[i] |= mask
+                        if at_pivot:
+                            free_at_pivot.remove(i)
                         break
                 else:
+                    if not at_pivot:
+                        free_at_pivot.append(len(occupied))
                     group = AllocationGroup([tensor])
                     groups.append(group)
                     open_groups.append(group)

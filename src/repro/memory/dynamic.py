@@ -32,15 +32,19 @@ def simulate_dynamic(tensors: Sequence[LiveTensor], horizon: int = 0) -> Dynamic
     """
     if not tensors:
         return DynamicResult(0, 0, ())
-    horizon = horizon or (max(t.death for t in tensors) + 1)
+    # An inverted interval (a corrupted table; LiveTensor only validates
+    # at construction) occupies its birth step, as in StaticAllocator, so
+    # the static and dynamic totals of one table stay comparable.
+    ends = [max(t.death, t.birth) for t in tensors]
+    horizon = horizon or (max(ends) + 1)
     deltas: List[int] = [0] * (horizon + 1)
-    for t in tensors:
-        if t.death >= horizon:
+    for t, end in zip(tensors, ends):
+        if end >= horizon:
             raise ValueError(
-                f"tensor {t.spec.name!r} dies at {t.death}, beyond horizon {horizon}"
+                f"tensor {t.spec.name!r} dies at {end}, beyond horizon {horizon}"
             )
         deltas[t.birth] += t.size_bytes
-        deltas[t.death + 1] -= t.size_bytes
+        deltas[end + 1] -= t.size_bytes
     timeline: List[int] = []
     live = 0
     for t_idx in range(horizon):

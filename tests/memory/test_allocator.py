@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import GistConfig, build_gist_plan
+from repro.core.policy import (
+    HybridPolicy,
+    STRATEGY_GIST,
+    STRATEGY_RECOMPUTE,
+    STRATEGY_SHARED_CONCAT,
+    STRATEGY_SWAP,
+)
 from repro.graph.liveness import LiveTensor, ROLE_FEATURE_MAP
 from repro.memory import (
     POLICY_FIRST_FIT,
@@ -13,6 +20,7 @@ from repro.memory import (
     StaticAllocator,
     build_hybrid_plan,
     build_memory_plan,
+    simulate_dynamic,
 )
 from repro.models import available_models, build_model
 from repro.tensor import TensorSpec
@@ -146,6 +154,21 @@ class TestCorrectness:
         assert groups(bad, lt("c", 10, 4, 4)) == [["bad"], ["c"]]
         assert groups(bad, lt("d", 10, 5, 6)) == [["bad", "d"]]
         assert groups(bad, lt("e", 10, 2, 3)) == [["bad", "e"]]
+
+    def test_dynamic_charges_an_inverted_interval_at_its_birth_step(self):
+        # Same corrupted-table contract: the simulator must charge the
+        # bytes at the birth step, not subtract them from the steps in
+        # between, or "static >= dynamic peak" compares two tables.
+        bad = lt("bad", 50, 4, 4)
+        bad.death = 2
+        tensors = [lt("a", 100, 0, 5), bad]
+        result = simulate_dynamic(tensors)
+        assert result.timeline == (400, 400, 400, 400, 600, 400)
+        assert (result.peak_bytes, result.peak_time) == (600, 4)
+        assert StaticAllocator().allocate(tensors).total_bytes == 600
+        bad.death = -1
+        assert simulate_dynamic(tensors, horizon=6).timeline == result.timeline
+
     def test_sharing_ratio(self):
         tensors = [lt("a", 100, 0, 1), lt("b", 100, 2, 3)]
         result = StaticAllocator().allocate(tensors)
@@ -182,9 +205,9 @@ def reference_groups(tensors, policy):
     return groups
 
 
-def _assert_matches_reference(tensors, context):
+def _assert_matches_reference(tensors, context, horizon=0):
     for policy in (POLICY_GREEDY_SIZE, POLICY_FIRST_FIT, POLICY_NO_SHARING):
-        result = StaticAllocator(policy).allocate(tensors)
+        result = StaticAllocator(policy, horizon).allocate(tensors)
         expected = reference_groups(tensors, policy)
         assert [[t.spec.name for t in g.members] for g in result.groups] == [
             [t.spec.name for t in g] for g in expected], (context, policy)
@@ -194,14 +217,21 @@ def _assert_matches_reference(tensors, context):
 
 def _plans_of(graph, config):
     """Baseline (with unshareable weights and, under the investigation
-    discipline, unshareable stashes), Table-I and hybrid liveness tables."""
-    return {
+    discipline, unshareable stashes), Table-I and hybrid liveness tables,
+    and the four pure arms a hybrid build also allocates (the swap arm
+    splits its lifetimes at the forward/backward boundary)."""
+    plans = {
         "baseline": build_memory_plan(graph),
         "investigation": build_memory_plan(graph, include_weights=True,
                                            investigation=True),
         "gist": build_gist_plan(graph, config).plan,
         "hybrid": build_hybrid_plan(graph).plan,
     }
+    for strategy in (STRATEGY_GIST, STRATEGY_RECOMPUTE, STRATEGY_SWAP,
+                     STRATEGY_SHARED_CONCAT):
+        plans[f"arm:{strategy}"] = build_hybrid_plan(
+            graph, HybridPolicy(strategy=strategy)).plan
+    return plans
 
 
 class TestAgainstPairwiseReference:
@@ -223,7 +253,65 @@ class TestAgainstPairwiseReference:
                 _assert_matches_reference(plan.tensors, (seed, label))
 
 
+def _table(rows):
+    """``(elements, birth, duration, shareable, alias_group)`` rows as a
+    liveness table; a negative duration is an inverted interval, set
+    after construction the way the fault-injection battery does."""
+    tensors = []
+    for i, (elements, birth, duration, shareable, alias) in enumerate(rows):
+        tensor = lt(f"t{i}", elements, birth, birth + max(duration, 0),
+                    shareable)
+        tensor.death = birth + duration
+        tensor.alias_group = alias
+        tensors.append(tensor)
+    return tensors
+
+
+def _rows(*intervals):
+    return [(10 * (i + 1), birth, duration, True, None)
+            for i, (birth, duration) in enumerate(intervals)]
+
+
 class TestAllocatorProperties:
+    @settings(max_examples=100)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 500),   # elements
+                st.integers(0, 20),    # birth
+                st.integers(0, 20),    # duration
+                st.booleans(),         # shareable
+                st.sampled_from((None, None, None, "x", "y")),  # alias_group
+            ),
+            max_size=60,
+        ),
+        st.integers(0, 40),            # 0: inferred horizon, else slack past it
+    )
+    # Every tensor live at one step; no two overlapping; two busy regions
+    # with the middle of the clock idle; zero-width intervals stacked on
+    # shared steps; one inverted interval among intervals that either span
+    # it or avoid it (where pairwise ``overlaps`` and the birth-step rule
+    # agree; test_inverted_interval_occupies_its_birth_step pins the
+    # rest); the empty table; an explicit horizon far past the last death.
+    @example(_rows((0, 9), (3, 4), (5, 0), (2, 6), (5, 5), (4, 1)), 0)
+    @example(_rows((0, 1), (2, 0), (3, 2), (6, 6), (13, 0), (14, 3)), 0)
+    @example(_rows((0, 3), (1, 2), (2, 1), (3, 0), (20, 3), (21, 2),
+                   (22, 1), (23, 0), (5, 1), (18, 1)), 0)
+    @example(_rows((4, 0), (4, 0), (5, 0), (4, 0), (6, 0), (5, 0)), 0)
+    @example(_rows((3, 2), (4, -1), (5, 1), (0, 2), (2, 4)), 0)
+    @example([], 0)
+    @example(_rows((0, 9), (3, 4), (12, 2), (2, 6)), 40)
+    # Around the allocator's shortcut step (the middle of the clock, 5
+    # here): two groups free there must be tried in opening order, and a
+    # tensor born one step after it may still join a group busy at it.
+    @example(_rows((0, 1), (1, 1), (4, 2), (8, 1)), 0)
+    @example(_rows((4, 1), (6, 1), (8, 1)), 0)
+    def test_matches_pairwise_reference(self, rows, slack):
+        tensors = _table(rows)
+        horizon = slack and max(
+            (t.death for t in tensors), default=0) + slack
+        _assert_matches_reference(tensors, rows, horizon)
+
     @settings(max_examples=40)
     @given(
         st.lists(
@@ -253,6 +341,4 @@ class TestAllocatorProperties:
         assert result.total_bytes <= sum(t.size_bytes for t in tensors)
         assert result.total_bytes >= max(t.size_bytes for t in tensors)
         # Dynamic peak is a lower bound on any correct static allocation.
-        from repro.memory import simulate_dynamic
-
         assert result.total_bytes >= simulate_dynamic(tensors).peak_bytes
