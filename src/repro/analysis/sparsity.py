@@ -17,6 +17,7 @@ quantity both feed into is identical: a per-layer zero fraction handed to
 from __future__ import annotations
 
 import abc
+from types import MappingProxyType
 from typing import Dict, Optional
 
 from repro.graph.graph import Graph
@@ -66,8 +67,10 @@ class DepthSparsityModel(SparsityModel):
 
     def sparsity(self, graph: Graph, node_id: int) -> float:
         node = graph.node(node_id)
-        order = graph.topological_ids()
-        depth_frac = order.index(node_id) / max(len(order) - 1, 1)
+        position = graph.derived("topological_position", lambda: (
+            MappingProxyType({nid: i for i, nid
+                              in enumerate(graph.topological_ids())})))
+        depth_frac = position[node_id] / max(len(position) - 1, 1)
         if node.kind == "relu":
             return self.base + self.gain * depth_frac
         if node.kind == "maxpool":

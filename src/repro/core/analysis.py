@@ -124,9 +124,16 @@ def classify_stash(
 def classify_all_stashes(
     graph: Graph, schedule: Optional[TrainingSchedule] = None
 ) -> Dict[int, StashInfo]:
-    """Classify every stashed feature map in the graph, keyed by node id."""
-    if schedule is None:
-        schedule = TrainingSchedule(graph)
+    """Classify every stashed feature map in the graph, keyed by node id.
+
+    Classified once per graph; each call gets its own dict.
+    """
+    return dict(graph.derived("stash_classes", lambda: _classify_all(
+        graph, schedule or TrainingSchedule(graph))))
+
+
+def _classify_all(graph: Graph,
+                  schedule: TrainingSchedule) -> Dict[int, StashInfo]:
     result: Dict[int, StashInfo] = {}
     for node in graph.nodes:
         info = classify_stash(graph, schedule, node.node_id)
@@ -144,8 +151,6 @@ def stash_bytes_by_class(graph: Graph,
     (the pool's input and output maps), matching how Figure 3 accounts
     "ReLU-Pool" bytes as the ReLU output's footprint.
     """
-    if schedule is None:
-        schedule = TrainingSchedule(graph)
     result = {c: 0 for c in STASH_CLASSES}
     for node_id, info in classify_all_stashes(graph, schedule).items():
         node = graph.node(node_id)

@@ -171,9 +171,21 @@ def feature_map_uses(
     graph: Graph, schedule: TrainingSchedule, config: GistConfig
 ) -> Dict[int, Tuple[int, Optional[int], Optional[int]]]:
     """``{node_id: (last forward, first backward, last backward use)}``
-    of every feature map under ``config``'s pool argmax rewrite."""
-    needs_input = _effective_needs("backward_needs_input", config.binarize)
-    needs_output = _effective_needs("backward_needs_output", config.binarize)
+    of every feature map under ``config``'s pool argmax rewrite.
+
+    Only ``config.binarize`` (whether pools are rewritten) is read, so the
+    table is walked once per graph and flag; each call gets its own dict.
+    """
+    return dict(graph.derived(
+        ("feature_map_uses", config.binarize),
+        lambda: _walk_uses(graph, schedule, config.binarize)))
+
+
+def _walk_uses(graph: Graph, schedule: TrainingSchedule,
+               pools_rewritten: bool
+               ) -> Dict[int, Tuple[int, Optional[int], Optional[int]]]:
+    needs_input = _effective_needs("backward_needs_input", pools_rewritten)
+    needs_output = _effective_needs("backward_needs_output", pools_rewritten)
     uses = {
         node.node_id: _feature_map_uses(graph, schedule, node.node_id,
                                         needs_input, needs_output)

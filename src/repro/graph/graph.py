@@ -7,10 +7,12 @@ consumer lookup, shape/parameter introspection and aggregate statistics.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Callable, Dict, Hashable, Iterable, List, TypeVar
 
 from repro.graph.node import OpNode
 from repro.layers.base import Shape
+
+T = TypeVar("T")
 
 
 class GraphError(ValueError):
@@ -21,6 +23,9 @@ class Graph:
     """Immutable DAG of :class:`~repro.graph.node.OpNode`.
 
     Build instances through :class:`~repro.graph.builder.GraphBuilder`.
+    Because nothing about a graph changes after construction, every fact
+    derived from it alone (liveness table, stash classes, step timing,
+    ...) is computed once per graph through :meth:`derived`.
     """
 
     def __init__(self, name: str, nodes: Dict[int, OpNode], input_id: int, output_id: int):
@@ -37,6 +42,27 @@ class Graph:
                     )
                 self._consumers[src].append(node.node_id)
         self._topo = self._topological_order()
+        self._facts: Dict[Hashable, object] = {}
+
+    def __getstate__(self) -> dict:
+        # The memo is a cache, not state: a copy or a pickle starts cold.
+        state = dict(self.__dict__)
+        state["_facts"] = {}
+        return state
+
+    def derived(self, key: Hashable, derive: Callable[[], T]) -> T:
+        """The fact ``derive()`` computes from this graph, derived on the
+        first ask under ``key`` and remembered for the graph's lifetime.
+
+        Exact because the graph is immutable: ``key`` must name the
+        derivation and every input it reads besides the graph.  What is
+        stored is shared by every later caller, so the module that owns a
+        derivation hands it out immutable or copies it at its boundary.
+        """
+        facts = self._facts
+        if key not in facts:
+            facts[key] = derive()
+        return facts[key]
 
     # ------------------------------------------------------------------
     def node(self, node_id: int) -> OpNode:

@@ -11,6 +11,7 @@ tensors with disjoint intervals.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -67,10 +68,20 @@ class LiveTensor:
             )
 
     def __copy__(self) -> "LiveTensor":
-        # MemoryPlan.clone copies a whole table per planner arm; copy's
-        # reduce protocol costs four times this.
+        # Every compute_lifetimes hand-out and every MemoryPlan.clone
+        # copies a whole table; copy's reduce protocol costs four times
+        # this.  Field by field, not through __dict__: a copy whose
+        # __dict__ was touched reads its attributes ~10 % slower in the
+        # allocator's loop.  No __post_init__: a fault-injected (inverted)
+        # tensor copies as it is.
         twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__)
+        twin.spec = self.spec
+        twin.birth = self.birth
+        twin.death = self.death
+        twin.node_id = self.node_id
+        twin.role = self.role
+        twin.shareable = self.shareable
+        twin.alias_group = self.alias_group
         return twin
 
     @property
@@ -146,7 +157,14 @@ def runtime_feature_map_uses(
     graph: Graph, schedule: TrainingSchedule
 ) -> Dict[int, tuple]:
     """``{node_id:`` :func:`_feature_map_uses` ``}`` of every node under
-    the executor's stash rules (``_runtime_needs_*``)."""
+    the executor's stash rules (``_runtime_needs_*``).  Derived once per
+    graph; each call gets its own dict."""
+    return dict(graph.derived("runtime_feature_map_uses",
+                              lambda: _walk_runtime_uses(graph, schedule)))
+
+
+def _walk_runtime_uses(graph: Graph,
+                       schedule: TrainingSchedule) -> Dict[int, tuple]:
     return {
         node.node_id: _feature_map_uses(graph, schedule, node.node_id,
                                         _runtime_needs_input,
@@ -188,10 +206,26 @@ def compute_lifetimes(
         include_workspace: Include per-op cuDNN-style workspace.
 
     Returns:
-        One :class:`LiveTensor` per tensor, in deterministic order.
+        One :class:`LiveTensor` per tensor, in deterministic order.  The
+        table is walked once per graph and flag pair; every call gets its
+        own copies, which callers rewrite in place.
     """
-    if schedule is None:
-        schedule = TrainingSchedule(graph)
+    table = graph.derived(
+        ("lifetimes", include_weights, include_workspace),
+        lambda: tuple(_walk_lifetimes(
+            graph, schedule or TrainingSchedule(graph),
+            include_weights, include_workspace)),
+    )
+    return [copy.copy(t) for t in table]
+
+
+def _walk_lifetimes(
+    graph: Graph,
+    schedule: TrainingSchedule,
+    include_weights: bool,
+    include_workspace: bool,
+) -> List[LiveTensor]:
+    """The liveness walk behind :func:`compute_lifetimes`."""
     end = schedule.end
     tensors: List[LiveTensor] = []
 

@@ -46,10 +46,11 @@ so ``hybrid footprint <= min(pure footprints)`` holds structurally.
 This planner never merges inplace pairs (that is a post-pass of
 ``build_gist_plan``): all arms share the same base liveness table, so
 footprint deltas are attributable to the per-tensor decisions alone.
-"Share" is literal: the graph is static, so one build derives the
-baseline liveness table, the step-time table and the runtime-uses table
-once and hands them to the swap calibration, the option pricing and
-every arm (each arm rewrites its own ``clone()`` of the table).
+"Share" is literal: the graph is static, so its liveness table, stash
+classes, feature-map uses and step-time table are derived once per graph
+(:meth:`~repro.graph.graph.Graph.derived`) whichever planner asks first,
+and one build hands its baseline table to the swap calibration and every
+arm (each arm rewrites its own ``clone()`` of the table).
 
 Execution: :class:`repro.train.stash.HybridExecutionPolicy` hands the
 :class:`HybridPlan`'s table to the stash layer — codecs for gist
@@ -255,8 +256,8 @@ def find_recompute_chain(
     """Walk toward the input for the nearest value-exact recompute source.
 
     ``runtime_uses`` is the graph's
-    :func:`~repro.graph.liveness.runtime_feature_map_uses` table, built
-    once per plan: sources are judged by the executor's stash rules (a
+    :func:`~repro.graph.liveness.runtime_feature_map_uses` table, derived
+    once per graph: sources are judged by the executor's stash rules (a
     max-pool replays its argmax map, never X/Y), not the declared
     baseline needs.
 
@@ -650,8 +651,8 @@ def build_hybrid_plan(
     cost = cost or CostModel()
     cfg = policy.gist
 
-    # The graph is static: its baseline step timing and liveness table
-    # are derived once here and handed to everything below.
+    # The graph is static: its step timing and liveness table come from
+    # the graph's memo, and this build hands them to everything below.
     step = cost.step_time(graph)
     baseline_step_s = step.total_s
     budget_s = policy.cost_budget_frac * baseline_step_s

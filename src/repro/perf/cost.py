@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from types import MappingProxyType
+from typing import Dict, Mapping
 
 from repro.graph.graph import Graph
 from repro.graph.node import OpNode
@@ -23,12 +24,21 @@ _PARAM_KINDS = {"conv", "dense"}
 
 @dataclass(frozen=True)
 class StepTime:
-    """Timing breakdown of one training step."""
+    """Timing breakdown of one training step.
+
+    The per-node tables are read-only views: one ``StepTime`` per graph
+    and device is shared by every caller of :meth:`CostModel.step_time`.
+    """
 
     forward_s: float
     backward_s: float
-    per_node_forward: Dict[int, float]
-    per_node_backward: Dict[int, float]
+    per_node_forward: Mapping[int, float]
+    per_node_backward: Mapping[int, float]
+
+    def __post_init__(self) -> None:
+        for name in ("per_node_forward", "per_node_backward"):
+            object.__setattr__(self, name,
+                               MappingProxyType(dict(getattr(self, name))))
 
     @property
     def total_s(self) -> float:
@@ -84,7 +94,14 @@ class CostModel:
 
     # ------------------------------------------------------------------
     def step_time(self, graph: Graph) -> StepTime:
-        """One full minibatch (forward + backward), seconds."""
+        """One full minibatch (forward + backward), seconds.
+
+        Priced once per graph, model class and device.
+        """
+        return graph.derived(("step_time", type(self), self.device),
+                             lambda: self._price_step(graph))
+
+    def _price_step(self, graph: Graph) -> StepTime:
         per_f: Dict[int, float] = {}
         per_b: Dict[int, float] = {}
         for node in graph.nodes:

@@ -150,13 +150,17 @@ def interval_clique_bound(tensors: Sequence[LiveTensor]) -> int:
 
     For interval graphs the max clique is attained at some interval's
     birth point, so scanning births is exact — and independent of the
-    sweep implementation in :mod:`repro.memory.dynamic`.
+    sweep implementation in :mod:`repro.memory.dynamic`.  An inverted
+    interval (a corrupted table; ``LiveTensor`` validates only at
+    construction) occupies its birth step, as in the static allocator and
+    :func:`~repro.memory.dynamic.simulate_dynamic`.
     """
     best = 0
     for t in tensors:
         at = t.birth
         total = sum(
-            o.size_bytes for o in tensors if o.birth <= at <= o.death
+            o.size_bytes for o in tensors
+            if o.birth <= at <= o.death or o.birth == at
         )
         best = max(best, total)
     return best

@@ -114,11 +114,13 @@ def _count_calls(monkeypatch, owner, name, counter, key=lambda *a, **k: None):
     monkeypatch.setattr(owner, name, counted)
 
 
-def test_hybrid_planner_derives_each_graph_fact_once(graphs, monkeypatch):
+def test_hybrid_planner_derives_each_graph_fact_once(monkeypatch):
     """The graph is static, so one hybrid build walks liveness once,
     prices each node once and builds no schedule of its own; the five
     arms plus the baseline are its only allocator runs.  A re-introduced
-    per-arm rebuild fails here by count, not by a timing nobody gates."""
+    per-arm rebuild fails here by count, not by a timing nobody gates.
+    Each model gets a graph no other test has analysed: a warm one would
+    answer from its memo and count nothing."""
     import repro.memory.planner as planner
     from repro.graph.schedule import TrainingSchedule
     from repro.perf.cost import CostModel
@@ -130,7 +132,8 @@ def test_hybrid_planner_derives_each_graph_fact_once(graphs, monkeypatch):
     for name in ("forward_time", "backward_time"):
         _count_calls(monkeypatch, CostModel, name, calls,
                      key=lambda self, graph, node: node.node_id)
-    for model, graph in sorted(graphs.items()):
+    for model in sorted(available_models()):
+        graph = build_model(model, batch_size=BATCH)
         schedule = TrainingSchedule(graph)
         calls.clear()
         plan = build_hybrid_plan(graph, HybridPolicy(), schedule=schedule)
@@ -138,6 +141,60 @@ def test_hybrid_planner_derives_each_graph_fact_once(graphs, monkeypatch):
         assert calls.pop(("compute_lifetimes", None)) == 1, model
         assert calls.pop(("allocate", None)) == 6, model
         assert ("__init__", None) not in calls, model
+        assert set(calls.values()) == {1}, (model, calls.most_common(3))
+
+
+def test_a_graph_is_analysed_once_across_entry_points(monkeypatch):
+    """``plan_suite``'s sequence on one fresh graph — baseline plan,
+    Table-I plan, two allocations, hybrid build, overhead model, MFR
+    facade — walks liveness once per flag pair, classifies once, walks
+    feature-map uses once per pool-rewrite flag (and the runtime uses
+    once) and prices each node once per device, whichever entry point
+    asks first."""
+    import repro.core.analysis as analysis
+    import repro.core.schedule_builder as schedule_builder
+    import repro.graph.liveness as liveness
+    from repro.core import Gist
+    from repro.graph.schedule import TrainingSchedule
+    from repro.memory import build_memory_plan
+    from repro.perf.cost import CostModel
+    from repro.perf.overhead import measure_overhead
+
+    calls = Counter()
+    _count_calls(monkeypatch, liveness, "_walk_lifetimes", calls,
+                 key=lambda graph, schedule, weights, workspace:
+                 (weights, workspace))
+    _count_calls(monkeypatch, liveness, "_walk_runtime_uses", calls)
+    _count_calls(monkeypatch, analysis, "_classify_all", calls)
+    _count_calls(monkeypatch, schedule_builder, "_walk_uses", calls,
+                 key=lambda graph, schedule, pools_rewritten: pools_rewritten)
+    for name in ("forward_time", "backward_time"):
+        _count_calls(monkeypatch, CostModel, name, calls,
+                     key=lambda self, graph, node: (self.device.name,
+                                                    node.node_id))
+    for model in sorted(available_models()):
+        graph = build_model(model, batch_size=BATCH)
+        config = GistConfig.for_network(model)
+        hybrid_policy = HybridPolicy()
+        calls.clear()
+        schedule = TrainingSchedule(graph)
+        baseline = build_memory_plan(graph, schedule)
+        gist = build_gist_plan(graph, config, schedule=schedule)
+        StaticAllocator().allocate(baseline.tensors)
+        StaticAllocator().allocate(gist.plan.tensors)
+        build_hybrid_plan(graph, hybrid_policy, schedule=schedule)
+        measure_overhead(graph, config)
+        Gist(config).measure_mfr(graph)
+
+        flags = {config.binarize, hybrid_policy.gist.binarize}
+        assert calls.pop(("_walk_lifetimes", (False, False))) == 1, model
+        assert calls.pop(("_walk_runtime_uses", None)) == 1, model
+        assert calls.pop(("_classify_all", None)) == 1, model
+        for flag in flags:
+            assert calls.pop(("_walk_uses", flag)) == 1, (model, flag)
+        # What is left is the pricing: one forward and one backward time
+        # per node, on the one device every entry point defaults to.
+        assert len(calls) == 2 * len(graph), model
         assert set(calls.values()) == {1}, (model, calls.most_common(3))
 
 

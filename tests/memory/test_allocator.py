@@ -25,6 +25,7 @@ from repro.memory import (
 from repro.models import available_models, build_model
 from repro.tensor import TensorSpec
 from repro.verify.fuzzer import GraphFuzzer
+from repro.verify.oracles import interval_clique_bound
 
 
 def lt(name, elements, birth, death, shareable=True):
@@ -168,6 +169,21 @@ class TestCorrectness:
         assert StaticAllocator().allocate(tensors).total_bytes == 600
         bad.death = -1
         assert simulate_dynamic(tensors, horizon=6).timeline == result.timeline
+
+    def test_clique_bound_charges_an_inverted_interval_at_its_birth_step(self):
+        # The third reading of one corrupted table: the oracle's clique
+        # bound must see the same 600 B the allocator and simulator charge.
+        bad = lt("bad", 50, 4, 4)
+        bad.death = 2
+        tensors = [lt("a", 100, 0, 5), bad]
+        assert interval_clique_bound(tensors) == 600
+        assert (interval_clique_bound(tensors)
+                == simulate_dynamic(tensors).peak_bytes
+                == StaticAllocator().allocate(tensors).total_bytes)
+        bad.death = -1
+        assert interval_clique_bound(tensors) == 600
+        assert interval_clique_bound([lt("c", 10, 3, 3), bad]) == 200
+        assert interval_clique_bound([lt("c", 10, 4, 4), bad]) == 240
 
     def test_sharing_ratio(self):
         tensors = [lt("a", 100, 0, 1), lt("b", 100, 2, 3)]
