@@ -9,10 +9,11 @@ The first time a ``(op, shapes, dtype)`` signature is dispatched, each
 candidate — every arm but the ``reference`` ground truth (the oracle)
 and the incumbent default — is promoted iff both halves of a proof hold:
 
-* *static*: a live-data probe can settle its three GEMMs at all
-  (``plan._gemm_probe_decides``: on a reduction of at most four terms or
-  a free dimension of 1, BLAS and ``einsum`` agree on some data and not
-  on other, so a matching probe proves nothing);
+* *static*: a live-data probe can settle its GEMMs at all, at every
+  shape it issues them — per sample block for the forward and dcols
+  products (``plan._gemm_probe_decides``: on a reduction of at most four
+  terms or a free dimension of 1, BLAS and ``einsum`` agree on some data
+  and not on other, so a matching probe proves nothing);
 * *live*: one forward+backward on the dispatching call's data is
   **bit-identical to the incumbent** — the bytes of every output and the
   memory layout of every tensor that escapes to the graph.
@@ -36,7 +37,11 @@ from repro.kernels.backends import (
     backends_for,
     default_backend,
 )
-from repro.kernels.plan import _gemm_probe_decides, bit_identical
+from repro.kernels.plan import (
+    _gemm_probe_decides,
+    bit_identical,
+    block_samples,
+)
 
 _chosen: Dict[str, ConvBackend] = {}
 _records: Dict[str, dict] = {}
@@ -54,12 +59,16 @@ def _matches(truth: Dict[str, np.ndarray],
 
 
 def _probe_decides(x, w4, stride, pad) -> bool:
-    """The static half: forward ``(F,K)@(K,M)``, dW ``(F,M)@(M,K)`` and
-    dcols ``(K,F)@(F,M)`` over the whole batch, ``M = N*P``."""
+    """The static half, on the GEMMs as the arm issues them: dW
+    ``(K,N*P)@(N*P,F)`` over the whole batch, and the forward
+    ``(M,K)@(K,F)`` and dcols ``(K,F)@(F,M)`` once per sample block —
+    ``M = b*P``, and the ragged last block's ``(N mod b)*P``."""
     n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
-    k, m = c * kh * kw, n * oh * ow
-    return (_gemm_probe_decides(k, f, m) and _gemm_probe_decides(m, f, k)
-            and _gemm_probe_decides(f, k, m))
+    k, p = c * kh * kw, oh * ow
+    b = block_samples(n, k, p)
+    return _gemm_probe_decides(n * p, f, k) and all(
+        _gemm_probe_decides(k, f, m) and _gemm_probe_decides(f, k, m)
+        for m in {b * p, n % b * p} - {0})
 
 
 # ----------------------------------------------------------------------

@@ -324,12 +324,24 @@ def _einsum_y_strides(wmat, cols_shape):
     return strides
 
 
-class ConvBlasFat(ConvBackend):
-    """Whole-batch fat GEMMs over a transposed (K, N*P) column layout.
+def _head(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A C-contiguous ``(rows, cols)`` view of the start of ``buf``: one
+    sample block's scratch inside a batch-sized arena buffer, so the
+    block stays dense in cache and the arena pools no second shape."""
+    return buf.reshape(-1)[:rows * cols].reshape(rows, cols)
 
-    One BLAS call each for the forward product, the weight gradient and
-    the column gradient (vs one-GEMM-per-sample in ``numpy-plan`` and a
-    batched einsum for dW).  BLAS reduction blocking over the fat axis is
+
+class ConvBlasFat(ConvBackend):
+    """Fat GEMMs over a transposed (K, N*P) column layout, one sample
+    block at a time.
+
+    Per block of ``plan.b`` samples the forward gathers the block's
+    columns and multiplies them into that block's rows of the output
+    while they are still in cache; the backward multiplies the block's
+    column gradient and slot-sums it into the block's rows of ``dx``.
+    The weight gradient is one whole-batch GEMM over the full columns
+    (saved by the forward, or regathered block by block), so its
+    reduction order is the batch's.  BLAS reduction blocking is
     library-dependent, so the arm registers a tolerance; on the
     benchmark library/shapes it probes bit-identical and the chooser
     promotes it to default.  The forward output has exactly the
@@ -341,7 +353,7 @@ class ConvBlasFat(ConvBackend):
     name = "blas-fat"
     exact = False
     tolerance = 1e-5
-    description = "single-GEMM whole-batch im2col^T lowering"
+    description = "blocked im2col^T lowering, whole-batch dW GEMM"
 
     def forward(self, x, w4, bias, stride, pad, arena=NULL_ARENA,
                 want_saved=False):
@@ -352,11 +364,18 @@ class ConvBlasFat(ConvBackend):
         wmat = w4.reshape(f, -1)
         k = wmat.shape[1]
         plan = get_plan(x.shape, kh, kw, stride, pad)
-        cols_t = plan.im2col_t(x, arena)                     # (K, N*P)
+        cols_t = arena.rent((k, n * p), x.dtype)
         # (N*P, F) row-major *is* the einsum's (N, F, P) output wherever
         # that is P-major / F-minor: multiply so, and return a view.
         y2 = arena.rent((n * p, f), np.float32)
-        np.matmul(cols_t.T, wmat.T, out=y2)
+        for n0, n1 in plan.blocks:
+            rows = slice(n0 * p, n1 * p)
+            # Columns the backward reuses fill their place in the batch;
+            # otherwise every block reuses the buffer's contiguous head.
+            block = (cols_t[:, rows] if want_saved
+                     else _head(cols_t, k, (n1 - n0) * p))
+            plan.gather_t(x, n0, n1, block)
+            np.matmul(block.T, wmat.T, out=y2[rows])
         if bias is not None:
             y2 += bias
         y = y_view = y2.reshape(n, p, f).transpose(0, 2, 1)
@@ -393,11 +412,14 @@ class ConvBlasFat(ConvBackend):
             arena.release(dy2)
             return None, dw.reshape(w4.shape)
         dcols_t = arena.rent((k, n * p), np.float32)
-        np.matmul(wmat.T, dy2, out=dcols_t)
-        arena.release(dy2)
-        dx = plan.col2im_t(dcols_t, arena)
+        dx = arena.rent((n, plan.Q), np.float32)
+        for n0, n1 in plan.blocks:
+            block = _head(dcols_t, k, (n1 - n0) * p)
+            np.matmul(wmat.T, dy2[:, n0 * p:n1 * p], out=block)
+            plan.scatter_t(block, n0, dx)
         arena.release(dcols_t)
-        return dx, dw.reshape(w4.shape)
+        arena.release(dy2)
+        return plan.unpad(dx), dw.reshape(w4.shape)
 
 
 # ----------------------------------------------------------------------

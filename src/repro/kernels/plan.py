@@ -5,15 +5,22 @@ static: all analysis happens once and every iteration replays the same
 plan.  This module applies the same idea to the NumPy *compute* kernels.
 A :class:`KernelPlan` is built once per ``(input_shape, kh, kw, stride,
 pad)`` signature and precomputes the flat gather/scatter geometry so the
-per-iteration kernels contain no Python loops at all:
+per-iteration kernels contain no Python loops over pixels or slots:
 
-* ``im2col`` becomes a single C-level copy through a precomputed
-  six-axis strided *window view* of the padded input — one structured
-  gather covering all ``kh*kw`` slots at once;
-* ``col2im`` writes the column gradient through a precomputed strided
-  *slot view* of an ``(N, kh*kw, C*HP*WP)`` workspace (each window slot
+* the batch is lowered in *blocks* of ``b`` samples, ``b`` fixed per
+  signature by one constant, :data:`BLOCK_BYTES` — the size of one
+  block's float32 column matrix (:func:`block_samples`).  A block's
+  columns are still in cache when the GEMM that consumes them (or the
+  slot sum that folds them back) reads them, and the plan's persistent
+  pad and slot workspaces hold one block, not the batch;
+* ``im2col`` is, per block, a single C-level copy through a six-axis
+  strided *window view* of the padded block — one structured gather
+  covering all ``kh*kw`` slots at once;
+* ``col2im`` writes each block's column gradient through a strided
+  *slot view* of a ``(b, kh*kw, C*HP*WP)`` workspace (each window slot
   lands in its own plane, so no two writes collide) and then reduces
-  over the slot axis — one body for both column layouts;
+  over the slot axis into that block's rows of one ``(N, C*HP*WP)``
+  buffer — one body for both column layouts;
 * max-pool's backward pass scatters through precomputed flat indices —
   the plan caches the per-channel window-corner offsets, so the
   per-step work is three integer ops and one 1-D ``np.add.at``.
@@ -22,7 +29,8 @@ Accumulation order is chosen so the per-element floating-point sums are
 *identical* to the reference Python-loop kernels: ``col2im`` reduces
 slots in ``(ki, kj)`` ascending order (the reference's loop order) and
 the flat pool scatter applies duplicates in the same element order as
-the reference's multi-index ``np.add.at``.  The planned kernels are
+the reference's multi-index ``np.add.at``; every per-element sum runs
+within one sample, so blocking changes no bit.  The planned kernels are
 therefore bit-identical to the unplanned ones, not merely close — the
 property tests assert this.
 
@@ -41,6 +49,18 @@ from repro.kernels.arena import NULL_ARENA, WorkspaceArena
 from repro.layers.im2col import conv_output_hw
 
 Shape4 = Tuple[int, int, int, int]
+
+#: Byte size of one sample block's float32 ``(C*kh*kw, b*OH*OW)`` column
+#: matrix: about one core's L2, so a gather's output is still cached when
+#: the GEMM reads it.  The only knob of the blocking; see block_samples.
+BLOCK_BYTES = 2 << 20
+
+
+def block_samples(n: int, k: int, p: int) -> int:
+    """Samples per block of an ``n``-sample batch whose per-sample column
+    matrix is ``k x p`` float32: as many as fit :data:`BLOCK_BYTES`, at
+    least one and at most the batch."""
+    return max(1, min(n, BLOCK_BYTES // (4 * k * p)))
 
 
 def bit_identical(a: np.ndarray, b: np.ndarray) -> bool:
@@ -76,10 +96,16 @@ class KernelPlan:
         self.K = c * self.S
         self.P = oh * ow
         self.Q = c * self.hp * self.wp
+        #: Samples per block, and the (n0, n1) ranges the lowering walks
+        #: (the last one ragged when b does not divide N).
+        self.b = block_samples(n, self.K, self.P)
+        self.blocks = tuple((n0, min(n0 + self.b, n))
+                            for n0 in range(0, n, self.b))
         self._pool_base: Optional[np.ndarray] = None
         self._batch_offsets: Optional[np.ndarray] = None
-        # Plan-owned persistent workspaces (see _padded / col2im): their
-        # static cells are initialised exactly once, per dtype signature.
+        # Plan-owned persistent one-block workspaces (see _windows /
+        # _slot_sum): their static cells are initialised exactly once,
+        # per dtype signature.
         self._pad_ws: Dict[Tuple[np.dtype, float], np.ndarray] = {}
         self._slot_ws: Dict[np.dtype, np.ndarray] = {}
 
@@ -87,29 +113,22 @@ class KernelPlan:
     # One-time geometry (never on the per-step hot path)
     # ------------------------------------------------------------------
     def _window_view(self, xp: np.ndarray) -> np.ndarray:
-        """(N, C, kh, kw, OH, OW) read view of the padded input.
+        """(nb, C, kh, kw, OH, OW) read view of an (nb, C, HP, WP) block.
 
         ``view[n, c, ki, kj, oy, ox] == xp[n, c, ki + oy*stride,
-        kj + ox*stride]`` — copying it out materialises the full column
-        matrix in one strided pass.
+        kj + ox*stride]`` — copying it out materialises the block's column
+        matrix in one strided pass.  Built from ``xp``'s own strides, so
+        any memory layout reads correctly.
         """
-        n, c, _, _ = self.shape
-        it = xp.itemsize
+        sn, sc, sh, sw = xp.strides
         return as_strided(
             xp,
-            (n, c, self.kh, self.kw, self.oh, self.ow),
-            (
-                c * self.hp * self.wp * it,
-                self.hp * self.wp * it,
-                self.wp * it,
-                it,
-                self.stride * self.wp * it,
-                self.stride * it,
-            ),
+            (xp.shape[0], self.shape[1], self.kh, self.kw, self.oh, self.ow),
+            (sn, sc, sh, sw, self.stride * sh, self.stride * sw),
         )
 
     def _slot_view(self, g: np.ndarray) -> np.ndarray:
-        """(N, C, kh, kw, OH, OW) write view into the (N, S, Q) workspace.
+        """(nb, C, kh, kw, OH, OW) write view into an (nb, S, Q) workspace.
 
         Element ``[n, c, ki, kj, oy, ox]`` aliases ``g[n, ki*kw + kj,
         flat(c, ki + oy*stride, kj + ox*stride)]`` — every column-matrix
@@ -118,10 +137,9 @@ class KernelPlan:
         axis holds exactly the per-slot partial sums of ``col2im``.
         """
         it = g.itemsize
-        n, c, _, _ = self.shape
         return as_strided(
             g,
-            (n, c, self.kh, self.kw, self.oh, self.ow),
+            (g.shape[0], self.shape[1], self.kh, self.kw, self.oh, self.ow),
             (
                 self.S * self.Q * it,
                 self.hp * self.wp * it,
@@ -131,6 +149,12 @@ class KernelPlan:
                 self.stride * it,
             ),
         )
+
+    def _t6(self, m: np.ndarray) -> np.ndarray:
+        """(nb, C, kh, kw, OH, OW) view of a transposed (K, nb*P) column
+        matrix — a block buffer or a column slice of a (K, N*P) one."""
+        return m.reshape(self.shape[1], self.kh, self.kw, -1, self.oh,
+                         self.ow).transpose(3, 0, 1, 2, 4, 5)
 
     @property
     def pool_base(self) -> np.ndarray:
@@ -161,102 +185,123 @@ class KernelPlan:
         return self._batch_offsets
 
     # ------------------------------------------------------------------
-    # Per-step kernels: no Python loops, arena-rented workspaces
+    # Per-block bodies: one sample block through the persistent workspaces
     # ------------------------------------------------------------------
-    def _padded(self, x: np.ndarray, pad_value: float) -> np.ndarray:
-        """Pad into the plan's persistent padded workspace.
+    def _windows(self, x: np.ndarray, n0: int, n1: int,
+                 pad_value: float) -> np.ndarray:
+        """Window view of samples ``n0:n1``, padded through the plan's
+        one-block pad workspace.
 
         The border carries the same ``pad_value`` on every call, so it is
         written exactly once per ``(dtype, pad_value)``; each call only
-        copies the interior.  The buffer never escapes this module — the
-        kernels copy out of it before returning.
-
-        The result is always C-contiguous: :meth:`_window_view` builds its
-        strides from the shape alone, so a non-contiguous input (e.g. an
-        einsum output that is a transposed view) must be compacted first.
+        copies the block's interior.  The view never escapes this module —
+        every caller copies out of it before the next block.
         """
+        block = x[n0:n1]
         if self.pad == 0:
-            return np.ascontiguousarray(x)
-        n, c, h, w = self.shape
+            return self._window_view(block)
+        _, c, h, w = self.shape
         pad = self.pad
         key = (np.dtype(x.dtype), float(pad_value))
         xp = self._pad_ws.get(key)
         if xp is None:
-            xp = np.full((n, c, self.hp, self.wp), pad_value, dtype=x.dtype)
+            xp = np.full((self.b, c, self.hp, self.wp), pad_value,
+                         dtype=x.dtype)
             self._pad_ws[key] = xp
-        xp[:, :, pad:pad + h, pad:pad + w] = x
-        return xp
+        xp = xp[:n1 - n0]
+        xp[:, :, pad:pad + h, pad:pad + w] = block
+        return self._window_view(xp)
 
-    def im2col(
-        self,
-        x: np.ndarray,
-        arena: WorkspaceArena = NULL_ARENA,
-        pad_value: float = 0.0,
-    ) -> np.ndarray:
-        """Unfold ``x`` into columns (N, C*kh*kw, OH*OW) in one copy.
-
-        The returned buffer is rented from ``arena``; the caller owns it
-        and should ``release`` it once the columns are dead.
-        """
-        n, c, _, _ = self.shape
-        src = self._padded(x, pad_value)
-        out = arena.rent((n, self.K, self.P), x.dtype)
-        out6 = out.reshape(n, c, self.kh, self.kw, self.oh, self.ow)
-        np.copyto(out6, self._window_view(src))
-        return out
-
-    def _slot_sum(self, cols6: np.ndarray,
-                  arena: WorkspaceArena) -> np.ndarray:
-        """Strided slot scatter + slot sum of a column gradient given as
-        an (N, C, kh, kw, OH, OW) view: the one body of both adjoints.
-
-        Returns an (N, C, H, W) array backed by an arena buffer (a view of
-        one when ``pad > 0``); the caller owns it until the next reset.
-        """
-        n, c, h, w = self.shape
+    def _slot_sum(self, cols6: np.ndarray, out: np.ndarray) -> None:
+        """Strided slot scatter + slot sum of one block's column gradient,
+        given as an (nb, C, kh, kw, OH, OW) view, into ``out``, that
+        block's (nb, Q) rows: the one body of both adjoints."""
         # The slot planes cover the same static cell set on every call,
         # so the never-covered cells only need zeroing once — the
         # persistent workspace replaces a per-step fill of S*Q elements.
         dt = cols6.dtype
         g = self._slot_ws.get(dt)
         if g is None:
-            g = np.zeros((n, self.S, self.Q), dtype=dt)
+            g = np.zeros((self.b, self.S, self.Q), dtype=dt)
             self._slot_ws[dt] = g
+        g = g[:cols6.shape[0]]
         np.copyto(self._slot_view(g), cols6)
-        out = arena.rent((n, self.Q), dt)
         g.sum(axis=1, out=out)
+
+    def gather_t(self, x: np.ndarray, n0: int, n1: int,
+                 out: np.ndarray) -> None:
+        """Write samples ``n0:n1`` of ``x`` as transposed columns into
+        ``out``, a (K, (n1-n0)*P) matrix laid out like :meth:`im2col_t`'s
+        column slice for those samples."""
+        np.copyto(self._t6(out), self._windows(x, n0, n1, 0.0))
+
+    def scatter_t(self, dcols: np.ndarray, n0: int, out: np.ndarray) -> None:
+        """Fold a block's transposed column gradient ``dcols`` (K, nb*P),
+        samples ``n0:n0+nb``, into those rows of the (N, Q) ``out``."""
+        cols6 = self._t6(dcols)
+        self._slot_sum(cols6, out[n0:n0 + cols6.shape[0]])
+
+    def unpad(self, out: np.ndarray) -> np.ndarray:
+        """(N, C, H, W) view of the interior of an (N, Q) padded-grid
+        buffer."""
+        n, c, h, w = self.shape
         x4 = out.reshape(n, c, self.hp, self.wp)
         if self.pad:
             x4 = x4[:, :, self.pad:self.pad + h, self.pad:self.pad + w]
         return x4
 
-    def col2im(
-        self, cols: np.ndarray, arena: WorkspaceArena = NULL_ARENA
-    ) -> np.ndarray:
-        """Adjoint of :meth:`im2col` (see :meth:`_slot_sum`)."""
-        n, c, _, _ = self.shape
-        return self._slot_sum(np.ascontiguousarray(cols).reshape(
-            n, c, self.kh, self.kw, self.oh, self.ow), arena)
-
-    def im2col_t(
+    # ------------------------------------------------------------------
+    # Whole-batch kernels: the blocks in order, arena-rented outputs
+    # ------------------------------------------------------------------
+    def im2col(
         self,
         x: np.ndarray,
         arena: WorkspaceArena = NULL_ARENA,
         pad_value: float = 0.0,
+    ) -> np.ndarray:
+        """Unfold ``x`` into columns (N, C*kh*kw, OH*OW), block by block.
+
+        The returned buffer is rented from ``arena``; the caller owns it
+        and should ``release`` it once the columns are dead.
+        """
+        n, c, _, _ = self.shape
+        out = arena.rent((n, self.K, self.P), x.dtype)
+        out6 = out.reshape(n, c, self.kh, self.kw, self.oh, self.ow)
+        for n0, n1 in self.blocks:
+            np.copyto(out6[n0:n1], self._windows(x, n0, n1, pad_value))
+        return out
+
+    def col2im(
+        self, cols: np.ndarray, arena: WorkspaceArena = NULL_ARENA
+    ) -> np.ndarray:
+        """Adjoint of :meth:`im2col` (see :meth:`_slot_sum`).
+
+        Returns an (N, C, H, W) view of one (N, Q) arena buffer, each
+        block summed into its own rows; the caller owns it until the next
+        reset.
+        """
+        n, c, _, _ = self.shape
+        cols6 = cols.reshape(n, c, self.kh, self.kw, self.oh, self.ow)
+        out = arena.rent((n, self.Q), cols.dtype)
+        for n0, n1 in self.blocks:
+            self._slot_sum(cols6[n0:n1], out[n0:n1])
+        return self.unpad(out)
+
+    def im2col_t(
+        self, x: np.ndarray, arena: WorkspaceArena = NULL_ARENA
     ) -> np.ndarray:
         """Unfold ``x`` into *transposed* columns (C*kh*kw, N*OH*OW).
 
         Same gather as :meth:`im2col` through an axis-permuted window
         view, but laid out so the whole batch forms one fat GEMM operand:
         ``out[c*S + ki*kw + kj, n*P + oy*ow + ox]``.  The ``blas-fat``
-        conv backend contracts this with the filter matrix in a single
-        BLAS call instead of one GEMM per sample.
+        conv backend contracts this with ``dy`` in a single BLAS call for
+        the weight gradient.
         """
-        n, c, _, _ = self.shape
-        src = self._padded(x, pad_value)
+        n = self.shape[0]
         out = arena.rent((self.K, n * self.P), x.dtype)
-        out6 = out.reshape(c, self.kh, self.kw, n, self.oh, self.ow)
-        np.copyto(out6, self._window_view(src).transpose(1, 2, 3, 0, 4, 5))
+        for n0, n1 in self.blocks:
+            self.gather_t(x, n0, n1, out[:, n0 * self.P:n1 * self.P])
         return out
 
     def col2im_t(
@@ -265,10 +310,10 @@ class KernelPlan:
         """Adjoint of :meth:`im2col_t`: :meth:`col2im`'s scatter and
         ascending ``(ki, kj)`` reduction read through the batch-inner axis
         order, so the two agree bit for bit on equivalent gradients."""
-        n, c, _, _ = self.shape
-        return self._slot_sum(np.ascontiguousarray(cols_t).reshape(
-            c, self.kh, self.kw, n, self.oh, self.ow
-        ).transpose(3, 0, 1, 2, 4, 5), arena)
+        out = arena.rent((self.shape[0], self.Q), cols_t.dtype)
+        for n0, n1 in self.blocks:
+            self.scatter_t(cols_t[:, n0 * self.P:n1 * self.P], n0, out)
+        return self.unpad(out)
 
     def maxpool_forward(
         self, x: np.ndarray, arena: WorkspaceArena = NULL_ARENA
@@ -342,7 +387,7 @@ class KernelPlan:
         reference multi-index scatter, so overlapping windows accumulate
         bit-identically.
         """
-        n, c, h, w = self.shape
+        n, c, _, _ = self.shape
         am = argmax.reshape(n, c * self.P)
         lin = arena.rent((n, c * self.P), np.intp)
         # Window-local winner am decomposes as (di, dj) = divmod(am, kw);
@@ -356,10 +401,7 @@ class KernelPlan:
         out.fill(0)
         np.add.at(out.reshape(-1), lin.reshape(-1), dy.reshape(-1))
         arena.release(lin)
-        dx = out.reshape(n, c, self.hp, self.wp)
-        if self.pad:
-            dx = dx[:, :, self.pad:self.pad + h, self.pad:self.pad + w]
-        return dx
+        return self.unpad(out)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

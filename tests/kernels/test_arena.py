@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.policy import HybridPolicy
 from repro.diagnostics import capture_digest
 from repro.diagnostics.golden import GOLDEN_MODELS, golden_batches
 from repro.dtypes import FP16
@@ -23,21 +24,27 @@ from repro.encodings.binarize import (
     unpack_nibbles,
 )
 from repro.encodings.ssdc import csr_decode, csr_encode, csr_positions
+import repro.kernels.plan as plan_module
 from repro.kernels import (
     NULL_ARENA,
     WorkspaceArena,
+    backend_override,
     clear_plan_cache,
+    clear_selection_cache,
     get_plan,
     plan_cache_stats,
 )
+from repro.memory.hybrid import build_hybrid_plan
 from repro.models import build_model, tiny_cnn
 from repro.train import (
     SGD,
     BaselinePolicy,
     GistPolicy,
     GraphExecutor,
+    HybridExecutionPolicy,
     policy_from_name,
 )
+from repro.train.data import make_synthetic_for
 
 
 class TestArenaInvariants:
@@ -150,18 +157,58 @@ def test_arena_never_aliases_two_live_tensors_in_a_step(policy_cls):
     assert arena.hits > 0  # the pool actually recycled across steps
 
 
-def test_plan_workspaces_are_metered_where_no_arena_sees_them():
-    """A plan's persistent pad and slot workspaces live as long as the
-    plan cache, outside every arena: ``plan_cache_stats`` reports them."""
+def test_plan_workspaces_are_metered_where_no_arena_sees_them(monkeypatch):
+    """A plan's persistent pad and slot workspaces hold one ``b``-sample
+    block and live as long as the plan cache, outside every arena:
+    ``plan_cache_stats`` reports them.  The batch-sized columns and
+    gradient rows are the arena's.  Both blocks of two samples (the
+    whole batch) and, forced, of one."""
+    for b in (2, 1):
+        # One sample's (27, 36) float32 columns: blocks of exactly b.
+        monkeypatch.setattr(plan_module, "BLOCK_BYTES", 4 * 27 * 36 * b)
+        clear_plan_cache()
+        arena = WorkspaceArena()
+        plan = get_plan((2, 3, 6, 6), 3, 3, 1, 1)
+        assert plan.b == b
+        plan.col2im(plan.im2col(np.ones((2, 3, 6, 6), np.float32), arena),
+                    arena)
+        padded = b * 3 * 8 * 8 * 4
+        assert plan_cache_stats()["workspace_bytes"] == padded + 9 * padded
+        assert arena.pooled_bytes() == 4 * (2 * 27 * 36 + 2 * 3 * 8 * 8)
+        clear_plan_cache()
+        assert plan_cache_stats()["workspace_bytes"] == 0
+
+
+#: ``plan_cache_stats()`` after one batch-16 step of the ledger's models
+#: under their ledger policies: one plan per conv / pool signature, each
+#: holding one sample block's pad and slot workspaces (batch-sized ones
+#: read 30 154 240 and 98 228 736 bytes).
+WORKSPACE_PINS = {
+    ("scaled_vgg", "baseline"): {"size": 9, "workspace_bytes": 15_877_120},
+    ("densenet", "hybrid"): {"size": 9, "workspace_bytes": 25_360_832},
+}
+
+
+@pytest.mark.parametrize("model,policy", sorted(WORKSPACE_PINS))
+def test_kernel_workspace_pins(model, policy):
+    """Batch-sized conv scratch fails here by count if it returns."""
     clear_plan_cache()
-    arena = WorkspaceArena()
-    plan = get_plan((2, 3, 6, 6), 3, 3, 1, 1)
-    plan.col2im(plan.im2col(np.ones((2, 3, 6, 6), np.float32), arena), arena)
-    padded = 2 * 3 * 8 * 8 * 4
-    assert plan_cache_stats()["workspace_bytes"] == padded + 9 * padded
-    assert arena.pooled_bytes() < padded + 9 * padded
+    clear_selection_cache()
+    graph = build_model(model, batch_size=16)
+    plan_policy = (HybridExecutionPolicy(build_hybrid_plan(graph,
+                                                           HybridPolicy()))
+                   if policy == "hybrid" else BaselinePolicy())
+    data, _ = make_synthetic_for(graph.node(graph.input_id).output_shape,
+                                 num_samples=16, seed=0)
+    with backend_override("auto"):
+        executor = GraphExecutor(graph, policy=plan_policy, seed=0)
+        executor.forward(data.images, data.labels)
+        executor.backward()
+    stats = plan_cache_stats()
+    assert {key: stats[key] for key in ("size", "workspace_bytes")} == \
+        WORKSPACE_PINS[model, policy]
     clear_plan_cache()
-    assert plan_cache_stats()["workspace_bytes"] == 0
+    clear_selection_cache()
 
 
 @pytest.mark.parametrize("policy_cls", [BaselinePolicy, GistPolicy])

@@ -3,7 +3,8 @@
 The oracle's job is to catch a *wrong* backend, so every test here
 registers a deliberately broken arm, asserts the oracle fires on exactly
 that arm, and unregisters it again.  A passing clean registry is the
-baseline case.
+baseline case — run once more with every plan walking the batch in
+sample blocks, beside direct checks that blocking changes no bit.
 """
 
 from collections import Counter
@@ -11,6 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import repro.kernels.plan as plan_module
 from repro.kernels.arena import NULL_ARENA
 from repro.kernels.backends import (
     ConvBackend,
@@ -22,7 +24,8 @@ from repro.kernels.backends import (
     register_backend,
     unregister_backend,
 )
-from repro.kernels.plan import bit_identical
+from repro.kernels.plan import bit_identical, clear_plan_cache, get_plan
+from repro.layers.im2col import conv_output_hw
 from repro.verify import (
     ORACLE_BACKEND_DIFFERENTIAL,
     verify_backends,
@@ -39,6 +42,99 @@ def test_clean_registry_has_no_violations():
     # tie-break defect (7 findings at the commit before the fix).
     for seed in range(30):
         assert verify_backends(seed) == []
+
+
+def test_clean_registry_has_no_violations_in_one_sample_blocks(monkeypatch):
+    monkeypatch.setattr(plan_module, "BLOCK_BYTES", 1)
+    clear_plan_cache()
+    try:
+        for seed in range(10):
+            assert verify_backends(seed) == []
+    finally:
+        clear_plan_cache()
+
+
+def _same_bits_and_layout(got, want):
+    return all(
+        got[key] is None if ref is None
+        else bit_identical(got[key], ref) and got[key].strides == ref.strides
+        for key, ref in want.items())
+
+
+@pytest.mark.parametrize("need_dx", [True, False])
+@pytest.mark.parametrize("want_saved", [True, False])
+@pytest.mark.parametrize("shape,f,k,stride,pad,b", [
+    pytest.param((5, 6, 9, 9), 8, 3, 1, 1, 2, id="ragged-last-block"),
+    pytest.param((4, 6, 9, 9), 8, 3, 2, 0, 2, id="stride2-pad0"),
+    pytest.param((5, 12, 7, 7), 10, 1, 1, 0, 3, id="1x1-ragged"),
+    pytest.param((4, 8, 8, 8), 16, 3, 1, 1, 1, id="one-sample-blocks"),
+])
+def test_blocked_conv_lowering_changes_no_bit_or_stride(
+        monkeypatch, shape, f, k, stride, pad, b, want_saved, need_dx):
+    """Each plan-backed conv arm, walked in ``b``-sample blocks, returns
+    the bytes and strides of ``y``, ``dx`` and ``dw`` it returns in one
+    block, saved columns or regathered, with or without ``dx``.  The
+    incumbent therefore still equals ``reference``, and the whole-batch
+    arm equals both wherever its one-block form does — the only
+    signatures where the chooser can promote it."""
+    n, c, h, w = shape
+    oh, ow = conv_output_hw(h, w, k, k, stride, pad)
+    rng = np.random.default_rng(0)
+    x = rng.normal(0, 1, shape).astype(np.float32)
+    w4 = rng.normal(0, 0.5, (f, c, k, k)).astype(np.float32)
+    bias = rng.normal(0, 0.5, f).astype(np.float32)
+    dy = rng.normal(0, 1, (n, f, oh, ow)).astype(np.float32)
+
+    def run(name):
+        arm = get_backend("conv2d", name)
+        y, saved = arm.forward(x, w4, bias, stride, pad,
+                               want_saved=want_saved)
+        dx, dw = arm.backward(x, w4, dy, stride, pad, saved=saved,
+                              need_dx=need_dx)
+        return {"y": y, "dx": dx, "dw": dw}
+
+    arms = ("numpy-plan", "blas-fat")
+    clear_plan_cache()
+    try:
+        assert get_plan(shape, k, k, stride, pad).b == n
+        truth = run("reference")
+        whole = {name: run(name) for name in arms}
+        monkeypatch.setattr(plan_module, "BLOCK_BYTES",
+                            4 * c * k * k * oh * ow * b)
+        clear_plan_cache()
+        assert get_plan(shape, k, k, stride, pad).b == b
+        for name in arms:
+            assert _same_bits_and_layout(run(name), whole[name]), name
+        assert _same_bits_and_layout(run("numpy-plan"), truth)
+    finally:
+        clear_plan_cache()
+
+
+def test_blocked_maxpool_general_path_stays_bit_identical(monkeypatch):
+    """-inf padding, overlapping windows, NaN and signed-zero ties: the
+    general path gathers through the one-block pad workspace, two
+    samples and then a ragged one at a time."""
+    rng = np.random.default_rng(4)
+    x = rng.normal(0, 1, (5, 3, 7, 7)).astype(np.float32)
+    x[:, :, 0, :2] = (0.0, -0.0)
+    x[1::2, :, 3, 3] = np.nan
+    dy = rng.normal(0, 1, (5, 3, 4, 4)).astype(np.float32)
+    # One sample's (27, 16) float32 columns: blocks of two samples.
+    monkeypatch.setattr(plan_module, "BLOCK_BYTES", 4 * 27 * 16 * 2)
+    clear_plan_cache()
+    try:
+        outs = []
+        for name in ("reference", "numpy-plan"):
+            arm = get_backend("maxpool2d", name)
+            y, argmax = arm.forward(x, 3, 3, 2, 1)
+            outs.append((y, argmax,
+                         arm.backward(argmax, dy, x.shape, 3, 3, 2, 1)))
+        assert get_plan(x.shape, 3, 3, 2, 1).blocks == ((0, 2), (2, 4),
+                                                        (4, 5))
+    finally:
+        clear_plan_cache()
+    for ref, got in zip(*outs):
+        assert bit_identical(got, ref) and got.strides == ref.strides
 
 
 def test_bit_identical_means_bytes():

@@ -15,7 +15,9 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.kernels.plan as plan_module
 from repro.kernels.autotune import (
+    _probe_decides,
     autotune_report,
     autotuned_backend,
     clear_selection_cache,
@@ -176,6 +178,33 @@ def test_chooser_keeps_the_incumbent_where_agreement_depends_on_data(
         (row,) = autotune_report()
         assert row["exact"] == {"blas-fat": False, "numpy-plan": True}
     clear_selection_cache()
+
+
+@pytest.mark.parametrize("n,b", [(6, 1), (5, 4)])
+def test_chooser_guards_the_gemm_shapes_each_sample_block_issues(
+        monkeypatch, n, b):
+    """A 1x1-output conv: its forward and dcols GEMMs have a free
+    dimension of b*P = b per block, and (N mod b)*P in a ragged last one.
+    Whole-batch the static guard passes; once a block (or the ragged
+    tail) holds one sample those GEMMs are matrix-vector products, so
+    the incumbent must stay however the probe would have come out."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(0, 1, (n, 8, 3, 3)).astype(np.float32)
+    w4 = rng.normal(0, 0.5, (8, 8, 3, 3)).astype(np.float32)
+    assert _probe_decides(x, w4, 1, 0)
+    per_sample = 4 * 8 * 3 * 3  # one sample's (K, P) = (72, 1) columns
+    monkeypatch.setattr(plan_module, "BLOCK_BYTES", 3 * per_sample)
+    assert _probe_decides(x, w4, 1, 0)  # blocks of three: nothing is 1
+    monkeypatch.setattr(plan_module, "BLOCK_BYTES", b * per_sample)
+    assert not _probe_decides(x, w4, 1, 0)
+    clear_selection_cache()
+    try:
+        arm = autotuned_backend("conv2d", x, w4, None, 1, 0)
+        assert arm is default_backend("conv2d")
+        (row,) = autotune_report()
+        assert row["exact"] == {"blas-fat": False, "numpy-plan": True}
+    finally:
+        clear_selection_cache()
 
 
 def _ledger_conv_calls():

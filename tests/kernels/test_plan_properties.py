@@ -5,6 +5,9 @@ kernels, not approximate equality: the whole A/B story of the runtime
 kernel layer rests on "same floats, less time".  These tests sweep random
 shape signatures (Hypothesis) and assert exact ``np.array_equal`` on every
 output, plus the exact adjoint relationship between im2col and col2im.
+Every signature also draws the plan's sample-block size, so the kernels
+are checked walking the batch in blocks — a ragged last one included —
+not only in the one block the small shapes get by default.
 """
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.kernels.plan as plan_module
 from repro.kernels.plan import (
     KernelPlan,
     bit_identical,
@@ -30,8 +34,9 @@ from repro.layers.im2col import (
 
 @st.composite
 def conv_signatures(draw):
-    """Random valid (shape, kh, kw, stride, pad) signatures."""
-    n = draw(st.integers(1, 3))
+    """Random valid (shape, kh, kw, stride, pad, b) signatures, ``b`` the
+    samples per block the plan is built to walk."""
+    n = draw(st.integers(1, 5))
     c = draw(st.integers(1, 4))
     kh = draw(st.integers(1, 4))
     kw = draw(st.integers(1, 4))
@@ -41,16 +46,32 @@ def conv_signatures(draw):
     h = draw(st.integers(max(1, kh - 2 * pad), 10))
     w = draw(st.integers(max(1, kw - 2 * pad), 10))
     conv_output_hw(h, w, kh, kw, stride, pad)  # raises if invalid
-    return (n, c, h, w), kh, kw, stride, pad
+    return (n, c, h, w), kh, kw, stride, pad, draw(st.integers(1, n))
+
+
+def blocked_plan(shape, kh, kw, stride, pad, b):
+    """A fresh plan that walks ``b``-sample blocks: ``BLOCK_BYTES`` sized
+    to exactly ``b`` samples' columns while it is built."""
+    n, c, h, w = shape
+    oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
+    saved = plan_module.BLOCK_BYTES
+    plan_module.BLOCK_BYTES = 4 * c * kh * kw * oh * ow * b
+    try:
+        plan = KernelPlan(shape, kh, kw, stride, pad)
+    finally:
+        plan_module.BLOCK_BYTES = saved
+    assert plan.b == b
+    assert plan.blocks[-1][1] == n
+    return plan
 
 
 @settings(max_examples=60, deadline=None)
 @given(conv_signatures(), st.integers(0, 2**31 - 1))
 def test_im2col_bit_identical(sig, seed):
-    shape, kh, kw, stride, pad = sig
+    shape, kh, kw, stride, pad, _ = sig
     rng = np.random.default_rng(seed)
     x = rng.normal(0, 1, shape).astype(np.float32)
-    plan = KernelPlan(shape, kh, kw, stride, pad)
+    plan = blocked_plan(*sig)
     got = plan.im2col(x)
     want = im2col_reference(x, kh, kw, stride, pad)
     assert got.dtype == want.dtype
@@ -60,12 +81,12 @@ def test_im2col_bit_identical(sig, seed):
 @settings(max_examples=60, deadline=None)
 @given(conv_signatures(), st.integers(0, 2**31 - 1))
 def test_col2im_bit_identical(sig, seed):
-    shape, kh, kw, stride, pad = sig
+    shape, kh, kw, stride, pad, _ = sig
     n, c, h, w = shape
     oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
     rng = np.random.default_rng(seed)
     cols = rng.normal(0, 1, (n, c * kh * kw, oh * ow)).astype(np.float32)
-    plan = KernelPlan(shape, kh, kw, stride, pad)
+    plan = blocked_plan(*sig)
     got = plan.col2im(cols)
     want = col2im_reference(cols, shape, kh, kw, stride, pad)
     # Bitwise: the slot reduction replays the reference accumulation order.
@@ -81,13 +102,13 @@ def test_col2im_is_exact_adjoint_of_im2col(sig, seed):
     representable, so the adjoint identity holds to the last bit — any
     index off by one anywhere would break it.
     """
-    shape, kh, kw, stride, pad = sig
+    shape, kh, kw, stride, pad, _ = sig
     n, c, h, w = shape
     oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
     rng = np.random.default_rng(seed)
     x = rng.integers(-8, 9, shape).astype(np.float32)
     g = rng.integers(-8, 9, (n, c * kh * kw, oh * ow)).astype(np.float32)
-    plan = KernelPlan(shape, kh, kw, stride, pad)
+    plan = blocked_plan(*sig)
     lhs = np.vdot(plan.im2col(x).astype(np.float64), g.astype(np.float64))
     rhs = np.vdot(x.astype(np.float64),
                   plan.col2im(g).astype(np.float64))
@@ -135,10 +156,10 @@ def _maxpool_backward_reference(argmax, dy, shape, kh, kw, stride, pad):
 @settings(max_examples=60, deadline=None)
 @given(conv_signatures(), st.integers(0, 2**31 - 1))
 def test_maxpool_forward_bit_identical(sig, seed):
-    shape, kh, kw, stride, pad = sig
+    shape, kh, kw, stride, pad, _ = sig
     rng = np.random.default_rng(seed)
     x = rng.normal(0, 1, shape).astype(np.float32)
-    plan = KernelPlan(shape, kh, kw, stride, pad)
+    plan = blocked_plan(*sig)
     y, argmax = plan.maxpool_forward(x)
     y_ref, argmax_ref = _maxpool_reference(x, kh, kw, stride, pad)
     assert np.array_equal(y, y_ref)
@@ -151,13 +172,13 @@ def test_maxpool_forward_bit_identical(sig, seed):
 def test_maxpool_backward_bit_identical(sig, seed):
     """Covers overlapping windows (stride < kernel): duplicate scatter
     targets must accumulate in the reference element order."""
-    shape, kh, kw, stride, pad = sig
+    shape, kh, kw, stride, pad, _ = sig
     n, c, h, w = shape
     oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
     rng = np.random.default_rng(seed)
     x = rng.normal(0, 1, shape).astype(np.float32)
     dy = rng.normal(0, 1, (n, c, oh, ow)).astype(np.float32)
-    plan = KernelPlan(shape, kh, kw, stride, pad)
+    plan = blocked_plan(*sig)
     _, argmax = plan.maxpool_forward(x)
     got = plan.maxpool_backward(argmax, dy)
     want = _maxpool_backward_reference(argmax, dy, shape, kh, kw, stride, pad)
@@ -181,7 +202,7 @@ def test_maxpool_disjoint_fast_path_matches_general():
 def test_noncontiguous_input_bit_identical(sig, seed):
     """einsum outputs can be transposed views; the strided gather must
     compact them instead of misreading their memory."""
-    shape, kh, kw, stride, pad = sig
+    shape, kh, kw, stride, pad, _ = sig
     n, c, h, w = shape
     rng = np.random.default_rng(seed)
     # (C, N, H, W) storage transposed into an (N, C, H, W) view.
@@ -189,7 +210,7 @@ def test_noncontiguous_input_bit_identical(sig, seed):
         rng.normal(0, 1, (c, n, h, w)).astype(np.float32)
     ).transpose(1, 0, 2, 3)
     assert not x.flags.c_contiguous or 1 in (n, c)
-    plan = KernelPlan(shape, kh, kw, stride, pad)
+    plan = blocked_plan(*sig)
     assert np.array_equal(
         plan.im2col(x), im2col_reference(x, kh, kw, stride, pad)
     )
@@ -200,27 +221,31 @@ def test_noncontiguous_input_bit_identical(sig, seed):
 
 
 def test_padded_workspace_reused_across_calls():
-    """The persistent pad workspace must not leak state between inputs."""
-    plan = KernelPlan((1, 2, 5, 5), 3, 3, 1, 1)
-    rng = np.random.default_rng(0)
-    for _ in range(3):
-        x = rng.normal(0, 1, (1, 2, 5, 5)).astype(np.float32)
-        assert np.array_equal(
-            plan.im2col(x), im2col_reference(x, 3, 3, 1, 1)
-        )
+    """The persistent pad workspace must not leak state between inputs —
+    nor between the blocks of one call, a ragged last one included."""
+    for n, b in ((1, 1), (3, 2)):
+        plan = blocked_plan((n, 2, 5, 5), 3, 3, 1, 1, b)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            x = rng.normal(0, 1, (n, 2, 5, 5)).astype(np.float32)
+            assert np.array_equal(
+                plan.im2col(x), im2col_reference(x, 3, 3, 1, 1)
+            )
 
 
 def test_slot_workspace_reused_across_calls():
-    """col2im's zero-once workspace: stale slot data must never bleed in."""
-    plan = KernelPlan((1, 2, 6, 6), 3, 3, 2, 1)
-    oh, ow = plan.oh, plan.ow
-    rng = np.random.default_rng(1)
-    for _ in range(3):
-        cols = rng.normal(0, 1, (1, 2 * 9, oh * ow)).astype(np.float32)
-        assert np.array_equal(
-            plan.col2im(cols),
-            col2im_reference(cols, (1, 2, 6, 6), 3, 3, 2, 1),
-        )
+    """col2im's zero-once workspace: stale slot data must never bleed in,
+    from an earlier call or an earlier block."""
+    for n, b in ((1, 1), (3, 2)):
+        plan = blocked_plan((n, 2, 6, 6), 3, 3, 2, 1, b)
+        oh, ow = plan.oh, plan.ow
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            cols = rng.normal(0, 1, (n, 2 * 9, oh * ow)).astype(np.float32)
+            assert np.array_equal(
+                plan.col2im(cols),
+                col2im_reference(cols, (n, 2, 6, 6), 3, 3, 2, 1),
+            )
 
 
 @settings(max_examples=40, deadline=None)
@@ -316,21 +341,23 @@ def _hostile_columns(rng, shape, dtype):
     yield "denormal", rng.choice([tiny / 4, -tiny / 8, tiny, 0.0], shape)
 
 
+@pytest.mark.parametrize("b", [1, 2])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("sig", [
     ((2, 3, 6, 6), 3, 3, 1, 1),
     ((2, 2, 7, 7), 3, 3, 2, 0),
     ((3, 2, 8, 6), 2, 3, 2, 1),   # non-square kernel and map
-    ((2, 4, 5, 5), 1, 1, 1, 0),   # one slot: the sum has a single term
+    ((3, 4, 5, 5), 1, 1, 1, 0),   # one slot: the sum has a single term
 ])
-def test_col2im_t_conforms_on_hostile_planes_and_a_reused_plan(sig, dtype):
+def test_col2im_t_conforms_on_hostile_planes_and_a_reused_plan(sig, dtype,
+                                                                b):
     """``col2im_t`` == ``col2im_reference`` byte for byte, call after call
     on ONE plan and interleaved with ``col2im``: the two adjoints share
-    the persistent slot workspace, so a stale cell from either must never
-    leak into the other's sum."""
+    the persistent slot workspace, so a stale cell from either — or from
+    an earlier block of the same call — must never leak into a sum."""
     shape, kh, kw, stride, pad = sig
     n, c = shape[:2]
-    plan = KernelPlan(shape, kh, kw, stride, pad)
+    plan = blocked_plan(shape, kh, kw, stride, pad, b)
     rng = np.random.default_rng(7)
     for label, planes in _hostile_columns(rng, (n, plan.K, plan.P), dtype):
         cols = planes.astype(dtype)
