@@ -11,7 +11,8 @@ and the incumbent default — is promoted iff both halves of a proof hold:
 
 * *static*: a live-data probe can settle its GEMMs at all, at every
   shape it issues them — per sample block for the forward and dcols
-  products (``plan._gemm_probe_decides``: on a reduction of at most four
+  products, per sample and window slot for the direct fill's
+  (``plan._gemm_probe_decides``: on a reduction of at most four
   terms or a free dimension of 1, BLAS and ``einsum`` agree on some data
   and not on other, so a matching probe proves nothing);
 * *live*: one forward+backward on the dispatching call's data is
@@ -30,6 +31,7 @@ from typing import Dict, List
 
 import numpy as np
 
+import repro.kernels.plan as plan_module
 from repro.kernels.backends import (
     REFERENCE,
     ConvBackend,
@@ -61,14 +63,22 @@ def _matches(truth: Dict[str, np.ndarray],
 def _probe_decides(x, w4, stride, pad) -> bool:
     """The static half, on the GEMMs as the arm issues them: dW
     ``(K,N*P)@(N*P,F)`` over the whole batch, and the forward
-    ``(M,K)@(K,F)`` and dcols ``(K,F)@(F,M)`` once per sample block —
-    ``M = b*P``, and the ragged last block's ``(N mod b)*P``."""
+    ``(M,K)@(K,F)`` once per sample block — ``M = b*P``, and the ragged
+    last block's ``(N mod b)*P``.  For ``dx``, on the direct fill one
+    ``(C,F)@(F,OH*WP)`` per sample and slot, else dcols ``(K,F)@(F,M)``
+    per block.  The fill rule is looked up at call time, as the arm
+    does, so a patched ``plan.direct_fill`` moves both."""
     n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
     k, p = c * kh * kw, oh * ow
     b = block_samples(n, k, p)
-    return _gemm_probe_decides(n * p, f, k) and all(
-        _gemm_probe_decides(k, f, m) and _gemm_probe_decides(f, k, m)
-        for m in {b * p, n % b * p} - {0})
+    blocks = {b * p, n % b * p} - {0}
+    wp = x.shape[3] + 2 * pad
+    if plan_module.direct_fill(stride, oh, wp):
+        dx_decides = _gemm_probe_decides(f, c, oh * wp)
+    else:
+        dx_decides = all(_gemm_probe_decides(f, k, m) for m in blocks)
+    return _gemm_probe_decides(n * p, f, k) and dx_decides and all(
+        _gemm_probe_decides(k, f, m) for m in blocks)
 
 
 # ----------------------------------------------------------------------

@@ -337,8 +337,13 @@ class ConvBlasFat(ConvBackend):
 
     Per block of ``plan.b`` samples the forward gathers the block's
     columns and multiplies them into that block's rows of the output
-    while they are still in cache; the backward multiplies the block's
-    column gradient and slot-sums it into the block's rows of ``dx``.
+    while they are still in cache; the backward slot-sums the block's
+    column gradient into its rows of ``dx``.  Where ``plan.direct_fill``
+    holds (stride 1, long runs) no column gradient is
+    formed: one GEMM per (sample, window slot) writes straight into the
+    slot planes (``KernelPlan.slot_gemm``); elsewhere the block's
+    ``(K, b*P)`` gradient is one GEMM, copied into the planes
+    (``scatter_t``).
     The weight gradient is one whole-batch GEMM over the full columns
     (saved by the forward, or regathered block by block), so its
     reduction order is the batch's.  BLAS reduction blocking is
@@ -394,7 +399,7 @@ class ConvBlasFat(ConvBackend):
 
     def backward(self, x, w4, dy, stride, pad, arena=NULL_ARENA, saved=None,
                  need_dx=True):
-        from repro.kernels.plan import get_plan
+        from repro.kernels.plan import direct_fill, get_plan
 
         n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
         p = oh * ow
@@ -411,13 +416,27 @@ class ConvBlasFat(ConvBackend):
         if not need_dx:
             arena.release(dy2)
             return None, dw.reshape(w4.shape)
-        dcols_t = arena.rent((k, n * p), np.float32)
         dx = arena.rent((n, plan.Q), np.float32)
-        for n0, n1 in plan.blocks:
-            block = _head(dcols_t, k, (n1 - n0) * p)
-            np.matmul(wmat.T, dy2[:, n0 * p:n1 * p], out=block)
-            plan.scatter_t(block, n0, dx)
-        arena.release(dcols_t)
+        if direct_fill(stride, oh, plan.wp):
+            w_slots = arena.rent((kh, kw, c, f), np.float32)
+            np.copyto(w_slots, w4.transpose(2, 3, 1, 0))
+            finite = bool(np.isfinite(w_slots).all())
+            dy_pad = arena.rent((plan.b, f, oh, plan.wp), np.float32)
+            dy_pad[..., ow:] = 0
+            dy4 = dy.reshape(n, f, oh, ow)
+            for n0, n1 in plan.blocks:
+                block = dy_pad[:n1 - n0]
+                np.copyto(block[..., :ow], dy4[n0:n1])
+                plan.slot_gemm(w_slots, block, n0, dx, finite)
+            arena.release(dy_pad)
+            arena.release(w_slots)
+        else:
+            dcols_t = arena.rent((k, n * p), np.float32)
+            for n0, n1 in plan.blocks:
+                block = _head(dcols_t, k, (n1 - n0) * p)
+                np.matmul(wmat.T, dy2[:, n0 * p:n1 * p], out=block)
+                plan.scatter_t(block, n0, dx)
+            arena.release(dcols_t)
         arena.release(dy2)
         return plan.unpad(dx), dw.reshape(w4.shape)
 

@@ -16,11 +16,18 @@ per-iteration kernels contain no Python loops over pixels or slots:
 * ``im2col`` is, per block, a single C-level copy through a six-axis
   strided *window view* of the padded block — one structured gather
   covering all ``kh*kw`` slots at once;
-* ``col2im`` writes each block's column gradient through a strided
-  *slot view* of a ``(b, kh*kw, C*HP*WP)`` workspace (each window slot
-  lands in its own plane, so no two writes collide) and then reduces
-  over the slot axis into that block's rows of one ``(N, C*HP*WP)``
-  buffer — one body for both column layouts;
+* ``col2im`` fills one block's ``kh*kw`` *slot planes* of ``C*HP*WP``
+  cells (each window slot lands in its own plane, so no two writes
+  collide) and then reduces over the slot axis into that block's rows
+  of one ``(N, C*HP*WP)`` buffer.  The *copy fill* writes a column
+  gradient through a strided slot view.  The *direct fill*
+  (:meth:`KernelPlan.slot_gemm`, ``blas-fat``'s backward) never forms
+  one: at stride 1 each row of a slot's gradient is one contiguous run
+  of its plane, so one GEMM per (sample, slot) over ``dy`` zero-padded
+  to ``WP`` columns writes it in place.  The padding columns write
+  ``+0.0`` (re-zeroed for a non-finite weight) onto cells no slot
+  covers, where the sum adds ``+0.0`` anyway.  Strided convs and short
+  runs keep the copy fill (:func:`direct_fill`);
 * max-pool's backward pass scatters through precomputed flat indices —
   the plan caches the per-channel window-corner offsets, so the
   per-step work is three integer ops and one 1-D ``np.add.at``.
@@ -61,6 +68,21 @@ def block_samples(n: int, k: int, p: int) -> int:
     matrix is ``k x p`` float32: as many as fit :data:`BLOCK_BYTES`, at
     least one and at most the batch."""
     return max(1, min(n, BLOCK_BYTES // (4 * k * p)))
+
+
+def direct_fill(stride: int, oh: int, wp: int) -> bool:
+    """Whether a conv's column gradient is written straight into its slot
+    planes (:meth:`KernelPlan.slot_gemm`) rather than formed and copied
+    in — the one cut, justified per signature in EXPERIMENTS.md.
+
+    A slot's rows are contiguous ``OH*WP`` runs of its plane only at
+    stride 1.  The direct fill trades one fat ``(K, b*P)`` GEMM and the
+    copy of its product for ``S*b`` GEMMs of ``C x OH*WP``, which pays
+    only on long runs: on a narrow map the small GEMMs lose to the fat
+    one, and on runs of 4-168 cells some took BLAS paths whose bits
+    differ from the fat GEMM's, which would make the chooser's probe
+    refuse the arm."""
+    return stride == 1 and oh * wp >= 256
 
 
 def bit_identical(a: np.ndarray, b: np.ndarray) -> bool:
@@ -104,7 +126,7 @@ class KernelPlan:
         self._pool_base: Optional[np.ndarray] = None
         self._batch_offsets: Optional[np.ndarray] = None
         # Plan-owned persistent one-block workspaces (see _windows /
-        # _slot_sum): their static cells are initialised exactly once,
+        # _planes): their static cells are initialised exactly once,
         # per dtype signature.
         self._pad_ws: Dict[Tuple[np.dtype, float], np.ndarray] = {}
         self._slot_ws: Dict[np.dtype, np.ndarray] = {}
@@ -128,25 +150,51 @@ class KernelPlan:
         )
 
     def _slot_view(self, g: np.ndarray) -> np.ndarray:
-        """(nb, C, kh, kw, OH, OW) write view into an (nb, S, Q) workspace.
+        """(nb, C, kh, kw, OH, OW) write view into a slot-plane workspace.
 
-        Element ``[n, c, ki, kj, oy, ox]`` aliases ``g[n, ki*kw + kj,
-        flat(c, ki + oy*stride, kj + ox*stride)]`` — every column-matrix
-        entry lands in its own slot plane at the padded-input cell it
-        came from, so the strided write never self-collides and the slot
-        axis holds exactly the per-slot partial sums of ``col2im``.
+        Element ``[n, c, ki, kj, oy, ox]`` aliases plane ``ki*kw + kj`` of
+        sample ``n`` at ``flat(c, ki + oy*stride, kj + ox*stride)`` — every
+        column-matrix entry lands in its own slot plane at the
+        padded-input cell it came from, so the strided write never
+        self-collides and the slot axis holds exactly the per-slot
+        partial sums of ``col2im``.
         """
         it = g.itemsize
         return as_strided(
             g,
             (g.shape[0], self.shape[1], self.kh, self.kw, self.oh, self.ow),
             (
-                self.S * self.Q * it,
+                g.strides[0],
                 self.hp * self.wp * it,
                 (self.kw * self.Q + self.wp) * it,
                 (self.Q + 1) * it,
                 self.stride * self.wp * it,
                 self.stride * it,
+            ),
+        )
+
+    def _run_view(self, g: np.ndarray) -> np.ndarray:
+        """(nb, kh, kw, C, OH*WP) write view of a stride-1 plan's slot
+        planes as contiguous runs.
+
+        Run ``[n, ki, kj, c]`` starts at cell ``flat(c, ki, kj)`` of plane
+        ``ki*kw + kj`` of sample ``n`` and spans ``OH`` rows of ``WP``
+        cells: the first ``OW`` of each row are the cells that slot
+        covers, the other ``kw - 1`` cells no slot covers (that row's
+        tail or the next row's head).  Runs never overlap one another.
+        A plane's last run ends ``kj`` cells past the plane, on the next
+        plane's uncovered head or in the sample's slack.
+        """
+        it = g.itemsize
+        return as_strided(
+            g,
+            (g.shape[0], self.kh, self.kw, self.shape[1], self.oh * self.wp),
+            (
+                g.strides[0],
+                (self.kw * self.Q + self.wp) * it,
+                (self.Q + 1) * it,
+                self.hp * self.wp * it,
+                it,
             ),
         )
 
@@ -212,21 +260,36 @@ class KernelPlan:
         xp[:, :, pad:pad + h, pad:pad + w] = block
         return self._window_view(xp)
 
-    def _slot_sum(self, cols6: np.ndarray, out: np.ndarray) -> None:
-        """Strided slot scatter + slot sum of one block's column gradient,
-        given as an (nb, C, kh, kw, OH, OW) view, into ``out``, that
-        block's (nb, Q) rows: the one body of both adjoints."""
-        # The slot planes cover the same static cell set on every call,
-        # so the never-covered cells only need zeroing once — the
-        # persistent workspace replaces a per-step fill of S*Q elements.
-        dt = cols6.dtype
-        g = self._slot_ws.get(dt)
+    def _planes(self, dtype: np.dtype, nb: int) -> np.ndarray:
+        """The plan's persistent one-block slot-plane workspace, first
+        ``nb`` samples: per sample ``S`` planes of ``Q`` cells and
+        ``kw - 1`` cells of slack for :meth:`slot_gemm`'s last run.
+
+        The planes cover the same static cell set on every call, so the
+        never-covered cells are zeroed once — the persistent workspace
+        replaces a per-step fill of S*Q elements.  Both fills keep them
+        ``+0.0`` between calls.
+        """
+        g = self._slot_ws.get(dtype)
         if g is None:
-            g = np.zeros((self.b, self.S, self.Q), dtype=dt)
-            self._slot_ws[dt] = g
-        g = g[:cols6.shape[0]]
+            g = np.zeros((self.b, self.S * self.Q + self.kw - 1), dtype)
+            self._slot_ws[dtype] = g
+        return g[:nb]
+
+    def _slot_sum(self, g: np.ndarray, out: np.ndarray) -> None:
+        """Sum a block's slot planes, ascending ``(ki, kj)``, into
+        ``out``, that block's (nb, Q) rows: the one reduction of every
+        fill."""
+        g[:, :self.S * self.Q].reshape(-1, self.S, self.Q).sum(axis=1,
+                                                               out=out)
+
+    def _scatter(self, cols6: np.ndarray, out: np.ndarray) -> None:
+        """The copy fill: one block's column gradient, given as an (nb, C,
+        kh, kw, OH, OW) view, through the strided slot view into the
+        planes, then summed into ``out``."""
+        g = self._planes(cols6.dtype, cols6.shape[0])
         np.copyto(self._slot_view(g), cols6)
-        g.sum(axis=1, out=out)
+        self._slot_sum(g, out)
 
     def gather_t(self, x: np.ndarray, n0: int, n1: int,
                  out: np.ndarray) -> None:
@@ -239,7 +302,35 @@ class KernelPlan:
         """Fold a block's transposed column gradient ``dcols`` (K, nb*P),
         samples ``n0:n0+nb``, into those rows of the (N, Q) ``out``."""
         cols6 = self._t6(dcols)
-        self._slot_sum(cols6, out[n0:n0 + cols6.shape[0]])
+        self._scatter(cols6, out[n0:n0 + cols6.shape[0]])
+
+    def slot_gemm(self, w_slots: np.ndarray, dy_pad: np.ndarray, n0: int,
+                  out: np.ndarray, finite: bool) -> None:
+        """The direct fill (stride 1, see :func:`direct_fill`): fold the
+        column gradient ``W^T dy`` of samples ``n0:n0+nb`` into those
+        rows of the (N, Q) ``out`` without forming it.
+
+        ``w_slots`` is the weight slot-major, (kh, kw, C, F); ``dy_pad``
+        the block's cotangent (nb, F, OH, WP), zero-padded from ``OW`` to
+        ``WP`` columns.  One GEMM per (sample, slot), ``W_s^T (C, F) @
+        dy (F, OH*WP)``, writes each output row as one contiguous run
+        straight into the slot's plane (``ldc = HP*WP``, :meth:`_run_view`).
+        A padding column writes ``W_s^T 0`` — ``+0.0`` for a finite
+        ``W`` — and only onto cells no slot covers, where the sum adds
+        ``+0.0`` anyway; ``finite=False`` re-zeroes them.  Every covered
+        cell, and the slot sum, is then what :meth:`scatter_t` writes.
+        """
+        nb, f = dy_pad.shape[:2]
+        g = self._planes(dy_pad.dtype, nb)
+        runs = self._run_view(g)
+        np.matmul(w_slots, dy_pad.reshape(nb, 1, 1, f, -1), out=runs)
+        if not finite:
+            # The padding columns' cells: the last kw - 1 of each row.
+            it = g.itemsize
+            as_strided(runs[..., self.ow:],
+                       runs.shape[:4] + (self.oh, self.kw - 1),
+                       runs.strides[:4] + (self.wp * it, it)).fill(0)
+        self._slot_sum(g, out[n0:n0 + nb])
 
     def unpad(self, out: np.ndarray) -> np.ndarray:
         """(N, C, H, W) view of the interior of an (N, Q) padded-grid
@@ -274,7 +365,7 @@ class KernelPlan:
     def col2im(
         self, cols: np.ndarray, arena: WorkspaceArena = NULL_ARENA
     ) -> np.ndarray:
-        """Adjoint of :meth:`im2col` (see :meth:`_slot_sum`).
+        """Adjoint of :meth:`im2col` (see :meth:`_scatter`).
 
         Returns an (N, C, H, W) view of one (N, Q) arena buffer, each
         block summed into its own rows; the caller owns it until the next
@@ -284,7 +375,7 @@ class KernelPlan:
         cols6 = cols.reshape(n, c, self.kh, self.kw, self.oh, self.ow)
         out = arena.rent((n, self.Q), cols.dtype)
         for n0, n1 in self.blocks:
-            self._slot_sum(cols6[n0:n1], out[n0:n1])
+            self._scatter(cols6[n0:n1], out[n0:n1])
         return self.unpad(out)
 
     def im2col_t(
@@ -303,17 +394,6 @@ class KernelPlan:
         for n0, n1 in self.blocks:
             self.gather_t(x, n0, n1, out[:, n0 * self.P:n1 * self.P])
         return out
-
-    def col2im_t(
-        self, cols_t: np.ndarray, arena: WorkspaceArena = NULL_ARENA
-    ) -> np.ndarray:
-        """Adjoint of :meth:`im2col_t`: :meth:`col2im`'s scatter and
-        ascending ``(ki, kj)`` reduction read through the batch-inner axis
-        order, so the two agree bit for bit on equivalent gradients."""
-        out = arena.rent((self.shape[0], self.Q), cols_t.dtype)
-        for n0, n1 in self.blocks:
-            self.scatter_t(cols_t[:, n0 * self.P:n1 * self.P], n0, out)
-        return self.unpad(out)
 
     def maxpool_forward(
         self, x: np.ndarray, arena: WorkspaceArena = NULL_ARENA

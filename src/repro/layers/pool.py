@@ -145,9 +145,10 @@ class ArgmaxMaxPool2D(MaxPool2D):
 class AvgPool2D(_Pool2D):
     """Average pooling.  Backward needs neither X nor Y — only shapes.
 
-    Registers no arms: it always runs the plan-cache lowering, which is
-    bit-identical to the loop ``im2col_reference`` / ``col2im_reference``
-    by construction (``tests/kernels/test_plan_properties.py``).
+    Registers no arms: the forward is the plan-cache ``im2col``, which is
+    bit-identical to the loop ``im2col_reference``
+    (``tests/kernels/test_plan_properties.py``), and the backward *is*
+    ``col2im_reference``'s loop, on the one column every slot holds.
     """
 
     kind = "avgpool"
@@ -181,12 +182,19 @@ class AvgPool2D(_Pool2D):
         n, c, h, w = (int(v) for v in ctx.get_state("in_shape"))
         plan = get_plan((n, c, h, w), self.kh, self.kw, self.stride, self.pad)
         arena = resolve_arena(ctx)
-        dcols = arena.rent((n, plan.K, plan.P), dy.dtype)
-        dcols.reshape(n, c, plan.S, plan.P)[:] = (
-            dy * (1.0 / plan.S)).reshape(n, c, 1, plan.P)
-        dx = plan.col2im(dcols, arena)
-        arena.release(dcols)
-        return [dx], {}
+        # Every window slot's column is dy / S: col2im_reference's own
+        # loop, S strided adds of it into one zeroed padded grid.
+        oh, ow, s = plan.oh, plan.ow, self.stride
+        share = arena.rent((n, c, oh, ow), dy.dtype)
+        np.multiply(dy.reshape(share.shape), 1.0 / plan.S, out=share)
+        out = arena.rent((n, plan.Q), dy.dtype)
+        out.fill(0)
+        grid = out.reshape(n, c, plan.hp, plan.wp)
+        for ki in range(self.kh):
+            for kj in range(self.kw):
+                grid[:, :, ki:ki + s * oh:s, kj:kj + s * ow:s] += share
+        arena.release(share)
+        return [plan.unpad(out)], {}
 
 
 class GlobalAvgPool2D(Layer):

@@ -110,6 +110,50 @@ def test_blocked_conv_lowering_changes_no_bit_or_stride(
         clear_plan_cache()
 
 
+@pytest.mark.parametrize("cotangent", ["negative-zero", "nan", "all-zero"])
+@pytest.mark.parametrize("weights", ["finite", "negative", "nan", "inf"])
+@pytest.mark.parametrize("shape,f,k,pad", [
+    ((3, 4, 16, 16), 6, 3, 1),
+    ((2, 3, 16, 22), 5, 5, 2),
+])
+def test_direct_fill_keeps_the_exact_arms_bytes_on_hostile_values(
+        shape, f, k, pad, weights, cotangent):
+    """blas-fat's direct fill writes ``W_s^T 0`` onto cells no slot
+    covers, which is ``+0.0`` only for a finite ``W`` (all-negative
+    included: ``-0.0`` products still sum to ``+0.0``); with a NaN or
+    ±Inf weight it re-zeroes them.  Either way its ``dx`` and ``dw``
+    are numpy-plan's and reference's bytes, with -0.0, NaN or nothing
+    but zeros in ``dy``."""
+    n, c, h, w = shape
+    oh, ow = conv_output_hw(h, w, k, k, 1, pad)
+    rng = np.random.default_rng(5)
+    x = rng.normal(0, 1, shape).astype(np.float32)
+    w4 = rng.normal(0, 0.5, (f, c, k, k)).astype(np.float32)
+    dy = rng.normal(0, 1, (n, f, oh, ow)).astype(np.float32)
+    if weights == "negative":
+        w4 = -np.abs(w4)
+    elif weights == "nan":
+        w4[1, 0, 0, 0] = np.nan
+    elif weights == "inf":
+        w4[0, 1, -1, -1], w4[-1, -1, 0, -1] = np.inf, -np.inf
+    if cotangent == "negative-zero":
+        dy[rng.random(dy.shape) < 0.3] = -0.0
+    elif cotangent == "nan":
+        dy[rng.random(dy.shape) < 0.05] = np.nan
+    else:
+        dy[:] = 0.0
+    assert plan_module.direct_fill(1, oh, w + 2 * pad)
+    outs = {}
+    for name in ("reference", "numpy-plan", "blas-fat"):
+        arm = get_backend("conv2d", name)
+        with np.errstate(invalid="ignore"):
+            y, saved = arm.forward(x, w4, None, 1, pad, want_saved=True)
+            outs[name] = arm.backward(x, w4, dy, 1, pad, saved=saved)
+    for name in ("numpy-plan", "reference"):
+        for got, want in zip(outs["blas-fat"], outs[name]):
+            assert bit_identical(got, want), name
+
+
 def test_blocked_maxpool_general_path_stays_bit_identical(monkeypatch):
     """-inf padding, overlapping windows, NaN and signed-zero ties: the
     general path gathers through the one-block pad workspace, two

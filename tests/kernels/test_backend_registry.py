@@ -37,6 +37,7 @@ from repro.kernels.config import (
     backend_override,
     forced_backend,
 )
+from repro.kernels.plan import direct_fill
 from repro.models import build_model
 
 
@@ -200,6 +201,29 @@ def test_chooser_guards_the_gemm_shapes_each_sample_block_issues(
     clear_selection_cache()
     try:
         arm = autotuned_backend("conv2d", x, w4, None, 1, 0)
+        assert arm is default_backend("conv2d")
+        (row,) = autotune_report()
+        assert row["exact"] == {"blas-fat": False, "numpy-plan": True}
+    finally:
+        clear_selection_cache()
+
+
+def test_chooser_guards_the_per_slot_gemm_of_the_direct_fill():
+    """On the direct fill ``dx`` is one ``(C,F)@(F,OH*WP)`` GEMM per
+    sample and window slot.  One input channel makes it a matrix-vector
+    product, which a matching probe cannot settle, so the incumbent
+    stays — although the dcols ``(K,F)@(F,b*P)`` the copy fill issues,
+    with K = 9, would be decided.  Two channels decide it."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(0, 1, (4, 2, 16, 16)).astype(np.float32)
+    w4 = rng.normal(0, 0.5, (8, 2, 3, 3)).astype(np.float32)
+    assert direct_fill(1, 16, 18)
+    assert _probe_decides(x, w4, 1, 1)
+    x, w4 = x[:, :1].copy(), w4[:, :1].copy()
+    assert not _probe_decides(x, w4, 1, 1)
+    clear_selection_cache()
+    try:
+        arm = autotuned_backend("conv2d", x, w4, None, 1, 1)
         assert arm is default_backend("conv2d")
         (row,) = autotune_report()
         assert row["exact"] == {"blas-fat": False, "numpy-plan": True}

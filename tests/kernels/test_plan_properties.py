@@ -10,12 +10,15 @@ are checked walking the batch in blocks — a ragged last one included —
 not only in the one block the small shapes get by default.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.kernels.plan as plan_module
+from repro.kernels.backends import get_backend
 from repro.kernels.plan import (
     KernelPlan,
     bit_identical,
@@ -328,10 +331,11 @@ class TestPlanCache:
 
 
 # ----------------------------------------------------------------------
-# Whole-batch adjoint: col2im_t shares col2im's slot-plane body
+# Transposed-column adjoint: blas-fat's backward, both fills and col2im
+# share one plan's slot planes
 # ----------------------------------------------------------------------
-def _hostile_columns(rng, shape, dtype):
-    """Column planes of the values whose sums are easy to get wrong."""
+def _hostile_values(rng, shape, dtype=np.float32):
+    """Arrays of the values whose sums are easy to get wrong."""
     tiny = np.finfo(dtype).tiny
     yield "normal", rng.normal(0, 1, shape)
     yield "negative-zero", np.full(shape, -0.0)
@@ -342,30 +346,62 @@ def _hostile_columns(rng, shape, dtype):
 
 
 @pytest.mark.parametrize("b", [1, 2])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("sig", [
-    ((2, 3, 6, 6), 3, 3, 1, 1),
-    ((2, 2, 7, 7), 3, 3, 2, 0),
-    ((3, 2, 8, 6), 2, 3, 2, 1),   # non-square kernel and map
-    ((3, 4, 5, 5), 1, 1, 1, 0),   # one slot: the sum has a single term
-])
-def test_col2im_t_conforms_on_hostile_planes_and_a_reused_plan(sig, dtype,
-                                                                b):
-    """``col2im_t`` == ``col2im_reference`` byte for byte, call after call
-    on ONE plan and interleaved with ``col2im``: the two adjoints share
-    the persistent slot workspace, so a stale cell from either — or from
-    an earlier block of the same call — must never leak into a sum."""
+@pytest.mark.parametrize("sig,direct", [
+    (((2, 3, 16, 16), 3, 3, 1, 1), True),
+    (((2, 2, 7, 7), 3, 3, 2, 0), False),    # stride 2
+    (((3, 2, 16, 22), 2, 3, 1, 1), True),   # non-square kernel and map
+    (((3, 4, 5, 5), 1, 1, 1, 0), False),    # one slot, a narrow map
+], ids=["sig0", "sig1", "sig2", "sig3"])
+def test_col2im_t_conforms_on_hostile_planes_and_a_reused_plan(
+        monkeypatch, sig, direct, b):
+    """The adjoint of ``im2col_t`` as blas-fat's backward runs it ==
+    ``col2im_reference`` on the same GEMM's column gradient, byte for
+    byte, call after call on ONE plan and interleaved with ``col2im``.
+    Its fill (direct or copy) and ``col2im``'s copy fill share the
+    persistent slot planes, so a stale cell from any of them — the NaN a
+    non-finite weight writes onto uncovered cells included — or from an
+    earlier block of the same call must never leak into a sum.  A GEMM
+    never hands ``col2im`` an all -0.0 column, so the hostile planes
+    also go to it raw, in float32 and float64, on the same plan."""
     shape, kh, kw, stride, pad = sig
     n, c = shape[:2]
-    plan = blocked_plan(shape, kh, kw, stride, pad, b)
+    f = 6
+    oh, ow = conv_output_hw(*shape[2:], kh, kw, stride, pad)
+    monkeypatch.setattr(plan_module, "BLOCK_BYTES",
+                        4 * c * kh * kw * oh * ow * b)
+    clear_plan_cache()
+    plan = get_plan(shape, kh, kw, stride, pad)
+    assert plan.b == b
+    assert plan_module.direct_fill(stride, oh, plan.wp) == direct
+    arm = get_backend("conv2d", "blas-fat")
     rng = np.random.default_rng(7)
-    for label, planes in _hostile_columns(rng, (n, plan.K, plan.P), dtype):
-        cols = planes.astype(dtype)
-        cols_t = np.ascontiguousarray(
-            cols.transpose(1, 0, 2)).reshape(plan.K, n * plan.P)
-        with np.errstate(invalid="ignore"):  # inf - inf, NaN + x
-            want = col2im_reference(cols, shape, kh, kw, stride, pad)
-            got = (plan.col2im_t(cols_t), plan.col2im(cols),
-                   plan.col2im_t(cols_t))
-        for dx in got:
-            assert bit_identical(np.ascontiguousarray(dx), want), label
+    x = rng.normal(0, 1, shape).astype(np.float32)
+    w4 = rng.normal(0, 0.5, (f, c, kh, kw)).astype(np.float32)
+    weights = {"finite": w4, "nan": w4.copy(), "inf": w4.copy()}
+    weights["nan"][1, 0, 0, 0] = np.nan
+    weights["inf"][2, -1, -1, 0] = -np.inf
+    try:
+        for (wlabel, w), (label, planes) in itertools.product(
+                weights.items(), _hostile_values(rng, (n, f, oh * ow))):
+            dy = planes.astype(np.float32)
+            with np.errstate(invalid="ignore", over="ignore"):
+                cols = np.matmul(w.reshape(f, -1).T, dy)
+                want = col2im_reference(cols, shape, kh, kw, stride, pad)
+                got = [arm.backward(x, w, dy, stride, pad)[0],
+                       plan.col2im(cols),
+                       arm.backward(x, w, dy, stride, pad)[0]]
+            for dx in got:
+                assert bit_identical(dx, want), (wlabel, label)
+        for dtype in (np.float32, np.float64):
+            for label, planes in _hostile_values(
+                    rng, (n, plan.K, plan.P), dtype):
+                cols = planes.astype(dtype)
+                with np.errstate(invalid="ignore"):  # inf - inf, NaN + x
+                    want = col2im_reference(cols, shape, kh, kw, stride,
+                                            pad)
+                    got = (plan.col2im(cols), plan.col2im(cols))
+                for dx in got:
+                    assert bit_identical(np.ascontiguousarray(dx), want), (
+                        dtype, label)
+    finally:
+        clear_plan_cache()

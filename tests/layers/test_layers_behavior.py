@@ -20,8 +20,8 @@ from repro.layers import (
     ReLU,
     SoftmaxCrossEntropy,
 )
-from repro.kernels.plan import get_plan
-from repro.layers.im2col import conv_output_hw
+from repro.kernels.plan import bit_identical, get_plan
+from repro.layers.im2col import col2im_reference, conv_output_hw
 
 from tests.conftest import run_layer
 
@@ -189,6 +189,29 @@ class TestKernels:
         y, _ = run_layer(AvgPool2D(2, 2), [x])
         naive = x.reshape(2, 3, 3, 2, 3, 2).mean(axis=(3, 5))
         np.testing.assert_allclose(y, naive, rtol=1e-6)
+
+    @pytest.mark.parametrize("shape,kernel,stride,pad", [
+        ((2, 3, 7, 7), 3, 2, 1),  # overlapping, padded
+        ((2, 2, 7, 9), 2, 2, 0),  # ragged: last row and column unpooled
+        ((1, 3, 8, 8), 3, 1, 0),  # overlapping at stride 1
+    ])
+    def test_avgpool_backward_is_col2im_reference(self, rng, shape, kernel,
+                                                  stride, pad):
+        """The backward's bytes are ``col2im_reference``'s on columns that
+        each hold ``dy / S`` — -0.0 cotangents included."""
+        layer = AvgPool2D(kernel, stride, pad=pad)
+        x = rng.normal(0, 1, shape).astype(np.float32)
+        y, ctx = run_layer(layer, [x])
+        dy = rng.normal(0, 1, y.shape).astype(np.float32)
+        dy[0, 0] = -0.0
+        dy[:, :, -1] = -0.0
+        (dx,), _ = layer.backward(dy, {}, ctx)
+        n, c = shape[:2]
+        s = kernel * kernel
+        cols = np.repeat((dy * (1.0 / s)).reshape(n, c, 1, -1), s, axis=2)
+        want = col2im_reference(cols.reshape(n, c * s, -1), shape, kernel,
+                                kernel, stride, pad)
+        assert bit_identical(dx, want)
 
     def test_conv_matches_naive(self, rng):
         x = rng.normal(0, 1, (1, 2, 5, 5)).astype(np.float32)
