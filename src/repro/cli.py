@@ -22,7 +22,7 @@ Commands:
 * ``submit`` — validate YAML/JSON job specs and enqueue them on a
   service state directory; prints each job's content fingerprint.
 * ``serve`` — the training-service daemon: drains the queue onto the
-  pool behind a content-addressed plan/result cache; with ``--jobs``
+  pool behind a content-addressed result cache; with ``--jobs``
   runs one-shot (submit + drain + report).
 """
 

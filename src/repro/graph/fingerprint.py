@@ -1,11 +1,10 @@
 """Content-addressed graph identity: a canonical structural fingerprint.
 
-The serve layer caches priced hybrid plans by *what a graph is*, not by
-how it happened to be built: two graphs with the same topology, the same
-layer kinds and hyper-parameters, the same shapes and dtypes must hash
-identically even when their node ids, node names or construction order
-differ (the same amortise-the-analysis move Echo makes by folding
-footprint optimisation into the compiler instead of redoing it per run).
+A serve ``plan`` job reports which graph it priced by *what the graph
+is*, not by how it happened to be built: two graphs with the same
+topology, the same layer kinds and hyper-parameters, the same shapes and
+dtypes must hash identically even when their node ids, node names or
+construction order differ.
 
 The fingerprint is a Merkle hash over the DAG: every node's digest
 covers its own semantic content (layer class/kind, public scalar
@@ -26,7 +25,7 @@ from repro.graph.graph import Graph
 from repro.graph.node import OpNode
 
 #: Bump when the canonical form changes; part of every fingerprint, so
-#: caches keyed on old fingerprints miss instead of serving stale plans.
+#: fingerprints taken under another form never compare equal.
 FINGERPRINT_VERSION = 1
 
 

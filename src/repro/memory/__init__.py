@@ -33,7 +33,6 @@ from repro.memory.hybrid import (
     PlanDecision,
     build_hybrid_plan,
     find_recompute_chain,
-    plan_cache_key,
 )
 from repro.memory.planner import (
     ALL_CLASSES,
@@ -84,7 +83,6 @@ __all__ = [
     "chain_forward_flops",
     "chain_forward_seconds",
     "find_recompute_chain",
-    "plan_cache_key",
     "trunk_nodes",
     "memory_footprint_ratio",
     "simulate_dynamic",

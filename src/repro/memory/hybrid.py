@@ -215,12 +215,10 @@ class HybridPlan(PlanRecord):
     def summary_json(self) -> dict:
         """JSON-serialisable summary: every decision plus the footprints.
 
-        This is the unit of plan caching (see :func:`plan_cache_key`):
-        it captures everything a caller needs to report or compare a
-        priced plan — the per-tensor decision table, the footprints, the
-        budget accounting — without the graph/schedule/allocator objects
-        that only an executor needs (those are cheap to rebuild, the
-        pricing is what amortises).
+        This is what a serve ``plan`` job returns: everything a caller
+        needs to report or compare a priced plan — the per-tensor
+        decision table, the footprints, the budget accounting — without
+        the graph/schedule/allocator objects that only an executor needs.
         """
         return {
             "graph": self.graph.name,
@@ -720,35 +718,3 @@ def build_hybrid_plan(
         pure_footprints=pure_footprints,
         fallback_strategy=fallback_strategy,
     )
-
-
-# ----------------------------------------------------------------------
-# Content-addressed plan caching (the serve layer's hook)
-# ----------------------------------------------------------------------
-#: Bumped, with :data:`repro.serve.spec.SPEC_FORMAT`, whenever the same
-#: inputs would price or summarise differently; part of the cache key so
-#: a summary written under another formula is unreachable.
-PLAN_FORMAT = 2
-
-
-def plan_cache_key(graph: Graph, policy: "Optional[HybridPolicy]" = None
-                   ) -> dict:
-    """Content-addressed cache key for a priced plan.
-
-    ``(plan format, graph-fingerprint, strategy, budget, gist switches)``
-    — a pure function of what the planner sees, never of node names,
-    model-zoo spelling or who asked.  Two isomorphic graphs requested
-    under the same policy share one cache slot.
-    """
-    from repro.core.policy import HybridPolicy
-    from repro.graph.fingerprint import graph_fingerprint
-
-    policy = policy or HybridPolicy()
-    return {
-        "kind": "hybrid-plan",
-        "format": PLAN_FORMAT,
-        "graph_fingerprint": graph_fingerprint(graph),
-        "strategy": policy.strategy,
-        "cost_budget_frac": float(policy.cost_budget_frac),
-        "gist": asdict(policy.gist),
-    }

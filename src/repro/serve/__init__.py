@@ -1,8 +1,8 @@
 """Training-service daemon: declarative job specs, a durable queue and
-a content-addressed plan/result cache in front of the orchestrate pool."""
+a content-addressed result cache in front of the orchestrate pool."""
 
 from repro.serve.cache import ContentCache, content_address, value_digest
-from repro.serve.jobs import build_plan_policy, compile_job, plan_cache_probe, run_serve_job
+from repro.serve.jobs import compile_job, run_serve_job
 from repro.serve.service import JobRecord, JobService, ServeReport
 from repro.serve.spec import (
     SPEC_FORMAT,
@@ -20,11 +20,9 @@ __all__ = [
     "JobSpecError",
     "SPEC_FORMAT",
     "ServeReport",
-    "build_plan_policy",
     "compile_job",
     "content_address",
     "load_job_specs",
-    "plan_cache_probe",
     "run_serve_job",
     "validate_job_spec",
     "value_digest",

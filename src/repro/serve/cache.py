@@ -2,9 +2,8 @@
 
 Entries are addressed by the SHA-256 of their canonical-JSON key, so a
 cache lookup is a pure function of *what was asked* — the serve layer
-keys plans by ``(graph-fingerprint, strategy, budget)`` and results by
-the job fingerprint, and repeated queries (the millions-of-users traffic
-pattern) are served from disk instead of re-planned/re-run.
+keys each result by its job fingerprint, and repeated queries are
+served from disk instead of re-planned/re-run.
 
 Durability contract:
 

@@ -13,8 +13,6 @@ what makes results content-addressable: same fingerprint, same bits.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 from repro.orchestrate.units import WorkUnit
 from repro.serve.spec import SPEC_FORMAT, JobSpec, JobSpecError
 
@@ -25,34 +23,20 @@ def compile_job(spec: JobSpec) -> WorkUnit:
                     spec.payload())
 
 
-def build_plan_policy(params: dict):
-    """The :class:`~repro.core.policy.HybridPolicy` a plan job prices."""
+def _run_plan(params: dict) -> dict:
     from repro.core.policy import GistConfig, HybridPolicy
-
-    return HybridPolicy(
-        strategy=params["strategy"], cost_budget_frac=params["budget"],
-        gist=GistConfig.from_name(params["config"], params["model"]),
-    )
-
-
-def plan_job_graph(params: dict):
-    """Build (and optionally rewrite) the graph a plan job analyses."""
+    from repro.graph.fingerprint import graph_fingerprint
+    from repro.memory.hybrid import build_hybrid_plan
     from repro.models import build_model
+    from repro.rewrite import apply_passes
 
     graph = build_model(params["model"], batch_size=params["batch_size"])
     if params["rewrite"]:
-        from repro.rewrite import apply_passes
-
         graph = apply_passes(graph).graph
-    return graph
-
-
-def _run_plan(params: dict) -> dict:
-    from repro.graph.fingerprint import graph_fingerprint
-    from repro.memory.hybrid import build_hybrid_plan
-
-    graph = plan_job_graph(params)
-    policy = build_plan_policy(params)
+    policy = HybridPolicy(
+        strategy=params["strategy"], cost_budget_frac=params["budget"],
+        gist=GistConfig.from_name(params["config"], params["model"]),
+    )
     return {
         "model": params["model"],
         "batch_size": params["batch_size"],
@@ -132,20 +116,3 @@ def run_serve_job(payload: dict) -> dict:
             f"known: {sorted(_RUNNERS)}"
         ) from None
     return runner(payload["params"])
-
-
-def plan_cache_probe(spec: JobSpec) -> Optional[Tuple[dict, object]]:
-    """``(plan_cache_key, graph)`` for a plan job, else ``None``.
-
-    The service uses this to consult the content-addressed plan cache
-    *before* scheduling any pool work: the key is a pure function of
-    the (rewritten) graph's fingerprint plus strategy/budget/gist, so
-    isomorphic graphs requested under the same policy share one slot
-    regardless of which job spec asked.
-    """
-    if spec.kind != "plan":
-        return None
-    from repro.memory.hybrid import plan_cache_key
-
-    graph = plan_job_graph(spec.params)
-    return plan_cache_key(graph, build_plan_policy(spec.params)), graph

@@ -11,15 +11,13 @@
   replay with bit-identical results.  The serve loop compacts it each
   pass so a long-lived daemon never replays an unbounded file;
 * ``cache/`` — the content-addressed :class:`~repro.serve.cache.ContentCache`
-  holding ``(job-fingerprint) -> result`` and
-  ``(graph-fingerprint, strategy, budget) -> plan`` entries.
+  holding one ``(job-fingerprint) -> result`` entry per job.
 
 A scheduling pass (:meth:`JobService.run_pending`) drains the queue:
 duplicate submissions collapse onto one job, jobs whose result is
-already cached are answered without scheduling any pool work, plan jobs
-consult the plan cache next, and only the remainder is executed on the
-process pool.  Every fresh result is written back to the cache, so the
-heavy repeated-traffic pattern is served from disk after the first hit.
+already cached are answered without scheduling any pool work, and only
+the remainder is executed on the process pool.  Every fresh result is
+written back to the cache, so a resubmission is served from disk.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.ioutil import append_jsonl_line, atomic_write_text, read_jsonl
 from repro.orchestrate import RunJournal, run_units
 from repro.serve.cache import ContentCache, value_digest
-from repro.serve.jobs import compile_job, plan_cache_probe
+from repro.serve.jobs import compile_job
 from repro.serve.spec import JobSpec, JobSpecError, validate_job_spec
 
 #: Stamped into queue records; bump on layout changes.
@@ -51,8 +49,8 @@ class JobRecord:
     kind: str
     name: str
     status: str = "pending"  # "pending" | "ok" | "failed" | "invalid"
-    #: Where the result came from: "result-cache" / "plan-cache" /
-    #: "computed" (pool work was scheduled); None for failures.
+    #: Where the result came from: "result-cache" / "computed" (pool
+    #: work was scheduled); None for failures.
     source: Optional[str] = None
     result: Optional[object] = None
     #: SHA-256 over the canonical result JSON — the bit-identity handle
@@ -89,7 +87,6 @@ class ServeReport:
     #: Work units actually handed to the pool (0 on a fully warm pass).
     scheduled: int = 0
     result_cache_hits: int = 0
-    plan_cache_hits: int = 0
     cache_stats: Dict[str, int] = field(default_factory=dict)
     #: ``(kept, dropped)`` from this pass's journal compaction.
     compaction: Tuple[int, int] = (0, 0)
@@ -105,7 +102,6 @@ class ServeReport:
             "jobs": [job.to_json() for job in self.jobs],
             "scheduled": self.scheduled,
             "result_cache_hits": self.result_cache_hits,
-            "plan_cache_hits": self.plan_cache_hits,
             "cache": dict(self.cache_stats),
             "journal_compaction": {"kept": self.compaction[0],
                                    "dropped": self.compaction[1]},
@@ -131,7 +127,6 @@ class ServeReport:
         lines.append(
             f"jobs: {len(self.jobs) - failed} ok, {failed} failed | "
             f"result-cache hits: {self.result_cache_hits} | "
-            f"plan-cache hits: {self.plan_cache_hits} | "
             f"scheduled: {self.scheduled}"
         )
         stats = self.cache_stats
@@ -209,15 +204,16 @@ class JobService:
         """
         report = ServeReport(compaction=self.journal.compact())
 
-        # Dedupe submissions: same fingerprint == same job, whatever the
-        # label; later duplicates only bump the submission count.
+        # A job's identity is the fingerprint of its own payload, never
+        # the one stored beside it: a line whose two disagree is invalid,
+        # since filing its result under either would answer another job.
+        # Duplicates (same job, any label) only bump the submission count.
+        entries = self.queued()
+        records: List[JobRecord] = []
         jobs: Dict[str, JobRecord] = {}
         specs: Dict[str, JobSpec] = {}
-        for entry in self.queued():
-            fingerprint = entry.get("fingerprint")
-            if fingerprint in jobs:
-                jobs[fingerprint].submissions += 1
-                continue
+        for entry in entries:
+            stored = entry.get("fingerprint")
             payload = entry.get("job") or {}
             try:
                 spec = validate_job_spec({
@@ -225,52 +221,39 @@ class JobService:
                     "name": entry.get("name", ""),
                     **payload.get("params", {}),
                 })
+                fingerprint = spec.fingerprint()
+                if fingerprint != stored:
+                    raise JobSpecError(
+                        f"queue line stores fingerprint {stored} but its "
+                        f"job payload fingerprints to {fingerprint}")
             except JobSpecError as exc:
-                jobs[fingerprint] = JobRecord(
-                    fingerprint=str(fingerprint),
+                records.append(JobRecord(
+                    fingerprint=str(stored),
                     kind=str(payload.get("kind")),
                     name=str(entry.get("name", "")),
                     status="invalid",
                     error={"type": "JobSpecError", "message": str(exc)},
-                )
+                ))
+                continue
+            if fingerprint in jobs:
+                jobs[fingerprint].submissions += 1
                 continue
             specs[fingerprint] = spec
             jobs[fingerprint] = JobRecord(fingerprint=fingerprint,
                                           kind=spec.kind, name=spec.name)
+            records.append(jobs[fingerprint])
 
-        # Cache consultation: results first, then plans (plan jobs only).
+        # Cache consultation: a cached result answers the job outright.
         to_run: List[str] = []
-        plan_keys: Dict[str, dict] = {}
-        for fingerprint, spec in specs.items():
-            record = jobs[fingerprint]
+        for fingerprint, record in jobs.items():
             cached = self.cache.get(_result_cache_key(fingerprint))
-            if cached is not None:
-                record.status, record.source = "ok", "result-cache"
-                record.result = cached
-                record.digest = value_digest(cached)
-                report.result_cache_hits += 1
+            if cached is None:
+                to_run.append(fingerprint)
                 continue
-            probe = plan_cache_probe(spec)
-            if probe is not None:
-                key, _graph = probe
-                plan_keys[fingerprint] = key
-                summary = self.cache.get(key)
-                if summary is not None:
-                    result = {
-                        "model": spec.params["model"],
-                        "batch_size": spec.params["batch_size"],
-                        "rewrite": spec.params["rewrite"],
-                        "graph_fingerprint": key["graph_fingerprint"],
-                        "plan": summary,
-                    }
-                    result = self.cache.put(_result_cache_key(fingerprint),
-                                            result)
-                    record.status, record.source = "ok", "plan-cache"
-                    record.result = result
-                    record.digest = value_digest(result)
-                    report.plan_cache_hits += 1
-                    continue
-            to_run.append(fingerprint)
+            record.status, record.source = "ok", "result-cache"
+            record.result = cached
+            record.digest = value_digest(cached)
+            report.result_cache_hits += 1
 
         # Pool execution of the cache misses, journaled for resume.
         units = [compile_job(specs[fingerprint]) for fingerprint in to_run]
@@ -286,15 +269,12 @@ class JobService:
                 continue
             result = self.cache.put(_result_cache_key(fingerprint),
                                     outcome.value)
-            key = plan_keys.get(fingerprint)
-            if key is not None and isinstance(result, dict):
-                self.cache.put(key, result["plan"])
             record.status, record.source = "ok", "computed"
             record.result = result
             record.digest = value_digest(result)
 
-        self._drop_from_queue(set(jobs))
-        report.jobs = list(jobs.values())
+        self._drop_from_queue({entry.get("fingerprint") for entry in entries})
+        report.jobs = records
         report.cache_stats = self.cache.stats()
         return report
 

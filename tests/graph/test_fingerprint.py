@@ -1,9 +1,9 @@
 """Canonical graph fingerprints: what must and must not change them.
 
-The serve layer keys its content-addressed plan cache on
+A serve ``plan`` job's result names the graph it priced by
 ``graph_fingerprint``, so these invariances are load-bearing: two
-spellings of the same network must share a cache slot, and any change
-that affects planning must produce a different address.
+spellings of the same network must share a fingerprint, and any change
+that affects planning must produce a different one.
 """
 
 from repro.graph import GraphBuilder, graph_fingerprint, node_fingerprints

@@ -13,6 +13,12 @@ def _plan_spec(**overrides):
     return spec
 
 
+def _cache_key_kinds(tmp_path):
+    """The key kind of every entry in the state dir's cache, sorted."""
+    return sorted(json.loads(path.read_text())["key"]["kind"]
+                  for path in (tmp_path / "state" / "cache").glob("*/*.json"))
+
+
 class TestSubmitAndQueue:
     def test_submit_returns_fingerprint_and_queues(self, tmp_path):
         service = JobService(tmp_path / "state")
@@ -40,12 +46,8 @@ class TestRunPending:
         assert job.ok
         assert job.submissions == 3
         assert report.scheduled == 1  # one unit for three submissions
-        # One result entry + one plan entry, never three.
-        result_entries = [
-            path for path in (tmp_path / "state" / "cache").glob("*/*.json")
-            if json.loads(path.read_text())["key"]["kind"] == "job-result"
-        ]
-        assert len(result_entries) == 1
+        # One result entry, never three.
+        assert _cache_key_kinds(tmp_path) == ["job-result"]
 
     def test_resubmission_served_from_cache_bit_identical(self, tmp_path):
         service = JobService(tmp_path / "state")
@@ -64,28 +66,25 @@ class TestRunPending:
         assert job.digest == cold.jobs[0].digest  # bit-identical
         assert job.result == cold.jobs[0].result
 
-    def test_plan_cache_shared_across_isomorphic_requests(self, tmp_path):
+    def test_alias_spellings_are_two_jobs_with_one_digest(self, tmp_path):
+        """``config: network`` on tiny_cnn is its fp16 arm: the same plan
+        under two job identities.  Each is computed and cached under its
+        own result key; nothing else is written."""
         service = JobService(tmp_path / "state")
-        service.submit(_plan_spec(name="first"))
-        service.run_pending()
-        # Same graph+policy under a *different job identity*: drop the
-        # result cache so the plan cache is the only warm layer.
-        for path in (tmp_path / "state" / "cache").glob("*/*.json"):
-            if json.loads(path.read_text())["key"]["kind"] == "job-result":
-                path.unlink()
-        service.submit(_plan_spec())
+        service.submit(_plan_spec(config="network"))
+        service.submit(_plan_spec(config="fp16"))
         report = service.run_pending()
-        (job,) = report.jobs
-        assert job.ok
-        assert job.source == "plan-cache"
-        assert report.plan_cache_hits == 1
-        assert report.scheduled == 0
+        network, fp16 = report.jobs
+        assert network.fingerprint != fp16.fingerprint
+        assert network.source == fp16.source == "computed"
+        assert network.digest == fp16.digest
+        assert _cache_key_kinds(tmp_path) == ["job-result", "job-result"]
 
     def test_corrupt_cache_entry_recomputed(self, tmp_path):
         service = JobService(tmp_path / "state")
         fingerprint = service.submit(_plan_spec())
         cold = service.run_pending()
-        # Poison every cache entry (result + plan).
+        # Poison every cache entry.
         for path in (tmp_path / "state" / "cache").glob("*/*.json"):
             entry = json.loads(path.read_text())
             entry["value_sha256"] = "0" * 64
@@ -105,19 +104,14 @@ class TestRunPending:
 
     def test_cache_written_under_format_1_keys_is_a_miss(self, tmp_path):
         """A state dir written before gist decisions were re-priced must
-        not answer with a plan priced by the deleted formula: both its
-        result entry (spec format 1) and its plan entry (no format
-        stamp) are unreachable, and the job recomputes."""
+        not answer with a plan priced by the deleted formula: its result
+        entry (spec format 1) is unreachable, and the job recomputes."""
         from repro.serve import SPEC_FORMAT, validate_job_spec
-        from repro.serve.jobs import plan_cache_probe
 
         service = JobService(tmp_path / "state")
         spec = validate_job_spec(_plan_spec())
-        key, _graph = plan_cache_probe(spec)
-        assert key["format"] == SPEC_FORMAT == 2
+        assert spec.payload()["format"] == SPEC_FORMAT == 2
         stale = {"priced_by": "format 1"}
-        service.cache.put({k: v for k, v in key.items() if k != "format"},
-                          stale)
         service.cache.put(
             {"kind": "job-result",
              "fingerprint": content_address({**spec.payload(), "format": 1})},
@@ -128,7 +122,7 @@ class TestRunPending:
         (job,) = report.jobs
         assert job.source == "computed"
         assert report.scheduled == 1
-        assert report.plan_cache_hits == report.result_cache_hits == 0
+        assert report.result_cache_hits == 0
         assert job.result["plan"] != stale
         assert job.result["plan"]["decisions"]
 
@@ -149,6 +143,37 @@ class TestRunPending:
         by_status = {job.status for job in report.jobs}
         assert by_status == {"invalid", "ok"}
         assert service.queued() == []  # both drained
+
+    def test_queue_line_identity_comes_from_its_payload(self, tmp_path):
+        """A line storing job A's fingerprint beside job B's payload is
+        invalid and caches nothing; the genuine A in the same pass is
+        still computed, and later answers with A's own bytes."""
+        from repro.ioutil import append_jsonl_line
+        from repro.serve import validate_job_spec
+
+        service = JobService(tmp_path / "state")
+        a = validate_job_spec(_plan_spec())
+        b = validate_job_spec(_plan_spec(batch_size=8))
+        append_jsonl_line(service.queue_path, {
+            "format": 1, "fingerprint": a.fingerprint(), "name": "forged",
+            "job": b.payload(),
+        })
+        service.submit(a)
+        report = service.run_pending()
+        forged, genuine = report.jobs
+        assert forged.status == "invalid"
+        assert a.fingerprint() in forged.error["message"]
+        assert b.fingerprint() in forged.error["message"]
+        assert genuine.source == "computed"
+        assert genuine.submissions == 1
+        assert genuine.result["batch_size"] == 4
+        assert _cache_key_kinds(tmp_path) == ["job-result"]
+        assert service.queued() == []
+
+        service.submit(a)
+        (warm,) = service.run_pending().jobs
+        assert warm.source == "result-cache"
+        assert warm.result["batch_size"] == 4
 
     def test_queue_drained_and_new_submissions_survive(self, tmp_path):
         service = JobService(tmp_path / "state")
