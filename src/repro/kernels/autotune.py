@@ -1,28 +1,30 @@
 """Proof-based, cached backend chooser for the kernel registry.
 
-This extends the plan layer's GEMM-formulation probe (see
-``repro.kernels.plan._gemm_fast``) from "matmul vs einsum" to "which
-registered conv lowering runs this signature".  Nothing is timed: a few
-runs on cold pages order the arms at noise, while the whole-batch arm's
-saving (no transposing copy of the column matrix for dW) is structural.
-The first time a ``(op, shapes, dtype)`` signature is dispatched, each
+The one place a BLAS GEMM is admitted on proof: the first time a
+``(op, shapes, dtype)`` signature is dispatched, this module settles
+which registered conv lowering runs it.  Nothing is timed: a few runs on
+cold pages order the arms at noise, while the whole-batch arm's saving
+(no transposing copy of the column matrix for dW) is structural.  Each
 candidate — every arm but the ``reference`` ground truth (the oracle)
-and the incumbent default — is promoted iff both halves of a proof hold:
+and the incumbent default, whose contractions are the reference arm's
+own einsums — is promoted iff both halves of a proof hold:
 
 * *static*: a live-data probe can settle its GEMMs at all, at every
   shape it issues them — per sample block for the forward and dcols
   products, per sample and window slot for the direct fill's
-  (``plan._gemm_probe_decides``: on a reduction of at most four
-  terms or a free dimension of 1, BLAS and ``einsum`` agree on some data
-  and not on other, so a matching probe proves nothing);
+  (:func:`_gemm_probe_decides`: on a reduction of at most four terms or
+  a free dimension of 1, BLAS and ``einsum`` agree on some data and not
+  on other, so a matching probe proves nothing);
 * *live*: one forward+backward on the dispatching call's data is
   **bit-identical to the incumbent** — the bytes of every output and the
   memory layout of every tensor that escapes to the graph.
 
 Otherwise the incumbent stays, so the default selection keeps every
-training golden.  Arms that only meet their registered ``tolerance`` are
-reachable via ``REPRO_KERNEL_BACKEND`` or a per-executor override, which
-bypasses this module entirely.
+training golden.  A selection holds while its arm is the registered
+instance: unregistering or replacing that arm re-probes the signature.
+Arms that only meet their registered ``tolerance`` are reachable via
+``REPRO_KERNEL_BACKEND`` or a per-executor override, which bypasses this
+module entirely.
 """
 
 from __future__ import annotations
@@ -33,17 +35,14 @@ import numpy as np
 
 import repro.kernels.plan as plan_module
 from repro.kernels.backends import (
+    _BACKENDS,
     REFERENCE,
     ConvBackend,
     _conv_geometry,
     backends_for,
     default_backend,
 )
-from repro.kernels.plan import (
-    _gemm_probe_decides,
-    bit_identical,
-    block_samples,
-)
+from repro.kernels.plan import bit_identical, block_samples
 
 _chosen: Dict[str, ConvBackend] = {}
 _records: Dict[str, dict] = {}
@@ -52,6 +51,20 @@ _records: Dict[str, dict] = {}
 # ----------------------------------------------------------------------
 # Probe machinery
 # ----------------------------------------------------------------------
+# Whether ``np.matmul`` and the reference ``np.einsum`` agree bit for bit
+# is, for most GEMMs, a function of shape and dtype only: the compute
+# path both libraries take is, so one live-data probe settles it.  The
+# exception is matrix-vector products (a free dimension of 1): there the
+# two forms agree on only some *data* — 2-60% of draws, on every such
+# signature of a 3000-shape survey and on no other — so a probe that
+# happened to match proves nothing.  Those signatures, and reductions of
+# at most four terms (where the flake was first seen), never promote an
+# arm; no ledger workload's conv has one.
+def _gemm_probe_decides(reduction: int, *free: int) -> bool:
+    """Whether one live-data probe settles matmul == einsum for a GEMM."""
+    return reduction > 4 and min(free) > 1
+
+
 def _matches(truth: Dict[str, np.ndarray],
              out: Dict[str, np.ndarray]) -> bool:
     """Bit-identity: values everywhere, layout on the escaping y and dx."""
@@ -91,7 +104,9 @@ def autotuned_backend(op: str, x, w4, bias, stride, pad) -> ConvBackend:
            f"b{int(bias is not None)}-{x.dtype}")
     key = f"{op}|{sig}"
     backend = _chosen.get(key)
-    if backend is not None:
+    # A registry change since the probe (the arm unregistered, or replaced
+    # by a same-named one) voids the selection: prove the signature again.
+    if backend is not None and _BACKENDS[op].get(backend.name) is backend:
         return backend
 
     def run(arm: ConvBackend, dy=None) -> Dict[str, np.ndarray]:

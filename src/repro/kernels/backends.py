@@ -256,21 +256,21 @@ class ConvReference(ConvBackend):
 
 
 class ConvNumpyPlan(ConvBackend):
-    """The plan-cache path: strided window-view gather + probed GEMM."""
+    """The plan-cache path: strided window-view gather and col2im around
+    the reference arm's own einsum contractions."""
 
     name = "numpy-plan"
-    description = ("plan-cache strided im2col/col2im + per-signature "
-                   "probed matmul")
+    description = "plan-cache strided im2col/col2im + reference einsum"
 
     def forward(self, x, w4, bias, stride, pad, arena=NULL_ARENA,
                 want_saved=False):
-        from repro.kernels.plan import gemm_forward, get_plan
+        from repro.kernels.plan import get_plan
 
         n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
         wmat = w4.reshape(f, -1)
         plan = get_plan(x.shape, kh, kw, stride, pad)
         cols = plan.im2col(x, arena)
-        y = gemm_forward(wmat, cols)
+        y = np.einsum("fk,nkp->nfp", wmat, cols, optimize=True)
         if bias is not None:
             y += bias[None, :, None]
         saved = None
@@ -283,7 +283,7 @@ class ConvNumpyPlan(ConvBackend):
 
     def backward(self, x, w4, dy, stride, pad, arena=NULL_ARENA, saved=None,
                  need_dx=True):
-        from repro.kernels.plan import gemm_dcols, get_plan
+        from repro.kernels.plan import get_plan
 
         n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
         p = oh * ow
@@ -296,8 +296,8 @@ class ConvNumpyPlan(ConvBackend):
         arena.release(cols)
         if not need_dx:
             return None, dw.reshape(w4.shape)
-        dcols = gemm_dcols(wmat, dy_mat,
-                           out=arena.rent((n, k, p), np.float32))
+        dcols = np.einsum("fk,nfp->nkp", wmat, dy_mat, optimize=True,
+                          out=arena.rent((n, k, p), np.float32))
         dx = plan.col2im(dcols, arena)
         arena.release(dcols)
         return dx, dw.reshape(w4.shape)
@@ -309,19 +309,28 @@ _einsum_y_layouts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]],
 
 def _einsum_y_strides(wmat, cols_shape):
     """Strides of the reference einsum's (N, F, P) output — a function of
-    the shapes alone: what the plan layer's GEMM probe recorded, else one
-    zero-input einsum.  Layout-changing arms hand out exactly this layout
-    so downstream memory-order reductions see identical bits."""
-    from repro.kernels.plan import _gemm_fast
-
+    the shapes alone, read off one zero-input einsum per shape pair.
+    Layout-changing arms hand out exactly this layout so downstream
+    memory-order reductions see identical bits."""
     key = (wmat.shape, cols_shape)
     strides = _einsum_y_layouts.get(key)
     if strides is None:
-        probed = _gemm_fast.get(("fwd", *key))
-        strides = _einsum_y_layouts[key] = probed[1] if probed else np.einsum(
+        strides = _einsum_y_layouts[key] = np.einsum(
             "fk,nkp->nfp", wmat, np.zeros(cols_shape, wmat.dtype),
             optimize=True).strides
     return strides
+
+
+def _empty_like_layout(
+    shape: Tuple[int, ...], strides: Tuple[int, ...], dtype,
+    arena=NULL_ARENA,
+) -> np.ndarray:
+    """An uninitialised array of ``shape``, rented from ``arena``, whose
+    memory order matches an array with the given (positive,
+    non-overlapping) ``strides``."""
+    order = sorted(range(len(shape)), key=lambda a: -strides[a])
+    buf = arena.rent(tuple(shape[a] for a in order), dtype)
+    return buf.transpose(np.argsort(order))
 
 
 def _head(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -362,7 +371,7 @@ class ConvBlasFat(ConvBackend):
 
     def forward(self, x, w4, bias, stride, pad, arena=NULL_ARENA,
                 want_saved=False):
-        from repro.kernels.plan import _empty_like_layout, get_plan
+        from repro.kernels.plan import get_plan
 
         n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
         p = oh * ow

@@ -41,6 +41,11 @@ within one sample, so blocking changes no bit.  The planned kernels are
 therefore bit-identical to the unplanned ones, not merely close — the
 property tests assert this.
 
+A plan is gather/scatter geometry only: the products over its columns
+are the conv arms' (:mod:`repro.kernels.backends`), and whether a BLAS
+GEMM may replace the reference contraction is proved once per signature
+by the chooser (:mod:`repro.kernels.autotune`).
+
 Plans are cached process-wide; :func:`clear_plan_cache` empties the
 cache and :func:`plan_cache_stats` reports hit/miss counts.
 """
@@ -88,8 +93,8 @@ def direct_fill(stride: int, oh: int, wp: int) -> bool:
 def bit_identical(a: np.ndarray, b: np.ndarray) -> bool:
     """Same dtype, shape and *bytes*: unlike ``np.array_equal``, ``+0.0``
     differs from ``-0.0`` and a NaN equals the same NaN.  The one meaning
-    of "bit-identical" for the GEMM probes below, the backend chooser and
-    the differential oracle."""
+    of "bit-identical" for the backend chooser and the differential
+    oracle."""
     return (a.dtype == b.dtype and a.shape == b.shape
             and a.tobytes() == b.tobytes())
 
@@ -491,115 +496,6 @@ class KernelPlan:
 
 
 # ----------------------------------------------------------------------
-# GEMM formulation autotune
-# ----------------------------------------------------------------------
-# ``np.matmul`` (one BLAS GEMM per sample) is 2-3x faster than the
-# reference ``np.einsum`` contraction on the benchmark shapes, and on
-# those shapes it is also *bit-identical* — but the equivalence is
-# shape-dependent (einsum's optimizer may pick a fat-GEMM path whose
-# reduction blocking differs on small problems).  Since the compute path
-# both libraries take is a function of shape/dtype only, one probe per
-# signature settles it: the first call evaluates both forms on the live
-# data, returns the reference result, and records whether matmul matched
-# bit-for-bit.  Later calls use matmul only when it did.  This keeps the
-# planned kernels unconditionally bit-identical to the reference mode
-# while taking the fast path wherever it is provably safe.
-#
-# One exception to "a function of shape": for matrix-vector products (a
-# free dimension of 1) the two forms agree on only some *data* — 2-60% of
-# draws, on every such signature of a 3000-shape survey and on no other —
-# so a probe that happened to match proves nothing.  Those signatures,
-# and reductions of at most four terms (where the flake was first seen),
-# are pinned to einsum; no ledger workload's conv has one.
-#
-# The probe also records the einsum result's *strides*: einsum often
-# returns a transposed view, and downstream reductions (BatchNorm's
-# ``mean``/``var``) sum in memory order, so handing them a contiguous
-# matmul result would change *their* bits.  The fast path therefore
-# writes the GEMM into a buffer laid out exactly like einsum's output.
-_GemmKey = Tuple[str, Tuple[int, ...], Tuple[int, ...]]
-_gemm_fast: Dict[_GemmKey, Tuple[bool, Tuple[int, ...]]] = {}
-
-
-def _gemm_probe_decides(reduction: int, *free: int) -> bool:
-    """Whether one live-data probe settles matmul == einsum for a GEMM."""
-    return reduction > 4 and min(free) > 1
-
-
-def _empty_like_layout(
-    shape: Tuple[int, ...], strides: Tuple[int, ...], dtype,
-    arena: WorkspaceArena = NULL_ARENA,
-) -> np.ndarray:
-    """An uninitialised array of ``shape``, rented from ``arena``, whose
-    memory order matches an array with the given (positive,
-    non-overlapping) ``strides``."""
-    order = sorted(range(len(shape)), key=lambda a: -strides[a])
-    buf = arena.rent(tuple(shape[a] for a in order), dtype)
-    return buf.transpose(np.argsort(order))
-
-
-def gemm_forward(wmat: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(F, K) @ (N, K, P) -> (N, F, P), bit-identical to the reference
-    ``einsum("fk,nkp->nfp")`` — values *and* memory layout — with a
-    per-signature matmul fast path."""
-    key = ("fwd", wmat.shape, cols.shape)
-    spec = _gemm_fast.get(key)
-    if spec is None:
-        ref = np.einsum("fk,nkp->nfp", wmat, cols, optimize=True)
-        # Probe the *exact* operation the fast path will run: matmul
-        # into a layout-matched buffer can itself take a different
-        # (non-BLAS) kernel than plain matmul on small shapes.
-        trial = _empty_like_layout(ref.shape, ref.strides, ref.dtype)
-        (f, k), p = wmat.shape, cols.shape[2]
-        fast = _gemm_probe_decides(k, f, p) and bit_identical(
-            ref, np.matmul(wmat, cols, out=trial))
-        _gemm_fast[key] = (fast, ref.strides)
-        return ref
-    fast, strides = spec
-    if fast:
-        out = _empty_like_layout(
-            (cols.shape[0], wmat.shape[0], cols.shape[2]), strides,
-            np.result_type(wmat.dtype, cols.dtype),
-        )
-        return np.matmul(wmat, cols, out=out)
-    return np.einsum("fk,nkp->nfp", wmat, cols, optimize=True)
-
-
-def gemm_dcols(
-    wmat: np.ndarray,
-    dy_mat: np.ndarray,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """(F, K)^T @ (N, F, P) -> (N, K, P), bit-identical to the reference
-    ``einsum("fk,nfp->nkp")`` with a per-signature fast path.
-
-    Layout faithfulness is not needed here: the gradient columns are
-    consumed only by ``col2im``, which compacts its input, so only the
-    values matter.
-    """
-    key = ("dcols", wmat.shape, dy_mat.shape)
-    spec = _gemm_fast.get(key)
-    if spec is None:
-        ref = np.einsum("fk,nfp->nkp", wmat, dy_mat, optimize=True)
-        # The fast path always writes into a C-contiguous destination
-        # (plain matmul or an arena buffer), so probe exactly that.
-        trial = np.empty(ref.shape, ref.dtype)
-        (f, k), p = wmat.shape, dy_mat.shape[2]
-        fast = _gemm_probe_decides(f, k, p) and bit_identical(
-            ref, np.matmul(wmat.T, dy_mat, out=trial))
-        _gemm_fast[key] = (fast, ref.strides)
-        if out is not None:
-            np.copyto(out, ref)
-            return out
-        return ref
-    if spec[0]:
-        if out is not None:
-            return np.matmul(wmat.T, dy_mat, out=out)
-        return np.matmul(wmat.T, dy_mat)
-    return np.einsum("fk,nfp->nkp", wmat, dy_mat, optimize=True, out=out)
-
-
-# ----------------------------------------------------------------------
 # Process-wide plan cache
 # ----------------------------------------------------------------------
 _PlanKey = Tuple[Shape4, int, int, int, int]
@@ -623,10 +519,9 @@ def get_plan(shape, kh: int, kw: int, stride: int, pad: int) -> KernelPlan:
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan and GEMM probe (tests / memory pressure)."""
+    """Drop every cached plan (tests / memory pressure)."""
     global _cache_hits, _cache_misses
     _plan_cache.clear()
-    _gemm_fast.clear()
     _cache_hits = 0
     _cache_misses = 0
 

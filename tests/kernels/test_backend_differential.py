@@ -68,15 +68,24 @@ def _same_bits_and_layout(got, want):
     pytest.param((4, 6, 9, 9), 8, 3, 2, 0, 2, id="stride2-pad0"),
     pytest.param((5, 12, 7, 7), 10, 1, 1, 0, 3, id="1x1-ragged"),
     pytest.param((4, 8, 8, 8), 16, 3, 1, 1, 1, id="one-sample-blocks"),
+    # Fuzz-corpus signatures whose einsum contractions BLAS matmul also
+    # reproduces bit for bit: numpy-plan must still be reference's bytes.
+    pytest.param((4, 14, 4, 4), 14, 3, 1, 1, 2, id="x4x14x4x4-w14x14x3x3"),
+    pytest.param((4, 8, 6, 6), 7, 3, 1, 1, 2, id="x4x8x6x6-w7x8x3x3"),
+    pytest.param((4, 14, 4, 4), 14, 1, 1, 0, 3, id="x4x14x4x4-w14x14x1x1"),
+    pytest.param((4, 6, 8, 8), 8, 3, 1, 1, 4, id="x4x6x8x8-w8x6x3x3"),
+    pytest.param((1, 18, 16, 16), 18, 3, 1, 1, 1,
+                 id="x1x18x16x16-w18x18x3x3"),
 ])
 def test_blocked_conv_lowering_changes_no_bit_or_stride(
         monkeypatch, shape, f, k, stride, pad, b, want_saved, need_dx):
     """Each plan-backed conv arm, walked in ``b``-sample blocks, returns
     the bytes and strides of ``y``, ``dx`` and ``dw`` it returns in one
     block, saved columns or regathered, with or without ``dx``.  The
-    incumbent therefore still equals ``reference``, and the whole-batch
-    arm equals both wherever its one-block form does — the only
-    signatures where the chooser can promote it."""
+    incumbent, whose contractions are reference's own einsums over the
+    plan's columns, equals ``reference``; the whole-batch arm equals
+    both wherever its one-block form does — the only signatures where
+    the chooser can promote it."""
     n, c, h, w = shape
     oh, ow = conv_output_hw(h, w, k, k, stride, pad)
     rng = np.random.default_rng(0)

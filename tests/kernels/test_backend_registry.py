@@ -7,7 +7,8 @@ file pins); an unknown ``GraphExecutor(kernel_backend=...)`` is a
 (exact XOR tolerance), the exact arm sets the keep rule leaves,
 forced-arm resolution precedence, and the chooser's picks: the incumbent
 wherever a probe cannot prove identity, the whole-batch arm on every
-ledger signature, the same vector from every fresh probe.
+ledger signature, the same vector from every fresh probe, and a fresh
+proof once the registry no longer holds the picked arm.
 """
 
 import warnings
@@ -24,12 +25,14 @@ from repro.kernels.autotune import (
 )
 from repro.kernels.backends import (
     _BACKENDS,
+    ConvBlasFat,
     FnBackend,
     backends_for,
     default_backend,
     get_backend,
     register_backend,
     resolve_forced_backend,
+    select_backend,
     unregister_backend,
 )
 from repro.kernels.config import (
@@ -250,6 +253,34 @@ def _ledger_conv_calls():
             calls.setdefault(key, (x, params["w"], params.get("b"),
                                    conv.stride, conv.pad))
     return list(calls.values())
+
+
+def test_a_registry_change_voids_the_choosers_selection():
+    """A cached pick must be the registered instance: after a same-named
+    replacement of its arm the chooser proves and returns the new arm,
+    and after the arm is unregistered it falls back to the incumbent —
+    never an arm ``get_backend`` no longer knows."""
+
+    class _SameBlasFat(ConvBlasFat):
+        """A replacement of the same name, computing the same bytes."""
+
+    call = _ledger_conv_calls()[0]  # scaled VGG's first conv
+    original = get_backend("conv2d", "blas-fat")
+    replacement = _SameBlasFat()
+    clear_selection_cache()
+    try:
+        with backend_override("auto"):
+            assert select_backend("conv2d", None, *call) is original
+            register_backend(replacement)
+            assert select_backend("conv2d", None, *call) is replacement
+            unregister_backend("conv2d", "blas-fat")
+            assert (select_backend("conv2d", None, *call)
+                    is default_backend("conv2d"))
+            (row,) = autotune_report()
+            assert row["exact"] == {"numpy-plan": True}
+    finally:
+        register_backend(original)
+        clear_selection_cache()
 
 
 def test_chooser_picks_the_whole_batch_arm_on_every_ledger_signature():

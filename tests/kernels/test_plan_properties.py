@@ -23,8 +23,6 @@ from repro.kernels.plan import (
     KernelPlan,
     bit_identical,
     clear_plan_cache,
-    gemm_dcols,
-    gemm_forward,
     get_plan,
     plan_cache_stats,
 )
@@ -249,59 +247,6 @@ def test_slot_workspace_reused_across_calls():
                 plan.col2im(cols),
                 col2im_reference(cols, (n, 2, 6, 6), 3, 3, 2, 1),
             )
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 64), st.integers(1, 128), st.integers(1, 4),
-       st.integers(1, 64), st.integers(0, 2**31 - 1))
-def test_autotuned_gemms_match_reference_einsum(f, k, n, p, seed):
-    """Every call — probe and fast path alike — must equal the reference
-    contraction bitwise, even on signatures where raw matmul diverges."""
-    rng = np.random.default_rng(seed)
-    wmat = rng.normal(0, 1, (f, k)).astype(np.float32)
-    cols = rng.normal(0, 1, (n, k, p)).astype(np.float32)
-    dy = rng.normal(0, 1, (n, f, p)).astype(np.float32)
-    want_fwd = np.einsum("fk,nkp->nfp", wmat, cols, optimize=True)
-    want_dcols = np.einsum("fk,nfp->nkp", wmat, dy, optimize=True)
-    for _ in range(2):  # first call probes, second takes the chosen path
-        got = gemm_forward(wmat, cols)
-        assert np.array_equal(got, want_fwd)
-        # Memory layout must match too: downstream reductions sum in
-        # memory order, so a layout change would alter *their* bits.
-        assert got.strides == want_fwd.strides
-        assert np.array_equal(gemm_dcols(wmat, dy), want_dcols)
-    out = np.empty((n, k, p), np.float32)
-    assert np.array_equal(gemm_dcols(wmat, dy, out=out), want_dcols)
-
-
-@pytest.mark.parametrize("f,k,n,p", [
-    (1, 4, 4, 1),   # the recorded flake: four-term reduction
-    (8, 3, 2, 16),  # short reduction, ordinary free dimensions
-    (9, 7, 2, 1),   # long enough reduction, but a matrix-vector product
-])
-def test_gemm_probe_never_trusts_data_dependent_signatures(f, k, n, p):
-    """Where matmul == einsum depends on the data (matrix-vector shapes;
-    reductions of <= 4 terms are pinned with them) one agreeing probe must
-    not select matmul: re-probe on 50 fresh draws, each followed by a draw
-    the probe never saw.  fwd contracts K and dcols contracts F, so the
-    signature runs both ways round."""
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        clear_plan_cache()
-        for _call in range(2):  # the probe, then the path it chose
-            wmat = rng.normal(0, 1, (f, k)).astype(np.float32)
-            cols = rng.normal(0, 1, (n, k, p)).astype(np.float32)
-            dy = rng.normal(0, 1, (n, f, p)).astype(np.float32)
-            assert np.array_equal(
-                gemm_forward(wmat, cols),
-                np.einsum("fk,nkp->nfp", wmat, cols, optimize=True))
-            assert np.array_equal(
-                gemm_dcols(wmat.T.copy(), cols),
-                np.einsum("fk,nfp->nkp", wmat.T.copy(), cols, optimize=True))
-            assert np.array_equal(
-                gemm_dcols(wmat, dy),
-                np.einsum("fk,nfp->nkp", wmat, dy, optimize=True))
-    clear_plan_cache()
 
 
 class TestPlanCache:
