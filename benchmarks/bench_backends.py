@@ -2,12 +2,12 @@
 backend registry.
 
 Trains the scaled VGG for a handful of SGD steps once per registered
-conv/pool backend arm (the arm list is read from the registry; each is
-forced via the same ``REPRO_KERNEL_BACKEND`` mechanism users have), plus
-the measured ``auto`` chooser, and reports each arm's median
-forward+backward step time.  The yardstick is the ``reference`` arm —
-the original per-call loop kernels.  Four gates ride on top of the
-timings:
+conv arm (the arm list is read from the registry; each is forced via the
+same ``REPRO_KERNEL_BACKEND`` mechanism users have; max-pool and the
+codecs run their one body throughout), plus the ``auto`` chooser, and
+reports each arm's median forward+backward step time.  The yardstick is
+the ``reference`` arm — the original per-call loop conv kernels.  Four
+gates ride on top of the timings:
 
 * **speedup** — the best arm must beat the reference loops by
   ``REQUIRED_SPEEDUP`` (1.5x): every arm is single-threaded Python over
@@ -66,13 +66,11 @@ REQUIRED_SPEEDUP = 1.5
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / \
     "diagnostics" / "goldens"
 
-LAYER_OPS = ("conv2d", "maxpool2d")
+LAYER_OPS = ("conv2d",)
 
 
 def _layer_arms() -> list:
-    """Registered conv/pool arm names, ground truth first.  Each is forced
-    globally: a bare name only applies to ops that registered it, so e.g.
-    ``blas-fat`` accelerates conv while pools keep their default arm."""
+    """Registered arm names, ground truth first."""
     names = [b.name for op in LAYER_OPS for b in backends_for(op)]
     return list(dict.fromkeys(names))
 

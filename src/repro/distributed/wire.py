@@ -38,8 +38,12 @@ import numpy as np
 from repro.dtypes import DPR_FORMATS
 from repro.encodings.dpr import DPRTensor, dpr_encoding
 from repro.encodings.runlength import RLETensor, RunLengthEncoding
-from repro.encodings.ssdc import CSRTensor, csr_decode, csr_encode
-from repro.kernels.backends import csr_index_dtype
+from repro.encodings.ssdc import (
+    CSRTensor,
+    csr_decode,
+    csr_encode,
+    csr_index_dtype,
+)
 
 #: Names accepted by :func:`wire_codec`.
 WIRE_CODECS: List[str] = [

@@ -9,7 +9,9 @@ is replaced by a 1-bit positivity mask: 32x compression for the ReLU
 output, and the pool's stash shrinks to a 4-bit-per-output-element map
 (8x for the pool side; ~16x combined for the ReLU-Pool pair).
 
-This module supplies the bit packing for both data structures.
+This module supplies the bit packing for both data structures.  Each
+packer has one body and, beside it, the loop kernel it is checked
+against byte for byte (``*_reference``; :mod:`repro.verify.differential`).
 """
 
 from __future__ import annotations
@@ -22,21 +24,32 @@ import numpy as np
 from repro.dtypes import BIT1, NIBBLE4
 from repro.encodings.base import Encoding
 from repro.kernels.arena import NULL_ARENA
-from repro.kernels.backends import run_codec
 
 
 def pack_bits(mask: np.ndarray, arena=NULL_ARENA) -> np.ndarray:
-    """Pack a boolean array into uint32 words, 32 values per word.
+    """Pack a boolean array into uint32 words, 32 values per word
+    (little-endian bit order).
 
     The padded word buffer is rented from ``arena`` and the words are
     written directly into it — no concatenate/copy chain.
     """
     flat = np.asarray(mask, dtype=bool).ravel()
     buf = arena.rent((4 * ((flat.size + 31) // 32),), np.uint8)
-    packed = run_codec("pack_bits", flat)
+    packed = np.packbits(flat, bitorder="little")
     buf[: packed.size] = packed
     buf[packed.size:] = 0  # rented buffers arrive uninitialised
     return buf.view(np.uint32)
+
+
+def pack_bits_reference(mask: np.ndarray) -> np.ndarray:
+    """Ground truth of :func:`pack_bits`: 8 shift-or passes, one per bit
+    position, into zeroed words."""
+    flat = np.asarray(mask, dtype=bool).ravel()
+    out = np.zeros(4 * ((flat.size + 31) // 32), np.uint8)
+    for b in range(8):
+        part = flat[b::8]
+        out[: part.size] |= part.astype(np.uint8) << np.uint8(b)
+    return out.view(np.uint32)
 
 
 def unpack_bits(words: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -56,9 +69,21 @@ def pack_nibbles(values: np.ndarray, arena=NULL_ARENA) -> np.ndarray:
         raise ValueError("nibble packing requires values in [0, 15]")
     npairs = (flat.size + 1) // 2
     buf = arena.rent((4 * ((npairs + 3) // 4),), np.uint8)
-    buf[:npairs] = run_codec("pack_nibbles", flat)
+    buf[:npairs] = flat[0::2]
+    buf[:flat.size // 2] |= flat[1::2] << np.uint8(4)
     buf[npairs:] = 0  # rented buffers arrive uninitialised
     return buf.view(np.uint32)
+
+
+def pack_nibbles_reference(values: np.ndarray) -> np.ndarray:
+    """Ground truth of :func:`pack_nibbles`: 2 shift-or passes, even then
+    odd values, into zeroed words."""
+    flat = np.asarray(values).ravel().astype(np.uint8)
+    out = np.zeros(4 * ((flat.size + 7) // 8), np.uint8)
+    for offset, shift in ((0, 0), (1, 4)):
+        part = flat[offset::2]
+        out[: part.size] |= part << np.uint8(shift)
+    return out.view(np.uint32)
 
 
 def unpack_nibbles(words: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:

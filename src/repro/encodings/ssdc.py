@@ -11,6 +11,10 @@ dense.  Two fidelity-critical details from the paper are reproduced:
 * **DPR composition.**  The lossy pass may additionally compress the CSR
   *values* array (never the meta arrays, which affect control flow).
 
+:func:`csr_encode` has one body; :func:`csr_encode_reference`, the
+row-loop build beside it, is what it is checked against byte for byte
+(:mod:`repro.verify.differential`).
+
 A bitmap format (1 bit per element + dense nonzero values) is included for
 the format-choice ablation.
 """
@@ -25,10 +29,15 @@ import numpy as np
 from repro.dtypes import DType
 from repro.encodings.base import Encoding
 from repro.encodings.dpr import DPRTensor, decode_words, encode_words
-from repro.kernels.backends import run_codec
 
 #: Row width of the narrow-value reshape: 256 columns -> uint8 indices.
 NARROW_COLS = 256
+
+
+def csr_index_dtype(cols: int):
+    """NumPy dtype of a CSR column index at row width ``cols`` (the narrow
+    value optimisation: one byte up to 256 columns)."""
+    return np.uint8 if cols <= 256 else np.int32
 
 
 @dataclass(frozen=True)
@@ -78,16 +87,59 @@ def csr_encode(
     if cols <= 0:
         raise ValueError(f"cols must be positive, got {cols}")
     flat = np.asarray(x, dtype=np.float32).ravel()
-    nz_flat, col_positions, row_ptr = run_codec("csr_build", flat, cols)
-    raw_values = flat[nz_flat]
+    n = flat.size
+    # Every pass after ``flat != 0`` reads the bool mask (flatnonzero on
+    # float32 is branchy): columns come from narrowing the flat positions
+    # and row counts from per-row sums of the mask.
+    mask = flat != 0
+    nz = np.flatnonzero(mask)
+    # 256 columns: the low byte of a flat position *is* its column.
+    col_idx = (nz.astype(np.uint8) if cols == 256
+               else (nz % cols).astype(csr_index_dtype(cols)))
+    row_ptr = np.zeros(_csr_rows(n, cols) + 1, np.int32)
+    if n:
+        # reduceat sums [start, next start): the ragged last row is free.
+        counts = np.add.reduceat(mask, np.arange(0, n, cols), dtype=np.int32)
+        np.cumsum(counts, out=row_ptr[1:])
+    return _csr_tensor(flat[nz], col_idx, row_ptr, x.shape, cols,
+                       value_dtype)
+
+
+def csr_encode_reference(
+    x: np.ndarray,
+    cols: int = NARROW_COLS,
+    value_dtype: Optional[DType] = None,
+) -> CSRTensor:
+    """Ground truth of :func:`csr_encode`: one ``flatnonzero`` per row."""
+    flat = np.asarray(x, dtype=np.float32).ravel()
+    n_rows = _csr_rows(flat.size, cols)
+    row_ptr = np.zeros(n_rows + 1, np.int32)
+    nz_parts, col_parts = [], []
+    for r in range(n_rows):
+        seg_nz = np.flatnonzero(flat[r * cols:(r + 1) * cols])
+        nz_parts.append(seg_nz + r * cols)
+        col_parts.append(seg_nz)
+        row_ptr[r + 1] = row_ptr[r] + seg_nz.size
+    col_idx = np.concatenate(col_parts).astype(csr_index_dtype(cols))
+    return _csr_tensor(flat[np.concatenate(nz_parts)], col_idx, row_ptr,
+                       x.shape, cols, value_dtype)
+
+
+def _csr_rows(n: int, cols: int) -> int:
+    return max(1, -(-n // cols))
+
+
+def _csr_tensor(raw_values, col_idx, row_ptr, shape, cols,
+                value_dtype) -> CSRTensor:
+    """The stash of the non-zero values and the meta arrays.  The flat
+    non-zero positions (int64, 8 B/nnz) are not kept — decode rebuilds
+    them from the indices — so it holds exactly what ``nbytes`` charges."""
     if value_dtype is None:
         values: object = raw_values
     else:
         values = DPRTensor(encode_words(raw_values, value_dtype),
                            (raw_values.size,), value_dtype)
-    # nz_flat (int64, 8 B/nnz) is dropped here: the stash keeps only what
-    # ``nbytes`` charges, and decode rebuilds positions from the indices.
-    return CSRTensor(values, col_positions, row_ptr, tuple(x.shape), cols)
+    return CSRTensor(values, col_idx, row_ptr, tuple(shape), cols)
 
 
 def csr_positions(enc: CSRTensor) -> np.ndarray:
@@ -129,7 +181,7 @@ def csr_bytes(
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
     nnz = round(num_elements * (1.0 - sparsity))
-    n_rows = max(1, -(-num_elements // cols))
+    n_rows = _csr_rows(num_elements, cols)
     idx_bytes = 1 if cols <= 256 else 4
     value_bytes = -(-nnz * value_bits // 8)
     # Pack DPR values in whole words.

@@ -2,11 +2,13 @@
 
 The training graph never changes shape between iterations, so all index
 arithmetic for the conv/pool lowering is done once (:mod:`.plan`) and
-all scratch buffers are pooled per executor (:mod:`.arena`).  The one
-global switch lives in :mod:`.config` (env var ``REPRO_KERNEL_BACKEND``);
-forcing the ``reference`` arm restores the original per-call Python-loop
-kernels for A/B verification.  See the "Runtime kernel layer" section of
-``docs/architecture.md``.
+all scratch buffers are pooled per executor (:mod:`.arena`).  Conv is
+the one op with interchangeable arms (:mod:`.backends`, chosen by proof
+in :mod:`.autotune`); max-pool and the codecs run one body each.  The
+one global switch lives in :mod:`.config` (env var
+``REPRO_KERNEL_BACKEND``); forcing the ``reference`` arm restores the
+original per-call Python-loop conv kernels for A/B verification.  See
+the "Runtime kernel layer" section of ``docs/architecture.md``.
 """
 
 from repro.kernels.arena import NULL_ARENA, WorkspaceArena
@@ -16,13 +18,10 @@ from repro.kernels.autotune import (
 )
 from repro.kernels.backends import (
     KernelBackend,
-    OpFamily,
     backends_for,
     default_backend,
     get_backend,
-    op_families,
     register_backend,
-    run_codec,
     select_backend,
     unregister_backend,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "KernelBackend",
     "KernelPlan",
     "NULL_ARENA",
-    "OpFamily",
     "WorkspaceArena",
     "autotune_report",
     "backend_override",
@@ -50,10 +48,8 @@ __all__ = [
     "default_backend",
     "get_backend",
     "get_plan",
-    "op_families",
     "plan_cache_stats",
     "register_backend",
-    "run_codec",
     "select_backend",
     "unregister_backend",
 ]

@@ -8,11 +8,14 @@ keeps the NumPy kernels fast enough for the scaled training experiments.
 
 This module holds the ground truth: :func:`im2col_reference` /
 :func:`col2im_reference` are the original ``kh x kw`` slice loops — what
-the registry's ``reference`` arms (the A/B baseline) are built from and
-what the kernel property tests compare against.  Everything else (the
-default conv/pool arms, ``AvgPool2D``) runs the loop-free
+conv's ``reference`` arm (the A/B baseline) is built from — and
+:func:`maxpool_reference` / :func:`maxpool_backward_reference` the
+original max-pool formulation over them.  The kernel property tests and
+the differential oracle compare against these.  Everything the runtime
+runs (the default conv arms, max-pool, ``AvgPool2D``) is the loop-free
 :class:`~repro.kernels.plan.KernelPlan` methods, which are bit-identical
-to these loops including ``col2im``'s floating-point accumulation order.
+to these loops including ``col2im``'s floating-point accumulation order
+and max-pool's first-maximum tie-break.
 """
 
 from __future__ import annotations
@@ -78,3 +81,53 @@ def col2im_reference(
     if pad > 0:
         x = x[:, :, pad : pad + h, pad : pad + w]
     return x
+
+
+def maxpool_reference(
+    x: np.ndarray, kh: int, kw: int, stride: int, pad: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Loop-based max-pool: pad with ``-inf``, unfold, first argmax per
+    window.  Returns ``(y, argmax)``, ``argmax`` the uint8 window-local
+    winner index (the Y-to-X map)."""
+    n, c, h, w = x.shape
+    oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
+    if pad > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                   mode="constant", constant_values=-np.inf)
+    cols = im2col_reference(x, kh, kw, stride, 0)
+    cols = cols.reshape(n, c, kh * kw, oh * ow)
+    argmax = cols.argmax(axis=2).astype(np.uint8)
+    y = np.take_along_axis(
+        cols, argmax[:, :, None, :].astype(np.intp), axis=2
+    )[:, :, 0, :].reshape(n, c, oh, ow)
+    return (y.astype(np.float32, copy=False),
+            argmax.reshape(n, c, oh, ow))
+
+
+def maxpool_backward_reference(
+    argmax: np.ndarray,
+    dy: np.ndarray,
+    x_shape: Tuple[int, int, int, int],
+    kh: int,
+    kw: int,
+    stride: int,
+    pad: int,
+) -> np.ndarray:
+    """Adjoint of :func:`maxpool_reference`: winners decomposed into
+    window offsets, ``dy`` scattered by one multi-index ``np.add.at``."""
+    n, c, h, w = x_shape
+    oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    dx = np.zeros((n, c, hp, wp), dtype=dy.dtype)
+    oy, ox = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
+    base_i = (oy * stride).ravel()
+    base_j = (ox * stride).ravel()
+    amax = argmax.reshape(n, c, oh * ow)
+    rows = base_i[None, None, :] + amax // kw
+    cols = base_j[None, None, :] + amax % kw
+    nn = np.arange(n)[:, None, None]
+    cc = np.arange(c)[None, :, None]
+    np.add.at(dx, (nn, cc, rows, cols), dy.reshape(n, c, oh * ow))
+    if pad > 0:
+        dx = dx[:, :, pad:pad + h, pad:pad + w]
+    return dx

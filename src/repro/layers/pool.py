@@ -50,7 +50,10 @@ class MaxPool2D(_Pool2D):
 
     The argmax map stores, per output element, which of the ``kh*kw`` window
     positions won — exactly the data structure Gist's Binarize optimisation
-    adds for pool layers.
+    adds for pool layers.  One body: the plan-cache
+    ``maxpool_forward`` / ``maxpool_backward``, bit-identical to the loop
+    ``maxpool_reference`` / ``maxpool_backward_reference``
+    (``tests/kernels/test_one_body_ops.py``).
     """
 
     kind = "maxpool"
@@ -89,12 +92,11 @@ class MaxPool2D(_Pool2D):
         ctx: Optional[OpContext],
         train: bool = True,
     ) -> np.ndarray:
-        from repro.kernels.backends import select_backend
+        from repro.kernels.plan import get_plan
 
         (x,) = xs
-        backend = select_backend("maxpool2d", ctx)
-        y, argmax = backend.forward(x, self.kh, self.kw, self.stride,
-                                    self.pad, arena=resolve_arena(ctx))
+        plan = get_plan(x.shape, self.kh, self.kw, self.stride, self.pad)
+        y, argmax = plan.maxpool_forward(x, resolve_arena(ctx))
         if ctx is not None:
             ctx.save_state("argmax", argmax)
             ctx.save_state("in_shape", np.array(x.shape))
@@ -106,14 +108,12 @@ class MaxPool2D(_Pool2D):
         params: Dict[str, np.ndarray],
         ctx: OpContext,
     ) -> Tuple[List[np.ndarray], Dict[str, np.ndarray]]:
-        from repro.kernels.backends import select_backend
+        from repro.kernels.plan import get_plan
 
         argmax = ctx.get_state("argmax")
         x_shape = tuple(int(v) for v in ctx.get_state("in_shape"))
-        backend = select_backend("maxpool2d", ctx)
-        return [backend.backward(argmax, dy, x_shape, self.kh, self.kw,
-                                 self.stride, self.pad,
-                                 arena=resolve_arena(ctx))], {}
+        plan = get_plan(x_shape, self.kh, self.kw, self.stride, self.pad)
+        return [plan.maxpool_backward(argmax, dy, resolve_arena(ctx))], {}
 
 
 class ArgmaxMaxPool2D(MaxPool2D):
@@ -145,7 +145,7 @@ class ArgmaxMaxPool2D(MaxPool2D):
 class AvgPool2D(_Pool2D):
     """Average pooling.  Backward needs neither X nor Y — only shapes.
 
-    Registers no arms: the forward is the plan-cache ``im2col``, which is
+    One body, as max-pool: the forward is the plan-cache ``im2col``, which is
     bit-identical to the loop ``im2col_reference``
     (``tests/kernels/test_plan_properties.py``), and the backward *is*
     ``col2im_reference``'s loop, on the one column every slot holds.

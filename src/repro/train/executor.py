@@ -88,8 +88,9 @@ class GraphExecutor:
         seed: Parameter-initialisation seed.
         use_kernel_plans: ``False`` is the A/B shorthand for
             ``kernel_backend="reference"`` plus a pass-through arena: the
-            original per-call loop kernels, every buffer freshly allocated
-            (by the same ``rent`` statements the pooled arena serves).
+            original per-call loop conv kernels, every buffer freshly
+            allocated (by the same ``rent`` statements the pooled arena
+            serves).
         arena: Workspace arena to rent scratch buffers from.  Each
             executor owns one by default; it is reset at the start of
             every forward pass, so arrays returned by ``backward`` (input
@@ -98,14 +99,14 @@ class GraphExecutor:
             observing this executor.  A traced step runs the same layer
             and codec calls as an untraced one: each site only reads the
             clock before and reports after when ``tracer is not None``.
-        kernel_backend: Force a registered kernel backend by name for
-            every op this executor dispatches (e.g. ``"reference"`` or
+        kernel_backend: Force a registered conv arm by name for every
+            conv this executor dispatches (e.g. ``"reference"`` or
             ``"blas-fat"``).  Wins over ``REPRO_KERNEL_BACKEND`` and the
-            measured autotuner; ops that do not register the name fall
-            back to their normal selection.
+            chooser; max-pool and the codecs run their one body under
+            any name.
 
     Raises:
-        ValueError: If ``kernel_backend`` names an arm no op registers.
+        ValueError: If ``kernel_backend`` names no registered arm.
     """
 
     def __init__(self, graph: Graph, policy: Optional[StashPolicy] = None,

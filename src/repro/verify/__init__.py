@@ -10,7 +10,6 @@ CLI for the command-line entry point.
 
 from repro.verify.differential import (
     ORACLE_BACKEND_DIFFERENTIAL,
-    check_backend_agreement,
     verify_backends,
 )
 from repro.verify.fuzzer import DEFAULT_MAX_OPS, GraphFuzzer
@@ -64,7 +63,6 @@ __all__ = [
     "ORACLE_SHARED_CONCAT",
     "Violation",
     "check_allocator_safety",
-    "check_backend_agreement",
     "check_decision_bytes",
     "check_distributed",
     "check_hybrid_plan",

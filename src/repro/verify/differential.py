@@ -1,57 +1,237 @@
-"""Backend-agreement differential oracle (dual-executor style).
+"""Kernel differential oracle (dual-executor style): every kernel body a
+step can run, against its ground truth.
 
-Every op in the kernel registry carries several interchangeable arms
-(:mod:`repro.kernels.backends`).  This oracle is the contract enforcer:
-for each op family it draws shared random inputs, runs **every**
-registered arm end-to-end (forward and backward for the layer ops) and
-compares each arm's outputs against the family's ground-truth arm —
+For each op family the oracle draws shared random inputs, runs the op's
+ground truth and every body held to it end to end (forward and backward
+for the layer ops), and compares their named outputs:
 
-* an ``exact=True`` arm must match byte for byte
+* ``conv2d`` is the one op with a choice of arms
+  (:mod:`repro.kernels.backends`).  Every registered arm but
+  ``reference`` is held to the ``reference`` arm under the contract it
+  registered: an ``exact=True`` arm byte for byte
   (:func:`~repro.kernels.plan.bit_identical`: dtype, shape and
-  ``tobytes()``, so ``-0.0`` is not ``+0.0`` and a NaN matches itself);
-* an ``exact=False`` arm must stay within the tolerance it declared at
-  registration, and its integer outputs (argmax maps, CSR meta arrays)
-  must still match exactly — tolerances only ever cover float
-  accumulation order.
+  ``tobytes()``, so ``-0.0`` is not ``+0.0`` and a NaN matches itself),
+  an ``exact=False`` arm within the tolerance it declared.
+* Max-pool and the three codec packers run one body each, held byte for
+  byte to the loop kernel beside it: ``KernelPlan.maxpool_forward`` /
+  ``maxpool_backward`` to :func:`~repro.layers.im2col.maxpool_reference`
+  / :func:`~repro.layers.im2col.maxpool_backward_reference`, and
+  :func:`~repro.encodings.binarize.pack_bits`,
+  :func:`~repro.encodings.binarize.pack_nibbles` and
+  :func:`~repro.encodings.ssdc.csr_encode` to their ``*_reference``
+  twins.  Bodies are looked up at call time, so the oracle checks what
+  a training step runs.
 
 The oracle is part of the tier-1 fuzz battery (:func:`verify_seed` calls
-:func:`verify_backends` per seed), so a new arm cannot land without
-holding its own contract under randomized shapes, strides, padding, ties
-and empty inputs.
+:func:`verify_backends` per seed), so neither a new arm nor a changed
+body can land without holding its contract under randomized shapes,
+strides, padding, ties and empty inputs.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple
 
 import numpy as np
 
-from repro.kernels.backends import OpFamily, backends_for, op_families
-from repro.kernels.plan import bit_identical
+from repro.encodings import binarize, ssdc
+from repro.kernels.backends import REFERENCE, backends_for, get_backend
+from repro.kernels.plan import bit_identical, get_plan
+from repro.layers.im2col import (
+    conv_output_hw,
+    maxpool_backward_reference,
+    maxpool_reference,
+)
 from repro.verify.oracles import Violation
 
 ORACLE_BACKEND_DIFFERENTIAL = "backend-differential"
 
 #: Shared-input trials per op family per seed (shapes re-randomized each
 #: trial, so a 25-seed smoke batch covers ~50 signatures per family).
-DEFAULT_TRIALS = 2
+TRIALS = 2
+
+Outputs = Dict[str, np.ndarray]
 
 
+class Body(NamedTuple):
+    """One implementation held to an op's ground truth, under its
+    contract: ``run(inputs)`` returns its named outputs."""
+
+    subject: str
+    run: Callable[[tuple], Outputs]
+    exact: bool = True
+    tolerance: float = 0.0
+
+
+@dataclass(frozen=True)
+class OpFamily:
+    """One op's shared-input draw, its ground truth and the bodies held
+    to it.
+
+    ``make_inputs(rng)`` draws a small randomized input tuple; ``truth``
+    and each body of ``bodies()`` map it to named output arrays.
+    ``bodies`` is read per trial, so an arm registered since is checked.
+    """
+
+    make_inputs: Callable[[np.random.Generator], tuple]
+    truth_name: str
+    truth: Callable[[tuple], Outputs]
+    bodies: Callable[[], List[Body]]
+
+
+# ----------------------------------------------------------------------
+# Shared-input draws
+# ----------------------------------------------------------------------
+def _make_conv_inputs(rng: np.random.Generator) -> tuple:
+    n = int(rng.integers(1, 3))
+    c = int(rng.integers(1, 4))
+    f = int(rng.integers(1, 5))
+    kh = kw = int(rng.choice([1, 2, 3]))
+    stride = int(rng.choice([1, 2]))
+    pad = int(rng.integers(0, 2))
+    h = int(rng.integers(max(2, kh), 8))
+    w = int(rng.integers(max(2, kw), 8))
+    if h + 2 * pad < kh or w + 2 * pad < kw:  # pragma: no cover - guarded
+        h, w = kh, kw
+    x = rng.normal(0, 1, (n, c, h, w)).astype(np.float32)
+    w4 = rng.normal(0, 0.5, (f, c, kh, kw)).astype(np.float32)
+    bias = (rng.normal(0, 0.5, f).astype(np.float32)
+            if rng.random() < 0.5 else None)
+    oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
+    dy = rng.normal(0, 1, (n, f, oh, ow)).astype(np.float32)
+    return x, w4, bias, dy, stride, pad
+
+
+def _make_pool_inputs(rng: np.random.Generator) -> tuple:
+    n = int(rng.integers(1, 3))
+    c = int(rng.integers(1, 4))
+    kh = kw = int(rng.choice([2, 3]))
+    stride = int(rng.choice([1, 2, kh]))
+    pad = int(rng.integers(0, min(2, (kh + 1) // 2)))
+    h = int(rng.integers(kh, 9))
+    w = int(rng.integers(kw, 9))
+    x = rng.normal(0, 1, (n, c, h, w)).astype(np.float32)
+    # Plant exact ties so tie-breaking order is part of the contract.
+    if h >= 2:
+        x[:, :, 0, :] = x[:, :, 1, :]
+    # ... and a signed-zero tie heading the first window of every plane,
+    # [+0, -0] on even planes and [-0, +0] on odd ones: equal under ==,
+    # different bits, so "the first maximum" must mean that element.
+    planes = x.reshape(n * c, h, w)
+    planes[:, :kh, :kw] = -1.0
+    planes[0::2, 0, :2] = (0.0, -0.0)
+    planes[1::2, 0, :2] = (-0.0, 0.0)
+    oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
+    dy = rng.normal(0, 1, (n, c, oh, ow)).astype(np.float32)
+    return x, dy, kh, kw, stride, pad
+
+
+def _make_pack_bits_inputs(rng: np.random.Generator) -> tuple:
+    size = int(rng.choice([0, 1, 7, 31, 32, 33, int(rng.integers(1, 400))]))
+    return ((rng.random(size) < 0.5),)
+
+
+def _make_pack_nibbles_inputs(rng: np.random.Generator) -> tuple:
+    size = int(rng.choice([0, 1, 2, 9, int(rng.integers(1, 300))]))
+    return (rng.integers(0, 16, size).astype(np.uint8),)
+
+
+def _make_csr_inputs(rng: np.random.Generator) -> tuple:
+    size = int(rng.choice([0, 1, int(rng.integers(1, 900))]))
+    flat = np.where(rng.random(size) < 0.7, 0.0,
+                    rng.normal(0, 2, size)).astype(np.float32)
+    cols = int(rng.choice([7, 32, 256, 300]))
+    # Hostile structure, planted after the last draw so it costs none (the
+    # fuzz decision stream must not depend on it): a ragged last row, an
+    # all-zero row, an all-dense row, and the two values whose "is it a
+    # zero?" answer is easy to get wrong (-0.0 is one, NaN is not).
+    if size > 1 and size % cols == 0:
+        flat = flat[:-1]
+    rows = flat[: flat.size // cols * cols].reshape(-1, cols)
+    rows[:1] = 0.0
+    dense = rows[1:2]
+    dense[dense == 0] = 1.0
+    if flat.size > 1:
+        flat[-2:] = (-0.0, np.nan)
+    return flat, cols
+
+
+# ----------------------------------------------------------------------
+# Ground truths and bodies
+# ----------------------------------------------------------------------
+def _run_conv(arm, inputs: tuple) -> Outputs:
+    x, w4, bias, dy, stride, pad = inputs
+    y, saved = arm.forward(x, w4, bias, stride, pad, want_saved=True)
+    dx, dw = arm.backward(x, w4, dy, stride, pad, saved=saved)
+    return {"y": y, "dx": dx, "dw": dw}
+
+
+def _conv_arms() -> List[Body]:
+    return [Body(f"conv2d:{arm.name}", partial(_run_conv, arm), arm.exact,
+                 arm.tolerance)
+            for arm in backends_for("conv2d") if arm.name != REFERENCE]
+
+
+def _pool_reference(inputs: tuple) -> Outputs:
+    x, dy, kh, kw, stride, pad = inputs
+    y, argmax = maxpool_reference(x, kh, kw, stride, pad)
+    dx = maxpool_backward_reference(argmax, dy, x.shape, kh, kw, stride, pad)
+    return {"y": y, "argmax": argmax, "dx": dx}
+
+
+def _pool_body(inputs: tuple) -> Outputs:
+    x, dy, kh, kw, stride, pad = inputs
+    plan = get_plan(x.shape, kh, kw, stride, pad)
+    y, argmax = plan.maxpool_forward(x)
+    return {"y": y, "argmax": argmax, "dx": plan.maxpool_backward(argmax, dy)}
+
+
+def _csr_outputs(enc: ssdc.CSRTensor) -> Outputs:
+    return {"values": enc.values, "col_idx": enc.col_idx,
+            "row_ptr": enc.row_ptr}
+
+
+def _codec(make_inputs, module, name: str,
+           outputs=lambda out: {"out": out}) -> OpFamily:
+    """A one-body codec: ``module.<name>`` held to
+    ``module.<name>_reference``, both looked up per call."""
+    def run(fn_name, inputs):
+        return outputs(getattr(module, fn_name)(*inputs))
+
+    body = Body(name, partial(run, name))
+    return OpFamily(make_inputs, f"{name}_reference",
+                    partial(run, f"{name}_reference"), lambda: [body])
+
+
+OP_FAMILIES = (
+    OpFamily(_make_conv_inputs, f"conv2d:{REFERENCE}",
+             lambda inputs: _run_conv(get_backend("conv2d", REFERENCE),
+                                      inputs),
+             _conv_arms),
+    OpFamily(_make_pool_inputs, "maxpool_reference",
+             _pool_reference, lambda: [Body("maxpool2d", _pool_body)]),
+    _codec(_make_pack_bits_inputs, binarize, "pack_bits"),
+    _codec(_make_pack_nibbles_inputs, binarize, "pack_nibbles"),
+    _codec(_make_csr_inputs, ssdc, "csr_encode", _csr_outputs),
+)
+
+
+# ----------------------------------------------------------------------
+# The comparison loop
+# ----------------------------------------------------------------------
 def _max_abs(arr: np.ndarray) -> float:
     if arr.size == 0:
         return 0.0
     return float(np.max(np.abs(arr.astype(np.float64, copy=False))))
 
 
-def _compare_outputs(
-    family: OpFamily,
-    backend,
-    ref_out: dict,
-    got_out: dict,
-) -> List[Violation]:
-    """One arm's outputs vs the reference arm's, under the arm's contract."""
+def _compare_outputs(truth_name: str, body: Body, ref_out: Outputs,
+                     got_out: Outputs) -> List[Violation]:
+    """One body's outputs vs the ground truth's, under its contract."""
     violations: List[Violation] = []
-    subject = f"{family.op}:{backend.name}"
+    subject = body.subject
     if set(ref_out) != set(got_out):
         return [Violation(
             ORACLE_BACKEND_DIFFERENTIAL,
@@ -68,98 +248,67 @@ def _compare_outputs(
                 f"{ref.shape}/{ref.dtype}", subject=subject,
             ))
             continue
-        must_be_exact = (
-            backend.exact or not np.issubdtype(ref.dtype, np.inexact)
-        )
-        if must_be_exact:
+        if body.exact:
             if not bit_identical(ref, got):
                 bits = f"u{ref.itemsize}"
                 n_bad = int(np.sum(ref.view(bits) != got.view(bits)))
                 err = _max_abs(ref.astype(np.float64)
                                - got.astype(np.float64))
-                contract = ("exact" if backend.exact
-                            else "tolerance-only-for-floats")
                 violations.append(Violation(
                     ORACLE_BACKEND_DIFFERENTIAL,
-                    f"{key}: {n_bad} element(s) differ from the "
-                    f"{family.reference!r} arm under the {contract} "
-                    f"contract (max |err| {err:.3e})", subject=subject,
+                    f"{key}: {n_bad} element(s) differ from {truth_name} "
+                    f"under the exact contract (max |err| {err:.3e})",
+                    subject=subject,
                 ))
             continue
-        bound = backend.tolerance * max(1.0, _max_abs(ref))
+        bound = body.tolerance * max(1.0, _max_abs(ref))
         err = _max_abs(ref.astype(np.float64) - got.astype(np.float64))
         if err > bound:
             violations.append(Violation(
                 ORACLE_BACKEND_DIFFERENTIAL,
                 f"{key}: max |err| {err:.3e} exceeds the declared "
                 f"tolerance bound {bound:.3e} "
-                f"(tolerance={backend.tolerance:g})", subject=subject,
+                f"(tolerance={body.tolerance:g})", subject=subject,
             ))
     return violations
 
 
-def check_backend_agreement(
-    family: OpFamily,
-    rng: np.random.Generator,
-    trials: int = DEFAULT_TRIALS,
-) -> List[Violation]:
-    """Run every arm of one family on shared inputs; compare vs reference."""
-    violations: List[Violation] = []
-    arms = backends_for(family.op)
-    reference = next(
-        (b for b in arms if b.name == family.reference), None
-    )
-    if reference is None:
+def _check(family: OpFamily, inputs: tuple) -> List[Violation]:
+    """One shared input set: the ground truth, then every body on it."""
+    try:
+        ref_out = family.truth(inputs)
+    except Exception as exc:  # noqa: BLE001 — a crash IS the finding
         return [Violation(
             ORACLE_BACKEND_DIFFERENTIAL,
-            f"ground-truth arm {family.reference!r} is not registered",
-            subject=family.op,
+            f"ground truth crashed: {type(exc).__name__}: {exc}",
+            subject=family.truth_name,
         )]
-    for _ in range(max(1, trials)):
-        inputs = family.make_inputs(rng)
+    violations: List[Violation] = []
+    for body in family.bodies():
         try:
-            ref_out = family.run(reference, inputs)
-        except Exception as exc:  # noqa: BLE001 — a crash IS the finding
+            got_out = body.run(inputs)
+        except Exception as exc:  # noqa: BLE001
             violations.append(Violation(
                 ORACLE_BACKEND_DIFFERENTIAL,
-                f"reference arm crashed: {type(exc).__name__}: {exc}",
-                subject=f"{family.op}:{reference.name}",
+                f"crashed: {type(exc).__name__}: {exc}",
+                subject=body.subject,
             ))
             continue
-        for backend in arms:
-            if backend.name == reference.name:
-                continue
-            try:
-                got_out = family.run(backend, inputs)
-            except Exception as exc:  # noqa: BLE001
-                violations.append(Violation(
-                    ORACLE_BACKEND_DIFFERENTIAL,
-                    f"arm crashed: {type(exc).__name__}: {exc}",
-                    subject=f"{family.op}:{backend.name}",
-                ))
-                continue
-            violations += _compare_outputs(family, backend, ref_out,
-                                           got_out)
+        violations += _compare_outputs(family.truth_name, body, ref_out,
+                                       got_out)
     return violations
 
 
-def verify_backends(
-    seed: int, trials: int = DEFAULT_TRIALS,
-    ops: Optional[List[str]] = None,
-) -> List[Violation]:
-    """Backend-agreement oracle over every op family, seed-deterministic.
+def verify_backends(seed: int) -> List[Violation]:
+    """The kernel differential oracle over every op family.
 
-    Args:
-        seed: Drives the shared-input generator; the same seed always
-            exercises the same shapes (the fuzz determinism contract).
-        trials: Shared-input draws per family.
-        ops: Optional op-name filter (used by the CLI).
+    Seed-deterministic: the same seed always exercises the same shapes
+    (the fuzz determinism contract), :data:`TRIALS` draws per family.
     """
     rng = np.random.default_rng(seed + 0xBAC7E57)
     violations: List[Violation] = []
-    for family in op_families():
-        if ops is not None and family.op not in ops:
-            continue
-        violations += check_backend_agreement(family, rng, trials=trials)
+    for family in OP_FAMILIES:
+        for _ in range(TRIALS):
+            violations += _check(family, family.make_inputs(rng))
     return [Violation(v.oracle, v.detail, seed, v.subject)
             for v in violations]

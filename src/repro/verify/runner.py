@@ -34,10 +34,11 @@ rewrite-equivalence    the rewrite passes (fusion / pool-argmax / CSE /
                        dead-stash / inplace) leave per-step losses and
                        every surviving gradient bit-identical under the
                        lossless policies
-backend-differential   every kernel-registry arm agrees with its op's
-                       ground-truth arm on shared inputs: exact arms
-                       bit-for-bit, tolerance arms within their
-                       registered bound (integer outputs always exact)
+backend-differential   every conv arm agrees with the reference arm on
+                       shared inputs (exact arms bit-for-bit, tolerance
+                       arms within their registered bound); max-pool and
+                       the codec packers bit-for-bit with the loop
+                       kernel beside their one body
 distributed-replica    replica shards reassemble the serial batch
                        byte-identically; the pairwise-tree gradient
                        merge is arrival-order invariant; wire codecs

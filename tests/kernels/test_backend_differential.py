@@ -1,34 +1,44 @@
-"""Fault-injection tests for the backend-agreement differential oracle.
+"""Fault-injection tests for the kernel differential oracle.
 
-The oracle's job is to catch a *wrong* backend, so every test here
-registers a deliberately broken arm, asserts the oracle fires on exactly
-that arm, and unregisters it again.  A passing clean registry is the
+The oracle's job is to catch a *wrong* kernel, so every test here
+breaks one on purpose — registers a broken conv arm, or monkeypatches
+the one body of max-pool or a codec packer — asserts the oracle fires
+on exactly that op, and restores it.  A passing clean run is the
 baseline case — run once more with every plan walking the batch in
 sample blocks, beside direct checks that blocking changes no bit.
 """
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import repro.kernels.plan as plan_module
+from repro.encodings import binarize, ssdc
 from repro.kernels.arena import NULL_ARENA
 from repro.kernels.backends import (
     ConvBackend,
-    FnBackend,
-    PoolBackend,
-    _make_csr_inputs,
     default_backend,
     get_backend,
     register_backend,
     unregister_backend,
 )
-from repro.kernels.plan import bit_identical, clear_plan_cache, get_plan
+from repro.kernels.plan import (
+    KernelPlan,
+    bit_identical,
+    clear_plan_cache,
+    get_plan,
+)
 from repro.layers.im2col import conv_output_hw
 from repro.verify import (
     ORACLE_BACKEND_DIFFERENTIAL,
     verify_backends,
+)
+from repro.verify.differential import (
+    _make_csr_inputs,
+    _pool_body,
+    _pool_reference,
 )
 
 
@@ -163,6 +173,15 @@ def test_direct_fill_keeps_the_exact_arms_bytes_on_hostile_values(
             assert bit_identical(got, want), name
 
 
+def _same_pool_outputs(inputs):
+    """The one max-pool body and ``maxpool_reference``: the bytes and
+    strides of ``y``, ``argmax`` and ``dx``."""
+    got, want = _pool_body(inputs), _pool_reference(inputs)
+    return all(bit_identical(got[key], ref)
+               and got[key].strides == ref.strides
+               for key, ref in want.items())
+
+
 def test_blocked_maxpool_general_path_stays_bit_identical(monkeypatch):
     """-inf padding, overlapping windows, NaN and signed-zero ties: the
     general path gathers through the one-block pad workspace, two
@@ -176,18 +195,11 @@ def test_blocked_maxpool_general_path_stays_bit_identical(monkeypatch):
     monkeypatch.setattr(plan_module, "BLOCK_BYTES", 4 * 27 * 16 * 2)
     clear_plan_cache()
     try:
-        outs = []
-        for name in ("reference", "numpy-plan"):
-            arm = get_backend("maxpool2d", name)
-            y, argmax = arm.forward(x, 3, 3, 2, 1)
-            outs.append((y, argmax,
-                         arm.backward(argmax, dy, x.shape, 3, 3, 2, 1)))
+        assert _same_pool_outputs((x, dy, 3, 3, 2, 1))
         assert get_plan(x.shape, 3, 3, 2, 1).blocks == ((0, 2), (2, 4),
                                                         (4, 5))
     finally:
         clear_plan_cache()
-    for ref, got in zip(*outs):
-        assert bit_identical(got, ref) and got.strides == ref.strides
 
 
 def test_bit_identical_means_bytes():
@@ -200,34 +212,20 @@ def test_bit_identical_means_bytes():
     assert bit_identical(pos[::-1], np.float32([1.0, 0.0]))  # strided ok
 
 
-class _SignFlippingPool(PoolBackend):
-    """Claims exactness but returns -0.0 wherever the truth is +0.0."""
+def test_signed_zero_swap_is_caught_under_the_exact_contract(monkeypatch):
+    """A max-pool body returning -0.0 wherever the truth is +0.0."""
+    forward = KernelPlan.maxpool_forward
 
-    name = "evil-negzero"
-
-    def forward(self, x, kh, kw, stride, pad, arena=NULL_ARENA):
-        y, argmax = default_backend("maxpool2d").forward(
-            x, kh, kw, stride, pad, arena=arena
-        )
+    def negzero(self, x, arena=NULL_ARENA):
+        y, argmax = forward(self, x, arena)
         y = y.copy()
         y[(y == 0) & ~np.signbit(y)] = -0.0
         return y, argmax
 
-    def backward(self, argmax, dy, x_shape, kh, kw, stride, pad,
-                 arena=NULL_ARENA):
-        return default_backend("maxpool2d").backward(
-            argmax, dy, x_shape, kh, kw, stride, pad, arena=arena
-        )
-
-
-def test_signed_zero_swap_is_caught_under_the_exact_contract():
-    register_backend(_SignFlippingPool())
-    try:
-        violations = [v for seed in range(4) for v in verify_backends(seed)]
-    finally:
-        unregister_backend("maxpool2d", "evil-negzero")
+    monkeypatch.setattr(KernelPlan, "maxpool_forward", negzero)
+    violations = [v for seed in range(4) for v in verify_backends(seed)]
     assert violations, "== would have waved -0.0 through as +0.0"
-    assert _oracle_subjects(violations) == {"maxpool2d:evil-negzero"}
+    assert _oracle_subjects(violations) == {"maxpool2d"}
     assert all(v.detail.startswith("y:") for v in violations)
 
 
@@ -246,35 +244,26 @@ def test_default_maxpool_equals_reference_on_hostile_windows(window):
     x = np.full((2, 3, 4, 4), -2.0, np.float32)
     x[1, 2, 2:4, 0:2] = np.float32(window).reshape(2, 2)
     dy = np.arange(2 * 3 * 2 * 2, dtype=np.float32).reshape(2, 3, 2, 2)
-    outs = []
-    for name in ("reference", "numpy-plan"):
-        arm = get_backend("maxpool2d", name)
-        y, argmax = arm.forward(x, 2, 2, 2, 0)
-        dx = arm.backward(argmax, dy, x.shape, 2, 2, 2, 0)
-        outs.append((y, argmax, dx))
-    for ref, got in zip(*outs):
-        assert bit_identical(ref, got)
+    assert _same_pool_outputs((x, dy, 2, 2, 2, 0))
 
 
-def test_wrong_exact_arm_is_caught():
-    base = default_backend("pack_bits")
+def test_wrong_exact_arm_is_caught(monkeypatch):
+    """A ``pack_bits`` body that flips one stored bit."""
+    pack_bits = binarize.pack_bits
 
-    def evil(flat):
-        out = np.array(base.fn(flat))
+    def evil(mask, arena=NULL_ARENA):
+        out = pack_bits(mask, arena).copy()
         if out.size:
-            out[0] ^= np.uint8(1)  # flip one stored bit
+            out.view(np.uint8)[0] ^= np.uint8(1)
         return out
 
-    register_backend(FnBackend("pack_bits", "evil-exact", evil,
-                               description="fault injection"))
-    try:
+    with monkeypatch.context() as patch:
+        patch.setattr(binarize, "pack_bits", evil)
         violations = verify_backends(11)
-    finally:
-        unregister_backend("pack_bits", "evil-exact")
-    assert violations, "oracle missed a bit-flipping exact arm"
-    assert _oracle_subjects(violations) == {"pack_bits:evil-exact"}
+    assert violations, "oracle missed a bit-flipping exact body"
+    assert _oracle_subjects(violations) == {"pack_bits"}
     assert all(v.oracle == ORACLE_BACKEND_DIFFERENTIAL for v in violations)
-    # The injected arm must not poison later clean runs.
+    # The injected body must not poison later clean runs.
     assert verify_backends(11) == []
 
 
@@ -310,63 +299,41 @@ def test_tolerance_violation_is_caught():
     assert any("tolerance" in v.detail for v in violations)
 
 
-class _ScrambledArgmaxPool(PoolBackend):
-    """Huge float tolerance, but scrambled integer argmax output — the
-    oracle must still demand exactness on non-float outputs."""
+def test_scrambled_argmax_is_caught(monkeypatch):
+    """A max-pool body whose Y-to-X map names the wrong window slot."""
+    forward = KernelPlan.maxpool_forward
 
-    name = "evil-argmax"
-    exact = False
-    tolerance = 1e9
+    def scrambled(self, x, arena=NULL_ARENA):
+        y, argmax = forward(self, x, arena)
+        return y, (argmax + np.uint8(1)) % np.uint8(self.S)
 
-    def forward(self, x, kh, kw, stride, pad, arena=NULL_ARENA):
-        y, argmax = default_backend("maxpool2d").forward(
-            x, kh, kw, stride, pad, arena=arena
-        )
-        return y, (argmax + np.uint8(1)) % np.uint8(kh * kw)
-
-    def backward(self, argmax, dy, x_shape, kh, kw, stride, pad,
-                 arena=NULL_ARENA):
-        return default_backend("maxpool2d").backward(
-            argmax, dy, x_shape, kh, kw, stride, pad, arena=arena
-        )
-
-
-def test_integer_outputs_must_be_exact_even_under_tolerance():
-    register_backend(_ScrambledArgmaxPool())
-    try:
-        violations = verify_backends(2)
-    finally:
-        unregister_backend("maxpool2d", "evil-argmax")
+    monkeypatch.setattr(KernelPlan, "maxpool_forward", scrambled)
+    violations = verify_backends(2)
     assert violations
-    assert _oracle_subjects(violations) == {"maxpool2d:evil-argmax"}
-    assert any("argmax" in v.detail for v in violations)
+    assert _oracle_subjects(violations) == {"maxpool2d"}
+    assert any(v.detail.startswith("argmax:") for v in violations)
 
 
-def test_crashing_arm_is_a_finding_not_an_abort():
-    def crash(flat, cols):
+def test_crashing_arm_is_a_finding_not_an_abort(monkeypatch):
+    def crash(x, cols=ssdc.NARROW_COLS, value_dtype=None):
         raise RuntimeError("injected crash")
 
-    register_backend(FnBackend("csr_build", "evil-crash", crash,
-                               description="fault injection"))
-    try:
-        violations = verify_backends(3)
-    finally:
-        unregister_backend("csr_build", "evil-crash")
+    monkeypatch.setattr(ssdc, "csr_encode", crash)
+    violations = verify_backends(3)
     assert violations
-    assert _oracle_subjects(violations) == {"csr_build:evil-crash"}
+    assert _oracle_subjects(violations) == {"csr_encode"}
     assert all("crashed" in v.detail for v in violations)
 
 
-def test_violations_carry_the_seed_for_replay():
-    register_backend(FnBackend("pack_nibbles", "evil-seeded",
-                               lambda flat: default_backend(
-                                   "pack_nibbles").fn(flat) | np.uint8(1),
-                               description="fault injection"))
-    try:
-        violations = verify_backends(42)
-    finally:
-        unregister_backend("pack_nibbles", "evil-seeded")
+def test_violations_carry_the_seed_for_replay(monkeypatch):
+    pack_nibbles = binarize.pack_nibbles
+    monkeypatch.setattr(
+        binarize, "pack_nibbles",
+        lambda values, arena=NULL_ARENA: pack_nibbles(values, arena)
+        | np.uint32(1))
+    violations = verify_backends(42)
     assert violations
+    assert _oracle_subjects(violations) == {"pack_nibbles"}
     assert all(v.seed == 42 for v in violations)
 
 
@@ -407,15 +374,17 @@ def test_csr_inputs_plant_hostile_structure_without_moving_the_rng():
     ("evil-negzero-kept", lambda flat: flat.view(np.uint32) != 0),
     ("evil-nan-dropped", lambda flat: (flat > 0) | (flat < 0)),
 ])
-def test_planted_values_catch_a_wrong_notion_of_zero(name, is_nonzero):
-    def build(flat, cols):
-        patched = np.where(is_nonzero(flat), np.float32(1), np.float32(0))
-        return default_backend("csr_build").fn(patched, cols)
+def test_planted_values_catch_a_wrong_notion_of_zero(monkeypatch, name,
+                                                    is_nonzero):
+    """A ``csr_encode`` body that is right but for what it calls a zero."""
+    csr_encode = ssdc.csr_encode
 
-    register_backend(FnBackend("csr_build", name, build,
-                               description="fault injection"))
-    try:
-        violations = [v for seed in range(6) for v in verify_backends(seed)]
-    finally:
-        unregister_backend("csr_build", name)
-    assert _oracle_subjects(violations) == {f"csr_build:{name}"}
+    def build(x, cols=ssdc.NARROW_COLS, value_dtype=None):
+        flat = np.asarray(x, np.float32).ravel()
+        enc = csr_encode(np.where(is_nonzero(flat), np.float32(1),
+                                  np.float32(0)), cols)
+        return dataclasses.replace(enc, values=flat[ssdc.csr_positions(enc)])
+
+    monkeypatch.setattr(ssdc, "csr_encode", build)
+    violations = [v for seed in range(6) for v in verify_backends(seed)]
+    assert _oracle_subjects(violations) == {"csr_encode"}, name

@@ -1,14 +1,15 @@
 """Regression tests for the kernel env switch and backend registry.
 
-``REPRO_KERNEL_BACKEND`` values are validated, and an unknown value
-warns instead of silently falling back (the satellite regression this
-file pins); an unknown ``GraphExecutor(kernel_backend=...)`` is a
-``ValueError``.  The registry side covers the registration contract
-(exact XOR tolerance), the exact arm sets the keep rule leaves,
-forced-arm resolution precedence, and the chooser's picks: the incumbent
-wherever a probe cannot prove identity, the whole-batch arm on every
-ledger signature, the same vector from every fresh probe, and a fresh
-proof once the registry no longer holds the picked arm.
+``REPRO_KERNEL_BACKEND`` names one conv arm, and an unknown value —
+the per-op spellings the registry used to parse included — warns once
+instead of silently falling back; an unknown
+``GraphExecutor(kernel_backend=...)`` is a ``ValueError``.  The registry
+side covers the registration contract (exact XOR tolerance), the exact
+arm set the keep rule leaves, forced-arm resolution precedence, and the
+chooser's picks: the incumbent wherever a probe cannot prove identity,
+the whole-batch arm on every ledger signature, the same vector from
+every fresh probe, and a fresh proof once the registry no longer holds
+the picked arm.
 """
 
 import warnings
@@ -16,6 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.kernels.backends as backends_module
 import repro.kernels.plan as plan_module
 from repro.kernels.autotune import (
     _probe_decides,
@@ -25,8 +27,8 @@ from repro.kernels.autotune import (
 )
 from repro.kernels.backends import (
     _BACKENDS,
+    ConvBackend,
     ConvBlasFat,
-    FnBackend,
     backends_for,
     default_backend,
     get_backend,
@@ -38,55 +40,39 @@ from repro.kernels.backends import (
 from repro.kernels.config import (
     _parse_backend_env,
     backend_override,
-    forced_backend,
 )
 from repro.kernels.plan import direct_fill
 from repro.models import build_model
 
 
 # ----------------------------------------------------------------------
-# REPRO_KERNEL_BACKEND: spec parsing + forced resolution
+# REPRO_KERNEL_BACKEND: parsing + forced resolution
 # ----------------------------------------------------------------------
 def test_backend_spec_parsing():
-    assert _parse_backend_env(None) == {}
-    assert _parse_backend_env("auto") == {}
-    assert _parse_backend_env("blas-fat") == {"*": "blas-fat"}
-    assert _parse_backend_env("conv2d=blas-fat,maxpool2d=reference") == {
-        "conv2d": "blas-fat", "maxpool2d": "reference",
-    }
-    assert _parse_backend_env(" conv2d = blas-fat , auto ") == {
-        "conv2d": "blas-fat",
-    }
+    assert _parse_backend_env(None) is None
+    assert _parse_backend_env("") is None
+    assert _parse_backend_env(" Auto ") is None
+    assert _parse_backend_env(" blas-fat ") == "blas-fat"
+    # No per-op syntax: the whole value is one (here unknown) name.
+    assert _parse_backend_env("conv2d=blas-fat") == "conv2d=blas-fat"
 
 
-def test_backend_spec_malformed_entry_warns():
-    with pytest.warns(RuntimeWarning, match="malformed"):
-        assert _parse_backend_env("=blas-fat") == {}
-
-
-def test_per_op_force_wins_over_bare_name():
-    with backend_override("numpy-plan,conv2d=blas-fat"):
-        assert forced_backend("conv2d") == "blas-fat"
-        assert forced_backend("maxpool2d") == "numpy-plan"
-        assert resolve_forced_backend("conv2d").name == "blas-fat"
-        assert resolve_forced_backend("maxpool2d").name == "numpy-plan"
-
-
-def test_per_op_auto_keeps_the_chooser():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with backend_override("maxpool2d=reference,conv2d=auto"):
-            assert resolve_forced_backend("conv2d") is None
-            assert resolve_forced_backend("maxpool2d").name == "reference"
-
-
-def test_bare_name_applies_only_where_registered():
-    # blas-fat exists for conv2d only: pools silently keep the chooser.
-    with backend_override("blas-fat"):
-        assert resolve_forced_backend("conv2d").name == "blas-fat"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_forced_backend("maxpool2d") is None
+def test_an_old_per_op_spelling_warns_once_and_leaves_conv_to_the_chooser(
+        monkeypatch):
+    monkeypatch.setattr(backends_module, "_warned_forces", set())
+    call = _ledger_conv_calls()[0]  # scaled VGG's first conv
+    clear_selection_cache()
+    try:
+        with backend_override("maxpool2d=reference"):
+            with pytest.warns(RuntimeWarning,
+                              match="unknown backend 'maxpool2d=reference'"):
+                assert resolve_forced_backend("conv2d") is None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert (select_backend("conv2d", None, *call)
+                        is autotuned_backend("conv2d", *call))
+    finally:
+        clear_selection_cache()
 
 
 def test_unknown_backend_name_warns_instead_of_silent_fallback():
@@ -99,19 +85,15 @@ def test_unknown_backend_name_warns_instead_of_silent_fallback():
 # Registry contract
 # ----------------------------------------------------------------------
 def test_every_op_registers_reference_and_default():
-    # Exactly the arms the keep rule (docs/architecture.md §9) leaves.
+    # Exactly the arms the keep rule (docs/architecture.md §9) leaves:
+    # max-pool and the codecs run one body each and register none.
     assert {op: [b.name for b in backends_for(op)]
             for op in _BACKENDS} == {
         "conv2d": ["reference", "blas-fat", "numpy-plan"],
-        "csr_build": ["loop", "numpy"],
-        "maxpool2d": ["reference", "numpy-plan"],
-        "pack_bits": ["loop", "numpy"],
-        "pack_nibbles": ["loop", "numpy"],
     }
-    for op in _BACKENDS:
-        # The first-listed arm is the family's ground truth; the default
-        # is the other side of the A/B.
-        assert default_backend(op).name in ("numpy-plan", "numpy")
+    # The first-listed arm is the ground truth; the default is the other
+    # side of the A/B.
+    assert default_backend("conv2d").name == "numpy-plan"
 
 
 def test_executor_kwarg_wins_over_env_force():
@@ -121,8 +103,6 @@ def test_executor_kwarg_wins_over_env_force():
     with backend_override("numpy-plan"):
         assert resolve_forced_backend("conv2d", Ctx()).name == "reference"
         assert resolve_forced_backend("conv2d").name == "numpy-plan"
-        # Codec ops register no ``reference`` arm: the kwarg passes.
-        assert resolve_forced_backend("pack_bits", Ctx()) is None
 
 
 def test_unknown_executor_backend_is_a_precise_error():
@@ -130,27 +110,32 @@ def test_unknown_executor_backend_is_a_precise_error():
     from repro.train import GraphExecutor
 
     graph = tiny_cnn(batch_size=2)
-    with pytest.raises(ValueError) as err:
-        GraphExecutor(graph, kernel_backend="no-such-arm")
-    message = str(err.value)
-    assert "'no-such-arm'" in message
-    for name in ("reference", "numpy-plan", "blas-fat", "loop", "numpy"):
-        assert name in message
+    # "loop" named the codecs' ground-truth arms, which are gone.
+    for name in ("no-such-arm", "loop"):
+        with pytest.raises(ValueError) as err:
+            GraphExecutor(graph, kernel_backend=name)
+        assert str(err.value) == (
+            f"kernel_backend={name!r} names no registered backend "
+            f"(registered: blas-fat, numpy-plan, reference)")
+
+
+class _BadContract(ConvBackend):
+    name = "bad-contract"
+    exact = False
+    tolerance = 0.0
 
 
 def test_nonexact_arm_without_tolerance_is_rejected():
     with pytest.raises(ValueError, match="error bound"):
-        register_backend(FnBackend("pack_bits", "bad-contract",
-                                   lambda flat: flat, exact=False,
-                                   tolerance=0.0))
+        register_backend(_BadContract())
     with pytest.raises(KeyError):
-        get_backend("pack_bits", "bad-contract")
+        get_backend("conv2d", "bad-contract")
 
 
 def test_unregister_is_idempotent():
-    unregister_backend("pack_bits", "never-registered")  # no raise
+    unregister_backend("conv2d", "never-registered")  # no raise
     with pytest.raises(KeyError, match="known:"):
-        get_backend("pack_bits", "never-registered")
+        get_backend("conv2d", "never-registered")
 
 
 # ----------------------------------------------------------------------

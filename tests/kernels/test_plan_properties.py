@@ -30,6 +30,8 @@ from repro.layers.im2col import (
     col2im_reference,
     conv_output_hw,
     im2col_reference,
+    maxpool_backward_reference,
+    maxpool_reference,
 )
 
 
@@ -116,44 +118,6 @@ def test_col2im_is_exact_adjoint_of_im2col(sig, seed):
     assert lhs == rhs
 
 
-def _maxpool_reference(x, kh, kw, stride, pad):
-    """The seed max-pool forward: pad with -inf, unfold, argmax per window."""
-    n, c, h, w = x.shape
-    oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                   mode="constant", constant_values=-np.inf)
-    cols = im2col_reference(x, kh, kw, stride, 0)
-    cols = cols.reshape(n, c, kh * kw, oh * ow)
-    argmax = cols.argmax(axis=2).astype(np.uint8)
-    y = np.take_along_axis(cols, argmax[:, :, None, :].astype(np.intp),
-                           axis=2)[:, :, 0, :]
-    return y.reshape(n, c, oh, ow).astype(np.float32), argmax.reshape(
-        n, c, oh, ow)
-
-
-def _maxpool_backward_reference(argmax, dy, shape, kh, kw, stride, pad):
-    """The seed scatter: decompose winners into offsets, multi-index add.at."""
-    n, c, h, w = shape
-    oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
-    hp, wp = h + 2 * pad, w + 2 * pad
-    dx = np.zeros((n, c, hp, wp), dtype=dy.dtype)
-    oy, ox = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
-    base_i = (oy * stride).ravel()
-    base_j = (ox * stride).ravel()
-    amax = argmax.reshape(n, c, oh * ow)
-    di = amax // kw
-    dj = amax % kw
-    rows = base_i[None, None, :] + di
-    colsj = base_j[None, None, :] + dj
-    nn = np.arange(n)[:, None, None]
-    cc = np.arange(c)[None, :, None]
-    np.add.at(dx, (nn, cc, rows, colsj), dy.reshape(n, c, oh * ow))
-    if pad > 0:
-        dx = dx[:, :, pad:pad + h, pad:pad + w]
-    return dx
-
-
 @settings(max_examples=60, deadline=None)
 @given(conv_signatures(), st.integers(0, 2**31 - 1))
 def test_maxpool_forward_bit_identical(sig, seed):
@@ -162,7 +126,7 @@ def test_maxpool_forward_bit_identical(sig, seed):
     x = rng.normal(0, 1, shape).astype(np.float32)
     plan = blocked_plan(*sig)
     y, argmax = plan.maxpool_forward(x)
-    y_ref, argmax_ref = _maxpool_reference(x, kh, kw, stride, pad)
+    y_ref, argmax_ref = maxpool_reference(x, kh, kw, stride, pad)
     assert np.array_equal(y, y_ref)
     # Same winner under ties, too — the map feeds the backward scatter.
     assert np.array_equal(argmax, argmax_ref)
@@ -182,7 +146,7 @@ def test_maxpool_backward_bit_identical(sig, seed):
     plan = blocked_plan(*sig)
     _, argmax = plan.maxpool_forward(x)
     got = plan.maxpool_backward(argmax, dy)
-    want = _maxpool_backward_reference(argmax, dy, shape, kh, kw, stride, pad)
+    want = maxpool_backward_reference(argmax, dy, shape, kh, kw, stride, pad)
     assert np.array_equal(got, want)
 
 
@@ -193,7 +157,7 @@ def test_maxpool_disjoint_fast_path_matches_general():
     x = rng.normal(0, 1, (2, 3, 8, 8)).astype(np.float32)
     plan = KernelPlan(x.shape, 2, 2, 2, 0)
     y, argmax = plan.maxpool_forward(x)
-    y_ref, argmax_ref = _maxpool_reference(x, 2, 2, 2, 0)
+    y_ref, argmax_ref = maxpool_reference(x, 2, 2, 2, 0)
     assert np.array_equal(y, y_ref)
     assert np.array_equal(argmax, argmax_ref)
 
@@ -216,7 +180,7 @@ def test_noncontiguous_input_bit_identical(sig, seed):
         plan.im2col(x), im2col_reference(x, kh, kw, stride, pad)
     )
     y, argmax = plan.maxpool_forward(x)
-    y_ref, argmax_ref = _maxpool_reference(x, kh, kw, stride, pad)
+    y_ref, argmax_ref = maxpool_reference(x, kh, kw, stride, pad)
     assert np.array_equal(y, y_ref)
     assert np.array_equal(argmax, argmax_ref)
 

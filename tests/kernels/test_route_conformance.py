@@ -1,10 +1,12 @@
-"""One route per kernel op: every way of naming an arm reaches the same
-registry, and every exact route trains byte-identically.
+"""One route per kernel op: every way of naming a conv arm reaches the
+same registry, and every exact route trains byte-identically.
 
-Two SGD steps of ``tiny_cnn`` and ``densenet`` (the latter covers
-``AvgPool2D``, which follows max-pool's route) under baseline and
-gist-lossless, once per ``conv2d`` x ``maxpool2d`` arm pair.  Every pair
-of ``exact`` arms, every bare ``kernel_backend=`` name and the
+Two SGD steps of ``tiny_cnn`` and ``densenet`` under baseline and
+gist-lossless, once per forced ``conv2d`` arm x max-pool half.  Max-pool
+has one body (``AvgPool2D`` likewise); its ``reference`` half swaps the
+loop ``maxpool_reference`` / ``maxpool_backward_reference`` in for that
+body, its ``numpy-plan`` half is the body itself.  Every pair with an
+``exact`` conv arm, every ``kernel_backend=`` name and the
 ``use_kernel_plans=False`` shorthand must reproduce the ``step_digest``
 stream (loss, gradients, decoded stashes) of ``kernel_backend=
 "reference"``; a tolerance arm must stay inside its registered bound.
@@ -23,6 +25,8 @@ from repro.kernels import (
     backends_for,
     clear_selection_cache,
 )
+from repro.kernels.plan import KernelPlan
+from repro.layers.im2col import maxpool_backward_reference, maxpool_reference
 from repro.models import build_model
 from repro.train import (
     LOSSLESS_POLICY_NAMES as POLICIES,
@@ -34,8 +38,18 @@ from repro.train import (
 MODELS = ("tiny_cnn", "densenet")
 STEPS = 2
 
-ARM_PAIRS = list(itertools.product(backends_for("conv2d"),
-                                   backends_for("maxpool2d")))
+CONV_ARMS = backends_for("conv2d")
+POOL_HALVES = ("reference", "numpy-plan")
+ARM_PAIRS = list(itertools.product(CONV_ARMS, POOL_HALVES))
+
+
+def _loop_pool_forward(plan, x, arena=None):
+    return maxpool_reference(x, plan.kh, plan.kw, plan.stride, plan.pad)
+
+
+def _loop_pool_backward(plan, argmax, dy, arena=None):
+    return maxpool_backward_reference(argmax, dy, plan.shape, plan.kh,
+                                      plan.kw, plan.stride, plan.pad)
 
 
 def _train(model, policy, **executor_kwargs):
@@ -65,18 +79,21 @@ def reference():
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize(
-    "conv_arm,pool_arm", ARM_PAIRS,
-    ids=[f"{c.name}+{p.name}" for c, p in ARM_PAIRS])
-def test_forced_arm_pair_conforms(reference, conv_arm, pool_arm, model,
-                                  policy):
+    "conv_arm,pool_half", ARM_PAIRS,
+    ids=[f"{c.name}+{p}" for c, p in ARM_PAIRS])
+def test_forced_arm_pair_conforms(reference, monkeypatch, conv_arm,
+                                  pool_half, model, policy):
     ref_digests, (ref_loss, ref_grads) = reference[model, policy]
-    with backend_override(
-            f"conv2d={conv_arm.name},maxpool2d={pool_arm.name}"):
+    if pool_half == "reference":
+        monkeypatch.setattr(KernelPlan, "maxpool_forward", _loop_pool_forward)
+        monkeypatch.setattr(KernelPlan, "maxpool_backward",
+                            _loop_pool_backward)
+    with backend_override(conv_arm.name):
         digests, (loss, grads) = _train(model, policy)
-    if conv_arm.exact and pool_arm.exact:
+    if conv_arm.exact:
         assert digests == ref_digests
         return
-    tolerance = max(arm.tolerance for arm in (conv_arm, pool_arm))
+    tolerance = conv_arm.tolerance
     assert abs(loss - ref_loss) <= tolerance * max(1.0, abs(ref_loss))
     for name, ref in ref_grads.items():
         bound = tolerance * max(1.0, float(np.abs(ref).max()))
@@ -88,9 +105,8 @@ def test_forced_arm_pair_conforms(reference, conv_arm, pool_arm, model,
 def test_every_spelling_of_the_exact_routes_conforms(reference, model,
                                                      policy):
     ref_digests, _ = reference[model, policy]
-    names = {arm.name for op in ("conv2d", "maxpool2d")
-             for arm in backends_for(op) if arm.exact}
-    routes = [{"kernel_backend": name} for name in sorted(names)]
+    routes = [{"kernel_backend": arm.name}
+              for arm in CONV_ARMS if arm.exact]
     routes += [{"use_kernel_plans": False}, {}]  # shorthand; the chooser
     for kwargs in routes:
         assert _train(model, policy, **kwargs)[0] == ref_digests, kwargs
