@@ -1,10 +1,9 @@
-"""Per-arm step-time benchmark + conformance gate for the kernel
-backend registry.
+"""Per-arm step-time benchmark + conformance gate for the conv arms.
 
-Trains the scaled VGG for a handful of SGD steps once per registered
-conv arm (the arm list is read from the registry; each is forced via the
-same ``REPRO_KERNEL_BACKEND`` mechanism users have; max-pool and the
-codecs run their one body throughout), plus the ``auto`` chooser, and
+Trains the scaled VGG for a handful of SGD steps once per conv arm (the
+arm list is read from ``CONV_ARMS``; each is forced with
+``GraphExecutor(kernel_backend=name)``, the one way users have; max-pool
+and the codecs run their one body throughout), plus the ``auto`` chooser, and
 reports each arm's median forward+backward step time.  The yardstick is
 the ``reference`` arm — the original per-call loop conv kernels.  Four
 gates ride on top of the timings:
@@ -46,9 +45,8 @@ import numpy as np
 
 from repro.diagnostics import GOLDEN_POLICIES, golden_filename, run_traced
 from repro.kernels import (
+    CONV_ARMS,
     autotune_report,
-    backend_override,
-    backends_for,
     clear_plan_cache,
     clear_selection_cache,
 )
@@ -66,19 +64,16 @@ REQUIRED_SPEEDUP = 1.5
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / \
     "diagnostics" / "goldens"
 
-LAYER_OPS = ("conv2d",)
-
-
 def _layer_arms() -> list:
-    """Registered arm names, ground truth first."""
-    names = [b.name for op in LAYER_OPS for b in backends_for(op)]
-    return list(dict.fromkeys(names))
+    """Conv arm names, ground truth first."""
+    return sorted(CONV_ARMS, key=lambda name: (name != "reference", name))
 
 
-def _timed_steps(images, labels):
+def _timed_steps(images, labels, kernel_backend=None):
     """Train scaled VGG; return (per-step seconds, (loss, grads) trace)."""
     graph = scaled_vgg(batch_size=BATCH)
-    ex = GraphExecutor(graph, policy=BaselinePolicy(), seed=0)
+    ex = GraphExecutor(graph, policy=BaselinePolicy(), seed=0,
+                       kernel_backend=kernel_backend)
     opt = SGD(lr=0.01, momentum=0.9)
     times, trace = [], []
     for step in range(WARMUP_STEPS + TIMED_STEPS):
@@ -100,11 +95,6 @@ def _bit_identical(trace_a, trace_b) -> bool:
         if any(not np.array_equal(grads_a[k], grads_b[k]) for k in grads_a):
             return False
     return True
-
-
-def _tolerance_arm(name: str) -> bool:
-    return any(b.name == name and not b.exact
-               for op in LAYER_OPS for b in backends_for(op))
 
 
 def _pick_follows_proof(rows: list) -> bool:
@@ -142,11 +132,10 @@ def main(out_path: str = "BENCH_backends.json") -> dict:
     clear_selection_cache()
 
     # The yardstick every arm is measured against is the first one: the
-    # registry's ground-truth ``reference`` arm (the per-call loops).
+    # ground-truth ``reference`` arm (the per-call loops).
     arms = {}
     for name in _layer_arms():
-        with backend_override(name):
-            times, trace = _timed_steps(images, labels)
+        times, trace = _timed_steps(images, labels, kernel_backend=name)
         if not arms:
             median_ref, ref_trace = statistics.median(times), trace
         arms[name] = {
@@ -154,7 +143,7 @@ def main(out_path: str = "BENCH_backends.json") -> dict:
             "median_ms": statistics.median(times) * 1000,
             "speedup": median_ref / statistics.median(times),
             "bit_identical": _bit_identical(ref_trace, trace),
-            "exact_contract": not _tolerance_arm(name),
+            "exact_contract": CONV_ARMS[name].exact,
         }
 
     auto_times, auto_trace = _timed_steps(images, labels)

@@ -187,7 +187,7 @@ def verify_kernel_agreement(
 
     Runs two fresh executors over the same graph and batches — one with
     the default dispatch (autotuned arms + arena), one forced onto the
-    registry's ``reference`` arms with a pass-through arena — and requires
+    ``reference`` conv arm with a pass-through arena — and requires
     bit-identical losses, parameter gradients and decoded stash tensors
     at every step.
 

@@ -113,3 +113,15 @@ class WorkspaceArena:
 #: Shared pass-through arena for calls outside an executor: every rent is
 #: a fresh allocation, so standalone layer invocations can never alias.
 NULL_ARENA = WorkspaceArena(enabled=False)
+
+
+def resolve_arena(ctx) -> WorkspaceArena:
+    """The workspace arena of a layer call — always an arena.
+
+    Standalone contexts (gradient-check harness, ``ctx=None`` inference)
+    carry none and get the shared pass-through :data:`NULL_ARENA`;
+    ``GraphExecutor(use_kernel_plans=False)`` carries a disabled one of
+    its own.  Both allocate fresh on every ``rent``, through the same
+    statements a pooling arena runs.
+    """
+    return getattr(ctx, "arena", NULL_ARENA)

@@ -1,13 +1,14 @@
-"""Proof-based, cached backend chooser for the kernel registry.
+"""Proof-based, cached chooser among the conv arms.
 
 The one place a BLAS GEMM is admitted on proof: the first time a
-``(op, shapes, dtype)`` signature is dispatched, this module settles
-which registered conv lowering runs it.  Nothing is timed: a few runs on
-cold pages order the arms at noise, while the whole-batch arm's saving
+conv's ``(shapes, dtype)`` signature is dispatched, this module settles
+which arm of :data:`~repro.kernels.backends.CONV_ARMS` runs it.
+Nothing is timed: a few runs on cold pages order the arms at noise,
+while the whole-batch arm's saving
 (no transposing copy of the column matrix for dW) is structural.  Each
 candidate — every arm but the ``reference`` ground truth (the oracle)
-and the incumbent default, whose contractions are the reference arm's
-own einsums — is promoted iff both halves of a proof hold:
+and the ``numpy-plan`` incumbent, whose contractions are the reference
+arm's own einsums — is promoted iff both halves of a proof hold:
 
 * *static*: a live-data probe can settle its GEMMs at all, at every
   shape it issues them — per sample block for the forward and dcols
@@ -20,10 +21,8 @@ own einsums — is promoted iff both halves of a proof hold:
   memory layout of every tensor that escapes to the graph.
 
 Otherwise the incumbent stays, so the default selection keeps every
-training golden.  A selection holds while its arm is the registered
-instance: unregistering or replacing that arm re-probes the signature.
-Arms that only meet their registered ``tolerance`` are reachable via
-``REPRO_KERNEL_BACKEND`` or a per-executor override, which bypasses this
+training golden.  Arms that only meet their declared ``tolerance`` are
+reachable via ``GraphExecutor(kernel_backend=...)``, which bypasses this
 module entirely.
 """
 
@@ -35,12 +34,11 @@ import numpy as np
 
 import repro.kernels.plan as plan_module
 from repro.kernels.backends import (
-    _BACKENDS,
+    CONV_ARMS,
+    INCUMBENT,
     REFERENCE,
     ConvBackend,
     _conv_geometry,
-    backends_for,
-    default_backend,
 )
 from repro.kernels.plan import bit_identical, block_samples
 
@@ -95,18 +93,15 @@ def _probe_decides(x, w4, stride, pad) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Per-op entry point
+# Entry point
 # ----------------------------------------------------------------------
-def autotuned_backend(op: str, x, w4, bias, stride, pad) -> ConvBackend:
-    """The chosen conv2d arm for this signature (probing on first use)."""
+def autotuned_backend(x, w4, bias, stride, pad) -> ConvBackend:
+    """The chosen conv arm for this signature (probing on first use)."""
     sig = (f"x{'x'.join(map(str, x.shape))}-"
            f"w{'x'.join(map(str, w4.shape))}-s{stride}p{pad}-"
            f"b{int(bias is not None)}-{x.dtype}")
-    key = f"{op}|{sig}"
-    backend = _chosen.get(key)
-    # A registry change since the probe (the arm unregistered, or replaced
-    # by a same-named one) voids the selection: prove the signature again.
-    if backend is not None and _BACKENDS[op].get(backend.name) is backend:
+    backend = _chosen.get(sig)
+    if backend is not None:
         return backend
 
     def run(arm: ConvBackend, dy=None) -> Dict[str, np.ndarray]:
@@ -116,19 +111,19 @@ def autotuned_backend(op: str, x, w4, bias, stride, pad) -> ConvBackend:
                               saved=saved)
         return {"y": y, "dx": dx, "dw": dw}
 
-    incumbent = default_backend(op)
-    candidates = [b for b in backends_for(op)
-                  if b.name not in (REFERENCE, incumbent.name)]
+    incumbent = CONV_ARMS[INCUMBENT]
+    candidates = [arm for name, arm in sorted(CONV_ARMS.items())
+                  if name not in (REFERENCE, INCUMBENT)]
     exact = {arm.name: False for arm in candidates}
-    if candidates and _probe_decides(x, w4, stride, pad):
+    if _probe_decides(x, w4, stride, pad):
         truth = run(incumbent)
         for arm in candidates:
             exact[arm.name] = _matches(truth, run(arm, truth["y"]))
     choice = next((arm for arm in candidates if exact[arm.name]), incumbent)
     exact[incumbent.name] = True
-    _chosen[key] = choice
-    _records[key] = {
-        "op": op, "signature": sig, "backend": choice.name,
+    _chosen[sig] = choice
+    _records[sig] = {
+        "signature": sig, "backend": choice.name,
         "exact": dict(sorted(exact.items())),
     }
     return choice

@@ -1,52 +1,49 @@
-"""Kernel backend registry: the interchangeable conv lowerings.
+"""Conv arms: the interchangeable conv lowerings, and the dispatch.
 
-One runtime op has a choice of implementation ("arms"): ``conv2d``.
-This module is the registry that holds its arms and the dispatch that
-picks one per call site; the differential oracle
-(:mod:`repro.verify.differential`) runs every arm on shared inputs and
-demands agreement with the ground truth.  Max-pool and the codec
-packers run one body each — ``KernelPlan.maxpool_forward`` /
-``maxpool_backward``, ``pack_bits``, ``pack_nibbles`` and
-``csr_encode`` — and their loop kernels are the oracle's reference
-functions beside them (``layers/im2col.py``, ``encodings/``), not arms.
+Conv is the one runtime op with a choice of implementation ("arms").
+:data:`CONV_ARMS` holds them by name and :func:`conv_arm` picks one per
+call site; the differential oracle (:mod:`repro.verify.differential`)
+runs every arm on shared inputs and demands agreement with the ground
+truth.  Max-pool and the codec packers run one body each —
+``KernelPlan.maxpool_forward`` / ``maxpool_backward``, ``pack_bits``,
+``pack_nibbles`` and ``csr_encode`` — and their loop kernels are the
+oracle's reference functions beside them (``layers/im2col.py``,
+``encodings/``), not arms.
 
 Arms and their contracts
 ------------------------
 
-Each backend registers with an explicit numerical contract:
+Each arm carries an explicit numerical contract (a test holds every
+entry of :data:`CONV_ARMS` to one of the two):
 
-* ``exact=True`` — the arm claims bit-identity with its op's
-  ``reference`` arm on every input.  The differential oracle
-  (:mod:`repro.verify.differential`) enforces this byte for byte
-  (:func:`repro.kernels.plan.bit_identical`).
+* ``exact=True`` — the arm claims bit-identity with the ``reference``
+  arm on every input.  The differential oracle enforces this byte for
+  byte (:func:`repro.kernels.plan.bit_identical`).
 * ``exact=False, tolerance=t`` — the arm only claims a maximum relative
-  error of ``t`` (the fat-GEMM conv, whose BLAS reduction order is
+  error of ``t > 0`` (the fat-GEMM conv, whose BLAS reduction order is
   library-dependent).
 
-The *default selection* is stricter than the registration contract: the
-chooser (:mod:`repro.kernels.autotune`) only promotes an arm to
-default for a signature where a live-data probe can settle its GEMMs and
-shows it bit-identical — values **and** memory layout of the escaping
-tensors — to the incumbent ``numpy-plan`` arm, so the training goldens
-hold no matter which arm wins.  Forcing an arm via
-``REPRO_KERNEL_BACKEND`` bypasses that proof and accepts the arm's
-registered contract instead.
+The *default selection* is stricter than the contract: the chooser
+(:mod:`repro.kernels.autotune`) only runs an arm by default for a
+signature where a live-data probe can settle its GEMMs and shows it
+bit-identical — values **and** memory layout of the escaping tensors —
+to the incumbent ``numpy-plan`` arm, so the training goldens hold no
+matter which arm wins.  Forcing an arm with
+``GraphExecutor(kernel_backend=name)`` bypasses that proof and accepts
+the arm's contract instead.
 
-An arm stays registered only if it is the op's ground truth (the
+An arm stays in the table only if it is the ground truth (the
 loop-lowered ``reference`` kernels — the oracle, never a chooser
-candidate), the incumbent default, or wins a ledger signature under its
+candidate), the incumbent, or wins a ledger signature under its
 contract; ``docs/architecture.md`` has the rule and the measurements.
-Registered: ``conv2d {reference, numpy-plan, blas-fat}``.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.kernels import config
 from repro.kernels.arena import NULL_ARENA
 from repro.layers.im2col import (
     col2im_reference,
@@ -54,137 +51,19 @@ from repro.layers.im2col import (
     im2col_reference,
 )
 
-
-class KernelBackend:
-    """Base class: one implementation arm of one op.
-
-    Attributes:
-        op: Registry op name (``conv2d``).
-        name: Arm name, unique within the op.
-        exact: Whether the arm claims bit-identity with the op's
-            ``reference`` arm.
-        tolerance: Maximum relative error the arm is allowed when
-            ``exact`` is False (must be > 0 in that case).
-    """
-
-    op: str = ""
-    name: str = ""
-    exact: bool = True
-    tolerance: float = 0.0
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_BACKENDS: Dict[str, Dict[str, KernelBackend]] = {}
-_DEFAULTS: Dict[str, str] = {}
-_warned_forces: set = set()
-
-#: The ground-truth arm name every op must register.
+#: The ground-truth arm: the oracle, never a chooser candidate.
 REFERENCE = "reference"
 
-
-def register_backend(backend: KernelBackend, default: bool = False) -> None:
-    """Add an arm to the registry (replacing a same-named one).
-
-    Args:
-        backend: The arm; ``backend.op``/``backend.name`` must be set.
-        default: Make this arm the op's static default (the incumbent
-            the chooser starts from).
-
-    Raises:
-        ValueError: If the arm declares ``exact=False`` without a
-            positive ``tolerance`` — every arm must either claim
-            bit-exactness or state its error bound explicitly.
-    """
-    if not backend.op or not backend.name:
-        raise ValueError("backend must define both op and name")
-    if not backend.exact and not backend.tolerance > 0:
-        raise ValueError(
-            f"backend {backend.op}:{backend.name} is not exact but "
-            f"declares no tolerance; every arm must either claim "
-            f"bit-exactness or state an explicit error bound"
-        )
-    _BACKENDS.setdefault(backend.op, {})[backend.name] = backend
-    if default:
-        _DEFAULTS[backend.op] = backend.name
-
-
-def unregister_backend(op: str, name: str) -> None:
-    """Remove an arm (fault-injection tests); unknown names are a no-op."""
-    _BACKENDS.get(op, {}).pop(name, None)
-    if _DEFAULTS.get(op) == name:
-        del _DEFAULTS[op]
-
-
-def backends_for(op: str) -> List[KernelBackend]:
-    """All arms of ``op``, reference first, then by name."""
-    arms = _BACKENDS.get(op, {})
-    return sorted(
-        arms.values(), key=lambda b: (b.name != REFERENCE, b.name)
-    )
-
-
-def get_backend(op: str, name: str) -> KernelBackend:
-    """Fetch one arm; raises ``KeyError`` with the known names."""
-    arms = _BACKENDS.get(op, {})
-    if name not in arms:
-        known = ", ".join(sorted(arms)) or "<none>"
-        raise KeyError(f"no backend {name!r} for op {op!r} (known: {known})")
-    return arms[name]
-
-
-def default_backend(op: str) -> KernelBackend:
-    """The op's static default arm (the pre-registry incumbent)."""
-    return get_backend(op, _DEFAULTS[op])
-
-
-def _all_arm_names() -> set:
-    names: set = set()
-    for arms in _BACKENDS.values():
-        names.update(arms)
-    return names
-
-
-def validate_backend_name(name: str) -> None:
-    """Raise ``ValueError`` unless some op registers an arm ``name``."""
-    if name not in _all_arm_names():
-        raise ValueError(
-            f"kernel_backend={name!r} names no registered backend "
-            f"(registered: {', '.join(sorted(_all_arm_names()))})"
-        )
-
-
-def resolve_forced_backend(op: str, ctx=None) -> Optional[KernelBackend]:
-    """The arm forced for ``op``: executor kwarg > ``REPRO_KERNEL_BACKEND``.
-
-    ``ctx`` may carry a ``kernel_backend`` name
-    (``GraphExecutor(kernel_backend=...)``, validated at construction).
-    Returns ``None`` when nothing is forced.  A name the op does not
-    register warns once per value and leaves the op to the chooser,
-    instead of silently falling back.
-    """
-    arms = _BACKENDS.get(op, {})
-    name = getattr(ctx, "kernel_backend", None) or config.forced_backend()
-    if name is None or name in arms:
-        return arms.get(name)
-    if name not in _warned_forces:
-        _warned_forces.add(name)
-        warnings.warn(
-            f"REPRO_KERNEL_BACKEND names unknown backend {name!r} "
-            f"(registered: {', '.join(sorted(_all_arm_names()))}); "
-            f"falling back to autotuned selection",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return None
+#: The chooser's incumbent: the reference arm's own einsums over the
+#: plan-gathered columns.
+INCUMBENT = "numpy-plan"
 
 
 # ----------------------------------------------------------------------
-# conv2d arms
+# The arms
 # ----------------------------------------------------------------------
-class ConvBackend(KernelBackend):
-    """Interface of a conv2d arm.
+class ConvBackend:
+    """Interface of a conv arm.
 
     ``forward`` returns ``(y, saved)`` where ``saved`` is an opaque
     per-arm column stash the executor may hand back to ``backward`` (only
@@ -192,9 +71,17 @@ class ConvBackend(KernelBackend):
     ``(dx, dw)`` — ``(None, dw)`` straight after dW under ``need_dx=False``
     (the conv reads the graph input).  The bias add happens inside the arm
     so layout-changing arms can apply it in their own orientation.
+
+    Attributes:
+        name: The arm's key in :data:`CONV_ARMS`.
+        exact: Whether the arm claims bit-identity with ``reference``.
+        tolerance: Maximum relative error the arm is allowed when
+            ``exact`` is False (must be > 0 in that case).
     """
 
-    op = "conv2d"
+    name: str = ""
+    exact: bool = True
+    tolerance: float = 0.0
 
     def forward(self, x, w4, bias, stride, pad, arena=NULL_ARENA,
                 want_saved=False):
@@ -245,7 +132,7 @@ class ConvNumpyPlan(ConvBackend):
     """The plan-cache path: strided window-view gather and col2im around
     the reference arm's own einsum contractions."""
 
-    name = "numpy-plan"
+    name = INCUMBENT
 
     def forward(self, x, w4, bias, stride, pad, arena=NULL_ARENA,
                 want_saved=False):
@@ -341,7 +228,7 @@ class ConvBlasFat(ConvBackend):
     The weight gradient is one whole-batch GEMM over the full columns
     (saved by the forward, or regathered block by block), so its
     reduction order is the batch's.  BLAS reduction blocking is
-    library-dependent, so the arm registers a tolerance; on the
+    library-dependent, so the arm declares a tolerance; on the
     benchmark library/shapes it probes bit-identical and the chooser
     promotes it to default.  The forward output has exactly the
     reference einsum's memory layout — as a view of the product where
@@ -435,25 +322,20 @@ class ConvBlasFat(ConvBackend):
 
 
 # ----------------------------------------------------------------------
-# Dispatch entry point
+# The table and the dispatch
 # ----------------------------------------------------------------------
-def select_backend(op: str, ctx, *probe_args) -> KernelBackend:
-    """The arm for this call: executor kwarg > env force > chooser.
+#: Every conv arm by name.
+CONV_ARMS: Dict[str, ConvBackend] = {
+    arm.name: arm for arm in (ConvReference(), ConvNumpyPlan(), ConvBlasFat())
+}
 
-    ``probe_args`` are the live operands the chooser proves the op's
-    non-reference arms on (conv2d: ``x, w4, bias, stride, pad``).
-    """
-    forced = resolve_forced_backend(op, ctx)
-    if forced is not None:
-        return forced
+
+def conv_arm(ctx, x, w4, bias, stride, pad) -> ConvBackend:
+    """The arm for this call: the executor's ``kernel_backend`` if it
+    names one, else the chooser's pick for the live operands."""
+    name = getattr(ctx, "kernel_backend", None)
+    if name is not None:
+        return CONV_ARMS[name]
     from repro.kernels.autotune import autotuned_backend
 
-    return autotuned_backend(op, *probe_args)
-
-
-# ----------------------------------------------------------------------
-# Built-in registrations
-# ----------------------------------------------------------------------
-register_backend(ConvReference())
-register_backend(ConvNumpyPlan(), default=True)
-register_backend(ConvBlasFat())
+    return autotuned_backend(x, w4, bias, stride, pad)

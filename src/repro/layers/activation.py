@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.config import resolve_arena
+from repro.kernels.arena import resolve_arena
 from repro.layers.base import Layer, OpContext, Shape
 
 

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.config import resolve_arena
+from repro.kernels.arena import resolve_arena
 from repro.layers.base import Layer, OpContext, Shape
 from repro.layers.im2col import conv_output_hw
 
@@ -101,14 +101,14 @@ class Conv2D(Layer):
         ctx: Optional[OpContext],
         train: bool = True,
     ) -> np.ndarray:
-        from repro.kernels.backends import select_backend
+        from repro.kernels.backends import conv_arm
 
         (x,) = xs
         bias = params["b"] if self.bias else None
-        # The chooser's arm for this signature: the whole-batch lowering
-        # wherever it is provably bit-identical to the incumbent.
-        backend = select_backend("conv2d", ctx, x, params["w"], bias,
-                                 self.stride, self.pad)
+        # The forced arm, else the chooser's for this signature: the
+        # whole-batch lowering wherever it is provably bit-identical to
+        # the incumbent.
+        backend = conv_arm(ctx, x, params["w"], bias, self.stride, self.pad)
         want_saved = bool(
             train and ctx is not None and ctx.stashed_input_lossless()
         )
@@ -129,12 +129,11 @@ class Conv2D(Layer):
         params: Dict[str, np.ndarray],
         ctx: OpContext,
     ) -> Tuple[List[np.ndarray], Dict[str, np.ndarray]]:
-        from repro.kernels.backends import select_backend
+        from repro.kernels.backends import conv_arm
 
         x = ctx.stashed_input()
         bias = params["b"] if self.bias else None
-        backend = select_backend("conv2d", ctx, x, params["w"], bias,
-                                 self.stride, self.pad)
+        backend = conv_arm(ctx, x, params["w"], bias, self.stride, self.pad)
         try:
             saved_entry = ctx.get_state("cols")
         except KeyError:

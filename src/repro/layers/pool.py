@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.dtypes import NIBBLE4, UINT8
-from repro.kernels.config import resolve_arena
+from repro.kernels.arena import resolve_arena
 from repro.layers.base import Layer, OpContext, Shape, StateSpec
 from repro.layers.im2col import conv_output_hw
 

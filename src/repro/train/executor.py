@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.diagnostics.invariants import InvariantSuite
     from repro.diagnostics.tracer import StepTracer
 from repro.kernels import WorkspaceArena
-from repro.kernels.backends import REFERENCE, validate_backend_name
+from repro.kernels.backends import CONV_ARMS, REFERENCE
 from repro.layers.base import OpContext
 from repro.layers.loss import SoftmaxCrossEntropy
 from repro.memory.hybrid import CHOICE_RECOMPUTE, CHOICE_SHARED_CONCAT
@@ -75,7 +75,7 @@ class _Context(OpContext):
 
     @property
     def kernel_backend(self) -> Optional[str]:
-        """Per-executor backend override (wins over env and autotuner)."""
+        """The conv arm this executor forces (``None``: the chooser's)."""
         return self._executor.kernel_backend
 
 
@@ -99,14 +99,15 @@ class GraphExecutor:
             observing this executor.  A traced step runs the same layer
             and codec calls as an untraced one: each site only reads the
             clock before and reports after when ``tracer is not None``.
-        kernel_backend: Force a registered conv arm by name for every
+        kernel_backend: Force a conv arm of
+            :data:`~repro.kernels.backends.CONV_ARMS` by name for every
             conv this executor dispatches (e.g. ``"reference"`` or
-            ``"blas-fat"``).  Wins over ``REPRO_KERNEL_BACKEND`` and the
-            chooser; max-pool and the codecs run their one body under
-            any name.
+            ``"blas-fat"``) instead of the chooser's pick — the one way
+            to force an arm; max-pool and the codecs run their one body
+            under any name.
 
     Raises:
-        ValueError: If ``kernel_backend`` names no registered arm.
+        ValueError: If ``kernel_backend`` names no conv arm.
     """
 
     def __init__(self, graph: Graph, policy: Optional[StashPolicy] = None,
@@ -121,8 +122,10 @@ class GraphExecutor:
         plans_off = use_kernel_plans is not None and not use_kernel_plans
         if plans_off and kernel_backend is None:
             kernel_backend = REFERENCE
-        if kernel_backend is not None:
-            validate_backend_name(kernel_backend)
+        if kernel_backend is not None and kernel_backend not in CONV_ARMS:
+            raise ValueError(
+                f"kernel_backend={kernel_backend!r} names no conv arm "
+                f"(arms: {', '.join(sorted(CONV_ARMS))})")
         self.kernel_backend = kernel_backend
         self.arena = arena or WorkspaceArena(enabled=not plans_off)
         rng = np.random.default_rng(seed)

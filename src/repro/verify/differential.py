@@ -6,9 +6,9 @@ ground truth and every body held to it end to end (forward and backward
 for the layer ops), and compares their named outputs:
 
 * ``conv2d`` is the one op with a choice of arms
-  (:mod:`repro.kernels.backends`).  Every registered arm but
+  (:data:`repro.kernels.backends.CONV_ARMS`).  Every arm but
   ``reference`` is held to the ``reference`` arm under the contract it
-  registered: an ``exact=True`` arm byte for byte
+  declares: an ``exact=True`` arm byte for byte
   (:func:`~repro.kernels.plan.bit_identical`: dtype, shape and
   ``tobytes()``, so ``-0.0`` is not ``+0.0`` and a NaN matches itself),
   an ``exact=False`` arm within the tolerance it declared.
@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, NamedTuple
 import numpy as np
 
 from repro.encodings import binarize, ssdc
-from repro.kernels.backends import REFERENCE, backends_for, get_backend
+from repro.kernels.backends import CONV_ARMS, REFERENCE
 from repro.kernels.plan import bit_identical, get_plan
 from repro.layers.im2col import (
     conv_output_hw,
@@ -72,7 +72,7 @@ class OpFamily:
 
     ``make_inputs(rng)`` draws a small randomized input tuple; ``truth``
     and each body of ``bodies()`` map it to named output arrays.
-    ``bodies`` is read per trial, so an arm registered since is checked.
+    ``bodies`` is read per trial, so an arm added since is checked.
     """
 
     make_inputs: Callable[[np.random.Generator], tuple]
@@ -169,9 +169,9 @@ def _run_conv(arm, inputs: tuple) -> Outputs:
 
 
 def _conv_arms() -> List[Body]:
-    return [Body(f"conv2d:{arm.name}", partial(_run_conv, arm), arm.exact,
+    return [Body(f"conv2d:{name}", partial(_run_conv, arm), arm.exact,
                  arm.tolerance)
-            for arm in backends_for("conv2d") if arm.name != REFERENCE]
+            for name, arm in sorted(CONV_ARMS.items()) if name != REFERENCE]
 
 
 def _pool_reference(inputs: tuple) -> Outputs:
@@ -207,8 +207,7 @@ def _codec(make_inputs, module, name: str,
 
 OP_FAMILIES = (
     OpFamily(_make_conv_inputs, f"conv2d:{REFERENCE}",
-             lambda inputs: _run_conv(get_backend("conv2d", REFERENCE),
-                                      inputs),
+             lambda inputs: _run_conv(CONV_ARMS[REFERENCE], inputs),
              _conv_arms),
     OpFamily(_make_pool_inputs, "maxpool_reference",
              _pool_reference, lambda: [Body("maxpool2d", _pool_body)]),

@@ -36,7 +36,7 @@ rewrite-equivalence    the rewrite passes (fusion / pool-argmax / CSE /
                        lossless policies
 backend-differential   every conv arm agrees with the reference arm on
                        shared inputs (exact arms bit-for-bit, tolerance
-                       arms within their registered bound); max-pool and
+                       arms within their declared bound); max-pool and
                        the codec packers bit-for-bit with the loop
                        kernel beside their one body
 distributed-replica    replica shards reassemble the serial batch

@@ -28,7 +28,6 @@ import repro.kernels.plan as plan_module
 from repro.kernels import (
     NULL_ARENA,
     WorkspaceArena,
-    backend_override,
     clear_plan_cache,
     clear_selection_cache,
     get_plan,
@@ -204,10 +203,9 @@ def test_kernel_workspace_pins(model, policy):
                    if policy == "hybrid" else BaselinePolicy())
     data, _ = make_synthetic_for(graph.node(graph.input_id).output_shape,
                                  num_samples=16, seed=0)
-    with backend_override("auto"):
-        executor = GraphExecutor(graph, policy=plan_policy, seed=0)
-        executor.forward(data.images, data.labels)
-        executor.backward()
+    executor = GraphExecutor(graph, policy=plan_policy, seed=0)
+    executor.forward(data.images, data.labels)
+    executor.backward()
     stats = plan_cache_stats()
     assert {key: stats[key] for key in ("size", "workspace_bytes")} == \
         WORKSPACE_PINS[model, policy]

@@ -1,11 +1,11 @@
 """Fault-injection tests for the kernel differential oracle.
 
 The oracle's job is to catch a *wrong* kernel, so every test here
-breaks one on purpose — registers a broken conv arm, or monkeypatches
-the one body of max-pool or a codec packer — asserts the oracle fires
-on exactly that op, and restores it.  A passing clean run is the
-baseline case — run once more with every plan walking the batch in
-sample blocks, beside direct checks that blocking changes no bit.
+breaks one on purpose — puts a broken conv arm into ``CONV_ARMS``, or
+monkeypatches the one body of max-pool or a codec packer — asserts the
+oracle fires on exactly that op, and restores it.  A passing clean run
+is the baseline case — run once more with every plan walking the batch
+in sample blocks, beside direct checks that blocking changes no bit.
 """
 
 import dataclasses
@@ -17,13 +17,7 @@ import pytest
 import repro.kernels.plan as plan_module
 from repro.encodings import binarize, ssdc
 from repro.kernels.arena import NULL_ARENA
-from repro.kernels.backends import (
-    ConvBackend,
-    default_backend,
-    get_backend,
-    register_backend,
-    unregister_backend,
-)
+from repro.kernels.backends import CONV_ARMS, INCUMBENT, ConvBackend
 from repro.kernels.plan import (
     KernelPlan,
     bit_identical,
@@ -105,7 +99,7 @@ def test_blocked_conv_lowering_changes_no_bit_or_stride(
     dy = rng.normal(0, 1, (n, f, oh, ow)).astype(np.float32)
 
     def run(name):
-        arm = get_backend("conv2d", name)
+        arm = CONV_ARMS[name]
         y, saved = arm.forward(x, w4, bias, stride, pad,
                                want_saved=want_saved)
         dx, dw = arm.backward(x, w4, dy, stride, pad, saved=saved,
@@ -164,7 +158,7 @@ def test_direct_fill_keeps_the_exact_arms_bytes_on_hostile_values(
     assert plan_module.direct_fill(1, oh, w + 2 * pad)
     outs = {}
     for name in ("reference", "numpy-plan", "blas-fat"):
-        arm = get_backend("conv2d", name)
+        arm = CONV_ARMS[name]
         with np.errstate(invalid="ignore"):
             y, saved = arm.forward(x, w4, None, 1, pad, want_saved=True)
             outs[name] = arm.backward(x, w4, dy, 1, pad, saved=saved)
@@ -277,26 +271,55 @@ class _DriftingConv(ConvBackend):
 
     def forward(self, x, w4, bias, stride, pad, arena=NULL_ARENA,
                 want_saved=False):
-        y, saved = default_backend("conv2d").forward(
+        y, saved = CONV_ARMS[INCUMBENT].forward(
             x, w4, bias, stride, pad, arena=arena, want_saved=want_saved
         )
         return y + np.float32(0.5), saved
 
     def backward(self, x, w4, dy, stride, pad, arena=NULL_ARENA, saved=None):
-        return default_backend("conv2d").backward(
+        return CONV_ARMS[INCUMBENT].backward(
             x, w4, dy, stride, pad, arena=arena, saved=saved
         )
 
 
-def test_tolerance_violation_is_caught():
-    register_backend(_DriftingConv())
-    try:
-        violations = verify_backends(5)
-    finally:
-        unregister_backend("conv2d", "evil-tolerance")
+def test_tolerance_violation_is_caught(monkeypatch):
+    monkeypatch.setitem(CONV_ARMS, "evil-tolerance", _DriftingConv())
+    violations = verify_backends(5)
     assert violations
     assert _oracle_subjects(violations) == {"conv2d:evil-tolerance"}
     assert any("tolerance" in v.detail for v in violations)
+
+
+class _BitFlipConv(ConvBackend):
+    """Claims the exact contract, delegates to the incumbent, then flips
+    the lowest bit of one weight-gradient element."""
+
+    name = "evil-bitflip"
+
+    def forward(self, x, w4, bias, stride, pad, arena=NULL_ARENA,
+                want_saved=False):
+        return CONV_ARMS[INCUMBENT].forward(x, w4, bias, stride, pad,
+                                            arena=arena,
+                                            want_saved=want_saved)
+
+    def backward(self, x, w4, dy, stride, pad, arena=NULL_ARENA, saved=None):
+        dx, dw = CONV_ARMS[INCUMBENT].backward(x, w4, dy, stride, pad,
+                                               arena=arena, saved=saved)
+        dw = dw.copy()
+        dw.reshape(-1).view(np.uint32)[0] ^= np.uint32(1)
+        return dx, dw
+
+
+def test_wrong_exact_conv_arm_is_caught(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setitem(CONV_ARMS, "evil-bitflip", _BitFlipConv())
+        violations = verify_backends(7)
+    assert violations, "oracle missed a bit-flipping exact conv arm"
+    assert _oracle_subjects(violations) == {"conv2d:evil-bitflip"}
+    assert all(v.detail.startswith("dw: ") and "under the exact contract"
+               in v.detail for v in violations)
+    # Taking the arm out of the table leaves the oracle clean again.
+    assert verify_backends(7) == []
 
 
 def test_scrambled_argmax_is_caught(monkeypatch):
@@ -337,13 +360,10 @@ def test_violations_carry_the_seed_for_replay(monkeypatch):
     assert all(v.seed == 42 for v in violations)
 
 
-def test_oracle_is_seed_deterministic():
-    register_backend(_DriftingConv())
-    try:
-        first = verify_backends(9)
-        second = verify_backends(9)
-    finally:
-        unregister_backend("conv2d", "evil-tolerance")
+def test_oracle_is_seed_deterministic(monkeypatch):
+    monkeypatch.setitem(CONV_ARMS, "evil-tolerance", _DriftingConv())
+    first = verify_backends(9)
+    second = verify_backends(9)
     assert [str(v) for v in first] == [str(v) for v in second]
     assert first
 

@@ -1,23 +1,16 @@
-"""Regression tests for the kernel env switch and backend registry.
+"""Regression tests for the conv arm table and its dispatch.
 
-``REPRO_KERNEL_BACKEND`` names one conv arm, and an unknown value —
-the per-op spellings the registry used to parse included — warns once
-instead of silently falling back; an unknown
-``GraphExecutor(kernel_backend=...)`` is a ``ValueError``.  The registry
-side covers the registration contract (exact XOR tolerance), the exact
-arm set the keep rule leaves, forced-arm resolution precedence, and the
-chooser's picks: the incumbent wherever a probe cannot prove identity,
-the whole-batch arm on every ledger signature, the same vector from
-every fresh probe, and a fresh proof once the registry no longer holds
-the picked arm.
+:data:`~repro.kernels.backends.CONV_ARMS` holds exactly the arms the
+keep rule leaves, each exact or declaring a tolerance; the only force is
+``GraphExecutor(kernel_backend=...)``, and an unknown name is a
+``ValueError``.  The chooser side covers its picks: the incumbent
+wherever a probe cannot prove identity, the whole-batch arm on every
+ledger signature, and the same vector from every fresh probe.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
-import repro.kernels.backends as backends_module
 import repro.kernels.plan as plan_module
 from repro.kernels.autotune import (
     _probe_decides,
@@ -25,84 +18,43 @@ from repro.kernels.autotune import (
     autotuned_backend,
     clear_selection_cache,
 )
-from repro.kernels.backends import (
-    _BACKENDS,
-    ConvBackend,
-    ConvBlasFat,
-    backends_for,
-    default_backend,
-    get_backend,
-    register_backend,
-    resolve_forced_backend,
-    select_backend,
-    unregister_backend,
-)
-from repro.kernels.config import (
-    _parse_backend_env,
-    backend_override,
-)
+from repro.kernels.backends import CONV_ARMS, INCUMBENT, conv_arm
 from repro.kernels.plan import direct_fill
 from repro.models import build_model
 
 
 # ----------------------------------------------------------------------
-# REPRO_KERNEL_BACKEND: parsing + forced resolution
+# The table and the one force
 # ----------------------------------------------------------------------
-def test_backend_spec_parsing():
-    assert _parse_backend_env(None) is None
-    assert _parse_backend_env("") is None
-    assert _parse_backend_env(" Auto ") is None
-    assert _parse_backend_env(" blas-fat ") == "blas-fat"
-    # No per-op syntax: the whole value is one (here unknown) name.
-    assert _parse_backend_env("conv2d=blas-fat") == "conv2d=blas-fat"
-
-
-def test_an_old_per_op_spelling_warns_once_and_leaves_conv_to_the_chooser(
-        monkeypatch):
-    monkeypatch.setattr(backends_module, "_warned_forces", set())
-    call = _ledger_conv_calls()[0]  # scaled VGG's first conv
-    clear_selection_cache()
-    try:
-        with backend_override("maxpool2d=reference"):
-            with pytest.warns(RuntimeWarning,
-                              match="unknown backend 'maxpool2d=reference'"):
-                assert resolve_forced_backend("conv2d") is None
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert (select_backend("conv2d", None, *call)
-                        is autotuned_backend("conv2d", *call))
-    finally:
-        clear_selection_cache()
-
-
-def test_unknown_backend_name_warns_instead_of_silent_fallback():
-    with backend_override("definitely-not-a-backend"):
-        with pytest.warns(RuntimeWarning, match="unknown backend"):
-            assert resolve_forced_backend("conv2d") is None
-
-
-# ----------------------------------------------------------------------
-# Registry contract
-# ----------------------------------------------------------------------
-def test_every_op_registers_reference_and_default():
+def test_conv_arms_are_exactly_the_kept_arms():
     # Exactly the arms the keep rule (docs/architecture.md §9) leaves:
-    # max-pool and the codecs run one body each and register none.
-    assert {op: [b.name for b in backends_for(op)]
-            for op in _BACKENDS} == {
-        "conv2d": ["reference", "blas-fat", "numpy-plan"],
-    }
-    # The first-listed arm is the ground truth; the default is the other
-    # side of the A/B.
-    assert default_backend("conv2d").name == "numpy-plan"
+    # max-pool and the codecs run one body each and have no arms.
+    assert sorted(CONV_ARMS) == ["blas-fat", "numpy-plan", "reference"]
+    assert all(arm.name == name for name, arm in CONV_ARMS.items())
+    assert INCUMBENT == "numpy-plan"
 
 
-def test_executor_kwarg_wins_over_env_force():
+def test_every_arm_is_exact_or_declares_a_tolerance():
+    for name, arm in CONV_ARMS.items():
+        assert arm.exact or arm.tolerance > 0, name
+    assert [name for name, arm in sorted(CONV_ARMS.items())
+            if not arm.exact] == ["blas-fat"]
+
+
+def test_the_context_force_wins_over_the_chooser():
     class Ctx:
         kernel_backend = "reference"
 
-    with backend_override("numpy-plan"):
-        assert resolve_forced_backend("conv2d", Ctx()).name == "reference"
-        assert resolve_forced_backend("conv2d").name == "numpy-plan"
+    call = _ledger_conv_calls()[0]  # scaled VGG's first conv
+    clear_selection_cache()
+    try:
+        assert conv_arm(Ctx(), *call) is CONV_ARMS["reference"]
+        # No context, or one that forces nothing: the chooser decides.
+        assert conv_arm(None, *call) is CONV_ARMS["blas-fat"]
+        Ctx.kernel_backend = None
+        assert conv_arm(Ctx(), *call) is CONV_ARMS["blas-fat"]
+    finally:
+        clear_selection_cache()
 
 
 def test_unknown_executor_backend_is_a_precise_error():
@@ -115,27 +67,8 @@ def test_unknown_executor_backend_is_a_precise_error():
         with pytest.raises(ValueError) as err:
             GraphExecutor(graph, kernel_backend=name)
         assert str(err.value) == (
-            f"kernel_backend={name!r} names no registered backend "
-            f"(registered: blas-fat, numpy-plan, reference)")
-
-
-class _BadContract(ConvBackend):
-    name = "bad-contract"
-    exact = False
-    tolerance = 0.0
-
-
-def test_nonexact_arm_without_tolerance_is_rejected():
-    with pytest.raises(ValueError, match="error bound"):
-        register_backend(_BadContract())
-    with pytest.raises(KeyError):
-        get_backend("conv2d", "bad-contract")
-
-
-def test_unregister_is_idempotent():
-    unregister_backend("conv2d", "never-registered")  # no raise
-    with pytest.raises(KeyError, match="known:"):
-        get_backend("conv2d", "never-registered")
+            f"kernel_backend={name!r} names no conv arm "
+            f"(arms: blas-fat, numpy-plan, reference)")
 
 
 # ----------------------------------------------------------------------
@@ -162,8 +95,8 @@ def test_chooser_keeps_the_incumbent_where_agreement_depends_on_data(
         x = rng.normal(0, 1, shape).astype(np.float32)
         w4 = rng.normal(0, 0.5, (f, shape[1], k, k)).astype(np.float32)
         clear_selection_cache()
-        arm = autotuned_backend("conv2d", x, w4, None, stride, pad)
-        assert arm is default_backend("conv2d"), draw
+        arm = autotuned_backend(x, w4, None, stride, pad)
+        assert arm is CONV_ARMS[INCUMBENT], draw
         (row,) = autotune_report()
         assert row["exact"] == {"blas-fat": False, "numpy-plan": True}
     clear_selection_cache()
@@ -188,8 +121,8 @@ def test_chooser_guards_the_gemm_shapes_each_sample_block_issues(
     assert not _probe_decides(x, w4, 1, 0)
     clear_selection_cache()
     try:
-        arm = autotuned_backend("conv2d", x, w4, None, 1, 0)
-        assert arm is default_backend("conv2d")
+        arm = autotuned_backend(x, w4, None, 1, 0)
+        assert arm is CONV_ARMS[INCUMBENT]
         (row,) = autotune_report()
         assert row["exact"] == {"blas-fat": False, "numpy-plan": True}
     finally:
@@ -211,8 +144,8 @@ def test_chooser_guards_the_per_slot_gemm_of_the_direct_fill():
     assert not _probe_decides(x, w4, 1, 1)
     clear_selection_cache()
     try:
-        arm = autotuned_backend("conv2d", x, w4, None, 1, 1)
-        assert arm is default_backend("conv2d")
+        arm = autotuned_backend(x, w4, None, 1, 1)
+        assert arm is CONV_ARMS[INCUMBENT]
         (row,) = autotune_report()
         assert row["exact"] == {"blas-fat": False, "numpy-plan": True}
     finally:
@@ -240,41 +173,13 @@ def _ledger_conv_calls():
     return list(calls.values())
 
 
-def test_a_registry_change_voids_the_choosers_selection():
-    """A cached pick must be the registered instance: after a same-named
-    replacement of its arm the chooser proves and returns the new arm,
-    and after the arm is unregistered it falls back to the incumbent —
-    never an arm ``get_backend`` no longer knows."""
-
-    class _SameBlasFat(ConvBlasFat):
-        """A replacement of the same name, computing the same bytes."""
-
-    call = _ledger_conv_calls()[0]  # scaled VGG's first conv
-    original = get_backend("conv2d", "blas-fat")
-    replacement = _SameBlasFat()
-    clear_selection_cache()
-    try:
-        with backend_override("auto"):
-            assert select_backend("conv2d", None, *call) is original
-            register_backend(replacement)
-            assert select_backend("conv2d", None, *call) is replacement
-            unregister_backend("conv2d", "blas-fat")
-            assert (select_backend("conv2d", None, *call)
-                    is default_backend("conv2d"))
-            (row,) = autotune_report()
-            assert row["exact"] == {"numpy-plan": True}
-    finally:
-        register_backend(original)
-        clear_selection_cache()
-
-
 def test_chooser_picks_the_whole_batch_arm_on_every_ledger_signature():
     calls = _ledger_conv_calls()
     assert len(calls) == 13
     for _ in range(3):  # the same pick vector from every fresh probe
         clear_selection_cache()
-        picks = [autotuned_backend("conv2d", *call).name for call in calls]
+        picks = [autotuned_backend(*call).name for call in calls]
         assert picks == ["blas-fat"] * len(calls)
-        assert all(set(row) == {"op", "signature", "backend", "exact"}
+        assert all(set(row) == {"signature", "backend", "exact"}
                    for row in autotune_report())
     clear_selection_cache()

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.kernels.plan as plan_module
-from repro.kernels.backends import get_backend
+from repro.kernels.backends import CONV_ARMS
 from repro.kernels.plan import (
     KernelPlan,
     bit_identical,
@@ -282,7 +282,7 @@ def test_col2im_t_conforms_on_hostile_planes_and_a_reused_plan(
     plan = get_plan(shape, kh, kw, stride, pad)
     assert plan.b == b
     assert plan_module.direct_fill(stride, oh, plan.wp) == direct
-    arm = get_backend("conv2d", "blas-fat")
+    arm = CONV_ARMS["blas-fat"]
     rng = np.random.default_rng(7)
     x = rng.normal(0, 1, shape).astype(np.float32)
     w4 = rng.normal(0, 0.5, (f, c, kh, kw)).astype(np.float32)

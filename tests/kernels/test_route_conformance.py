@@ -1,15 +1,18 @@
 """One route per kernel op: every way of naming a conv arm reaches the
-same registry, and every exact route trains byte-identically.
+same table, and every exact route trains byte-identically.
 
-Two SGD steps of ``tiny_cnn`` and ``densenet`` under baseline and
-gist-lossless, once per forced ``conv2d`` arm x max-pool half.  Max-pool
+Two SGD steps of every pinned golden model with a conv (``tiny_cnn``,
+``scaled_vgg``, ``densenet``) under baseline and gist-lossless, once per
+conv arm forced with ``kernel_backend=`` x max-pool half.  Max-pool
 has one body (``AvgPool2D`` likewise); its ``reference`` half swaps the
 loop ``maxpool_reference`` / ``maxpool_backward_reference`` in for that
 body, its ``numpy-plan`` half is the body itself.  Every pair with an
 ``exact`` conv arm, every ``kernel_backend=`` name and the
 ``use_kernel_plans=False`` shorthand must reproduce the ``step_digest``
 stream (loss, gradients, decoded stashes) of ``kernel_backend=
-"reference"``; a tolerance arm must stay inside its registered bound.
+"reference"``; a tolerance arm must stay inside its declared bound.
+The default dispatch is one of those routes, and the golden tests pin
+it, so the ground-truth route reproduces every golden too.
 """
 
 import itertools
@@ -19,12 +22,7 @@ import pytest
 
 from repro.diagnostics import step_digest
 from repro.diagnostics.golden import GOLDEN_MODELS, golden_batches
-from repro.kernels import (
-    autotune_report,
-    backend_override,
-    backends_for,
-    clear_selection_cache,
-)
+from repro.kernels import CONV_ARMS, autotune_report, clear_selection_cache
 from repro.kernels.plan import KernelPlan
 from repro.layers.im2col import maxpool_backward_reference, maxpool_reference
 from repro.models import build_model
@@ -35,12 +33,11 @@ from repro.train import (
     policy_from_name,
 )
 
-MODELS = ("tiny_cnn", "densenet")
+MODELS = ("tiny_cnn", "scaled_vgg", "densenet")
 STEPS = 2
 
-CONV_ARMS = backends_for("conv2d")
 POOL_HALVES = ("reference", "numpy-plan")
-ARM_PAIRS = list(itertools.product(CONV_ARMS, POOL_HALVES))
+ARM_PAIRS = list(itertools.product(sorted(CONV_ARMS), POOL_HALVES))
 
 
 def _loop_pool_forward(plan, x, arena=None):
@@ -80,7 +77,7 @@ def reference():
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize(
     "conv_arm,pool_half", ARM_PAIRS,
-    ids=[f"{c.name}+{p}" for c, p in ARM_PAIRS])
+    ids=[f"{c}+{p}" for c, p in ARM_PAIRS])
 def test_forced_arm_pair_conforms(reference, monkeypatch, conv_arm,
                                   pool_half, model, policy):
     ref_digests, (ref_loss, ref_grads) = reference[model, policy]
@@ -88,12 +85,12 @@ def test_forced_arm_pair_conforms(reference, monkeypatch, conv_arm,
         monkeypatch.setattr(KernelPlan, "maxpool_forward", _loop_pool_forward)
         monkeypatch.setattr(KernelPlan, "maxpool_backward",
                             _loop_pool_backward)
-    with backend_override(conv_arm.name):
-        digests, (loss, grads) = _train(model, policy)
-    if conv_arm.exact:
+    digests, (loss, grads) = _train(model, policy, kernel_backend=conv_arm)
+    arm = CONV_ARMS[conv_arm]
+    if arm.exact:
         assert digests == ref_digests
         return
-    tolerance = conv_arm.tolerance
+    tolerance = arm.tolerance
     assert abs(loss - ref_loss) <= tolerance * max(1.0, abs(ref_loss))
     for name, ref in ref_grads.items():
         bound = tolerance * max(1.0, float(np.abs(ref).max()))
@@ -105,8 +102,8 @@ def test_forced_arm_pair_conforms(reference, monkeypatch, conv_arm,
 def test_every_spelling_of_the_exact_routes_conforms(reference, model,
                                                      policy):
     ref_digests, _ = reference[model, policy]
-    routes = [{"kernel_backend": arm.name}
-              for arm in CONV_ARMS if arm.exact]
+    routes = [{"kernel_backend": name}
+              for name, arm in sorted(CONV_ARMS.items()) if arm.exact]
     routes += [{"use_kernel_plans": False}, {}]  # shorthand; the chooser
     for kwargs in routes:
         assert _train(model, policy, **kwargs)[0] == ref_digests, kwargs
@@ -114,12 +111,10 @@ def test_every_spelling_of_the_exact_routes_conforms(reference, model,
 
 def test_chooser_never_probes_the_ground_truth_or_a_lone_candidate():
     clear_selection_cache()
-    with backend_override("auto"):  # whatever REPRO_KERNEL_BACKEND says
-        for model in MODELS:
-            _train(model, "baseline")
+    for model in MODELS:
+        _train(model, "baseline")
     report = autotune_report()
     assert report, "default dispatch should have probed the conv signatures"
-    assert {row["op"] for row in report} == {"conv2d"}
     for row in report:
         assert row["backend"] != "reference"
         assert "reference" not in row["exact"]
