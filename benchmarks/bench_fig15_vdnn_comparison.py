@@ -1,8 +1,9 @@
-"""Figure 15: Gist vs CPU-GPU swapping (naive and vDNN).
+"""Figure 15: Gist vs CPU-GPU swapping (naive, vDNN and CDMA).
 
 Paper results reproduced in shape: naive swapping averages ~30% slowdown,
 vDNN's prefetch-overlapped swapping ~15% (worst on Inception-class
-graphs), and Gist — which never leaves the GPU — ~4%.
+graphs), and Gist — which never leaves the GPU — ~4%.  CDMA runs vDNN's
+pipeline with each map zero-value compressed on the link.
 """
 
 import statistics
@@ -36,7 +37,7 @@ def test_fig15_swapping_comparison(benchmark, suite):
     rows = benchmark.pedantic(comparison_rows, args=(suite,), rounds=1,
                               iterations=1)
     print_header("Figure 15 — slowdown vs baseline (%): naive swap, "
-                 "vDNN, Gist")
+                 "vDNN, CDMA, Gist")
     print(format_table(["network", "naive %", "vdnn %", "cdma %", "gist %"],
                        rows))
     naive = [r[1] for r in rows]

@@ -118,9 +118,11 @@ class HostSwapEncoding(IdentityEncoding):
     Numerically an identity transform — a DMA copy is bit-exact — but the
     *device* footprint of the stash is zero: the memory planner charges
     only a short-lived prefetch buffer across the backward uses (see
-    :mod:`repro.memory.hybrid`).  ``encode`` copies the array (the
-    offload; the executor's live forward value must not alias the host
-    buffer), ``decode`` hands the copy back (the prefetch).
+    :mod:`repro.memory.hybrid`).  ``encode`` is the offload and
+    ``decode`` the prefetch.  ``encode`` copies only a non-contiguous
+    map: a C-contiguous one is stashed as an alias of the live forward
+    value.  That is safe because no op writes a stashed map in place
+    (the inplace pass marks only maps that nothing stashes).
     """
 
     name = "host-swap"

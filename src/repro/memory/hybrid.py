@@ -294,9 +294,9 @@ def _swap_stall_fraction(cost: "CostModel", step: "StepTime",
     volume its one-deep DMA pipeline fails to hide behind compute; that
     ratio prices each individual offload+prefetch pair here.
     """
-    from repro.perf.swap import _simulate  # local: memory<->perf
+    from repro.perf.swap import _simulate, _stashed_transfers  # memory<->perf
 
-    sim = _simulate(cost, step, baseline)
+    sim = _simulate(cost, step, baseline, _stashed_transfers(baseline))
     naive_extra = sim.naive_s - sim.baseline_s
     if naive_extra <= 0.0:
         # No offloadable stashes in the vDNN sim; assume half hides.

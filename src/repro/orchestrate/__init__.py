@@ -20,7 +20,7 @@ without giving up the determinism contract the verify layer depends on:
   makes ``--workers 1`` and ``--workers 8`` byte-identical.
 """
 
-from repro.orchestrate.cores import cgroup_cpu_quota, usable_cores
+from repro.orchestrate.cores import usable_cores
 from repro.orchestrate.journal import RunJournal
 from repro.orchestrate.pool import UnitResult, run_units
 from repro.orchestrate.units import (
@@ -34,7 +34,6 @@ __all__ = [
     "RunJournal",
     "UnitResult",
     "WorkUnit",
-    "cgroup_cpu_quota",
     "payload_fingerprint",
     "register_kind",
     "resolve_kind",

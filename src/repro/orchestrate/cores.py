@@ -1,11 +1,10 @@
-"""Usable-core detection for worker sizing and benchmark gates.
+"""Usable-core detection for worker sizing and benchmark host stamps.
 
 ``os.cpu_count()`` reports the machine, not the budget this process may
 actually use: a container can be pinned to a CPU subset (sched affinity)
 or throttled by a cgroup CPU quota while still "seeing" every core.
-Sizing a pool — or deciding whether a parallel-speedup gate is even
-applicable — from ``cpu_count`` therefore overcounts on CI runners, and
-a 4-worker >= 2.5x gate silently becomes unmeetable.  The detection here
+Sizing a pool, or stamping a timing with the cores it ran on, from
+``cpu_count`` therefore overcounts on CI runners.  The detection here
 takes the minimum of:
 
 * the scheduler affinity mask (``os.sched_getaffinity``), and

@@ -11,20 +11,22 @@ whenever the engine falls behind the compute timeline.
 * **vDNN** — offloads overlap the forward pass, prefetches overlap the
   backward pass; residual stalls remain where PCIe bandwidth cannot keep
   up with compute (paper: ~15% average, up to 27% on Inception).
+* **CDMA** — vDNN's pipeline, each map zero-value compressed on the link.
 * **Gist** keeps everything on-device and pays only codec bandwidth.
 
-:func:`simulate_swapping` is the public entry; it prices the step and
-builds the baseline liveness table, then runs :func:`_simulate`, which
-the hybrid planner calls directly with the two it already holds.
+All three swap arms, and the hybrid planner's stall calibration, run
+one event loop, :func:`_simulate`, over a list of transfers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.analysis.sparsity import DEFAULT_SPARSITY_MODEL
+from repro.encodings.ssdc import bitmap_bytes
 from repro.graph.graph import Graph
-from repro.graph.liveness import ROLE_FEATURE_MAP
+from repro.graph.liveness import ROLE_FEATURE_MAP, LiveTensor
 from repro.graph.schedule import FORWARD
 from repro.memory.planner import CLASS_STASHED, MemoryPlan, build_memory_plan
 from repro.perf.cost import CostModel, StepTime
@@ -55,24 +57,31 @@ class SwapReport:
 _OFFLOAD_CONSUMER_KINDS = {"conv", "dense"}
 
 
-def _stashed_transfers(plan: MemoryPlan) -> List[Tuple[int, int, int]]:
-    """(producer forward t, consumer backward t, bytes) per offloaded map
-    of a baseline plan."""
-    graph = plan.graph
-    offloadable = set()
-    for node in graph.nodes:
-        if node.kind in _OFFLOAD_CONSUMER_KINDS and node.layer.backward_needs_input:
-            for src in node.inputs:
-                offloadable.add(src)
-    out = []
-    for t in plan.tensors:
-        if (
-            t.role == ROLE_FEATURE_MAP
+def _offloaded_maps(plan: MemoryPlan) -> List[LiveTensor]:
+    """The conv/dense-input stashes of a baseline plan: what vDNN moves."""
+    offloadable = {src for node in plan.graph.nodes
+                   if node.kind in _OFFLOAD_CONSUMER_KINDS
+                   and node.layer.backward_needs_input
+                   for src in node.inputs}
+    return [t for t in plan.tensors
+            if t.role == ROLE_FEATURE_MAP
             and plan.classify(t) == CLASS_STASHED
-            and t.node_id in offloadable
-        ):
-            out.append((t.birth, t.death, t.size_bytes))
-    return out
+            and t.node_id in offloadable]
+
+
+def _stashed_transfers(plan: MemoryPlan) -> List[Tuple[int, int, int]]:
+    """(producer forward t, consumer backward t, bytes) per offloaded map."""
+    return [(t.birth, t.death, t.size_bytes) for t in _offloaded_maps(plan)]
+
+
+def _cdma_transfers(plan: MemoryPlan) -> List[Tuple[int, int, int]]:
+    """:func:`_stashed_transfers` under CDMA's zero-value compression: a
+    1-bit mask plus 4 B per non-zero, at the selector's sparsity model.
+    A map that would expand is sent raw."""
+    return [(t.birth, t.death, min(t.size_bytes, bitmap_bytes(
+                t.spec.num_elements,
+                DEFAULT_SPARSITY_MODEL.sparsity(plan.graph, t.node_id))))
+            for t in _offloaded_maps(plan)]
 
 
 def simulate_swapping(
@@ -85,18 +94,20 @@ def simulate_swapping(
     the conv/dense-input stashes of the graph's baseline memory plan.
     """
     cost = cost or CostModel()
-    return _simulate(cost, cost.step_time(graph), build_memory_plan(graph))
+    plan = build_memory_plan(graph)
+    return _simulate(cost, cost.step_time(graph), plan,
+                     _stashed_transfers(plan))
 
 
-def _simulate(cost: CostModel, step: StepTime, plan: MemoryPlan) -> SwapReport:
-    """:func:`simulate_swapping` over what its caller already holds:
-    ``step`` is ``cost.step_time(plan.graph)`` (the compute timeline),
-    ``plan`` the graph's baseline memory plan (read, never modified);
-    ``cost`` prices the PCIe transfers."""
+def _simulate(cost: CostModel, step: StepTime, plan: MemoryPlan,
+              transfers: List[Tuple[int, int, int]]) -> SwapReport:
+    """The swap event loop: ``step`` is ``cost.step_time(plan.graph)``
+    (the compute timeline), ``plan`` the graph's baseline memory plan
+    (read, never modified), ``transfers`` the (birth, death, bytes) of
+    each map moved; ``cost`` prices the PCIe transfers."""
     schedule = plan.schedule
     baseline_s = step.total_s
 
-    transfers = _stashed_transfers(plan)
     total_bytes = sum(b for _, _, b in transfers)
     naive_s = baseline_s + 2.0 * cost.transfer_time(total_bytes)
 
@@ -159,28 +170,15 @@ def _simulate(cost: CostModel, step: StepTime, plan: MemoryPlan) -> SwapReport:
 def simulate_cdma(
     graph: Graph,
     cost: Optional[CostModel] = None,
-    compression_ratio: float = 2.5,
 ) -> SwapReport:
-    """CDMA-style swapping [42]: vDNN's pipeline with compressed transfers.
-
-    CDMA compresses the data moved between CPU and GPU (exploiting the
-    same activation sparsity SSDC uses), shrinking every transfer by
-    ``compression_ratio``.  Returned as a :class:`SwapReport` whose
-    ``vdnn_s`` field holds the CDMA time (the naive field is the
-    uncompressed naive swap, for reference).
-    """
-    if compression_ratio < 1.0:
-        raise ValueError(
-            f"compression_ratio must be >= 1, got {compression_ratio}"
-        )
+    """CDMA-style swapping [42]: vDNN's pipeline, each map zero-value
+    compressed on the link (:func:`_cdma_transfers`), exploiting the ReLU
+    sparsity SSDC uses.  ``vdnn_s`` holds the CDMA time; ``naive_s`` is
+    the uncompressed naive swap, for reference."""
     cost = cost or CostModel()
-    # The link speed prices transfers only, so both runs share one step
+    # The link load is the only difference, so both runs share one step
     # timing and one liveness table.
     step, plan = cost.step_time(graph), build_memory_plan(graph)
-    base = _simulate(cost, step, plan)
-    cdma = _simulate(CostModel(replace(
-        cost.device,
-        name=cost.device.name + " (CDMA)",
-        pcie_bandwidth=cost.device.pcie_bandwidth * compression_ratio,
-    )), step, plan)
+    base = _simulate(cost, step, plan, _stashed_transfers(plan))
+    cdma = _simulate(cost, step, plan, _cdma_transfers(plan))
     return SwapReport(graph.name, base.baseline_s, base.naive_s, cdma.vdnn_s)

@@ -2,8 +2,7 @@
 
 Checks the distributed layer's determinism contract on small live runs,
 entirely in-process (the fuzz loop budgets milliseconds per seed; the
-full multi-process equivalence runs in the tier-1 tests and the
-``bench_distributed`` gate):
+full multi-process equivalence runs in ``tests/distributed``):
 
 * **shard-concat** — concatenating the replica shards reproduces the
   serial batch byte-for-byte;

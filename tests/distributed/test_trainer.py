@@ -27,6 +27,9 @@ def test_serial_run_matches_pinned_golden_digest():
 
 
 def test_four_worker_replicas_are_bit_identical_to_serial():
+    """The digest covers every per-step loss and every final parameter
+    byte, so this is replicas-N == serial end to end through the real
+    process pool."""
     assert _run(replicas=4).digest() == _GOLDEN
 
 

@@ -194,7 +194,10 @@ WORKSPACE_PINS = {
 
 @pytest.mark.parametrize("model,policy", sorted(WORKSPACE_PINS))
 def test_kernel_workspace_pins(model, policy):
-    """Batch-sized conv scratch fails here by count if it returns."""
+    """The plans' persistent pad and slot workspaces hold one sample
+    block, not the batch: exact plan-cache bytes and plan count after
+    one batch-16 step.  Batch-sized conv scratch fails here by count if
+    it returns."""
     clear_plan_cache()
     clear_selection_cache()
     graph = build_model(model, batch_size=16)

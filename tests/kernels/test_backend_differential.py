@@ -1,5 +1,9 @@
 """Fault-injection tests for the kernel differential oracle.
 
+Clean, every conv arm honours its exactness or tolerance contract
+against the reference arm, and max-pool and the codec packers match
+the loop kernel beside their one body byte for byte.
+
 The oracle's job is to catch a *wrong* kernel, so every test here
 breaks one on purpose — puts a broken conv arm into ``CONV_ARMS``, or
 monkeypatches the one body of max-pool or a codec packer — asserts the

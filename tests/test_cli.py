@@ -142,6 +142,9 @@ class TestCLIPlan:
 
 
 class TestCLIDisttrain:
+    """``--compare-serial`` exits 1 unless the replica run is
+    bit-identical to the same config on one replica."""
+
     def test_gist_lossless_replicas_match_serial(self, capsys):
         # `--policy gist` (the only non-default choice then offered) exited
         # 1: the replica unit only knew the name `gist-lossless`.

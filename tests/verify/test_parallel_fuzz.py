@@ -19,6 +19,10 @@ def _report_bytes(report):
 
 
 class TestWorkerInvariance:
+    """The aggregated ``FuzzReport`` serialises to byte-identical JSON
+    for any worker count: the contract that makes parallel verification
+    trustworthy."""
+
     def test_clean_batch_byte_identical(self):
         serial = run_fuzz(10, stop_on_first=False, workers=1)
         parallel = run_fuzz(10, stop_on_first=False, workers=4)
