@@ -21,7 +21,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.analysis import format_table
-from repro.encodings import Encoding, IdentityEncoding
+from repro.encodings import Encoding
 from repro.models import scaled_vgg
 from repro.train import SGD, StashPolicy, Trainer, make_synthetic
 
@@ -78,8 +78,8 @@ class TopKPolicy(StashPolicy):
     """Apply Top-K to every stashed feature map."""
 
     def __init__(self, keep_fraction: float):
+        super().__init__()  # the FP32 identity, as self._identity
         self._encoding = TopKEncoding(keep_fraction)
-        self._identity = IdentityEncoding()
 
     def encoding_for(self, graph, node_id):
         if node_id == graph.input_id:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.graph.graph import Graph
+from repro.graph.liveness import backward_readers
 from repro.graph.node import OpNode
 from repro.graph.schedule import TrainingSchedule
 
@@ -61,26 +62,13 @@ def _produces_relu_map(node: OpNode) -> bool:
     return getattr(node.layer, "relu_output", False)
 
 
-def backward_users(graph: Graph, schedule: TrainingSchedule, node_id: int):
-    """(producer_needs_output, consumers_needing_input) for a feature map."""
-    node = graph.node(node_id)
-    producer_needs = bool(
-        node.layer.backward_needs_output and schedule.has_backward(node_id)
-    )
-    consumers = [
-        c
-        for c in graph.consumers(node_id)
-        if c.layer.backward_needs_input and schedule.has_backward(c.node_id)
-    ]
-    return producer_needs, consumers
-
-
 def classify_stash(
     graph: Graph, schedule: TrainingSchedule, node_id: int
 ) -> Optional[StashInfo]:
     """Classify one node's output feature map; ``None`` if not stashed."""
     node = graph.node(node_id)
-    producer_needs, consumers = backward_users(graph, schedule, node_id)
+    producer_needs, consumers = backward_readers(graph, schedule, node_id,
+                                                 False)
     if not producer_needs and not consumers:
         return None
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.analysis.sparsity import DEFAULT_SPARSITY_MODEL, SparsityModel
 from repro.core.analysis import (
@@ -51,7 +51,7 @@ from repro.graph.graph import Graph
 from repro.graph.liveness import (
     ROLE_ENCODED,
     ROLE_FEATURE_MAP,
-    _feature_map_uses,
+    feature_map_uses,
 )
 from repro.graph.node import OpNode
 from repro.graph.schedule import TrainingSchedule
@@ -156,54 +156,6 @@ def _encoding_for(stash_class: str, config: GistConfig) -> Optional[str]:
     return None
 
 
-def _effective_needs(flag: str, pools_rewritten: bool):
-    """Predicate: a node's declared ``flag`` dependence after the
-    max-pool argmax rewrite (a rewritten pool reads neither X nor Y)."""
-    def needs(node: OpNode) -> bool:
-        if pools_rewritten and getattr(node.layer, "supports_argmax_map",
-                                       False):
-            return False
-        return getattr(node.layer, flag)
-    return needs
-
-
-def feature_map_uses(
-    graph: Graph, schedule: TrainingSchedule, config: GistConfig
-) -> Dict[int, Tuple[int, Optional[int], Optional[int]]]:
-    """``{node_id: (last forward, first backward, last backward use)}``
-    of every feature map under ``config``'s pool argmax rewrite.
-
-    Only ``config.binarize`` (whether pools are rewritten) is read, so the
-    table is walked once per graph and flag; each call gets its own dict.
-    """
-    return dict(graph.derived(
-        ("feature_map_uses", config.binarize),
-        lambda: _walk_uses(graph, schedule, config.binarize)))
-
-
-def _walk_uses(graph: Graph, schedule: TrainingSchedule,
-               pools_rewritten: bool
-               ) -> Dict[int, Tuple[int, Optional[int], Optional[int]]]:
-    needs_input = _effective_needs("backward_needs_input", pools_rewritten)
-    needs_output = _effective_needs("backward_needs_output", pools_rewritten)
-    uses = {
-        node.node_id: _feature_map_uses(graph, schedule, node.node_id,
-                                        needs_input, needs_output)
-        for node in graph.nodes
-    }
-    out = graph.output_id
-    if schedule.has_backward(out):
-        # The loss output seeds the backward pass.
-        seed = schedule.backward_time(out)
-        last_fwd, first_bwd, last_bwd = uses[out]
-        uses[out] = (
-            last_fwd,
-            seed if first_bwd is None else min(first_bwd, seed),
-            seed if last_bwd is None else max(last_bwd, seed),
-        )
-    return uses
-
-
 def _gist_option(graph: Graph, node: OpNode, stash_class: str,
                  config: GistConfig, sparsity_model: SparsityModel,
                  cost) -> Optional[PlanDecision]:
@@ -291,7 +243,7 @@ def build_gist_plan(
     # Table-I selector: every stashed map gets its class's encoding,
     # with no budget (a map is only skipped when it is not stashed under
     # the pool rewrite, or stashed through a schedule artifact alone).
-    uses = feature_map_uses(graph, schedule, config)
+    uses = feature_map_uses(graph, schedule, config.binarize)
     decisions: Dict[int, PlanDecision] = {}
     for nid, info in classify_all_stashes(graph, schedule).items():
         if uses[nid][1] is None:

@@ -15,8 +15,7 @@ Three subsystems, all wired through the training executor:
 * :class:`InvariantSuite` (:mod:`repro.diagnostics.invariants`) — runtime
   checkers: lossless encodings round-trip bit-exactly, stashes are never
   read past their liveness death point, arena rents never alias live
-  encoded stashes; plus :func:`verify_kernel_agreement` for the
-  kernel-plan vs reference cross-check.
+  encoded stashes.
 
 CLI surface: ``python -m repro trace`` runs a traced training demo and
 saves/compares goldens.
@@ -42,7 +41,6 @@ from repro.diagnostics.golden import (
 from repro.diagnostics.invariants import (
     InvariantSuite,
     InvariantViolation,
-    verify_kernel_agreement,
 )
 from repro.diagnostics.tracer import StepRecord, StepTracer, TraceEvent
 
@@ -65,5 +63,4 @@ __all__ = [
     "mapping_digest",
     "run_traced",
     "step_digest",
-    "verify_kernel_agreement",
 ]

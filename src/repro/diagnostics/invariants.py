@@ -17,26 +17,24 @@ verifies, while training runs:
 
 Each checker *raises* :class:`InvariantViolation` at the faulty event, so
 seeded-fault tests can assert the checkers actually fire.
-:func:`verify_kernel_agreement` additionally cross-checks the kernel-plan
-and reference execution paths for bit-identical training.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.diagnostics.digest import array_digest, capture_digest
+from repro.diagnostics.digest import array_digest
 from repro.graph.graph import Graph
-# The runtime stash-dependence resolvers are shared with the executor so
-# the liveness table here matches what the executor actually stashes.
-from repro.graph.liveness import runtime_feature_map_uses
+from repro.graph.liveness import feature_map_uses
 from repro.graph.node import OpNode
 from repro.graph.schedule import TrainingSchedule
-from repro.train.executor import GraphExecutor
 
-__all__ = ["InvariantSuite", "InvariantViolation", "verify_kernel_agreement"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.train.executor import GraphExecutor
+
+__all__ = ["InvariantSuite", "InvariantViolation"]
 
 
 class InvariantViolation(AssertionError):
@@ -96,11 +94,12 @@ class InvariantSuite:
 
     @staticmethod
     def _death_table(graph: Graph, schedule: TrainingSchedule) -> Dict[int, int]:
-        """Last legitimate read time of each node's stash, runtime flags."""
+        """Last legitimate read time of each node's stash, by the uses
+        table the executor stashes by (pools rewritten)."""
         return {
             nid: last_fwd if last_bwd is None else max(last_fwd, last_bwd)
             for nid, (last_fwd, _, last_bwd)
-            in runtime_feature_map_uses(graph, schedule).items()
+            in feature_map_uses(graph, schedule, True).items()
         }
 
     # -- executor hooks -------------------------------------------------
@@ -176,50 +175,3 @@ class InvariantSuite:
                     f"overlaps the live encoded stash of {name!r}"
                 )
 
-
-def verify_kernel_agreement(
-    graph: Graph,
-    batches: Sequence[Tuple[np.ndarray, np.ndarray]],
-    policy_factory=None,
-    seed: int = 0,
-) -> int:
-    """Cross-check the kernel-plan and reference execution paths.
-
-    Runs two fresh executors over the same graph and batches — one with
-    the default dispatch (autotuned arms + arena), one forced onto the
-    ``reference`` conv arm with a pass-through arena — and requires
-    bit-identical losses, parameter gradients and decoded stash tensors
-    at every step.
-
-    Args:
-        graph: The training graph (parameters are re-initialised per
-            executor from ``seed``, so both start identical).
-        batches: ``(images, labels)`` pairs, one per step.
-        policy_factory: ``graph -> StashPolicy`` builder; called once per
-            executor so no runtime state is shared.  ``None`` uses the
-            FP32 baseline.
-        seed: Parameter-initialisation seed for both executors.
-
-    Returns:
-        The number of verified steps.
-
-    Raises:
-        InvariantViolation: On the first step where the two paths diverge.
-    """
-    def run(use_plans: bool) -> List:
-        # Each executor's constructor rewinds the shared graph's stateful
-        # layers (dropout), so both modes draw identical randomness.
-        policy = policy_factory(graph) if policy_factory is not None else None
-        ex = GraphExecutor(graph, policy, seed=seed,
-                           use_kernel_plans=use_plans)
-        return capture_digest(ex, batches).steps
-
-    plan_digests, ref_digests = run(True), run(False)
-    for step, (mine, theirs) in enumerate(zip(plan_digests, ref_digests)):
-        if mine != theirs:
-            raise InvariantViolation(
-                f"kernel-agreement: plan and reference paths diverged at "
-                f"step {step} (plan loss={mine.loss!r}, "
-                f"reference loss={theirs.loss!r})"
-            )
-    return len(batches)

@@ -21,7 +21,6 @@ from repro.encodings.dpr import (
 )
 from repro.encodings.groupquant import (
     GroupQuantEncoding,
-    GroupQuantPolicy,
     GroupQuantTensor,
 )
 from repro.encodings.floatsim import (
@@ -51,7 +50,6 @@ __all__ = [
     "DPRTensor",
     "Encoding",
     "GroupQuantEncoding",
-    "GroupQuantPolicy",
     "GroupQuantTensor",
     "HostSwapEncoding",
     "IdentityEncoding",

@@ -126,36 +126,3 @@ class GroupQuantEncoding(Encoding):
     def measure_bytes(self, encoded: GroupQuantTensor) -> int:
         return encoded.nbytes
 
-
-class GroupQuantPolicy:
-    """Stash policy applying group quantisation to every stashed map.
-
-    Duck-typed against :class:`repro.train.stash.StashPolicy` (kept here
-    to spare a train<->encodings dependency); the input images stay exact.
-    """
-
-    param_dtype = None
-
-    def __init__(self, bits: int = 4, group_size: int = 256):
-        from repro.encodings.base import IdentityEncoding
-
-        self._encoding = GroupQuantEncoding(bits, group_size)
-        self._identity = IdentityEncoding()
-
-    def encoding_for(self, graph, node_id):
-        """Group-quantise everything except the raw input images."""
-        if node_id == graph.input_id:
-            return self._identity
-        return self._encoding
-
-    def describe(self) -> str:
-        """Label: ``"groupquant-int<bits>"`` (traces, digests, reports)."""
-        return self._encoding.name
-
-    def transform_forward(self, y, node):
-        """Forward pass stays exact (delayed reduction)."""
-        return y
-
-    def transform_gradient(self, dx, node):
-        """Gradient maps stay exact."""
-        return dx

@@ -7,13 +7,17 @@ schedule's discrete clock.  The Gist Schedule Builder (in
 :mod:`repro.core.schedule_builder`) rewrites these intervals when it
 inserts encode/decode ops; the memory allocator then shares space between
 tensors with disjoint intervals.
+
+:func:`feature_map_uses` is the one answer to "which backward ops read
+feature map *m*, and when?": the liveness table, every planner, the
+executor's stash set and the runtime invariant checker all read it.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.dtypes import FP32, UINT8
 from repro.graph.graph import Graph
@@ -94,100 +98,71 @@ class LiveTensor:
         return not (self.death < other.birth or other.death < self.birth)
 
 
-def _runtime_needs_input(node) -> bool:
-    """Whether the *executor's* backward kernel reads the node's input.
+def _reads(node, flag: str, pools_rewritten: bool) -> bool:
+    """Whether ``node``'s backward op reads the map its ``flag``
+    (``backward_needs_input`` / ``backward_needs_output``) names.
 
-    Layers may override the declared (baseline-framework) dependence with
-    ``runtime_backward_needs_*``: a max-pool is charged for X and Y in the
-    memory model but its kernels replay the argmax map.  The executor,
-    the hybrid planner's recompute-source search and the runtime liveness
-    invariant all stash/judge by these flags.
+    With ``pools_rewritten`` a max-pool replays its argmax map and reads
+    neither X nor Y: the executor always runs that way, the memory
+    planners only when Binarize rewrites the pools.
     """
-    override = getattr(node.layer, "runtime_backward_needs_input", None)
-    if override is not None:
-        return override
-    return node.layer.backward_needs_input
+    if pools_rewritten and getattr(node.layer, "supports_argmax_map", False):
+        return False
+    return getattr(node.layer, flag)
 
 
-def _runtime_needs_output(node) -> bool:
-    """Output-side twin of :func:`_runtime_needs_input`."""
-    override = getattr(node.layer, "runtime_backward_needs_output", None)
-    if override is not None:
-        return override
-    return node.layer.backward_needs_output
-
-
-def _runtime_needs_stash(graph: Graph, node) -> bool:
-    """Whether the executor stashes ``node``'s output for the backward pass."""
-    if _runtime_needs_output(node):
-        return True
-    return any(_runtime_needs_input(c) for c in graph.consumers(node.node_id))
-
-
-def _feature_map_uses(
-    graph: Graph, schedule: TrainingSchedule, node_id: int,
-    needs_input, needs_output,
-) -> tuple:
-    """(last forward, first backward, last backward use) of a node's output.
-
-    The forward use set contains the producing op and every forward
-    consumer; the backward use set contains the producer's backward op
-    if ``needs_output(node)`` and each consumer's backward op if
-    ``needs_input(consumer)`` — the two predicates are what distinguish
-    the declared baseline dependence, the Schedule Builder's pool-rewritten
-    dependence and the executor's runtime dependence.  Both backward
-    entries are ``None`` when nothing reads the map in the backward pass.
-    """
+def backward_readers(graph: Graph, schedule: TrainingSchedule, node_id: int,
+                     pools_rewritten: bool) -> tuple:
+    """(producer reads its output, consumers reading it as input) — the
+    backward ops that read ``node_id``'s feature map."""
     node = graph.node(node_id)
-    last_fwd = schedule.forward_time(node_id)
-    for consumer in graph.consumers(node_id):
-        last_fwd = max(last_fwd, schedule.forward_time(consumer.node_id))
-    backward_uses = []
-    if needs_output(node) and schedule.has_backward(node_id):
-        backward_uses.append(schedule.backward_time(node_id))
-    for consumer in graph.consumers(node_id):
-        if needs_input(consumer) and schedule.has_backward(consumer.node_id):
-            backward_uses.append(schedule.backward_time(consumer.node_id))
-    if not backward_uses:
-        return last_fwd, None, None
-    return last_fwd, min(backward_uses), max(backward_uses)
+    producer_reads = bool(
+        _reads(node, "backward_needs_output", pools_rewritten)
+        and schedule.has_backward(node_id))
+    consumers = [
+        c for c in graph.consumers(node_id)
+        if _reads(c, "backward_needs_input", pools_rewritten)
+        and schedule.has_backward(c.node_id)
+    ]
+    return producer_reads, consumers
 
 
-def runtime_feature_map_uses(
-    graph: Graph, schedule: TrainingSchedule
-) -> Dict[int, tuple]:
-    """``{node_id:`` :func:`_feature_map_uses` ``}`` of every node under
-    the executor's stash rules (``_runtime_needs_*``).  Derived once per
-    graph; each call gets its own dict."""
-    return dict(graph.derived("runtime_feature_map_uses",
-                              lambda: _walk_runtime_uses(graph, schedule)))
+def feature_map_uses(
+    graph: Graph, schedule: TrainingSchedule, pools_rewritten: bool
+) -> Dict[int, Tuple[int, Optional[int], Optional[int]]]:
+    """``{node_id: (last forward, first backward, last backward use)}`` of
+    every feature map; both backward entries are ``None`` when no backward
+    op reads the map.  The loss output's backward op seeds the pass, so it
+    counts as a read of the loss.
+
+    ``pools_rewritten=False`` is the layers' declared dependence (the
+    baseline liveness table); ``True`` is the executor's, and Binarize's
+    (see :func:`_reads`).  Walked once per graph and flag; each call gets
+    its own dict.
+    """
+    return dict(graph.derived(
+        ("feature_map_uses", pools_rewritten),
+        lambda: _walk_uses(graph, schedule, pools_rewritten)))
 
 
-def _walk_runtime_uses(graph: Graph,
-                       schedule: TrainingSchedule) -> Dict[int, tuple]:
-    return {
-        node.node_id: _feature_map_uses(graph, schedule, node.node_id,
-                                        _runtime_needs_input,
-                                        _runtime_needs_output)
-        for node in graph.nodes
-    }
-
-
-def _declared_needs_input(node) -> bool:
-    return node.layer.backward_needs_input
-
-
-def _declared_needs_output(node) -> bool:
-    return node.layer.backward_needs_output
-
-
-def feature_map_last_uses(
-    graph: Graph, schedule: TrainingSchedule, node_id: int
-) -> tuple:
-    """:func:`_feature_map_uses` under the layers' declared dependence
-    (``backward_needs_input`` / ``backward_needs_output``)."""
-    return _feature_map_uses(graph, schedule, node_id,
-                             _declared_needs_input, _declared_needs_output)
+def _walk_uses(graph: Graph, schedule: TrainingSchedule,
+               pools_rewritten: bool
+               ) -> Dict[int, Tuple[int, Optional[int], Optional[int]]]:
+    uses = {}
+    for node in graph.nodes:
+        nid = node.node_id
+        last_fwd = schedule.forward_time(nid)
+        for consumer in graph.consumers(nid):
+            last_fwd = max(last_fwd, schedule.forward_time(consumer.node_id))
+        producer_reads, consumers = backward_readers(graph, schedule, nid,
+                                                     pools_rewritten)
+        reads = [schedule.backward_time(c.node_id) for c in consumers]
+        if producer_reads or (nid == graph.output_id
+                              and schedule.has_backward(nid)):
+            reads.append(schedule.backward_time(nid))
+        uses[nid] = ((last_fwd, min(reads), max(reads)) if reads
+                     else (last_fwd, None, None))
+    return uses
 
 
 def compute_lifetimes(
@@ -227,6 +202,7 @@ def _walk_lifetimes(
 ) -> List[LiveTensor]:
     """The liveness walk behind :func:`compute_lifetimes`."""
     end = schedule.end
+    uses = feature_map_uses(graph, schedule, False)
     tensors: List[LiveTensor] = []
 
     for node in graph.nodes:
@@ -235,11 +211,8 @@ def _walk_lifetimes(
         input_shapes = node.input_shapes(graph)
 
         # --- Feature map (this node's output) ---------------------------
-        last_fwd, _, last_bwd = feature_map_last_uses(graph, schedule, nid)
+        last_fwd, _, last_bwd = uses[nid]
         death = last_bwd if last_bwd is not None else last_fwd
-        # The loss output seeds the backward pass.
-        if nid == graph.output_id and schedule.has_backward(nid):
-            death = max(death, schedule.backward_time(nid))
         tensors.append(
             LiveTensor(
                 TensorSpec(f"{node.name}.out", node.output_shape, FP32,

@@ -6,9 +6,12 @@ in the backward pass.  Gist instead records a *Y-to-X argmax map* in the
 forward pass — one window-local index per output element, 4 bits each for
 windows up to 3x3 — after which the backward pass touches neither ``X`` nor
 ``Y`` (paper Section IV-A).  The runtime kernels here always compute that
-map (it is also the fastest way to write the backward scatter in NumPy);
-whether the *baseline memory model* charges for stashed X/Y or for the map
-is decided by the memory planner, not by this class.
+map (it is also the fastest way to write the backward scatter in NumPy).
+Which maps a backward op reads is one table,
+:func:`repro.graph.liveness.feature_map_uses`: with pools rewritten (the
+executor always, the planners under Binarize) a max-pool reads neither X
+nor Y; with its declared flags the *baseline memory model* charges for
+both.
 """
 
 from __future__ import annotations
@@ -61,13 +64,11 @@ class MaxPool2D(_Pool2D):
     # re-finds max locations in the backward pass).
     backward_needs_input = True
     backward_needs_output = True
-    #: Marks this op as rewritable by Gist to use only the argmax map.
+    #: Marks this op as rewritable by Gist to use only the argmax map.  The
+    #: kernels below always replay that map, so the executor, which reads
+    #: the pool-rewritten uses table, never stashes X/Y; the baseline
+    #: memory model still charges for them via the flags above.
     supports_argmax_map = True
-    #: The runtime kernels below already use the argmax map, so the
-    #: executor never stashes X/Y (the *memory model* still charges the
-    #: baseline for them via backward_needs_input/output above).
-    runtime_backward_needs_input = False
-    runtime_backward_needs_output = False
 
     def __init__(self, kernel, stride: int = None, pad: int = 0):
         super().__init__(kernel, stride, pad)

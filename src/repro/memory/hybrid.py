@@ -74,7 +74,7 @@ from repro.graph.liveness import (
     ROLE_ENCODED,
     ROLE_FEATURE_MAP,
     ROLE_WORKSPACE,
-    runtime_feature_map_uses,
+    feature_map_uses,
 )
 from repro.graph.schedule import TrainingSchedule
 from repro.memory.allocator import StaticAllocator
@@ -254,8 +254,8 @@ def find_recompute_chain(
     """Walk toward the input for the nearest value-exact recompute source.
 
     ``runtime_uses`` is the graph's
-    :func:`~repro.graph.liveness.runtime_feature_map_uses` table, derived
-    once per graph: sources are judged by the executor's stash rules (a
+    :func:`~repro.graph.liveness.feature_map_uses` table with pools
+    rewritten: sources are judged by what the executor stashes (a
     max-pool replays its argmax map, never X/Y), not the declared
     baseline needs.
 
@@ -327,7 +327,7 @@ def _candidate_options(
     from repro.core.schedule_builder import _gist_option
 
     concat_index = concat_index or {}
-    runtime_uses = runtime_feature_map_uses(graph, schedule)
+    runtime_uses = feature_map_uses(graph, schedule, True)
     options: List[PlanDecision] = []
     for node in graph.nodes:
         nid = node.node_id
@@ -635,7 +635,6 @@ def build_hybrid_plan(
         STRATEGY_SHARED_CONCAT,
         STRATEGY_SWAP,
     )
-    from repro.core.schedule_builder import feature_map_uses
     from repro.memory.shared_concat import (
         find_concat_chains,
         member_to_terminal,
@@ -658,7 +657,7 @@ def build_hybrid_plan(
     baseline_allocated = StaticAllocator().allocate(
         baseline.tensors).total_bytes
     stash_infos = classify_all_stashes(graph, schedule)
-    uses = feature_map_uses(graph, schedule, cfg)
+    uses = feature_map_uses(graph, schedule, cfg.binarize)
     swap_stall = _swap_stall_fraction(cost, step, baseline)
     concat_index = member_to_terminal(find_concat_chains(graph))
     options = _candidate_options(graph, schedule, stash_infos, uses, cfg,

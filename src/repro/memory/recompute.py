@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import List, Optional, TYPE_CHECKING, Tuple
 
 from repro.graph.graph import Graph
+from repro.graph.liveness import feature_map_uses
 from repro.graph.schedule import TrainingSchedule
 from repro.memory.hybrid import (
     CHOICE_RECOMPUTE,
@@ -148,7 +149,6 @@ def build_recompute_plan(
     # local: memory<->core cycle (core's selectors import memory.hybrid)
     from repro.core.analysis import classify_all_stashes
     from repro.core.policy import GistConfig
-    from repro.core.schedule_builder import feature_map_uses
 
     if schedule is None:
         schedule = TrainingSchedule(graph)
@@ -159,7 +159,7 @@ def build_recompute_plan(
         raise ValueError(f"segment_length must be >= 1, got {segment_length}")
 
     cfg = GistConfig.disabled()
-    uses = feature_map_uses(graph, schedule, cfg)
+    uses = feature_map_uses(graph, schedule, False)
     stash_infos = classify_all_stashes(graph, schedule)
     checkpoints: List[int] = []
     decisions = {}

@@ -15,6 +15,7 @@ from repro.train.stash import (
     GradientOnlyReductionPolicy,
     BaselinePolicy,
     GistPolicy,
+    GroupQuantPolicy,
     HybridExecutionPolicy,
     LOSSLESS_POLICY_NAMES,
     POLICY_NAMES,
@@ -35,6 +36,7 @@ __all__ = [
     "Dataset",
     "GistPolicy",
     "GradientOnlyReductionPolicy",
+    "GroupQuantPolicy",
     "GraphExecutor",
     "HybridExecutionPolicy",
     "LOSSLESS_POLICY_NAMES",

@@ -17,8 +17,9 @@ import numpy as np
 
 from repro.encodings.base import Encoding
 from repro.graph.graph import Graph
-from repro.graph.liveness import _runtime_needs_stash
+from repro.graph.liveness import feature_map_uses
 from repro.graph.node import OpNode
+from repro.graph.schedule import TrainingSchedule
 
 from typing import TYPE_CHECKING
 
@@ -140,6 +141,12 @@ class GraphExecutor:
                 f"graph output must be a SoftmaxCrossEntropy loss, "
                 f"got {self._loss_node.kind!r}"
             )
+        # The maps some backward op reads, max-pools replaying their
+        # argmax map; the loss only seeds the backward pass.
+        uses = feature_map_uses(graph, TrainingSchedule(graph), True)
+        self._stashed_ids = {
+            nid for nid, (_, first_bwd, _) in uses.items()
+            if first_bwd is not None} - {graph.output_id}
         self._stash: Dict[int, Tuple[Encoding, object]] = {}
         self._decoded: Dict[int, np.ndarray] = {}
         self._ctx: Dict[int, _Context] = {}
@@ -181,13 +188,6 @@ class GraphExecutor:
                 flat[f"{node.name}.{pname}"] = arr
         return flat
 
-    def _decision(self, node_id: int):
-        # ``decision_for`` is an optional StashPolicy hook; external
-        # policies duck-typed against the protocol (e.g. GroupQuantPolicy)
-        # may not define it.
-        hook = getattr(self.policy, "decision_for", None)
-        return None if hook is None else hook(node_id)
-
     def stashed_value(self, node_id: int) -> np.ndarray:
         """Decode (with caching) the stashed feature map of ``node_id``."""
         checks = self._invariants
@@ -198,7 +198,7 @@ class GraphExecutor:
         try:
             encoding, encoded = self._stash[node_id]
         except KeyError:
-            decision = self._decision(node_id)
+            decision = self.policy.decision_for(node_id)
             choice = None if decision is None else decision.choice
             if choice == CHOICE_RECOMPUTE:
                 return self._materialize_recompute(node_id, decision)
@@ -378,9 +378,9 @@ class GraphExecutor:
         return value
 
     def _maybe_stash(self, node: OpNode, y: np.ndarray) -> None:
-        if not _runtime_needs_stash(self.graph, node):
+        if node.node_id not in self._stashed_ids:
             return
-        decision = self._decision(node.node_id)
+        decision = self.policy.decision_for(node.node_id)
         if decision is not None and decision.choice in (
                 CHOICE_RECOMPUTE, CHOICE_SHARED_CONCAT):
             # Dropped after its last forward use: rebuilt on demand in the

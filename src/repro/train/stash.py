@@ -18,6 +18,12 @@ The executor routes every stashed feature map through a policy:
 * :class:`AllFP16Policy` — the prior-work baseline: quantise every layer
   output *in the forward pass*, so error propagates through subsequent
   layers (the curve that diverges in Figure 12).
+* :class:`GroupQuantPolicy` — follow-on work (ActNN): per-group integer
+  stashes.
+
+Every policy stashes the FP32 identity unless it says otherwise
+(:meth:`StashPolicy.encoding_for`) and decides nothing but codecs unless
+it is a table policy (:meth:`StashPolicy.decision_for`).
 
 :data:`POLICY_NAMES` is the one policy vocabulary — the ``describe()``
 labels — and :func:`policy_from_name` its one parser.
@@ -25,7 +31,6 @@ labels — and :func:`policy_from_name` its one parser.
 
 from __future__ import annotations
 
-import abc
 from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -35,7 +40,7 @@ from repro.core.schedule_builder import build_gist_plan, gist_codec
 from repro.dtypes import DPR_FORMATS, FP16
 from repro.encodings.base import Encoding, HostSwapEncoding, IdentityEncoding
 from repro.encodings.floatsim import quantize
-from repro.encodings.groupquant import GROUPQUANT_BITS, GroupQuantPolicy
+from repro.encodings.groupquant import GROUPQUANT_BITS, GroupQuantEncoding
 from repro.graph.graph import Graph
 from repro.graph.node import OpNode
 from repro.memory.hybrid import CHOICE_GIST, CHOICE_SWAP, PlanDecision
@@ -44,12 +49,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memory.hybrid import HybridPlan
 
 
-class StashPolicy(abc.ABC):
+class StashPolicy:
     """Chooses the stash encoding per feature-map edge."""
 
-    @abc.abstractmethod
+    def __init__(self):
+        self._identity = IdentityEncoding()
+
     def encoding_for(self, graph: Graph, node_id: int) -> Encoding:
-        """Encoding for the feature map produced by ``node_id``."""
+        """Encoding for the feature map produced by ``node_id``: the FP32
+        identity unless a policy says otherwise."""
+        return self._identity
 
     def describe(self) -> str:
         """Short policy label used in traces, digests and reports."""
@@ -83,12 +92,6 @@ class StashPolicy(abc.ABC):
 
 class BaselinePolicy(StashPolicy):
     """FP32 stashes everywhere — the exact-arithmetic baseline."""
-
-    def __init__(self):
-        self._identity = IdentityEncoding()
-
-    def encoding_for(self, graph: Graph, node_id: int) -> Encoding:
-        return self._identity
 
     def describe(self) -> str:
         """Label: ``"baseline"``."""
@@ -126,7 +129,7 @@ class _TablePolicy(StashPolicy):
     """
 
     def __init__(self, cfg: GistConfig, decisions: Dict[int, PlanDecision]):
-        self._identity = IdentityEncoding()
+        super().__init__()
         self._decisions = decisions
         # One codec instance per distinct (choice, encoding) pair.
         codecs: Dict[Tuple[str, Optional[str]], Encoding] = {}
@@ -172,12 +175,9 @@ class UniformReductionPolicy(StashPolicy):
     """
 
     def __init__(self, dtype=FP16):
+        super().__init__()
         self.dtype = dtype
-        self._identity = IdentityEncoding()
         self.param_dtype = dtype
-
-    def encoding_for(self, graph: Graph, node_id: int) -> Encoding:
-        return self._identity  # the stash is already quantised
 
     def transform_forward(self, y: np.ndarray, node: OpNode) -> np.ndarray:
         if node.kind in ("loss", "input"):
@@ -209,11 +209,8 @@ class GradientOnlyReductionPolicy(StashPolicy):
     """
 
     def __init__(self, dtype=FP16):
+        super().__init__()
         self.dtype = dtype
-        self._identity = IdentityEncoding()
-
-    def encoding_for(self, graph: Graph, node_id: int) -> Encoding:
-        return self._identity
 
     def transform_gradient(self, dx: np.ndarray, node: OpNode) -> np.ndarray:
         return quantize(dx, self.dtype)
@@ -221,6 +218,25 @@ class GradientOnlyReductionPolicy(StashPolicy):
     def describe(self) -> str:
         """Label: ``"grad-only-<format>"``."""
         return f"grad-only-{self.dtype.name}"
+
+
+class GroupQuantPolicy(StashPolicy):
+    """ActNN-style follow-on work: group-quantise every stashed map but
+    the raw input images (:class:`~repro.encodings.groupquant.
+    GroupQuantEncoding`); the forward pass and gradients stay exact."""
+
+    def __init__(self, bits: int = 4, group_size: int = 256):
+        super().__init__()
+        self._encoding = GroupQuantEncoding(bits, group_size)
+
+    def encoding_for(self, graph: Graph, node_id: int) -> Encoding:
+        if node_id == graph.input_id:
+            return self._identity
+        return self._encoding
+
+    def describe(self) -> str:
+        """Label: ``"groupquant-int<bits>"``."""
+        return self._encoding.name
 
 
 class HybridExecutionPolicy(_TablePolicy):

@@ -148,11 +148,12 @@ def test_a_graph_is_analysed_once_across_entry_points(monkeypatch):
     """``plan_suite``'s sequence on one fresh graph — baseline plan,
     Table-I plan, two allocations, hybrid build, overhead model, MFR
     facade — walks liveness once per flag pair, classifies once, walks
-    feature-map uses once per pool-rewrite flag (and the runtime uses
-    once) and prices each node once per device, whichever entry point
-    asks first."""
+    feature-map uses once per pool-rewrite flag (the liveness table reads
+    the declared one, the hybrid's recompute-source search the rewritten
+    one, so both are walked) and prices each node once per device,
+    whichever entry point asks first.  ``liveness._walk_uses`` is the one
+    uses walk: no other is counted, and nothing else is left."""
     import repro.core.analysis as analysis
-    import repro.core.schedule_builder as schedule_builder
     import repro.graph.liveness as liveness
     from repro.core import Gist
     from repro.graph.schedule import TrainingSchedule
@@ -164,9 +165,8 @@ def test_a_graph_is_analysed_once_across_entry_points(monkeypatch):
     _count_calls(monkeypatch, liveness, "_walk_lifetimes", calls,
                  key=lambda graph, schedule, weights, workspace:
                  (weights, workspace))
-    _count_calls(monkeypatch, liveness, "_walk_runtime_uses", calls)
     _count_calls(monkeypatch, analysis, "_classify_all", calls)
-    _count_calls(monkeypatch, schedule_builder, "_walk_uses", calls,
+    _count_calls(monkeypatch, liveness, "_walk_uses", calls,
                  key=lambda graph, schedule, pools_rewritten: pools_rewritten)
     for name in ("forward_time", "backward_time"):
         _count_calls(monkeypatch, CostModel, name, calls,
@@ -186,11 +186,9 @@ def test_a_graph_is_analysed_once_across_entry_points(monkeypatch):
         measure_overhead(graph, config)
         Gist(config).measure_mfr(graph)
 
-        flags = {config.binarize, hybrid_policy.gist.binarize}
         assert calls.pop(("_walk_lifetimes", (False, False))) == 1, model
-        assert calls.pop(("_walk_runtime_uses", None)) == 1, model
         assert calls.pop(("_classify_all", None)) == 1, model
-        for flag in flags:
+        for flag in (False, True):
             assert calls.pop(("_walk_uses", flag)) == 1, (model, flag)
         # What is left is the pricing: one forward and one backward time
         # per node, on the one device every entry point defaults to.

@@ -14,13 +14,11 @@ from repro.diagnostics import (
     InvariantViolation,
     golden_batches,
     run_traced,
-    verify_kernel_agreement,
 )
 from repro.encodings.binarize import BinarizedTensor
 from repro.models import build_model
 from repro.train.executor import GraphExecutor
-from repro.train.stash import GistPolicy, policy_from_name
-from repro.core.policy import GistConfig
+from repro.train.stash import policy_from_name
 
 
 def _executor(policy="gist-lossless", model="tiny_cnn", **inv_kwargs):
@@ -137,18 +135,3 @@ class TestAliasChecker:
         assert ex2.arena.observer is None
         images, labels  # unused; clean construction is the assertion
 
-
-class TestKernelAgreement:
-    def test_reference_and_plan_paths_agree(self):
-        graph = build_model("tiny_cnn", **GOLDEN_MODELS["tiny_cnn"])
-        steps = verify_kernel_agreement(
-            graph, golden_batches("tiny_cnn", 2),
-            policy_factory=lambda g: GistPolicy(g, GistConfig.lossless()),
-        )
-        assert steps == 2
-
-    def test_agreement_default_baseline_policy(self):
-        graph = build_model("tiny_cnn", **GOLDEN_MODELS["tiny_cnn"])
-        assert verify_kernel_agreement(
-            graph, golden_batches("tiny_cnn", 1)
-        ) == 1

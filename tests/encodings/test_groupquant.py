@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.encodings import GroupQuantEncoding, GroupQuantPolicy
+from repro.encodings import GroupQuantEncoding
+from repro.train import GroupQuantPolicy
 
 
 class TestGroupQuant:

@@ -15,8 +15,7 @@ import random
 import pytest
 
 from repro.core import Gist, GistConfig, build_gist_plan, classify_all_stashes
-from repro.core.schedule_builder import feature_map_uses
-from repro.graph.liveness import compute_lifetimes, runtime_feature_map_uses
+from repro.graph.liveness import compute_lifetimes, feature_map_uses
 from repro.graph.schedule import TrainingSchedule
 from repro.memory import (
     StaticAllocator,
@@ -65,8 +64,8 @@ def _corrupt(graph):
         victim.death = victim.birth - 1
         victim.shareable = not victim.shareable
     schedule = TrainingSchedule(graph)
-    feature_map_uses(graph, schedule, GistConfig()).clear()
-    runtime_feature_map_uses(graph, schedule).clear()
+    for pools_rewritten in (False, True):
+        feature_map_uses(graph, schedule, pools_rewritten).clear()
     classify_all_stashes(graph).clear()
 
 
@@ -90,8 +89,9 @@ ENTRY_POINTS = {
     "mfr-investigation-dynamic": lambda g: Gist(GistConfig.lossless())
     .measure_mfr(g, investigation=True, dynamic=True),
     "stash-classes": _classes,
-    "runtime-uses": lambda g: runtime_feature_map_uses(g,
-                                                       TrainingSchedule(g)),
+    "uses": lambda g: feature_map_uses(g, TrainingSchedule(g), False),
+    "uses-pools-rewritten": lambda g: feature_map_uses(
+        g, TrainingSchedule(g), True),
     "corrupt": _corrupt,
 }
 
@@ -129,8 +129,8 @@ def test_a_corrupted_hand_out_leaves_the_memo_intact():
     for derive in (
         compute_lifetimes,
         _classes,
-        lambda g: feature_map_uses(g, TrainingSchedule(g), GistConfig()),
-        lambda g: runtime_feature_map_uses(g, TrainingSchedule(g)),
+        lambda g: feature_map_uses(g, TrainingSchedule(g), False),
+        lambda g: feature_map_uses(g, TrainingSchedule(g), True),
     ):
         assert derive(graph) == derive(fresh)
 

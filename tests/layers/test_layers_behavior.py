@@ -128,11 +128,6 @@ class TestBackwardNeedsMetadata:
         assert layer.backward_needs_input
         assert layer.backward_needs_output
 
-    def test_maxpool_runtime_needs_neither(self):
-        layer = MaxPool2D(2)
-        assert layer.runtime_backward_needs_input is False
-        assert layer.runtime_backward_needs_output is False
-
     def test_maxpool_argmax_spec_is_4bit(self):
         spec = MaxPool2D(3, 2).argmax_map_spec((2, 4, 5, 5))
         assert spec.dtype is NIBBLE4

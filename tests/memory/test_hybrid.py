@@ -11,7 +11,7 @@ from repro.core.policy import (
     STRATEGY_SHARED_CONCAT,
     STRATEGY_SWAP,
 )
-from repro.graph.liveness import runtime_feature_map_uses
+from repro.graph.liveness import feature_map_uses
 from repro.graph.schedule import TrainingSchedule
 from repro.memory import (
     ALL_CHOICES,
@@ -146,8 +146,8 @@ class TestRecomputeChains:
                 assert source.lossless
 
     def test_input_and_loss_are_never_targets(self, tiny_graph):
-        uses = runtime_feature_map_uses(tiny_graph,
-                                        TrainingSchedule(tiny_graph))
+        uses = feature_map_uses(tiny_graph, TrainingSchedule(tiny_graph),
+                                True)
         assert find_recompute_chain(
             tiny_graph, uses, tiny_graph.input_id, 0) is None
         assert find_recompute_chain(
@@ -158,7 +158,7 @@ class TestRecomputeChains:
         schedule = TrainingSchedule(g)
         join = next(n for n in g.nodes if len(n.inputs) > 1)
         assert find_recompute_chain(
-            g, runtime_feature_map_uses(g, schedule), join.node_id,
+            g, feature_map_uses(g, schedule, True), join.node_id,
             schedule.backward_time(join.node_id)) is None
 
     def test_chains_never_cross_joins(self):

@@ -127,12 +127,10 @@ class TestSegmentAccounting:
         return build_model(request.param, batch_size=8)
 
     def test_checkpoint_is_live_when_its_segment_replays(self, graph):
-        from repro.core import GistConfig
-        from repro.core.schedule_builder import feature_map_uses
+        from repro.graph.liveness import feature_map_uses
 
         rp = build_recompute_plan(graph, segment_length=4)
-        uses = feature_map_uses(graph, rp.plan.schedule,
-                                GistConfig.disabled())
+        uses = feature_map_uses(graph, rp.plan.schedule, False)
         tensors = {t.spec.name: t for t in rp.plan.tensors}
         trunk = trunk_nodes(graph)
         assert rp.recomputed

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.core import GistConfig, build_gist_plan, gist_codec
-from repro.graph.liveness import _runtime_needs_stash
+from repro.graph.liveness import feature_map_uses
+from repro.graph.schedule import TrainingSchedule
 from repro.kernels import clear_plan_cache, clear_selection_cache
 from repro.memory import build_hybrid_plan
 from repro.models import available_models, build_model, scaled_vgg
@@ -35,9 +36,9 @@ def test_runtime_table_equals_plan_decisions(model, config_name):
     graph = build_model(model, batch_size=32)
     policy = GistPolicy(graph, cfg)
     planned = build_gist_plan(graph, cfg).decisions
-    stashed = {node.node_id for node in graph.nodes
-               if node.node_id != graph.output_id
-               and _runtime_needs_stash(graph, node)}
+    uses = feature_map_uses(graph, TrainingSchedule(graph), True)
+    stashed = {nid for nid, (_, first_bwd, _) in uses.items()
+               if first_bwd is not None and nid != graph.output_id}
     # Runtime -> plan: every stashed map runs the codec its decision was
     # sized with — the one factory's, reproducing the priced bytes — and
     # the FP32 identity where the plan decided nothing.
