@@ -13,7 +13,7 @@ import pytest
 from repro.diagnostics.golden import GOLDEN_MODELS
 from repro.encodings import binarize, ssdc
 from repro.kernels.arena import NULL_ARENA
-from repro.kernels.plan import bit_identical
+from repro.kernels.plan import KernelPlan, bit_identical
 from repro.layers.im2col import conv_output_hw
 from repro.models import build_model
 from repro.train import GistPolicy, GraphExecutor
@@ -101,3 +101,52 @@ def test_codec_bodies_are_their_references_on_live_vgg_gist_maps(
         assert bit_identical(got.col_idx, want.col_idx)
         assert bit_identical(got.row_ptr, want.row_ptr)
         assert bit_identical(got.values.words, want.values.words)
+
+
+def _is_disjoint(shape, kh, kw, stride, pad):
+    _, _, h, w = shape
+    return (pad == 0 and stride == kh == kw
+            and h % kh == 0 and w % kw == 0)
+
+
+@pytest.mark.parametrize(
+    "shape,kh,kw,stride,pad", SIGNATURES,
+    ids=[f"{'x'.join(map(str, s))}-k{kh}x{kw}s{st}p{p}"
+         for s, kh, kw, st, p in SIGNATURES])
+def test_maxpool_body_is_its_reference_on_relu_like_maps(
+        monkeypatch, shape, kh, kw, stride, pad):
+    """The maps training pools: NHWC-strided (as the planned convs hand
+    them out), ReLU-like — most values exact ``+0.0``, so whole windows
+    tie at zero — and drawn from a few finite levels, so positive maxima
+    repeat inside a window.  Tiled windows must take the disjoint path,
+    the others the general one."""
+    n, c, h, w = shape
+    oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
+    rng = np.random.default_rng(1)
+    levels = np.maximum(rng.integers(-4, 4, (n, h, w, c)), 0)
+    x = (levels * np.float32(0.25)).astype(np.float32).transpose(0, 3, 1, 2)
+    assert not x.flags["C_CONTIGUOUS"]
+    assert np.count_nonzero(x) <= x.size // 2
+    dy = rng.normal(0, 1, (n, c, oh, ow)).astype(np.float32)
+    inputs = (x, dy, kh, kw, stride, pad)
+
+    general = []
+    im2col = KernelPlan.im2col
+
+    def spy(self, *args, **kwargs):
+        general.append(self.shape)
+        return im2col(self, *args, **kwargs)
+
+    monkeypatch.setattr(KernelPlan, "im2col", spy)
+    got = _pool_body(inputs)
+    assert bool(general) != _is_disjoint(shape, kh, kw, stride, pad)
+    monkeypatch.undo()
+    want = _pool_reference(inputs)
+    assert set(got) == {"y", "argmax", "dx"}
+    for key, ref in want.items():
+        assert bit_identical(got[key], ref), key
+        assert got[key].strides == ref.strides, key
+
+
+def test_most_model_pools_take_the_disjoint_path():
+    assert sum(_is_disjoint(*sig) for sig in SIGNATURES) >= 7
