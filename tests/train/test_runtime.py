@@ -174,6 +174,55 @@ class TestExecutor:
             seen.append(ex.last_sparsity)
         assert seen[0] == seen[1] and len(seen[0]) >= 2
 
+    @pytest.mark.parametrize("layout", ["nhwc", "nchw"])
+    @pytest.mark.parametrize("fill", ["nan", "signed_zeros", "inf",
+                                      "all_zeros", "all_nonzero"])
+    def test_sparsity_counts_hostile_maps(self, fill, layout):
+        """``last_sparsity`` is ``1 - count_nonzero(y) / y.size`` for every
+        map: NaN counts as non-zero, either zero does not, whatever the
+        memory order of the map."""
+        g = tiny_cnn(batch_size=8, num_classes=4)
+        rng = np.random.default_rng(3)
+
+        def hostile(shape):
+            n, c, h, w = shape
+            y = rng.normal(0, 1, (n, h, w, c)).astype(np.float32)
+            y[y < 0] = 0.0
+            special = {"nan": np.nan, "signed_zeros": -0.0,
+                       "inf": np.inf}.get(fill)
+            if special is not None:
+                y[rng.random(y.shape) < 0.2] = special
+                y[rng.random(y.shape) < 0.1] = -special
+            elif fill == "all_zeros":
+                y[...] = 0.0
+            else:
+                y[y == 0] = 1.5
+            y = y.transpose(0, 3, 1, 2)
+            return np.ascontiguousarray(y) if layout == "nchw" else y
+
+        planted = {}
+
+        class Planting(BaselinePolicy):
+            def transform_forward(self, y, node):
+                if node.kind in ("relu", "maxpool", "conv_relu"):
+                    planted[node.name] = hostile(y.shape)
+                    return planted[node.name]
+                return y
+
+        train, _ = make_synthetic(32, 4, 8, seed=2)
+        ex = GraphExecutor(g, Planting())
+        with np.errstate(invalid="ignore", over="ignore"):
+            ex.forward(train.images[:8], train.labels[:8])
+        assert planted and set(ex.last_sparsity) == set(planted)
+        for name, y in planted.items():
+            assert y.flags["C_CONTIGUOUS"] == (layout == "nchw")
+            want = 1.0 - np.count_nonzero(y) / y.size
+            assert ex.last_sparsity[name] == want, name
+        if fill == "all_zeros":
+            assert set(ex.last_sparsity.values()) == {1.0}
+        if fill == "all_nonzero":
+            assert set(ex.last_sparsity.values()) == {0.0}
+
     def test_stash_bytes_measured(self):
         g = tiny_cnn(batch_size=8, num_classes=4)
         train, _ = make_synthetic(32, 4, 8, seed=2)
