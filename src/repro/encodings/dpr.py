@@ -64,10 +64,11 @@ def encode_words(x: np.ndarray, dtype: DType,
     """Quantise ``x`` to ``dtype`` and pack it: the whole DPR encode.
 
     Always equal to ``pack_codes(encode_minifloat(x, dtype, rounding),
-    dtype)``; FP16 round-to-nearest takes the native-half route, whose
-    uint16 codes *are* the 2-per-word packing once viewed as uint32 (first
-    code in the low half: hosts are little-endian, as the bit packers'
-    uint8 -> uint32 views already assume).
+    dtype)``; FP16 round-to-nearest takes :func:`encode_half`, integer
+    rounding on the float32 bits, whose uint16 codes *are* the 2-per-word
+    packing once viewed as uint32 (first code in the low half: hosts are
+    little-endian, as the bit packers' uint8 -> uint32 views already
+    assume).
     """
     if dtype == FP16 and rounding == "nearest":
         codes = encode_half(x)

@@ -84,10 +84,9 @@ def csr_encode(
             value optimisation); wider rows fall back to 4-byte indices.
         value_dtype: Optional DPR format for the values array.
     """
-    if cols <= 0:
-        raise ValueError(f"cols must be positive, got {cols}")
     flat = np.asarray(x, dtype=np.float32).ravel()
     n = flat.size
+    row_ptr = np.zeros(_csr_rows(n, cols) + 1, np.int32)
     # Every pass after ``flat != 0`` reads the bool mask (flatnonzero on
     # float32 is branchy): columns come from narrowing the flat positions
     # and row counts from per-row sums of the mask.
@@ -96,7 +95,6 @@ def csr_encode(
     # 256 columns: the low byte of a flat position *is* its column.
     col_idx = (nz.astype(np.uint8) if cols == 256
                else (nz % cols).astype(csr_index_dtype(cols)))
-    row_ptr = np.zeros(_csr_rows(n, cols) + 1, np.int32)
     if n:
         # reduceat sums [start, next start): the ragged last row is free.
         counts = np.add.reduceat(mask, np.arange(0, n, cols), dtype=np.int32)
@@ -126,6 +124,10 @@ def csr_encode_reference(
 
 
 def _csr_rows(n: int, cols: int) -> int:
+    """Row count of an ``n``-element CSR; every entry point's one check
+    of the row width."""
+    if cols <= 0:
+        raise ValueError(f"cols must be positive, got {cols}")
     return max(1, -(-n // cols))
 
 

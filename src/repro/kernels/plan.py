@@ -410,9 +410,11 @@ class KernelPlan:
         tile the input exactly (stride == kernel, no padding — the common
         VGG configuration, known statically from the plan) the slot axis
         is never materialised at all: strided views of the input are
-        max-reduced slot by slot.  Ties, values and winner indices are
-        bit-identical to the reference formulation either way: the slots
-        are compared in the same ``(ki, kj)`` order.  An input holding a
+        max-reduced slot by slot, and each slot's strict wins update the
+        winner index by an element-wise max (slots ascend, so a win always
+        raises it).  Ties, values and winner indices are bit-identical to
+        the reference formulation either way: the slots are compared in
+        the same ``(ki, kj)`` order.  An input holding a
         NaN or a ``-0.0`` takes the general path, whose ``argmax`` +
         gather *is* the reference rule: ``>`` never selects a NaN, and
         which of two equal operands ``np.maximum`` returns is unspecified
@@ -434,16 +436,21 @@ class KernelPlan:
             argmax = np.zeros((n, c, self.P), dtype=np.uint8)
             am3 = argmax.reshape(n, c, self.oh, self.ow)
             mask = arena.rent((n, c, self.oh, self.ow), np.bool_)
+            won = arena.rent((n, c, self.oh, self.ow), np.uint8)
             # Running strict-greater max over ascending slots: ties keep
             # the earlier slot, exactly argmax's first-max rule, and tied
             # values here are bit-equal (see above), so np.maximum yields
-            # the element take_along_axis would gather.
+            # the element take_along_axis would gather.  A strict win
+            # always carries a larger index than the one held, so the
+            # winner update is a max of ``slot * mask`` into ``argmax``.
             for slot in range(1, self.S):
                 ki, kj = divmod(slot, self.kw)
                 vs = v[:, :, :, ki, :, kj]
                 np.greater(vs, y3, out=mask)
-                np.copyto(am3, np.uint8(slot), where=mask)
+                np.multiply(mask, np.uint8(slot), out=won)
+                np.maximum(am3, won, out=am3)
                 np.maximum(y3, vs, out=y3)
+            arena.release(won)
             arena.release(mask)
         else:
             rented = self.im2col(x, arena, pad_value=-np.inf)

@@ -107,7 +107,7 @@ def _fp16_sweep():
 
 class TestFusedWords:
     """``encode_words`` / ``decode_words`` are the generic two-call chains
-    bit for bit; FP16 round-to-nearest takes the native-half route."""
+    bit for bit; FP16 round-to-nearest takes the integer half codec."""
 
     def test_fp16_route_is_bit_identical_on_the_structured_sweep(self):
         x = _fp16_sweep()

@@ -56,6 +56,22 @@ class TestCSRRoundtrip:
         with pytest.raises(ValueError):
             csr_encode(np.zeros(4, np.float32), cols=0)
 
+    @pytest.mark.parametrize("cols", [0, -3])
+    @pytest.mark.parametrize("entry", [
+        lambda cols: csr_encode(np.ones(10, np.float32), cols),
+        lambda cols: csr_encode_reference(np.ones(10, np.float32), cols),
+        lambda cols: csr_bytes(10, 0.5, cols=cols),
+        lambda cols: SSDCEncoding(cols=cols).encode(np.ones(10, np.float32)),
+        lambda cols: SSDCEncoding(cols=cols).encoded_bytes(10, 0.5),
+    ], ids=["csr_encode", "csr_encode_reference", "csr_bytes",
+            "SSDCEncoding.encode", "SSDCEncoding.encoded_bytes"])
+    def test_every_entry_point_rejects_a_non_positive_width(self, entry,
+                                                            cols):
+        # A negative width once gave a CSR holding 7 of 10 values and a
+        # 33-byte size model; zero divided by zero in the size model.
+        with pytest.raises(ValueError, match="cols must be positive"):
+            entry(cols)
+
 
 class TestNarrowValueOptimisation:
     """Paper: narrow indices move the breakeven sparsity from 50% to 20%."""
