@@ -30,6 +30,7 @@ from repro.graph.graph import Graph
 from repro.graph.liveness import feature_map_uses
 from repro.graph.node import OpNode
 from repro.graph.schedule import TrainingSchedule
+from repro.memory.hybrid import CHOICE_RECOMPUTE, CHOICE_SHARED_CONCAT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.train.executor import GraphExecutor
@@ -56,9 +57,17 @@ def _component_arrays(encoded, out: Optional[List[np.ndarray]] = None):
 
 
 def _span(arr: np.ndarray) -> Tuple[int, int]:
-    """[start, end) byte-address range of a (contiguous) array."""
-    start = arr.__array_interface__["data"][0]
-    return start, start + arr.nbytes
+    """[start, end) byte-address range an array's elements lie in (a
+    strided view, e.g. a concat chain member, spans its gaps too)."""
+    start = end = arr.__array_interface__["data"][0]
+    if arr.size:
+        for n, stride in zip(arr.shape, arr.strides):
+            if stride < 0:
+                start += (n - 1) * stride
+            else:
+                end += (n - 1) * stride
+        end += arr.itemsize
+    return start, end
 
 
 class InvariantSuite:
@@ -83,7 +92,8 @@ class InvariantSuite:
         self.liveness = liveness
         self.aliasing = aliasing
         self.schedule = TrainingSchedule(executor.graph)
-        self._death = self._death_table(executor.graph, self.schedule)
+        self._death = self._death_table(executor.graph, self.schedule,
+                                        executor.policy)
         self._clock = -1
         #: node_id -> digest of the expected lossless decode.
         self._expected: Dict[int, Tuple[str, str]] = {}
@@ -93,14 +103,27 @@ class InvariantSuite:
             executor.arena.observer = self
 
     @staticmethod
-    def _death_table(graph: Graph, schedule: TrainingSchedule) -> Dict[int, int]:
+    def _death_table(graph: Graph, schedule: TrainingSchedule,
+                     policy) -> Dict[int, int]:
         """Last legitimate read time of each node's stash, by the uses
-        table the executor stashes by (pools rewritten)."""
-        return {
+        table the executor stashes by (pools rewritten), stretched where
+        the plan re-reads a source as the planner prices it: a recompute
+        target replays from its source at its first backward read, and a
+        shared-concat member is its terminal's prefix through its last."""
+        uses = feature_map_uses(graph, schedule, True)
+        death = {
             nid: last_fwd if last_bwd is None else max(last_fwd, last_bwd)
-            for nid, (last_fwd, _, last_bwd)
-            in feature_map_uses(graph, schedule, True).items()
+            for nid, (last_fwd, _, last_bwd) in uses.items()
         }
+        for nid, (_, first_bwd, last_bwd) in uses.items():
+            decision = policy.decision_for(nid)
+            choice = None if decision is None else decision.choice
+            read = {CHOICE_RECOMPUTE: first_bwd,
+                    CHOICE_SHARED_CONCAT: last_bwd}.get(choice)
+            if read is not None:
+                source = decision.source_id
+                death[source] = max(death.get(source, read), read)
+        return death
 
     # -- executor hooks -------------------------------------------------
     def begin_step(self) -> None:

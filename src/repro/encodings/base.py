@@ -119,10 +119,12 @@ class HostSwapEncoding(IdentityEncoding):
     *device* footprint of the stash is zero: the memory planner charges
     only a short-lived prefetch buffer across the backward uses (see
     :mod:`repro.memory.hybrid`).  ``encode`` is the offload and
-    ``decode`` the prefetch.  ``encode`` copies only a non-contiguous
-    map: a C-contiguous one is stashed as an alias of the live forward
-    value.  That is safe because no op writes a stashed map in place
-    (the inplace pass marks only maps that nothing stashes).
+    ``decode`` the prefetch.  ``encode`` stashes every map as an alias
+    of the live forward value, a non-contiguous view too (a concat chain
+    member is a channel prefix of its chain's buffer).  That is safe
+    because no op writes a stashed map in place: the inplace pass marks
+    only maps that nothing stashes, and the executor refuses the inplace
+    path on a concat chain's buffer.
     """
 
     name = "host-swap"
@@ -131,9 +133,6 @@ class HostSwapEncoding(IdentityEncoding):
     def encoded_bytes(self, num_elements: int, itemsize: int = 4, **ctx) -> int:
         # Device-resident bytes across the stash gap: none.
         return 0
-
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(x)
 
     def measure_bytes(self, encoded: np.ndarray) -> int:
         # The copy lives in (simulated) host DRAM; device footprint is 0,

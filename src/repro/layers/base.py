@@ -83,6 +83,15 @@ class OpContext(abc.ABC):
         """
         return False
 
+    def output_buffer(self, shape: Shape, dtype) -> np.ndarray:
+        """An uninitialised array for the layer to write its output into.
+
+        Standalone contexts get a fresh array; the executor's hand a
+        concat chain link its channel prefix of the chain's one buffer
+        and every other caller an arena rent.
+        """
+        return np.empty(shape, dtype)
+
     def input_needs_gradient(self, index: int = 0) -> bool:
         """Whether anything reads the gradient of input ``index``.
 

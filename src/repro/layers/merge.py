@@ -10,7 +10,16 @@ from repro.layers.base import Layer, OpContext, Shape
 
 
 class Concat(Layer):
-    """Concatenate along the channel axis (NCHW axis 1)."""
+    """Concatenate along the channel axis (NCHW axis 1).
+
+    The output is whatever buffer the context hands out
+    (:meth:`~repro.layers.base.OpContext.output_buffer`), and only the
+    inputs not already in place are written into it.  Along a dense
+    block's concat chain the executor hands every link a channel prefix
+    of one terminal-sized buffer, so the running state (``inputs[0]``)
+    is already in place and each link writes only its new channels.
+    The backward returns ``np.split`` views of ``dy``.
+    """
 
     kind = "concat"
 
@@ -31,9 +40,21 @@ class Concat(Layer):
         ctx: Optional[OpContext],
         train: bool = True,
     ) -> np.ndarray:
-        if ctx is not None:
+        shape = self.infer_shape([x.shape for x in xs])
+        dtype = np.result_type(*xs)
+        if ctx is None:
+            out = np.empty(shape, dtype)
+        else:
             ctx.save_state("splits", np.array([x.shape[1] for x in xs]))
-        return np.concatenate(list(xs), axis=1)
+            out = ctx.output_buffer(shape, dtype)
+        start = 0
+        for x in xs:
+            stop = start + x.shape[1]
+            dst = out[:, start:stop]
+            if not _same_view(x, dst):
+                dst[...] = x
+            start = stop
+        return out
 
     def backward(
         self,
@@ -41,9 +62,18 @@ class Concat(Layer):
         params: Dict[str, np.ndarray],
         ctx: OpContext,
     ) -> Tuple[List[np.ndarray], Dict[str, np.ndarray]]:
-        splits = [int(v) for v in ctx.get_state("splits")]
-        edges = np.cumsum(splits)[:-1]
-        return [np.ascontiguousarray(g) for g in np.split(dy, edges, axis=1)], {}
+        edges = np.cumsum(ctx.get_state("splits"))[:-1]
+        return np.split(dy, edges, axis=1), {}
+
+
+def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` and ``b`` are the same elements of the same memory
+    (views of one base first: the cheap test that rejects the rest)."""
+    return (a.base is not None and a.base is b.base
+            and a.__array_interface__["data"][0]
+            == b.__array_interface__["data"][0]
+            and a.shape == b.shape and a.strides == b.strides
+            and a.dtype == b.dtype)
 
 
 class Add(Layer):

@@ -2,20 +2,20 @@
 
 In a dense block, every stage concatenates its fresh feature map onto
 the running block state, so the intermediate concat outputs are nested
-channel prefixes of the block's final concat.  ``np.concatenate`` copies
-its first argument to the front of the result, which makes the prefix
-relationship *bit-exact*:
+channel prefixes of the block's final concat.  When every link in the
+chain passes the previous concat as its **first** input, the executor
+runs the whole chain in one terminal-sized buffer: each link's output
+is the buffer's ``[:, :C]`` prefix and the link writes only its new
+channels, so the prefix *is* the member, not a copy of it:
 
-    terminal[:, :C_m] == member_m_output          (inductively, per link)
+    member_m_output is terminal[:, :C_m]          (one buffer per chain)
 
-whenever every link in the chain passes the previous concat as its
-**first** input.  The planner exploits this by dropping each member's
-private stash and re-reading its value as a prefix of the terminal's
-kept buffer at backward time — the fourth arm next to encode, recompute
-and swap.
+The planner exploits this by dropping each member's private stash and
+re-reading its value as a prefix view of the terminal's kept buffer at
+backward time — the fourth arm next to encode, recompute and swap.
 
-This module discovers the chains; pricing lives in
-:mod:`repro.memory.hybrid` and the runtime read in
+This module discovers the chains, for both: pricing lives in
+:mod:`repro.memory.hybrid`, the chain buffers and the runtime read in
 :mod:`repro.train.executor`.
 """
 

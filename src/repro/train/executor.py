@@ -31,6 +31,7 @@ from repro.kernels.backends import CONV_ARMS, REFERENCE
 from repro.layers.base import OpContext
 from repro.layers.loss import SoftmaxCrossEntropy
 from repro.memory.hybrid import CHOICE_RECOMPUTE, CHOICE_SHARED_CONCAT
+from repro.memory.shared_concat import find_concat_chains
 from repro.train.stash import BaselinePolicy, StashPolicy
 
 #: Node kinds whose outputs are sparsity-tracked each forward pass.
@@ -68,6 +69,10 @@ class _Context(OpContext):
 
     def input_needs_gradient(self, index: int = 0) -> bool:
         return self._node.inputs[index] != self._executor.graph.input_id
+
+    def output_buffer(self, shape, dtype) -> np.ndarray:
+        return self._executor._output_buffer(self._node.node_id, shape,
+                                             dtype)
 
     @property
     def arena(self) -> WorkspaceArena:
@@ -147,6 +152,23 @@ class GraphExecutor:
         self._stashed_ids = {
             nid for nid, (_, first_bwd, _) in uses.items()
             if first_bwd is not None} - {graph.output_id}
+        # Each concat chain runs in one terminal-sized buffer: every link
+        # writes its new channels behind its predecessor's, so a member
+        # *is* the terminal's channel prefix.  Concat id -> (chain head,
+        # terminal channels); the head rents the buffer each forward.
+        self._chain_links: Dict[int, Tuple[int, int]] = {}
+        for chain in find_concat_chains(graph):
+            channels = graph.node(chain.terminal_id).output_shape[1]
+            for nid in chain.members + (chain.terminal_id,):
+                self._chain_links[nid] = (chain.members[0], channels)
+        self._chain_buffers: Dict[int, np.ndarray] = {}
+        # Maps living in a chain buffer, through view-returning layers:
+        # an inplace consumer would overwrite the stashed members.
+        self._in_chain_buffer = set(self._chain_links)
+        for node in graph.nodes:
+            if (getattr(node.layer, "aliases_input", False)
+                    and node.inputs[0] in self._in_chain_buffer):
+                self._in_chain_buffer.add(node.node_id)
         self._stash: Dict[int, Tuple[Encoding, object]] = {}
         self._decoded: Dict[int, np.ndarray] = {}
         self._ctx: Dict[int, _Context] = {}
@@ -268,6 +290,7 @@ class GraphExecutor:
         # Step boundary: everything rented last step (gradients, encoded
         # stashes, scratch) is dead now, so the pool can recycle it.
         self.arena.reset()
+        self._chain_buffers.clear()
         if tracer is not None:
             tracer.begin_step(self.arena)
         self.last_sparsity = {}
@@ -296,9 +319,11 @@ class GraphExecutor:
             # reductions (e.g. batch-norm statistics downstream) sum in a
             # layout-dependent order, so writing into a strided view (conv
             # kernels may return transposed einsum views) would break
-            # bit-identity with the unrewritten graph.
+            # bit-identity with the unrewritten graph.  A concat chain's
+            # buffer never qualifies: it holds the members too.
             t0 = perf_counter() if tracer is not None else 0.0
-            if node.inplace and xs[0].flags["C_CONTIGUOUS"]:
+            if (node.inplace and xs[0].flags["C_CONTIGUOUS"]
+                    and node.inputs[0] not in self._in_chain_buffer):
                 y = node.layer.forward_inplace(
                     xs[0], self.params[node.node_id], ctx, train
                 )
@@ -358,22 +383,37 @@ class GraphExecutor:
         self._decoded[node_id] = x
         return x
 
+    def _output_buffer(self, node_id: int, shape, dtype) -> np.ndarray:
+        """Where ``node_id`` writes its output: its channel prefix of its
+        concat chain's buffer, else an exact-size arena rent."""
+        link = self._chain_links.get(node_id)
+        if link is None:
+            return self.arena.rent(shape, dtype)
+        head, channels = link
+        buf = self._chain_buffers.get(head)
+        if buf is None:
+            buf = self.arena.rent((shape[0], channels) + tuple(shape[2:]),
+                                  dtype)
+            self._chain_buffers[head] = buf
+        if buf.dtype != dtype:
+            return self.arena.rent(shape, dtype)
+        return buf[:, :shape[1]]
+
     def _materialize_shared_concat(self, node_id: int,
                                    decision) -> np.ndarray:
-        """Rebuild a dropped stash as a prefix of its concat terminal.
+        """Read a dropped stash back as a prefix of its concat terminal.
 
-        ``np.concatenate`` copies its first argument to the front of the
-        result, so along an ``inputs[0]``-linked concat chain the
-        terminal's leading channels *are* the member's output, bit for
-        bit.  The contiguous staging copy is what the member's consumers
-        read in their backward ops; cached so the slice is cut at most
-        once per backward pass.
+        Every link of an ``inputs[0]``-linked concat chain writes into
+        one buffer behind its predecessor, so the terminal's leading
+        channels *are* the member's output, bit for bit: the prefix view
+        is the member, not a copy of it.  Cached so the slice is cut at
+        most once per backward pass.
         """
         base = self.stashed_value(decision.source_id)
         channels = self.graph.node(node_id).output_shape[1]
         tracer = self.tracer
         t0 = perf_counter() if tracer is not None else 0.0
-        value = np.ascontiguousarray(base[:, :channels])
+        value = base[:, :channels]
         if tracer is not None:
             tracer.record_decode(self.graph.node(node_id).name,
                                  "shared-concat", value.nbytes,

@@ -79,8 +79,8 @@ class StashPolicy:
         or ``shared_concat``; on the first backward read it replays the
         decision's ``chain`` from ``source_id``'s stash, or re-slices the
         leading channels of the concat terminal ``source_id`` (bit-exact
-        because ``np.concatenate`` copies its first argument to the
-        front).  Only the table policies return decisions.
+        because the chain runs in one buffer: the member *is* that
+        prefix).  Only the table policies return decisions.
         """
         return None
 

@@ -21,6 +21,11 @@ for the layer ops), and compares their named outputs:
   :func:`~repro.encodings.ssdc.csr_encode` to their ``*_reference``
   twins.  Bodies are looked up at call time, so the oracle checks what
   a training step runs.
+* ``Concat`` runs one body, held byte for byte to ``np.concatenate``
+  (forward) and ``np.split`` (backward) on NaNs with payload bits,
+  ±Inf, ``-0.0``, denormals and an all-zero map: once writing a fresh
+  array, once as a chain link whose first input already sits in the
+  front of the output buffer.
 
 The oracle is part of the tier-1 fuzz battery (:func:`verify_seed` calls
 :func:`verify_backends` per seed), so neither a new arm nor a changed
@@ -39,6 +44,8 @@ import numpy as np
 from repro.encodings import binarize, ssdc
 from repro.kernels.backends import CONV_ARMS, REFERENCE
 from repro.kernels.plan import bit_identical, get_plan
+from repro.layers import Concat
+from repro.layers.base import OpContext
 from repro.layers.im2col import (
     conv_output_hw,
     maxpool_backward_reference,
@@ -158,6 +165,38 @@ def _make_csr_inputs(rng: np.random.Generator) -> tuple:
     return flat, cols
 
 
+#: Float32 bit patterns a copy must carry unchanged: quiet and
+#: signalling NaNs with payloads (one negative), +-Inf, -0.0, +0.0 and
+#: denormals down to the smallest.
+_HOSTILE_F32 = np.array(
+    [0x7FC0BEEF, 0x7F800001, 0xFFC00042, 0x7F800000, 0xFF800000,
+     0x80000000, 0x00000000, 0x00000001, 0x807FFFFF, 0x00400000],
+    dtype=np.uint32).view(np.float32)
+
+
+def _plant_hostile(arr: np.ndarray, shift: int) -> None:
+    """Overwrite the leading elements with the hostile patterns, rotated
+    by ``shift`` so each input carries them at different positions."""
+    flat = arr.reshape(-1)
+    k = min(flat.size, _HOSTILE_F32.size)
+    flat[:k] = np.roll(_HOSTILE_F32, shift)[:k]
+
+
+def _make_concat_inputs(rng: np.random.Generator) -> tuple:
+    n = int(rng.integers(1, 3))
+    rest = tuple(int(d) for d in rng.integers(1, 4, int(rng.integers(0, 3))))
+    channels = [int(c) for c in rng.integers(0, 4, int(rng.integers(2, 5)))]
+    xs = [rng.normal(0, 1, (n, c) + rest).astype(np.float32)
+          for c in channels]
+    dy = rng.normal(0, 1, (n, sum(channels)) + rest).astype(np.float32)
+    # Hostile values after the last draw; the last input is all zeros.
+    for i, x in enumerate(xs):
+        _plant_hostile(x, i)
+    xs[-1][...] = 0.0
+    _plant_hostile(dy, 3)
+    return xs, dy
+
+
 # ----------------------------------------------------------------------
 # Ground truths and bodies
 # ----------------------------------------------------------------------
@@ -188,6 +227,61 @@ def _pool_body(inputs: tuple) -> Outputs:
     return {"y": y, "argmax": argmax, "dx": plan.maxpool_backward(argmax, dy)}
 
 
+def _concat_outputs(y: np.ndarray, dxs) -> Outputs:
+    return {"y": y, **{f"dx{i}": dx for i, dx in enumerate(dxs)}}
+
+
+def _concat_reference(inputs: tuple) -> Outputs:
+    xs, dy = inputs
+    edges = np.cumsum([x.shape[1] for x in xs])[:-1]
+    return _concat_outputs(np.concatenate(xs, axis=1),
+                           np.split(dy, edges, axis=1))
+
+
+class _ChainContext(OpContext):
+    """A standalone context whose output buffer is the channel prefix of
+    ``buffer`` (``None``: a fresh array)."""
+
+    def __init__(self, buffer=None):
+        self.buffer = buffer
+        self.state: Dict[str, np.ndarray] = {}
+
+    def save_state(self, key, value):
+        self.state[key] = value
+
+    def get_state(self, key):
+        return self.state[key]
+
+    def stashed_input(self, index=0):  # pragma: no cover - Concat reads none
+        raise KeyError("Concat stashes nothing")
+
+    stashed_output = stashed_input
+
+    def output_buffer(self, shape, dtype):
+        if self.buffer is None:
+            return super().output_buffer(shape, dtype)
+        return self.buffer[:, :shape[1]]
+
+
+def _concat_body(in_chain: bool, inputs: tuple) -> Outputs:
+    """``Concat``'s one body; ``in_chain`` runs it as a chain link: the
+    first input already sits in the front of a buffer one channel wider
+    than the output, as the executor's chain buffers hold it."""
+    xs, dy = inputs
+    ctx = _ChainContext()
+    if in_chain:
+        first = xs[0]
+        ctx.buffer = np.full(
+            (first.shape[0], 1 + sum(x.shape[1] for x in xs))
+            + first.shape[2:], np.nan, np.float32)
+        xs = [ctx.output_buffer(first.shape, first.dtype)] + xs[1:]
+        xs[0][...] = first
+    layer = Concat()
+    y = layer.forward(xs, {}, ctx)
+    dxs, _ = layer.backward(dy, {}, ctx)
+    return _concat_outputs(y, dxs)
+
+
 def _csr_outputs(enc: ssdc.CSRTensor) -> Outputs:
     return {"values": enc.values, "col_idx": enc.col_idx,
             "row_ptr": enc.row_ptr}
@@ -214,6 +308,11 @@ OP_FAMILIES = (
     _codec(_make_pack_bits_inputs, binarize, "pack_bits"),
     _codec(_make_pack_nibbles_inputs, binarize, "pack_nibbles"),
     _codec(_make_csr_inputs, ssdc, "csr_encode", _csr_outputs),
+    OpFamily(_make_concat_inputs, "np.concatenate/np.split",
+             _concat_reference,
+             lambda: [Body("concat", partial(_concat_body, False)),
+                      Body("concat:chain-link",
+                           partial(_concat_body, True))]),
 )
 
 

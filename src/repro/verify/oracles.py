@@ -682,7 +682,7 @@ def check_shared_concat(hybrid_plan: HybridPlan) -> List[Violation]:
 
     * the recorded chain runs from the member to its terminal over
       axis-1 concats, each linked through the next concat's **first**
-      input (the ``np.concatenate`` prefix-copy condition) with strictly
+      input (the one-buffer prefix condition) with strictly
       growing channel counts and identical non-channel dims;
     * the terminal carries **no** decision of its own (its FP32 stash is
       kept untouched — the buffer every member re-slices);

@@ -33,7 +33,11 @@ from repro.verify import (
     ORACLE_BACKEND_DIFFERENTIAL,
     verify_backends,
 )
+from repro.layers import Concat
+from repro.layers import merge
 from repro.verify.differential import (
+    _HOSTILE_F32,
+    _make_concat_inputs,
     _make_csr_inputs,
     _pool_body,
     _pool_reference,
@@ -392,6 +396,41 @@ def test_csr_inputs_plant_hostile_structure_without_moving_the_rng():
     assert all(seen[k] >= 20 for k in
                ("-0.0", "nan", "all-zero row", "all-dense row",
                 "ragged tail")), seen
+
+
+def test_concat_inputs_carry_every_hostile_bit_pattern():
+    patterns = set(_HOSTILE_F32.view(np.uint32).tolist())
+    seen, all_zero = set(), 0
+    for seed in range(40):
+        xs, dy = _make_concat_inputs(np.random.default_rng(seed))
+        assert dy.shape[1] == sum(x.shape[1] for x in xs)
+        for x in xs + [dy]:
+            seen.update(x.view(np.uint32).ravel().tolist())
+        all_zero += xs[-1].size > 0 and not xs[-1].any()
+    assert patterns <= seen
+    assert all_zero >= 10
+
+
+def test_arithmetic_concat_copy_is_caught(monkeypatch):
+    # x + 0.0 turns -0.0 into +0.0 and may quiet a signalling NaN: equal
+    # under ==, different bytes.
+    forward = Concat.forward
+
+    def added(self, xs, params, ctx, train=True):
+        return forward(self, [x + np.float32(0.0) for x in xs], params, ctx,
+                       train)
+
+    monkeypatch.setattr(Concat, "forward", added)
+    violations = [v for seed in range(5) for v in verify_backends(seed)]
+    assert violations
+    assert _oracle_subjects(violations) == {"concat", "concat:chain-link"}
+    assert all(v.detail.startswith("y:") for v in violations)
+
+
+def test_concat_skipping_an_input_not_in_place_is_caught(monkeypatch):
+    monkeypatch.setattr(merge, "_same_view", lambda a, b: True)
+    violations = [v for seed in range(5) for v in verify_backends(seed)]
+    assert {"concat", "concat:chain-link"} <= _oracle_subjects(violations)
 
 
 @pytest.mark.parametrize("name,is_nonzero", [

@@ -1,11 +1,11 @@
 """Shared-concat buffers: chain discovery, planner arm, aliasing safety.
 
 The DenseNet trick: along a concat chain linked through each concat's
-*first* input, ``np.concatenate`` copies the running state to the front,
-so every member's stash equals a leading-channel slice of the terminal's
-stash.  The planner prices members at zero resident bytes, the allocator
-folds the whole chain into one aliased region sized by the terminal, and
-the executor re-slices on backward — bit-exactly.
+*first* input, the executor runs the chain in one buffer, so every
+member is a leading-channel slice of the terminal's buffer.  The
+planner prices members at zero resident bytes, the allocator folds the
+whole chain into one aliased region sized by the terminal, and the
+executor re-slices on backward — bit-exactly.
 """
 
 import numpy as np
