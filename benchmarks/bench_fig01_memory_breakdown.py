@@ -9,6 +9,7 @@ Paper observations reproduced:
 """
 
 from repro.analysis import format_table
+from repro.experiments import baseline_memory_breakdown
 from repro.memory import (
     CLASS_GRADIENT,
     CLASS_IMMEDIATE,
@@ -18,18 +19,16 @@ from repro.memory import (
     CLASS_WEIGHT_GRAD,
     CLASS_WORKSPACE,
     GiB,
-    build_memory_plan,
 )
 
 from conftest import print_header
 
 
-def full_breakdown(suite):
+def test_fig01_memory_breakdown(benchmark):
+    breakdown = benchmark.pedantic(baseline_memory_breakdown, rounds=1,
+                                   iterations=1)
     rows = []
-    for name, graph in suite.items():
-        plan = build_memory_plan(graph, include_weights=True,
-                                 include_workspace=True)
-        by_class = plan.bytes_by_class()
+    for name, by_class in breakdown.items():
         total = sum(by_class.values())
         activations = (
             by_class[CLASS_STASHED]
@@ -50,12 +49,6 @@ def full_breakdown(suite):
                 activations / total,
             ]
         )
-    return rows
-
-
-def test_fig01_memory_breakdown(benchmark, suite):
-    rows = benchmark.pedantic(full_breakdown, args=(suite,), rounds=1,
-                              iterations=1)
     print_header("Figure 1 — memory breakdown by data structure "
                  "(GiB, minibatch 64)")
     print(

@@ -5,20 +5,17 @@ VGG16 has ~40% ReLU-Pool and ~49% ReLU-Conv (89% total ReLU).
 """
 
 from repro.analysis import format_table
-from repro.core import (
-    STASH_OTHER,
-    STASH_RELU_CONV,
-    STASH_RELU_POOL,
-    stash_bytes_by_class,
-)
+from repro.core import STASH_OTHER, STASH_RELU_CONV, STASH_RELU_POOL
+from repro.experiments import figure3_stash_classes
 
 from conftest import print_header
 
 
-def breakdown_rows(suite):
+def test_fig03_stash_class_breakdown(benchmark):
+    by_network = benchmark.pedantic(figure3_stash_classes, rounds=1,
+                                    iterations=1)
     rows = []
-    for name, graph in suite.items():
-        bb = stash_bytes_by_class(graph)
+    for name, bb in by_network.items():
         total = sum(bb.values())
         rows.append(
             [
@@ -29,12 +26,6 @@ def breakdown_rows(suite):
                 total / 1024**3,
             ]
         )
-    return rows
-
-
-def test_fig03_stash_class_breakdown(benchmark, suite):
-    rows = benchmark.pedantic(breakdown_rows, args=(suite,), rounds=1,
-                              iterations=1)
     print_header("Figure 3 — stashed feature maps by class "
                  "(fraction of stashed bytes)")
     print(format_table(

@@ -8,30 +8,17 @@ Paper results reproduced in shape:
 import statistics
 
 from repro.analysis import format_table
-from repro.core import Gist, GistConfig
+from repro.experiments import figure8_mfr
 
 from conftest import print_header
 
 
-def mfr_rows(suite):
-    rows = []
-    for name, graph in suite.items():
-        lossless = Gist(GistConfig.lossless()).measure_mfr(graph)
-        full = Gist(GistConfig.for_network(name)).measure_mfr(graph)
-        rows.append(
-            [
-                name,
-                GistConfig.for_network(name).dpr_format,
-                lossless.baseline_bytes / 1024**3,
-                lossless.mfr,
-                full.mfr,
-            ]
-        )
-    return rows
-
-
-def test_fig08_total_mfr(benchmark, suite):
-    rows = benchmark.pedantic(mfr_rows, args=(suite,), rounds=1, iterations=1)
+def test_fig08_total_mfr(benchmark):
+    rows = [
+        [r["network"], r["dpr_format"], r["baseline_bytes"] / 1024**3,
+         r["mfr_lossless"], r["mfr_full"]]
+        for r in benchmark.pedantic(figure8_mfr, rounds=1, iterations=1)
+    ]
     print_header("Figure 8 — total MFR vs CNTK baseline (minibatch 64)")
     print(format_table(
         ["network", "dpr fmt", "baseline GiB", "lossless MFR",

@@ -7,31 +7,18 @@ lossless+lossy, 7% worst case.
 import statistics
 
 from repro.analysis import format_table
-from repro.core import GistConfig
-from repro.perf import measure_overhead
+from repro.experiments import figure9_overheads
 
 from conftest import print_header
 
 
-def overhead_rows(suite):
-    rows = []
-    for name, graph in suite.items():
-        lossless = measure_overhead(graph, GistConfig.lossless())
-        full = measure_overhead(graph, GistConfig.for_network(name))
-        rows.append(
-            [
-                name,
-                lossless.baseline_s * 1000,
-                lossless.overhead_frac * 100,
-                full.overhead_frac * 100,
-            ]
-        )
-    return rows
-
-
-def test_fig09_performance_overhead(benchmark, suite):
-    rows = benchmark.pedantic(overhead_rows, args=(suite,), rounds=1,
-                              iterations=1)
+def test_fig09_performance_overhead(benchmark):
+    rows = [
+        [r["network"], r["baseline_s"] * 1000, r["lossless_overhead"] * 100,
+         r["gist_overhead"] * 100]
+        for r in benchmark.pedantic(figure9_overheads, rounds=1,
+                                    iterations=1)
+    ]
     print_header("Figure 9 — Gist performance overhead "
                  "(% slowdown vs baseline step time)")
     print(format_table(

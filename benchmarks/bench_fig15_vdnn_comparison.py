@@ -9,33 +9,18 @@ pipeline with each map zero-value compressed on the link.
 import statistics
 
 from repro.analysis import format_table
-from repro.core import GistConfig
-from repro.perf import measure_overhead, simulate_cdma, simulate_swapping
+from repro.experiments import figure9_overheads
 
 from conftest import print_header
 
 
-def comparison_rows(suite):
-    rows = []
-    for name, graph in suite.items():
-        swap = simulate_swapping(graph)
-        cdma = simulate_cdma(graph)
-        gist = measure_overhead(graph, GistConfig.for_network(name))
-        rows.append(
-            [
-                name,
-                swap.naive_overhead * 100,
-                swap.vdnn_overhead * 100,
-                cdma.vdnn_overhead * 100,
-                gist.overhead_frac * 100,
-            ]
-        )
-    return rows
-
-
-def test_fig15_swapping_comparison(benchmark, suite):
-    rows = benchmark.pedantic(comparison_rows, args=(suite,), rounds=1,
-                              iterations=1)
+def test_fig15_swapping_comparison(benchmark):
+    rows = [
+        [r["network"], r["naive_overhead"] * 100, r["vdnn_overhead"] * 100,
+         r["cdma_overhead"] * 100, r["gist_overhead"] * 100]
+        for r in benchmark.pedantic(figure9_overheads, rounds=1,
+                                    iterations=1)
+    ]
     print_header("Figure 15 — slowdown vs baseline (%): naive swap, "
                  "vDNN, CDMA, Gist")
     print(format_table(["network", "naive %", "vdnn %", "cdma %", "gist %"],
@@ -59,19 +44,15 @@ def test_fig15_swapping_comparison(benchmark, suite):
     assert statistics.mean(gist) < 7.0
 
 
-def test_fig15_energy_argument(benchmark, suite):
+def test_fig15_energy_argument(benchmark):
     """Section VI's energy claim, quantified: swapping moves every stashed
     byte across PCIe + two DRAMs; Gist's codecs make on-device passes."""
-    from repro.perf import measure_transfer_energy
-
-    def rows():
-        out = []
-        for name, graph in suite.items():
-            r = measure_transfer_energy(graph, GistConfig.for_network(name))
-            out.append([name, r.gist_j, r.vdnn_j, r.ratio])
-        return out
-
-    data = benchmark.pedantic(rows, rounds=1, iterations=1)
+    data = [
+        [r["network"], r["gist_j"], r["vdnn_j"],
+         r["energy_ratio_vdnn_over_gist"]]
+        for r in benchmark.pedantic(figure9_overheads, rounds=1,
+                                    iterations=1)
+    ]
     print_header("Figure 15 companion — data-movement energy per step (J)")
     print(format_table(["network", "gist J", "vdnn J", "vdnn/gist"], data))
     for name, gist_j, vdnn_j, ratio in data:

@@ -8,39 +8,19 @@ reports 22% for ResNet-1202 with speedup growing with depth.
 """
 
 from repro.analysis import format_table
-from repro.core import GistConfig
-from repro.models import resnet_cifar
-from repro.perf import larger_minibatch_speedup
+from repro.experiments import figure16_speedups
 
 from conftest import print_header
 
-DEPTHS = [509, 851, 1202]
-
-
-def speedup_rows():
-    rows = []
-    config = GistConfig.full("fp10")
-    for depth in DEPTHS:
-        report = larger_minibatch_speedup(
-            lambda b, d=depth: resnet_cifar(d, batch_size=b),
-            config,
-            name=f"resnet-{depth}",
-        )
-        rows.append(
-            [
-                report.model,
-                report.baseline_batch,
-                report.gist_batch,
-                report.baseline_throughput,
-                report.gist_throughput,
-                (report.speedup - 1.0) * 100,
-            ]
-        )
-    return rows
-
 
 def test_fig16_deep_resnet_speedup(benchmark):
-    rows = benchmark.pedantic(speedup_rows, rounds=1, iterations=1)
+    rows = [
+        [r["network"], r["baseline_batch"], r["gist_batch"],
+         r["baseline_throughput"], r["gist_throughput"],
+         (r["speedup"] - 1.0) * 100]
+        for r in benchmark.pedantic(figure16_speedups, rounds=1,
+                                    iterations=1)
+    ]
     print_header("Figure 16 — speedup from largest fitting minibatch "
                  "(12 GB Titan X)")
     print(format_table(

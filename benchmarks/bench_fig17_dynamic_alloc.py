@@ -12,37 +12,17 @@ Arms, all measured against the *static* CNTK baseline:
 import statistics
 
 from repro.analysis import format_table
-from repro.core import GistConfig, footprint_bytes
+from repro.experiments import figure17_dynamic
 
 from conftest import print_header
 
 
-def dynamic_rows(suite):
-    rows = []
-    for name, graph in suite.items():
-        static_baseline = footprint_bytes(graph, None)
-        dyn_baseline = footprint_bytes(graph, None, dynamic=True)
-        lossless = footprint_bytes(graph, GistConfig.lossless(), dynamic=True)
-        full_cfg = GistConfig.for_network(name)
-        lossy = footprint_bytes(graph, full_cfg, dynamic=True)
-        optimized = footprint_bytes(
-            graph, full_cfg.with_(optimized_software=True), dynamic=True
-        )
-        rows.append(
-            [
-                name,
-                static_baseline / dyn_baseline,
-                static_baseline / lossless,
-                static_baseline / lossy,
-                static_baseline / optimized,
-            ]
-        )
-    return rows
-
-
-def test_fig17_dynamic_allocation(benchmark, suite):
-    rows = benchmark.pedantic(dynamic_rows, args=(suite,), rounds=1,
-                              iterations=1)
+def test_fig17_dynamic_allocation(benchmark):
+    rows = [
+        [r["network"], r["dynamic"], r["dynamic_lossless"], r["dynamic_full"],
+         r["dynamic_optimized"]]
+        for r in benchmark.pedantic(figure17_dynamic, rounds=1, iterations=1)
+    ]
     print_header("Figure 17 — MFR vs static CNTK baseline under dynamic "
                  "allocation")
     print(format_table(

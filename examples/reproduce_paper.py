@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Regenerate the paper's headline (non-training) results in one shot.
 
-Writes ``results/headline.json`` with per-network data for Figures 1, 3,
-8, 9, 15 and 17 and prints the summary table.  For the training figures
-(12, 14) and everything else, run the full harness:
+Runs the default ``repro sweep`` drivers (Figures 1, 3, 8, 9, 15 and 17),
+writes their merged output to ``results/headline.json`` and prints the
+summary table.  For the training figures (12, 14) and everything else,
+run the full harness:
 
     pytest benchmarks/ --benchmark-only -s
 
@@ -12,9 +13,10 @@ Run:  python examples/reproduce_paper.py [--batch-size 64]
 
 import argparse
 import statistics
-from pathlib import Path
 
-from repro.analysis import collect_headline_results, export_json, format_table
+from repro.analysis import format_table
+from repro.experiments import DEFAULT_SWEEP_DRIVERS, run_sweep
+from repro.ioutil import atomic_write_json
 
 
 def main() -> None:
@@ -23,24 +25,24 @@ def main() -> None:
     parser.add_argument("--out", default="results/headline.json")
     args = parser.parse_args()
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    path = export_json(out, batch_size=args.batch_size)
-    data = collect_headline_results(batch_size=args.batch_size)
+    data = run_sweep(DEFAULT_SWEEP_DRIVERS, batch_size=args.batch_size)
+    path = atomic_write_json(args.out, data)
+    figures = data["figures"]
 
-    rows = []
-    for name, r in data.items():
-        rows.append(
-            [
-                name,
-                r["dpr_format"],
-                r["mfr_lossless"],
-                r["mfr_full"],
-                f"{r['gist_overhead_frac'] * 100:+.1f}%",
-                f"{r['vdnn_overhead_frac'] * 100:+.1f}%",
-                r["dynamic_mfr_full"],
-            ]
-        )
+    rows = [
+        [
+            mfr["network"],
+            mfr["dpr_format"],
+            mfr["mfr_lossless"],
+            mfr["mfr_full"],
+            f"{cost['gist_overhead'] * 100:+.1f}%",
+            f"{cost['vdnn_overhead'] * 100:+.1f}%",
+            dynamic["dynamic_full"],
+        ]
+        for mfr, cost, dynamic in zip(figures["figure8_mfr"],
+                                      figures["figure9_overheads"],
+                                      figures["figure17_dynamic"])
+    ]
     print(format_table(
         ["network", "dpr", "lossless MFR", "full MFR", "gist ov",
          "vdnn ov", "dyn MFR"],
@@ -48,9 +50,9 @@ def main() -> None:
         title=f"Gist reproduction @ minibatch {args.batch_size}",
     ))
     print(f"\naverages: lossless "
-          f"{statistics.mean(r['mfr_lossless'] for r in data.values()):.2f}x "
+          f"{statistics.mean(r[2] for r in rows):.2f}x "
           f"(paper 1.4x), full "
-          f"{statistics.mean(r['mfr_full'] for r in data.values()):.2f}x "
+          f"{statistics.mean(r[3] for r in rows):.2f}x "
           f"(paper 1.8x)")
     print(f"raw data written to {path}")
 

@@ -1,6 +1,5 @@
 """Analysis utilities: sparsity models and report rendering."""
 
-from repro.analysis.export import collect_headline_results, export_json
 from repro.analysis.sparsity import (
     ConstantSparsity,
     DEFAULT_SPARSITY_MODEL,
@@ -13,8 +12,6 @@ from repro.analysis.timeline import memory_timeline, sparkline
 
 __all__ = [
     "ConstantSparsity",
-    "collect_headline_results",
-    "export_json",
     "DEFAULT_SPARSITY_MODEL",
     "DepthSparsityModel",
     "MeasuredSparsity",

@@ -1,10 +1,11 @@
 """One-call drivers for the paper's experiments.
 
-The benchmark harness (``benchmarks/``) asserts the reproduction's shape
-claims; this module exposes the same computations as plain library
-functions, for notebooks and downstream studies.  Every function returns
-ordinary dicts/lists of built-in types — directly serialisable, directly
-plottable.
+These are the only code that computes a row of the paper's static
+figures (1, 3, 8, 9, 15, 16 and 17): the benchmark harness
+(``benchmarks/``) asserts its shape claims on these rows, and
+``BENCH_figures.json`` is their checked-in ``repro sweep`` output.  Every
+function returns ordinary dicts/lists of built-in types — directly
+serialisable, directly plottable.
 
 Static analyses accept any registered model name; training studies run on
 the scaled substitution workload (see DESIGN.md §2) and are configurable.
@@ -29,6 +30,7 @@ from repro.perf import (
     larger_minibatch_speedup,
     measure_overhead,
     measure_transfer_energy,
+    simulate_cdma,
     simulate_swapping,
 )
 
@@ -36,10 +38,12 @@ from repro.perf import (
 def _figure8_row(name: str, batch_size: int) -> dict:
     graph = build_model(name, batch_size=batch_size)
     cfg = GistConfig.for_network(name)
+    lossless = Gist(GistConfig.lossless()).measure_mfr(graph)
     return {
         "network": name,
         "dpr_format": cfg.dpr_format,
-        "mfr_lossless": Gist(GistConfig.lossless()).measure_mfr(graph).mfr,
+        "baseline_bytes": lossless.baseline_bytes,
+        "mfr_lossless": lossless.mfr,
         "mfr_full": Gist(cfg).measure_mfr(graph).mfr,
     }
 
@@ -50,31 +54,37 @@ def figure8_mfr(models: Optional[Sequence[str]] = None,
     return [_figure8_row(name, batch_size) for name in models or PAPER_SUITE]
 
 
-def _figure3_fractions(name: str, batch_size: int) -> Dict[str, float]:
-    graph = build_model(name, batch_size=batch_size)
-    raw = stash_bytes_by_class(graph)
-    total = sum(raw.values())
-    return {cls: nbytes / total for cls, nbytes in raw.items()}
+def _figure3_bytes(name: str, batch_size: int) -> Dict[str, int]:
+    return stash_bytes_by_class(build_model(name, batch_size=batch_size))
 
 
 def figure3_stash_classes(models: Optional[Sequence[str]] = None,
-                          batch_size: int = 64) -> Dict[str, Dict[str, float]]:
-    """Figure 3: per-network stash-class byte fractions."""
-    return {name: _figure3_fractions(name, batch_size)
+                          batch_size: int = 64) -> Dict[str, Dict[str, int]]:
+    """Figure 3: per-network raw FP32 bytes of stashed maps per class.
+
+    A bar's fraction is a class's bytes over the network's sum.
+    """
+    return {name: _figure3_bytes(name, batch_size)
             for name in models or PAPER_SUITE}
 
 
 def _figure9_row(name: str, batch_size: int) -> dict:
     graph = build_model(name, batch_size=batch_size)
     cfg = GistConfig.for_network(name)
+    lossless = measure_overhead(graph, GistConfig.lossless())
     gist = measure_overhead(graph, cfg)
     swap = simulate_swapping(graph)
     energy = measure_transfer_energy(graph, cfg)
     return {
         "network": name,
+        "baseline_s": lossless.baseline_s,
+        "lossless_overhead": lossless.overhead_frac,
         "gist_overhead": gist.overhead_frac,
         "vdnn_overhead": swap.vdnn_overhead,
         "naive_overhead": swap.naive_overhead,
+        "cdma_overhead": simulate_cdma(graph).vdnn_overhead,
+        "gist_j": energy.gist_j,
+        "vdnn_j": energy.vdnn_j,
         "energy_ratio_vdnn_over_gist": energy.ratio,
     }
 
@@ -104,6 +114,8 @@ def _figure16_row(depth: int, dpr_format: str, device=None) -> dict:
         "network": report.model,
         "baseline_batch": report.baseline_batch,
         "gist_batch": report.gist_batch,
+        "baseline_throughput": report.baseline_throughput,
+        "gist_throughput": report.gist_throughput,
         "speedup": report.speedup,
     }
 
@@ -230,71 +242,6 @@ def figure17_dynamic(models: Optional[Sequence[str]] = None,
     return [_figure17_row(name, batch_size) for name in models or PAPER_SUITE]
 
 
-#: The replica counts the throughput sweep scales across.
-THROUGHPUT_REPLICAS: Sequence[int] = (1, 2, 4)
-
-#: One tiny config per workload family (convolutional, recurrent,
-#: densely-connected); the sweep is about scaling shape, not accuracy.
-THROUGHPUT_MODELS: Dict[str, dict] = {
-    "tiny_cnn": {"image_size": 8, "num_classes": 4},
-    "lstm": {"seq_len": 6, "input_size": 8, "hidden_size": 12,
-             "num_classes": 4},
-    "densenet": {"image_size": 8, "init_channels": 4, "growth": 4,
-                 "blocks": 2, "block_layers": 2, "num_classes": 4},
-}
-
-#: Gradient shards per step, fixed across the whole sweep: ``replicas``
-#: only changes scheduling, so every row of a model must produce the
-#: same run digest — the invariance each row carries for checking.
-_THROUGHPUT_SHARDS = 4
-
-
-def _throughput_row(model: str, replicas: int, steps: int = 3,
-                    batch_size: int = 16, seed: int = 0) -> dict:
-    import time
-
-    from repro.distributed import DistConfig, train_distributed
-
-    config = DistConfig(
-        model=model, batch_size=batch_size,
-        num_shards=_THROUGHPUT_SHARDS, replicas=replicas, steps=steps,
-        seed=seed, model_kwargs=dict(THROUGHPUT_MODELS.get(model, {})),
-    )
-    start = time.perf_counter()
-    result = train_distributed(config)
-    elapsed = time.perf_counter() - start
-    samples = steps * batch_size
-    return {
-        "model": model,
-        "replicas": int(replicas),
-        "steps": int(steps),
-        "batch_size": int(batch_size),
-        "samples": samples,
-        "elapsed_s": elapsed,
-        "samples_per_s": samples / elapsed,
-        "digest": result.digest(),
-    }
-
-
-def throughput_replicas(
-    models: Optional[Sequence[str]] = None,
-    replicas: Sequence[int] = THROUGHPUT_REPLICAS,
-) -> List[dict]:
-    """Samples/sec versus replica count for each workload family.
-
-    Returns one row per (model, replicas) pair.  Within a model, every
-    row's ``digest`` is identical — the shard count is pinned, so more
-    replicas may only change wall-clock, never bits.  ``samples_per_s``
-    is measured wall-clock throughput and so varies run to run; the
-    digest column is the deterministic part.
-    """
-    return [
-        _throughput_row(model, r)
-        for model in (models or list(THROUGHPUT_MODELS))
-        for r in replicas
-    ]
-
-
 def _breakdown_entry(name: str, batch_size: int) -> Dict[str, int]:
     graph = build_model(name, batch_size=batch_size)
     plan = build_memory_plan(graph, include_weights=True,
@@ -317,7 +264,7 @@ def baseline_memory_breakdown(models: Optional[Sequence[str]] = None,
 _UNIT_RUNNERS: Dict[str, Callable[[dict], object]] = {
     "figure8_mfr": lambda p: _figure8_row(p["model"], p["batch_size"]),
     "figure3_stash_classes":
-        lambda p: _figure3_fractions(p["model"], p["batch_size"]),
+        lambda p: _figure3_bytes(p["model"], p["batch_size"]),
     "figure9_overheads": lambda p: _figure9_row(p["model"], p["batch_size"]),
     "figure12_accuracy":
         lambda p: _figure12_arm(p["arm"], p["epochs"], p["seed"]),
@@ -330,8 +277,6 @@ _UNIT_RUNNERS: Dict[str, Callable[[dict], object]] = {
         lambda p: _figure17_row(p["model"], p["batch_size"]),
     "baseline_memory_breakdown":
         lambda p: _breakdown_entry(p["model"], p["batch_size"]),
-    "throughput_replicas":
-        lambda p: _throughput_row(p["model"], p["replicas"]),
 }
 
 
@@ -415,16 +360,6 @@ SWEEP_DRIVERS: Dict[str, SweepDriver] = {d.name: d for d in (
                 ],
                 lambda units, values: list(values)),
     SweepDriver("figure17_dynamic", _per_model_units("figure17_dynamic"),
-                lambda units, values: list(values)),
-    SweepDriver("throughput_replicas",
-                lambda models, batch_size: [
-                    WorkUnit("experiment",
-                             f"throughput_replicas:{model}:{r}",
-                             {"driver": "throughput_replicas",
-                              "model": model, "replicas": int(r)})
-                    for model in THROUGHPUT_MODELS
-                    for r in THROUGHPUT_REPLICAS
-                ],
                 lambda units, values: list(values)),
 )}
 

@@ -37,7 +37,9 @@ JOB_KINDS = ("train", "plan", "fuzz", "sweep")
 #: Bumped when a job's semantics change incompatibly; part of the
 #: fingerprint so stale cached results can never be served.  2: ``plan``
 #: jobs price gist decisions with the one codec price (Figs 9/11's).
-SPEC_FORMAT = 2
+#: 3: ``sweep`` rows changed shape (Fig 3 per-class bytes, new keys on
+#: Figs 8/9/16; the throughput driver is gone).
+SPEC_FORMAT = 3
 
 
 class JobSpecError(ValueError):

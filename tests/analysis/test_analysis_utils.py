@@ -92,24 +92,6 @@ class TestTables:
         assert "total=100" in text
 
 
-class TestExport:
-    def test_collect_and_export(self, tmp_path):
-        import json
-
-        from repro.analysis import collect_headline_results, export_json
-
-        data = collect_headline_results(batch_size=8, models=["alexnet"])
-        assert set(data) == {"alexnet"}
-        entry = data["alexnet"]
-        assert entry["mfr_full"] > entry["mfr_lossless"] > 1.0
-        assert 0 <= entry["vdnn_overhead_frac"] <= entry["naive_swap_overhead_frac"]
-
-        path = export_json(tmp_path / "out.json", batch_size=8,
-                           models=["alexnet"])
-        loaded = json.loads(path.read_text())
-        assert loaded["alexnet"]["batch_size"] == 8
-
-
 class TestTimeline:
     def test_sparkline_peak_is_full_block(self):
         from repro.analysis import sparkline

@@ -103,28 +103,38 @@ class TestRunPending:
         assert healed.jobs[0].digest == cold.jobs[0].digest
 
     def test_cache_written_under_format_1_keys_is_a_miss(self, tmp_path):
-        """A state dir written before gist decisions were re-priced must
-        not answer with a plan priced by the deleted formula: its result
-        entry (spec format 1) is unreachable, and the job recomputes."""
+        """A state dir written under an older spec format must not answer:
+        format 1 priced plans by the deleted formula, and format 2 held
+        sweep rows of the old shape (Fig 3 as fractions, not bytes).  Each
+        stale entry is unreachable, and the job recomputes."""
         from repro.serve import SPEC_FORMAT, validate_job_spec
 
-        service = JobService(tmp_path / "state")
-        spec = validate_job_spec(_plan_spec())
-        assert spec.payload()["format"] == SPEC_FORMAT == 2
-        stale = {"priced_by": "format 1"}
-        service.cache.put(
-            {"kind": "job-result",
-             "fingerprint": content_address({**spec.payload(), "format": 1})},
-            {"plan": stale})
+        assert SPEC_FORMAT == 3
+        sweep = {"kind": "sweep", "drivers": ["figure3_stash_classes"],
+                 "models": ["tiny_cnn"], "batch_size": 4}
+        stale_plan = {"plan": {"priced_by": "format 1"}}
+        stale_sweep = {"figures": {"figure3_stash_classes": {
+            "tiny_cnn": {"relu_pool": 0.5, "relu_conv": 0.5, "other": 0.0}}}}
+        for old_format, raw, stale in ((1, _plan_spec(), stale_plan),
+                                       (2, sweep, stale_sweep)):
+            service = JobService(tmp_path / f"state-{old_format}")
+            spec = validate_job_spec(raw)
+            assert spec.payload()["format"] == SPEC_FORMAT
+            service.cache.put(
+                {"kind": "job-result",
+                 "fingerprint": content_address(
+                     {**spec.payload(), "format": old_format})},
+                stale)
 
-        service.submit(spec)
-        report = service.run_pending()
-        (job,) = report.jobs
-        assert job.source == "computed"
-        assert report.scheduled == 1
-        assert report.result_cache_hits == 0
-        assert job.result["plan"] != stale
-        assert job.result["plan"]["decisions"]
+            service.submit(spec)
+            report = service.run_pending()
+            (job,) = report.jobs
+            assert job.source == "computed", old_format
+            assert report.scheduled == 1
+            assert report.result_cache_hits == 0
+            assert job.result != stale
+        assert job.result["figures"]["figure3_stash_classes"]["tiny_cnn"][
+            "relu_pool"] > 1  # bytes, not a fraction
 
     def test_failed_job_reported_nonfatal(self, tmp_path):
         service = JobService(tmp_path / "state")

@@ -1,7 +1,7 @@
 """Crash-safety of on-disk artefacts: goldens, result exports, journals.
 
 The regression scenario: a process dies (or the disk errors) midway
-through writing a results/golden file.  Pre-fix, ``export_json`` and
+through writing a results/golden file.  Pre-fix, the results export and
 ``TraceDigest.save_golden`` wrote the destination in place, so the crash
 left a corrupt file that poisoned later conformance checks.  These tests
 simulate the half-written crash and assert the destination always holds
@@ -91,17 +91,19 @@ class TestGoldenCrashSafety:
         assert load_golden(path).steps[0].loss == 3.0
 
 
-class TestExportCrashSafety:
-    def test_export_json_never_leaves_partial_file(self, tmp_path,
-                                                   monkeypatch):
-        from repro.analysis.export import export_json
+class TestSweepOutCrashSafety:
+    def test_sweep_out_never_leaves_partial_file(self, tmp_path,
+                                                 monkeypatch):
+        from repro.cli import main
 
         path = tmp_path / "results.json"
-        export_json(path, batch_size=8, models=["tiny_cnn"])
+        argv = ["sweep", "--drivers", "figure8_mfr", "--models", "tiny_cnn",
+                "--batch-size", "8", "--out", str(path)]
+        assert main(argv) == 0
         first = json.loads(path.read_text())
         _crashy_write_text(monkeypatch)
         try:
-            export_json(path, batch_size=8, models=["tiny_cnn"])
+            main(argv)
         except OSError:
             pass
         assert json.loads(path.read_text()) == first

@@ -1,7 +1,5 @@
 """Tests for the one-call experiment drivers."""
 
-import pytest
-
 from repro import experiments
 
 
@@ -14,18 +12,33 @@ class TestStaticDrivers:
         assert row["dpr_format"] == "fp8"
 
     def test_figure3(self):
+        from repro.core import STASH_CLASSES
+
         out = experiments.figure3_stash_classes(models=["vgg16"],
                                                 batch_size=8)
-        fractions = out["vgg16"]
-        assert sum(fractions.values()) == pytest.approx(1.0)
-        assert fractions["relu_pool"] > 0.3
+        by_class = out["vgg16"]
+        assert set(by_class) == set(STASH_CLASSES)
+        assert all(isinstance(b, int) for b in by_class.values())
+        # Every stashed map but the loss scalar (one FP32 word) has a
+        # class, so the bytes sum to Figure 1's stashed total.
+        breakdown = experiments.baseline_memory_breakdown(models=["vgg16"],
+                                                          batch_size=8)
+        total = sum(by_class.values())
+        assert total + 4 == breakdown["vgg16"]["stashed_feature_maps"]
+        assert by_class["relu_pool"] / total > 0.3
 
     def test_figure9(self):
-        rows = experiments.figure9_overheads(models=["overfeat"],
+        rows = experiments.figure9_overheads(models=["overfeat", "nin"],
                                              batch_size=16)
-        (row,) = rows
-        assert row["naive_overhead"] > row["vdnn_overhead"] >= 0
-        assert row["energy_ratio_vdnn_over_gist"] > 1.0
+        for row in rows:
+            # Fig 15's arms: CDMA is vDNN's pipeline over a compressed link.
+            assert (row["naive_overhead"] > row["vdnn_overhead"]
+                    >= row["cdma_overhead"] >= 0), row["network"]
+            assert row["energy_ratio_vdnn_over_gist"] > 1.0
+            assert row["energy_ratio_vdnn_over_gist"] == (row["vdnn_j"]
+                                                          / row["gist_j"])
+            assert row["baseline_s"] > 0
+            assert row["lossless_overhead"] < row["naive_overhead"]
 
     def test_figure17(self):
         rows = experiments.figure17_dynamic(models=["nin"], batch_size=8)
@@ -59,3 +72,6 @@ class TestTrainingDrivers:
         (row,) = rows
         assert row["gist_batch"] > row["baseline_batch"]
         assert row["speedup"] > 1.0
+        assert row["gist_throughput"] >= row["baseline_throughput"] > 0
+        assert row["speedup"] == (row["gist_throughput"]
+                                  / row["baseline_throughput"])
