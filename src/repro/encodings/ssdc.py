@@ -218,6 +218,13 @@ class SSDCEncoding(Encoding):
     def decode(self, encoded: CSRTensor) -> np.ndarray:
         return csr_decode(encoded)
 
+    def expected_decode(self, x: np.ndarray) -> np.ndarray:
+        """``x + 0.0`` in float32: the zero test is by value, so a
+        ``-0.0`` is not stored and decodes as ``+0.0``.  ReLU and
+        max-pool of ReLU, SSDC's producers, never emit a ``-0.0``."""
+        expected = super().expected_decode(x)
+        return np.asarray(expected, dtype=np.float32) + np.float32(0.0)
+
     def measure_bytes(self, encoded: CSRTensor) -> int:
         return encoded.nbytes
 

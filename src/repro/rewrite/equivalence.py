@@ -1,12 +1,13 @@
 """Rewrite-equivalence oracle: rewritten graphs must train identically.
 
 The property fuzzed over the whole pass pipeline: take a graph, apply the
-rewrite passes, then train the original and the rewritten graph side by
-side from identical initial parameters on identical batches — every
-per-step loss and every surviving parameter gradient must match
-bit-for-bit under each lossless stash policy.  (Parameters belonging to
-dead-code the rewriter removed legitimately disappear; anything else
-differing is a rewriter bug.)
+rewrite passes, train the original graph once under ``baseline`` and the
+rewritten graph under each lossless stash policy, from identical initial
+parameters on identical batches — every per-step loss and every surviving
+parameter gradient of every rewritten run must match the one baseline
+reference bit-for-bit.  (Parameters belonging to dead-code the rewriter
+removed legitimately disappear; anything else differing is a rewriter or
+codec bug.)
 
 The oracle is deliberately end-to-end: it exercises the fused kernels, the
 argmax-map pool flags, the inplace executor path, the stash classifier on
@@ -86,16 +87,15 @@ def check_rewrite_equivalence(
     seed: int = 0,
     passes: Optional[Iterable[PassLike]] = None,
     steps: int = 2,
-    policies: Sequence[str] = LOSSLESS_POLICY_NAMES,
     rewrite_result: Optional[RewriteResult] = None,
 ) -> List[Violation]:
     """Fuzzable oracle: the rewritten graph trains bit-identically.
 
     Applies the passes (or uses ``rewrite_result`` if the caller already
-    ran them), then compares ``steps`` SGD steps between the original and
-    rewritten graph under each policy — by default the lossless ones: a
-    lossy policy's rounding is value-dependent, so the bit-for-bit bar
-    does not apply to it.  Returns an empty list when the
+    ran them), trains the original graph for ``steps`` SGD steps under
+    ``baseline`` — the one reference — and compares the rewritten graph
+    under each lossless policy against it: lossless means bit-identical
+    to baseline through every rewrite.  Returns an empty list when the
     rewrite is a no-op or equivalence holds; otherwise one
     :class:`Violation` per divergence, carrying the policy, step and
     tensor that differed.
@@ -120,23 +120,17 @@ def check_rewrite_equivalence(
         )
 
     batches = make_batches(graph, seed, steps)
-    for policy_name in policies:
-        losses_a, grads_a, init_a = _train(graph, policy_name, batches)
+    losses_a, grads_a, init_a = _train(graph, "baseline", batches)
+    a_grad_names = set(grads_a[0]) if grads_a else set()
+    for policy_name in LOSSLESS_POLICY_NAMES:
         losses_b, grads_b, _ = _train(
             rewritten, policy_name, batches, initial_params=init_a
         )
         # Parameter-name accounting: rewritten-only names are impossible
         # (passes never invent parameters); original-only names must come
         # from removed dead nodes.
-        a_names, b_names = set(init_a), {
-            k for step in grads_b for k in step
-        }
-        for step_grads in grads_a:
-            a_grad_names = set(step_grads)
-            break
-        else:
-            a_grad_names = set()
-        for key in sorted(b_names - a_names):
+        b_names = {k for step in grads_b for k in step}
+        for key in sorted(b_names - set(init_a)):
             bad(f"policy {policy_name}: rewritten graph grew parameter "
                 f"{key!r} absent from the original")
         for key in sorted(a_grad_names - set(grads_b[0] if grads_b else {})):
@@ -147,12 +141,14 @@ def check_rewrite_equivalence(
         for step, (la, lb) in enumerate(zip(losses_a, losses_b)):
             if not bit_identical(np.asarray(la), np.asarray(lb)):
                 bad(f"policy {policy_name} step {step}: loss diverged "
-                    f"({la!r} original vs {lb!r} rewritten)")
+                    f"({la!r} original under baseline vs {lb!r} "
+                    f"rewritten)")
         for step, (ga, gb) in enumerate(zip(grads_a, grads_b)):
             for key in sorted(set(ga) & set(gb)):
                 if not bit_identical(ga[key], gb[key]):
                     bad(f"policy {policy_name} step {step}: gradient "
-                        f"{key!r} not bit-identical after rewrite")
+                        f"{key!r} not bit-identical after rewrite "
+                        f"(original under baseline vs rewritten)")
         if violations:
             # One policy's divergence details are enough to debug; later
             # policies would usually repeat the same root cause.

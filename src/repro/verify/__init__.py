@@ -26,7 +26,6 @@ from repro.verify.oracles import (
     check_allocator_safety,
     check_decision_bytes,
     check_hybrid_plan,
-    check_measured_bytes,
     check_plan_safety,
     check_policy_bounds,
     check_recurrent_unroll,
@@ -66,7 +65,6 @@ __all__ = [
     "check_decision_bytes",
     "check_distributed",
     "check_hybrid_plan",
-    "check_measured_bytes",
     "check_plan_safety",
     "check_policy_bounds",
     "check_recurrent_unroll",

@@ -40,6 +40,7 @@ from repro.graph.liveness import (
     ROLE_ENCODED,
     ROLE_FEATURE_MAP,
 )
+from repro.kernels.plan import bit_identical
 from repro.memory.allocator import AllocationResult
 from repro.memory.hybrid import (
     CHOICE_GIST,
@@ -497,19 +498,22 @@ def check_decision_bytes(gist_plan: PlanRecord, rng=None) -> List[Violation]:
 # (d) Encoding round-trips
 # ----------------------------------------------------------------------
 def check_roundtrip(codec: Encoding, x: np.ndarray) -> List[Violation]:
-    """Lossless codecs must be bit-exact; lossy ones within declared bounds.
+    """One ``encode(x)``, checked two ways: the round trip and the size model.
 
-    * lossless: ``decode(encode(x))`` equals ``expected_decode(x)``
-      bit-for-bit;
+    * lossless: ``decode(encode(x))`` has the bytes of
+      ``expected_decode(x)`` (:func:`~repro.kernels.plan.bit_identical`:
+      the sign of zero counts, a NaN equals the same NaN);
     * DPR (plain or composed over SSDC values): elementwise error within
       half-ULP of the format for in-range normals, with flush-to-zero
       below ``min_normal`` and clamping at ``max_finite``;
     * group quantisation: per-group max error within half a grid step of
-      the group's *real-value* span (the padding-skew regression bound).
+      the group's *real-value* span (the padding-skew regression bound);
+    * every codec: the static ``encoded_bytes`` model (given SSDC's
+      sparsity or RLE's run stats) equals ``measure_bytes`` of the encode.
     """
-    violations: List[Violation] = []
     try:
         encoded = codec.encode(x)
+        measured = codec.measure_bytes(encoded)
         decoded = codec.decode(encoded)
     except Exception as exc:  # noqa: BLE001 — a crash IS the finding
         return [Violation(
@@ -517,16 +521,15 @@ def check_roundtrip(codec: Encoding, x: np.ndarray) -> List[Violation]:
             f"{codec.name} crashed on shape {x.shape}: "
             f"{type(exc).__name__}: {exc}",
         )]
+    violations = _check_size_model(codec, x, measured)
     if codec.lossless:
-        expected = codec.expected_decode(x)
-        if decoded.shape != expected.shape or not np.array_equal(
-            np.asarray(decoded), np.asarray(expected)
-        ):
+        decoded = np.asarray(decoded)
+        expected = np.asarray(codec.expected_decode(x))
+        if not bit_identical(decoded, expected):
             violations.append(Violation(
                 ORACLE_ROUNDTRIP,
                 f"{codec.name} round-trip not bit-exact on shape {x.shape} "
-                f"(max |err| "
-                f"{_max_abs_err(decoded, expected)})",
+                f"({_first_difference(decoded, expected)})",
             ))
         return violations
     if decoded.shape != x.shape:
@@ -555,11 +558,38 @@ def check_roundtrip(codec: Encoding, x: np.ndarray) -> List[Violation]:
     return violations
 
 
-def _max_abs_err(a, b) -> float:
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape or a.size == 0:
-        return float("nan")
-    return float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
+def _check_size_model(codec: Encoding, x: np.ndarray,
+                      measured: int) -> List[Violation]:
+    """The static size model must match the measured runtime encode."""
+    ctx = {}
+    if isinstance(codec, SSDCEncoding):
+        ctx["sparsity"] = (
+            float(np.mean(np.asarray(x) == 0)) if x.size else 1.0
+        )
+    elif isinstance(codec, RunLengthEncoding):
+        # The exact-model context: run structure is not a function of
+        # sparsity alone, so the oracle hands the codec its own stats.
+        ctx["nnz"], ctx["num_runs"] = rle_stats(np.asarray(x))
+    model = codec.encoded_bytes(int(np.asarray(x).size), **ctx)
+    if measured != model:
+        return [Violation(
+            ORACLE_ROUNDTRIP,
+            f"{codec.name} static model says {model} bytes, measured "
+            f"encode is {measured} (shape {x.shape})",
+        )]
+    return []
+
+
+def _first_difference(got: np.ndarray, want: np.ndarray) -> str:
+    """Where two arrays stop being bit-identical: the dtype or shape, else
+    the first element whose bytes differ (so ``-0.0`` vs ``0.0`` shows)."""
+    if got.dtype != want.dtype or got.shape != want.shape:
+        return (f"decoded {got.dtype}{got.shape}, expected "
+                f"{want.dtype}{want.shape}")
+    g, w = got.ravel(), want.ravel()
+    bits = f"u{g.itemsize}"
+    i = int(np.flatnonzero(g.view(bits) != w.view(bits))[0])
+    return f"flat index {i}: decoded {g[i]}, expected {w[i]}"
 
 
 def _check_dpr_bound(name, dtype, x, decoded) -> List[Violation]:
@@ -882,32 +912,3 @@ def check_recurrent_unroll(graph, executor=None) -> List[Violation]:
                         f"owner's array object — the weights are untied",
                     ))
     return violations
-
-
-def check_measured_bytes(codec: Encoding, x: np.ndarray) -> List[Violation]:
-    """The static size model must match the measured runtime encode."""
-    ctx = {}
-    if isinstance(codec, SSDCEncoding):
-        ctx["sparsity"] = (
-            float(np.mean(np.asarray(x) == 0)) if x.size else 1.0
-        )
-    elif isinstance(codec, RunLengthEncoding):
-        # The exact-model context: run structure is not a function of
-        # sparsity alone, so the oracle hands the codec its own stats.
-        ctx["nnz"], ctx["num_runs"] = rle_stats(np.asarray(x))
-    try:
-        measured = codec.measure_bytes(codec.encode(x))
-    except Exception as exc:  # noqa: BLE001
-        return [Violation(
-            ORACLE_ROUNDTRIP,
-            f"{codec.name} measure crashed on shape {x.shape}: "
-            f"{type(exc).__name__}: {exc}",
-        )]
-    model = codec.encoded_bytes(int(np.asarray(x).size), **ctx)
-    if measured != model:
-        return [Violation(
-            ORACLE_ROUNDTRIP,
-            f"{codec.name} static model says {model} bytes, measured "
-            f"encode is {measured} (shape {x.shape})",
-        )]
-    return []

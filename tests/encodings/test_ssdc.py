@@ -177,3 +177,35 @@ class TestGroundTruthArm:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
         assert csr_decode(default).tobytes() == csr_decode(truth).tobytes()
+
+
+class TestProducersEmitNoNegativeZero:
+    """SSDC decodes a ``-0.0`` as ``+0.0`` (its ``expected_decode``); the
+    run-time stash is bit-exact because the maps it encodes — ReLU
+    outputs and max-pools of them — never hold a ``-0.0``."""
+
+    PRE = np.array([-0.0, 0.0, -1.5, 2.0, -0.0, -np.inf, 3.0, -0.0] * 4,
+                   np.float32).reshape(1, 2, 4, 4)
+
+    def _relu_outputs(self):
+        from repro.layers import Conv2D, FusedConvReLU, ReLU
+
+        fused = FusedConvReLU(Conv2D(2, 1))
+        fused.conv.forward = lambda xs, params, ctx, train=True: (
+            self.PRE.copy())
+        return [ReLU().forward([self.PRE], {}, None),
+                ReLU().forward_inplace(self.PRE.copy(), {}, None),
+                fused.forward([self.PRE], {}, None)]
+
+    @pytest.mark.parametrize("pool", [(2, 2, 0), (3, 1, 1)])
+    def test_relu_and_its_max_pool(self, pool):
+        from repro.layers import MaxPool2D
+
+        kernel, stride, pad = pool
+        for y in self._relu_outputs():
+            pooled = MaxPool2D(kernel, stride, pad).forward([y], {}, None)
+            for stash in (y, pooled):
+                assert not np.signbit(stash).any()
+                codec = SSDCEncoding()
+                decoded = codec.decode(codec.encode(stash))
+                assert decoded.tobytes() == stash.tobytes()

@@ -23,9 +23,10 @@ from repro.layers import (
     ReLU,
     SoftmaxCrossEntropy,
 )
+from repro.encodings.ssdc import SSDCEncoding
 from repro.rewrite import check_rewrite_equivalence
 from repro.rewrite.base import RewritePass, clone_node, rebuild
-from repro.rewrite.passes import FuseConvReLUPass
+from repro.rewrite.passes import CSEPass, FuseConvReLUPass
 
 
 def finish(b, x):
@@ -202,6 +203,32 @@ class TestFaultInjection:
             next(n.name for n in graph.nodes
                  if isinstance(n.layer, FrozenBiasDense)) + ".b"
         }
+
+    def test_lossy_codec_under_a_sound_rewrite_is_caught(self, monkeypatch):
+        # A codec bug hits the original and the rewritten graph alike, so
+        # comparing the two under gist-lossless sees nothing; the one
+        # baseline reference does.
+        decode = SSDCEncoding.decode
+
+        def first_zero_to_one(self, encoded):
+            out = decode(self, encoded)
+            zeros = np.flatnonzero(out == 0)
+            if zeros.size:
+                out.flat[zeros[0]] = 1.0
+            return out
+
+        monkeypatch.setattr(SSDCEncoding, "decode", first_zero_to_one)
+        b = GraphBuilder("g", (2, 3, 8, 8))
+        x = b.add(ReLU(), b.add(Conv2D(4, 3, pad=1), b.input))
+        y = b.add(Conv2D(4, 3, pad=1), x)
+        x = b.add(Add(), [b.add(ReLU(), y), b.add(ReLU(), y)])
+        graph = finish(b, x)
+        violations = check_rewrite_equivalence(graph, passes=[CSEPass()])
+        assert violations
+        assert all(v.detail.startswith("policy gist-lossless ")
+                   for v in violations)
+        assert any("original under baseline vs" in v.detail
+                   for v in violations)
 
     def test_violations_carry_seed_and_subject(self):
         b = GraphBuilder("g", (2, 3, 8, 8))

@@ -111,15 +111,11 @@ class TestSurfacesOfferTheModuleTuples:
         assert any(c is vocabulary for c in _schema_choices(kind, field))
 
     def test_consumers_alias_the_lossless_tuple(self):
-        import inspect
-
         from repro.diagnostics import GOLDEN_POLICIES
-        from repro.rewrite import check_rewrite_equivalence
+        from repro.rewrite import equivalence
 
         assert GOLDEN_POLICIES is LOSSLESS_POLICY_NAMES
-        default = inspect.signature(
-            check_rewrite_equivalence).parameters["policies"].default
-        assert default is LOSSLESS_POLICY_NAMES
+        assert equivalence.LOSSLESS_POLICY_NAMES is LOSSLESS_POLICY_NAMES
 
     @pytest.mark.parametrize("policy", LOSSLESS_POLICY_NAMES)
     def test_every_accepted_train_job_policy_runs(self, policy):

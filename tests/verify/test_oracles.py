@@ -7,6 +7,7 @@ death, a lying size model, a broken codec) and check both directions:
 the clean artifact passes, the corrupted one is caught.
 """
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -17,6 +18,8 @@ from repro.core.schedule_builder import build_gist_plan
 from repro.encodings.base import IdentityEncoding
 from repro.encodings.dpr import dpr_encoding
 from repro.encodings.groupquant import GroupQuantEncoding
+from repro.encodings.runlength import RunLengthEncoding
+from repro.encodings.ssdc import SSDCEncoding
 from repro.graph.liveness import ROLE_ENCODED, ROLE_FEATURE_MAP, LiveTensor
 from repro.memory.allocator import (
     AllocationGroup,
@@ -33,7 +36,6 @@ from repro.verify import (
     ORACLE_ROUNDTRIP,
     check_allocator_safety,
     check_decision_bytes,
-    check_measured_bytes,
     check_plan_safety,
     check_policy_bounds,
     check_roundtrip,
@@ -233,7 +235,6 @@ class TestRoundtripOracle:
         for codec in (IdentityEncoding(), dpr_encoding("fp16"),
                       GroupQuantEncoding(4, group_size=32)):
             assert check_roundtrip(codec, x) == []
-            assert check_measured_bytes(codec, x) == []
 
     def test_corrupt_lossless_decode_fires(self, rng):
         x = rng.normal(0, 1, 16).astype(np.float32)
@@ -248,9 +249,53 @@ class TestRoundtripOracle:
 
     def test_lying_size_model_fires(self, rng):
         x = rng.normal(0, 1, 32).astype(np.float32)
-        violations = check_measured_bytes(_LyingSizeModel(), x)
+        violations = check_roundtrip(_LyingSizeModel(), x)
         assert len(violations) == 1
         assert "static model" in violations[0].detail
+
+    def test_nan_bytes_survive_identity(self):
+        # A NaN is not equal to itself; its bytes are.
+        x = np.array([1.0, np.nan, -np.inf, -0.0], np.float32)
+        assert check_roundtrip(IdentityEncoding(), x) == []
+
+    @pytest.mark.parametrize("codec", [IdentityEncoding(),
+                                       RunLengthEncoding()])
+    def test_dropped_zero_sign_fires(self, monkeypatch, codec):
+        # -0.0 == +0.0, so a value-level comparison lets this through.
+        decode = codec.decode
+        monkeypatch.setattr(codec, "decode",
+                            lambda enc: decode(enc) + np.float32(0.0))
+        x = np.array([0.5, -0.0, 2.0, 0.0], np.float32)
+        violations = check_roundtrip(codec, x)
+        assert [v.oracle for v in violations] == [ORACLE_ROUNDTRIP]
+        assert "not bit-exact" in violations[0].detail
+
+    def test_ssdc_declares_its_zero_canonicalisation(self):
+        x = np.array([0.5, -0.0, 2.0, 0.0], np.float32)
+        codec = SSDCEncoding()
+        assert not np.signbit(codec.expected_decode(x)[1])
+        assert check_roundtrip(codec, x) == []
+
+    def test_verify_encodings_encodes_each_pair_once(self, monkeypatch):
+        from repro.verify import runner
+
+        battery = runner._codec_battery
+        codecs, calls = [], collections.Counter()
+
+        def counted_battery(rng):
+            codecs.extend(battery(rng))
+            for codec in codecs:
+                def encode(x, codec=codec, encode=codec.encode):
+                    calls[id(codec), id(x)] += 1
+                    return encode(x)
+                codec.encode = encode
+            return codecs
+
+        monkeypatch.setattr(runner, "_codec_battery", counted_battery)
+        assert runner.verify_encodings(3) == []
+        assert set(calls.values()) == {1}
+        inputs = len(runner._adversarial_inputs(np.random.default_rng(0)))
+        assert len(calls) == sum(inputs + c.lossless for c in codecs)
 
     def test_dpr_out_of_bound_error_fires(self, rng):
         # An fp16 codec claiming fp8's wide tolerance would pass; the
