@@ -19,17 +19,14 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.dtypes import DPR_FORMATS, FP16, DType
+from repro.dtypes import DPR_FORMATS, DType
 from repro.encodings.base import Encoding
-from repro.encodings.floatsim import (
-    decode_half,
-    decode_minifloat,
-    encode_half,
-    encode_minifloat,
-)
+from repro.encodings.floatsim import decode_minifloat, encode_minifloat
 
 # Bit offsets of each packed value within a 32-bit word, per format.
 _OFFSETS = {2: (0, 16), 3: (0, 10, 20), 4: (0, 8, 16, 24)}
+#: Code widths whose packing is a view of the codes as uint32 words.
+_VIEW_BITS = (8, 16)
 
 
 def pack_codes(codes: np.ndarray, dtype: DType) -> np.ndarray:
@@ -64,26 +61,30 @@ def encode_words(x: np.ndarray, dtype: DType,
     """Quantise ``x`` to ``dtype`` and pack it: the whole DPR encode.
 
     Always equal to ``pack_codes(encode_minifloat(x, dtype, rounding),
-    dtype)``; FP16 round-to-nearest takes :func:`encode_half`, integer
-    rounding on the float32 bits, whose uint16 codes *are* the 2-per-word
-    packing once viewed as uint32 (first code in the low half: hosts are
-    little-endian, as the bit packers' uint8 -> uint32 views already
-    assume).
+    dtype)``.  8- and 16-bit codes come back at their storage width, so
+    viewing them as uint32 *is* the 4- or 2-per-word packing (first code
+    in the low bits: hosts are little-endian, as the bit packers' uint8 ->
+    uint32 views already assume); FP10's three 10-bit lanes take
+    :func:`pack_codes`' shifts.
     """
-    if dtype == FP16 and rounding == "nearest":
-        codes = encode_half(x)
-        if codes.size % 2:
-            codes = np.append(codes, np.uint16(0))
-        return codes.view(np.uint32)
-    return pack_codes(encode_minifloat(x, dtype, rounding), dtype)
+    codes = encode_minifloat(x, dtype, rounding).ravel()
+    if dtype.bits not in _VIEW_BITS:
+        return pack_codes(codes, dtype)
+    pad = (-codes.size) % dtype.values_per_word
+    if pad:
+        codes = np.concatenate([codes, np.zeros(pad, codes.dtype)])
+    return codes.view(np.uint32)
 
 
 def decode_words(words: np.ndarray, n: int, dtype: DType) -> np.ndarray:
     """The first ``n`` values of packed ``words`` as flat float32: always
-    equal to ``decode_minifloat(unpack_codes(words, n, dtype), dtype)``."""
-    if dtype == FP16:
-        return decode_half(words.view(np.uint16)[:n])
-    return decode_minifloat(unpack_codes(words, n, dtype), dtype)
+    equal to ``decode_minifloat(unpack_codes(words, n, dtype), dtype)``,
+    with 8- and 16-bit codes read through a view of the words."""
+    if dtype.bits in _VIEW_BITS:
+        codes = words.view(f"u{dtype.bits // 8}")[:n]
+    else:
+        codes = unpack_codes(words, n, dtype)
+    return decode_minifloat(codes, dtype)
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,18 @@ format's maximum/minimum representable magnitude (no infinities), and
 denormals flushed to zero ("we ignore denormalized numbers as they have
 negligible effect on CNN accuracy").
 
-Two levels of API:
-
 * :func:`encode_minifloat` / :func:`decode_minifloat` — produce and consume
-  raw integer *bit patterns*, used by the DPR packer.
-  :func:`encode_half` / :func:`decode_half` are their FP16
-  round-to-nearest special case as integer operations on the float32
-  bits: bit-identical, and a few times cheaper than the generic chain.
+  raw integer *bit patterns*, used by the DPR packer: one body, integer
+  operations on the float32 bits, for every format and both roundings.
+* :func:`encode_minifloat_reference` / :func:`decode_minifloat_reference`
+  — the frexp/ldexp chain the body is held to byte for byte (tests only).
 * :func:`quantize` — encode-then-decode in one step, used wherever only the
   value error matters (accuracy experiments, error-bound property tests).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -36,6 +36,37 @@ def _check_minifloat(dtype: DType) -> None:
         raise ValueError(f"dtype {dtype.name} too wide for 32-bit codes")
 
 
+@functools.lru_cache(maxsize=None)
+def _decoder(dtype: DType) -> tuple:
+    """:func:`decode_minifloat`'s constants, built once per format: the
+    code width (eb + mb), its field mask, the smallest normal code, the
+    float32 rebias ``(127 - bias) << mb`` and the mantissa shift 23 - mb."""
+    _check_minifloat(dtype)
+    mb, width = dtype.mantissa_bits, dtype.exponent_bits + dtype.mantissa_bits
+    u = np.uint32
+    return (u(width), u((1 << width) - 1), u(1 << mb),
+            u((127 - dtype.exponent_bias) << mb), u(23 - mb))
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(dtype: DType, rounding: str) -> tuple:
+    """:func:`encode_minifloat`'s constants, built once per (format,
+    rounding)."""
+    width, _, _, rebias, shift = map(int, _decoder(dtype))
+    if rounding not in ("nearest", "truncate"):
+        raise ValueError(f"unknown rounding mode {rounding!r}")
+    u, store = np.uint32, np.min_scalar_type((1 << dtype.bits) - 1).type
+    # Round to nearest keeps what rounds up to min_normal: from half a
+    # code ULP (at the binade below) under it.  IEEE would round more up,
+    # through the denormal range; that flushes.  mb = 23 rounds nothing.
+    half = 1 << (shift - 1) if rounding == "nearest" and shift else 0
+    lo = int(np.float32(dtype.min_normal).view(u)) - half
+    return (u(lo), u(0x7F800000 - lo), np.float32(dtype.max_finite).view(u),
+            u(max(half - 1, 0)), u(shift), store,
+            store(rebias & np.iinfo(store).max), u(31 - width),
+            store(1 << width))
+
+
 def encode_minifloat(x: np.ndarray, dtype: DType, rounding: str = "nearest") -> np.ndarray:
     """Quantise FP32 values to integer bit patterns of ``dtype``.
 
@@ -46,8 +77,65 @@ def encode_minifloat(x: np.ndarray, dtype: DType, rounding: str = "nearest") -> 
             ``"truncate"`` (ablation).
 
     Returns:
-        ``uint32`` array of ``x.shape`` holding ``dtype.bits``-wide codes.
+        Array of ``x.shape`` holding ``dtype.bits``-wide codes at their
+        storage width: ``uint16`` for FP16 and FP10, ``uint8`` for FP8.
     """
+    lo, span, clamp, round_add, shift, store, rebias, sign_shift, sign_bit = (
+        _encoder(dtype, rounding))
+    x = np.asarray(x, dtype=np.float32)
+    bits = x.ravel().view(np.uint32)
+    mag = bits & np.uint32(0x7FFFFFFF)
+    # Kept iff lo <= |bits| <= +Inf, as one unsigned compare (smaller
+    # magnitudes wrap to huge): NaN, +-0 and what flushes fail it.
+    keep = mag - lo
+    keep = keep <= span
+    # Clamp overflow at the largest finite magnitude (paper: "the value is
+    # clamped at maximum/minimum value").
+    np.minimum(mag, clamp, out=mag)
+    if round_add:
+        # Round half to even: add half an ULP minus one plus the kept
+        # LSB; a mantissa carry runs into the exponent.
+        lsb = mag >> shift
+        lsb &= np.uint32(1)
+        mag += lsb
+        mag += round_add
+    # The shift writes the codes at their storage width; from here on the
+    # arithmetic wraps at that width, where every kept code fits.
+    code = np.right_shift(mag, shift, casting="unsafe",
+                          out=np.empty(mag.shape, store))
+    code -= rebias
+    sign = np.right_shift(bits, sign_shift, casting="unsafe",
+                          out=np.empty(mag.shape, store))
+    sign &= sign_bit
+    code |= sign
+    code *= keep  # zero every value not kept
+    return code.reshape(x.shape)
+
+
+def decode_minifloat(codes: np.ndarray, dtype: DType) -> np.ndarray:
+    """Expand integer bit patterns of ``dtype`` back to FP32 values.
+
+    Every code is read by the paper rule, not IEEE's: denormal codes are
+    signed zeros and the reserved top exponent is one more binade, never
+    Inf/NaN.
+    """
+    width, mask, min_code, rebias, shift = _decoder(dtype)
+    word = np.array(codes, dtype=np.uint32)
+    sign = word >> width
+    sign <<= np.uint32(31)  # drops any bits above the code's own
+    word &= mask
+    normal = word >= min_code  # exponent field != 0
+    word += rebias
+    word <<= shift
+    word *= normal
+    word |= sign
+    return word.view(np.float32)
+
+
+def encode_minifloat_reference(x: np.ndarray, dtype: DType,
+                               rounding: str = "nearest") -> np.ndarray:
+    """:func:`encode_minifloat` as a frexp/rint chain in float32, with
+    ``uint32`` codes: the ground truth its integer body is held to."""
     _check_minifloat(dtype)
     if rounding not in ("nearest", "truncate"):
         raise ValueError(f"unknown rounding mode {rounding!r}")
@@ -55,11 +143,8 @@ def encode_minifloat(x: np.ndarray, dtype: DType, rounding: str = "nearest") -> 
     bias = dtype.exponent_bias
     x = np.asarray(x, dtype=np.float32)
 
-    # The whole pipeline stays in float32/int32: every intermediate
-    # (frexp output, 1.f remainder, the scaled mantissa f * 2**mb) is
-    # exactly representable in float32, so the codes are bit-for-bit the
-    # ones the original float64 formulation produced, at half the memory
-    # traffic and with in-place ops instead of fresh temporaries.
+    # Every intermediate (frexp output, 1.f remainder, the scaled
+    # mantissa f * 2**mb) is exactly representable in float32.
     sign = (np.signbit(x)).astype(np.uint32)
     mag = np.abs(x)
     # NaNs have no meaning in feature maps; map them to zero for safety.
@@ -106,8 +191,8 @@ def encode_minifloat(x: np.ndarray, dtype: DType, rounding: str = "nearest") -> 
     return code
 
 
-def decode_minifloat(codes: np.ndarray, dtype: DType) -> np.ndarray:
-    """Expand integer bit patterns of ``dtype`` back to FP32 values."""
+def decode_minifloat_reference(codes: np.ndarray, dtype: DType) -> np.ndarray:
+    """:func:`decode_minifloat` as an ldexp chain: its ground truth."""
     _check_minifloat(dtype)
     eb, mb = dtype.exponent_bits, dtype.mantissa_bits
     bias = dtype.exponent_bias
@@ -115,9 +200,8 @@ def decode_minifloat(codes: np.ndarray, dtype: DType) -> np.ndarray:
     sign = (codes >> np.uint32(eb + mb)) & np.uint32(1)
     biased = (codes >> np.uint32(mb)) & np.uint32((1 << eb) - 1)
     mant = codes & np.uint32((1 << mb) - 1)
-    # 1.f * 2**e evaluated in float32: the fraction has mb <= 10 bits and
-    # every decoded value is a normal float32, so ldexp is exact and the
-    # result matches the original float64 formulation bit-for-bit.
+    # 1.f * 2**e in float32: the fraction has mb <= 10 bits and every
+    # decoded value is a normal float32, so ldexp is exact.
     frac = mant.astype(np.float32)
     frac *= np.float32(1.0 / (1 << mb))
     frac += np.float32(1.0)
@@ -125,69 +209,6 @@ def decode_minifloat(codes: np.ndarray, dtype: DType) -> np.ndarray:
     value[biased == 0] = 0.0
     np.negative(value, out=value, where=sign == 1)
     return value
-
-
-# FP16 is IEEE half with three paper-rule differences: no infinities
-# (clamp at +-65504, NaN -> +0), no denormals, and no negative zero.  The
-# flush threshold is *not* 2**-14: the generic path rounds first and
-# flushes after, so it keeps every magnitude that rounds up to 2**-14 at
-# normal (10-bit) precision, i.e. from 2**-14 - 2**-26 = 0x387FF000.  IEEE
-# would also round [2**-14 - 2**-25, 2**-14 - 2**-26) up, through the
-# denormal range; those must flush.  As float32 bits: a magnitude is kept
-# iff it lies in [0x387FF000, 0x7F800000] (+Inf included, NaN not), and it
-# is clamped at 0x477FE000 (65504).
-_FP16_KEEP_LO = np.uint32(0x387FF000)
-_FP16_KEEP_SPAN = np.uint32(0x7F800000 - 0x387FF000)
-_FP16_CLAMP = np.uint32(0x477FE000)
-#: float32 minus FP16 exponent bias (127 - 15), at FP16's exponent field.
-_FP16_REBIAS = np.uint32(112 << 10)
-
-
-def encode_half(x: np.ndarray) -> np.ndarray:
-    """``encode_minifloat(x, FP16, "nearest")`` as flat ``uint16`` codes,
-    rounded to nearest-even on the float32 bits as integers."""
-    bits = np.asarray(x, dtype=np.float32).ravel().view(np.uint32)
-    mag = bits & np.uint32(0x7FFFFFFF)
-    # One unsigned range test: magnitudes below the floor wrap to huge.
-    keep = mag - _FP16_KEEP_LO
-    keep = keep <= _FP16_KEEP_SPAN
-    np.minimum(mag, _FP16_CLAMP, out=mag)
-    # Round half to even at bit 13: add 0xFFF plus the kept LSB; a
-    # mantissa carry runs into the exponent, as the generic path's does.
-    lsb = mag >> np.uint32(13)
-    lsb &= np.uint32(1)
-    mag += lsb
-    mag += np.uint32(0xFFF)
-    # The shift writes the uint16 codes directly; from here on the
-    # arithmetic is mod 2**16, where the rebias 0x1C000 is 0xC000.
-    code = np.right_shift(mag, np.uint32(13), casting="unsafe",
-                          out=np.empty(mag.shape, np.uint16))
-    code -= np.uint16(_FP16_REBIAS & 0xFFFF)
-    sign = np.right_shift(bits, np.uint32(16), casting="unsafe",
-                          out=np.empty(mag.shape, np.uint16))
-    sign &= np.uint16(0x8000)
-    code |= sign
-    code *= keep  # zero every value not kept: NaN, +-0 and the flushed
-    return code
-
-
-def decode_half(codes: np.ndarray) -> np.ndarray:
-    """``decode_minifloat(codes, FP16)`` for ``uint16`` codes, on the bits.
-
-    Every code is read by the paper rule, not IEEE's: denormal codes are
-    signed zeros and the reserved top exponent is one more binade (2**16),
-    never Inf/NaN.
-    """
-    word = np.asarray(codes, dtype=np.uint16).astype(np.uint32)
-    sign = word >> np.uint32(15)
-    sign <<= np.uint32(31)
-    word &= np.uint32(0x7FFF)
-    normal = word >= np.uint32(0x0400)  # exponent field != 0
-    word += _FP16_REBIAS
-    word <<= np.uint32(13)
-    word *= normal
-    word |= sign
-    return word.view(np.float32)
 
 
 def quantize(x: np.ndarray, dtype: DType, rounding: str = "nearest") -> np.ndarray:

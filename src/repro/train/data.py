@@ -13,7 +13,7 @@ learnable (baseline reaches high accuracy in a few epochs) yet non-trivial
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -52,19 +52,60 @@ class Dataset:
         return self.images.shape[0]
 
 
-def _smooth_template(
-    rng: np.random.Generator, channels: int, size: int, grid: int = 4
-) -> np.ndarray:
-    """A smooth random pattern: coarse noise upsampled bilinearly."""
-    coarse = rng.normal(0.0, 1.0, (channels, grid, grid))
-    # Bilinear upsample by separable linear interpolation.
+#: Coarse noise points per upsampled template axis.
+_GRID = 4
+
+
+def _lerp(coarse: np.ndarray, axis: int, size: int) -> np.ndarray:
+    """Upsample ``coarse`` to ``size`` points along ``axis`` (negative)
+    by linear interpolation between its grid points."""
+    grid = coarse.shape[axis]
     src = np.linspace(0, grid - 1, size)
     i0 = np.floor(src).astype(int)
     i1 = np.minimum(i0 + 1, grid - 1)
-    w = (src - i0)[None, :]
-    rows = coarse[:, i0, :] * (1 - w.T[None, :, :]) + coarse[:, i1, :] * w.T[None, :, :]
-    out = rows[:, :, i0] * (1 - w[None, :, :]) + rows[:, :, i1] * w[None, :, :]
-    return out.astype(np.float32)
+    w = (src - i0).reshape((-1,) + (1,) * (-1 - axis))
+    return (np.take(coarse, i0, axis) * (1 - w)
+            + np.take(coarse, i1, axis) * w)
+
+
+def _template_splits(num_samples: int, noise: float, seed: int,
+                     coarse_shape: Tuple[int, ...],
+                     smooth: Callable[[np.ndarray], np.ndarray],
+                     ) -> Tuple[Dataset, Dataset]:
+    """(train, test) splits of class template plus Gaussian noise.
+
+    All templates are ``smooth`` of one normal draw of ``coarse_shape``
+    (classes first).  Templates, train and test draw from independent
+    child streams of ``seed``: drawing the test split from the tail of
+    one shared stream made the test data a function of num_samples, so
+    "same seed, bigger training set" silently changed the evaluation
+    data.  The test split is a quarter of ``num_samples``.
+    """
+    num_classes = coarse_shape[0]
+    if num_samples < num_classes:
+        raise ValueError("need at least one sample per class")
+    template_seq, train_seq, test_seq = np.random.SeedSequence(seed).spawn(3)
+    coarse = np.random.default_rng(template_seq).normal(0.0, 1.0,
+                                                         coarse_shape)
+    templates = smooth(coarse).astype(np.float32)
+
+    def split(n: int, seq: np.random.SeedSequence) -> Dataset:
+        rng = np.random.default_rng(seq)
+        # Every class appears at least once (a permutation of all
+        # classes, then uniform draws, shuffled together), so the split
+        # is usable for num_classes-way evaluation at any size >= classes.
+        labels = np.concatenate([
+            rng.permutation(num_classes),
+            rng.integers(0, num_classes, n - num_classes),
+        ])
+        labels = rng.permutation(labels)
+        samples = templates[labels]
+        samples += rng.normal(0.0, noise, samples.shape).astype(np.float32)
+        return Dataset(samples, labels.astype(np.int64),
+                       num_classes=num_classes)
+
+    return (split(num_samples, train_seq),
+            split(max(num_samples // 4, num_classes), test_seq))
 
 
 def make_synthetic(
@@ -77,6 +118,9 @@ def make_synthetic(
 ) -> Tuple[Dataset, Dataset]:
     """Build (train, test) splits of the synthetic classification task.
 
+    Each class is a smooth random pattern: coarse noise upsampled
+    bilinearly.
+
     Args:
         num_samples: Training set size; the test split is a quarter of it.
         num_classes: Number of template classes.
@@ -85,50 +129,9 @@ def make_synthetic(
         noise: Per-pixel Gaussian noise sigma added to the class template.
         seed: Master seed — everything is deterministic given it.
     """
-    if num_samples < num_classes:
-        raise ValueError("need at least one sample per class")
-    # Independent child streams for templates/train/test: drawing the
-    # test split from the tail of one shared stream made the test data a
-    # function of num_samples, so "same seed, bigger training set"
-    # silently changed the evaluation data.
-    template_seq, train_seq, test_seq = np.random.SeedSequence(seed).spawn(3)
-    template_rng = np.random.default_rng(template_seq)
-    templates = [
-        _smooth_template(template_rng, channels, image_size)
-        for _ in range(num_classes)
-    ]
-
-    def sample_split(n: int, rng: np.random.Generator) -> Dataset:
-        # Every class appears at least once (a permutation of all
-        # classes, then uniform draws, shuffled together), so the split
-        # is usable for num_classes-way evaluation at any size >= classes.
-        labels = np.concatenate([
-            rng.permutation(num_classes),
-            rng.integers(0, num_classes, n - num_classes),
-        ])
-        labels = rng.permutation(labels)
-        images = np.stack([templates[c] for c in labels])
-        images += rng.normal(0.0, noise, images.shape).astype(np.float32)
-        return Dataset(images.astype(np.float32), labels.astype(np.int64),
-                       num_classes=num_classes)
-
-    return (
-        sample_split(num_samples, np.random.default_rng(train_seq)),
-        sample_split(max(num_samples // 4, num_classes),
-                     np.random.default_rng(test_seq)),
-    )
-
-
-def _smooth_sequence_template(
-    rng: np.random.Generator, seq_len: int, input_size: int, grid: int = 4
-) -> np.ndarray:
-    """A smooth random (T, F) pattern: coarse noise upsampled along time."""
-    coarse = rng.normal(0.0, 1.0, (grid, input_size))
-    src = np.linspace(0, grid - 1, seq_len)
-    i0 = np.floor(src).astype(int)
-    i1 = np.minimum(i0 + 1, grid - 1)
-    w = (src - i0)[:, None]
-    return (coarse[i0] * (1 - w) + coarse[i1] * w).astype(np.float32)
+    return _template_splits(
+        num_samples, noise, seed, (num_classes, channels, _GRID, _GRID),
+        lambda c: _lerp(_lerp(c, -2, image_size), -1, image_size))
 
 
 def make_synthetic_sequences(
@@ -149,31 +152,9 @@ def make_synthetic_sequences(
     discipline: templates/train/test draw from independent streams, so
     the test data does not depend on ``num_samples``.
     """
-    if num_samples < num_classes:
-        raise ValueError("need at least one sample per class")
-    template_seq, train_seq, test_seq = np.random.SeedSequence(seed).spawn(3)
-    template_rng = np.random.default_rng(template_seq)
-    templates = [
-        _smooth_sequence_template(template_rng, seq_len, input_size)
-        for _ in range(num_classes)
-    ]
-
-    def sample_split(n: int, rng: np.random.Generator) -> Dataset:
-        labels = np.concatenate([
-            rng.permutation(num_classes),
-            rng.integers(0, num_classes, n - num_classes),
-        ])
-        labels = rng.permutation(labels)
-        sequences = np.stack([templates[c] for c in labels])
-        sequences += rng.normal(0.0, noise, sequences.shape).astype(np.float32)
-        return Dataset(sequences.astype(np.float32), labels.astype(np.int64),
-                       num_classes=num_classes)
-
-    return (
-        sample_split(num_samples, np.random.default_rng(train_seq)),
-        sample_split(max(num_samples // 4, num_classes),
-                     np.random.default_rng(test_seq)),
-    )
+    return _template_splits(
+        num_samples, noise, seed, (num_classes, _GRID, input_size),
+        lambda c: _lerp(c, -2, seq_len))
 
 
 def make_synthetic_for(

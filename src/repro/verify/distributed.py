@@ -146,12 +146,9 @@ def check_distributed(seed: int) -> List[Violation]:
     shards = int(rng.integers(2, 5))
     codec = str(rng.choice(["auto", "dpr-fp8"]))
     base = _tiny_payload(seed, shards, codec)
-    master = GraphExecutor(
-        build_model("tiny_cnn", batch_size=4, num_classes=4, image_size=8,
-                    channels=8),
-        seed=seed,
-    ).parameters()
-    units = replica_work_units(base, 0, master)
+    # The master parameters are the live executor's: initialisation does
+    # not depend on the batch size, and that executor has not stepped.
+    units = replica_work_units(base, 0, executor.parameters())
     results = run_units(units, workers=1)
     try:
         pool_loss, pool_merged, _ = merge_replica_results(units, results)

@@ -604,7 +604,7 @@ def _check_dpr_bound(name, dtype, x, decoded) -> List[Violation]:
     # absorbs float32 arithmetic in the encoder itself.
     bound = np.maximum(np.abs(clipped) * rel * 1.0001, dtype.min_normal)
     err = np.abs(d64 - clipped)
-    bad = err > bound
+    bad = ~(err <= bound)  # a NaN error is out of bound too
     if np.any(bad):
         i = int(np.argmax(err - bound))
         return [Violation(
@@ -622,33 +622,31 @@ def _check_groupquant_bound(codec: GroupQuantEncoding, x, encoded,
     flat = np.asarray(x, dtype=np.float64).ravel()
     dflat = np.asarray(decoded, dtype=np.float64).ravel()
     levels = (1 << codec.bits) - 1
-    gs = codec.group_size
-    violations: List[Violation] = []
-    for g in range(int(np.ceil(flat.size / gs))):
-        lo_i, hi_i = g * gs, min((g + 1) * gs, flat.size)
-        real = flat[lo_i:hi_i]
-        span = real.max() - real.min()
-        # Half a grid step over the group's REAL values (padding must not
-        # widen the grid), plus float32 slack on scale arithmetic.
-        bound = span / levels * 0.51 + 1e-6 + 1e-5 * max(
-            abs(real.max()), abs(real.min())
+    starts = np.arange(0, flat.size, codec.group_size)
+    hi = np.maximum.reduceat(flat, starts)
+    lo = np.minimum.reduceat(flat, starts)
+    span = hi - lo
+    # Half a grid step over each group's REAL values (padding must not
+    # widen the grid), plus float32 slack on scale arithmetic.
+    bound = span / levels * 0.51 + 1e-6 + 1e-5 * np.maximum(
+        np.abs(hi), np.abs(lo))
+    err = np.maximum.reduceat(np.abs(dflat - flat), starts)
+    violations = [
+        Violation(
+            ORACLE_ROUNDTRIP,
+            f"{codec.name} group {g} error {err[g]:.6f} exceeds "
+            f"span/levels bound {bound[g]:.6f} (span {span[g]:.6f}) — "
+            f"padding-skewed grid?",
         )
-        err = np.abs(dflat[lo_i:hi_i] - real).max()
-        if err > bound:
-            violations.append(Violation(
-                ORACLE_ROUNDTRIP,
-                f"{codec.name} group {g} error {err:.6f} exceeds "
-                f"span/levels bound {bound:.6f} (span {span:.6f}) — "
-                f"padding-skewed grid?",
-            ))
-    if isinstance(encoded, GroupQuantTensor):
-        expect_groups = int(np.ceil(flat.size / gs))
-        if encoded.scales.size != expect_groups:
-            violations.append(Violation(
-                ORACLE_ROUNDTRIP,
-                f"{codec.name} stored {encoded.scales.size} groups for "
-                f"{flat.size} values (expected {expect_groups})",
-            ))
+        for g in np.flatnonzero(~(err <= bound))  # NaN is out of bound
+    ]
+    if (isinstance(encoded, GroupQuantTensor)
+            and encoded.scales.size != starts.size):
+        violations.append(Violation(
+            ORACLE_ROUNDTRIP,
+            f"{codec.name} stored {encoded.scales.size} groups for "
+            f"{flat.size} values (expected {starts.size})",
+        ))
     return violations
 
 

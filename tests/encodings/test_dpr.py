@@ -14,7 +14,9 @@ from repro.encodings.dpr import (
 )
 from repro.encodings.floatsim import (
     decode_minifloat,
+    decode_minifloat_reference,
     encode_minifloat,
+    encode_minifloat_reference,
     quantize,
 )
 
@@ -84,41 +86,92 @@ class TestDPREncoding:
         assert dpr_encoding("fp10").name == "dpr-fp10"
 
 
-def _generic_encode(x, dtype, rounding="nearest"):
-    return pack_codes(encode_minifloat(x, dtype, rounding), dtype)
+def _reference_encode(x, dtype, rounding="nearest"):
+    return pack_codes(encode_minifloat_reference(x, dtype, rounding), dtype)
 
 
-def _generic_decode(words, n, dtype):
-    return decode_minifloat(unpack_codes(words, n, dtype), dtype)
+def _reference_decode(words, n, dtype):
+    return decode_minifloat_reference(unpack_codes(words, n, dtype), dtype)
 
 
-def _fp16_sweep():
-    """Every float32 exponent x every 11-bit mantissa prefix (the 10 kept
-    bits and the rounding bit) x the low-bit patterns that decide a tie,
-    both signs: NaN, +-Inf, denormals and +-0 included, odd length."""
+def _sweep(dtype):
+    """Every float32 exponent x every (mb+1)-bit mantissa prefix (the mb
+    kept bits and the rounding bit) x the low-bit patterns that decide a
+    tie, both signs: NaN, +-Inf, denormals and +-0 included, odd length."""
+    low_bits = 22 - dtype.mantissa_bits  # below the rounding bit
     exponent = np.arange(256, dtype=np.uint32)[:, None, None] << 23
-    prefix = np.arange(2048, dtype=np.uint32)[None, :, None] << 12
-    low13 = np.array([0, 1, 0x0FFF, 0x1000, 0x1001, 0x1FFF],
-                     np.uint32)[None, None, :]
-    magnitude = (exponent | prefix | low13).ravel()
+    prefix = np.arange(2 << dtype.mantissa_bits,
+                       dtype=np.uint32)[None, :, None] << low_bits
+    ones = (1 << low_bits) - 1
+    low = np.array([0, 1, ones >> 1, (ones >> 1) + 1, ones - 1, ones],
+                   np.uint32)[None, None, :]
+    magnitude = (exponent | prefix | low).ravel()
     bits = np.concatenate([magnitude, magnitude | np.uint32(1 << 31)])
     return bits[:-1].view(np.float32)
 
 
-class TestFusedWords:
-    """``encode_words`` / ``decode_words`` are the generic two-call chains
-    bit for bit; FP16 round-to-nearest takes the integer half codec."""
+_FORMATS_AND_ROUNDINGS = [(dtype, rounding) for dtype in (FP16, FP10, FP8)
+                          for rounding in ("nearest", "truncate")]
 
-    def test_fp16_route_is_bit_identical_on_the_structured_sweep(self):
-        x = _fp16_sweep()
-        assert x.size % 2 == 1 and x.size > 6_000_000
-        want = _generic_encode(x, FP16)
-        words = encode_words(x, FP16)
+
+class TestFusedWords:
+    """One integer body for every format and rounding: ``encode_words`` /
+    ``decode_words`` and ``encode_minifloat`` / ``decode_minifloat`` are
+    the frexp/ldexp reference chain bit for bit."""
+
+    @pytest.mark.parametrize("dtype,rounding", _FORMATS_AND_ROUNDINGS,
+                             ids=lambda v: getattr(v, "name", v))
+    def test_structured_sweep_is_the_reference(self, dtype, rounding):
+        x = _sweep(dtype)
+        assert x.size == 2 * 256 * (2 << dtype.mantissa_bits) * 6 - 1
+        codes = encode_minifloat(x, dtype, rounding)
+        want_codes = encode_minifloat_reference(x, dtype, rounding)
+        assert codes.dtype == (np.uint8 if dtype.bits == 8 else np.uint16)
+        assert np.array_equal(codes, want_codes)
+        want = pack_codes(want_codes, dtype)
+        words = encode_words(x, dtype, rounding)
         assert words.dtype == want.dtype == np.uint32
         assert np.array_equal(words, want)
-        got = decode_words(words, x.size, FP16)
+        got = decode_words(words, x.size, dtype)
         assert got.dtype == np.float32
-        assert got.tobytes() == _generic_decode(want, x.size, FP16).tobytes()
+        assert got.tobytes() == _reference_decode(want, x.size, dtype).tobytes()
+        assert (decode_minifloat(codes, dtype).tobytes()
+                == decode_minifloat_reference(want_codes, dtype).tobytes())
+
+    @pytest.mark.parametrize("dtype", [FP10, FP8], ids=lambda d: d.name)
+    def test_decode_of_every_code(self, dtype):
+        # FP16's own test below; the same paper-rule facts per format.
+        codes = np.arange(1 << dtype.bits, dtype=np.uint32)
+        want = decode_minifloat_reference(codes, dtype)
+        assert decode_minifloat(codes, dtype).tobytes() == want.tobytes()
+        words = pack_codes(codes, dtype)
+        got = decode_words(words, codes.size, dtype)
+        assert got.tobytes() == want.tobytes()
+        sign = 1 << (dtype.bits - 1)
+        assert np.signbit(got[sign]) and got[sign] == 0
+        top_exponent = (1 << dtype.exponent_bits) - 1  # reserved by IEEE
+        top = top_exponent << dtype.mantissa_bits
+        assert got[top] == 2.0 ** (top_exponent - dtype.exponent_bias)
+        assert np.isfinite(got).all()
+
+    @pytest.mark.parametrize("dtype,rounding", _FORMATS_AND_ROUNDINGS,
+                             ids=lambda v: getattr(v, "name", v))
+    def test_flush_boundary(self, dtype, rounding):
+        # Round to nearest keeps what rounds up to min_normal: from half a
+        # code ULP (at the binade below) under it; truncation from it.
+        normal = int(np.float32(dtype.min_normal).view(np.uint32))
+        floor = normal
+        if rounding == "nearest":
+            floor -= 1 << (22 - dtype.mantissa_bits)
+        bits = np.array([floor - 1, floor, normal], np.uint32)
+        x = np.concatenate([bits, bits | np.uint32(1 << 31)]).view(np.float32)
+        min_code = 1 << dtype.mantissa_bits
+        sign = 1 << (dtype.bits - 1)
+        codes = encode_minifloat(x, dtype, rounding)
+        assert list(codes) == [0, min_code, min_code,
+                               0, sign | min_code, sign | min_code]
+        assert np.array_equal(codes,
+                              encode_minifloat_reference(x, dtype, rounding))
 
     def test_fp16_flush_boundary_is_the_paper_rule_not_ieee(self):
         # IEEE half rounds [2**-14 - 2**-25, 2**-14 - 2**-26) up to 2**-14
@@ -129,7 +182,7 @@ class TestFusedWords:
         assert list(x[:3].astype(np.float16).view(np.uint16)) == [0x0400] * 3
         codes = encode_words(x, FP16).view(np.uint16)
         assert list(codes) == [0, 0x0400, 0, 0x0400, 0, 0x8400, 0, 0x8400]
-        assert np.array_equal(encode_words(x, FP16), _generic_encode(x, FP16))
+        assert np.array_equal(encode_words(x, FP16), _reference_encode(x, FP16))
 
     def test_fp16_decode_of_every_code(self):
         # Including what the encoder never emits: 0x8000 -> -0.0, denormal
@@ -137,7 +190,7 @@ class TestFusedWords:
         codes = np.arange(1 << 16, dtype=np.uint32)
         words = pack_codes(codes, FP16)
         got = decode_words(words, codes.size, FP16)
-        assert got.tobytes() == decode_minifloat(codes, FP16).tobytes()
+        assert got.tobytes() == decode_minifloat_reference(codes, FP16).tobytes()
         assert np.signbit(got[0x8000]) and got[0x8000] == 0
         assert got[0x7C00] == 65536.0 and np.isfinite(got).all()
 
@@ -145,19 +198,9 @@ class TestFusedWords:
         x = rng.normal(0, 100, 33).astype(np.float32)
         x[:3] = (np.nan, -0.0, 1e9)
         before = x.tobytes()
-        encode_words(x, FP16)
+        for dtype, rounding in _FORMATS_AND_ROUNDINGS:
+            encode_words(x, dtype, rounding)
         assert x.tobytes() == before
-
-    @pytest.mark.parametrize("dtype,rounding", [
-        (FP16, "truncate"), (FP10, "nearest"), (FP10, "truncate"),
-        (FP8, "nearest"), (FP8, "truncate"),
-    ], ids=lambda v: getattr(v, "name", v))
-    def test_other_formats_keep_the_generic_path(self, dtype, rounding, rng):
-        x = rng.normal(0, 8, (5, 21)).astype(np.float32)
-        words = encode_words(x, dtype, rounding)
-        assert np.array_equal(words, _generic_encode(x, dtype, rounding))
-        got = decode_words(words, x.size, dtype)
-        assert got.tobytes() == _generic_decode(words, x.size, dtype).tobytes()
 
     @pytest.mark.parametrize("shape", [(0,), (1,), (3, 5), (2, 3, 4, 4)])
     def test_fp16_encoding_any_shape_and_layout(self, shape, rng):
@@ -166,5 +209,5 @@ class TestFusedWords:
             x = x.transpose(0, 2, 3, 1)  # NHWC-strided view, as convs emit
         enc = DPREncoding(FP16)
         stash = enc.encode(x)
-        assert np.array_equal(stash.words, _generic_encode(x, FP16))
+        assert np.array_equal(stash.words, _reference_encode(x, FP16))
         assert np.array_equal(enc.decode(stash), quantize(x, FP16))

@@ -13,7 +13,7 @@ from repro.encodings.floatsim import (
 
 
 class TestFP16AgainstNumPy:
-    """IEEE half precision is our cross-check oracle for the generic path."""
+    """IEEE half precision is our cross-check oracle on normals."""
 
     def test_matches_numpy_half_on_normals(self, rng):
         x = rng.normal(0, 10, 5000).astype(np.float32)
@@ -86,6 +86,12 @@ class TestGenericMinifloat:
         values = decode_minifloat(codes, dtype)
         codes2 = encode_minifloat(values, dtype)
         np.testing.assert_array_equal(codes, codes2)
+
+    def test_codes_at_storage_width(self, dtype, rng):
+        x = rng.normal(0, 1, (3, 7)).astype(np.float32)
+        codes = encode_minifloat(x, dtype)
+        assert codes.shape == x.shape
+        assert codes.itemsize * 8 == (8 if dtype.bits == 8 else 16)
 
     def test_nan_maps_to_zero(self, dtype):
         x = np.array([np.nan], dtype=np.float32)

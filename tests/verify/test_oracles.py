@@ -327,3 +327,22 @@ class TestRoundtripOracle:
         violations = _check_groupquant_bound(skewed, x, encoded, decoded)
         assert violations
         assert "padding-skewed grid" in violations[0].detail
+
+    @pytest.mark.parametrize("codec", [dpr_encoding("fp8"),
+                                       GroupQuantEncoding(4)],
+                             ids=lambda c: c.name)
+    def test_nan_decode_breaks_the_lossy_bound(self, monkeypatch, codec,
+                                               rng):
+        # NaN > bound is False, so an `err > bound` test lets it through.
+        decode = codec.decode
+
+        def nan_decode(encoded):
+            out = decode(encoded).copy()
+            out[7] = np.nan
+            return out
+
+        monkeypatch.setattr(codec, "decode", nan_decode)
+        x = rng.normal(0, 1, 300).astype(np.float32)
+        violations = check_roundtrip(codec, x)
+        assert [v.oracle for v in violations] == [ORACLE_ROUNDTRIP]
+        assert "error nan exceeds" in violations[0].detail
