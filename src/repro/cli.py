@@ -22,8 +22,8 @@ Commands:
 * ``submit`` — validate YAML/JSON job specs and enqueue them on a
   service state directory; prints each job's content fingerprint.
 * ``serve`` — the training-service daemon: drains the queue onto the
-  pool behind a content-addressed result cache; with ``--jobs``
-  runs one-shot (submit + drain + report).
+  pool, answering repeated jobs from its checked run journal; with
+  ``--jobs`` runs one-shot (submit + drain + report).
 """
 
 from __future__ import annotations
@@ -582,11 +582,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser("serve", help="training-service daemon: durable "
-                                     "queue + content-addressed cache "
-                                     "over the pool")
+                                     "queue + checked run journal over "
+                                     "the pool")
     p.add_argument("--state", default="serve-state", metavar="DIR",
-                   help="service state directory holding queue.jsonl, "
-                        "journal.jsonl and cache/ (default: serve-state)")
+                   help="service state directory holding queue.jsonl "
+                        "and journal.jsonl (default: serve-state)")
     p.add_argument("--jobs", nargs="+", metavar="SPEC", default=None,
                    help="one-shot mode: submit these spec files, drain "
                         "the queue once, print the report and exit")

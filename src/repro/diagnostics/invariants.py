@@ -30,7 +30,7 @@ from repro.graph.graph import Graph
 from repro.graph.liveness import feature_map_uses
 from repro.graph.node import OpNode
 from repro.graph.schedule import TrainingSchedule
-from repro.memory.hybrid import CHOICE_RECOMPUTE, CHOICE_SHARED_CONCAT
+from repro.memory.hybrid import source_read_time
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.train.executor import GraphExecutor
@@ -107,19 +107,17 @@ class InvariantSuite:
                      policy) -> Dict[int, int]:
         """Last legitimate read time of each node's stash, by the uses
         table the executor stashes by (pools rewritten), stretched where
-        the plan re-reads a source as the planner prices it: a recompute
-        target replays from its source at its first backward read, and a
-        shared-concat member is its terminal's prefix through its last."""
+        the plan re-reads a source, by the rule the planner prices
+        (:func:`~repro.memory.hybrid.source_read_time`)."""
         uses = feature_map_uses(graph, schedule, True)
         death = {
             nid: last_fwd if last_bwd is None else max(last_fwd, last_bwd)
             for nid, (last_fwd, _, last_bwd) in uses.items()
         }
-        for nid, (_, first_bwd, last_bwd) in uses.items():
+        for nid in uses:
             decision = policy.decision_for(nid)
-            choice = None if decision is None else decision.choice
-            read = {CHOICE_RECOMPUTE: first_bwd,
-                    CHOICE_SHARED_CONCAT: last_bwd}.get(choice)
+            read = (None if decision is None
+                    else source_read_time(decision, uses))
             if read is not None:
                 source = decision.source_id
                 death[source] = max(death.get(source, read), read)

@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.dtypes import DType
+from repro.dtypes import FP32, DType
 from repro.encodings.base import Encoding
 from repro.encodings.dpr import DPRTensor, decode_words, encode_words
 
@@ -170,7 +170,7 @@ def csr_bytes(
     num_elements: int,
     sparsity: float,
     cols: int = NARROW_COLS,
-    value_bits: int = 32,
+    value_dtype: DType = FP32,
 ) -> int:
     """Static size model for a CSR stash.
 
@@ -178,19 +178,16 @@ def csr_bytes(
         num_elements: Dense element count.
         sparsity: Fraction of zeros, in [0, 1].
         cols: Row width (narrow optimisation when <= 256).
-        value_bits: Bits per stored value (32, or a DPR width).
+        value_dtype: Storage format of the values (FP32, or a DPR
+            format packed in whole 32-bit words).
     """
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
     nnz = round(num_elements * (1.0 - sparsity))
     n_rows = _csr_rows(num_elements, cols)
     idx_bytes = 1 if cols <= 256 else 4
-    value_bytes = -(-nnz * value_bits // 8)
-    # Pack DPR values in whole words.
-    if value_bits in (8, 10, 16):
-        per_word = 32 // value_bits if value_bits != 10 else 3
-        value_bytes = -(-nnz // per_word) * 4
-    return value_bytes + nnz * idx_bytes + (n_rows + 1) * 4
+    return (value_dtype.size_bytes(nnz) + nnz * idx_bytes
+            + (n_rows + 1) * 4)
 
 
 class SSDCEncoding(Encoding):
@@ -209,8 +206,8 @@ class SSDCEncoding(Encoding):
         self.name = f"ssdc{suffix}"
 
     def encoded_bytes(self, num_elements: int, sparsity: float = 0.0, **ctx) -> int:
-        value_bits = 32 if self.value_dtype is None else self.value_dtype.bits
-        return csr_bytes(num_elements, sparsity, self.cols, value_bits)
+        return csr_bytes(num_elements, sparsity, self.cols,
+                         self.value_dtype or FP32)
 
     def encode(self, x: np.ndarray) -> CSRTensor:
         return csr_encode(x, self.cols, self.value_dtype)

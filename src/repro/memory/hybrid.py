@@ -445,6 +445,22 @@ def _select(
 # ----------------------------------------------------------------------
 # Plan rewriting
 # ----------------------------------------------------------------------
+def source_read_time(decision: PlanDecision, uses) -> Optional[int]:
+    """When ``decision`` reads its source's stash, or ``None``.
+
+    A recompute target replays from its source at the target's first
+    backward read; a shared-concat member is its terminal's prefix
+    through the member's last backward read.  The planner prices this
+    and the runtime liveness checker polices it; ``uses`` is the
+    :func:`~repro.graph.liveness.feature_map_uses` table.
+    """
+    if decision.choice == CHOICE_RECOMPUTE:
+        return uses[decision.node_id][1]
+    if decision.choice == CHOICE_SHARED_CONCAT:
+        return uses[decision.node_id][2]
+    return None
+
+
 def apply_decisions(
     plan: MemoryPlan, uses, decisions: Dict[int, PlanDecision], cfg,
 ) -> Tuple[int, ...]:
@@ -540,34 +556,26 @@ def apply_decisions(
                     )
                 )
 
-    # A recompute source is read at the *target's* first backward read,
-    # which precedes the source's own backward window (if it has one):
-    # an FP32-kept source stays live until then, a swapped one is
-    # prefetched for it.
+    # A source re-read (source_read_time) can fall outside the source's
+    # own window: a recompute source is read before its backward window
+    # (if it has one), so an FP32-kept source stays live until then and a
+    # swapped one is prefetched for it.  A shared-concat terminal's buffer
+    # is re-read by members that run backward after it: the kept stash
+    # is extended and pulled into the members' aliasing group, so the
+    # allocator prices the whole chain as one terminal-sized region.
     for option in decisions.values():
-        if option.choice != CHOICE_RECOMPUTE:
+        read = source_read_time(option, uses)
+        if read is None:
             continue
-        _, target_first_bwd, _ = uses[option.node_id]
         source_option = decisions.get(option.source_id)
-        if source_option is None:
+        if option.choice == CHOICE_SHARED_CONCAT or source_option is None:
             source_fm = fm_by_node[option.source_id]
-            source_fm.death = max(source_fm.death, target_first_bwd)
+            source_fm.death = max(source_fm.death, read)
+            if option.choice == CHOICE_SHARED_CONCAT:
+                source_fm.alias_group = f"concat:{option.source_id}"
         elif source_option.choice == CHOICE_SWAP:
             prefetch = prefetch_by_node[option.source_id]
-            prefetch.birth = min(prefetch.birth, target_first_bwd)
-
-    # A shared-concat terminal's buffer is re-read by its members during
-    # *their* backward windows, which outlive the terminal's own (earlier
-    # forward nodes run backward later): extend the kept stash and pull it
-    # into the members' aliasing group so the allocator prices the whole
-    # chain as one terminal-sized region.
-    for option in decisions.values():
-        if option.choice != CHOICE_SHARED_CONCAT:
-            continue
-        terminal_fm = fm_by_node[option.source_id]
-        _, _, member_last_bwd = uses[option.node_id]
-        terminal_fm.death = max(terminal_fm.death, member_last_bwd)
-        terminal_fm.alias_group = f"concat:{option.source_id}"
+            prefetch.birth = min(prefetch.birth, read)
 
     # Argmax maps for rewritten pools (the uses above were computed under
     # the rewrite, so the maps must be carried whether or not a binarize

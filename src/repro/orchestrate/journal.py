@@ -11,6 +11,12 @@ Resume is payload-aware: each record stores a fingerprint of the unit's
 kind + payload, and a record is only replayed for a unit whose
 fingerprint still matches.  Changing a sweep's parameters therefore
 invalidates stale journal entries instead of silently reusing them.
+
+Replay is checked: each record carries a stamp, a SHA-256 over the
+canonical JSON of its fingerprint, status and result.  A record whose
+stamp does not match (an edited result, a result pasted under another
+unit's line, a record of an older format) is never replayed, so its
+unit runs again: a stored result comes back bit-exact or is recomputed.
 """
 
 from __future__ import annotations
@@ -20,10 +26,28 @@ from pathlib import Path
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.ioutil import append_jsonl_line, atomic_write_text, read_jsonl
-from repro.orchestrate.units import WorkUnit, payload_fingerprint
+from repro.orchestrate.units import WorkUnit, payload_fingerprint, value_digest
 
-#: Stamped into every record; bump on layout changes.
-JOURNAL_FORMAT = 1
+#: Stamped into every record; bump on layout changes.  2: records carry
+#: ``stamp`` (format-1 records have none and are never replayed).
+JOURNAL_FORMAT = 2
+
+
+def _stamp(fingerprint, status, result) -> str:
+    return value_digest([fingerprint, status, result])
+
+
+def _checked(record) -> bool:
+    """True for a terminal record of this format whose stamp matches."""
+    return (
+        isinstance(record, dict)
+        and record.get("format") == JOURNAL_FORMAT
+        and record.get("status") in ("ok", "failed")
+        and isinstance(record.get("key"), str)
+        and record.get("stamp") == _stamp(record.get("fingerprint"),
+                                          record["status"],
+                                          record.get("result"))
+    )
 
 
 class RunJournal:
@@ -45,44 +69,39 @@ class RunJournal:
         """Append one terminal unit outcome (``ok`` or ``failed``)."""
         if status not in ("ok", "failed"):
             raise ValueError(f"terminal status expected, got {status!r}")
+        fingerprint = payload_fingerprint(unit)
         append_jsonl_line(self.path, {
             "format": JOURNAL_FORMAT,
             "key": unit.key,
             "kind": unit.kind,
-            "fingerprint": payload_fingerprint(unit),
+            "fingerprint": fingerprint,
             "status": status,
             "result": result,
+            "stamp": _stamp(fingerprint, status, result),
             "error": error,
             "attempts": attempts,
             "elapsed_s": round(float(elapsed_s), 6),
         })
 
     # ------------------------------------------------------------------
-    def completed(self, units: Iterable[WorkUnit],
-                  retry_failed: bool = True) -> Dict[str, dict]:
-        """Journal records replayable for ``units``, keyed by unit key.
+    def completed(self, units: Iterable[WorkUnit]) -> Dict[str, dict]:
+        """Checked ``ok`` records replayable for ``units``, keyed by key.
 
-        A record replays only when its fingerprint matches the unit's
-        current payload (later records win, so a re-run that overwrote
-        an outcome supersedes the old one).  With ``retry_failed`` the
-        ``failed`` records are dropped, so a resumed run gives crashed
-        and timed-out units another chance.
+        A record replays only when its stamp checks and its fingerprint
+        matches the unit's current payload.  Later records win, so a
+        re-run that overwrote an outcome supersedes the old one; a unit
+        whose latest record is ``failed`` is left out, so a resumed run
+        gives crashed and timed-out units another chance.
         """
         wanted = {u.key: payload_fingerprint(u) for u in units}
         replay: Dict[str, dict] = {}
         for record in read_jsonl(self.path):
-            if record.get("format") != JOURNAL_FORMAT:
+            if not _checked(record):
                 continue
-            key = record.get("key")
-            if wanted.get(key) != record.get("fingerprint"):
-                continue
-            if record.get("status") not in ("ok", "failed"):
-                continue
-            replay[key] = record
-        if retry_failed:
-            replay = {k: r for k, r in replay.items()
-                      if r["status"] == "ok"}
-        return replay
+            key = record["key"]
+            if wanted.get(key) == record.get("fingerprint"):
+                replay[key] = record
+        return {k: r for k, r in replay.items() if r["status"] == "ok"}
 
     # ------------------------------------------------------------------
     def compact(self) -> Tuple[int, int]:
@@ -92,8 +111,8 @@ class RunJournal:
         without bound across resumes — fatal for a long-lived daemon.
         Compaction keeps only the *latest* record per ``(key,
         fingerprint)`` pair (plus nothing else: malformed lines, foreign
-        formats and non-terminal statuses are dropped, exactly the
-        records :meth:`completed` already ignores).
+        formats, non-terminal statuses and records whose stamp fails are
+        dropped, exactly the records :meth:`completed` already ignores).
 
         Keying on the pair rather than the key alone is what preserves
         :meth:`completed` semantics byte-for-byte: a journal may hold
@@ -111,16 +130,11 @@ class RunJournal:
         total = 0
         for record in read_jsonl(self.path):
             total += 1
-            if record.get("format") != JOURNAL_FORMAT:
-                continue
-            if record.get("status") not in ("ok", "failed"):
-                continue
-            key = record.get("key")
-            if not isinstance(key, str):
+            if not _checked(record):
                 continue
             # dict insertion order: re-inserting moves nothing, so kept
             # records stay in first-seen pair order with latest contents.
-            latest[(key, str(record.get("fingerprint")))] = record
+            latest[(record["key"], str(record.get("fingerprint")))] = record
         if not latest and not self.path.exists():
             return 0, 0
         lines = [json.dumps(record, sort_keys=True)

@@ -67,6 +67,12 @@ def normalise_json(value):
     return json.loads(json.dumps(value, sort_keys=True, default=json_default))
 
 
+def value_digest(value) -> str:
+    """SHA-256 hex over ``value``'s :func:`canonical_json` (the stamp a
+    journal record carries, and a serve job's result digest)."""
+    return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class WorkUnit:
     """One schedulable computation.
@@ -124,5 +130,4 @@ def payload_fingerprint(unit: WorkUnit) -> str:
     (a journal written by a live run replays for the resumed run even
     when the resubmitted spec was parsed from disk).
     """
-    blob = canonical_json([unit.kind, unit.payload])
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return value_digest([unit.kind, unit.payload])[:16]

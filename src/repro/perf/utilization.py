@@ -66,26 +66,49 @@ def max_minibatch(
     Returns:
         The largest fitting minibatch (0 if even minibatch 1 does not fit).
     """
-    def fits(batch: int) -> bool:
-        graph = factory(batch)
-        return (
-            training_footprint_bytes(graph, config, sparsity_model)
-            <= device.memory_bytes
-        )
+    return _last_fitting(_fits(factory, config, sparsity_model, device),
+                         1, 1, upper)
 
-    if not fits(1):
+
+def _fits(factory: GraphFactory, config, sparsity_model,
+          device: DeviceSpec) -> Callable[[int], bool]:
+    """Predicate: does ``factory(n)``'s training footprint fit ``device``?"""
+    def fits(n: int) -> bool:
+        graph = factory(n)
+        return (training_footprint_bytes(graph, config, sparsity_model)
+                <= device.memory_bytes)
+    return fits
+
+
+def _last_fitting(fits: Callable[[int], bool], first: int, step: int,
+                  upper: int) -> int:
+    """Last value of ``first, first + step, ...`` (at most ``upper``)
+    that ``fits``, for a predicate true up to a boundary and false past
+    it; 0 when ``first`` does not fit.
+
+    Gallops up in doubling index steps, then bisects the boundary index:
+    deep graphs are expensive to plan, so evaluations are precious.
+    """
+    if not fits(first):
         return 0
-    lo, hi = 1, 2
-    while hi <= upper and fits(hi):
-        lo, hi = hi, hi * 2
-    hi = min(hi, upper)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if fits(mid):
+    max_index = (upper - first) // step
+
+    def value_at(index: int) -> int:
+        return first + index * step
+
+    lo = 0
+    jump = 1
+    while lo + jump <= max_index and fits(value_at(lo + jump)):
+        lo += jump
+        jump *= 2
+    hi = min(lo + jump, max_index + 1)  # first known-or-assumed failure
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(value_at(mid)):
             lo = mid
         else:
-            hi = mid - 1
-    return lo
+            hi = mid
+    return value_at(lo)
 
 
 def throughput_images_per_s(graph: Graph, cost: Optional[CostModel] = None) -> float:
@@ -164,32 +187,6 @@ def deepest_trainable(
     """
     if start < 1 or stride < 1:
         raise ValueError("start and stride must be positive")
-
-    def fits(depth: int) -> bool:
-        graph = depth_factory(depth)
-        return (training_footprint_bytes(graph, config, sparsity_model)
-                <= device.memory_bytes)
-
-    if not fits(start):
-        return 0
-    # Candidate depths are start + i*stride; gallop up in doubling index
-    # steps, then binary-search the boundary index — deep graphs are
-    # expensive to plan, so evaluations are precious.
-    max_index = (upper - start) // stride
-
-    def depth_at(index: int) -> int:
-        return start + index * stride
-
-    lo = 0
-    step = 1
-    while lo + step <= max_index and fits(depth_at(lo + step)):
-        lo += step
-        step *= 2
-    hi = min(lo + step, max_index + 1)  # first known-or-assumed failure
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fits(depth_at(mid)):
-            lo = mid
-        else:
-            hi = mid
-    return depth_at(lo)
+    return _last_fitting(
+        _fits(depth_factory, config, sparsity_model, device),
+        start, stride, upper)

@@ -1,7 +1,6 @@
-"""Training-service daemon: declarative job specs, a durable queue and
-a content-addressed result cache in front of the orchestrate pool."""
+"""Training-service daemon: declarative job specs and a durable queue in
+front of the orchestrate pool, answered from the checked run journal."""
 
-from repro.serve.cache import ContentCache, content_address, value_digest
 from repro.serve.jobs import compile_job, run_serve_job
 from repro.serve.service import JobRecord, JobService, ServeReport
 from repro.serve.spec import (
@@ -13,7 +12,6 @@ from repro.serve.spec import (
 )
 
 __all__ = [
-    "ContentCache",
     "JobRecord",
     "JobService",
     "JobSpec",
@@ -21,9 +19,7 @@ __all__ = [
     "SPEC_FORMAT",
     "ServeReport",
     "compile_job",
-    "content_address",
     "load_job_specs",
     "run_serve_job",
     "validate_job_spec",
-    "value_digest",
 ]

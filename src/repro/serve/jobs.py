@@ -8,7 +8,7 @@ isolation and journal durability, so nested pools are never needed
 (pool workers are daemonic and cannot fork grandchildren).
 
 Each runner is a pure function of the job's canonical params, which is
-what makes results content-addressable: same fingerprint, same bits.
+what makes a journaled result reusable: same fingerprint, same bits.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The training-service daemon: a durable, cache-fronted job queue.
+"""The training-service daemon: a durable, journal-backed job queue.
 
 :class:`JobService` owns one state directory:
 
@@ -6,18 +6,20 @@
   (:func:`repro.ioutil.append_jsonl_line`); a submission survives any
   crash that happens after ``submit`` returns;
 * ``journal.jsonl`` — the :class:`~repro.orchestrate.journal.RunJournal`
-  the pool streams unit outcomes to; killing the daemon mid-run loses at
-  most the in-flight units, and the next pass resumes by fingerprint
-  replay with bit-identical results.  The serve loop compacts it each
-  pass so a long-lived daemon never replays an unbounded file;
-* ``cache/`` — the content-addressed :class:`~repro.serve.cache.ContentCache`
-  holding one ``(job-fingerprint) -> result`` entry per job.
+  the pool streams unit outcomes to, and the one result store: every
+  record is stamped, so a resubmitted job is answered from its checked
+  record and an edited or torn one is recomputed.  Killing the daemon
+  mid-run loses at most the in-flight units, and the next pass resumes
+  by fingerprint replay with bit-identical results.  The serve loop
+  compacts it each pass so a long-lived daemon never replays an
+  unbounded file.
 
 A scheduling pass (:meth:`JobService.run_pending`) drains the queue:
-duplicate submissions collapse onto one job, jobs whose result is
-already cached are answered without scheduling any pool work, and only
-the remainder is executed on the process pool.  Every fresh result is
-written back to the cache, so a resubmission is served from disk.
+duplicate submissions collapse onto one job, and every job goes to
+:func:`~repro.orchestrate.run_units` with the journal.  A job whose
+result the journal already holds is answered from it
+(``source="journal"``) without scheduling any pool work; only the
+remainder is executed on the process pool (``source="computed"``).
 """
 
 from __future__ import annotations
@@ -28,17 +30,13 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ioutil import append_jsonl_line, atomic_write_text, read_jsonl
-from repro.orchestrate import RunJournal, run_units
-from repro.serve.cache import ContentCache, value_digest
+from repro.orchestrate import RunJournal, WorkUnit, run_units
+from repro.orchestrate.units import value_digest
 from repro.serve.jobs import compile_job
 from repro.serve.spec import JobSpec, JobSpecError, validate_job_spec
 
 #: Stamped into queue records; bump on layout changes.
 QUEUE_FORMAT = 1
-
-
-def _result_cache_key(fingerprint: str) -> dict:
-    return {"kind": "job-result", "fingerprint": fingerprint}
 
 
 @dataclass
@@ -49,12 +47,12 @@ class JobRecord:
     kind: str
     name: str
     status: str = "pending"  # "pending" | "ok" | "failed" | "invalid"
-    #: Where the result came from: "result-cache" / "computed" (pool
-    #: work was scheduled); None for failures.
+    #: Where the result came from: "journal" (a checked journal record)
+    #: / "computed" (pool work was scheduled); None for failures.
     source: Optional[str] = None
     result: Optional[object] = None
     #: SHA-256 over the canonical result JSON — the bit-identity handle
-    #: the durability tests pin across kill/resume and cache hits.
+    #: the durability tests pin across kill/resume and journal hits.
     digest: Optional[str] = None
     error: Optional[dict] = None
     #: Queue entries that collapsed onto this job this pass.
@@ -84,10 +82,10 @@ class ServeReport:
     """Everything one scheduling pass did, JSON-serialisable."""
 
     jobs: List[JobRecord] = field(default_factory=list)
-    #: Work units actually handed to the pool (0 on a fully warm pass).
+    #: Work units actually executed (0 on a fully warm pass).
     scheduled: int = 0
-    result_cache_hits: int = 0
-    cache_stats: Dict[str, int] = field(default_factory=dict)
+    #: Jobs answered from a checked journal record.
+    journal_hits: int = 0
     #: ``(kept, dropped)`` from this pass's journal compaction.
     compaction: Tuple[int, int] = (0, 0)
 
@@ -96,13 +94,12 @@ class ServeReport:
         return all(job.ok for job in self.jobs)
 
     def to_json(self) -> dict:
-        """JSON form of the pass: one row per job plus the cache and
-        journal counters."""
+        """JSON form of the pass: one row per job plus the journal
+        counters."""
         return {
             "jobs": [job.to_json() for job in self.jobs],
             "scheduled": self.scheduled,
-            "result_cache_hits": self.result_cache_hits,
-            "cache": dict(self.cache_stats),
+            "journal_hits": self.journal_hits,
             "journal_compaction": {"kept": self.compaction[0],
                                    "dropped": self.compaction[1]},
             "ok": self.ok,
@@ -126,17 +123,9 @@ class ServeReport:
         failed = sum(1 for job in self.jobs if not job.ok)
         lines.append(
             f"jobs: {len(self.jobs) - failed} ok, {failed} failed | "
-            f"result-cache hits: {self.result_cache_hits} | "
+            f"journal hits: {self.journal_hits} | "
             f"scheduled: {self.scheduled}"
         )
-        stats = self.cache_stats
-        if stats:
-            lines.append(
-                f"cache: entries={stats.get('entries', 0)} "
-                f"hits={stats.get('hits', 0)} "
-                f"misses={stats.get('misses', 0)} "
-                f"corrupt={stats.get('corrupt', 0)}"
-            )
         kept, dropped = self.compaction
         lines.append(f"journal: {kept} record(s) after compaction "
                      f"({dropped} dropped)")
@@ -144,7 +133,7 @@ class ServeReport:
 
 
 class JobService:
-    """Durable job queue + cache + pool front end over one state dir."""
+    """Durable job queue + journal + pool front end over one state dir."""
 
     def __init__(self, state_dir, workers: int = 1,
                  timeout_s: Optional[float] = None, retries: int = 1) -> None:
@@ -154,7 +143,6 @@ class JobService:
         self.retries = retries
         self.queue_path = self.state_dir / "queue.jsonl"
         self.journal = RunJournal(self.state_dir / "journal.jsonl")
-        self.cache = ContentCache(self.state_dir / "cache")
 
     # ------------------------------------------------------------------
     # Submission
@@ -193,14 +181,15 @@ class JobService:
     # Scheduling pass
     # ------------------------------------------------------------------
     def run_pending(self) -> ServeReport:
-        """Drain the queue once: dedupe, serve from cache, run the rest.
+        """Drain the queue once: dedupe, answer from the journal, run
+        the rest.
 
         Crash-safe at every point: submissions stay queued until their
-        job reaches a terminal record, unit outcomes stream to the run
-        journal as they finalise, and results enter the content cache
-        before their queue entries are dropped.  Re-invoking after a
-        SIGKILL therefore resumes exactly where the pass stopped, with
-        results bit-identical to an uninterrupted run.
+        job reaches a terminal record, and unit outcomes stream to the
+        run journal as they finalise, before the queue entries are
+        dropped.  Re-invoking after a SIGKILL therefore resumes exactly
+        where the pass stopped, with results bit-identical to an
+        uninterrupted run.
         """
         report = ServeReport(compaction=self.journal.compact())
 
@@ -211,7 +200,7 @@ class JobService:
         entries = self.queued()
         records: List[JobRecord] = []
         jobs: Dict[str, JobRecord] = {}
-        specs: Dict[str, JobSpec] = {}
+        units: Dict[str, WorkUnit] = {}
         for entry in entries:
             stored = entry.get("fingerprint")
             payload = entry.get("job") or {}
@@ -238,44 +227,33 @@ class JobService:
             if fingerprint in jobs:
                 jobs[fingerprint].submissions += 1
                 continue
-            specs[fingerprint] = spec
+            units[fingerprint] = compile_job(spec)
             jobs[fingerprint] = JobRecord(fingerprint=fingerprint,
                                           kind=spec.kind, name=spec.name)
             records.append(jobs[fingerprint])
 
-        # Cache consultation: a cached result answers the job outright.
-        to_run: List[str] = []
-        for fingerprint, record in jobs.items():
-            cached = self.cache.get(_result_cache_key(fingerprint))
-            if cached is None:
-                to_run.append(fingerprint)
-                continue
-            record.status, record.source = "ok", "result-cache"
-            record.result = cached
-            record.digest = value_digest(cached)
-            report.result_cache_hits += 1
-
-        # Pool execution of the cache misses, journaled for resume.
-        units = [compile_job(specs[fingerprint]) for fingerprint in to_run]
-        report.scheduled = len(units)
-        results = run_units(units, workers=self.workers,
+        # One pool call: a unit with a checked journal record replays
+        # (``cached``), every other unit runs and is journaled.
+        results = run_units(list(units.values()), workers=self.workers,
                             timeout_s=self.timeout_s, retries=self.retries,
                             journal=self.journal) if units else {}
-        for fingerprint, unit in zip(to_run, units):
+        for fingerprint, unit in units.items():
             record = jobs[fingerprint]
             outcome = results[unit.key]
+            if outcome.cached:
+                report.journal_hits += 1
+            else:
+                report.scheduled += 1
             if not outcome.ok:
                 record.status, record.error = "failed", outcome.error
                 continue
-            result = self.cache.put(_result_cache_key(fingerprint),
-                                    outcome.value)
-            record.status, record.source = "ok", "computed"
-            record.result = result
-            record.digest = value_digest(result)
+            record.status = "ok"
+            record.source = "journal" if outcome.cached else "computed"
+            record.result = outcome.value
+            record.digest = value_digest(outcome.value)
 
         self._drop_from_queue({entry.get("fingerprint") for entry in entries})
         report.jobs = records
-        report.cache_stats = self.cache.stats()
         return report
 
     # ------------------------------------------------------------------

@@ -14,10 +14,10 @@ that the serve layer compiles onto the existing work-unit machinery:
 Validation fills in every default *before* the spec is fingerprinted,
 so two spellings of the same job — one terse, one fully spelled out —
 produce the same :meth:`JobSpec.fingerprint` and therefore share one
-result-cache entry.  The ``name`` label is deliberately excluded from
-the identity: resubmitting a job under a new label is still the same
-job (this is what collapses duplicate submissions onto one cache
-entry).
+journal record.  The ``name`` label is deliberately excluded from the
+identity: resubmitting a job under a new label is still the same job
+(this is what collapses duplicate submissions onto one journal
+record).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.orchestrate.units import canonical_json, normalise_json
 JOB_KINDS = ("train", "plan", "fuzz", "sweep")
 
 #: Bumped when a job's semantics change incompatibly; part of the
-#: fingerprint so stale cached results can never be served.  2: ``plan``
+#: fingerprint so stale journaled results can never be served.  2: ``plan``
 #: jobs price gist decisions with the one codec price (Figs 9/11's).
 #: 3: ``sweep`` rows changed shape (Fig 3 per-class bytes, new keys on
 #: Figs 8/9/16; the throughput driver is gone).

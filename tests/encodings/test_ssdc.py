@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dtypes import FP8, FP10, FP16
+from repro.dtypes import FP8, FP10, FP16, FP32
 from repro.encodings.floatsim import quantize
 from repro.encodings.ssdc import (
     NARROW_COLS,
@@ -132,6 +132,23 @@ class TestSSDCWithDPR:
         assert enc.measure_bytes(enc.encode(x)) == csr_bytes(
             x.size, (x == 0).mean()
         )
+
+    @pytest.mark.parametrize("dtype", [FP32, FP16, FP10, FP8], ids=str)
+    @pytest.mark.parametrize("sparsity", [0.0, 0.5, 0.99, 1.0])
+    def test_size_model_per_value_dtype(self, rng, dtype, sparsity):
+        """Values cost whole 32-bit words of the dtype's packing (1, 2, 3
+        or 4 per word), ``nnz == 0`` included, exactly as the encoded
+        stash measures."""
+        x = sparse_array(rng, (8, 300), sparsity)
+        nnz, rows = np.count_nonzero(x), -(-x.size // NARROW_COLS)
+        per_word = {32: 1, 16: 2, 10: 3, 8: 4}[dtype.bits]
+        expected = -(-nnz // per_word) * 4 + nnz + 4 * (rows + 1)
+        model = csr_bytes(x.size, (x == 0).mean(), value_dtype=dtype)
+        assert model == expected
+        dpr = None if dtype is FP32 else dtype
+        assert csr_encode(x, value_dtype=dpr).nbytes == model
+        assert SSDCEncoding(value_dtype=dpr).encoded_bytes(
+            x.size, (x == 0).mean()) == model
 
     def test_static_sparsity_validation(self):
         with pytest.raises(ValueError):

@@ -47,18 +47,20 @@ class TestCompact:
         units = _fill(journal)
         def snapshot():
             views = {}
-            for retry_failed in (True, False):
-                for unit in units:
-                    label = (f"{unit.key}/{retry_failed}/"
-                             f"{json.dumps(unit.payload, sort_keys=True)}")
-                    views[label] = journal.completed(
-                        [unit], retry_failed=retry_failed)
+            for unit in units:
+                label = (f"{unit.key}/"
+                         f"{json.dumps(unit.payload, sort_keys=True)}")
+                views[label] = journal.completed([unit])
             return json.dumps(views, sort_keys=True)
 
         before = snapshot()
         journal.compact()
         after = snapshot()
-        assert before == after  # byte-for-byte, incl. the failed record
+        assert before == after  # byte-for-byte
+        # The failed unit's record stays, but never replays.
+        assert "c" not in journal.completed(units)
+        assert [r["status"] for r in read_jsonl(journal.path)
+                if r["key"] == "c"] == ["failed"]
 
     def test_multi_fingerprint_key_preserved(self, tmp_path):
         # The regression compaction-by-key-alone would introduce: two
@@ -83,6 +85,18 @@ class TestCompact:
                                  "status": "ok"}) + "\n")
         kept, dropped = journal.compact()
         assert (kept, dropped) == (1, 3)
+
+    def test_record_whose_stamp_fails_dropped(self, tmp_path):
+        journal = RunJournal(tmp_path / "run.jsonl")
+        journal.record(_unit("a", {"v": 1}), "ok", result={"n": 1})
+        journal.record(_unit("b", {"v": 1}), "ok", result={"n": 2})
+        records = list(read_jsonl(journal.path))
+        records[0]["result"]["n"] = 99  # still parses, stamp now fails
+        journal.path.write_text("".join(json.dumps(r) + "\n"
+                                        for r in records))
+        assert journal.compact() == (1, 1)
+        (kept,) = read_jsonl(journal.path)
+        assert (kept["key"], kept["result"]) == ("b", {"n": 2})
 
     def test_missing_journal_is_noop(self, tmp_path):
         journal = RunJournal(tmp_path / "absent.jsonl")

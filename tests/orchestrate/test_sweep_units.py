@@ -59,6 +59,20 @@ class TestJournalRoundTrip:
         # Nothing re-ran: the journal gained no records on replay.
         assert len(list(read_jsonl(journal))) == lines_after_live
 
+    def test_edited_record_returns_the_true_row(self, tmp_path):
+        """A Fig 8 record edited on disk is recomputed, never merged."""
+        journal = tmp_path / "sweep.jsonl"
+        live = run_sweep(["figure8_mfr"], models=["alexnet"], batch_size=8,
+                         journal=str(journal))
+        (record,) = read_jsonl(journal)
+        record["result"]["mfr_full"] = 99.0
+        journal.write_text(json.dumps(record) + "\n")
+        resumed = run_sweep(["figure8_mfr"], models=["alexnet"],
+                            batch_size=8, journal=str(journal))
+        assert (json.dumps(resumed, sort_keys=True)
+                == json.dumps(live, sort_keys=True))
+        assert resumed["figures"]["figure8_mfr"][0]["mfr_full"] != 99.0
+
     @pytest.mark.parametrize("name", sorted(DEFAULT_SWEEP_DRIVERS))
     def test_each_default_driver_unit_round_trips(self, name, tmp_path):
         journal = tmp_path / "unit.jsonl"

@@ -216,6 +216,26 @@ class TestDeepestTrainable:
         with pytest.raises(ValueError):
             deepest_trainable(lambda d: None, start=0)
 
+    def test_one_search_for_minibatch_and_depth(self):
+        """The gallop-then-bisect search both fitters share returns the
+        scan's answer on threshold predicates, at both fitters' grids."""
+        import random
+
+        from repro.perf.utilization import _last_fitting
+
+        rng = random.Random(0)
+        for _ in range(2000):
+            first, step = rng.choice([(1, 1), (rng.randint(1, 20),
+                                                rng.randint(1, 50))])
+            upper = rng.randint(0, 3000)
+            bound = rng.randint(-5, upper + 60)
+            # ``first`` is always probed, even past ``upper``.
+            grid = [first, *range(first + step, upper + 1, step)]
+            fitting = [v for v in grid if v <= bound]
+            expected = fitting[-1] if first <= bound else 0
+            assert _last_fitting(lambda n: n <= bound, first, step,
+                                 upper) == expected
+
 
 class TestEnergyModel:
     def test_gist_cheaper_than_swapping_everywhere(self):

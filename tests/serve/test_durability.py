@@ -4,7 +4,7 @@ The acceptance gate for the service layer: a daemon killed mid-job must
 resume from its run journal and produce results bit-identical to an
 uninterrupted run, without re-executing jobs that already reached a
 terminal journal record, and a further resubmission must be answered
-entirely from the content cache.
+entirely from the journal.
 """
 
 import os
@@ -31,15 +31,20 @@ def _spawn(state_dir):
     )
 
 
-def _digests(output: bytes):
-    """``{fingerprint: digest}`` from the driver's JOB lines."""
-    digests = {}
+def _jobs(output: bytes):
+    """``{fingerprint: (source, digest)}`` from the driver's JOB lines."""
+    jobs = {}
     for line in output.decode().splitlines():
         if line.startswith("JOB "):
-            _, fingerprint, status, _source, digest = line.split()
+            _, fingerprint, status, source, digest = line.split()
             assert status == "ok", line
-            digests[fingerprint] = digest
-    return digests
+            jobs[fingerprint] = (source, digest)
+    return jobs
+
+
+def _digests(output: bytes):
+    """``{fingerprint: digest}`` from the driver's JOB lines."""
+    return {fp: digest for fp, (_, digest) in _jobs(output).items()}
 
 
 def test_sigkill_mid_pass_then_resume_is_bit_identical(tmp_path):
@@ -83,17 +88,24 @@ def test_sigkill_mid_pass_then_resume_is_bit_identical(tmp_path):
     assert _digests(out) == reference
 
     # Jobs journaled before the kill were replayed, not re-executed:
-    # replay appends no new record, so their counts stay at one.
+    # replay appends no new record, so their counts stay at one; the
+    # report labels them ``journal`` and schedules only the rest.
     runs = Counter(record["key"] for record in read_jsonl(journal))
     for key in journaled_before_kill:
         assert runs[key] == 1, f"journaled job {key} was re-run"
+    sources = {fp: source for fp, (source, _) in _jobs(out).items()}
+    assert sources == {
+        fp: "journal" if f"job:{fp[:16]}" in journaled_before_kill
+        else "computed" for fp in reference}
+    scheduled = _NUM_JOBS - len(journaled_before_kill)
+    assert f"SCHEDULED {scheduled}".encode() in out
 
-    # Third submission of the same batch: pure cache, no pool work.
+    # Third submission of the same batch: pure journal, no pool work.
     warm = _spawn(state)
     out, _ = warm.communicate(timeout=300)
     assert warm.returncode == 0, out.decode()
     assert b"SCHEDULED 0" in out
     assert _digests(out) == reference
-    assert all(line.split()[3] == "result-cache"
-               for line in out.decode().splitlines()
-               if line.startswith("JOB "))
+    assert {source for source, _ in _jobs(out).values()} == {"journal"}
+    assert sorted(p.name for p in state.iterdir()) == [
+        "journal.jsonl", "queue.jsonl"]

@@ -1,10 +1,15 @@
-"""JobService: dedupe, cache hits, durability of queue state, reports."""
+"""JobService: dedupe, journal hits, durability of queue state, reports.
+
+The run journal is serve's one result cache: a job is answered from its
+checked journal record or computed.
+"""
 
 import json
 
 import pytest
 
-from repro.serve import JobService, content_address
+from repro.ioutil import read_jsonl
+from repro.serve import JobService
 
 
 def _plan_spec(**overrides):
@@ -13,10 +18,15 @@ def _plan_spec(**overrides):
     return spec
 
 
-def _cache_key_kinds(tmp_path):
-    """The key kind of every entry in the state dir's cache, sorted."""
-    return sorted(json.loads(path.read_text())["key"]["kind"]
-                  for path in (tmp_path / "state" / "cache").glob("*/*.json"))
+def _state_files(tmp_path):
+    """Every file in the state dir, relative and sorted."""
+    state = tmp_path / "state"
+    return sorted(str(p.relative_to(state)) for p in state.rglob("*"))
+
+
+def _journal_kinds(service):
+    """The unit kind of every journal record, in file order."""
+    return [record["kind"] for record in read_jsonl(service.journal.path)]
 
 
 class TestSubmitAndQueue:
@@ -46,30 +56,51 @@ class TestRunPending:
         assert job.ok
         assert job.submissions == 3
         assert report.scheduled == 1  # one unit for three submissions
-        # One result entry, never three.
-        assert _cache_key_kinds(tmp_path) == ["job-result"]
+        # One result record, never three; no file beside queue + journal.
+        assert _journal_kinds(service) == ["serve-job"]
+        assert _state_files(tmp_path) == ["journal.jsonl", "queue.jsonl"]
 
     def test_resubmission_served_from_cache_bit_identical(self, tmp_path):
         service = JobService(tmp_path / "state")
         service.submit(_plan_spec())
         cold = service.run_pending()
         assert cold.jobs[0].source == "computed"
-        hits_before = service.cache.hits
+        assert (cold.scheduled, cold.journal_hits) == (1, 0)
 
         service.submit(_plan_spec(name="again"))
         warm = service.run_pending()
         (job,) = warm.jobs
-        assert job.source == "result-cache"
+        assert job.source == "journal"
         assert warm.scheduled == 0  # no pool work on the warm path
-        assert warm.result_cache_hits == 1
-        assert service.cache.hits == hits_before + 1
+        assert warm.journal_hits == 1
         assert job.digest == cold.jobs[0].digest  # bit-identical
         assert job.result == cold.jobs[0].result
 
+    def test_pass_answered_from_journal_executes_nothing(self, tmp_path):
+        """A pass whose every result is already journaled (e.g. resumed
+        after a kill past the last journal append) labels each job
+        ``journal`` and schedules no unit."""
+        service = JobService(tmp_path / "state")
+        specs = [_plan_spec(), _plan_spec(batch_size=8)]
+        for spec in specs:
+            service.submit(spec)
+        cold = service.run_pending()
+        assert cold.scheduled == 2
+        for spec in specs:  # a kill before the queue drop leaves these
+            service.submit(spec)
+        journal_before = service.journal.path.read_bytes()
+        report = service.run_pending()
+        assert [job.source for job in report.jobs] == ["journal", "journal"]
+        assert (report.scheduled, report.journal_hits) == (0, 2)
+        assert ([job.digest for job in report.jobs]
+                == [job.digest for job in cold.jobs])
+        assert service.journal.path.read_bytes() == journal_before
+        assert "journal hits: 2 | scheduled: 0" in report.summary()
+
     def test_alias_spellings_are_two_jobs_with_one_digest(self, tmp_path):
         """``config: network`` on tiny_cnn is its fp16 arm: the same plan
-        under two job identities.  Each is computed and cached under its
-        own result key; nothing else is written."""
+        under two job identities.  Each is computed and journaled under
+        its own unit; nothing else is written."""
         service = JobService(tmp_path / "state")
         service.submit(_plan_spec(config="network"))
         service.submit(_plan_spec(config="fp16"))
@@ -78,36 +109,46 @@ class TestRunPending:
         assert network.fingerprint != fp16.fingerprint
         assert network.source == fp16.source == "computed"
         assert network.digest == fp16.digest
-        assert _cache_key_kinds(tmp_path) == ["job-result", "job-result"]
+        assert _journal_kinds(service) == ["serve-job", "serve-job"]
 
-    def test_corrupt_cache_entry_recomputed(self, tmp_path):
-        service = JobService(tmp_path / "state")
-        fingerprint = service.submit(_plan_spec())
+    def test_edited_journal_result_recomputed(self, tmp_path):
+        """A journaled result edited on disk (still valid JSON), with a
+        stale ``cache/`` directory removed, is recomputed to the true
+        digest rather than served; an old ``cache/`` is never read."""
+        import shutil
+
+        state = tmp_path / "state"
+        service = JobService(state)
+        service.submit(_plan_spec())
         cold = service.run_pending()
-        # Poison every cache entry.
-        for path in (tmp_path / "state" / "cache").glob("*/*.json"):
-            entry = json.loads(path.read_text())
-            entry["value_sha256"] = "0" * 64
-            path.write_text(json.dumps(entry))
+        records = list(read_jsonl(service.journal.path))
+        records[0]["result"]["batch_size"] = 5
+        service.journal.path.write_text(
+            "".join(json.dumps(r) + "\n" for r in records))
+        shutil.rmtree(state / "cache", ignore_errors=True)
         service.submit(_plan_spec())
         report = service.run_pending()
         (job,) = report.jobs
         assert job.ok
-        assert job.source == "computed"  # fell all the way through
-        assert service.cache.corrupt >= 1
+        assert job.source == "computed"
+        assert report.scheduled == 1 and report.journal_hits == 0
         assert job.digest == cold.jobs[0].digest  # recomputed identically
-        # And the cache healed: next pass is a pure hit.
+        assert job.result["batch_size"] == 4
+        # The journal healed: the next pass is a pure journal hit.
         service.submit(_plan_spec())
         healed = service.run_pending()
-        assert healed.jobs[0].source == "result-cache"
+        assert healed.jobs[0].source == "journal"
         assert healed.jobs[0].digest == cold.jobs[0].digest
+        assert _state_files(tmp_path) == ["journal.jsonl", "queue.jsonl"]
 
     def test_cache_written_under_format_1_keys_is_a_miss(self, tmp_path):
-        """A state dir written under an older spec format must not answer:
+        """A journal written under an older spec format must not answer:
         format 1 priced plans by the deleted formula, and format 2 held
         sweep rows of the old shape (Fig 3 as fractions, not bytes).  Each
-        stale entry is unreachable, and the job recomputes."""
-        from repro.serve import SPEC_FORMAT, validate_job_spec
+        stale, correctly stamped record is unreachable, since the spec
+        format is part of the unit's payload, and the job recomputes."""
+        from repro.orchestrate import WorkUnit
+        from repro.serve import SPEC_FORMAT, compile_job, validate_job_spec
 
         assert SPEC_FORMAT == 3
         sweep = {"kind": "sweep", "drivers": ["figure3_stash_classes"],
@@ -120,18 +161,18 @@ class TestRunPending:
             service = JobService(tmp_path / f"state-{old_format}")
             spec = validate_job_spec(raw)
             assert spec.payload()["format"] == SPEC_FORMAT
-            service.cache.put(
-                {"kind": "job-result",
-                 "fingerprint": content_address(
-                     {**spec.payload(), "format": old_format})},
-                stale)
+            unit = compile_job(spec)
+            service.journal.record(
+                WorkUnit(unit.kind, unit.key,
+                         {**unit.payload, "format": old_format}),
+                "ok", result=stale)
 
             service.submit(spec)
             report = service.run_pending()
             (job,) = report.jobs
             assert job.source == "computed", old_format
             assert report.scheduled == 1
-            assert report.result_cache_hits == 0
+            assert report.journal_hits == 0
             assert job.result != stale
         assert job.result["figures"]["figure3_stash_classes"]["tiny_cnn"][
             "relu_pool"] > 1  # bytes, not a fraction
@@ -156,7 +197,7 @@ class TestRunPending:
 
     def test_queue_line_identity_comes_from_its_payload(self, tmp_path):
         """A line storing job A's fingerprint beside job B's payload is
-        invalid and caches nothing; the genuine A in the same pass is
+        invalid and journals nothing; the genuine A in the same pass is
         still computed, and later answers with A's own bytes."""
         from repro.ioutil import append_jsonl_line
         from repro.serve import validate_job_spec
@@ -177,12 +218,12 @@ class TestRunPending:
         assert genuine.source == "computed"
         assert genuine.submissions == 1
         assert genuine.result["batch_size"] == 4
-        assert _cache_key_kinds(tmp_path) == ["job-result"]
+        assert _journal_kinds(service) == ["serve-job"]
         assert service.queued() == []
 
         service.submit(a)
         (warm,) = service.run_pending().jobs
-        assert warm.source == "result-cache"
+        assert warm.source == "journal"
         assert warm.result["batch_size"] == 4
 
     def test_queue_drained_and_new_submissions_survive(self, tmp_path):
@@ -208,7 +249,8 @@ class TestRunPending:
         parsed = json.loads(blob)
         assert parsed["ok"] is True
         assert parsed["scheduled"] == 1
-        assert "entries" in parsed["cache"]
+        assert parsed["journal_hits"] == 0
+        assert "cache" not in parsed
 
 
 class TestServeForever:

@@ -177,12 +177,12 @@ class TestCLIServe:
         assert "source=computed" in out
         assert "scheduled: 1" in out
 
-        # One-shot resubmission of the identical spec: pure cache hit.
+        # One-shot resubmission of the identical spec: pure journal hit.
         assert main(["serve", "--state", state, "--jobs", spec]) == 0
         out = capsys.readouterr().out
-        assert "source=result-cache" in out
+        assert "source=journal" in out
         assert "scheduled: 0" in out
-        assert "result-cache hits: 1" in out
+        assert "journal hits: 1" in out
 
     def test_serve_oneshot_runs_batch(self, tmp_path, capsys):
         state = str(tmp_path / "state")
