@@ -1,8 +1,11 @@
-"""Shared fixtures for the paper-reproduction benchmark harness.
+"""Shared fixtures for the benches that are not figure rows.
 
-Every ``bench_fig*`` file regenerates one table or figure from the paper's
-evaluation section and prints the same rows/series the figure shows, so
-``pytest benchmarks/ --benchmark-only`` doubles as the reproduction log.
+The kept ``bench_*`` files train or time the executor (Figures 12 and
+14, the group-quant extension, the DPR rounding ablation, the kernel
+backends) or gate a planner (recompute baseline, hybrid planner,
+rewrite passes), and print the rows they assert on.  The static figures
+are ``repro sweep`` rows in ``BENCH_figures.json``, checked by
+``tests/test_paper_claims.py``.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """One-call drivers for the paper's experiments.
 
 These are the only code that computes a row of the paper's static
-figures (1, 3, 8, 9, 15, 16 and 17): the benchmark harness
-(``benchmarks/``) asserts its shape claims on these rows, and
-``BENCH_figures.json`` is their checked-in ``repro sweep`` output.  Every
-function returns ordinary dicts/lists of built-in types — directly
-serialisable, directly plottable.
+figures and tables (Figures 1, 2, 3, 8, 9, 10, 11, 13, 15, 16 and 17,
+Table I, the allocator / narrow-CSR / pool-argmax ablations and the
+minibatch-scaling extension).  ``BENCH_figures.json`` is their
+checked-in ``repro sweep --drivers`` :data:`STATIC_FIGURE_DRIVERS`
+output, and ``tests/test_paper_claims.py`` checks every paper claim
+against that file.  Every function returns ordinary dicts/lists of
+built-in types — directly serialisable, directly plottable.
 
 Static analyses accept any registered model name; training studies run on
 the scaled substitution workload (see DESIGN.md §2) and are configurable.
@@ -15,6 +17,9 @@ model, one arm, one depth), so ``repro sweep`` can shard a whole figure
 suite across worker processes (:mod:`repro.orchestrate`) and reassemble
 exactly what the one-call driver would have returned: the public
 functions below are thin loops over the same cores the sweep units run.
+The drivers that only the figure JSON reads (Figures 2, 10, 11 and 13,
+Table I, the ablations and minibatch scaling) have no one-call function:
+``run_sweep([name])["figures"][name]`` is their call.
 """
 
 from __future__ import annotations
@@ -22,11 +27,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core import Gist, GistConfig, stash_bytes_by_class
-from repro.memory import build_memory_plan
+from repro.analysis import ConstantSparsity
+from repro.core import (
+    ENC_BINARIZE,
+    ENC_DPR,
+    ENC_SSDC,
+    PAPER_DPR_FORMATS,
+    STASH_CLASSES,
+    Gist,
+    GistConfig,
+    build_gist_plan,
+    stash_bytes_by_class,
+)
+from repro.encodings import bitmap_bytes, csr_bytes, inplace_eligible_edges
+from repro.graph import ROLE_ENCODED, ROLE_FEATURE_MAP
+from repro.memory import (
+    CLASS_ENCODED,
+    CLASS_STASHED,
+    POLICY_FIRST_FIT,
+    POLICY_GREEDY_SIZE,
+    POLICY_NO_SHARING,
+    StaticAllocator,
+    build_memory_plan,
+)
 from repro.models import PAPER_SUITE, build_model
 from repro.orchestrate import WorkUnit, run_units
 from repro.perf import (
+    CostModel,
+    encoding_time_delta,
     larger_minibatch_speedup,
     measure_overhead,
     measure_transfer_energy,
@@ -256,6 +284,181 @@ def baseline_memory_breakdown(models: Optional[Sequence[str]] = None,
             for name in models or PAPER_SUITE}
 
 
+def _figure2_rows(name: str, batch_size: int) -> List[dict]:
+    """Figure 2: live fraction of the step per encoded ReLU map."""
+    graph = build_model(name, batch_size=batch_size)
+    baseline = build_memory_plan(graph)
+    gist = build_gist_plan(graph, GistConfig.for_network(name))
+    steps = baseline.schedule.num_steps
+    base_fm = {t.node_id: t for t in baseline.tensors
+               if t.role == ROLE_FEATURE_MAP}
+    gist_fm = {t.node_id: t for t in gist.plan.tensors
+               if t.role == ROLE_FEATURE_MAP
+               and not t.spec.name.endswith(".dec")}
+    gist_enc = {t.node_id: t for t in gist.plan.tensors
+                if t.role == ROLE_ENCODED}
+    rows = []
+    for node_id, decision in sorted(gist.decisions.items()):
+        fp32, enc = gist_fm.get(node_id), gist_enc.get(node_id)
+        if not decision.node_name.startswith("relu") or fp32 is None \
+                or enc is None:
+            continue
+        base = base_fm[node_id]
+        rows.append({
+            "relu": decision.node_name,
+            "encoding": decision.encoding,
+            "baseline_live": (base.death - base.birth + 1) / steps,
+            "gist_fp32_live": (fp32.death - fp32.birth + 1) / steps,
+            "encoded_live": (enc.death - enc.birth + 1) / steps,
+        })
+    return rows
+
+
+#: Figure 10's bars in plot order: arm -> config (investigation baseline).
+FIGURE10_ARMS: Dict[str, GistConfig] = {
+    "baseline": GistConfig.disabled(),
+    "ssdc": GistConfig.ssdc_only(),
+    "binarize": GistConfig.binarize_only(),
+    "both": GistConfig.lossless(inplace=False),
+    "both_inplace": GistConfig.lossless(),
+}
+
+
+def _figure10_arms(name: str, batch_size: int) -> Dict[str, dict]:
+    """Figure 10: region bytes and total MFR per lossless arm."""
+    graph = build_model(name, batch_size=batch_size)
+    alloc = StaticAllocator()
+    base_bytes = alloc.allocate(
+        build_memory_plan(graph, investigation=True).tensors).total_bytes
+    arms = {}
+    for arm, config in FIGURE10_ARMS.items():
+        gist = build_gist_plan(graph, config, investigation=True)
+        arms[arm] = dict(
+            gist.raw_region_bytes(),
+            mfr=base_bytes / alloc.allocate(gist.plan.tensors).total_bytes,
+        )
+    return arms
+
+
+def _figure11_row(name: str, batch_size: int) -> dict:
+    """Figure 11: each lossless encoding's step-time delta, as a fraction
+    of the baseline step (Figure 9's ``lossless_overhead`` is the sum)."""
+    graph = build_model(name, batch_size=batch_size)
+    cost = CostModel()
+    base_s = cost.step_time(graph).total_s
+    deltas = encoding_time_delta(
+        build_gist_plan(graph, GistConfig.lossless()), cost)
+    return {"binarize_overhead": deltas[ENC_BINARIZE] / base_s,
+            "ssdc_overhead": deltas[ENC_SSDC] / base_s}
+
+
+def _stashed_and_immediate(plan) -> tuple:
+    stashed = immediate = 0
+    for t in plan.tensors:
+        if plan.classify(t) in (CLASS_STASHED, CLASS_ENCODED):
+            stashed += t.size_bytes
+        else:
+            immediate += t.size_bytes
+    return stashed, immediate
+
+
+def _figure13_rows(name: str, batch_size: int) -> List[dict]:
+    """Figure 13: DPR-FP16, then the smallest safe format if narrower."""
+    graph = build_model(name, batch_size=batch_size)
+    alloc = StaticAllocator()
+    base_plan = build_memory_plan(graph, investigation=True)
+    base_bytes = alloc.allocate(base_plan.tensors).total_bytes
+    base_stashed, base_immediate = _stashed_and_immediate(base_plan)
+    formats = ["fp16"]
+    if PAPER_DPR_FORMATS.get(name, "fp16") != "fp16":
+        formats.append(PAPER_DPR_FORMATS[name])
+    rows = []
+    for fmt in formats:
+        gist = build_gist_plan(graph, GistConfig.dpr_only(fmt),
+                               investigation=True)
+        stashed, immediate = _stashed_and_immediate(gist.plan)
+        rows.append({
+            "format": fmt,
+            "stashed_compression": base_stashed / stashed,
+            "immediate_growth": immediate / base_immediate,
+            "mfr": base_bytes / alloc.allocate(gist.plan.tensors).total_bytes,
+        })
+    return rows
+
+
+def _table1_counts(name: str, batch_size: int) -> dict:
+    """Table I: Schedule Builder decisions per (stash class, encoding)."""
+    graph = build_model(name, batch_size=batch_size)
+    decisions = {cls: {enc: 0 for enc in (ENC_BINARIZE, ENC_SSDC, ENC_DPR)}
+                 for cls in STASH_CLASSES}
+    for d in build_gist_plan(graph, GistConfig.for_network(name)) \
+            .decisions.values():
+        decisions[d.stash_class][d.encoding] += 1
+    return {"decisions": decisions,
+            "inplace_edges": len(inplace_eligible_edges(graph))}
+
+
+def _allocator_policy_row(name: str, batch_size: int) -> dict:
+    """Ablation: first fit and no sharing relative to greedy-by-size."""
+    tensors = build_memory_plan(build_model(name,
+                                            batch_size=batch_size)).tensors
+    greedy, first_fit, none = (
+        StaticAllocator(policy).allocate(tensors).total_bytes
+        for policy in (POLICY_GREEDY_SIZE, POLICY_FIRST_FIT,
+                       POLICY_NO_SHARING))
+    return {"greedy_bytes": greedy, "first_fit_ratio": first_fit / greedy,
+            "no_sharing_ratio": none / greedy}
+
+
+#: Sparsities of the sparse-format ablation.
+NARROW_CSR_SPARSITIES: Sequence[float] = (0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
+
+
+def _narrow_csr_ratios() -> Dict[str, dict]:
+    """Ablation: compression over dense FP32 of 1-byte-index CSR, 4-byte
+    index CSR and a bitmap, per sparsity (keyed ``str(sparsity)``)."""
+    n = 1 << 22
+    return {str(s): {"narrow_csr": 4 * n / csr_bytes(n, s, cols=256),
+                     "wide_csr": 4 * n / csr_bytes(n, s, cols=1 << 20),
+                     "bitmap": 4 * n / bitmap_bytes(n, s)}
+            for s in NARROW_CSR_SPARSITIES}
+
+
+def _pool_argmax_bytes(name: str, batch_size: int) -> dict:
+    """Ablation: lossless footprint with and without the pool rewrite.
+
+    Disabling Binarize also disables the rewrite: the pool stashes X and
+    Y and ReLU-Pool maps stay FP32.
+    """
+    graph = build_model(name, batch_size=batch_size)
+    alloc = StaticAllocator()
+    with_rewrite, without = (
+        alloc.allocate(build_gist_plan(graph, config).plan.tensors)
+        .total_bytes
+        for config in (GistConfig.lossless(),
+                       GistConfig.lossless(binarize=False)))
+    return {"with_rewrite_bytes": with_rewrite,
+            "without_rewrite_bytes": without}
+
+
+#: Minibatch-scaling series on VGG16: full-Gist MFR per batch, and
+#: lossless MFR per assumed ReLU sparsity at batch 32.
+MINIBATCH_BATCHES: Sequence[int] = (16, 32, 64, 128)
+ASSUMED_SPARSITIES: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 0.9)
+
+
+def _minibatch_series(series: str) -> Dict[str, float]:
+    if series == "batch":
+        gist = Gist(GistConfig.for_network("vgg16"))
+        return {str(b): gist.measure_mfr(build_model("vgg16",
+                                                     batch_size=b)).mfr
+                for b in MINIBATCH_BATCHES}
+    graph = build_model("vgg16", batch_size=32)
+    return {str(s): Gist(GistConfig.lossless(),
+                         ConstantSparsity(s)).measure_mfr(graph).mfr
+            for s in ASSUMED_SPARSITIES}
+
+
 # ----------------------------------------------------------------------
 # Sweep work units: every driver above, enumerable and parallelisable.
 
@@ -277,6 +480,22 @@ _UNIT_RUNNERS: Dict[str, Callable[[dict], object]] = {
         lambda p: _figure17_row(p["model"], p["batch_size"]),
     "baseline_memory_breakdown":
         lambda p: _breakdown_entry(p["model"], p["batch_size"]),
+    "figure2_lifetime_gap":
+        lambda p: _figure2_rows(p["model"], p["batch_size"]),
+    "figure10_isolation":
+        lambda p: _figure10_arms(p["model"], p["batch_size"]),
+    "figure11_lossless_perf":
+        lambda p: _figure11_row(p["model"], p["batch_size"]),
+    "figure13_dpr_mfr":
+        lambda p: _figure13_rows(p["model"], p["batch_size"]),
+    "table1_techniques":
+        lambda p: _table1_counts(p["model"], p["batch_size"]),
+    "ablation_allocator_policy":
+        lambda p: _allocator_policy_row(p["model"], p["batch_size"]),
+    "ablation_narrow_csr": lambda p: _narrow_csr_ratios(),
+    "ablation_pool_argmax":
+        lambda p: _pool_argmax_bytes(p["model"], p["batch_size"]),
+    "minibatch_scaling": lambda p: _minibatch_series(p["series"]),
 }
 
 
@@ -322,8 +541,18 @@ def _per_model_units(driver: str):
     return enumerate_units
 
 
+def _vgg16_unit(driver: str):
+    """One unit on VGG16, the bench network of Fig 2 and the ablations."""
+    per_model = _per_model_units(driver)
+    return lambda models, batch_size: per_model(["vgg16"], batch_size)
+
+
 def _by_model(units, values):
     return {u.payload["model"]: v for u, v in zip(units, values)}
+
+
+def _single(units, values):
+    return values[0] if values else None
 
 
 SWEEP_DRIVERS: Dict[str, SweepDriver] = {d.name: d for d in (
@@ -350,7 +579,7 @@ SWEEP_DRIVERS: Dict[str, SweepDriver] = {d.name: d for d in (
                              {"driver": "figure14_ssdc_series", "epochs": 3,
                               "sample_every": 4, "seed": 3})
                 ],
-                lambda units, values: values[0] if values else None),
+                _single),
     SweepDriver("figure16_speedups",
                 lambda models, batch_size: [
                     WorkUnit("experiment", f"figure16_speedups:{depth}",
@@ -361,6 +590,35 @@ SWEEP_DRIVERS: Dict[str, SweepDriver] = {d.name: d for d in (
                 lambda units, values: list(values)),
     SweepDriver("figure17_dynamic", _per_model_units("figure17_dynamic"),
                 lambda units, values: list(values)),
+    SweepDriver("figure2_lifetime_gap", _vgg16_unit("figure2_lifetime_gap"),
+                _single),
+    SweepDriver("figure10_isolation", _per_model_units("figure10_isolation"),
+                _by_model),
+    SweepDriver("figure11_lossless_perf",
+                _per_model_units("figure11_lossless_perf"), _by_model),
+    SweepDriver("figure13_dpr_mfr", _per_model_units("figure13_dpr_mfr"),
+                _by_model),
+    SweepDriver("table1_techniques", _per_model_units("table1_techniques"),
+                _by_model),
+    SweepDriver("ablation_allocator_policy",
+                _per_model_units("ablation_allocator_policy"), _by_model),
+    SweepDriver("ablation_narrow_csr",
+                lambda models, batch_size: [
+                    WorkUnit("experiment", "ablation_narrow_csr",
+                             {"driver": "ablation_narrow_csr"})
+                ],
+                _single),
+    SweepDriver("ablation_pool_argmax", _vgg16_unit("ablation_pool_argmax"),
+                _single),
+    SweepDriver("minibatch_scaling",
+                lambda models, batch_size: [
+                    WorkUnit("experiment", f"minibatch_scaling:{series}",
+                             {"driver": "minibatch_scaling",
+                              "series": series})
+                    for series in ("batch", "assumed_sparsity")
+                ],
+                lambda units, values: {u.payload["series"]: v
+                                       for u, v in zip(units, values)}),
 )}
 
 #: The cheap static-analysis drivers ``repro sweep`` runs by default
@@ -371,6 +629,28 @@ DEFAULT_SWEEP_DRIVERS: Sequence[str] = (
     "figure8_mfr",
     "figure9_overheads",
     "figure17_dynamic",
+)
+
+
+#: Every static driver, in ``BENCH_figures.json`` order: the checked-in
+#: file is ``repro sweep --drivers <these, comma-joined> --out
+#: BENCH_figures.json``, and ``tests/test_paper_claims.py`` checks it.
+STATIC_FIGURE_DRIVERS: Sequence[str] = (
+    "baseline_memory_breakdown",
+    "figure3_stash_classes",
+    "figure8_mfr",
+    "figure9_overheads",
+    "figure16_speedups",
+    "figure17_dynamic",
+    "figure2_lifetime_gap",
+    "figure10_isolation",
+    "figure11_lossless_perf",
+    "figure13_dpr_mfr",
+    "table1_techniques",
+    "ablation_allocator_policy",
+    "ablation_narrow_csr",
+    "ablation_pool_argmax",
+    "minibatch_scaling",
 )
 
 

@@ -21,11 +21,10 @@ unit runs again: a stored result comes back bit-exact or is recomputed.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
-from repro.ioutil import append_jsonl_line, atomic_write_text, read_jsonl
+from repro.ioutil import append_jsonl_line, read_jsonl
 from repro.orchestrate.units import WorkUnit, payload_fingerprint, value_digest
 
 #: Stamped into every record; bump on layout changes.  2: records carry
@@ -108,41 +107,3 @@ class RunJournal:
             if wanted.get(key) == record.get("fingerprint"):
                 replay[key] = record
         return {k: r for k, r in replay.items() if r["status"] == "ok"}
-
-    # ------------------------------------------------------------------
-    def compact(self) -> Tuple[int, int]:
-        """Atomically rewrite the journal, dropping superseded records.
-
-        An append-only journal grows with every resume that re-runs
-        failed or changed units.  Compaction keeps only the *latest* record per ``(key,
-        fingerprint)`` pair (plus nothing else: malformed lines, foreign
-        formats, non-terminal statuses and records whose stamp fails are
-        dropped, exactly the records :meth:`completed` already ignores).
-
-        Keying on the pair rather than the key alone is what preserves
-        :meth:`completed` semantics byte-for-byte: a journal may hold
-        records for the same key under different payload fingerprints
-        (a re-invocation with changed parameters), and ``completed``
-        replays whichever matches the caller's current payload.  Within
-        one pair, later records win both before and after compaction.
-
-        Returns:
-            ``(kept, dropped)`` record counts.  The rewrite goes through
-            :func:`repro.ioutil.atomic_write_text`, so a crash mid-compaction
-            leaves the previous journal intact.
-        """
-        latest: Dict[Tuple[str, str], dict] = {}
-        total = 0
-        for record in read_jsonl(self.path):
-            total += 1
-            if not _checked(record):
-                continue
-            # dict insertion order: re-inserting moves nothing, so kept
-            # records stay in first-seen pair order with latest contents.
-            latest[(record["key"], str(record.get("fingerprint")))] = record
-        if not latest and not self.path.exists():
-            return 0, 0
-        lines = [json.dumps(record, sort_keys=True)
-                 for record in latest.values()]
-        atomic_write_text(self.path, "".join(line + "\n" for line in lines))
-        return len(latest), total - len(latest)

@@ -2,7 +2,7 @@
 
 ``run_units`` is the single entry point.  With ``workers <= 1`` units
 run inline (same outcome records, no subprocess machinery); with more,
-each worker is a dedicated child process fed over its own task queue, so
+each worker is a dedicated child process fed over its own task pipe, so
 the parent always knows which unit a worker holds and can detect both
 failure modes a shared pool hides:
 
@@ -15,7 +15,9 @@ failure modes a shared pool hides:
 Ordinary exceptions inside a unit are caught in the worker and returned
 as structured error records.  Every failed attempt is retried up to
 ``retries`` times before the unit is finalised as ``failed``; no unit
-outcome ever kills the batch.
+outcome ever kills the batch.  A worker waits on its task pipe and its
+parent's sentinel together, so it exits on its own when the parent dies,
+even by SIGKILL, when no cleanup runs.
 
 Determinism contract: outcomes are finalised per *unit*, normalised
 through a JSON round-trip (so a live result, a pickled-queue result and
@@ -31,6 +33,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from queue import Empty
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -87,10 +90,15 @@ def _normalise(value):
     return normalise_json(value)
 
 
-def _worker_main(worker_id: int, task_q, result_q) -> None:
-    """Child-process loop: run units off ``task_q`` until ``None``."""
+def _worker_main(worker_id: int, tasks, result_q) -> None:
+    """Child-process loop: run units off ``tasks`` until ``None``, or
+    until the parent process is gone."""
+    parent = mp.parent_process().sentinel
     while True:
-        message = task_q.get()
+        if parent in wait([tasks, parent]):
+            result_q.cancel_join_thread()  # nobody is left to read it
+            return
+        message = tasks.recv()
         if message is None:
             return
         token, kind, payload = message
@@ -168,13 +176,13 @@ def _run_serial(pending: Sequence[WorkUnit], batch: _Batch) -> None:
 
 
 class _WorkerHandle:
-    """One worker process plus its dedicated task queue."""
+    """One worker process plus its dedicated task pipe."""
 
     def __init__(self, ctx, worker_id: int, result_q) -> None:
         self.ctx = ctx
         self.worker_id = worker_id
         self.result_q = result_q
-        self.task_q = ctx.SimpleQueue()
+        self.tasks, self.task_w = ctx.Pipe(duplex=False)
         self.proc = None
         # In-flight assignment.
         self.token: Optional[int] = None
@@ -187,7 +195,7 @@ class _WorkerHandle:
     def spawn(self) -> None:
         self.proc = self.ctx.Process(
             target=_worker_main,
-            args=(self.worker_id, self.task_q, self.result_q),
+            args=(self.worker_id, self.tasks, self.result_q),
             daemon=True,
         )
         self.proc.start()
@@ -200,7 +208,7 @@ class _WorkerHandle:
         self.start = time.monotonic()
         self.deadline = (self.start + timeout_s
                          if timeout_s is not None else None)
-        self.task_q.put((token, unit.kind, unit.payload))
+        self.task_w.send((token, unit.kind, unit.payload))
 
     def clear(self) -> None:
         self.token = self.unit = self.deadline = None
@@ -214,19 +222,23 @@ class _WorkerHandle:
             self.proc.kill()
             self.proc.join(timeout=2.0)
         self.clear()
-        self.task_q = self.ctx.SimpleQueue()
+        self.tasks.close()
+        self.task_w.close()
+        self.tasks, self.task_w = self.ctx.Pipe(duplex=False)
         self.spawn()
 
     def shutdown(self) -> None:
         if self.proc.is_alive():
             try:
-                self.task_q.put(None)
+                self.task_w.send(None)
             except Exception:  # pragma: no cover - broken pipe on exit
                 pass
         self.proc.join(timeout=2.0)
         if self.proc.is_alive():
             self.proc.terminate()
             self.proc.join(timeout=2.0)
+        self.tasks.close()
+        self.task_w.close()
 
 
 def _run_pool(pending: Sequence[WorkUnit], batch: _Batch, workers: int,

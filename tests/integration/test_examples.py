@@ -7,6 +7,7 @@ analysis-only examples ignore the flag.  A parametrized sweep discovers
 lands or this file fails to list it.
 """
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -56,7 +57,8 @@ class TestExampleOutput:
         assert "ReLU-Pool" in out
 
     def test_reproduce_paper_small_batch(self, capsys, monkeypatch, tmp_path):
-        out_file = tmp_path / "headline.json"
+        monkeypatch.setenv("REPRO_FAST", "1")  # no Fig 16: ~30 s at any batch
+        out_file = tmp_path / "figures.json"
         run_example(
             "reproduce_paper.py",
             ["--batch-size", "8", "--out", str(out_file)],
@@ -65,6 +67,20 @@ class TestExampleOutput:
         out = capsys.readouterr().out
         assert "averages" in out
         assert out_file.exists()
+
+    def test_reproduce_paper_prints_every_checked_in_figure(self, capsys):
+        """Every static figure's table, from the checked-in sweep output."""
+        data = json.loads((EXAMPLES.parent / "BENCH_figures.json")
+                          .read_text())
+        namespace = runpy.run_path(str(EXAMPLES / "reproduce_paper.py"))
+        namespace["print_figures"](data["figures"], data["batch_size"])
+        out = capsys.readouterr().out
+        for title in ("Figure 1 ", "Figure 2 ", "Figure 3 ", "Table I ",
+                      "Figure 8 ", "Figures 9 and 15", "Figure 10 ",
+                      "Figure 11 ", "Figure 13 ", "Figure 16 ",
+                      "Figure 17 ", "allocator policy", "sparse format",
+                      "pool argmax", "MFR vs minibatch"):
+            assert title in out, title
 
     def test_train_with_dpr_fast(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_FAST", "1")

@@ -138,6 +138,12 @@ class TestBackwardNeedsMetadata:
         assert not layer.backward_needs_input
         assert not layer.backward_needs_output
 
+    def test_batchnorm_needs_only_input(self):
+        # X plus the saved batch statistics; Y is not read.
+        layer = BatchNorm2D()
+        assert layer.backward_needs_input
+        assert not layer.backward_needs_output
+
     def test_lrn_needs_both(self):
         layer = LocalResponseNorm()
         assert layer.backward_needs_input

@@ -101,3 +101,24 @@ def test_format_1_record_is_not_replayed(tmp_path):
     assert not result.cached
     assert result.value == {"key": "k0", "rows": [1, 2, 3]}
     assert _runs(tmp_path) == ["k0"]
+
+
+def test_a_failed_record_never_replays_even_over_an_older_ok(tmp_path):
+    journal = RunJournal(tmp_path / "run.jsonl")
+    ok, failed = _units(tmp_path)
+    journal.record(ok, "ok", result={"n": 1})
+    journal.record(failed, "ok", result={"n": 2})
+    journal.record(failed, "failed", error={"type": "Boom", "message": "x"})
+    assert sorted(journal.completed([ok, failed])) == [ok.key]
+    assert [r["status"] for r in read_jsonl(journal.path)
+            if r["key"] == failed.key] == ["ok", "failed"]
+
+
+def test_each_payload_replays_its_own_record_of_a_shared_key(tmp_path):
+    journal = RunJournal(tmp_path / "run.jsonl")
+    v1 = WorkUnit("t-stamped", "k", {"n": 1})
+    v2 = WorkUnit("t-stamped", "k", {"n": 2})
+    journal.record(v1, "ok", result="one")
+    journal.record(v2, "ok", result="two")
+    assert journal.completed([v1])["k"]["result"] == "one"
+    assert journal.completed([v2])["k"]["result"] == "two"

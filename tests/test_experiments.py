@@ -75,3 +75,15 @@ class TestTrainingDrivers:
         assert row["gist_throughput"] >= row["baseline_throughput"] > 0
         assert row["speedup"] == (row["gist_throughput"]
                                   / row["baseline_throughput"])
+
+
+class TestSweepOnlyDrivers:
+    def test_each_runs_on_a_small_model(self):
+        # Fig 16 and the one-call drivers are covered above.
+        names = [name for name in experiments.STATIC_FIGURE_DRIVERS
+                 if not hasattr(experiments, name)]
+        assert "figure10_isolation" in names
+        out = experiments.run_sweep(names, models=["tiny_cnn"], batch_size=8)
+        assert out["ok"], out["failed_units"]
+        assert sorted(out["figures"]["figure10_isolation"]["tiny_cnn"]) \
+            == sorted(experiments.FIGURE10_ARMS)
