@@ -18,17 +18,18 @@ load-bearing comparison.
 """
 
 from repro.analysis import format_series
-from repro.experiments import figure12_accuracy
+from repro.experiments import run_sweep
 
 from conftest import print_header
 
-EPOCHS = 6
 NUM_CLASSES = 8
 
 
 def test_fig12_training_accuracy(benchmark):
-    curves = benchmark.pedantic(figure12_accuracy, kwargs={"epochs": EPOCHS},
-                                rounds=1, iterations=1)
+    out = benchmark.pedantic(run_sweep, args=(["figure12_accuracy"],),
+                             rounds=1, iterations=1)
+    assert out["ok"], out["failed_units"]
+    curves = out["figures"]["figure12_accuracy"]
     print_header("Figure 12 — accuracy-loss curves (1 - test accuracy) "
                  "per epoch")
     for label, curve in curves.items():

@@ -3,12 +3,13 @@
 
 Runs every static ``repro sweep`` driver
 (``repro.experiments.STATIC_FIGURE_DRIVERS``: Figures 1, 2, 3, 8, 9, 10,
-11, 13, 15, 16 and 17, Table I, the static ablations and minibatch
-scaling), writes the merged output to ``results/figures.json`` and prints
-one table per figure.  At the default minibatch the JSON is the
-checked-in ``BENCH_figures.json``, whose shape claims
-``tests/test_paper_claims.py`` checks.  The training figures (12, 14)
-and the group-quant and DPR-rounding studies are benches:
+11, 13, 15, 16 and 17, Table I, the static ablations, minibatch scaling,
+the §II-B recompute baseline and the hybrid planner), writes the merged
+output to ``results/figures.json`` and prints one table per figure.  At
+the default minibatch the JSON is the checked-in ``BENCH_figures.json``,
+whose shape claims ``tests/test_paper_claims.py`` checks.  The training
+figures (12, 14) and the group-quant and DPR-rounding studies are
+benches:
 
     pytest -q benchmarks/bench_fig12_accuracy.py \\
         benchmarks/bench_fig14_ssdc_sensitivity.py \\
@@ -181,6 +182,27 @@ def print_figures(figures, batch_size: int) -> None:
     print(_table(["assumed sparsity", "lossless MFR"],
                  scaling["assumed_sparsity"].items(),
                  title="Extension — VGG16 MFR vs assumed sparsity"))
+
+    print(_table(
+        ["network", "recompute MFR", "recompute ov %", "gist MFR",
+         "gist ov %"],
+        [[r["network"], r["recompute_mfr"], r["recompute_overhead_pct"],
+          r["gist_mfr"], r["gist_overhead_pct"]]
+         for r in figures["recompute_baseline"]],
+        title="Section II-B — sqrt(N) checkpointing vs Gist"))
+
+    hybrid = figures["hybrid_planner"]
+    print(_table(
+        ["model", "baseline MiB", "hybrid MiB", "best pure MiB", "ratio",
+         "overhead %", "adopted", "gates"],
+        [[r["model"], r["baseline_bytes"] / MiB, r["hybrid_bytes"] / MiB,
+          min(r["pure_bytes"].values()) / MiB, r["footprint_ratio"],
+          r["overhead_frac"] * 100, r["fallback_strategy"] or "mixed",
+          "ok" if r["ok"] else "FAILED"]
+         for r in hybrid["models"]],
+        title=f"Extension — hybrid planner (minibatch "
+              f"{hybrid['batch_size']}, budget "
+              f"{hybrid['budget_frac']:.0%} of the step)"))
 
 
 def main() -> None:

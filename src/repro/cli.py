@@ -321,7 +321,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments import SWEEP_DRIVERS, run_sweep
     from repro.ioutil import atomic_write_json
 
-    drivers = (sorted(SWEEP_DRIVERS) if args.drivers == "all"
+    drivers = (None if args.drivers is None
+               else sorted(SWEEP_DRIVERS) if args.drivers == "all"
                else [d for d in args.drivers.split(",") if d])
     models = args.models.split(",") if args.models else None
     journal = RunJournal(args.journal) if args.journal else None
@@ -457,14 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "planning and print the per-pass report")
     p.set_defaults(func=cmd_plan)
 
-    from repro.experiments import DEFAULT_SWEEP_DRIVERS, SWEEP_DRIVERS
+    from repro.experiments import SWEEP_DRIVERS
 
     p = sub.add_parser("sweep", help="run figure drivers across the model "
                                      "suite as parallel work units")
-    p.add_argument("--drivers", default=",".join(DEFAULT_SWEEP_DRIVERS),
-                   metavar="A,B,...",
+    p.add_argument("--drivers", default=None, metavar="A,B,...",
                    help="comma-separated driver names, or 'all' "
-                        f"(default: the static analyses; known: "
+                        "(default: every static figure driver, i.e. "
+                        "BENCH_figures.json; known: "
                         f"{','.join(sorted(SWEEP_DRIVERS))})")
     p.add_argument("--models", default=None, metavar="M,N,...",
                    help="comma-separated model names "

@@ -1,25 +1,23 @@
-"""One-call drivers for the paper's experiments.
+"""The paper's experiments as sweep drivers: one producer per row.
 
 These are the only code that computes a row of the paper's static
 figures and tables (Figures 1, 2, 3, 8, 9, 10, 11, 13, 15, 16 and 17,
-Table I, the allocator / narrow-CSR / pool-argmax ablations and the
-minibatch-scaling extension).  ``BENCH_figures.json`` is their
-checked-in ``repro sweep --drivers`` :data:`STATIC_FIGURE_DRIVERS`
-output, and ``tests/test_paper_claims.py`` checks every paper claim
-against that file.  Every function returns ordinary dicts/lists of
-built-in types — directly serialisable, directly plottable.
+Table I, the allocator / narrow-CSR / pool-argmax ablations, minibatch
+scaling, the §II-B recompute baseline and the hybrid planner against
+its single levers).  ``BENCH_figures.json`` is their checked-in
+``repro sweep`` output (:data:`STATIC_FIGURE_DRIVERS`, the default),
+and ``tests/test_paper_claims.py`` checks every paper claim against
+that file.  Every row is ordinary dicts/lists of built-in types —
+directly serialisable, directly plottable.
 
 Static analyses accept any registered model name; training studies run on
 the scaled substitution workload (see DESIGN.md §2) and are configurable.
 
-Each driver is decomposed into payload-complete per-unit cores (one
-model, one arm, one depth), so ``repro sweep`` can shard a whole figure
-suite across worker processes (:mod:`repro.orchestrate`) and reassemble
-exactly what the one-call driver would have returned: the public
-functions below are thin loops over the same cores the sweep units run.
-The drivers that only the figure JSON reads (Figures 2, 10, 11 and 13,
-Table I, the ablations and minibatch scaling) have no one-call function:
-``run_sweep([name])["figures"][name]`` is their call.
+Each driver is a set of payload-complete per-unit cores (one model, one
+arm, one depth) plus a merge, so ``repro sweep`` can shard a whole
+figure suite across worker processes (:mod:`repro.orchestrate`).  There
+is no one-call function per figure: ``run_sweep([name])["figures"][name]``
+is the call.
 """
 
 from __future__ import annotations
@@ -49,8 +47,9 @@ from repro.memory import (
     POLICY_NO_SHARING,
     StaticAllocator,
     build_memory_plan,
+    build_recompute_plan,
 )
-from repro.models import PAPER_SUITE, build_model
+from repro.models import PAPER_SUITE, available_models, build_model
 from repro.orchestrate import WorkUnit, run_units
 from repro.perf import (
     CostModel,
@@ -64,6 +63,7 @@ from repro.perf import (
 
 
 def _figure8_row(name: str, batch_size: int) -> dict:
+    """Figure 8: lossless and lossless+lossy MFR."""
     graph = build_model(name, batch_size=batch_size)
     cfg = GistConfig.for_network(name)
     lossless = Gist(GistConfig.lossless()).measure_mfr(graph)
@@ -76,27 +76,14 @@ def _figure8_row(name: str, batch_size: int) -> dict:
     }
 
 
-def figure8_mfr(models: Optional[Sequence[str]] = None,
-                batch_size: int = 64) -> List[dict]:
-    """Figure 8: per-network lossless and lossless+lossy MFR."""
-    return [_figure8_row(name, batch_size) for name in models or PAPER_SUITE]
-
-
 def _figure3_bytes(name: str, batch_size: int) -> Dict[str, int]:
+    """Figure 3: raw FP32 bytes of stashed maps per class (a bar's
+    fraction is a class's bytes over the network's sum)."""
     return stash_bytes_by_class(build_model(name, batch_size=batch_size))
 
 
-def figure3_stash_classes(models: Optional[Sequence[str]] = None,
-                          batch_size: int = 64) -> Dict[str, Dict[str, int]]:
-    """Figure 3: per-network raw FP32 bytes of stashed maps per class.
-
-    A bar's fraction is a class's bytes over the network's sum.
-    """
-    return {name: _figure3_bytes(name, batch_size)
-            for name in models or PAPER_SUITE}
-
-
 def _figure9_row(name: str, batch_size: int) -> dict:
+    """Figures 9 and 15 + energy: performance/energy cost per strategy."""
     graph = build_model(name, batch_size=batch_size)
     cfg = GistConfig.for_network(name)
     lossless = measure_overhead(graph, GistConfig.lossless())
@@ -117,17 +104,12 @@ def _figure9_row(name: str, batch_size: int) -> dict:
     }
 
 
-def figure9_overheads(models: Optional[Sequence[str]] = None,
-                      batch_size: int = 64) -> List[dict]:
-    """Figure 9 + 15 + energy: performance/energy cost per strategy."""
-    return [_figure9_row(name, batch_size) for name in models or PAPER_SUITE]
-
-
 #: Figure 16's deep CIFAR ResNet depths (the paper's Table III picks).
 FIGURE16_DEPTHS: Sequence[int] = (509, 851, 1202)
 
 
-def _figure16_row(depth: int, dpr_format: str, device=None) -> dict:
+def _figure16_row(depth: int, dpr_format: str) -> dict:
+    """Figure 16: larger-minibatch speedup of one deep CIFAR ResNet."""
     from repro.models import resnet_cifar
     from repro.perf import TITAN_X_MAXWELL
 
@@ -135,7 +117,7 @@ def _figure16_row(depth: int, dpr_format: str, device=None) -> dict:
     report = larger_minibatch_speedup(
         lambda b, d=depth: resnet_cifar(d, batch_size=b),
         config,
-        device=device or TITAN_X_MAXWELL,
+        device=TITAN_X_MAXWELL,
         name=f"resnet-{depth}",
     )
     return {
@@ -146,13 +128,6 @@ def _figure16_row(depth: int, dpr_format: str, device=None) -> dict:
         "gist_throughput": report.gist_throughput,
         "speedup": report.speedup,
     }
-
-
-def figure16_speedups(depths: Sequence[int] = FIGURE16_DEPTHS,
-                      dpr_format: str = "fp10",
-                      device=None) -> List[dict]:
-    """Figure 16: larger-minibatch speedups for deep CIFAR ResNets."""
-    return [_figure16_row(depth, dpr_format, device) for depth in depths]
 
 
 def scaled_study(policy, epochs: int, *, lr: float = 0.01,
@@ -206,17 +181,9 @@ FIGURE12_ARMS: Dict[str, str] = {
 
 
 def _figure12_arm(label: str, epochs: int, seed: int) -> List[float]:
+    """Figure 12: one arm's per-epoch accuracy-loss curve."""
     _, result = scaled_study(FIGURE12_ARMS[label], epochs, seed=seed)
     return result.accuracy_loss_curve
-
-
-def figure12_accuracy(epochs: int = 6, seed: int = 3) -> Dict[str, List[float]]:
-    """Figure 12: accuracy-loss curves per stash policy (scaled workload).
-
-    Returns ``paper label -> per-epoch accuracy-loss``.
-    """
-    return {label: _figure12_arm(label, epochs, seed)
-            for label in FIGURE12_ARMS}
 
 
 def figure14_ssdc_series(epochs: int = 3, sample_every: int = 4,
@@ -247,6 +214,7 @@ def figure14_ssdc_series(epochs: int = 3, sample_every: int = 4,
 
 
 def _figure17_row(name: str, batch_size: int) -> dict:
+    """Figure 17: MFR under the dynamic allocation arms."""
     from repro.core import footprint_bytes
 
     graph = build_model(name, batch_size=batch_size)
@@ -264,24 +232,12 @@ def _figure17_row(name: str, batch_size: int) -> dict:
     }
 
 
-def figure17_dynamic(models: Optional[Sequence[str]] = None,
-                     batch_size: int = 64) -> List[dict]:
-    """Figure 17: MFR under dynamic allocation arms."""
-    return [_figure17_row(name, batch_size) for name in models or PAPER_SUITE]
-
-
 def _breakdown_entry(name: str, batch_size: int) -> Dict[str, int]:
+    """Figure 1: full per-class byte breakdown (weights and workspace in)."""
     graph = build_model(name, batch_size=batch_size)
     plan = build_memory_plan(graph, include_weights=True,
                              include_workspace=True)
     return plan.bytes_by_class()
-
-
-def baseline_memory_breakdown(models: Optional[Sequence[str]] = None,
-                              batch_size: int = 64) -> Dict[str, Dict[str, int]]:
-    """Figure 1: full per-class byte breakdown (weights and workspace in)."""
-    return {name: _breakdown_entry(name, batch_size)
-            for name in models or PAPER_SUITE}
 
 
 def _figure2_rows(name: str, batch_size: int) -> List[dict]:
@@ -441,6 +397,72 @@ def _pool_argmax_bytes(name: str, batch_size: int) -> dict:
             "without_rewrite_bytes": without}
 
 
+#: The paper's §II-B chain networks, where segment checkpointing applies.
+CHAIN_NETWORKS: Sequence[str] = ("alexnet", "overfeat", "vgg16")
+
+
+def _recompute_row(name: str, batch_size: int) -> dict:
+    """§II-B: sqrt(N) segment checkpointing vs Gist, MFR and % overhead."""
+    graph = build_model(name, batch_size=batch_size)
+    alloc = StaticAllocator()
+    base = alloc.allocate(build_memory_plan(graph).tensors).total_bytes
+    recompute = build_recompute_plan(graph)
+    cfg = GistConfig.for_network(name)
+    return {
+        "network": name,
+        "recompute_mfr":
+            base / alloc.allocate(recompute.plan.tensors).total_bytes,
+        "recompute_overhead_pct": recompute.overhead_frac(graph) * 100,
+        "gist_mfr": Gist(cfg).measure_mfr(graph).mfr,
+        "gist_overhead_pct": measure_overhead(graph, cfg).overhead_frac * 100,
+    }
+
+
+#: The hybrid planner's minibatch (keeps the largest registry models
+#: tractable) and step-time budget, as a fraction of the baseline step.
+HYBRID_BATCH_SIZE = 32
+HYBRID_BUDGET_FRAC = 0.15
+
+
+def _hybrid_planner_row(name: str, batch_size: int,
+                        budget_frac: float) -> dict:
+    """The budgeted hybrid plan against its four pure arms.
+
+    ``dominance_ok``: the hybrid footprint is at most the best pure
+    arm's (the planner's argmin fallback makes it structural).
+    ``budget_ok``: the selected cost fits the step-time budget.
+    ``oracle_violations``: the plan-safety and shared-concat oracles.
+    """
+    from repro.core.policy import HybridPolicy, STRATEGY_HYBRID
+    from repro.memory.hybrid import build_hybrid_plan
+    from repro.verify import check_hybrid_plan, check_shared_concat
+
+    hybrid = build_hybrid_plan(
+        build_model(name, batch_size=batch_size),
+        HybridPolicy(strategy=STRATEGY_HYBRID, cost_budget_frac=budget_frac),
+    )
+    violations = check_hybrid_plan(hybrid) + check_shared_concat(hybrid)
+    row = {
+        "model": name,
+        "baseline_bytes": hybrid.baseline_allocated_bytes,
+        "hybrid_bytes": hybrid.allocated_bytes,
+        "pure_bytes": dict(sorted(hybrid.pure_footprints.items())),
+        "fallback_strategy": hybrid.fallback_strategy,
+        "decisions": len(hybrid.decisions),
+        "overhead_frac": hybrid.overhead_frac,
+        "budget_frac": budget_frac,
+        "footprint_ratio": hybrid.footprint_ratio,
+        "oracle_violations": [str(v) for v in violations],
+        "dominance_ok":
+            hybrid.allocated_bytes <= min(hybrid.pure_footprints.values()),
+        "budget_ok": hybrid.total_cost_s
+        <= hybrid.budget_s * (1 + 1e-9) + 1e-12,
+    }
+    row["ok"] = (row["dominance_ok"] and row["budget_ok"]
+                 and not row["oracle_violations"])
+    return row
+
+
 #: Minibatch-scaling series on VGG16: full-Gist MFR per batch, and
 #: lossless MFR per assumed ReLU sparsity at batch 32.
 MINIBATCH_BATCHES: Sequence[int] = (16, 32, 64, 128)
@@ -496,6 +518,11 @@ _UNIT_RUNNERS: Dict[str, Callable[[dict], object]] = {
     "ablation_pool_argmax":
         lambda p: _pool_argmax_bytes(p["model"], p["batch_size"]),
     "minibatch_scaling": lambda p: _minibatch_series(p["series"]),
+    "recompute_baseline":
+        lambda p: _recompute_row(p["model"], p["batch_size"]),
+    "hybrid_planner":
+        lambda p: _hybrid_planner_row(p["model"], p["batch_size"],
+                                      p["budget_frac"]),
 }
 
 
@@ -516,11 +543,11 @@ class SweepDriver:
     """How one figure driver shards into work units and merges back.
 
     Attributes:
-        name: Driver name (the ``experiments`` function it mirrors).
+        name: Driver name (its key under the sweep output's ``figures``).
         enumerate_units: ``(models, batch_size) -> [WorkUnit]`` in the
             driver's canonical order.
-        merge: ``(units, values) -> object`` reassembling the one-call
-            driver's return value from per-unit results *in unit order*
+        merge: ``(units, values) -> object`` assembling the figure's
+            entry from per-unit results *in unit order*
             (order-independent of how the pool completed them).
     """
 
@@ -541,10 +568,11 @@ def _per_model_units(driver: str):
     return enumerate_units
 
 
-def _vgg16_unit(driver: str):
-    """One unit on VGG16, the bench network of Fig 2 and the ablations."""
+def _fixed_units(driver: str, names: Sequence[str]):
+    """Per-model units on a fixed network list, whatever ``models`` says
+    (VGG16 for Fig 2 and the ablations, the chain networks for §II-B)."""
     per_model = _per_model_units(driver)
-    return lambda models, batch_size: per_model(["vgg16"], batch_size)
+    return lambda models, batch_size: per_model(names, batch_size)
 
 
 def _by_model(units, values):
@@ -590,8 +618,8 @@ SWEEP_DRIVERS: Dict[str, SweepDriver] = {d.name: d for d in (
                 lambda units, values: list(values)),
     SweepDriver("figure17_dynamic", _per_model_units("figure17_dynamic"),
                 lambda units, values: list(values)),
-    SweepDriver("figure2_lifetime_gap", _vgg16_unit("figure2_lifetime_gap"),
-                _single),
+    SweepDriver("figure2_lifetime_gap",
+                _fixed_units("figure2_lifetime_gap", ["vgg16"]), _single),
     SweepDriver("figure10_isolation", _per_model_units("figure10_isolation"),
                 _by_model),
     SweepDriver("figure11_lossless_perf",
@@ -608,8 +636,8 @@ SWEEP_DRIVERS: Dict[str, SweepDriver] = {d.name: d for d in (
                              {"driver": "ablation_narrow_csr"})
                 ],
                 _single),
-    SweepDriver("ablation_pool_argmax", _vgg16_unit("ablation_pool_argmax"),
-                _single),
+    SweepDriver("ablation_pool_argmax",
+                _fixed_units("ablation_pool_argmax", ["vgg16"]), _single),
     SweepDriver("minibatch_scaling",
                 lambda models, batch_size: [
                     WorkUnit("experiment", f"minibatch_scaling:{series}",
@@ -619,22 +647,26 @@ SWEEP_DRIVERS: Dict[str, SweepDriver] = {d.name: d for d in (
                 ],
                 lambda units, values: {u.payload["series"]: v
                                        for u, v in zip(units, values)}),
+    SweepDriver("hybrid_planner",
+                lambda models, batch_size: [
+                    WorkUnit("experiment", f"hybrid_planner:{name}",
+                             {"driver": "hybrid_planner", "model": name,
+                              "batch_size": HYBRID_BATCH_SIZE,
+                              "budget_frac": HYBRID_BUDGET_FRAC})
+                    for name in available_models()
+                ],
+                lambda units, values: {"batch_size": HYBRID_BATCH_SIZE,
+                                       "budget_frac": HYBRID_BUDGET_FRAC,
+                                       "models": list(values)}),
+    SweepDriver("recompute_baseline",
+                _fixed_units("recompute_baseline", CHAIN_NETWORKS),
+                lambda units, values: list(values)),
 )}
 
-#: The cheap static-analysis drivers ``repro sweep`` runs by default
-#: (the training studies are opt-in: they dominate wall-clock).
-DEFAULT_SWEEP_DRIVERS: Sequence[str] = (
-    "baseline_memory_breakdown",
-    "figure3_stash_classes",
-    "figure8_mfr",
-    "figure9_overheads",
-    "figure17_dynamic",
-)
-
-
-#: Every static driver, in ``BENCH_figures.json`` order: the checked-in
-#: file is ``repro sweep --drivers <these, comma-joined> --out
-#: BENCH_figures.json``, and ``tests/test_paper_claims.py`` checks it.
+#: Every static driver, in ``BENCH_figures.json`` order, and what
+#: ``repro sweep`` runs by default: the checked-in file is ``repro sweep
+#: --out BENCH_figures.json``, and ``tests/test_paper_claims.py`` checks
+#: it.  The training studies (Figures 12 and 14) are opt-in.
 STATIC_FIGURE_DRIVERS: Sequence[str] = (
     "baseline_memory_breakdown",
     "figure3_stash_classes",
@@ -651,6 +683,8 @@ STATIC_FIGURE_DRIVERS: Sequence[str] = (
     "ablation_narrow_csr",
     "ablation_pool_argmax",
     "minibatch_scaling",
+    "hybrid_planner",
+    "recompute_baseline",
 )
 
 
@@ -673,7 +707,7 @@ def run_sweep(
     from disk, only missing ones re-run).
     """
     names = list(drivers) if drivers is not None \
-        else list(DEFAULT_SWEEP_DRIVERS)
+        else list(STATIC_FIGURE_DRIVERS)
     unknown = [n for n in names if n not in SWEEP_DRIVERS]
     if unknown:
         raise KeyError(f"unknown sweep drivers {unknown}; known: "

@@ -79,7 +79,8 @@ class TestExampleOutput:
                       "Figure 8 ", "Figures 9 and 15", "Figure 10 ",
                       "Figure 11 ", "Figure 13 ", "Figure 16 ",
                       "Figure 17 ", "allocator policy", "sparse format",
-                      "pool argmax", "MFR vs minibatch"):
+                      "pool argmax", "MFR vs minibatch",
+                      "Section II-B ", "hybrid planner"):
             assert title in out, title
 
     def test_train_with_dpr_fast(self, capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Every shape claim of the paper's static figures, checked on the JSON.
+"""Every shape claim of the paper's static numbers, checked on the JSON.
 
 ``BENCH_figures.json`` is the checked-in ``repro sweep`` output of
 :data:`repro.experiments.STATIC_FIGURE_DRIVERS`, and CI fails when a
@@ -14,7 +14,7 @@ once, here, and nowhere else.
 Path segments, applied left to right to the rows selected so far:
 
 * ``*`` fans out over every entry of a dict or list (list rows are
-  named by their ``network`` / ``relu`` / ``format`` field);
+  named by their ``network`` / ``relu`` / ``format`` / ``model`` field);
   ``a,b,c`` fans out over the named entries only;
 * ``mean`` / ``sum`` / ``max`` / ``min`` fold the fanned-out rows back
   into one (field by field when the rows are dicts);
@@ -26,8 +26,10 @@ the row itself, and a dict row's keys are names too.  A row fails when
 ``where`` holds and ``check`` does not; a claim whose path or ``where``
 selects nothing fails as well.
 
-A claim with a ``quote`` backs a number EXPERIMENTS.md prints:
-``quote.format(...)`` of its one row must appear in that file verbatim.
+A claim with a ``quote`` backs numbers EXPERIMENTS.md prints:
+``quote.format(...)`` of every row it selects must appear in that file
+verbatim (a fan-out path checks a table, a ``min`` / ``max`` fold a
+range's end).
 
 Figs 4 and 7 have no row here: their claims are structural and live in
 ``tests/layers/test_layers_behavior.py::TestBackwardNeedsMetadata`` and
@@ -76,7 +78,7 @@ VIEWS = {
 }
 
 _FOLDS = {"mean": statistics.mean, "sum": sum, "max": max, "min": min}
-_NAME_FIELDS = ("network", "relu", "format")
+_NAME_FIELDS = ("network", "relu", "format", "model")
 _BUILTINS = {"len": len, "max": max, "min": min, "sum": sum}
 
 F1 = "Figure 1"
@@ -154,13 +156,12 @@ CLAIMS = (
           quote="{x:.2f} (paper 1.8, max 2×)"),
     Claim("Fig 8", "figure8_mfr/*",
           "lossy adds to lossless, both reduce memory",
-          "mfr_full > mfr_lossless > 1.0", F8),
+          "mfr_full > mfr_lossless > 1.0", F8,
+          quote="| {network} | {mfr_lossless:.2f} | {mfr_full:.2f} ("),
     Claim("Fig 8", "figure8_mfr/alexnet/mfr_lossless",
-          "more than 1.5x lossless on AlexNet", "x > 1.35", F8,
-          quote="| alexnet | {x:.2f} |"),
+          "more than 1.5x lossless on AlexNet", "x > 1.35", F8),
     Claim("Fig 8", "figure8_mfr/vgg16/mfr_lossless",
-          "VGG16 lossless in the suite's band", "x > 1.3", F8,
-          quote="| vgg16 | {x:.2f} |"),
+          "VGG16 lossless in the suite's band", "x > 1.3", F8),
     # -- Figs 9, 11, 15: performance overhead ----------------------------
     Claim("Fig 9, 11", "figure9_overheads/*/lossless_overhead/mean",
           "3% average lossless", "x < 0.06", F9,
@@ -284,6 +285,46 @@ CLAIMS = (
           "x['0.5'] < x['0.75'] < x['0.9']", EXT),
     Claim("Extension", "minibatch_scaling/assumed_sparsity/0.9",
           "lossless MFR at 90% sparsity", "x > 1.5", EXT),
+    # -- §II-B: sqrt(N) checkpointing vs Gist on the chain networks -------
+    Claim("§II-B", "recompute_baseline/*", "checkpointing reduces memory",
+          "recompute_mfr > 1.2", EXT),
+    Claim("§II-B", "recompute_baseline/*", "so does Gist",
+          "gist_mfr > 1.2", EXT),
+    Claim("§II-B", "recompute_baseline/*",
+          "the largest layers take the longest to recompute",
+          "recompute_overhead_pct > 15.0", EXT),
+    Claim("§II-B", "recompute_baseline/*", "Gist's codecs cost little",
+          "gist_overhead_pct < 10.0", EXT),
+    Claim("§II-B", "recompute_baseline/*",
+          "recompute pays several times Gist's step time",
+          "recompute_overhead_pct > 5 * gist_overhead_pct", EXT),
+    Claim("§II-B", "recompute_baseline/*/recompute_mfr/min",
+          "checkpointing's MFR is Gist-lossless-like (1.3-1.6)", "x > 1.2",
+          EXT, quote="MFR {x:.2f}–"),
+    Claim("§II-B", "recompute_baseline/*/recompute_mfr/max",
+          "checkpointing's MFR is Gist-lossless-like (1.3-1.6)", "x < 1.6",
+          EXT, quote="–{x:.2f}× at"),
+    Claim("§II-B", "recompute_baseline/*/recompute_overhead_pct/min",
+          "checkpointing costs 20-35% of the step", "x > 20.0", EXT,
+          quote="at {x:.0f}–"),
+    Claim("§II-B", "recompute_baseline/*/recompute_overhead_pct/max",
+          "checkpointing costs 20-35% of the step", "x < 35.0", EXT,
+          quote="–{x:.0f}%"),
+    # -- Hybrid planner: never worse than its best single lever -----------
+    Claim("Hybrid", "hybrid_planner/models/*",
+          "the mix is never worse than the best single lever",
+          "hybrid_bytes <= min(pure_bytes.values())", EXT),
+    Claim("Hybrid", "hybrid_planner/models/*",
+          "the selected cost fits the step-time budget", "budget_ok", EXT),
+    Claim("Hybrid", "hybrid_planner/models/*",
+          "the plan-safety and shared-concat oracles find nothing",
+          "not oracle_violations", EXT),
+    Claim("Hybrid", "hybrid_planner/models/*/footprint_ratio/min",
+          "the mix reduces every registry model's footprint", "x > 1.0",
+          EXT, quote="reaches {x:.2f}–"),
+    Claim("Hybrid", "hybrid_planner/models/*/footprint_ratio/max",
+          "over 2x on the deep ResNets", "x > 2.0", EXT,
+          quote="–{x:.2f}× over the baseline allocation"),
 )
 
 
@@ -340,6 +381,14 @@ def _holds(expression: str, row) -> bool:
                      _namespace(row)))
 
 
+def _selected(claim: Claim, figures):
+    """``[(label, row)]`` the claim's path selects and ``where`` keeps."""
+    rows = resolve(figures, claim.path)
+    if claim.where is None:
+        return rows
+    return [(label, row) for label, row in rows if _holds(claim.where, row)]
+
+
 def _failures(claim: Claim, figures) -> List[str]:
     def fail(label, why):
         where = f"{claim.path} [{label}]" if label else claim.path
@@ -347,10 +396,7 @@ def _failures(claim: Claim, figures) -> List[str]:
                 f"EXPERIMENTS.md § {claim.section})")
 
     try:
-        rows = resolve(figures, claim.path)
-        if claim.where is not None:
-            rows = [(label, row) for label, row in rows
-                    if _holds(claim.where, row)]
+        rows = _selected(claim, figures)
         if not rows:
             return [fail("", "selects no row")]
         return [fail(label, f"fails `{claim.check}`") for label, row in rows
@@ -391,6 +437,32 @@ def test_a_broken_fig8_row_fails_naming_fig8():
     assert any("[vgg16]" in line for line in failures), failures
 
 
+def test_a_hybrid_plan_above_its_best_lever_fails_naming_the_model():
+    data = copy.deepcopy(_load())
+    (row,) = [row for row in data["figures"]["hybrid_planner"]["models"]
+              if row["model"] == "resnet50"]
+    row["hybrid_bytes"] = min(row["pure_bytes"].values()) + 1
+    failures = check_claims(data)
+    assert len(failures) == 1, failures
+    assert failures[0].startswith(
+        "Hybrid: hybrid_planner/models/* [resnet50] fails "
+        "`hybrid_bytes <= min(pure_bytes.values())`"), failures
+
+
+def test_recompute_below_five_times_gist_fails_naming_the_network():
+    data = copy.deepcopy(_load())
+    (row,) = [row for row in data["figures"]["recompute_baseline"]
+              if row["network"] == "vgg16"]
+    # Both overheads stay inside their own bands (> 15 %, < 10 %).
+    row["gist_overhead_pct"] = 5.0
+    row["recompute_overhead_pct"] = 4.5 * row["gist_overhead_pct"]
+    failures = check_claims(data)
+    assert len(failures) == 1, failures
+    assert failures[0].startswith(
+        "§II-B: recompute_baseline/* [vgg16] fails "
+        "`recompute_overhead_pct > 5 * gist_overhead_pct`"), failures
+
+
 def test_a_missing_figure_fails_its_claims():
     data = copy.deepcopy(_load())
     del data["figures"]["figure13_dpr_mfr"]
@@ -426,8 +498,11 @@ def test_experiments_md_quotes_the_json():
     assert quoted
     missing = []
     for claim in quoted:
-        ((_, row),) = resolve(figures, claim.path)
-        line = claim.quote.format(**_namespace(row))
-        if line not in text:
-            missing.append(f"{claim.figure}: {claim.path} -> {line!r}")
+        rows = _selected(claim, figures)
+        assert rows, claim
+        for label, row in rows:
+            line = claim.quote.format(**_namespace(row))
+            if line not in text:
+                missing.append(f"{claim.figure}: {claim.path} [{label}] "
+                               f"-> {line!r}")
     assert not missing, "\n".join(missing)
