@@ -1,7 +1,7 @@
 """Benchmark + gate for the graph-rewrite passes.
 
-For every model in the registry, applies the default rewrite pipeline
-(fusion, pool-argmax, CSE, dead-stash elimination, inplace) and measures
+For every model in the registry, applies the rewrite pipeline (fusion,
+pool-argmax, inplace; one sweep) and measures
 the *pre-plan stash liveness* — the raw FP32 bytes of stashed feature
 maps the training schedule would keep live before any encoding/planning
 runs.  Gates on two properties:
@@ -57,7 +57,6 @@ def bench_model(name: str) -> dict:
         "stash_count_before": before_count,
         "stash_count_after": after_count,
         "pass_changes": {s.name: s.changes for s in result.stats},
-        "rounds": result.rounds,
         "reduced": after_bytes < before_bytes,
         "equivalence_violations": [],
     }

@@ -155,7 +155,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         seed=args.seed,
         tracer=tracer,
         check_invariants=args.check_invariants,
-        rewrite=args.rewrite,
     )
     print(tracer.summary())
     if args.check_invariants:
@@ -273,13 +272,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     from repro.memory.hybrid import build_hybrid_plan
 
     graph = build_model(args.model, batch_size=args.batch_size)
-    if args.rewrite:
-        from repro.rewrite import apply_passes
-
-        result = apply_passes(graph)
-        graph = result.graph
-        print(result.report())
-        print()
     gist = GistConfig.from_name(args.config, args.model)
     policy = HybridPolicy(strategy=args.strategy,
                           cost_budget_frac=args.budget, gist=gist)
@@ -407,9 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write this run's digest as a golden trace")
     p.add_argument("--compare-golden", metavar="PATH",
                    help="compare against a saved golden; exit 1 on mismatch")
-    p.add_argument("--rewrite", action="store_true",
-                   help="apply the graph-rewrite passes before tracing "
-                        "(byte-identical digest on the golden models)")
     p.set_defaults(func=cmd_trace)
 
     from repro.verify.fuzzer import DEFAULT_MAX_OPS
@@ -452,10 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default="lossless", choices=CONFIG_ARMS,
                    help="gist switches for the encode lever (default: "
                         "lossless, so every decision is bit-exact)")
-    p.add_argument("--rewrite", action="store_true",
-                   help="run the graph-rewrite passes (fusion, "
-                        "pool-argmax, CSE, dead-stash, inplace) before "
-                        "planning and print the per-pass report")
     p.set_defaults(func=cmd_plan)
 
     from repro.experiments import SWEEP_DRIVERS

@@ -3,9 +3,10 @@
 A rewrite pass is a pure graph→graph function (the input
 :class:`~repro.graph.graph.Graph` is never mutated) that returns the new
 graph plus a count of the rewrites it performed.  Passes are composed by
-:func:`repro.rewrite.manager.apply_passes`, which iterates them to a fixed
-point; the count is what drives that loop, so a pass MUST report zero when
-(and only when) it left the graph unchanged.
+:func:`repro.rewrite.manager.apply_passes`, which runs them once in
+order; a pass MUST report zero when (and only when) it left the graph
+unchanged, because a zero total is how the equivalence oracle knows
+there is nothing to train.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def rebuild(graph: Graph, nodes: Dict[int, OpNode], output_id: int) -> Graph:
 class RewritePass(abc.ABC):
     """One composable graph→graph transform."""
 
-    #: Stable pass name used for toggling, stats and CLI reports.
+    #: Stable pass name, the key of its count in stats and benches.
     name: str = "rewrite"
 
     @abc.abstractmethod
@@ -54,7 +55,7 @@ class RewritePass(abc.ABC):
         Returns:
             ``(new_graph, changes)`` — ``changes`` is the number of
             individual rewrites applied (0 means ``new_graph`` is
-            semantically the input graph and the manager may stop).
+            semantically the input graph).
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -63,7 +64,7 @@ class RewritePass(abc.ABC):
 
 @dataclass
 class PassStats:
-    """Cumulative rewrite count for one pass across all manager rounds."""
+    """Rewrite count for one pass of a sweep."""
 
     name: str
     changes: int = 0
@@ -75,11 +76,10 @@ class RewriteResult:
 
     graph: Graph
     stats: List[PassStats] = field(default_factory=list)
-    rounds: int = 0
 
     @property
     def total_changes(self) -> int:
-        """Sum of rewrites over every pass and round."""
+        """Sum of rewrites over every pass."""
         return sum(s.changes for s in self.stats)
 
     @property
@@ -88,9 +88,8 @@ class RewriteResult:
         return self.total_changes > 0
 
     def report(self) -> str:
-        """Per-pass one-line summary, e.g. for ``repro plan --rewrite``."""
-        lines = [f"rewrite: {self.total_changes} change(s) in "
-                 f"{self.rounds} round(s)"]
+        """Per-pass one-line summary of the sweep."""
+        lines = [f"rewrite: {self.total_changes} change(s)"]
         for s in self.stats:
             lines.append(f"  {s.name:<16} {s.changes}")
         return "\n".join(lines)

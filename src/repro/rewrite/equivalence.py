@@ -3,11 +3,11 @@
 The property fuzzed over the whole pass pipeline: take a graph, apply the
 rewrite passes, train the original graph once under ``baseline`` and the
 rewritten graph under each lossless stash policy, from identical initial
-parameters on identical batches — every per-step loss and every surviving
+parameters on identical batches — every per-step loss and every
 parameter gradient of every rewritten run must match the one baseline
-reference bit-for-bit.  (Parameters belonging to dead-code the rewriter
-removed legitimately disappear; anything else differing is a rewriter or
-codec bug.)
+reference bit-for-bit.  No pass deletes a parameterised node, so every
+original gradient must still be there; anything missing or differing is
+a rewriter or codec bug.
 
 The oracle is deliberately end-to-end: it exercises the fused kernels, the
 argmax-map pool flags, the inplace executor path, the stash classifier on
@@ -23,8 +23,8 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.kernels.plan import bit_identical
-from repro.rewrite.base import RewriteResult
-from repro.rewrite.manager import PassLike, apply_passes
+from repro.rewrite.base import RewritePass, RewriteResult
+from repro.rewrite.manager import apply_passes
 from repro.train.executor import GraphExecutor
 from repro.train.stash import LOSSLESS_POLICY_NAMES, policy_from_name
 from repro.verify.oracles import ORACLE_REWRITE, Violation
@@ -85,7 +85,7 @@ def _train(
 def check_rewrite_equivalence(
     graph: Graph,
     seed: int = 0,
-    passes: Optional[Iterable[PassLike]] = None,
+    passes: Optional[Iterable[RewritePass]] = None,
     steps: int = 2,
     rewrite_result: Optional[RewriteResult] = None,
 ) -> List[Violation]:
@@ -108,10 +108,6 @@ def check_rewrite_equivalence(
     if not result.changed:
         return []
     rewritten = result.graph
-
-    removed = {n.name for n in graph.nodes} - {
-        n.name for n in rewritten.nodes
-    }
     violations: List[Violation] = []
 
     def bad(detail: str) -> None:
@@ -126,18 +122,15 @@ def check_rewrite_equivalence(
         losses_b, grads_b, _ = _train(
             rewritten, policy_name, batches, initial_params=init_a
         )
-        # Parameter-name accounting: rewritten-only names are impossible
-        # (passes never invent parameters); original-only names must come
-        # from removed dead nodes.
+        # Parameter-name accounting: passes neither invent nor drop
+        # parameters, so both name sets must match exactly.
         b_names = {k for step in grads_b for k in step}
         for key in sorted(b_names - set(init_a)):
             bad(f"policy {policy_name}: rewritten graph grew parameter "
                 f"{key!r} absent from the original")
         for key in sorted(a_grad_names - set(grads_b[0] if grads_b else {})):
-            node_name = key.rsplit(".", 1)[0]
-            if node_name not in removed:
-                bad(f"policy {policy_name}: gradient for {key!r} vanished "
-                    f"but node {node_name!r} was not removed by any pass")
+            bad(f"policy {policy_name}: gradient for {key!r} vanished "
+                f"after rewrite")
         for step, (la, lb) in enumerate(zip(losses_a, losses_b)):
             if not bit_identical(np.asarray(la), np.asarray(lb)):
                 bad(f"policy {policy_name} step {step}: loss diverged "

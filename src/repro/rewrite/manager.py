@@ -1,106 +1,39 @@
-"""Pass manager: compose rewrite passes and iterate them to a fixed point.
+"""Pass manager: one ordered sweep of the rewrite passes.
 
-Passes interact — fusion exposes new inplace opportunities, CSE can turn a
-shared input into a sole-consumer edge, dead-branch removal changes
-consumer counts — so a single linear sweep is not enough.  The manager
-re-runs the whole pass list until one full round applies zero rewrites
-(every pass reports "nothing to do" on its own output), which is the
-fixed point.  The default order is chosen so most graphs converge in two
-rounds: structural passes first (fusion, pool rewrite, CSE, dead-code),
-the flag-marking inplace pass last.
+The order is the passes' one dependency: the two structural passes
+(fusion, then the pool rewrite) change layers, and the flag-marking
+inplace pass then recomputes eligibility on the graph they leave.  No
+pass creates work for an earlier one — a fused node is no longer a conv,
+an argmax pool is no longer a plain max-pool — so the sweep's output is
+already a fixed point: a second sweep applies nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Iterable, Optional
 
 from repro.graph.graph import Graph
 from repro.rewrite.base import PassStats, RewritePass, RewriteResult
-from repro.rewrite.passes import (
-    CSEPass,
-    DeadStashEliminationPass,
-    FuseConvReLUPass,
-    InplacePass,
-    PoolArgmaxPass,
-)
+from repro.rewrite.passes import FuseConvReLUPass, InplacePass, PoolArgmaxPass
 
-#: Pass registry: name -> zero-argument factory.
-PASS_FACTORIES: Dict[str, type] = {
-    FuseConvReLUPass.name: FuseConvReLUPass,
-    PoolArgmaxPass.name: PoolArgmaxPass,
-    CSEPass.name: CSEPass,
-    DeadStashEliminationPass.name: DeadStashEliminationPass,
-    InplacePass.name: InplacePass,
-}
-
-#: Default pass order (every pass enabled).
-DEFAULT_PASSES = (
-    FuseConvReLUPass.name,
-    PoolArgmaxPass.name,
-    CSEPass.name,
-    DeadStashEliminationPass.name,
-    InplacePass.name,
-)
-
-#: Safety valve: rounds are bounded because each structural pass strictly
-#: shrinks or monotonically rewrites the graph, but a buggy pass could
-#: oscillate; hitting the cap raises instead of looping forever.
-MAX_ROUNDS = 16
-
-PassLike = Union[str, RewritePass]
-
-
-def resolve_passes(
-    passes: Optional[Iterable[PassLike]] = None,
-) -> List[RewritePass]:
-    """Instantiate a pass list from names and/or instances.
-
-    ``None`` selects :data:`DEFAULT_PASSES`.  Unknown names raise
-    ``ValueError`` listing the registry, so CLI typos fail loudly.
-    """
-    selected = DEFAULT_PASSES if passes is None else list(passes)
-    out: List[RewritePass] = []
-    for p in selected:
-        if isinstance(p, RewritePass):
-            out.append(p)
-        elif p in PASS_FACTORIES:
-            out.append(PASS_FACTORIES[p]())
-        else:
-            raise ValueError(
-                f"unknown rewrite pass {p!r}; known: "
-                f"{', '.join(sorted(PASS_FACTORIES))}"
-            )
-    return out
+#: The pipeline, in sweep order.  Passes hold no state between runs.
+DEFAULT_PASSES = (FuseConvReLUPass(), PoolArgmaxPass(), InplacePass())
 
 
 def apply_passes(
     graph: Graph,
-    passes: Optional[Iterable[PassLike]] = None,
+    passes: Optional[Iterable[RewritePass]] = None,
 ) -> RewriteResult:
-    """Run ``passes`` (default: all) on ``graph`` to a fixed point.
+    """Run ``passes`` (default: :data:`DEFAULT_PASSES`) once, in order.
 
     The input graph is never mutated.  Returns a
-    :class:`~repro.rewrite.base.RewriteResult` whose ``stats`` aggregate
-    each pass's rewrite count across rounds (in pass-list order) and whose
-    ``graph`` is the converged result — identical to the input object when
-    nothing applied.
+    :class:`~repro.rewrite.base.RewriteResult` whose ``stats`` hold each
+    pass's rewrite count (in pass-list order) and whose ``graph`` is the
+    result — identical to the input object when nothing applied.
     """
-    pass_list = resolve_passes(passes)
-    stats = [PassStats(p.name) for p in pass_list]
     current = graph
-    rounds = 0
-    while True:
-        if rounds >= MAX_ROUNDS:
-            raise RuntimeError(
-                f"rewrite passes did not converge after {MAX_ROUNDS} rounds "
-                f"on graph {graph.name!r}"
-            )
-        round_changes = 0
-        for p, st in zip(pass_list, stats):
-            current, changes = p.run(current)
-            st.changes += changes
-            round_changes += changes
-        rounds += 1
-        if round_changes == 0:
-            break
-    return RewriteResult(graph=current, stats=stats, rounds=rounds)
+    stats = []
+    for p in DEFAULT_PASSES if passes is None else passes:
+        current, changes = p.run(current)
+        stats.append(PassStats(p.name, changes))
+    return RewriteResult(graph=current, stats=stats)

@@ -10,7 +10,7 @@ loosen one without extending the other.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.graph.graph import Graph
 from repro.graph.node import OpNode
@@ -105,145 +105,6 @@ class PoolArgmaxPass(RewritePass):
         return rebuild(graph, nodes, graph.output_id), changes
 
 
-#: Kinds whose backward pass is exactly linear in the upstream gradient
-#: (identity reshape/split/copy, or a 0/1 mask multiply), making a merge
-#: of duplicates bit-preserving under the 2-term accumulation restriction
-#: below.  Deliberately excluded: sigmoid/tanh (non-exact multiplier),
-#: avgpool/gavgpool (division reassociation), dropout/BN (RNG, running
-#: state), any parameterised op.
-_CSE_EXACT_KINDS = {"relu", "flatten", "add", "concat", "maxpool"}
-
-
-def _cse_signature(node: OpNode) -> Optional[tuple]:
-    """Hashable op identity for duplicate detection, or None if ineligible."""
-    kind = node.kind
-    if kind not in _CSE_EXACT_KINDS:
-        return None
-    layer = node.layer
-    if kind == "relu":
-        return ("relu",) if type(layer) is ReLU else None
-    if kind == "flatten":
-        return ("flatten",)
-    if kind == "add":
-        return ("add",)
-    if kind == "concat":
-        return ("concat", getattr(layer, "axis", 1))
-    # maxpool: only non-overlapping windows — with overlap the backward
-    # scatter sums several dY terms per input element and the merge would
-    # reassociate that sum.
-    if type(layer) not in (MaxPool2D, ArgmaxMaxPool2D):
-        return None
-    if layer.stride < layer.kh or layer.stride < layer.kw:
-        return None
-    return (type(layer).__name__, layer.kh, layer.kw, layer.stride, layer.pad)
-
-
-class CSEPass(RewritePass):
-    """Merge duplicated subexpressions (same op, same inputs).
-
-    Exactness restrictions (all enforced):
-
-    * only ops whose backward is exactly linear (``_CSE_EXACT_KINDS``);
-    * keeper and duplicate each have exactly **one** forward consumer, so
-      after the merge the keeper's output gradient is a 2-term sum —
-      bitwise the same value as the two 1-term contributions the
-      duplicates fed (IEEE addition of two terms is commutative);
-    * every shared input's forward consumers are exactly the pair, so the
-      input's gradient accumulation stays a 2-term sum in both graphs.
-
-    Under those conditions merging changes only the *order* of a two-term
-    gradient addition, never its operands, so training is bit-preserved.
-    """
-
-    name = "cse"
-
-    def run(self, graph: Graph) -> Tuple[Graph, int]:
-        groups: Dict[tuple, List[OpNode]] = {}
-        for node in graph.nodes:
-            if node.node_id in (graph.input_id, graph.output_id):
-                continue
-            if node.inplace:
-                continue
-            sig = _cse_signature(node)
-            if sig is None:
-                continue
-            if len(graph.consumers(node.node_id)) != 1:
-                continue
-            groups.setdefault((sig, tuple(node.inputs)), []).append(node)
-
-        merges: List[Tuple[OpNode, OpNode]] = []
-        touched: set = set()
-        for (_, inputs), members in sorted(
-            groups.items(), key=lambda kv: kv[1][0].node_id
-        ):
-            if len(members) != 2:
-                continue
-            keeper, dup = sorted(members, key=lambda n: n.node_id)
-            if {keeper.node_id, dup.node_id} & touched:
-                continue
-            # Each shared input must feed exactly this pair (one edge each)
-            # so its backward accumulation stays two-term.
-            ok = True
-            for src in set(inputs):
-                consumer_ids = sorted(
-                    c.node_id for c in graph.consumers(src)
-                )
-                if consumer_ids != sorted((keeper.node_id, dup.node_id)):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            merges.append((keeper, dup))
-            touched.update(
-                (keeper.node_id, dup.node_id) + tuple(inputs)
-            )
-        if not merges:
-            return graph, 0
-
-        nodes = {n.node_id: clone_node(n) for n in graph.nodes}
-        remap = {dup.node_id: keeper.node_id for keeper, dup in merges}
-        for _, dup in merges:
-            del nodes[dup.node_id]
-        for node in nodes.values():
-            node.inputs = [remap.get(i, i) for i in node.inputs]
-        return rebuild(graph, nodes, graph.output_id), len(merges)
-
-
-class DeadStashEliminationPass(RewritePass):
-    """Remove ops whose output never reaches the loss.
-
-    The training schedule gives *every* node a backward op, so a dead
-    branch's feature maps are classified as stashed and priced by the
-    planner even though no gradient ever flows to them (the executor's
-    backward skips nodes with no incoming gradient).  Deleting the branch
-    removes those phantom stashes.  Exactness: dead nodes cannot influence
-    the loss by definition, and their parameters receive no gradient in
-    either graph.
-    """
-
-    name = "dead-stash"
-
-    def run(self, graph: Graph) -> Tuple[Graph, int]:
-        reachable = set()
-        stack = [graph.output_id]
-        while stack:
-            nid = stack.pop()
-            if nid in reachable:
-                continue
-            reachable.add(nid)
-            stack.extend(graph.node(nid).inputs)
-        reachable.add(graph.input_id)  # the minibatch source always stays
-        dead = [n for n in graph.nodes if n.node_id not in reachable]
-        if not dead:
-            return graph, 0
-        nodes = {
-            n.node_id: clone_node(n)
-            for n in graph.nodes
-            if n.node_id in reachable
-        }
-        return rebuild(graph, nodes, graph.output_id), len(dead)
-
-
 class InplacePass(RewritePass):
     """Mark immediately-consumed maps for in-buffer execution (paper §III-C).
 
@@ -256,9 +117,9 @@ class InplacePass(RewritePass):
 
     Eligibility is recomputed from scratch each run via
     :func:`~repro.encodings.inplace.inplace_eligible_edges` — the same
-    analysis the planner prices — and stale marks from earlier rounds are
-    cleared, so the pass is idempotent and self-correcting after other
-    passes change the graph.  Exactness: the eligibility conditions
+    analysis the planner prices — and stale marks are cleared, so the
+    pass is idempotent and sees the graph the structural passes before it
+    left.  Exactness: the eligibility conditions
     guarantee no backward op and no stash ever reads the overwritten
     buffer, and every ``forward_inplace`` computes the same values as its
     out-of-place twin.

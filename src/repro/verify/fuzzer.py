@@ -76,10 +76,10 @@ class GraphFuzzer:
         shrink a failing graph without changing the layers it kept.
 
         ``rewrite_shapes`` mixes in motifs the rewrite passes trigger on
-        (conv→relu chains, duplicated subexpressions, dead branches,
-        immediately-consumed maps).  The flag draws from the RNG only
-        inside its own branch, so the default decision stream — and every
-        pinned default-mode seed — is byte-identical with it off.
+        (conv→relu chains, max-pools, immediately-consumed maps).  The
+        flag draws from the RNG only inside its own branch, so the default
+        decision stream — and every pinned default-mode seed — is
+        byte-identical with it off.
 
         ``recurrent_shapes`` switches to the sequence genre: a rank-3
         input feeding an unrolled LSTM or RNN column (weight-tied steps,
@@ -250,13 +250,10 @@ class GraphFuzzer:
     def _rewrite_motif(self, b: GraphBuilder, x: NodeRef, rng) -> tuple:
         """One motif a rewrite pass fires on; returns (ref, ops used).
 
-        The four motifs map one-to-one onto the passes: conv→relu chains
-        (fusion + inplace), duplicated single-consumer subexpressions
-        (CSE), dangling branches (dead-stash elimination) and
-        immediately-consumed maps (inplace), with max-pools sprinkled in
-        for the pool-argmax pass.
+        Two motifs: conv→relu chains (fusion), optionally capped by a
+        max-pool (pool-argmax), and immediately-consumed maps (inplace).
         """
-        motif = int(rng.integers(0, 4))
+        motif = int(rng.integers(0, 2))
         side = self._spatial(b, x)
         if motif == 0:
             # conv -> relu (fusion), optionally capped by a pool so the
@@ -267,24 +264,6 @@ class GraphFuzzer:
             x = b.add(ReLU(), x)
             if side >= _MIN_SPATIAL_FOR_POOL and rng.random() < 0.5:
                 return b.add(MaxPool2D(2, 2), x), 3
-            return x, 2
-        if motif == 1:
-            # Duplicated subexpression: two identical single-consumer ops
-            # over the same input, joined by one Add — exactly the shape
-            # the CSE pass's two-term-sum restrictions admit.
-            dup = rng.random() < 0.5
-            if dup and side >= _MIN_SPATIAL_FOR_POOL:
-                y1 = b.add(MaxPool2D(2, 2), x)
-                y2 = b.add(MaxPool2D(2, 2), x)
-            else:
-                y1 = b.add(ReLU(), x)
-                y2 = b.add(ReLU(), x)
-            return b.add(Add(), [y1, y2]), 3
-        if motif == 2:
-            # Dead branch: ops whose outputs never reach the loss, but
-            # which the schedule still prices as stashed feature maps.
-            dead = b.add(Conv2D(int(rng.integers(1, 5)), 1), x)
-            b.add(ReLU(), dead)
             return x, 2
         # Immediately-consumed map: conv -> dropout is inplace-eligible
         # (conv's backward never reads its output, dropout's never reads

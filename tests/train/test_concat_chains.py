@@ -30,7 +30,7 @@ from repro.memory.hybrid import (
 )
 from repro.memory.shared_concat import find_concat_chains
 from repro.models import build_model
-from repro.rewrite import apply_passes
+from repro.rewrite import InplacePass
 from repro.train import (
     BaselinePolicy,
     GraphExecutor,
@@ -72,7 +72,7 @@ def dense_blocks(draw):
     b.mark_output(b.add(SoftmaxCrossEntropy(), b.add(Dense(CLASSES), x)))
     graph = b.build()
     if tail != "conv":
-        graph = apply_passes(graph, ["inplace"]).graph
+        graph, _ = InplacePass().run(graph)
     return graph, tail, draw(st.integers(0, 2**16))
 
 
