@@ -16,9 +16,6 @@ Commands:
 * ``plan`` — hybrid memory planner: per-tensor encode/recompute/swap
   decision table plus footprints of every strategy arm.
 * ``sweep`` — figure drivers across the model suite as parallel units.
-* ``disttrain`` — simulated data-parallel SGD over the process pool:
-  compressed all-reduce, journal resume, and a replicas-N ≡ serial
-  bit-identity check via ``--compare-serial``.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from repro.core import CONFIG_ARMS, Gist, GistConfig, stash_bytes_by_class
 from repro.memory import GiB, MiB, build_memory_plan
 from repro.models import available_models, build_model
 from repro.orchestrate import RunJournal
-from repro.train.stash import LOSSLESS_POLICY_NAMES, POLICY_NAMES
+from repro.train.stash import POLICY_NAMES
 
 
 def _add_model_argument(parser: argparse.ArgumentParser) -> None:
@@ -217,54 +214,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
               f"replay with: {replay}):")
         print(report.minimized.summary())
     return 1
-
-
-def cmd_disttrain(args: argparse.Namespace) -> int:
-    from repro.distributed import DistConfig, train_distributed
-
-    model_kwargs = {}
-    if args.num_classes is not None:
-        model_kwargs["num_classes"] = args.num_classes
-    if args.image_size is not None:
-        model_kwargs["image_size"] = args.image_size
-    config = DistConfig(
-        model=args.model,
-        batch_size=args.batch_size,
-        num_shards=args.shards if args.shards else args.replicas,
-        replicas=args.replicas,
-        steps=args.steps,
-        wire_codec=args.wire_codec,
-        policy=args.policy,
-        seed=args.seed,
-        model_kwargs=model_kwargs,
-        num_samples=args.num_samples,
-        timeout_s=args.timeout,
-    )
-    journal = RunJournal(args.journal) if args.journal else None
-    result = train_distributed(config, journal=journal)
-    print(format_table(
-        ["step", "loss", "wire KiB", "fp32 KiB", "reduction", "comm us"],
-        [[r.step, f"{r.loss:.4f}", f"{r.wire_bytes / 1024:.1f}",
-          f"{r.fp32_bytes / 1024:.1f}",
-          f"{r.fp32_bytes / r.wire_bytes:.2f}x",
-          f"{r.comm_s * 1e6:.1f}"]
-         for r in result.records],
-        title=(f"{config.model}: {config.num_shards} shards on "
-               f"{config.replicas} replica(s), {config.wire_codec} wire"),
-    ))
-    print(f"\nbytes on wire: {result.total_wire_bytes} "
-          f"({result.wire_reduction:.2f}x under fp32)")
-    print(f"run digest:    {result.digest()}")
-    _print_journal_hits(journal)
-    if args.compare_serial:
-        serial = train_distributed(DistConfig(
-            **{**config.__dict__, "replicas": 1}
-        ))
-        if serial.digest() != result.digest():
-            print(f"serial digest: {serial.digest()}  MISMATCH")
-            return 1
-        print(f"serial digest: {serial.digest()}  (bit-identical)")
-    return 0
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -462,49 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "default: results/sweep.json)")
     _add_orchestration_arguments(p)
     p.set_defaults(func=cmd_sweep)
-
-    from repro.distributed.wire import WIRE_CODECS
-
-    p = sub.add_parser("disttrain", help="simulated data-parallel training "
-                                         "with compressed all-reduce")
-    p.add_argument("model", nargs="?", default="tiny_cnn",
-                   choices=available_models(),
-                   help="network to train (default: tiny_cnn)")
-    p.add_argument("--batch-size", type=int, default=16,
-                   help="global minibatch size, split across shards "
-                        "(default: 16)")
-    p.add_argument("--replicas", type=int, default=4,
-                   help="worker processes; the result is byte-identical "
-                        "for any count (default: 4)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="gradient shards per step; this is what defines "
-                        "the semantics (default: --replicas)")
-    p.add_argument("--steps", type=int, default=4,
-                   help="SGD steps to run (default: 4)")
-    p.add_argument("--wire-codec", default="auto", choices=WIRE_CODECS,
-                   help="gradient wire encoding (default: auto)")
-    p.add_argument("--policy", default="baseline",
-                   choices=LOSSLESS_POLICY_NAMES,
-                   help="activation stash policy inside each replica "
-                        "(default: baseline)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="run seed (default: 0)")
-    p.add_argument("--num-samples", type=int, default=64,
-                   help="synthetic dataset size (default: 64)")
-    p.add_argument("--num-classes", type=int, default=None,
-                   help="override the model's class count")
-    p.add_argument("--image-size", type=int, default=None,
-                   help="override the model's input resolution")
-    p.add_argument("--journal", metavar="PATH", default=None,
-                   help="JSONL run journal; a re-invocation resumes "
-                        "completed shard steps from it and prints "
-                        "'journal hits: N', the shard steps replayed")
-    p.add_argument("--timeout", type=float, default=None, metavar="S",
-                   help="per-unit timeout in seconds")
-    p.add_argument("--compare-serial", action="store_true",
-                   help="also run with --replicas 1 and exit 1 unless "
-                        "the digests are bit-identical")
-    p.set_defaults(func=cmd_disttrain)
 
     return parser
 

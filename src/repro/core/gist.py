@@ -62,7 +62,6 @@ class Gist:
         self,
         graph: Graph,
         schedule: Optional[TrainingSchedule] = None,
-        investigation: bool = False,
     ) -> GistPlan:
         """Run the Schedule Builder on ``graph``."""
         return build_gist_plan(
@@ -70,29 +69,24 @@ class Gist:
             self.config,
             self.sparsity_model,
             schedule=schedule,
-            investigation=investigation,
         )
 
     # ------------------------------------------------------------------
     def measure_mfr(
         self,
         graph: Graph,
-        investigation: bool = False,
         dynamic: bool = False,
     ) -> MFRReport:
         """Footprint of baseline vs Gist under one allocation discipline.
 
         Args:
             graph: Training execution graph.
-            investigation: Use the investigation baseline (stashed maps
-                unshared) on both sides.
             dynamic: Use the dynamic-allocation simulator instead of the
                 static allocator (Figure 17).
         """
         schedule = TrainingSchedule(graph)
-        baseline = build_memory_plan(graph, schedule,
-                                     investigation=investigation)
-        gist_plan = self.apply(graph, schedule, investigation=investigation)
+        baseline = build_memory_plan(graph, schedule)
+        gist_plan = self.apply(graph, schedule)
         return MFRReport(
             graph.name,
             _plan_bytes(baseline.tensors, schedule, dynamic),
@@ -112,16 +106,14 @@ def footprint_bytes(
     graph: Graph,
     config: Optional[GistConfig] = None,
     sparsity_model: Optional[SparsityModel] = None,
-    investigation: bool = False,
     dynamic: bool = False,
 ) -> int:
     """Footprint of ``graph`` under ``config`` (None/disabled = baseline)."""
     schedule = TrainingSchedule(graph)
     if config is None or not (config.any_encoding or config.inplace):
-        plan = build_memory_plan(graph, schedule, investigation=investigation)
+        plan = build_memory_plan(graph, schedule)
     else:
         plan = build_gist_plan(
             graph, config, sparsity_model, schedule=schedule,
-            investigation=investigation,
         ).plan
     return _plan_bytes(plan.tensors, schedule, dynamic)

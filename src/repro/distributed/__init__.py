@@ -1,10 +1,8 @@
-"""Simulated data-parallel training with compressed communication.
+"""One data-parallel training step, checked replicas-N ≡ serial.
 
-The distributed layer composes three guarantees the repo already ships —
-payload-complete work units (any process can run one), a deterministic
-process pool (results independent of worker count and arrival order) and
-lossless/lossy codecs with measured byte counts — into N-replica
-data-parallel SGD:
+The package splits one step of a training run into shards and merges
+them back, and every piece is deterministic, so the merged loss and
+gradients never depend on how many worker processes ran the shards:
 
 * :mod:`repro.distributed.shard` splits each step's minibatch so the
   concatenation of replica shards is byte-identical to the serial batch;
@@ -15,27 +13,20 @@ data-parallel SGD:
   fixed pairwise tree keyed by shard index, so the merged bits never
   depend on replica count or completion order;
 * :mod:`repro.distributed.replica` is the ``replica-step`` work-unit
-  executor (one shard, one step, everything from the payload);
-* :mod:`repro.distributed.trainer` drives whole runs over the pool, with
-  elastic worker counts and crash/straggler recovery via the run
-  journal.
+  executor (one shard, one step, everything from the payload) and the
+  shard-order merge of a step's results.
 
-The determinism contract extends the pool's: a run with ``replicas=N``
-is byte-identical (losses, parameters, gradients) to the same
-configuration at ``replicas=1`` — the serial comparator — because shard
-structure, wire codec and merge order are all functions of the
-configuration, never of scheduling.
+The ``distributed-replica`` oracle (:mod:`repro.verify.distributed`)
+checks that contract on every fuzz seed.
 """
 
 from repro.distributed.allreduce import tree_reduce, tree_reduce_gradients
-from repro.distributed.replica import replica_work_units, run_replica_unit
-from repro.distributed.shard import shard_slices, split_batch
-from repro.distributed.trainer import (
-    DistConfig,
-    DistRunResult,
-    DistStepRecord,
-    train_distributed,
+from repro.distributed.replica import (
+    merge_replica_results,
+    replica_work_units,
+    run_replica_unit,
 )
+from repro.distributed.shard import shard_slices, split_batch
 from repro.distributed.wire import (
     WIRE_CODECS,
     WireCodec,
@@ -44,17 +35,14 @@ from repro.distributed.wire import (
 )
 
 __all__ = [
-    "DistConfig",
-    "DistRunResult",
-    "DistStepRecord",
     "WIRE_CODECS",
     "WireCodec",
     "decode_wire",
+    "merge_replica_results",
     "replica_work_units",
     "run_replica_unit",
     "shard_slices",
     "split_batch",
-    "train_distributed",
     "tree_reduce",
     "tree_reduce_gradients",
     "wire_codec",

@@ -17,7 +17,7 @@ shards and steps, identical across worker counts and retries.
 from __future__ import annotations
 
 import base64
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -142,8 +142,6 @@ def run_replica_unit(payload: dict) -> dict:
         "shard_size": shard_size,
         "loss": float(loss),
         "grads": messages,
-        "wire_bytes": sum(int(m["wire_bytes"]) for m in messages.values()),
-        "fp32_bytes": sum(4 * int(g.size) for g in grads.values()),
     }
 
 
@@ -151,7 +149,6 @@ def replica_work_units(
     base_payload: dict,
     step: int,
     params: Dict[str, np.ndarray],
-    kind: str = "replica-step",
 ) -> List["WorkUnit"]:
     """One payload-complete unit per shard of training step ``step``.
 
@@ -166,7 +163,7 @@ def replica_work_units(
     encoded = encode_params(params)
     return [
         WorkUnit(
-            kind,
+            "replica-step",
             f"step:{step}/shard:{shard}",
             {**base_payload, "step": int(step), "shard": shard,
              "params": encoded},
@@ -178,7 +175,7 @@ def replica_work_units(
 def merge_replica_results(
     units: Sequence["WorkUnit"],
     results: Dict[str, "UnitResult"],
-) -> Tuple[float, Dict[str, np.ndarray], dict]:
+) -> Tuple[float, Dict[str, np.ndarray]]:
     """Deterministic merge of one step's shard results.
 
     Walks units in shard order (never completion order), decodes each
@@ -190,8 +187,6 @@ def merge_replica_results(
     losses: List[float] = []
     sizes: List[int] = []
     shard_grads: List[Dict[str, np.ndarray]] = []
-    wire_total = 0
-    fp32_total = 0
     for unit in units:
         result = results.get(unit.key)
         if result is None or not result.ok:
@@ -207,14 +202,10 @@ def merge_replica_results(
             name: decode_wire(message)
             for name, message in value["grads"].items()
         })
-        wire_total += int(value["wire_bytes"])
-        fp32_total += int(value["fp32_bytes"])
     merged = tree_reduce_gradients(shard_grads, sizes)
     total = sum(sizes)
     loss = float(
         tree_reduce([np.float32(n / total) * np.float32(l)
                      for n, l in zip(sizes, losses)])
     )
-    stats = {"wire_bytes": wire_total, "fp32_bytes": fp32_total,
-             "shard_losses": losses, "shard_sizes": sizes}
-    return loss, merged, stats
+    return loss, merged

@@ -31,7 +31,7 @@ bit-identity guarantee holds for every codec in the table.
 from __future__ import annotations
 
 import base64
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -161,8 +161,3 @@ def decode_wire(message: dict) -> np.ndarray:
         return dpr_encoding(fmt).decode(DPRTensor(
             _unb64(message["words"], np.uint32), shape, DPR_FORMATS[fmt]))
     raise ValueError(f"unknown wire codec in message: {codec!r}")
-
-
-def wire_bytes(messages: Dict[str, dict]) -> int:
-    """Total measured bytes-on-wire of one shard's gradient messages."""
-    return sum(int(m["wire_bytes"]) for m in messages.values())

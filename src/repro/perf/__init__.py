@@ -1,7 +1,6 @@
 """Analytical performance substrate: device model, kernel costs, Gist
 overhead, swapping baselines (naive / vDNN) and utilisation modelling."""
 
-from repro.perf.comm import CommModel
 from repro.perf.cost import CostModel, StepTime
 from repro.perf.device import DeviceSpec, TITAN_X_MAXWELL
 from repro.perf.energy import (
@@ -26,7 +25,6 @@ from repro.perf.utilization import (
 )
 
 __all__ = [
-    "CommModel",
     "CostModel",
     "DRAM_J_PER_BYTE",
     "EnergyReport",

@@ -11,7 +11,6 @@ from repro.train.executor import GraphExecutor
 from repro.train.metrics import accuracy, accuracy_loss
 from repro.train.optimizer import SGD
 from repro.train.stash import (
-    AllFP16Policy,
     GradientOnlyReductionPolicy,
     BaselinePolicy,
     GistPolicy,
@@ -31,7 +30,6 @@ from repro.train.trainer import (
 )
 
 __all__ = [
-    "AllFP16Policy",
     "BaselinePolicy",
     "Dataset",
     "GistPolicy",

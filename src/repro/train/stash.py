@@ -15,9 +15,10 @@ The executor routes every stashed feature map through a policy:
   for the rest), ``HybridExecutionPolicy(plan)`` a budgeted planner's.
   Lossless edges reconstruct exactly; DPR edges inject precisely the
   quantisation error the paper's Figure 12 accuracy study measures.
-* :class:`AllFP16Policy` — the prior-work baseline: quantise every layer
-  output *in the forward pass*, so error propagates through subsequent
-  layers (the curve that diverges in Figure 12).
+* :class:`UniformReductionPolicy` — the prior-work baseline: quantise
+  every layer output *in the forward pass*, so error propagates through
+  subsequent layers (at FP16, ``uniform-fp16``, the paper's All-FP16
+  curve that diverges in Figure 12).
 * :class:`GroupQuantPolicy` — follow-on work (ActNN): per-group integer
   stashes.
 
@@ -192,13 +193,6 @@ class UniformReductionPolicy(StashPolicy):
         return f"uniform-{self.dtype.name}"
 
 
-class AllFP16Policy(UniformReductionPolicy):
-    """The paper's "All-FP16" arm: uniform FP16 in the forward pass."""
-
-    def __init__(self):
-        super().__init__(FP16)
-
-
 class GradientOnlyReductionPolicy(StashPolicy):
     """Reduce precision of *gradient maps only* (paper Section III-B).
 
@@ -259,8 +253,8 @@ class HybridExecutionPolicy(_TablePolicy):
 
 
 #: The policies whose backward inputs are bit-identical to FP32 stashes:
-#: the arms pinned as goldens, fuzzed for rewrite equivalence and allowed
-#: inside data-parallel replicas.
+#: the arms pinned as goldens, fuzzed for rewrite equivalence and run
+#: inside the ``replica-step`` unit.
 LOSSLESS_POLICY_NAMES = ("baseline", "gist-lossless")
 
 #: Every policy constructible from a name.  Hybrid policies are absent on

@@ -11,7 +11,9 @@ for the layer ops), and compares their named outputs:
   declares: an ``exact=True`` arm byte for byte
   (:func:`~repro.kernels.plan.bit_identical`: dtype, shape and
   ``tobytes()``, so ``-0.0`` is not ``+0.0`` and a NaN matches itself),
-  an ``exact=False`` arm within the tolerance it declared.
+  an ``exact=False`` arm within the tolerance it declared on finite
+  values, with every NaN or Inf on either side matching the reference
+  bit for bit.
 * Max-pool and the three codec packers run one body each, held byte for
   byte to the loop kernel beside it: ``KernelPlan.maxpool_forward`` /
   ``maxpool_backward`` to :func:`~repro.layers.im2col.maxpool_reference`
@@ -359,8 +361,23 @@ def _compare_outputs(truth_name: str, body: Body, ref_out: Outputs,
                     subject=subject,
                 ))
             continue
-        bound = body.tolerance * max(1.0, _max_abs(ref))
-        err = _max_abs(ref.astype(np.float64) - got.astype(np.float64))
+        # The bound covers finite values only: a NaN or Inf on either side
+        # must match the reference bit for bit (a NaN error compares
+        # False against any bound).
+        finite = np.isfinite(ref) & np.isfinite(got)
+        bits = f"u{ref.itemsize}"
+        n_wild = int(np.sum(~finite & (ref.view(bits) != got.view(bits))))
+        if n_wild:
+            violations.append(Violation(
+                ORACLE_BACKEND_DIFFERENTIAL,
+                f"{key}: {n_wild} non-finite element(s) differ from "
+                f"{truth_name} (tolerance={body.tolerance:g} bounds "
+                f"finite values only)", subject=subject,
+            ))
+            continue
+        bound = body.tolerance * max(1.0, _max_abs(ref[finite]))
+        err = _max_abs(ref[finite].astype(np.float64)
+                       - got[finite].astype(np.float64))
         if err > bound:
             violations.append(Violation(
                 ORACLE_BACKEND_DIFFERENTIAL,

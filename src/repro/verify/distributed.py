@@ -2,7 +2,7 @@
 
 Checks the distributed layer's determinism contract on small live runs,
 entirely in-process (the fuzz loop budgets milliseconds per seed; the
-full multi-process equivalence runs in ``tests/distributed``):
+multi-worker equivalence runs in ``tests/distributed/test_replica.py``):
 
 * **shard-concat** — concatenating the replica shards reproduces the
   serial batch byte-for-byte;
@@ -151,7 +151,7 @@ def check_distributed(seed: int) -> List[Violation]:
     units = replica_work_units(base, 0, executor.parameters())
     results = run_units(units, workers=1)
     try:
-        pool_loss, pool_merged, _ = merge_replica_results(units, results)
+        pool_loss, pool_merged = merge_replica_results(units, results)
     except RuntimeError as exc:
         return violations + [Violation(
             ORACLE_DISTRIBUTED, f"pool pipeline failed: {exc}", seed,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.distributed import WIRE_CODECS, decode_wire, wire_codec
-from repro.distributed.wire import wire_bytes
 
 LOSSLESS = [n for n in WIRE_CODECS if not n.startswith("dpr-")]
 LOSSY = [n for n in WIRE_CODECS if n.startswith("dpr-")]
@@ -84,14 +83,6 @@ def test_messages_survive_json_round_trip():
         replayed = json.loads(json.dumps(message))
         assert decode_wire(replayed).tobytes() \
             == decode_wire(message).tobytes(), name
-
-
-def test_wire_bytes_sums_messages():
-    x = _gradient_like(6)
-    messages = {"a": wire_codec("fp32").encode(x),
-                "b": wire_codec("dpr-fp8").encode(x)}
-    assert wire_bytes(messages) \
-        == messages["a"]["wire_bytes"] + messages["b"]["wire_bytes"]
 
 
 def test_unknown_codec_rejected():

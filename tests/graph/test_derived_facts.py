@@ -86,8 +86,8 @@ ENTRY_POINTS = {
     "step-time": lambda g: CostModel().step_time(g),
     "overhead": lambda g: measure_overhead(g, GistConfig()),
     "mfr": lambda g: Gist().measure_mfr(g),
-    "mfr-investigation-dynamic": lambda g: Gist(GistConfig.lossless())
-    .measure_mfr(g, investigation=True, dynamic=True),
+    "mfr-lossless-dynamic": lambda g: Gist(GistConfig.lossless())
+    .measure_mfr(g, dynamic=True),
     "stash-classes": _classes,
     "uses": lambda g: feature_map_uses(g, TrainingSchedule(g), False),
     "uses-pools-rewritten": lambda g: feature_map_uses(

@@ -298,6 +298,31 @@ def test_tolerance_violation_is_caught(monkeypatch):
     assert any("tolerance" in v.detail for v in violations)
 
 
+class _NaNConv(_DriftingConv):
+    """A tolerance arm that puts one NaN into an otherwise correct y: its
+    max |err| is NaN, which compares False against any bound."""
+
+    name = "evil-nan"
+
+    def forward(self, x, w4, bias, stride, pad, arena=NULL_ARENA,
+                want_saved=False):
+        y, saved = CONV_ARMS[INCUMBENT].forward(
+            x, w4, bias, stride, pad, arena=arena, want_saved=want_saved
+        )
+        y = y.copy()
+        y.reshape(-1)[0] = np.nan
+        return y, saved
+
+
+def test_nan_under_a_tolerance_contract_is_caught(monkeypatch):
+    monkeypatch.setitem(CONV_ARMS, "evil-nan", _NaNConv())
+    violations = [v for seed in range(10) for v in verify_backends(seed)]
+    assert len(violations) == 20  # both trials of every seed
+    assert _oracle_subjects(violations) == {"conv2d:evil-nan"}
+    assert all(v.detail.startswith("y: 1 non-finite element(s)")
+               for v in violations)
+
+
 class _BitFlipConv(ConvBackend):
     """Claims the exact contract, delegates to the incumbent, then flips
     the lowest bit of one weight-gradient element."""

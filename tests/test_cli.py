@@ -139,27 +139,3 @@ class TestCLIPlan:
     def test_plan_rejects_unknown_strategy(self):
         with pytest.raises(SystemExit):
             main(["plan", "scaled_vgg", "--strategy", "telepathy"])
-
-
-class TestCLIDisttrain:
-    """``--compare-serial`` exits 1 unless the replica run is
-    bit-identical to the same config on one replica."""
-
-    def test_gist_lossless_replicas_match_serial(self, capsys):
-        # `--policy gist` (the only non-default choice then offered) exited
-        # 1: the replica unit only knew the name `gist-lossless`.
-        assert main(["disttrain", "--replicas", "2", "--steps", "2",
-                     "--policy", "gist-lossless", "--compare-serial"]) == 0
-        assert "(bit-identical)" in capsys.readouterr().out
-
-    def test_journal_hits_total_every_step(self, tmp_path, capsys):
-        # Each step is its own run_units call; the one printed line is
-        # the total over all of them (2 steps x 2 shards).
-        argv = ["disttrain", "--replicas", "1", "--shards", "2",
-                "--steps", "2", "--journal", str(tmp_path / "dist.jsonl")]
-        assert main(argv) == 0
-        assert capsys.readouterr().out.count("journal hits:") == 1
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert out.count("journal hits:") == 1
-        assert "journal hits: 4\n" in out

@@ -88,7 +88,6 @@ class TestSurfacesOfferTheModuleTuples:
     @pytest.mark.parametrize("command, flag, vocabulary", [
         ("train", "--policy", POLICY_NAMES),
         ("trace", "--policy", POLICY_NAMES),
-        ("disttrain", "--policy", LOSSLESS_POLICY_NAMES),
         ("mfr", "--config", CONFIG_ARMS),
         ("overhead", "--config", CONFIG_ARMS),
         ("plan", "--config", CONFIG_ARMS),

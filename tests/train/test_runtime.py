@@ -8,7 +8,6 @@ from repro.dtypes import FP8, FP16
 from repro.encodings.floatsim import quantize
 from repro.models import scaled_vgg, tiny_cnn
 from repro.train import (
-    AllFP16Policy,
     BaselinePolicy,
     Dataset,
     GistPolicy,
@@ -308,8 +307,9 @@ class TestPolicyEquivalence:
         assert base_loss != uni_loss
 
     def test_allfp16_policy_is_fp16(self):
-        policy = AllFP16Policy()
+        policy = UniformReductionPolicy(FP16)
         assert policy.dtype is FP16
+        assert policy.describe() == "uniform-fp16"
         node = tiny_cnn().node_by_name("conv1")
         y = np.array([1.0 + 2**-12], dtype=np.float32)
         np.testing.assert_array_equal(
