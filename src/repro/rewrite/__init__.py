@@ -12,7 +12,7 @@ the memory planner to executed transforms that run before planning:
 :func:`~repro.rewrite.manager.apply_passes` runs them once, in that
 order, and the pipeline is held to a bit-for-bit training-equivalence
 oracle (:func:`~repro.rewrite.equivalence.check_rewrite_equivalence`)
-wired into the fuzz harness.
+that ``repro fuzz --rewrite-shapes`` runs on every seed.
 """
 
 from repro.rewrite.base import PassStats, RewritePass, RewriteResult

@@ -17,6 +17,7 @@ from repro.verify.oracles import (
     ORACLE_ALLOCATOR_SAFETY,
     ORACLE_DECISION_BYTES,
     ORACLE_HYBRID,
+    ORACLE_LOSSLESS,
     ORACLE_PLAN_SAFETY,
     ORACLE_POLICY_BOUNDS,
     ORACLE_RECURRENT,
@@ -34,11 +35,13 @@ from repro.verify.oracles import (
     interval_clique_bound,
 )
 from repro.verify.distributed import ORACLE_DISTRIBUTED, check_distributed
+from repro.verify.execution import check_lossless_execution
 from repro.verify.runner import (
     FuzzReport,
     fuzz_work_units,
     merge_fuzz_results,
     minimize,
+    oracle_battery,
     run_fuzz,
     run_fuzz_unit,
     verify_encodings,
@@ -55,6 +58,7 @@ __all__ = [
     "ORACLE_DECISION_BYTES",
     "ORACLE_DISTRIBUTED",
     "ORACLE_HYBRID",
+    "ORACLE_LOSSLESS",
     "ORACLE_PLAN_SAFETY",
     "ORACLE_POLICY_BOUNDS",
     "ORACLE_RECURRENT",
@@ -65,6 +69,7 @@ __all__ = [
     "check_decision_bytes",
     "check_distributed",
     "check_hybrid_plan",
+    "check_lossless_execution",
     "check_plan_safety",
     "check_policy_bounds",
     "check_recurrent_unroll",
@@ -74,6 +79,7 @@ __all__ = [
     "interval_clique_bound",
     "merge_fuzz_results",
     "minimize",
+    "oracle_battery",
     "run_fuzz",
     "run_fuzz_unit",
     "verify_backends",

@@ -61,6 +61,7 @@ ORACLE_DECISION_BYTES = "decision-bytes"
 ORACLE_ROUNDTRIP = "encoding-roundtrip"
 ORACLE_HYBRID = "hybrid-plan"
 ORACLE_REWRITE = "rewrite-equivalence"
+ORACLE_LOSSLESS = "lossless-execution"
 ORACLE_SHARED_CONCAT = "shared-concat"
 ORACLE_RECURRENT = "recurrent-unroll"
 

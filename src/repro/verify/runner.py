@@ -1,7 +1,8 @@
 """Differential fuzzing runner: seeds -> graphs -> oracles -> report.
 
-One :func:`verify_seed` call runs the full oracle battery against the
-graph a seed generates:
+One :func:`verify_seed` call runs the full oracle battery — the ordered
+``(name, check)`` table of :func:`oracle_battery` — against the graph a
+seed generates:
 
 =====================  ==============================================
 oracle                 property checked
@@ -29,13 +30,21 @@ hybrid-plan            the same last-use walk on the budgeted
 shared-concat          every shared-concat decision re-slices a kept
                        concat terminal along a prefix-linked chain
                        that stays live and alias-labelled
+lossless-execution     the graph as built trains two SGD steps under
+                       baseline and under one lossless arm picked by
+                       ``seed % len(arms)`` (gist-lossless,
+                       hybrid-recompute, hybrid-swap, hybrid, and
+                       hybrid-shared_concat on a concat chain): every
+                       loss and gradient bit-identical, none grown or
+                       vanished
 recurrent-unroll       weight-tied step columns are well-ordered (one
                        t=0 owner, chained states, physically shared
-                       parameter arrays)
-rewrite-equivalence    the rewrite passes (fusion / pool-argmax /
-                       inplace) leave per-step losses and every
-                       gradient, under each lossless policy, ≡ the
-                       original under baseline, bit for bit
+                       parameter arrays of the baseline run's executor)
+rewrite-equivalence    ``--rewrite-shapes`` only: the rewrite passes
+                       (fusion / pool-argmax / inplace) leave per-step
+                       losses and every gradient, under each lossless
+                       policy, ≡ the original under baseline, bit for
+                       bit
 backend-differential   every conv arm agrees with the reference arm on
                        shared inputs (exact arms bit-for-bit, tolerance
                        arms within their declared bound); max-pool and
@@ -53,7 +62,8 @@ distributed-replica    replica shards reassemble the serial batch
 Every selector's table goes through one loop in :func:`verify_graph`
 (subjects ``lossless`` / ``full-fp16`` / ``full-fp8``, ``hybrid``,
 ``shared-concat-arm``, ``recompute``): checking a new selector is
-appending one ``(label, plan)`` pair.
+appending one ``(label, plan)`` pair.  A lossless-execution violation's
+subject is the arm it trained, by its policy label.
 
 Violations carry the seed, so ``repro fuzz --seeds 1 --start-seed S``
 replays any failure; :func:`minimize` then shrinks the graph by replaying
@@ -63,7 +73,7 @@ the same seed at smaller ``max_ops``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,6 +104,11 @@ from repro.memory.planner import build_memory_plan
 from repro.memory.recompute import build_recompute_plan
 from repro.memory.shared_concat import find_concat_chains
 from repro.verify.differential import verify_backends
+from repro.verify.execution import (
+    baseline_run,
+    check_lossless_execution,
+    lossless_arms,
+)
 from repro.verify.fuzzer import DEFAULT_MAX_OPS, GraphFuzzer
 from repro.verify.oracles import (
     Violation,
@@ -220,8 +235,13 @@ def _stamped(violations: List[Violation], seed: Optional[int],
 def verify_graph(
     graph: Graph, seed: Optional[int] = None, strict: bool = False
 ) -> List[Violation]:
-    """Run the allocator/bounds/plan oracles against one graph.
+    """Run the allocator/bounds/plan oracles and the lossless-execution
+    oracle against one graph, as built.
 
+    The graph trains under ``baseline`` and under the lossless arm that
+    ``seed`` picks (:func:`repro.verify.execution.lossless_arms`, with the
+    ``hybrid`` / ``shared-concat-arm`` plans built here); a recurrent
+    graph's weight ties are checked on the baseline run's executor.
     ``strict`` additionally enforces the non-theorem ``greedy-size <=
     first-fit`` leg (see :func:`repro.verify.oracles.check_policy_bounds`).
     """
@@ -254,12 +274,15 @@ def verify_graph(
     # where a grouping bug would hide).
     plans = [(label, build_gist_plan(graph, config, schedule=schedule))
              for label, config in _PLAN_CONFIGS]
-    plans.append(("hybrid", build_hybrid_plan(graph, schedule=schedule)))
+    hybrid = build_hybrid_plan(graph, schedule=schedule)
+    plans.append(("hybrid", hybrid))
+    shared_concat = None
     if find_concat_chains(graph):
-        plans.append(("shared-concat-arm", build_hybrid_plan(
+        shared_concat = build_hybrid_plan(
             graph, HybridPolicy(strategy=STRATEGY_SHARED_CONCAT),
             schedule=schedule,
-        )))
+        )
+        plans.append(("shared-concat-arm", shared_concat))
     plans.append(("recompute", build_recompute_plan(graph,
                                                     schedule=schedule)))
     rng = np.random.default_rng((seed or 0) + 0x91A7)
@@ -280,36 +303,77 @@ def verify_graph(
             found += check_allocator_safety(result, tensors)
         violations += _stamped(found, seed, label)
 
-    # (e'') recurrent unrolling: weight-tying structure, and — because a
+    # (d) lossless execution: the graph as built trains under baseline,
+    # then under the lossless arm the seed picks, bit for bit alike.
+    reference = baseline_run(graph, seed or 0)
+    violations += check_lossless_execution(
+        graph, seed or 0, reference,
+        lossless_arms(graph, hybrid, shared_concat))
+
+    # (e) recurrent unrolling: weight-tying structure, and — because a
     # tie that is merely value-equal would silently break on the first
-    # optimiser step — the executor's physical parameter sharing.
+    # optimiser step — the baseline executor's physical parameter sharing.
     if any(n.kind in ("lstm_step", "rnn_step") for n in graph.nodes):
-        from repro.train.executor import GraphExecutor
-
-        executor = GraphExecutor(graph, seed=(seed or 0))
-        violations += _stamped(check_recurrent_unroll(graph, executor),
-                               seed, "recurrent")
-
-    # (f) rewrite equivalence: the rewrite passes applied to this graph
-    # must train, under every lossless policy, bit-identically to the
-    # original under baseline (no-op when nothing rewrites).
-    from repro.rewrite import check_rewrite_equivalence
-
-    violations += check_rewrite_equivalence(graph, seed=seed or 0)
+        violations += _stamped(
+            check_recurrent_unroll(graph, reference.executor),
+            seed, "recurrent")
     return _stamped(violations, seed)
+
+
+def _verify_rewrite(graph: Graph, seed: int,
+                    strict: bool) -> List[Violation]:
+    """The rewrite passes applied to ``graph``: the rewritten graph trains
+    bit-identically under every lossless policy, and its whole plan /
+    allocator battery holds (rewriting must not manufacture an unsafe
+    plan)."""
+    from repro.rewrite import apply_passes, check_rewrite_equivalence
+
+    result = apply_passes(graph)
+    violations = check_rewrite_equivalence(graph, seed=seed,
+                                           rewrite_result=result)
+    if result.changed:
+        violations += verify_graph(result.graph, seed, strict=strict)
+    return violations
+
+
+#: The battery entries that read the fuzzed graph (the rest read only the
+#: seed), so the ones :func:`minimize` replays at smaller sizes.
+_GRAPH_ORACLES = ("graph", "rewrite")
+
+
+def oracle_battery(
+    graph: Graph, seed: int, strict: bool = False,
+    rewrite_shapes: bool = False,
+) -> List[Tuple[str, Callable[[], List[Violation]]]]:
+    """One seed's oracle battery as an ordered ``(name, check)`` table.
+
+    ``graph`` is the seed's fuzzed graph; each ``check()`` returns its
+    violations.  ``rewrite_shapes`` adds the ``rewrite`` entry.
+    """
+    from repro.verify.distributed import check_distributed
+
+    battery = [("graph", lambda: verify_graph(graph, seed, strict=strict))]
+    if rewrite_shapes:
+        battery.append(("rewrite",
+                        lambda: _verify_rewrite(graph, seed, strict)))
+    return battery + [
+        ("encodings", lambda: verify_encodings(seed)),
+        ("backends", lambda: verify_backends(seed)),
+        ("distributed", lambda: check_distributed(seed)),
+    ]
 
 
 def verify_seed(
     seed: int, max_ops: int = DEFAULT_MAX_OPS, strict: bool = False,
     rewrite_shapes: bool = False, recurrent_shapes: bool = False,
 ) -> List[Violation]:
-    """Full oracle battery for one seed: fuzzed graph, codec round-trips
-    and kernel-backend agreement on shared randomized inputs.
+    """Full oracle battery for one seed: fuzzed graph (plans and one
+    lossless arm's execution), codec round-trips, kernel-backend
+    agreement on shared randomized inputs and the replica step.
 
     ``rewrite_shapes`` generates graphs biased toward rewrite-pass
-    triggers and additionally runs the whole plan/allocator battery on
-    the *rewritten* graph (rewriting must not manufacture an unsafe
-    plan), on top of the rewrite-equivalence oracle every graph gets.
+    triggers and additionally runs the rewrite-equivalence oracle and the
+    whole graph battery on the *rewritten* graph.
 
     ``recurrent_shapes`` switches the fuzzer to its sequence genre
     (unrolled LSTM/RNN columns), which routes every seed through the
@@ -318,19 +382,10 @@ def verify_seed(
     graph = GraphFuzzer(seed).graph(max_ops=max_ops,
                                     rewrite_shapes=rewrite_shapes,
                                     recurrent_shapes=recurrent_shapes)
-    violations = verify_graph(graph, seed, strict=strict)
-    if rewrite_shapes:
-        from repro.rewrite import apply_passes
-
-        result = apply_passes(graph)
-        if result.changed:
-            violations += verify_graph(result.graph, seed, strict=strict)
-    from repro.verify.distributed import check_distributed
-
-    return (violations
-            + verify_encodings(seed)
-            + verify_backends(seed)
-            + check_distributed(seed))
+    violations: List[Violation] = []
+    for _, check in oracle_battery(graph, seed, strict, rewrite_shapes):
+        violations += check()
+    return violations
 
 
 def minimize(seed: int, max_ops: int = DEFAULT_MAX_OPS,
@@ -340,15 +395,19 @@ def minimize(seed: int, max_ops: int = DEFAULT_MAX_OPS,
 
     Replays the same seed at growing ``max_ops`` (the fuzzer's decision
     stream makes each size a prefix of the next) and returns the first
-    graph that still violates, with its violations.  Falls back to the
-    full-size graph when only the encoding oracles (graph-independent)
-    fired.
+    graph on which a graph-reading oracle still fires, with its
+    violations.  Falls back to the full-size graph when only the
+    graph-independent oracles fired.
     """
     for k in range(1, max_ops + 1):
         graph = GraphFuzzer(seed).graph(max_ops=k,
                                         rewrite_shapes=rewrite_shapes,
                                         recurrent_shapes=recurrent_shapes)
-        violations = verify_graph(graph, seed, strict=strict)
+        violations: List[Violation] = []
+        for name, check in oracle_battery(graph, seed, strict,
+                                          rewrite_shapes):
+            if name in _GRAPH_ORACLES:
+                violations += check()
         if violations:
             return graph, violations
     graph = GraphFuzzer(seed).graph(max_ops=max_ops,
