@@ -1,25 +1,18 @@
 #!/usr/bin/env python
-"""Regenerate the paper's static figures and tables in one shot.
+"""Regenerate the paper's figures and tables in one shot.
 
-Runs every static ``repro sweep`` driver
-(``repro.experiments.STATIC_FIGURE_DRIVERS``: Figures 1, 2, 3, 8, 9, 10,
-11, 13, 15, 16 and 17, Table I, the static ablations, minibatch scaling,
-the §II-B recompute baseline and the hybrid planner), writes the merged
-output to ``results/figures.json`` and prints one table per figure.  At
-the default minibatch the JSON is the checked-in ``BENCH_figures.json``,
-whose shape claims ``tests/test_paper_claims.py`` checks.  The training
-figures (12, 14) and the group-quant and DPR-rounding studies are
-benches:
-
-    pytest -q benchmarks/bench_fig12_accuracy.py \\
-        benchmarks/bench_fig14_ssdc_sensitivity.py \\
-        benchmarks/bench_groupquant_extension.py benchmarks/bench_ablations.py
+Runs every ``repro sweep`` driver (``repro.experiments.SWEEP_DRIVERS``:
+Figures 1-3 and 8-17, Table I, the ablations, the group-quant width
+sweep, minibatch scaling, the §II-B recompute baseline and the hybrid
+planner), writes the merged output to ``results/figures.json`` and
+prints one table per figure.  At the default minibatch the JSON is the
+checked-in ``BENCH_figures.json``, whose shape claims
+``tests/test_paper_claims.py`` checks.
 
 Run:  python examples/reproduce_paper.py [--batch-size 64]
 
-Set REPRO_FAST=1 for a seconds-long smoke run: it leaves out Figure 16,
-the one driver whose cost does not shrink with ``--batch-size`` (it
-searches the largest fitting minibatch of 509- to 1202-layer ResNets).
+Set REPRO_FAST=1 for a seconds-long smoke run: it leaves out the drivers
+whose cost does not shrink with ``--batch-size`` (:data:`SLOW_DRIVERS`).
 """
 
 import argparse
@@ -27,10 +20,16 @@ import os
 import statistics
 
 from repro.analysis import format_table
-from repro.experiments import FIGURE10_ARMS, STATIC_FIGURE_DRIVERS, run_sweep
+from repro.experiments import FIGURE10_ARMS, SWEEP_DRIVERS, run_sweep
 from repro.ioutil import atomic_write_json
 
 FAST = bool(os.environ.get("REPRO_FAST"))
+#: Left out under REPRO_FAST: Figure 16 searches the largest fitting
+#: minibatch of 509- to 1202-layer ResNets, and the training studies
+#: train the scaled VGG for 5-6 epochs per arm, whatever the minibatch.
+SLOW_DRIVERS = ("figure16_speedups", "figure12_accuracy",
+                "figure14_ssdc_series", "groupquant_width",
+                "ablation_dpr_rounding")
 MiB = 1024 ** 2
 GiB = 1024 ** 3
 
@@ -130,6 +129,15 @@ def print_figures(figures, batch_size: int) -> None:
          for name, r in figures["figure11_lossless_perf"].items()],
         title="Figure 11 — lossless encoding deltas (% of baseline step)"))
 
+    if "figure12_accuracy" in figures:
+        curves = figures["figure12_accuracy"]
+        epochs = len(next(iter(curves.values())))
+        print(_table(
+            ["arm", *(f"epoch {i + 1}" for i in range(epochs))],
+            [[arm, *curve] for arm, curve in curves.items()],
+            title="Figure 12 — accuracy loss (1 - test accuracy) per "
+                  "epoch, scaled VGG"))
+
     print(_table(
         ["network", "format", "stashed compression", "immediate growth",
          "total MFR"],
@@ -138,6 +146,14 @@ def print_figures(figures, batch_size: int) -> None:
          for name, rows in figures["figure13_dpr_mfr"].items()
          for r in rows],
         title="Figure 13 — DPR vs the investigation baseline"))
+
+    if "figure14_ssdc_series" in figures:
+        print(_table(
+            ["relu map", "first sample", "last sample", "max"],
+            [[name, v[0], v[-1], max(v)]
+             for name, v in figures["figure14_ssdc_series"].items()],
+            title="Figure 14 — SSDC compression ratio per layer over "
+                  "training (every 4th minibatch)"))
 
     if "figure16_speedups" in figures:
         print(_table(
@@ -175,6 +191,20 @@ def print_figures(figures, batch_size: int) -> None:
           f"{pool['without_rewrite_bytes'] / pool['with_rewrite_bytes']:.2f}x"
           f" larger")
 
+    if "ablation_dpr_rounding" in figures:
+        print(_table(
+            ["rounding", "final accuracy"],
+            figures["ablation_dpr_rounding"].items(),
+            title="Ablation — DPR FP8 rounding mode"))
+
+    if "groupquant_width" in figures:
+        print(_table(
+            ["stash format", "compression x", "final accuracy"],
+            [[arm, r["compression"], r["final_accuracy"]]
+             for arm, r in figures["groupquant_width"].items()],
+            title="Extension — group-quantised stashes: accuracy vs "
+                  "width"))
+
     scaling = figures["minibatch_scaling"]
     print(_table(["minibatch", "full MFR"],
                  sorted(scaling["batch"].items(), key=lambda kv: int(kv[0])),
@@ -211,8 +241,8 @@ def main() -> None:
     parser.add_argument("--out", default="results/figures.json")
     args = parser.parse_args()
 
-    drivers = [d for d in STATIC_FIGURE_DRIVERS
-               if not (FAST and d == "figure16_speedups")]
+    drivers = [d for d in SWEEP_DRIVERS
+               if not (FAST and d in SLOW_DRIVERS)]
     data = run_sweep(drivers, batch_size=args.batch_size)
     path = atomic_write_json(args.out, data)
     print_figures(data["figures"], args.batch_size)

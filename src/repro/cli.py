@@ -259,11 +259,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments import SWEEP_DRIVERS, run_sweep
+    from repro.experiments import run_sweep
     from repro.ioutil import atomic_write_json
 
     drivers = (None if args.drivers is None
-               else sorted(SWEEP_DRIVERS) if args.drivers == "all"
                else [d for d in args.drivers.split(",") if d])
     models = args.models.split(",") if args.models else None
     journal = RunJournal(args.journal) if args.journal else None
@@ -397,9 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run figure drivers across the model "
                                      "suite as parallel work units")
     p.add_argument("--drivers", default=None, metavar="A,B,...",
-                   help="comma-separated driver names, or 'all' "
-                        "(default: every static figure driver, i.e. "
-                        "BENCH_figures.json; known: "
+                   help="comma-separated driver names (default: every "
+                        "driver, i.e. BENCH_figures.json; known: "
                         f"{','.join(sorted(SWEEP_DRIVERS))})")
     p.add_argument("--models", default=None, metavar="M,N,...",
                    help="comma-separated model names "

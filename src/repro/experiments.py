@@ -1,17 +1,19 @@
 """The paper's experiments as sweep drivers: one producer per row.
 
-These are the only code that computes a row of the paper's static
-figures and tables (Figures 1, 2, 3, 8, 9, 10, 11, 13, 15, 16 and 17,
-Table I, the allocator / narrow-CSR / pool-argmax ablations, minibatch
-scaling, the §II-B recompute baseline and the hybrid planner against
-its single levers).  ``BENCH_figures.json`` is their checked-in
-``repro sweep`` output (:data:`STATIC_FIGURE_DRIVERS`, the default),
-and ``tests/test_paper_claims.py`` checks every paper claim against
-that file.  Every row is ordinary dicts/lists of built-in types —
-directly serialisable, directly plottable.
+These are the only code that computes a row of the paper's figures and
+tables (Figures 1, 2, 3, 8, 9, 10, 11, 12, 13, 14, 15, 16 and 17,
+Table I, the allocator / narrow-CSR / pool-argmax / DPR-rounding
+ablations, the group-quant width sweep, minibatch scaling, the §II-B
+recompute baseline and the hybrid planner against its single levers).
+``BENCH_figures.json`` is their checked-in ``repro sweep`` output (every
+driver of :data:`SWEEP_DRIVERS`, the default), and
+``tests/test_paper_claims.py`` checks every paper claim against that
+file.  Every row is ordinary dicts/lists of built-in types — directly
+serialisable, directly plottable.
 
-Static analyses accept any registered model name; training studies run on
-the scaled substitution workload (see DESIGN.md §2) and are configurable.
+Static analyses accept any registered model name; the training studies
+(Figures 12 and 14, group quant, DPR rounding) run on the scaled
+substitution workload (see DESIGN.md §2) whatever ``models`` says.
 
 Each driver is a set of payload-complete per-unit cores (one model, one
 arm, one depth) plus a merge, so ``repro sweep`` can shard a whole
@@ -37,7 +39,13 @@ from repro.core import (
     build_gist_plan,
     stash_bytes_by_class,
 )
-from repro.encodings import bitmap_bytes, csr_bytes, inplace_eligible_edges
+from repro.encodings import (
+    GroupQuantEncoding,
+    bitmap_bytes,
+    csr_bytes,
+    inplace_eligible_edges,
+)
+from repro.encodings.groupquant import GROUPQUANT_BITS
 from repro.graph import ROLE_ENCODED, ROLE_FEATURE_MAP
 from repro.memory import (
     CLASS_ENCODED,
@@ -186,18 +194,54 @@ def _figure12_arm(label: str, epochs: int, seed: int) -> List[float]:
     return result.accuracy_loss_curve
 
 
-def figure14_ssdc_series(epochs: int = 3, sample_every: int = 4,
-                         seed: int = 3,
-                         lr: float = 0.01) -> Dict[str, List[float]]:
+#: The group-quant width sweep's arms (ActNN's direction, beyond the
+#: paper): the FP32 baseline, then each group-quant stash width.
+GROUPQUANT_ARMS: Sequence[str] = ("baseline",) + tuple(
+    f"int{bits}" for bits in GROUPQUANT_BITS)
+
+
+def _groupquant_arm(arm: str, epochs: int, seed: int) -> dict:
+    """Group quant: one stash width's final accuracy, and its compression
+    of a 1 Mi-element map over dense FP32 (group scale/offset included)."""
+    if arm == "baseline":
+        policy, compression = arm, 1.0
+    else:
+        n = 1 << 20
+        policy = f"groupquant-{arm}"
+        compression = 4 * n / GroupQuantEncoding(int(arm[3:])).encoded_bytes(n)
+    _, result = scaled_study(policy, epochs, seed=seed)
+    return {"compression": compression,
+            "final_accuracy": result.final_accuracy}
+
+
+#: The DPR-rounding ablation's modes (the paper rounds to nearest).
+DPR_ROUNDINGS: Sequence[str] = ("nearest", "truncate")
+
+
+def _dpr_rounding_arm(rounding: str, epochs: int, seed: int) -> float:
+    """Ablation: final accuracy with DPR-FP8 stashes under one rounding
+    mode, a config switch no policy vocabulary name carries."""
+    from repro.train import GistPolicy
+
+    _, result = scaled_study(
+        lambda g: GistPolicy(g, GistConfig(dpr_format="fp8",
+                                           rounding=rounding)),
+        epochs, num_samples=512, seed=seed)
+    return result.final_accuracy
+
+
+def figure14_ssdc_series(epochs: int = 5, sample_every: int = 4,
+                         seed: int = 3) -> Dict[str, List[float]]:
     """Figure 14: per-layer SSDC compression over training minibatches.
 
-    Sample ``i`` of every series is minibatch ``i * sample_every``.
+    Sample ``i`` of every series is minibatch ``i * sample_every``.  The
+    study trains at ``lr`` 0.05, the rate its claims' bands were set at.
     """
     from repro.core import STASH_RELU_CONV, classify_all_stashes
     from repro.train import feature_map_elements
 
-    graph, result = scaled_study("gist-lossless", epochs, lr=lr, seed=seed,
-                                 sparsity_every=sample_every)
+    graph, result = scaled_study("gist-lossless", epochs, lr=0.05,
+                                 seed=seed, sparsity_every=sample_every)
     layers = [
         graph.node(nid).name
         for nid, info in classify_all_stashes(graph).items()
@@ -496,6 +540,10 @@ _UNIT_RUNNERS: Dict[str, Callable[[dict], object]] = {
     "figure14_ssdc_series":
         lambda p: figure14_ssdc_series(p["epochs"], p["sample_every"],
                                        p["seed"]),
+    "groupquant_width":
+        lambda p: _groupquant_arm(p["arm"], p["epochs"], p["seed"]),
+    "ablation_dpr_rounding":
+        lambda p: _dpr_rounding_arm(p["arm"], p["epochs"], p["seed"]),
     "figure16_speedups":
         lambda p: _figure16_row(p["depth"], p["dpr_format"]),
     "figure17_dynamic":
@@ -575,14 +623,31 @@ def _fixed_units(driver: str, names: Sequence[str]):
     return lambda models, batch_size: per_model(names, batch_size)
 
 
+def _arm_units(driver: str, arms: Sequence[str], **payload):
+    """One training unit per arm of a study, whatever ``models`` says
+    (every study trains the scaled substitution workload)."""
+    return lambda models, batch_size: [
+        WorkUnit("experiment", f"{driver}:{arm}",
+                 {"driver": driver, "arm": arm, **payload})
+        for arm in arms
+    ]
+
+
 def _by_model(units, values):
     return {u.payload["model"]: v for u, v in zip(units, values)}
+
+
+def _by_arm(units, values):
+    return {u.payload["arm"]: v for u, v in zip(units, values)}
 
 
 def _single(units, values):
     return values[0] if values else None
 
 
+#: Every driver, in ``BENCH_figures.json`` order, and what ``repro sweep``
+#: runs by default: the checked-in file is ``repro sweep --out
+#: BENCH_figures.json``, and ``tests/test_paper_claims.py`` checks it.
 SWEEP_DRIVERS: Dict[str, SweepDriver] = {d.name: d for d in (
     SweepDriver("baseline_memory_breakdown",
                 _per_model_units("baseline_memory_breakdown"), _by_model),
@@ -593,18 +658,13 @@ SWEEP_DRIVERS: Dict[str, SweepDriver] = {d.name: d for d in (
     SweepDriver("figure9_overheads", _per_model_units("figure9_overheads"),
                 lambda units, values: list(values)),
     SweepDriver("figure12_accuracy",
-                lambda models, batch_size: [
-                    WorkUnit("experiment", f"figure12_accuracy:{arm}",
-                             {"driver": "figure12_accuracy", "arm": arm,
-                              "epochs": 6, "seed": 3})
-                    for arm in FIGURE12_ARMS
-                ],
-                lambda units, values: {u.payload["arm"]: v
-                                       for u, v in zip(units, values)}),
+                _arm_units("figure12_accuracy", list(FIGURE12_ARMS),
+                           epochs=6, seed=3),
+                _by_arm),
     SweepDriver("figure14_ssdc_series",
                 lambda models, batch_size: [
                     WorkUnit("experiment", "figure14_ssdc_series",
-                             {"driver": "figure14_ssdc_series", "epochs": 3,
+                             {"driver": "figure14_ssdc_series", "epochs": 5,
                               "sample_every": 4, "seed": 3})
                 ],
                 _single),
@@ -638,6 +698,10 @@ SWEEP_DRIVERS: Dict[str, SweepDriver] = {d.name: d for d in (
                 _single),
     SweepDriver("ablation_pool_argmax",
                 _fixed_units("ablation_pool_argmax", ["vgg16"]), _single),
+    SweepDriver("ablation_dpr_rounding",
+                _arm_units("ablation_dpr_rounding", DPR_ROUNDINGS,
+                           epochs=5, seed=3),
+                _by_arm),
     SweepDriver("minibatch_scaling",
                 lambda models, batch_size: [
                     WorkUnit("experiment", f"minibatch_scaling:{series}",
@@ -647,6 +711,10 @@ SWEEP_DRIVERS: Dict[str, SweepDriver] = {d.name: d for d in (
                 ],
                 lambda units, values: {u.payload["series"]: v
                                        for u, v in zip(units, values)}),
+    SweepDriver("groupquant_width",
+                _arm_units("groupquant_width", GROUPQUANT_ARMS,
+                           epochs=5, seed=3),
+                _by_arm),
     SweepDriver("hybrid_planner",
                 lambda models, batch_size: [
                     WorkUnit("experiment", f"hybrid_planner:{name}",
@@ -663,31 +731,6 @@ SWEEP_DRIVERS: Dict[str, SweepDriver] = {d.name: d for d in (
                 lambda units, values: list(values)),
 )}
 
-#: Every static driver, in ``BENCH_figures.json`` order, and what
-#: ``repro sweep`` runs by default: the checked-in file is ``repro sweep
-#: --out BENCH_figures.json``, and ``tests/test_paper_claims.py`` checks
-#: it.  The training studies (Figures 12 and 14) are opt-in.
-STATIC_FIGURE_DRIVERS: Sequence[str] = (
-    "baseline_memory_breakdown",
-    "figure3_stash_classes",
-    "figure8_mfr",
-    "figure9_overheads",
-    "figure16_speedups",
-    "figure17_dynamic",
-    "figure2_lifetime_gap",
-    "figure10_isolation",
-    "figure11_lossless_perf",
-    "figure13_dpr_mfr",
-    "table1_techniques",
-    "ablation_allocator_policy",
-    "ablation_narrow_csr",
-    "ablation_pool_argmax",
-    "minibatch_scaling",
-    "hybrid_planner",
-    "recompute_baseline",
-)
-
-
 def run_sweep(
     drivers: Optional[Sequence[str]] = None,
     models: Optional[Sequence[str]] = None,
@@ -699,6 +742,7 @@ def run_sweep(
 ) -> dict:
     """Run figure drivers as parallel work units; merge deterministically.
 
+    ``drivers=None`` runs every driver of :data:`SWEEP_DRIVERS`.
     Returns a JSON-serialisable mapping with one merged entry per driver
     under ``"figures"`` plus a ``"failed_units"`` list (payload + error
     for every unit that could not be computed).  The output is a pure
@@ -706,8 +750,7 @@ def run_sweep(
     count, and resumable via ``journal`` (completed units are replayed
     from disk, only missing ones re-run).
     """
-    names = list(drivers) if drivers is not None \
-        else list(STATIC_FIGURE_DRIVERS)
+    names = list(drivers) if drivers is not None else list(SWEEP_DRIVERS)
     unknown = [n for n in names if n not in SWEEP_DRIVERS]
     if unknown:
         raise KeyError(f"unknown sweep drivers {unknown}; known: "

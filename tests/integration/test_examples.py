@@ -69,7 +69,7 @@ class TestExampleOutput:
         assert out_file.exists()
 
     def test_reproduce_paper_prints_every_checked_in_figure(self, capsys):
-        """Every static figure's table, from the checked-in sweep output."""
+        """Every figure's table, from the checked-in sweep output."""
         data = json.loads((EXAMPLES.parent / "BENCH_figures.json")
                           .read_text())
         namespace = runpy.run_path(str(EXAMPLES / "reproduce_paper.py"))
@@ -77,9 +77,11 @@ class TestExampleOutput:
         out = capsys.readouterr().out
         for title in ("Figure 1 ", "Figure 2 ", "Figure 3 ", "Table I ",
                       "Figure 8 ", "Figures 9 and 15", "Figure 10 ",
-                      "Figure 11 ", "Figure 13 ", "Figure 16 ",
-                      "Figure 17 ", "allocator policy", "sparse format",
-                      "pool argmax", "MFR vs minibatch",
+                      "Figure 11 ", "Figure 12 ", "Figure 13 ",
+                      "Figure 14 ", "Figure 16 ", "Figure 17 ",
+                      "allocator policy", "sparse format", "pool argmax",
+                      "DPR FP8 rounding", "group-quantised",
+                      "MFR vs minibatch",
                       "Section II-B ", "hybrid planner"):
             assert title in out, title
 

@@ -6,8 +6,6 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import (
-    FIGURE12_ARMS,
-    STATIC_FIGURE_DRIVERS,
     SWEEP_DRIVERS,
     run_sweep,
     run_sweep_unit,
@@ -17,6 +15,11 @@ from repro.models import PAPER_SUITE
 
 #: Small models that keep the static drivers fast in tests.
 SMALL = ["tiny_cnn", "scaled_vgg"]
+
+#: The training studies: they ignore ``models`` and each trains for
+#: seconds, so tier-1 runs one 1-epoch unit of each, not the driver.
+TRAINING = sorted(name for name, driver in SWEEP_DRIVERS.items()
+                  if "epochs" in driver.enumerate_units(None, 64)[0].payload)
 
 
 class TestEnumerationContract:
@@ -38,7 +41,7 @@ class TestEnumerationContract:
             return [unit.payload.get("model") for unit in
                     SWEEP_DRIVERS[name].enumerate_units(models, 64)]
 
-        per_model = [name for name in STATIC_FIGURE_DRIVERS
+        per_model = [name for name in SWEEP_DRIVERS
                      if models_of(name, SMALL) == SMALL]
         assert {"baseline_memory_breakdown", "figure3_stash_classes",
                 "figure8_mfr", "figure9_overheads",
@@ -82,9 +85,10 @@ class TestJournalRoundTrip:
                 == json.dumps(live, sort_keys=True))
         assert resumed["figures"]["figure8_mfr"][0]["mfr_full"] != 99.0
 
-    # Fig 16's deep-ResNet units take ~20 s and ignore ``models``.
+    # Fig 16's deep-ResNet units take ~20 s and ignore ``models``, as do
+    # the training studies.
     @pytest.mark.parametrize("name", sorted(
-        set(STATIC_FIGURE_DRIVERS) - {"figure16_speedups"}))
+        set(SWEEP_DRIVERS) - {"figure16_speedups"} - set(TRAINING)))
     def test_each_default_driver_unit_round_trips(self, name, tmp_path):
         journal = tmp_path / "unit.jsonl"
         out = run_sweep([name], models=["tiny_cnn"], batch_size=8,
@@ -105,10 +109,21 @@ class TestSweepSemantics:
                 == json.dumps(parallel, sort_keys=True))
 
     def test_training_arm_unit_runs_from_payload_alone(self):
-        curve = run_sweep_unit({"driver": "figure12_accuracy",
-                                "arm": next(iter(FIGURE12_ARMS)),
-                                "epochs": 1, "seed": 3})
+        """One 1-epoch unit of each training study, from its payload."""
+        assert TRAINING == ["ablation_dpr_rounding", "figure12_accuracy",
+                            "figure14_ssdc_series", "groupquant_width"]
+        values = {}
+        for name in TRAINING:
+            unit = SWEEP_DRIVERS[name].enumerate_units(None, 64)[-1]
+            values[name] = run_sweep_unit(dict(unit.payload, epochs=1))
+        assert 0.0 <= values["ablation_dpr_rounding"] <= 1.0
+        curve = values["figure12_accuracy"]
         assert isinstance(curve, list) and len(curve) == 1
+        series = values["figure14_ssdc_series"]
+        assert series and all(v > 0 for vs in series.values() for v in vs)
+        row = values["groupquant_width"]
+        assert sorted(row) == ["compression", "final_accuracy"]
+        assert row["compression"] > 1.0
 
 
 class TestSweepCli:
@@ -127,9 +142,8 @@ class TestSweepCli:
         assert json.loads(out_path.read_text()) == data
         assert "figure8_mfr" in capsys.readouterr().out
 
-    def test_cli_default_is_the_static_figure_sweep(self, tmp_path,
-                                                     monkeypatch):
-        """No ``--drivers``: every static driver, i.e. BENCH_figures.json."""
+    def test_cli_default_is_every_driver(self, tmp_path, monkeypatch):
+        """No ``--drivers``: every driver, i.e. BENCH_figures.json."""
         import repro.experiments
 
         scheduled = []
@@ -139,8 +153,8 @@ class TestSweepCli:
         out_path = tmp_path / "sweep.json"
         assert main(["sweep", "--out", str(out_path)]) == 1  # none ran
         data = json.loads(out_path.read_text())
-        assert data["drivers"] == list(STATIC_FIGURE_DRIVERS)
-        assert len(scheduled) == len(data["failed_units"]) == 86
+        assert data["drivers"] == list(SWEEP_DRIVERS)
+        assert len(scheduled) == len(data["failed_units"]) == 102
 
     def test_cli_prints_journal_hits(self, tmp_path, capsys):
         journal = tmp_path / "sweep.jsonl"

@@ -89,8 +89,11 @@ class TestSweepOnlyDrivers:
         from repro.models import available_models
 
         # Fig 16's deep ResNets are covered above, through their core.
-        names = [name for name in experiments.STATIC_FIGURE_DRIVERS
-                 if name != "figure16_speedups"]
+        # The training studies ignore ``models``; one short unit of each
+        # runs in tests/orchestrate/test_sweep_units.py.
+        names = [name for name, driver in experiments.SWEEP_DRIVERS.items()
+                 if name != "figure16_speedups" and "epochs" not in
+                 driver.enumerate_units(None, 64)[0].payload]
         figures = _figures(names, ["tiny_cnn"])
         assert sorted(figures["figure10_isolation"]["tiny_cnn"]) \
             == sorted(experiments.FIGURE10_ARMS)

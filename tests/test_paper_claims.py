@@ -1,8 +1,9 @@
-"""Every shape claim of the paper's static numbers, checked on the JSON.
+"""Every shape claim of the paper's numbers, checked on the JSON.
 
-``BENCH_figures.json`` is the checked-in ``repro sweep`` output of
-:data:`repro.experiments.STATIC_FIGURE_DRIVERS`, and CI fails when a
-fresh sweep differs from it by a byte.  So checking the file checks the
+``BENCH_figures.json`` is the checked-in ``repro sweep`` output of every
+driver in :data:`repro.experiments.SWEEP_DRIVERS` (the training studies
+included: they are byte-stable), and CI fails when a fresh sweep
+differs from it by a byte.  So checking the file checks the
 code: this module reads that file and nothing else, and costs
 milliseconds.
 
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
 
-from repro.experiments import STATIC_FIGURE_DRIVERS
+from repro.experiments import SWEEP_DRIVERS
 
 ROOT = Path(__file__).resolve().parents[1]
 FIGURES_JSON = ROOT / "BENCH_figures.json"
@@ -77,6 +78,11 @@ VIEWS = {
     "gain": lambda speedup: speedup - 1.0,
     "pct": lambda r: {k: 100 * v if k.endswith("_overhead") else v
                       for k, v in r.items()},
+    "accuracy": lambda curves: {arm: 1.0 - curve[-1]
+                                for arm, curve in curves.items()},
+    "trend": lambda v: {"first": v[0], "late_min": min(v[len(v) // 2:]),
+                        "late_max": max(v[len(v) // 2:])},
+    "last": lambda series: {name: v[-1] for name, v in series.items()},
 }
 
 _FOLDS = {"mean": statistics.mean, "sum": sum, "max": max, "min": min}
@@ -91,7 +97,9 @@ F8 = "Figure 8"
 F9 = "Figure 9"
 F10 = "Figure 10"
 F11 = "Figure 11"
+F12 = "Figure 12"
 F13 = "Figure 13"
+F14 = "Figure 14"
 F15 = "Figure 15"
 F16 = "Figure 16"
 F17 = "Figure 17"
@@ -204,6 +212,29 @@ CLAIMS = (
           "Binarize: small improvements", "x <= 0.005", F11),
     Claim("Fig 11", "figure11_lossless_perf/*/ssdc_overhead",
           "SSDC's conversions are the lossless cost", "x >= 0.0", F11),
+    # -- Fig 12: training accuracy under reduced precision ---------------
+    Claim("Fig 12", "figure12_accuracy/accuracy/baseline-fp32",
+          "the FP32 baseline trains", "x > 0.8", F12,
+          quote="| Baseline FP32 | trains | {x:.1%} accuracy |"),
+    Claim("Fig 12", "figure12_accuracy/accuracy/all-fp8",
+          "uniform FP8 stops training (chance is 1/8)", "x < 1 / 8 + 0.1",
+          F12, quote="**stops training** ({x:.1%} accuracy"),
+    Claim("Fig 12", "figure12_accuracy/accuracy",
+          "delayed FP8 tracks the baseline at the same width",
+          "x['gist-dpr-fp8'] > x['baseline-fp32'] - 0.15", F12,
+          quote="DPR-FP8 {gist-dpr-fp8:.1%}"),
+    Claim("Fig 12", "figure12_accuracy/accuracy",
+          "matched width: delayed FP8 trains where uniform FP8 does not",
+          "x['gist-dpr-fp8'] - x['all-fp8'] > 0.4", F12),
+    Claim("Fig 12", "figure12_accuracy/accuracy",
+          "DPR-FP16 and DPR-FP10 show no accuracy loss",
+          "x['gist-dpr-fp16'] > x['baseline-fp32'] - 0.15"
+          " and x['gist-dpr-fp10'] > x['baseline-fp32'] - 0.15", F12,
+          quote="DPR-FP16 {gist-dpr-fp16:.1%}, DPR-FP10 {gist-dpr-fp10:.1%}"),
+    Claim("Fig 12", "figure12_accuracy/accuracy",
+          "§III-B: reducing only the gradient maps is safe",
+          "x['grad-only-fp16'] > x['baseline-fp32'] - 0.15", F12,
+          quote="gradient maps only, FP16) | trains | {grad-only-fp16:.1%}"),
     # -- Fig 13: DPR footprint reduction ---------------------------------
     Claim("Fig 13", "figure13_dpr_mfr/*/*",
           "the stashed region compresses by the format ratio",
@@ -224,6 +255,18 @@ CLAIMS = (
     Claim("Fig 13", "figure13_dpr_mfr/*",
           "a narrower format reduces more", "x[1]['mfr'] > x[0]['mfr']", F13,
           where="len(x) == 2"),
+    # -- Fig 14: SSDC compression per layer over training -----------------
+    Claim("Fig 14", "figure14_ssdc_series/*/trend",
+          "after warm-up every SSDC layer compresses", "late_min > 1.0",
+          F14),
+    Claim("Fig 14", "figure14_ssdc_series/*/trend",
+          "compression rises from its value at initialisation",
+          "late_max > first", F14,
+          quote="{first:.2f}× → {late_max:.2f}×"),
+    Claim("Fig 14", "figure14_ssdc_series/last",
+          "the ratio varies across layers",
+          "max(x.values()) / min(x.values()) > 1.05", F14,
+          quote="{relu1_1:.2f}× / {relu2_1:.2f}× / {relu3_1:.2f}×"),
     # -- Fig 15: vs naive swapping, vDNN and CDMA ------------------------
     Claim("Fig 15", "figure9_overheads/*/pct",
           "naive >> vDNN; compressed swapping below vDNN",
@@ -294,6 +337,30 @@ CLAIMS = (
     Claim("Ablation", "ablation_pool_argmax",
           "the pool argmax rewrite is worth memory",
           "without_rewrite_bytes > 1.1 * with_rewrite_bytes", ABL),
+    Claim("Ablation", "ablation_dpr_rounding",
+          "round-to-nearest (the paper's) does not lose to truncation",
+          "nearest >= truncate - 0.05", ABL,
+          quote="round-to-nearest {nearest:.1%} vs truncation "
+                "{truncate:.1%}"),
+    Claim("Ablation", "ablation_dpr_rounding/nearest",
+          "DPR-FP8 with round-to-nearest trains", "x > 0.7", ABL),
+    # -- Group-quantised stashes (extension, ActNN's direction) ----------
+    Claim("Group quant", "groupquant_width/baseline/final_accuracy",
+          "the FP32 baseline trains", "x > 0.8", EXT,
+          quote="(FP32 {x:.1%})"),
+    Claim("Group quant", "groupquant_width",
+          "INT8 stashes track the baseline",
+          "int8['final_accuracy'] > baseline['final_accuracy'] - 0.1", EXT,
+          quote="INT8 {int8[final_accuracy]:.1%}"),
+    Claim("Group quant", "groupquant_width",
+          "INT4 stashes track the baseline at 2x DPR-FP8's compression",
+          "int4['final_accuracy'] > baseline['final_accuracy'] - 0.1", EXT,
+          quote="INT4 {int4[final_accuracy]:.1%} at "
+                "{int4[compression]:.1f}× compression"),
+    Claim("Group quant", "groupquant_width",
+          "INT1 does visibly worse than INT4: the error budget runs out",
+          "int1['final_accuracy'] < int4['final_accuracy']", EXT,
+          quote="INT1 {int1[final_accuracy]:.1%}"),
     # -- Minibatch scaling (extension) -----------------------------------
     Claim("Extension", "minibatch_scaling/batch",
           "the headline MFR is not a batch-64 artifact",
@@ -494,9 +561,24 @@ def test_a_missing_figure_fails_its_claims():
     assert all(line.startswith("Fig 13: ") for line in failures), failures
 
 
-def test_the_json_is_the_static_driver_sweep():
+def test_all_fp8_that_trains_fails_the_fig12_collapse_rows():
+    data = copy.deepcopy(_load())
+    curves = data["figures"]["figure12_accuracy"]
+    curves["all-fp8"] = list(curves["baseline-fp32"])
+    failures = check_claims(data)
+    # The collapse row and the matched-width gap row both read all-fp8.
+    assert len(failures) == 2, failures
+    assert failures[0].startswith(
+        "Fig 12: figure12_accuracy/accuracy/all-fp8 fails "
+        "`x < 1 / 8 + 0.1`"), failures
+    assert failures[1].startswith(
+        "Fig 12: figure12_accuracy/accuracy fails "
+        "`x['gist-dpr-fp8'] - x['all-fp8'] > 0.4`"), failures
+
+
+def test_the_json_is_the_default_sweep():
     data = _load()
-    assert data["drivers"] == list(STATIC_FIGURE_DRIVERS)
+    assert data["drivers"] == list(SWEEP_DRIVERS)
     assert data["ok"] and not data["failed_units"]
 
 
