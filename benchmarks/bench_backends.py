@@ -18,7 +18,7 @@ gates ride on top of the timings:
   recorded but never gated on exactness.
 * **chooser pick** — ``auto`` runs the whole-batch arm on every
   signature its record says was proven identical (static GEMM guard and
-  live-data probe, ``exact["blas-fat"]``) and the incumbent on every
+  live-data probe, ``exact["blas-fat"]``) and ``reference`` on every
   other: a regressed chooser fails by pick, not by a timing nobody gates.
 * **golden digests** — the default dispatch path must still reproduce
   the checked-in scaled VGG golden traces
@@ -98,9 +98,11 @@ def _bit_identical(trace_a, trace_b) -> bool:
 
 
 def _pick_follows_proof(rows: list) -> bool:
-    """Deterministic: the pick is a function of the proof alone."""
+    """Deterministic: the pick is a function of the proof alone —
+    ``blas-fat`` where it was proven, ``reference`` everywhere else."""
     return bool(rows) and all(
-        (row["backend"] == "blas-fat") == row["exact"]["blas-fat"]
+        row["backend"] == ("blas-fat" if row["exact"]["blas-fat"]
+                           else "reference")
         for row in rows)
 
 

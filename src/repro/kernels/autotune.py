@@ -1,14 +1,12 @@
-"""Proof-based, cached chooser among the conv arms.
+"""Proof-based, cached chooser between the two conv arms.
 
 The one place a BLAS GEMM is admitted on proof: the first time a
 conv's ``(shapes, dtype)`` signature is dispatched, this module settles
 which arm of :data:`~repro.kernels.backends.CONV_ARMS` runs it.
 Nothing is timed: a few runs on cold pages order the arms at noise,
-while the whole-batch arm's saving
-(no transposing copy of the column matrix for dW) is structural.  Each
-candidate — every arm but the ``reference`` ground truth (the oracle)
-and the ``numpy-plan`` incumbent, whose contractions are the reference
-arm's own einsums — is promoted iff both halves of a proof hold:
+while the whole-batch arm's saving (no loop gather, no transposing copy
+of the column matrix for dW) is structural.  ``blas-fat``, the one
+candidate, runs iff both halves of a proof hold:
 
 * *static*: a live-data probe can settle its GEMMs at all, at every
   shape it issues them — per sample block for the forward and dcols
@@ -17,13 +15,13 @@ arm's own einsums — is promoted iff both halves of a proof hold:
   a free dimension of 1, BLAS and ``einsum`` agree on some data and not
   on other, so a matching probe proves nothing);
 * *live*: one forward+backward on the dispatching call's data is
-  **bit-identical to the incumbent** — the bytes of every output and the
-  memory layout of every tensor that escapes to the graph.
+  **bit-identical to the ``reference`` arm** — the bytes of every
+  output and the memory layout of every tensor that escapes to the
+  graph.
 
-Otherwise the incumbent stays, so the default selection keeps every
-training golden.  Arms that only meet their declared ``tolerance`` are
-reachable via ``GraphExecutor(kernel_backend=...)``, which bypasses this
-module entirely.
+Otherwise ``reference`` runs, so the default selection keeps every
+training golden.  ``GraphExecutor(kernel_backend=...)`` forces an arm
+under its declared contract and bypasses this module entirely.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import numpy as np
 import repro.kernels.plan as plan_module
 from repro.kernels.backends import (
     CONV_ARMS,
-    INCUMBENT,
     REFERENCE,
     ConvBackend,
     _conv_geometry,
@@ -106,26 +103,21 @@ def autotuned_backend(x, w4, bias, stride, pad) -> ConvBackend:
 
     def run(arm: ConvBackend, dy=None) -> Dict[str, np.ndarray]:
         y, saved = arm.forward(x, w4, bias, stride, pad, want_saved=True)
-        # Synthetic cotangent: the incumbent's own y (shape, magnitudes).
+        # Synthetic cotangent: the reference arm's own y (shape,
+        # magnitudes).
         dx, dw = arm.backward(x, w4, y if dy is None else dy, stride, pad,
                               saved=saved)
         return {"y": y, "dx": dx, "dw": dw}
 
-    incumbent = CONV_ARMS[INCUMBENT]
-    candidates = [arm for name, arm in sorted(CONV_ARMS.items())
-                  if name not in (REFERENCE, INCUMBENT)]
-    exact = {arm.name: False for arm in candidates}
+    reference, candidate = CONV_ARMS[REFERENCE], CONV_ARMS["blas-fat"]
+    proven = False
     if _probe_decides(x, w4, stride, pad):
-        truth = run(incumbent)
-        for arm in candidates:
-            exact[arm.name] = _matches(truth, run(arm, truth["y"]))
-    choice = next((arm for arm in candidates if exact[arm.name]), incumbent)
-    exact[incumbent.name] = True
+        truth = run(reference)
+        proven = _matches(truth, run(candidate, truth["y"]))
+    choice = candidate if proven else reference
     _chosen[sig] = choice
-    _records[sig] = {
-        "signature": sig, "backend": choice.name,
-        "exact": dict(sorted(exact.items())),
-    }
+    _records[sig] = {"signature": sig, "backend": choice.name,
+                     "exact": {candidate.name: proven}}
     return choice
 
 

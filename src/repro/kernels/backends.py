@@ -23,19 +23,23 @@ entry of :data:`CONV_ARMS` to one of the two):
   error of ``t > 0`` (the fat-GEMM conv, whose BLAS reduction order is
   library-dependent).
 
+There are two arms.  ``reference`` is the loop-lowered ground truth:
+the ``kh x kw`` slice loops of ``layers/im2col.py`` around ``einsum``.
+``blas-fat`` is the fast lowering: plan-gathered transposed columns,
+one sample block at a time, into BLAS GEMMs.
+
 The *default selection* is stricter than the contract: the chooser
-(:mod:`repro.kernels.autotune`) only runs an arm by default for a
-signature where a live-data probe can settle its GEMMs and shows it
-bit-identical — values **and** memory layout of the escaping tensors —
-to the incumbent ``numpy-plan`` arm, so the training goldens hold no
-matter which arm wins.  Forcing an arm with
+(:mod:`repro.kernels.autotune`) runs ``blas-fat`` for a signature only
+where a live-data probe can settle its GEMMs and shows it bit-identical
+— values **and** memory layout of the escaping tensors — to
+``reference``, and runs ``reference`` everywhere else, so the training
+goldens hold whichever arm a signature gets.  Forcing an arm with
 ``GraphExecutor(kernel_backend=name)`` bypasses that proof and accepts
 the arm's contract instead.
 
-An arm stays in the table only if it is the ground truth (the
-loop-lowered ``reference`` kernels — the oracle, never a chooser
-candidate), the incumbent, or wins a ledger signature under its
-contract; ``docs/architecture.md`` has the rule and the measurements.
+An arm stays in the table only if it is the ground truth or wins a
+ledger signature under its contract; ``docs/architecture.md`` has the
+rule and the measurements.
 """
 
 from __future__ import annotations
@@ -51,12 +55,9 @@ from repro.layers.im2col import (
     im2col_reference,
 )
 
-#: The ground-truth arm: the oracle, never a chooser candidate.
+#: The ground-truth arm: what the chooser proves the other arm against,
+#: and what runs wherever that proof fails.
 REFERENCE = "reference"
-
-#: The chooser's incumbent: the reference arm's own einsums over the
-#: plan-gathered columns.
-INCUMBENT = "numpy-plan"
 
 
 # ----------------------------------------------------------------------
@@ -125,53 +126,6 @@ class ConvReference(ConvBackend):
             return None, dw.reshape(w4.shape)
         dcols = np.einsum("fk,nfp->nkp", wmat, dy_mat, optimize=True)
         dx = col2im_reference(dcols, x.shape, kh, kw, stride, pad)
-        return dx, dw.reshape(w4.shape)
-
-
-class ConvNumpyPlan(ConvBackend):
-    """The plan-cache path: strided window-view gather and col2im around
-    the reference arm's own einsum contractions."""
-
-    name = INCUMBENT
-
-    def forward(self, x, w4, bias, stride, pad, arena=NULL_ARENA,
-                want_saved=False):
-        from repro.kernels.plan import get_plan
-
-        n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
-        wmat = w4.reshape(f, -1)
-        plan = get_plan(x.shape, kh, kw, stride, pad)
-        cols = plan.im2col(x, arena)
-        y = np.einsum("fk,nkp->nfp", wmat, cols, optimize=True)
-        if bias is not None:
-            y += bias[None, :, None]
-        saved = None
-        if want_saved:
-            saved = cols
-        else:
-            arena.release(cols)
-        return (y.reshape(n, f, oh, ow).astype(np.float32, copy=False),
-                saved)
-
-    def backward(self, x, w4, dy, stride, pad, arena=NULL_ARENA, saved=None,
-                 need_dx=True):
-        from repro.kernels.plan import get_plan
-
-        n, c, f, kh, kw, oh, ow = _conv_geometry(x, w4, stride, pad)
-        p = oh * ow
-        wmat = w4.reshape(f, -1)
-        k = wmat.shape[1]
-        dy_mat = dy.reshape(n, f, p)
-        plan = get_plan(x.shape, kh, kw, stride, pad)
-        cols = saved if saved is not None else plan.im2col(x, arena)
-        dw = np.einsum("nfp,nkp->fk", dy_mat, cols, optimize=True)
-        arena.release(cols)
-        if not need_dx:
-            return None, dw.reshape(w4.shape)
-        dcols = np.einsum("fk,nfp->nkp", wmat, dy_mat, optimize=True,
-                          out=arena.rent((n, k, p), np.float32))
-        dx = plan.col2im(dcols, arena)
-        arena.release(dcols)
         return dx, dw.reshape(w4.shape)
 
 
@@ -326,7 +280,7 @@ class ConvBlasFat(ConvBackend):
 # ----------------------------------------------------------------------
 #: Every conv arm by name.
 CONV_ARMS: Dict[str, ConvBackend] = {
-    arm.name: arm for arm in (ConvReference(), ConvNumpyPlan(), ConvBlasFat())
+    arm.name: arm for arm in (ConvReference(), ConvBlasFat())
 }
 
 

@@ -13,14 +13,16 @@ per-iteration kernels contain no Python loops over pixels or slots:
   columns are still in cache when the GEMM that consumes them (or the
   slot sum that folds them back) reads them, and the plan's persistent
   pad and slot workspaces hold one block, not the batch;
-* ``im2col`` is, per block, a single C-level copy through a six-axis
-  strided *window view* of the padded block — one structured gather
-  covering all ``kh*kw`` slots at once;
-* ``col2im`` fills one block's ``kh*kw`` *slot planes* of ``C*HP*WP``
-  cells (each window slot lands in its own plane, so no two writes
-  collide) and then reduces over the slot axis into that block's rows
-  of one ``(N, C*HP*WP)`` buffer.  The *copy fill* writes a column
-  gradient through a strided slot view.  The *direct fill*
+* ``im2col`` (max-pool's and avg-pool's) and ``im2col_t`` (``blas-fat``'s
+  transposed columns) are, per block, a single C-level copy through a
+  six-axis strided *window view* of the padded block — one structured
+  gather covering all ``kh*kw`` slots at once;
+* ``blas-fat``'s backward folds a column gradient back (col2im) by
+  filling one block's ``kh*kw`` *slot planes* of ``C*HP*WP`` cells
+  (each window slot lands in its own plane, so no two writes collide)
+  and then reducing over the slot axis into that block's rows of one
+  ``(N, C*HP*WP)`` buffer.  The *copy fill* (:meth:`KernelPlan.scatter_t`)
+  writes a column gradient through a strided slot view.  The *direct fill*
   (:meth:`KernelPlan.slot_gemm`, ``blas-fat``'s backward) never forms
   one: at stride 1 each row of a slot's gradient is one contiguous run
   of its plane, so one GEMM per (sample, slot) over ``dy`` zero-padded
@@ -33,7 +35,7 @@ per-iteration kernels contain no Python loops over pixels or slots:
   per-step work is three integer ops and one 1-D ``np.add.at``.
 
 Accumulation order is chosen so the per-element floating-point sums are
-*identical* to the reference Python-loop kernels: ``col2im`` reduces
+*identical* to the reference Python-loop kernels: the slot sum reduces
 slots in ``(ki, kj)`` ascending order (the reference's loop order) and
 the flat pool scatter applies duplicates in the same element order as
 the reference's multi-index ``np.add.at``; every per-element sum runs
@@ -162,7 +164,7 @@ class KernelPlan:
         column-matrix entry lands in its own slot plane at the
         padded-input cell it came from, so the strided write never
         self-collides and the slot axis holds exactly the per-slot
-        partial sums of ``col2im``.
+        partial sums of col2im.
         """
         it = g.itemsize
         return as_strided(
@@ -288,14 +290,6 @@ class KernelPlan:
         g[:, :self.S * self.Q].reshape(-1, self.S, self.Q).sum(axis=1,
                                                                out=out)
 
-    def _scatter(self, cols6: np.ndarray, out: np.ndarray) -> None:
-        """The copy fill: one block's column gradient, given as an (nb, C,
-        kh, kw, OH, OW) view, through the strided slot view into the
-        planes, then summed into ``out``."""
-        g = self._planes(cols6.dtype, cols6.shape[0])
-        np.copyto(self._slot_view(g), cols6)
-        self._slot_sum(g, out)
-
     def gather_t(self, x: np.ndarray, n0: int, n1: int,
                  out: np.ndarray) -> None:
         """Write samples ``n0:n1`` of ``x`` as transposed columns into
@@ -304,10 +298,14 @@ class KernelPlan:
         np.copyto(self._t6(out), self._windows(x, n0, n1, 0.0))
 
     def scatter_t(self, dcols: np.ndarray, n0: int, out: np.ndarray) -> None:
-        """Fold a block's transposed column gradient ``dcols`` (K, nb*P),
-        samples ``n0:n0+nb``, into those rows of the (N, Q) ``out``."""
+        """The copy fill: fold a block's transposed column gradient
+        ``dcols`` (K, nb*P), samples ``n0:n0+nb``, through the strided
+        slot view into the planes, then sum them into those rows of the
+        (N, Q) ``out``."""
         cols6 = self._t6(dcols)
-        self._scatter(cols6, out[n0:n0 + cols6.shape[0]])
+        g = self._planes(cols6.dtype, cols6.shape[0])
+        np.copyto(self._slot_view(g), cols6)
+        self._slot_sum(g, out[n0:n0 + cols6.shape[0]])
 
     def slot_gemm(self, w_slots: np.ndarray, dy_pad: np.ndarray, n0: int,
                   out: np.ndarray, finite: bool) -> None:
@@ -366,22 +364,6 @@ class KernelPlan:
         for n0, n1 in self.blocks:
             np.copyto(out6[n0:n1], self._windows(x, n0, n1, pad_value))
         return out
-
-    def col2im(
-        self, cols: np.ndarray, arena: WorkspaceArena = NULL_ARENA
-    ) -> np.ndarray:
-        """Adjoint of :meth:`im2col` (see :meth:`_scatter`).
-
-        Returns an (N, C, H, W) view of one (N, Q) arena buffer, each
-        block summed into its own rows; the caller owns it until the next
-        reset.
-        """
-        n, c, _, _ = self.shape
-        cols6 = cols.reshape(n, c, self.kh, self.kw, self.oh, self.ow)
-        out = arena.rent((n, self.Q), cols.dtype)
-        for n0, n1 in self.blocks:
-            self._scatter(cols6[n0:n1], out[n0:n1])
-        return self.unpad(out)
 
     def im2col_t(
         self, x: np.ndarray, arena: WorkspaceArena = NULL_ARENA

@@ -107,7 +107,7 @@ class Conv2D(Layer):
         bias = params["b"] if self.bias else None
         # The forced arm, else the chooser's for this signature: the
         # whole-batch lowering wherever it is provably bit-identical to
-        # the incumbent.
+        # the reference loops, the loops everywhere else.
         backend = conv_arm(ctx, x, params["w"], bias, self.stride, self.pad)
         want_saved = bool(
             train and ctx is not None and ctx.stashed_input_lossless()

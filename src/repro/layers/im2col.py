@@ -8,14 +8,16 @@ keeps the NumPy kernels fast enough for the scaled training experiments.
 
 This module holds the ground truth: :func:`im2col_reference` /
 :func:`col2im_reference` are the original ``kh x kw`` slice loops — what
-conv's ``reference`` arm (the A/B baseline) is built from — and
-:func:`maxpool_reference` / :func:`maxpool_backward_reference` the
-original max-pool formulation over them.  The kernel property tests and
-the differential oracle compare against these.  Everything the runtime
-runs (the default conv arms, max-pool, ``AvgPool2D``) is the loop-free
-:class:`~repro.kernels.plan.KernelPlan` methods, which are bit-identical
-to these loops including ``col2im``'s floating-point accumulation order
-and max-pool's first-maximum tie-break.
+conv's ``reference`` arm is built from — and :func:`maxpool_reference` /
+:func:`maxpool_backward_reference` the original max-pool formulation
+over them.  The kernel property tests and the differential oracle
+compare against these.  A conv runs these loops wherever the chooser
+cannot prove ``blas-fat`` bit-identical to them; ``blas-fat``, max-pool
+and ``AvgPool2D`` run the loop-free
+:class:`~repro.kernels.plan.KernelPlan` methods, whose gathers and
+col2im slot sum are bit-identical to these loops (including the
+floating-point accumulation order) as is max-pool's first-maximum
+tie-break.
 """
 
 from __future__ import annotations

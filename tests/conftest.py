@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.graph import Graph, GraphBuilder
+from repro.kernels.arena import NULL_ARENA
 from repro.layers import (
     Conv2D,
     Dense,
@@ -49,6 +50,21 @@ def run_layer(layer: Layer, xs: Sequence[np.ndarray], params=None, train=True):
     y = layer.forward(xs, params, ctx, train=train)
     ctx.output_value = y
     return y, ctx
+
+
+def col2im_t(plan, cols: np.ndarray, arena=NULL_ARENA) -> np.ndarray:
+    """col2im as ``blas-fat``'s copy fill runs it: the (N, K, P) column
+    gradient ``cols``, laid out as ``im2col_t``'s (K, N*P) columns and
+    folded one sample block at a time by ``KernelPlan.scatter_t`` into
+    one (N, Q) buffer rented from ``arena``.  Returns its (N, C, H, W)
+    interior, which ``col2im_reference`` must match byte for byte."""
+    n = plan.shape[0]
+    cols_t = np.ascontiguousarray(cols.transpose(1, 0, 2)).reshape(
+        plan.K, n * plan.P)
+    out = arena.rent((n, plan.Q), cols.dtype)
+    for n0, n1 in plan.blocks:
+        plan.scatter_t(cols_t[:, n0 * plan.P:n1 * plan.P], n0, out)
+    return plan.unpad(out)
 
 
 def numerical_gradient(f, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:

@@ -44,6 +44,7 @@ from repro.train import (
     policy_from_name,
 )
 from repro.train.data import make_synthetic_for
+from tests.conftest import col2im_t
 
 
 class TestArenaInvariants:
@@ -170,8 +171,8 @@ def test_plan_workspaces_are_metered_where_no_arena_sees_them(monkeypatch):
         arena = WorkspaceArena()
         plan = get_plan((2, 3, 6, 6), 3, 3, 1, 1)
         assert plan.b == b
-        plan.col2im(plan.im2col(np.ones((2, 3, 6, 6), np.float32), arena),
-                    arena)
+        col2im_t(plan, plan.im2col(np.ones((2, 3, 6, 6), np.float32),
+                                   arena), arena)
         padded = b * 3 * 8 * 8 * 4
         slack = b * 2 * 4
         assert plan_cache_stats()["workspace_bytes"] == \

@@ -21,7 +21,7 @@ import pytest
 import repro.kernels.plan as plan_module
 from repro.encodings import binarize, ssdc
 from repro.kernels.arena import NULL_ARENA
-from repro.kernels.backends import CONV_ARMS, INCUMBENT, ConvBackend
+from repro.kernels.backends import CONV_ARMS, REFERENCE, ConvBackend
 from repro.kernels.plan import (
     KernelPlan,
     bit_identical,
@@ -81,7 +81,7 @@ def _same_bits_and_layout(got, want):
     pytest.param((5, 12, 7, 7), 10, 1, 1, 0, 3, id="1x1-ragged"),
     pytest.param((4, 8, 8, 8), 16, 3, 1, 1, 1, id="one-sample-blocks"),
     # Fuzz-corpus signatures whose einsum contractions BLAS matmul also
-    # reproduces bit for bit: numpy-plan must still be reference's bytes.
+    # reproduces bit for bit.
     pytest.param((4, 14, 4, 4), 14, 3, 1, 1, 2, id="x4x14x4x4-w14x14x3x3"),
     pytest.param((4, 8, 6, 6), 7, 3, 1, 1, 2, id="x4x8x6x6-w7x8x3x3"),
     pytest.param((4, 14, 4, 4), 14, 1, 1, 0, 3, id="x4x14x4x4-w14x14x1x1"),
@@ -91,13 +91,11 @@ def _same_bits_and_layout(got, want):
 ])
 def test_blocked_conv_lowering_changes_no_bit_or_stride(
         monkeypatch, shape, f, k, stride, pad, b, want_saved, need_dx):
-    """Each plan-backed conv arm, walked in ``b``-sample blocks, returns
+    """The plan-backed conv arm, walked in ``b``-sample blocks, returns
     the bytes and strides of ``y``, ``dx`` and ``dw`` it returns in one
-    block, saved columns or regathered, with or without ``dx``.  The
-    incumbent, whose contractions are reference's own einsums over the
-    plan's columns, equals ``reference``; the whole-batch arm equals
-    both wherever its one-block form does — the only signatures where
-    the chooser can promote it."""
+    block, saved columns or regathered, with or without ``dx``: it
+    equals ``reference`` wherever its one-block form does — the only
+    signatures where the chooser can promote it."""
     n, c, h, w = shape
     oh, ow = conv_output_hw(h, w, k, k, stride, pad)
     rng = np.random.default_rng(0)
@@ -114,19 +112,15 @@ def test_blocked_conv_lowering_changes_no_bit_or_stride(
                               need_dx=need_dx)
         return {"y": y, "dx": dx, "dw": dw}
 
-    arms = ("numpy-plan", "blas-fat")
     clear_plan_cache()
     try:
         assert get_plan(shape, k, k, stride, pad).b == n
-        truth = run("reference")
-        whole = {name: run(name) for name in arms}
+        whole = run("blas-fat")
         monkeypatch.setattr(plan_module, "BLOCK_BYTES",
                             4 * c * k * k * oh * ow * b)
         clear_plan_cache()
         assert get_plan(shape, k, k, stride, pad).b == b
-        for name in arms:
-            assert _same_bits_and_layout(run(name), whole[name]), name
-        assert _same_bits_and_layout(run("numpy-plan"), truth)
+        assert _same_bits_and_layout(run("blas-fat"), whole)
     finally:
         clear_plan_cache()
 
@@ -143,8 +137,8 @@ def test_direct_fill_keeps_the_exact_arms_bytes_on_hostile_values(
     covers, which is ``+0.0`` only for a finite ``W`` (all-negative
     included: ``-0.0`` products still sum to ``+0.0``); with a NaN or
     ±Inf weight it re-zeroes them.  Either way its ``dx`` and ``dw``
-    are numpy-plan's and reference's bytes, with -0.0, NaN or nothing
-    but zeros in ``dy``."""
+    are reference's bytes, with -0.0, NaN or nothing but zeros in
+    ``dy``."""
     n, c, h, w = shape
     oh, ow = conv_output_hw(h, w, k, k, 1, pad)
     rng = np.random.default_rng(5)
@@ -165,14 +159,13 @@ def test_direct_fill_keeps_the_exact_arms_bytes_on_hostile_values(
         dy[:] = 0.0
     assert plan_module.direct_fill(1, oh, w + 2 * pad)
     outs = {}
-    for name in ("reference", "numpy-plan", "blas-fat"):
+    for name in ("reference", "blas-fat"):
         arm = CONV_ARMS[name]
         with np.errstate(invalid="ignore"):
             y, saved = arm.forward(x, w4, None, 1, pad, want_saved=True)
             outs[name] = arm.backward(x, w4, dy, 1, pad, saved=saved)
-    for name in ("numpy-plan", "reference"):
-        for got, want in zip(outs["blas-fat"], outs[name]):
-            assert bit_identical(got, want), name
+    for got, want in zip(outs["blas-fat"], outs["reference"]):
+        assert bit_identical(got, want)
 
 
 def _same_pool_outputs(inputs):
@@ -270,7 +263,7 @@ def test_wrong_exact_arm_is_caught(monkeypatch):
 
 
 class _DriftingConv(ConvBackend):
-    """Delegates to the default conv arm, then drifts y far past its
+    """Delegates to the reference arm, then drifts y far past its
     declared tolerance."""
 
     name = "evil-tolerance"
@@ -279,13 +272,13 @@ class _DriftingConv(ConvBackend):
 
     def forward(self, x, w4, bias, stride, pad, arena=NULL_ARENA,
                 want_saved=False):
-        y, saved = CONV_ARMS[INCUMBENT].forward(
+        y, saved = CONV_ARMS[REFERENCE].forward(
             x, w4, bias, stride, pad, arena=arena, want_saved=want_saved
         )
         return y + np.float32(0.5), saved
 
     def backward(self, x, w4, dy, stride, pad, arena=NULL_ARENA, saved=None):
-        return CONV_ARMS[INCUMBENT].backward(
+        return CONV_ARMS[REFERENCE].backward(
             x, w4, dy, stride, pad, arena=arena, saved=saved
         )
 
@@ -306,7 +299,7 @@ class _NaNConv(_DriftingConv):
 
     def forward(self, x, w4, bias, stride, pad, arena=NULL_ARENA,
                 want_saved=False):
-        y, saved = CONV_ARMS[INCUMBENT].forward(
+        y, saved = CONV_ARMS[REFERENCE].forward(
             x, w4, bias, stride, pad, arena=arena, want_saved=want_saved
         )
         y = y.copy()
@@ -324,19 +317,19 @@ def test_nan_under_a_tolerance_contract_is_caught(monkeypatch):
 
 
 class _BitFlipConv(ConvBackend):
-    """Claims the exact contract, delegates to the incumbent, then flips
-    the lowest bit of one weight-gradient element."""
+    """Claims the exact contract, delegates to the reference arm, then
+    flips the lowest bit of one weight-gradient element."""
 
     name = "evil-bitflip"
 
     def forward(self, x, w4, bias, stride, pad, arena=NULL_ARENA,
                 want_saved=False):
-        return CONV_ARMS[INCUMBENT].forward(x, w4, bias, stride, pad,
+        return CONV_ARMS[REFERENCE].forward(x, w4, bias, stride, pad,
                                             arena=arena,
                                             want_saved=want_saved)
 
     def backward(self, x, w4, dy, stride, pad, arena=NULL_ARENA, saved=None):
-        dx, dw = CONV_ARMS[INCUMBENT].backward(x, w4, dy, stride, pad,
+        dx, dw = CONV_ARMS[REFERENCE].backward(x, w4, dy, stride, pad,
                                                arena=arena, saved=saved)
         dw = dw.copy()
         dw.reshape(-1).view(np.uint32)[0] ^= np.uint32(1)

@@ -3,9 +3,9 @@
 :data:`~repro.kernels.backends.CONV_ARMS` holds exactly the arms the
 keep rule leaves, each exact or declaring a tolerance; the only force is
 ``GraphExecutor(kernel_backend=...)``, and an unknown name is a
-``ValueError``.  The chooser side covers its picks: the incumbent
-wherever a probe cannot prove identity, the whole-batch arm on every
-ledger signature, and the same vector from every fresh probe.
+``ValueError``.  The chooser side covers its picks: the ``reference``
+loops wherever a probe cannot prove identity, the whole-batch arm on
+every ledger signature, and the same vector from every fresh probe.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from repro.kernels.autotune import (
     autotuned_backend,
     clear_selection_cache,
 )
-from repro.kernels.backends import CONV_ARMS, INCUMBENT, conv_arm
+from repro.kernels.backends import CONV_ARMS, REFERENCE, conv_arm
 from repro.kernels.plan import direct_fill
 from repro.models import build_model
 
@@ -29,9 +29,9 @@ from repro.models import build_model
 def test_conv_arms_are_exactly_the_kept_arms():
     # Exactly the arms the keep rule (docs/architecture.md §9) leaves:
     # max-pool and the codecs run one body each and have no arms.
-    assert sorted(CONV_ARMS) == ["blas-fat", "numpy-plan", "reference"]
+    assert sorted(CONV_ARMS) == ["blas-fat", "reference"]
     assert all(arm.name == name for name, arm in CONV_ARMS.items())
-    assert INCUMBENT == "numpy-plan"
+    assert REFERENCE == "reference"
 
 
 def test_every_arm_is_exact_or_declares_a_tolerance():
@@ -68,16 +68,17 @@ def test_unknown_executor_backend_is_a_precise_error():
             GraphExecutor(graph, kernel_backend=name)
         assert str(err.value) == (
             f"kernel_backend={name!r} names no conv arm "
-            f"(arms: blas-fat, numpy-plan, reference)")
+            f"(arms: blas-fat, reference)")
 
 
 # ----------------------------------------------------------------------
 # The chooser: proof, not stopwatch
 # ----------------------------------------------------------------------
 #: ``(x shape, F, k, pad, stride)`` on which blas-fat agreed with the
-#: incumbent on 1-11 of 12 data draws (400-signature sweep at PR 21): a
-#: matching live-data probe proves nothing there, so the static guard
-#: must keep the incumbent whatever the data says.
+#: einsum contractions on 1-11 of 12 data draws (a 400-signature
+#: sweep): a matching live-data probe proves nothing there, so the
+#: static guard must keep the incumbent, ``reference``, whatever the
+#: data says.
 DATA_DEPENDENT_SIGNATURES = [
     ((3, 8, 3, 3), 1, 3, 0, 2), ((4, 2, 3, 3), 1, 1, 0, 1),
     ((4, 7, 6, 6), 1, 1, 0, 2), ((4, 1, 6, 6), 2, 1, 0, 1),
@@ -96,9 +97,10 @@ def test_chooser_keeps_the_incumbent_where_agreement_depends_on_data(
         w4 = rng.normal(0, 0.5, (f, shape[1], k, k)).astype(np.float32)
         clear_selection_cache()
         arm = autotuned_backend(x, w4, None, stride, pad)
-        assert arm is CONV_ARMS[INCUMBENT], draw
+        assert arm is CONV_ARMS[REFERENCE], draw
         (row,) = autotune_report()
-        assert row["exact"] == {"blas-fat": False, "numpy-plan": True}
+        assert (row["backend"], row["exact"]) == (
+            REFERENCE, {"blas-fat": False})
     clear_selection_cache()
 
 
@@ -109,7 +111,7 @@ def test_chooser_guards_the_gemm_shapes_each_sample_block_issues(
     dimension of b*P = b per block, and (N mod b)*P in a ragged last one.
     Whole-batch the static guard passes; once a block (or the ragged
     tail) holds one sample those GEMMs are matrix-vector products, so
-    the incumbent must stay however the probe would have come out."""
+    ``reference`` must stay however the probe would have come out."""
     rng = np.random.default_rng(0)
     x = rng.normal(0, 1, (n, 8, 3, 3)).astype(np.float32)
     w4 = rng.normal(0, 0.5, (8, 8, 3, 3)).astype(np.float32)
@@ -122,9 +124,10 @@ def test_chooser_guards_the_gemm_shapes_each_sample_block_issues(
     clear_selection_cache()
     try:
         arm = autotuned_backend(x, w4, None, 1, 0)
-        assert arm is CONV_ARMS[INCUMBENT]
+        assert arm is CONV_ARMS[REFERENCE]
         (row,) = autotune_report()
-        assert row["exact"] == {"blas-fat": False, "numpy-plan": True}
+        assert (row["backend"], row["exact"]) == (
+            REFERENCE, {"blas-fat": False})
     finally:
         clear_selection_cache()
 
@@ -132,7 +135,7 @@ def test_chooser_guards_the_gemm_shapes_each_sample_block_issues(
 def test_chooser_guards_the_per_slot_gemm_of_the_direct_fill():
     """On the direct fill ``dx`` is one ``(C,F)@(F,OH*WP)`` GEMM per
     sample and window slot.  One input channel makes it a matrix-vector
-    product, which a matching probe cannot settle, so the incumbent
+    product, which a matching probe cannot settle, so ``reference``
     stays — although the dcols ``(K,F)@(F,b*P)`` the copy fill issues,
     with K = 9, would be decided.  Two channels decide it."""
     rng = np.random.default_rng(0)
@@ -145,9 +148,10 @@ def test_chooser_guards_the_per_slot_gemm_of_the_direct_fill():
     clear_selection_cache()
     try:
         arm = autotuned_backend(x, w4, None, 1, 1)
-        assert arm is CONV_ARMS[INCUMBENT]
+        assert arm is CONV_ARMS[REFERENCE]
         (row,) = autotune_report()
-        assert row["exact"] == {"blas-fat": False, "numpy-plan": True}
+        assert (row["backend"], row["exact"]) == (
+            REFERENCE, {"blas-fat": False})
     finally:
         clear_selection_cache()
 

@@ -4,7 +4,8 @@ The planned kernels promise *bit identity* with the reference Python-loop
 kernels, not approximate equality: the whole A/B story of the runtime
 kernel layer rests on "same floats, less time".  These tests sweep random
 shape signatures (Hypothesis) and assert exact ``np.array_equal`` on every
-output, plus the exact adjoint relationship between im2col and col2im.
+output, plus the exact adjoint relationship between ``im2col_t`` and the
+``scatter_t`` fold that ``blas-fat``'s backward runs.
 Every signature also draws the plan's sample-block size, so the kernels
 are checked walking the batch in blocks — a ragged last one included —
 not only in the one block the small shapes get by default.
@@ -33,6 +34,7 @@ from repro.layers.im2col import (
     maxpool_backward_reference,
     maxpool_reference,
 )
+from tests.conftest import col2im_t
 
 
 @st.composite
@@ -79,6 +81,9 @@ def test_im2col_bit_identical(sig, seed):
     want = im2col_reference(x, kh, kw, stride, pad)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+    # blas-fat's transposed layout of the same gather.
+    assert np.array_equal(plan.im2col_t(x),
+                          want.transpose(1, 0, 2).reshape(plan.K, -1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,7 +95,7 @@ def test_col2im_bit_identical(sig, seed):
     rng = np.random.default_rng(seed)
     cols = rng.normal(0, 1, (n, c * kh * kw, oh * ow)).astype(np.float32)
     plan = blocked_plan(*sig)
-    got = plan.col2im(cols)
+    got = col2im_t(plan, cols)
     want = col2im_reference(cols, shape, kh, kw, stride, pad)
     # Bitwise: the slot reduction replays the reference accumulation order.
     assert np.array_equal(got, want)
@@ -99,7 +104,7 @@ def test_col2im_bit_identical(sig, seed):
 @settings(max_examples=40, deadline=None)
 @given(conv_signatures(), st.integers(0, 2**31 - 1))
 def test_col2im_is_exact_adjoint_of_im2col(sig, seed):
-    """<im2col(x), g> == <x, col2im(g)> with *exact* arithmetic.
+    """<im2col_t(x), g> == <x, col2im_t(g)> with *exact* arithmetic.
 
     Integer-valued operands keep every product and partial sum exactly
     representable, so the adjoint identity holds to the last bit — any
@@ -112,9 +117,11 @@ def test_col2im_is_exact_adjoint_of_im2col(sig, seed):
     x = rng.integers(-8, 9, shape).astype(np.float32)
     g = rng.integers(-8, 9, (n, c * kh * kw, oh * ow)).astype(np.float32)
     plan = blocked_plan(*sig)
-    lhs = np.vdot(plan.im2col(x).astype(np.float64), g.astype(np.float64))
+    g_t = g.transpose(1, 0, 2).reshape(plan.K, n * plan.P)
+    lhs = np.vdot(plan.im2col_t(x).astype(np.float64),
+                  g_t.astype(np.float64))
     rhs = np.vdot(x.astype(np.float64),
-                  plan.col2im(g).astype(np.float64))
+                  col2im_t(plan, g).astype(np.float64))
     assert lhs == rhs
 
 
@@ -199,8 +206,8 @@ def test_padded_workspace_reused_across_calls():
 
 
 def test_slot_workspace_reused_across_calls():
-    """col2im's zero-once workspace: stale slot data must never bleed in,
-    from an earlier call or an earlier block."""
+    """The copy fill's zero-once workspace: stale slot data must never
+    bleed in, from an earlier call or an earlier block."""
     for n, b in ((1, 1), (3, 2)):
         plan = blocked_plan((n, 2, 6, 6), 3, 3, 2, 1, b)
         oh, ow = plan.oh, plan.ow
@@ -208,7 +215,7 @@ def test_slot_workspace_reused_across_calls():
         for _ in range(3):
             cols = rng.normal(0, 1, (n, 2 * 9, oh * ow)).astype(np.float32)
             assert np.array_equal(
-                plan.col2im(cols),
+                col2im_t(plan, cols),
                 col2im_reference(cols, (n, 2, 6, 6), 3, 3, 2, 1),
             )
 
@@ -240,7 +247,7 @@ class TestPlanCache:
 
 
 # ----------------------------------------------------------------------
-# Transposed-column adjoint: blas-fat's backward, both fills and col2im
+# Transposed-column adjoint: blas-fat's backward and both of its fills
 # share one plan's slot planes
 # ----------------------------------------------------------------------
 def _hostile_values(rng, shape, dtype=np.float32):
@@ -265,13 +272,14 @@ def test_col2im_t_conforms_on_hostile_planes_and_a_reused_plan(
         monkeypatch, sig, direct, b):
     """The adjoint of ``im2col_t`` as blas-fat's backward runs it ==
     ``col2im_reference`` on the same GEMM's column gradient, byte for
-    byte, call after call on ONE plan and interleaved with ``col2im``.
-    Its fill (direct or copy) and ``col2im``'s copy fill share the
-    persistent slot planes, so a stale cell from any of them — the NaN a
-    non-finite weight writes onto uncovered cells included — or from an
-    earlier block of the same call must never leak into a sum.  A GEMM
-    never hands ``col2im`` an all -0.0 column, so the hostile planes
-    also go to it raw, in float32 and float64, on the same plan."""
+    byte, call after call on ONE plan and interleaved with the raw
+    copy fill (``scatter_t``).  Its fill (direct or copy) and the raw
+    copy fill share the persistent slot planes, so a stale cell from any
+    of them — the NaN a non-finite weight writes onto uncovered cells
+    included — or from an earlier block of the same call must never leak
+    into a sum.  A GEMM never hands the copy fill an all -0.0 column, so
+    the hostile planes also go to it raw, in float32 and float64, on the
+    same plan."""
     shape, kh, kw, stride, pad = sig
     n, c = shape[:2]
     f = 6
@@ -297,7 +305,7 @@ def test_col2im_t_conforms_on_hostile_planes_and_a_reused_plan(
                 cols = np.matmul(w.reshape(f, -1).T, dy)
                 want = col2im_reference(cols, shape, kh, kw, stride, pad)
                 got = [arm.backward(x, w, dy, stride, pad)[0],
-                       plan.col2im(cols),
+                       col2im_t(plan, cols),
                        arm.backward(x, w, dy, stride, pad)[0]]
             for dx in got:
                 assert bit_identical(dx, want), (wlabel, label)
@@ -308,7 +316,7 @@ def test_col2im_t_conforms_on_hostile_planes_and_a_reused_plan(
                 with np.errstate(invalid="ignore"):  # inf - inf, NaN + x
                     want = col2im_reference(cols, shape, kh, kw, stride,
                                             pad)
-                    got = (plan.col2im(cols), plan.col2im(cols))
+                    got = (col2im_t(plan, cols), col2im_t(plan, cols))
                 for dx in got:
                     assert bit_identical(np.ascontiguousarray(dx), want), (
                         dtype, label)

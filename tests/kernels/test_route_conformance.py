@@ -6,7 +6,7 @@ Two SGD steps of every pinned golden model with a conv (``tiny_cnn``,
 conv arm forced with ``kernel_backend=`` x max-pool half.  Max-pool
 has one body (``AvgPool2D`` likewise); its ``reference`` half swaps the
 loop ``maxpool_reference`` / ``maxpool_backward_reference`` in for that
-body, its ``numpy-plan`` half is the body itself.  Every pair with an
+body, its ``plan`` half is the body itself.  Every pair with an
 ``exact`` conv arm, every ``kernel_backend=`` name and the
 ``use_kernel_plans=False`` shorthand must reproduce the ``step_digest``
 stream (loss, gradients, decoded stashes) of ``kernel_backend=
@@ -23,6 +23,8 @@ import pytest
 from repro.diagnostics import step_digest
 from repro.diagnostics.golden import GOLDEN_MODELS, golden_batches
 from repro.kernels import CONV_ARMS, autotune_report, clear_selection_cache
+from repro.kernels.autotune import _probe_decides, autotuned_backend
+from repro.kernels.backends import ConvBackend
 from repro.kernels.plan import KernelPlan
 from repro.layers.im2col import maxpool_backward_reference, maxpool_reference
 from repro.models import build_model
@@ -36,7 +38,7 @@ from repro.train import (
 MODELS = ("tiny_cnn", "scaled_vgg", "densenet")
 STEPS = 2
 
-POOL_HALVES = ("reference", "numpy-plan")
+POOL_HALVES = ("reference", "plan")
 ARM_PAIRS = list(itertools.product(sorted(CONV_ARMS), POOL_HALVES))
 
 
@@ -109,12 +111,57 @@ def test_every_spelling_of_the_exact_routes_conforms(reference, model,
         assert _train(model, policy, **kwargs)[0] == ref_digests, kwargs
 
 
-def test_chooser_never_probes_the_ground_truth_or_a_lone_candidate():
+class _Spy(ConvBackend):
+    """A conv arm that logs its name on every forward, then delegates."""
+
+    def __init__(self, arm, log):
+        self.arm, self.log = arm, log
+        self.name, self.exact, self.tolerance = (arm.name, arm.exact,
+                                                 arm.tolerance)
+
+    def forward(self, *args, **kwargs):
+        self.log.append(self.name)
+        return self.arm.forward(*args, **kwargs)
+
+    def backward(self, *args, **kwargs):
+        return self.arm.backward(*args, **kwargs)
+
+
+def test_chooser_proves_the_one_candidate_against_the_ground_truth(
+        monkeypatch):
+    """A new signature the static guard decides is probed by running
+    ``reference`` once, as the truth, and ``blas-fat`` once, as the only
+    candidate; one it cannot decide runs no probe and keeps
+    ``reference``.  On every golden model each record names the one
+    candidate, and the pick is ``blas-fat`` iff it was proven."""
+    log = []
+    for name, arm in list(CONV_ARMS.items()):
+        monkeypatch.setitem(CONV_ARMS, name, _Spy(arm, log))
+    rng = np.random.default_rng(0)
+    x = rng.normal(0, 1, (4, 2, 16, 16)).astype(np.float32)
+    w4 = rng.normal(0, 0.5, (8, 2, 3, 3)).astype(np.float32)
     clear_selection_cache()
-    for model in MODELS:
-        _train(model, "baseline")
-    report = autotune_report()
+    try:
+        assert _probe_decides(x, w4, 1, 1)
+        arm = autotuned_backend(x, w4, None, 1, 1)
+        assert log == ["reference", "blas-fat"]
+        (row,) = autotune_report()
+        assert arm.name == row["backend"]
+        # One input channel: the direct fill's per-slot GEMM is a
+        # matrix-vector product, which no probe can settle.
+        x1, w1 = x[:, :1].copy(), w4[:, :1].copy()
+        assert not _probe_decides(x1, w1, 1, 1)
+        log.clear()
+        assert autotuned_backend(x1, w1, None, 1, 1) is CONV_ARMS["reference"]
+        assert log == []
+        clear_selection_cache()
+        for model in MODELS:
+            _train(model, "baseline")
+        report = autotune_report()
+    finally:
+        clear_selection_cache()
     assert report, "default dispatch should have probed the conv signatures"
     for row in report:
-        assert row["backend"] != "reference"
-        assert "reference" not in row["exact"]
+        assert set(row["exact"]) == {"blas-fat"}
+        proven = row["exact"]["blas-fat"]
+        assert row["backend"] == ("blas-fat" if proven else "reference")

@@ -122,6 +122,30 @@ def test_ulp_in_ssdc_decode_is_caught_without_a_rewrite(monkeypatch):
                for v in found)
 
 
+def test_ulp_on_every_ssdc_nonzero_reaches_the_weight_gradient(monkeypatch):
+    """Every non-zero of a decoded SSDC map one ulp up, the zero pattern
+    kept: every ReLU mask is right, so only a weight gradient that reads
+    the decoded stash can see the fault.  Both convs of this graph run
+    ``reference`` (the chooser's probe cannot settle their GEMMs), which
+    reads the stash for dW, so the fault reaches ``conv*.w``.  A conv
+    that kept its forward's columns for dW would hide it; the only arm
+    that keeps them, ``blas-fat``, still does so wherever it is proven,
+    and there this fault stays invisible."""
+    decode = SSDCEncoding.decode
+
+    def nonzeros_one_ulp_up(self, encoded):
+        out = decode(self, encoded)
+        return np.where(out != 0, np.nextafter(out, np.float32(np.inf)),
+                        out)
+
+    monkeypatch.setattr(SSDCEncoding, "decode", nonzeros_one_ulp_up)
+    found = lossless(verify_graph(ssdc_graph(), seed=0))
+    assert all(v.subject == "gist-lossless" for v in found)
+    assert {f"arm gist-lossless step 0: gradient '{name}' not bit-identical "
+            "(baseline vs gist-lossless)" for name in ("conv1.w", "conv2.w")
+            } <= {v.detail for v in found}
+
+
 def test_recompute_replay_with_a_fresh_dropout_mask_is_caught(monkeypatch):
     # The planner bug: dropout let into recompute chains, so the backward
     # read replays the layer and draws a new mask.
