@@ -6,15 +6,13 @@ gradients never depend on how many worker processes ran the shards:
 
 * :mod:`repro.distributed.shard` splits each step's minibatch so the
   concatenation of replica shards is byte-identical to the serial batch;
-* :mod:`repro.distributed.wire` adapts the stash codecs (run-length /
-  CSR for sparse gradients, DPR for dense) into wire codecs with
-  measured bytes-on-wire;
 * :mod:`repro.distributed.allreduce` merges shard gradients through a
   fixed pairwise tree keyed by shard index, so the merged bits never
   depend on replica count or completion order;
 * :mod:`repro.distributed.replica` is the ``replica-step`` work-unit
-  executor (one shard, one step, everything from the payload) and the
-  shard-order merge of a step's results.
+  executor (one shard, one step, everything from the payload; its
+  gradients return as base64 float32, the form the master parameters
+  go out in) and the shard-order merge of a step's results.
 
 The ``distributed-replica`` oracle (:mod:`repro.verify.distributed`)
 checks that contract on every fuzz seed.
@@ -27,17 +25,8 @@ from repro.distributed.replica import (
     run_replica_unit,
 )
 from repro.distributed.shard import shard_slices, split_batch
-from repro.distributed.wire import (
-    WIRE_CODECS,
-    WireCodec,
-    decode_wire,
-    wire_codec,
-)
 
 __all__ = [
-    "WIRE_CODECS",
-    "WireCodec",
-    "decode_wire",
     "merge_replica_results",
     "replica_work_units",
     "run_replica_unit",
@@ -45,5 +34,4 @@ __all__ = [
     "split_batch",
     "tree_reduce",
     "tree_reduce_gradients",
-    "wire_codec",
 ]

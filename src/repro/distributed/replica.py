@@ -7,7 +7,10 @@ inline — reconstructs the identical computation from the payload alone.
 That is what makes the run journal's fingerprint resume sound for
 training: a re-run after a crash re-issues byte-identical payloads, so
 completed shards replay from the journal and interrupted ones re-execute
-to the same bits.
+to the same bits.  The shard's gradients come back in the same base64
+float32 form as the parameters went out (:func:`encode_params`), so
+every bit — ``-0.0``, NaN payloads, denormals — crosses the pool both
+ways unchanged.
 
 Per-shard randomness (Dropout masks) comes from
 ``SeedSequence([seed, tag, step, shard])`` children: independent across
@@ -23,18 +26,26 @@ import numpy as np
 
 from repro.distributed.allreduce import tree_reduce, tree_reduce_gradients
 from repro.distributed.shard import shard_slices
-from repro.distributed.wire import decode_wire, wire_codec
 
 #: Domain-separation tags for the run's SeedSequence splits.
 _BATCH_TAG = 0xBA7C
 _MASK_TAG = 0xD120
+
+#: Every key a ``replica-step`` payload may carry.  Any other key is
+#: refused, not ignored: a payload that asks for an option the unit does
+#: not have would otherwise get a step that quietly lacks it.
+_PAYLOAD_KEYS = frozenset({
+    "model", "model_kwargs", "batch_size", "num_shards", "seed", "policy",
+    "data", "step", "shard", "params",
+})
 
 
 # ----------------------------------------------------------------------
 # Parameter transport
 # ----------------------------------------------------------------------
 def encode_params(params: Dict[str, np.ndarray]) -> Dict[str, dict]:
-    """Master parameters as a JSON-safe payload fragment."""
+    """Float32 tensors (master parameters out, shard gradients back) as a
+    JSON-safe payload fragment."""
     return {
         name: {
             "shape": list(arr.shape),
@@ -85,13 +96,20 @@ def run_replica_unit(payload: dict) -> dict:
     Rebuilds the shard's graph, installs the master parameters and the
     per-(step, shard) mask streams, runs forward + backward on the
     shard's slice of the step batch, and returns the shard loss plus the
-    wire-encoded parameter gradients with measured bytes-on-wire.
+    parameter gradients in :func:`encode_params` form.  A payload key
+    outside ``_PAYLOAD_KEYS`` is a ``ValueError`` naming it.
     """
     from repro.models.registry import build_model
     from repro.train.data import make_synthetic_for
     from repro.train.executor import GraphExecutor
     from repro.train.stash import policy_from_name
 
+    unknown = sorted(set(payload) - _PAYLOAD_KEYS)
+    if unknown:
+        raise ValueError(
+            f"replica-step payload has unknown key(s) {unknown}; "
+            f"known: {sorted(_PAYLOAD_KEYS)}"
+        )
     seed = int(payload["seed"])
     step = int(payload["step"])
     shard = int(payload["shard"])
@@ -134,14 +152,11 @@ def run_replica_unit(payload: dict) -> dict:
     loss = executor.forward(train_set.images[idx], train_set.labels[idx],
                             train=True)
     grads = executor.backward()
-
-    codec = wire_codec(payload.get("wire_codec", "fp32"))
-    messages = {name: codec.encode(g) for name, g in sorted(grads.items())}
     return {
         "shard": shard,
         "shard_size": shard_size,
         "loss": float(loss),
-        "grads": messages,
+        "grads": encode_params(grads),
     }
 
 
@@ -153,7 +168,7 @@ def replica_work_units(
     """One payload-complete unit per shard of training step ``step``.
 
     ``base_payload`` carries the static run configuration (model, data,
-    seed, shard count, wire codec); the step number and current master
+    seed, shard count, policy); the step number and current master
     parameters are stamped in here, which is exactly what makes the
     journal fingerprint step-specific: resuming a run replays completed
     shards only when the parameters they started from are identical.
@@ -179,7 +194,7 @@ def merge_replica_results(
     """Deterministic merge of one step's shard results.
 
     Walks units in shard order (never completion order), decodes each
-    shard's wire messages and tree-merges the gradients; the step loss is
+    shard's gradients and tree-merges them; the step loss is
     the shard-size-weighted mean, matching the loss the serial effective
     batch would report.  Raises ``RuntimeError`` if any shard failed
     terminally — partial gradient updates are never applied.
@@ -198,10 +213,7 @@ def merge_replica_results(
         value = result.value
         losses.append(float(value["loss"]))
         sizes.append(int(value["shard_size"]))
-        shard_grads.append({
-            name: decode_wire(message)
-            for name, message in value["grads"].items()
-        })
+        shard_grads.append(decode_params(value["grads"]))
     merged = tree_reduce_gradients(shard_grads, sizes)
     total = sum(sizes)
     loss = float(

@@ -30,7 +30,6 @@ from repro.encodings.floatsim import (
     quantize,
 )
 from repro.encodings.inplace import inplace_eligible_edges
-from repro.encodings.runlength import RLETensor, RunLengthEncoding, rle_stats
 from repro.encodings.ssdc import (
     CSRTensor,
     NARROW_COLS,
@@ -54,8 +53,6 @@ __all__ = [
     "HostSwapEncoding",
     "IdentityEncoding",
     "NARROW_COLS",
-    "RLETensor",
-    "RunLengthEncoding",
     "SSDCEncoding",
     "argmax_map_bytes",
     "bitmap_bytes",
@@ -74,7 +71,6 @@ __all__ = [
     "pack_codes",
     "pack_nibbles",
     "quantize",
-    "rle_stats",
     "unpack_bits",
     "unpack_codes",
     "unpack_nibbles",

@@ -32,7 +32,6 @@ from repro.encodings.base import Encoding
 from repro.encodings.dpr import DPREncoding
 from repro.encodings.floatsim import max_relative_error
 from repro.encodings.groupquant import GroupQuantEncoding, GroupQuantTensor
-from repro.encodings.runlength import RunLengthEncoding, rle_stats
 from repro.encodings.ssdc import SSDCEncoding, csr_bytes
 from repro.graph.liveness import (
     LiveTensor,
@@ -510,7 +509,7 @@ def check_roundtrip(codec: Encoding, x: np.ndarray) -> List[Violation]:
     * group quantisation: per-group max error within half a grid step of
       the group's *real-value* span (the padding-skew regression bound);
     * every codec: the static ``encoded_bytes`` model (given SSDC's
-      sparsity or RLE's run stats) equals ``measure_bytes`` of the encode.
+      sparsity) equals ``measure_bytes`` of the encode.
     """
     try:
         encoded = codec.encode(x)
@@ -567,10 +566,6 @@ def _check_size_model(codec: Encoding, x: np.ndarray,
         ctx["sparsity"] = (
             float(np.mean(np.asarray(x) == 0)) if x.size else 1.0
         )
-    elif isinstance(codec, RunLengthEncoding):
-        # The exact-model context: run structure is not a function of
-        # sparsity alone, so the oracle hands the codec its own stats.
-        ctx["nnz"], ctx["num_runs"] = rle_stats(np.asarray(x))
     model = codec.encoded_bytes(int(np.asarray(x).size), **ctx)
     if measured != model:
         return [Violation(

@@ -51,12 +51,10 @@ backend-differential   every conv arm agrees with the reference arm on
                        the codec packers bit-for-bit with the loop
                        kernel beside their one body
 distributed-replica    replica shards reassemble the serial batch
-                       byte-identically; the pairwise-tree gradient
-                       merge is arrival-order invariant; wire codecs
-                       round-trip live gradients (lossless bit-exact,
-                       lossy deterministic); a step through the pool
+                       byte-identically; a step through the pool
                        pipeline merges to the same bits as direct
-                       execution
+                       execution, and so do its results handed to the
+                       merge in reversed arrival order
 =====================  ==============================================
 
 Every selector's table goes through one loop in :func:`verify_graph`
@@ -88,7 +86,6 @@ from repro.encodings.base import IdentityEncoding
 from repro.encodings.binarize import BinarizeEncoding
 from repro.encodings.dpr import dpr_encoding
 from repro.encodings.groupquant import GroupQuantEncoding
-from repro.encodings.runlength import RunLengthEncoding
 from repro.encodings.ssdc import SSDCEncoding
 from repro.graph.graph import Graph
 from repro.graph.schedule import TrainingSchedule
@@ -176,7 +173,6 @@ def _codec_battery(rng):
         SSDCEncoding(),
         SSDCEncoding(value_dtype=FP16),
         SSDCEncoding(value_dtype=FP8),
-        RunLengthEncoding(),
         dpr_encoding("fp16"),
         dpr_encoding("fp10"),
         dpr_encoding("fp8"),

@@ -18,7 +18,6 @@ from repro.core.schedule_builder import build_gist_plan
 from repro.encodings.base import IdentityEncoding
 from repro.encodings.dpr import dpr_encoding
 from repro.encodings.groupquant import GroupQuantEncoding
-from repro.encodings.runlength import RunLengthEncoding
 from repro.encodings.ssdc import SSDCEncoding
 from repro.graph.liveness import ROLE_ENCODED, ROLE_FEATURE_MAP, LiveTensor
 from repro.memory.allocator import (
@@ -258,8 +257,7 @@ class TestRoundtripOracle:
         x = np.array([1.0, np.nan, -np.inf, -0.0], np.float32)
         assert check_roundtrip(IdentityEncoding(), x) == []
 
-    @pytest.mark.parametrize("codec", [IdentityEncoding(),
-                                       RunLengthEncoding()])
+    @pytest.mark.parametrize("codec", [IdentityEncoding()])
     def test_dropped_zero_sign_fires(self, monkeypatch, codec):
         # -0.0 == +0.0, so a value-level comparison lets this through.
         decode = codec.decode
