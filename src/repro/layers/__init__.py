@@ -22,6 +22,7 @@ from repro.layers.recurrent import (
     RNNStep,
     StateSlice,
     TimeSlice,
+    unroll,
 )
 from repro.layers.reshape import Flatten
 
@@ -53,4 +54,5 @@ __all__ = [
     "StateSpec",
     "Tanh",
     "TimeSlice",
+    "unroll",
 ]

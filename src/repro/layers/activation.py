@@ -86,6 +86,16 @@ class ReLU(Layer):
         return [dx], {}
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Numerically stable piecewise logistic function."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 class Sigmoid(Layer):
     """Logistic activation; backward uses the stashed output only."""
 
@@ -101,13 +111,7 @@ class Sigmoid(Layer):
 
     def forward(self, xs, params, ctx, train=True):
         (x,) = xs
-        # Numerically stable piecewise sigmoid.
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+        return sigmoid(x)
 
     def backward(self, dy, params, ctx):
         y = ctx.stashed_output()

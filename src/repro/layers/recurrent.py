@@ -2,8 +2,9 @@
 
 Gist's planner, stash classifier and rewrite passes all operate on a
 static DAG, so recurrence is expressed the way Echo (PAPERS.md) treats
-it: the cell is *unrolled* — one :class:`LSTMStep`/:class:`RNNStep` node
-per timestep — and every step node shares one weight holder
+it: the cell is *unrolled* by :func:`unroll` — one
+:class:`LSTMStep`/:class:`RNNStep` node per timestep — and every step
+node shares one weight holder
 (:class:`LSTMCell`/:class:`RNNCell`).  The unrolled graph then gets
 per-timestep feature maps the existing machinery prices for free:
 
@@ -27,21 +28,15 @@ dict aliases the owner's arrays.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.layers.base import Layer, OpContext, Shape
+from repro.layers.activation import sigmoid
+from repro.layers.base import Layer, Shape
 
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function (same form as layers.Sigmoid)."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+if TYPE_CHECKING:
+    from repro.graph.builder import GraphBuilder, NodeRef
 
 
 class _SharedCell:
@@ -215,30 +210,27 @@ class StateSlice(Layer):
         return [dstate], {}
 
 
-class LSTMStep(Layer):
-    """One unrolled LSTM timestep over a shared :class:`LSTMCell`.
+class _UnrolledStep(Layer):
+    """One unrolled timestep over a shared cell: the tie and shape scaffold.
 
     Inputs: ``[x_t]`` for ``t == 0`` (the initial state is zero), else
-    ``[x_t, state_{t-1}]``.  Output: the ``(batch, 2*hidden)`` state
-    ``[h_t, c_t]``.  The backward pass recomputes the gates from the
-    stashed *inputs* (Echo-style), so no gate activations are stashed —
-    per-timestep memory is exactly ``x_t`` plus the previous state.
+    ``[x_t, state_{t-1}]``.  Output: the state the next step reads,
+    ``(batch, _state_parts * hidden)``.
     """
 
-    kind = "lstm_step"
     backward_needs_input = True
-    backward_needs_output = False
+    _state_parts = 1  # the state's width in multiples of hidden_size
 
-    def __init__(self, cell: LSTMCell, t: int):
+    def __init__(self, cell: _SharedCell, t: int):
         if t < 0:
-            raise ValueError(f"timestep must be >= 0, got {t}")
+            raise ValueError(f"{self.kind} timestep must be >= 0, got {t}")
         self._cell = cell
         self.t = int(t)
         self.input_size = cell.input_size
         self.hidden_size = cell.hidden_size
 
     @property
-    def cell(self) -> LSTMCell:
+    def cell(self) -> _SharedCell:
         """The shared weight holder (identity defines the tie group)."""
         return self._cell
 
@@ -247,30 +239,25 @@ class LSTMStep(Layer):
         """Whether this step statically accounts for the tied weights."""
         return self.t == 0
 
-    def _check_inputs(self, input_shapes: Sequence[Shape]) -> None:
+    def infer_shape(self, input_shapes: Sequence[Shape]) -> Shape:
         expect = 1 if self.t == 0 else 2
         if len(input_shapes) != expect:
             raise ValueError(
-                f"lstm_step t={self.t} expects {expect} input(s), "
+                f"{self.kind} t={self.t} expects {expect} input(s), "
                 f"got {len(input_shapes)}"
             )
         x = input_shapes[0]
         if len(x) != 2 or x[1] != self.input_size:
             raise ValueError(
-                f"lstm_step input must be (batch, {self.input_size}), "
+                f"{self.kind} input must be (batch, {self.input_size}), "
                 f"got {x}"
             )
-        if self.t > 0:
-            state = input_shapes[1]
-            if state != (x[0], 2 * self.hidden_size):
-                raise ValueError(
-                    f"lstm_step state must be "
-                    f"({x[0]}, {2 * self.hidden_size}), got {state}"
-                )
-
-    def infer_shape(self, input_shapes: Sequence[Shape]) -> Shape:
-        self._check_inputs(input_shapes)
-        return (input_shapes[0][0], 2 * self.hidden_size)
+        state = (x[0], self._state_parts * self.hidden_size)
+        if self.t > 0 and input_shapes[1] != state:
+            raise ValueError(
+                f"{self.kind} state must be {state}, got {input_shapes[1]}"
+            )
+        return state
 
     def param_shapes(self, input_shapes: Sequence[Shape]) -> Dict[str, Shape]:
         # Later steps alias the t=0 owner's arrays at runtime; reporting
@@ -280,6 +267,20 @@ class LSTMStep(Layer):
 
     def init_params(self, input_shapes, rng) -> Dict[str, np.ndarray]:
         return self._cell.params_for(rng)
+
+
+class LSTMStep(_UnrolledStep):
+    """One unrolled LSTM timestep over a shared :class:`LSTMCell`.
+
+    The state is ``[h_t, c_t]``, ``(batch, 2*hidden)``.  The backward
+    pass recomputes the gates from the stashed *inputs* (Echo-style), so
+    no gate activations are stashed — per-timestep memory is exactly
+    ``x_t`` plus the previous state.
+    """
+
+    kind = "lstm_step"
+    backward_needs_output = False
+    _state_parts = 2
 
     def flops(self, input_shapes: Sequence[Shape], output_shape: Shape) -> int:
         batch = output_shape[0]
@@ -296,10 +297,10 @@ class LSTMStep(Layer):
     def _gates(self, x, h_prev, params):
         h = self.hidden_size
         z = x @ params["Wx"] + h_prev @ params["Wh"] + params["b"]
-        i = _sigmoid(z[:, :h])
-        f = _sigmoid(z[:, h:2 * h])
+        i = sigmoid(z[:, :h])
+        f = sigmoid(z[:, h:2 * h])
         g = np.tanh(z[:, 2 * h:3 * h])
-        o = _sigmoid(z[:, 3 * h:])
+        o = sigmoid(z[:, 3 * h:])
         return i, f, g, o
 
     def forward(self, xs, params, ctx, train=True):
@@ -349,60 +350,16 @@ class LSTMStep(Layer):
         return [dx, dstate], dparams
 
 
-class RNNStep(Layer):
+class RNNStep(_UnrolledStep):
     """One unrolled ``tanh`` RNN timestep over a shared :class:`RNNCell`.
 
-    Inputs mirror :class:`LSTMStep`; the state is just ``h_t`` (shape
-    ``(batch, hidden)``), and the backward pass reads the stashed output
-    for the ``tanh`` derivative plus the stashed inputs for the matmuls.
+    The state is just ``h_t`` (shape ``(batch, hidden)``), and the
+    backward pass reads the stashed output for the ``tanh`` derivative
+    plus the stashed inputs for the matmuls.
     """
 
     kind = "rnn_step"
-    backward_needs_input = True
     backward_needs_output = True
-
-    def __init__(self, cell: RNNCell, t: int):
-        if t < 0:
-            raise ValueError(f"timestep must be >= 0, got {t}")
-        self._cell = cell
-        self.t = int(t)
-        self.input_size = cell.input_size
-        self.hidden_size = cell.hidden_size
-
-    @property
-    def cell(self) -> RNNCell:
-        """The shared weight holder (identity defines the tie group)."""
-        return self._cell
-
-    @property
-    def owns_params(self) -> bool:
-        """Whether this step statically accounts for the tied weights."""
-        return self.t == 0
-
-    def infer_shape(self, input_shapes: Sequence[Shape]) -> Shape:
-        expect = 1 if self.t == 0 else 2
-        if len(input_shapes) != expect:
-            raise ValueError(
-                f"rnn_step t={self.t} expects {expect} input(s), "
-                f"got {len(input_shapes)}"
-            )
-        x = input_shapes[0]
-        if len(x) != 2 or x[1] != self.input_size:
-            raise ValueError(
-                f"rnn_step input must be (batch, {self.input_size}), got {x}"
-            )
-        if self.t > 0 and input_shapes[1] != (x[0], self.hidden_size):
-            raise ValueError(
-                f"rnn_step state must be ({x[0]}, {self.hidden_size}), "
-                f"got {input_shapes[1]}"
-            )
-        return (x[0], self.hidden_size)
-
-    def param_shapes(self, input_shapes: Sequence[Shape]) -> Dict[str, Shape]:
-        return self._cell.param_shapes() if self.owns_params else {}
-
-    def init_params(self, input_shapes, rng) -> Dict[str, np.ndarray]:
-        return self._cell.params_for(rng)
 
     def flops(self, input_shapes: Sequence[Shape], output_shape: Shape) -> int:
         batch = output_shape[0]
@@ -433,3 +390,21 @@ class RNNStep(Layer):
             return [dx], dparams
         dstate = dz @ params["Wh"].T
         return [dx, dstate], dparams
+
+
+def unroll(b: "GraphBuilder", cell: _SharedCell, seq_len: int) -> "NodeRef":
+    """Unroll ``cell`` over the builder's ``(batch, seq_len, F)`` input.
+
+    Adds ``x{t}`` (:class:`TimeSlice`) and ``step{t}`` (the cell's step
+    class) per timestep, then, for an :class:`LSTMCell`, the ``hT``
+    :class:`StateSlice`.  Returns the final hidden state.
+    """
+    step = LSTMStep if isinstance(cell, LSTMCell) else RNNStep
+    state = None
+    for t in range(seq_len):
+        x_t = b.add(TimeSlice(t, seq_len), b.input, name=f"x{t}")
+        inputs = [x_t] if state is None else [x_t, state]
+        state = b.add(step(cell, t), inputs, name=f"step{t}")
+    if step is LSTMStep:
+        state = b.add(StateSlice(cell.hidden_size, "h"), state, name="hT")
+    return state

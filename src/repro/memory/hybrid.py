@@ -30,7 +30,9 @@ roofline cost model —
   before the backward use; cost is the un-hidden fraction of the two
   transfers, calibrated per graph against the vDNN event simulation;
 * **shared concat** — read the map back as a channel prefix of its
-  concat chain's kept terminal (:mod:`repro.memory.shared_concat`) —
+  concat chain's kept terminal (:mod:`repro.memory.shared_concat`); the
+  backward reads are views of that buffer, so no tensor replaces the
+  map —
 
 then selects greedily by bytes-saved per second of overhead under a
 step-time budget.
@@ -311,7 +313,8 @@ def _swap_stall_fraction(cost: "CostModel", step: "StepTime",
 def _drop_option(node, stash_class, fp32_bytes, choice, cost_s,
                  source_id=None, chain=()) -> PlanDecision:
     """A non-codec lever: nothing stays on the device across the gap and
-    the backward pass reads a rebuilt full-size FP32 map."""
+    the backward pass reads a full-size FP32 map (rebuilt, prefetched, or
+    a view of a concat chain's terminal)."""
     return PlanDecision(
         node_id=node.node_id, node_name=node.name, stash_class=stash_class,
         choice=choice, encoding=None, fp32_bytes=fp32_bytes,
@@ -366,7 +369,7 @@ def _candidate_options(
 
         # Shared concat buffer: this map is a bit-exact channel prefix of
         # its chain terminal, so the private stash can be dropped and the
-        # backward read re-sliced out of the terminal's kept FP32 buffer.
+        # backward read is a view into the terminal's kept FP32 buffer.
         # Requires the terminal to be stashed at runtime.
         chain = concat_index.get(nid)
         if chain is not None:
@@ -374,8 +377,12 @@ def _candidate_options(
             if terminal_first_bwd is not None:
                 options.append(_drop_option(
                     node, info.stash_class, fp32_bytes, CHOICE_SHARED_CONCAT,
-                    # One bandwidth pass at backward: read the prefix out
-                    # of the terminal, write the contiguous staging copy.
+                    # The view copies nothing, but the option keeps the
+                    # price of one read + write pass: priced free, the
+                    # budget it frees buys a larger swap whose prefetch
+                    # buffer lands at the peak (densenet, batch 32: +1.4 %
+                    # allocated), because swaps are not scored by where
+                    # their buffers land.
                     cost.copy_time(2 * fp32_bytes)
                     + cost.device.kernel_overhead,
                     chain.terminal_id, chain.path(nid),
@@ -493,7 +500,7 @@ def apply_decisions(
     def backward_copy(node, fm, suffix, first_bwd, last_bwd,
                       role=ROLE_DECODED) -> LiveTensor:
         # The full-size FP32 buffer the backward reads of a replaced
-        # stash use: decoded, prefetched, re-sliced or recomputed.
+        # stash use: decoded, prefetched or recomputed.
         copy = LiveTensor(
             TensorSpec(f"{node.name}.out.{suffix}", node.output_shape,
                        fm.spec.dtype, TensorCategory.FEATURE_MAP),
@@ -530,10 +537,9 @@ def apply_decisions(
                                                   first_bwd, last_bwd)
         elif option.choice == CHOICE_SHARED_CONCAT:
             # The member's map aliases the terminal's growing buffer for
-            # its whole forward life; only the contiguous staging copy the
-            # backward pass reads from is new space.
+            # its whole forward life, and its backward reads are views of
+            # that buffer: no new space.
             fm.alias_group = f"concat:{option.source_id}"
-            backward_copy(node, fm, "shared", first_bwd, last_bwd)
         elif option.choice == CHOICE_RECOMPUTE:
             backward_copy(node, fm, "recomp", first_bwd, last_bwd,
                           role=ROLE_FEATURE_MAP)

@@ -11,46 +11,30 @@ hybrid planner, and the rewrite passes all apply unchanged.
 from __future__ import annotations
 
 from repro.graph import Graph, GraphBuilder
-from repro.layers import (
-    Dense,
-    LSTMCell,
-    LSTMStep,
-    RNNCell,
-    RNNStep,
-    SoftmaxCrossEntropy,
-    StateSlice,
-    TimeSlice,
-)
+from repro.layers import Dense, LSTMCell, RNNCell, SoftmaxCrossEntropy, unroll
 
 
-def lstm(batch_size: int = 64, num_classes: int = 10, seq_len: int = 12,
-         input_size: int = 32, hidden_size: int = 64) -> Graph:
-    """Single-layer unrolled LSTM classifier over the last hidden state."""
-    b = GraphBuilder("lstm", (batch_size, seq_len, input_size))
-    cell = LSTMCell(input_size, hidden_size)
-    state = None
-    for t in range(seq_len):
-        x_t = b.add(TimeSlice(t, seq_len), b.input, name=f"x{t}")
-        inputs = [x_t] if state is None else [x_t, state]
-        state = b.add(LSTMStep(cell, t), inputs, name=f"step{t}")
-    h = b.add(StateSlice(hidden_size, "h"), state, name="hT")
+def _classifier(name: str, cell_type, batch_size: int, num_classes: int,
+                seq_len: int, input_size: int, hidden_size: int) -> Graph:
+    """An unrolled ``cell_type`` column whose last hidden state feeds a
+    dense softmax head."""
+    b = GraphBuilder(name, (batch_size, seq_len, input_size))
+    h = unroll(b, cell_type(input_size, hidden_size), seq_len)
     x = b.add(Dense(num_classes), h, name="fc")
     x = b.add(SoftmaxCrossEntropy(), x, name="loss")
     b.mark_output(x)
     return b.build()
 
 
+def lstm(batch_size: int = 64, num_classes: int = 10, seq_len: int = 12,
+         input_size: int = 32, hidden_size: int = 64) -> Graph:
+    """Single-layer unrolled LSTM classifier over the last hidden state."""
+    return _classifier("lstm", LSTMCell, batch_size, num_classes, seq_len,
+                       input_size, hidden_size)
+
+
 def rnn(batch_size: int = 64, num_classes: int = 10, seq_len: int = 12,
         input_size: int = 32, hidden_size: int = 64) -> Graph:
     """Single-layer unrolled tanh-RNN classifier over the last state."""
-    b = GraphBuilder("rnn", (batch_size, seq_len, input_size))
-    cell = RNNCell(input_size, hidden_size)
-    state = None
-    for t in range(seq_len):
-        x_t = b.add(TimeSlice(t, seq_len), b.input, name=f"x{t}")
-        inputs = [x_t] if state is None else [x_t, state]
-        state = b.add(RNNStep(cell, t), inputs, name=f"step{t}")
-    x = b.add(Dense(num_classes), state, name="fc")
-    x = b.add(SoftmaxCrossEntropy(), x, name="loss")
-    b.mark_output(x)
-    return b.build()
+    return _classifier("rnn", RNNCell, batch_size, num_classes, seq_len,
+                       input_size, hidden_size)

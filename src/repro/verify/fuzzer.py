@@ -34,16 +34,13 @@ from repro.layers import (
     GlobalAvgPool2D,
     LocalResponseNorm,
     LSTMCell,
-    LSTMStep,
     MaxPool2D,
     ReLU,
     RNNCell,
-    RNNStep,
     Sigmoid,
     SoftmaxCrossEntropy,
-    StateSlice,
     Tanh,
-    TimeSlice,
+    unroll,
 )
 
 #: Default cap on generated op count (cheap enough for smoke batches).
@@ -131,26 +128,13 @@ class GraphFuzzer:
         input_size = int(rng.integers(2, 9))
         hidden = int(rng.integers(3, 13))
         classes = int(rng.integers(2, 9))
-        use_lstm = rng.random() < 0.5
+        cell_type = LSTMCell if rng.random() < 0.5 else RNNCell
         seq_len = max(2, min(seq_len, max(1, int(max_ops)) // 2))
 
         b = GraphBuilder(
             f"fuzz_{self.seed}_seq", (batch, seq_len, input_size)
         )
-        if use_lstm:
-            cell = LSTMCell(input_size, hidden)
-            step_of = lambda t: LSTMStep(cell, t)  # noqa: E731
-        else:
-            cell = RNNCell(input_size, hidden)
-            step_of = lambda t: RNNStep(cell, t)  # noqa: E731
-        state = None
-        for t in range(seq_len):
-            x_t = b.add(TimeSlice(t, seq_len), b.input, name=f"x{t}")
-            inputs = [x_t] if state is None else [x_t, state]
-            state = b.add(step_of(t), inputs, name=f"step{t}")
-        x = state
-        if use_lstm:
-            x = b.add(StateSlice(hidden, part="h"), x, name="hT")
+        x = unroll(b, cell_type(input_size, hidden), seq_len)
         if rng.random() < 0.4:
             x = b.add(Tanh() if rng.random() < 0.5 else ReLU(), x)
         if rng.random() < 0.3:

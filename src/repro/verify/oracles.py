@@ -295,13 +295,15 @@ def _check_replay(record: PlanRecord, decision, first_bwd: Optional[int],
                  f"first backward read {first_bwd}")
 
 
-#: The tensor ``apply_decisions`` builds in a decided map's place, by
-#: choice, as a suffix of the FP32 map's ``<node>.out`` name.
+#: The tensor the backward reads of a decided map come from, by choice,
+#: as a suffix of an FP32 map's ``<node>.out`` name: the one
+#: ``apply_decisions`` builds in the map's place, or for a shared-concat
+#: member the chain terminal's own map, which its reads are views of.
 _REPLACEMENT_SUFFIX = {
     CHOICE_GIST: ".enc",
     CHOICE_SWAP: ".prefetch",
     CHOICE_RECOMPUTE: ".recomp",
-    CHOICE_SHARED_CONCAT: ".shared",
+    CHOICE_SHARED_CONCAT: "",
 }
 
 
@@ -316,9 +318,10 @@ def _check_liveness(record: PlanRecord, oracle: str) -> List[Violation]:
       buffer that absorbed it is born by this node's forward step) and
       survives its last forward use; with no decision it also survives
       its last backward use;
-    * a decided map has its choice's replacement tensor, born no later
-      than the last forward use (gist) / first backward use (rebuilt
-      copies) and alive to the last backward use;
+    * a decided map has its choice's replacement tensor (a shared-concat
+      member: its terminal's map), born no later than the last forward
+      use (gist) / first backward use (the rest) and alive to the last
+      backward use;
     * gist: the carried stash has exactly the priced ``resident_bytes``,
       which never exceed the FP32 map (SSDC falls back at its breakeven,
       Binarize is 1 bit, DPR sub-32-bit), and a priced decoded staging
@@ -376,7 +379,9 @@ def _check_liveness(record: PlanRecord, oracle: str) -> List[Violation]:
             continue
 
         name = decision.node_name
-        r = tensors.get((nid, _REPLACEMENT_SUFFIX.get(decision.choice)))
+        owner = (decision.source_id
+                 if decision.choice == CHOICE_SHARED_CONCAT else nid)
+        r = tensors.get((owner, _REPLACEMENT_SUFFIX.get(decision.choice)))
         if r is None:
             fire(f"{decision.choice} decision for {node.name!r} has no "
                  f"replacement tensor in the plan")

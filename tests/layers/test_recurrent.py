@@ -8,6 +8,8 @@ per-step tied updates equal the single summed-gradient update a fused
 implementation would apply.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,9 @@ from repro.layers import (
     SoftmaxCrossEntropy,
     StateSlice,
     TimeSlice,
+    unroll,
 )
+from repro.graph import graph_fingerprint
 from repro.graph.builder import GraphBuilder
 from repro.models import build_model
 from repro.train.executor import GraphExecutor
@@ -31,20 +35,8 @@ SEED = 7
 
 def _sequence_graph(cell_kind: str):
     b = GraphBuilder(f"{cell_kind}_seq", (B, T, F))
-    if cell_kind == "lstm":
-        cell = LSTMCell(F, H)
-        steps = [LSTMStep(cell, t) for t in range(T)]
-    else:
-        cell = RNNCell(F, H)
-        steps = [RNNStep(cell, t) for t in range(T)]
-    state = None
-    for t, step in enumerate(steps):
-        x_t = b.add(TimeSlice(t, T), b.input, name=f"x{t}")
-        inputs = [x_t] if state is None else [x_t, state]
-        state = b.add(step, inputs, name=f"step{t}")
-    x = state
-    if cell_kind == "lstm":
-        x = b.add(StateSlice(H, part="h"), x, name="hT")
+    cell = LSTMCell(F, H) if cell_kind == "lstm" else RNNCell(F, H)
+    x = unroll(b, cell, T)
     x = b.add(Dense(C), x, name="fc")
     x = b.add(SoftmaxCrossEntropy(), x, name="loss")
     b.mark_output(x)
@@ -134,6 +126,33 @@ class TestGradients:
         assert result.epoch_losses[-1] < result.epoch_losses[0]
 
 
+class TestStepChecks:
+    """Both step kinds share one scaffold; each malformed build names its
+    kind."""
+
+    @pytest.fixture(params=[(LSTMStep, LSTMCell, 2), (RNNStep, RNNCell, 1)],
+                    ids=["lstm_step", "rnn_step"])
+    def step(self, request):
+        step_type, cell_type, parts = request.param
+        return step_type, cell_type(F, H), parts * H
+
+    #: fault -> (timestep, input shapes given the state width, message)
+    FAULTS = {
+        "negative-t": (-1, lambda w: [(B, F)], "timestep must be >= 0"),
+        "input-count": (1, lambda w: [(B, F)], "expects 2 input(s)"),
+        "input-width": (0, lambda w: [(B, F + 1)], "input must be"),
+        "state-width": (1, lambda w: [(B, F), (B, w + 1)], "state must be"),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_malformed_step_raises_naming_its_kind(self, step, fault):
+        step_type, cell, width = step
+        t, shapes, message = self.FAULTS[fault]
+        with pytest.raises(ValueError,
+                           match=f"^{step_type.kind} .*{re.escape(message)}"):
+            step_type(cell, t).infer_shape(shapes(width))
+
+
 class TestTimeAndStateSlices:
     def test_time_slice_extracts_contiguous_step(self, rng):
         x = rng.normal(0, 1, (B, T, F)).astype(np.float32)
@@ -163,7 +182,20 @@ class TestTimeAndStateSlices:
         assert not dx[:, H:].any()
 
 
+#: ``graph_fingerprint(build_model(name, batch_size=8))``: the unrolled
+#: registry graphs, pinned so a change to the unroll shows.
+PINNED_FINGERPRINTS = {
+    "lstm": "83a1d8f6a1eaf68cd9b72de4d5738e957a93f0f1a3c5a80c764337d99216ac89",
+    "rnn": "69ac36e45a6974c0286669b096cd3bb52432657bb5ef52d025a871757aeb862f",
+}
+
+
 class TestRegistryModels:
+    @pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+    def test_fingerprint_is_pinned(self, name):
+        graph = build_model(name, batch_size=8)
+        assert graph_fingerprint(graph) == PINNED_FINGERPRINTS[name]
+
     @pytest.mark.parametrize("name,kwargs", [
         ("lstm", dict(batch_size=4, num_classes=3, seq_len=4,
                       input_size=5, hidden_size=6)),

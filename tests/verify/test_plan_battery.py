@@ -48,10 +48,10 @@ from repro.verify import runner
 
 @pytest.fixture(scope="module")
 def records():
-    """One record per selector / lever, so every replacement suffix
-    (``.enc`` + ``.dec``, ``.prefetch``, ``.recomp`` + ``.rechain``,
-    ``.shared``) occurs in a ``HybridPlan`` and — where the selector can
-    emit it — in a ``GistPlan`` / ``RecomputePlan``."""
+    """One record per selector / lever, so every replacement tensor
+    (``.enc`` + ``.dec``, ``.prefetch``, ``.recomp`` + ``.rechain``, a
+    shared-concat terminal's map) occurs in a ``HybridPlan`` and — where
+    the selector can emit it — in a ``GistPlan`` / ``RecomputePlan``."""
     vgg = scaled_vgg(batch_size=8)
     densenet = build_model("densenet", batch_size=4, num_classes=4,
                            image_size=8, init_channels=4, growth=4,
@@ -74,6 +74,15 @@ def _tensor(record, suffix):
                  if t.spec.name.endswith(suffix)), None)
 
 
+def _shared_terminal(record):
+    """The FP32 map a shared-concat member's backward reads are views of."""
+    terminal = next((d.source_id for d in record.decisions.values()
+                     if d.choice == "shared_concat"), None)
+    if terminal is None:
+        return None
+    return _tensor(record, f"{record.graph.node(terminal).name}.out")
+
+
 def _truncate_death(suffix):
     def fault(record):
         victim = _tensor(record, suffix)
@@ -82,6 +91,14 @@ def _truncate_death(suffix):
         victim.death = victim.birth - 1
         return True
     return fault
+
+
+def _truncate_shared_terminal(record):
+    victim = _shared_terminal(record)
+    if victim is None:
+        return False
+    victim.death = victim.birth - 1
+    return True
 
 
 def _drop(suffix):
@@ -102,8 +119,13 @@ def _truncate_fp32_forward(record):
 
 
 def _drop_replacement(record):
-    return _drop((".out.enc", ".out.prefetch", ".out.recomp",
-                  ".out.shared"))(record)
+    if _drop((".out.enc", ".out.prefetch", ".out.recomp"))(record):
+        return True
+    terminal = _shared_terminal(record)
+    if terminal is None:
+        return False
+    record.plan.tensors.remove(terminal)
+    return True
 
 
 def _inflate_resident_bytes(record):
@@ -131,7 +153,7 @@ FAULTS = {
                        "before the last backward use"),
     "recomp-death": (_truncate_death(".out.recomp"),
                      "before the last backward use"),
-    "shared-death": (_truncate_death(".out.shared"),
+    "shared-death": (_truncate_shared_terminal,
                      "before the last backward use"),
     "fp32-forward-death": (_truncate_fp32_forward,
                            "before its last forward use"),
