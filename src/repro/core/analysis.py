@@ -53,15 +53,6 @@ def _is_argmax_pool(node: OpNode) -> bool:
     return getattr(node.layer, "supports_argmax_map", False)
 
 
-def _produces_relu_map(node: OpNode) -> bool:
-    """Whether the node's output is a rectified (sparse, sign-maskable) map.
-
-    Keyed on the ``relu_output`` layer attribute rather than the kind so
-    that fused conv+relu nodes classify exactly like the relu they absorbed.
-    """
-    return getattr(node.layer, "relu_output", False)
-
-
 def classify_stash(
     graph: Graph, schedule: TrainingSchedule, node_id: int
 ) -> Optional[StashInfo]:
@@ -78,22 +69,13 @@ def classify_stash(
     if node.kind == "relu" and all(_is_argmax_pool(c) for c in consumers):
         return StashInfo(node_id, STASH_RELU_POOL, tuple(consumers),
                          producer_needs)
-    # Fused conv+relu outputs are rectified maps too, but their producer
-    # backward needs X (the conv side), so only the pure pool case applies.
-    if (
-        _produces_relu_map(node)
-        and not producer_needs
-        and all(_is_argmax_pool(c) for c in consumers)
-    ):
-        return StashInfo(node_id, STASH_RELU_POOL, tuple(consumers),
-                         producer_needs)
 
     # SSDC: sparse producer (ReLU, or pool-of-ReLU) with conv/dense
     # value consumers.  The producer's own backward (if any) also works on
     # the exactly-reconstructed values.
-    sparse_producer = _produces_relu_map(node) or (
+    sparse_producer = node.kind == "relu" or (
         node.kind == "maxpool"
-        and _produces_relu_map(graph.node(node.inputs[0]))
+        and graph.node(node.inputs[0]).kind == "relu"
     )
     if (
         sparse_producer

@@ -99,11 +99,10 @@ def run_traced(
         seed: Master seed for parameters and the batch stream.
         tracer: Optional :class:`StepTracer` to observe the run with.
         check_invariants: Enable the full runtime invariant suite.
-        rewrite: Apply the default graph-rewrite passes before tracing.
-            On the golden models (no dead branches, so no parameterised
-            node is removed) the digest's losses and gradients stay
-            byte-identical to the unrewritten run — the property the
-            rewrite-equivalence oracle pins.
+        rewrite: Apply the default graph-rewrite sweep (the inplace pass)
+            before tracing.  It only marks nodes, so the whole digest —
+            losses, gradients and stash inventory — stays byte-identical
+            to the unrewritten run.
     """
     spec = GOLDEN_MODELS[model]
     graph = build_model(model, **spec)

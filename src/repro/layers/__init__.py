@@ -10,11 +10,10 @@ from repro.layers.base import InputLayer, Layer, OpContext, StateSpec
 from repro.layers.conv import Conv2D
 from repro.layers.dense import Dense
 from repro.layers.dropout import Dropout
-from repro.layers.fused import FusedConvReLU
 from repro.layers.loss import SoftmaxCrossEntropy
 from repro.layers.merge import Add, Concat
 from repro.layers.norm import BatchNorm2D, LocalResponseNorm
-from repro.layers.pool import ArgmaxMaxPool2D, AvgPool2D, GlobalAvgPool2D, MaxPool2D
+from repro.layers.pool import AvgPool2D, GlobalAvgPool2D, MaxPool2D
 from repro.layers.recurrent import (
     LSTMCell,
     LSTMStep,
@@ -28,7 +27,6 @@ from repro.layers.reshape import Flatten
 
 __all__ = [
     "Add",
-    "ArgmaxMaxPool2D",
     "AvgPool2D",
     "BatchNorm2D",
     "Concat",
@@ -36,7 +34,6 @@ __all__ = [
     "Dense",
     "Dropout",
     "Flatten",
-    "FusedConvReLU",
     "GlobalAvgPool2D",
     "InputLayer",
     "LSTMCell",

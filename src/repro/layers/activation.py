@@ -30,9 +30,6 @@ class ReLU(Layer):
     backward_needs_input = False
     backward_needs_output = True
     supports_inplace = True
-    #: The output is a rectified map — the attribute the stash classifier
-    #: keys on (so fused conv+relu nodes classify identically).
-    relu_output = True
 
     def infer_shape(self, input_shapes: Sequence[Shape]) -> Shape:
         (shape,) = input_shapes

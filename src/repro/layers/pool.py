@@ -117,32 +117,6 @@ class MaxPool2D(_Pool2D):
         return [plan.maxpool_backward(argmax, dy, resolve_arena(ctx))], {}
 
 
-class ArgmaxMaxPool2D(MaxPool2D):
-    """Max pooling whose *memory model* matches the argmax-map runtime.
-
-    Produced by the rewrite layer's pool-argmax pass (paper Section IV-A
-    promoted from an encoding-time rewrite to a graph transform): the
-    kernels are inherited unchanged from :class:`MaxPool2D` — which
-    already computes and replays the Y-to-X map — but the static
-    backward-dependence flags now tell the memory planner the truth: the
-    backward pass reads neither ``X`` nor ``Y``, only the 4-bit map
-    declared in :meth:`saved_state_specs`.  Training is therefore
-    bit-identical to the unrewritten pool while the planner stops
-    charging for two stashed feature maps.
-    """
-
-    backward_needs_input = False
-    backward_needs_output = False
-    #: The argmax map is declared statically (saved_state_specs), so the
-    #: Gist planners must not add their own ``.argmax`` tensor for it.
-    argmax_map_static = True
-
-    def saved_state_specs(
-        self, input_shapes: Sequence[Shape], output_shape: Shape
-    ) -> List[StateSpec]:
-        return [self.argmax_map_spec(output_shape)]
-
-
 class AvgPool2D(_Pool2D):
     """Average pooling.  Backward needs neither X nor Y — only shapes.
 

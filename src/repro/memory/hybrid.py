@@ -594,10 +594,6 @@ def apply_decisions(
             if not schedule.has_backward(node.node_id):
                 continue
             rewritten_pools.append(node.node_id)
-            if getattr(node.layer, "argmax_map_static", False):
-                # Pool-argmax-rewritten layers declare the map in their
-                # saved_state_specs; adding it again would double-count.
-                continue
             map_spec = node.layer.argmax_map_spec(node.output_shape)
             new_tensors.append(
                 LiveTensor(

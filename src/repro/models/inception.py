@@ -41,27 +41,27 @@ def inception(batch_size: int = 64, num_classes: int = 1000,
     """Build GoogLeNet (Inception-v1) for ``image_size`` RGB inputs."""
     b = GraphBuilder("inception", (batch_size, 3, image_size, image_size))
 
-    def conv_relu(x, channels, kernel, name, stride=1, pad=0):
+    def conv_block(x, channels, kernel, name, stride=1, pad=0):
         x = b.add(Conv2D(channels, kernel, stride=stride, pad=pad), x,
                   name=f"{name}")
         return b.add(ReLU(), x, name=f"{name}_relu")
 
     def module(x, name, cfg):
         c1, c3r, c3, c5r, c5, cp = cfg
-        b1 = conv_relu(x, c1, 1, f"inc{name}_1x1")
-        b3 = conv_relu(x, c3r, 1, f"inc{name}_3x3r")
-        b3 = conv_relu(b3, c3, 3, f"inc{name}_3x3", pad=1)
-        b5 = conv_relu(x, c5r, 1, f"inc{name}_5x5r")
-        b5 = conv_relu(b5, c5, 5, f"inc{name}_5x5", pad=2)
+        b1 = conv_block(x, c1, 1, f"inc{name}_1x1")
+        b3 = conv_block(x, c3r, 1, f"inc{name}_3x3r")
+        b3 = conv_block(b3, c3, 3, f"inc{name}_3x3", pad=1)
+        b5 = conv_block(x, c5r, 1, f"inc{name}_5x5r")
+        b5 = conv_block(b5, c5, 5, f"inc{name}_5x5", pad=2)
         bp = b.add(MaxPool2D(3, 1, pad=1), x, name=f"inc{name}_pool")
-        bp = conv_relu(bp, cp, 1, f"inc{name}_proj")
+        bp = conv_block(bp, cp, 1, f"inc{name}_proj")
         return b.add(Concat(), [b1, b3, b5, bp], name=f"inc{name}_out")
 
-    x = conv_relu(b.input, 64, 7, "conv1", stride=2, pad=3)
+    x = conv_block(b.input, 64, 7, "conv1", stride=2, pad=3)
     x = b.add(MaxPool2D(3, 2, pad=1), x, name="pool1")
     x = b.add(LocalResponseNorm(5), x, name="norm1")
-    x = conv_relu(x, 64, 1, "conv2r")
-    x = conv_relu(x, 192, 3, "conv2", pad=1)
+    x = conv_block(x, 64, 1, "conv2r")
+    x = conv_block(x, 192, 3, "conv2", pad=1)
     x = b.add(LocalResponseNorm(5), x, name="norm2")
     x = b.add(MaxPool2D(3, 2, pad=1), x, name="pool2")
     x = module(x, "3a", _MODULES["3a"])

@@ -9,10 +9,10 @@ reference bit-for-bit.  No pass deletes a parameterised node, so every
 original gradient must still be there; anything missing or differing is
 a rewriter or codec bug.
 
-The oracle is deliberately end-to-end: it exercises the fused kernels, the
-argmax-map pool flags, the inplace executor path, the stash classifier on
-rewritten graphs and the Gist encodings all at once, so any pass that
-bends a float fails loudly with the policy/step/tensor that diverged.
+The oracle is deliberately end-to-end: it exercises the inplace executor
+path, the stash classifier on rewritten graphs and the Gist encodings
+all at once, so any pass that bends a float fails loudly with the
+policy/step/tensor that diverged.
 It trains and compares through :mod:`repro.verify.execution`, the
 lossless-execution oracle's own pieces, so both word a divergence alike.
 """

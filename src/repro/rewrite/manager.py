@@ -1,11 +1,8 @@
-"""Pass manager: one ordered sweep of the rewrite passes.
+"""Pass manager: one sweep of the rewrite passes.
 
-The order is the passes' one dependency: the two structural passes
-(fusion, then the pool rewrite) change layers, and the flag-marking
-inplace pass then recomputes eligibility on the graph they leave.  No
-pass creates work for an earlier one — a fused node is no longer a conv,
-an argmax pool is no longer a plain max-pool — so the sweep's output is
-already a fixed point: a second sweep applies nothing.
+The default sweep is the inplace pass alone.  It recomputes eligibility
+from scratch and changes no layer, so its output is already a fixed
+point: a second sweep applies nothing.
 """
 
 from __future__ import annotations
@@ -14,10 +11,10 @@ from typing import Iterable, Optional
 
 from repro.graph.graph import Graph
 from repro.rewrite.base import PassStats, RewritePass, RewriteResult
-from repro.rewrite.passes import FuseConvReLUPass, InplacePass, PoolArgmaxPass
+from repro.rewrite.passes import InplacePass
 
 #: The pipeline, in sweep order.  Passes hold no state between runs.
-DEFAULT_PASSES = (FuseConvReLUPass(), PoolArgmaxPass(), InplacePass())
+DEFAULT_PASSES = (InplacePass(),)
 
 
 def apply_passes(

@@ -35,7 +35,7 @@ from repro.memory.shared_concat import find_concat_chains
 from repro.train.stash import BaselinePolicy, StashPolicy
 
 #: Node kinds whose outputs are sparsity-tracked each forward pass.
-_SPARSITY_KINDS = {"relu", "maxpool", "conv_relu"}
+_SPARSITY_KINDS = {"relu", "maxpool"}
 
 
 class _Context(OpContext):

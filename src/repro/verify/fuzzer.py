@@ -72,8 +72,8 @@ class GraphFuzzer:
         same random decision stream, which is what lets the minimizer
         shrink a failing graph without changing the layers it kept.
 
-        ``rewrite_shapes`` mixes in motifs the rewrite passes trigger on
-        (conv→relu chains, max-pools, immediately-consumed maps).  The
+        ``rewrite_shapes`` mixes in motifs the inplace pass triggers on
+        (conv→relu and conv→dropout pairs, some capped by a max-pool).  The
         flag draws from the RNG only inside its own branch, so the default
         decision stream — and every pinned default-mode seed — is
         byte-identical with it off.
@@ -232,16 +232,16 @@ class GraphFuzzer:
         return b.add(Dropout(p=0.2, seed=int(rng.integers(0, 1 << 16))), x)
 
     def _rewrite_motif(self, b: GraphBuilder, x: NodeRef, rng) -> tuple:
-        """One motif a rewrite pass fires on; returns (ref, ops used).
+        """One motif the inplace pass fires on; returns (ref, ops used).
 
-        Two motifs: conv→relu chains (fusion), optionally capped by a
-        max-pool (pool-argmax), and immediately-consumed maps (inplace).
+        Two motifs, both immediately-consumed maps: a conv→relu chain,
+        optionally capped by a max-pool, and a conv→dropout pair.
         """
         motif = int(rng.integers(0, 2))
         side = self._spatial(b, x)
         if motif == 0:
-            # conv -> relu (fusion), optionally capped by a pool so the
-            # pool-argmax pass and the relu-pool classifier both fire.
+            # conv -> relu (the relu runs in the conv's buffer), optionally
+            # capped by a pool so the relu-pool classifier fires too.
             out_c = int(rng.integers(1, 9))
             k = int(rng.choice([1, 3]))
             x = b.add(Conv2D(out_c, k, pad=k // 2), x)
@@ -251,7 +251,7 @@ class GraphFuzzer:
             return x, 2
         # Immediately-consumed map: conv -> dropout is inplace-eligible
         # (conv's backward never reads its output, dropout's never reads
-        # its input) without being a fusion candidate.
+        # its input).
         out_c = int(rng.integers(1, 9))
         x = b.add(Conv2D(out_c, 1), x)
         x = b.add(Dropout(p=0.3, seed=int(rng.integers(0, 1 << 16))), x)

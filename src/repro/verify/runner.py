@@ -40,11 +40,10 @@ lossless-execution     the graph as built trains two SGD steps under
 recurrent-unroll       weight-tied step columns are well-ordered (one
                        t=0 owner, chained states, physically shared
                        parameter arrays of the baseline run's executor)
-rewrite-equivalence    ``--rewrite-shapes`` only: the rewrite passes
-                       (fusion / pool-argmax / inplace) leave per-step
-                       losses and every gradient, under each lossless
-                       policy, ≡ the original under baseline, bit for
-                       bit
+rewrite-equivalence    ``--rewrite-shapes`` only: the inplace pass
+                       leaves per-step losses and every gradient,
+                       under each lossless policy, ≡ the original
+                       under baseline, bit for bit
 backend-differential   every conv arm agrees with the reference arm on
                        shared inputs (exact arms bit-for-bit, tolerance
                        arms within their declared bound); max-pool and

@@ -1,6 +1,6 @@
 """Fault injection: deliberately broken passes must fail the oracle.
 
-Each test plants a realistic rewriter bug — a fusion that drops the bias,
+Each test plants a realistic rewriter bug — a swapped conv that drops the bias,
 an inplace mark that clobbers a stashed buffer, a merge of two ops that
 are not duplicates, a bypass that drops a layer — and asserts that
 :func:`~repro.rewrite.equivalence.check_rewrite_equivalence` catches it
@@ -18,7 +18,6 @@ from repro.layers import (
     Dense,
     Dropout,
     Flatten,
-    FusedConvReLU,
     LocalResponseNorm,
     ReLU,
     SoftmaxCrossEntropy,
@@ -26,7 +25,7 @@ from repro.layers import (
 from repro.encodings.ssdc import SSDCEncoding
 from repro.rewrite import check_rewrite_equivalence
 from repro.rewrite.base import RewritePass, clone_node, rebuild
-from repro.rewrite.passes import FuseConvReLUPass
+from repro.rewrite.passes import InplacePass
 
 
 def finish(b, x):
@@ -37,8 +36,9 @@ def finish(b, x):
     return b.build()
 
 
-class DroppedBiasFusedConvReLU(FusedConvReLU):
-    """A fused op that forgets the convolution bias — a classic fusion bug."""
+class DroppedBiasConv2D(Conv2D):
+    """A conv that forgets its bias — the classic bug of a pass that
+    swaps in a fused or specialised kernel."""
 
     def forward(self, xs, params, ctx, train=True):
         doctored = dict(params)
@@ -46,15 +46,21 @@ class DroppedBiasFusedConvReLU(FusedConvReLU):
         return super().forward(xs, doctored, ctx, train)
 
 
-class DroppedBiasFusionPass(FuseConvReLUPass):
-    name = "bad-fusion"
+class DroppedBiasConvPass(RewritePass):
+    """Swaps the first plain conv for a :class:`DroppedBiasConv2D` twin."""
+
+    name = "bad-conv-swap"
 
     def run(self, graph):
-        rewritten, changes = super().run(graph)
-        for node in rewritten.nodes:
-            if isinstance(node.layer, FusedConvReLU):
-                node.layer = DroppedBiasFusedConvReLU(node.layer.conv)
-        return rewritten, changes
+        conv = next((n for n in graph.nodes if type(n.layer) is Conv2D),
+                    None)
+        if conv is None:
+            return graph, 0
+        c = conv.layer
+        nodes = {n.node_id: clone_node(n) for n in graph.nodes}
+        nodes[conv.node_id].layer = DroppedBiasConv2D(
+            c.out_channels, (c.kh, c.kw), c.stride, c.pad)
+        return rebuild(graph, nodes, graph.output_id), 1
 
 
 class RecklessInplacePass(RewritePass):
@@ -164,7 +170,7 @@ class TestFaultInjection:
         x = b.add(ReLU(), x)
         graph = finish(b, x)
         violations = check_rewrite_equivalence(
-            graph, passes=[DroppedBiasFusionPass()]
+            graph, passes=[DroppedBiasConvPass()]
         )
         assert violations
         # Dropping the bias changes the forward values immediately.
@@ -257,15 +263,16 @@ class TestFaultInjection:
             return out
 
         monkeypatch.setattr(SSDCEncoding, "decode", first_zero_to_one)
-        # conv1 -> relu fuses; conv2 feeds the add too, so its relu stays
-        # a plain ReLU-Conv map that gist-lossless stashes through SSDC.
+        # The first relu runs inplace in conv1's buffer; conv2 feeds the
+        # add too, so its relu is not marked.  Both relus are ReLU-Conv
+        # maps that gist-lossless stashes through SSDC.
         b = GraphBuilder("g", (2, 3, 8, 8))
         x = b.add(ReLU(), b.add(Conv2D(4, 3, pad=1), b.input))
         y = b.add(Conv2D(4, 3, pad=1), x)
         z = b.add(Conv2D(4, 3, pad=1), b.add(ReLU(), y))
         graph = finish(b, b.add(Add(), [y, z]))
         violations = check_rewrite_equivalence(
-            graph, passes=[FuseConvReLUPass()]
+            graph, passes=[InplacePass()]
         )
         assert violations
         assert all(v.detail.startswith("policy gist-lossless ")
@@ -279,7 +286,7 @@ class TestFaultInjection:
         x = b.add(ReLU(), x)
         graph = finish(b, x)
         violations = check_rewrite_equivalence(
-            graph, seed=17, passes=[DroppedBiasFusionPass()]
+            graph, seed=17, passes=[DroppedBiasConvPass()]
         )
         assert violations
         assert all(v.seed == 17 for v in violations)

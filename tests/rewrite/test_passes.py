@@ -1,25 +1,17 @@
-"""Unit tests for the individual rewrite passes and the pass manager."""
+"""Unit tests for the inplace rewrite pass and the pass manager."""
 
 from repro.graph.builder import GraphBuilder
 from repro.layers import (
-    Add,
     Conv2D,
     Dense,
     Dropout,
     Flatten,
-    FusedConvReLU,
     LocalResponseNorm,
     MaxPool2D,
     ReLU,
     SoftmaxCrossEntropy,
 )
-from repro.layers.pool import ArgmaxMaxPool2D
-from repro.rewrite import (
-    FuseConvReLUPass,
-    InplacePass,
-    PoolArgmaxPass,
-    apply_passes,
-)
+from repro.rewrite import InplacePass, apply_passes
 
 
 def finish(b, x):
@@ -36,46 +28,6 @@ def conv_relu_graph():
     x = b.add(ReLU(), x)
     x = b.add(MaxPool2D(2, 2), x)
     return finish(b, x)
-
-
-class TestFuseConvReLU:
-    def test_fuses_single_consumer_chain(self):
-        graph = conv_relu_graph()
-        rewritten, changes = FuseConvReLUPass().run(graph)
-        assert changes == 1
-        assert len(rewritten.nodes) == len(graph.nodes) - 1
-        fused = [n for n in rewritten.nodes if n.kind == "conv_relu"]
-        assert len(fused) == 1
-        # The fused node keeps the conv's name so parameters transplant.
-        assert fused[0].name == "conv1"
-        assert isinstance(fused[0].layer, FusedConvReLU)
-        assert not any(n.kind == "relu" for n in rewritten.nodes)
-        # The pool now consumes the fused node directly.
-        (pool,) = [n for n in rewritten.nodes if n.kind == "maxpool"]
-        assert pool.inputs == [fused[0].node_id]
-
-    def test_skips_multi_consumer_conv(self):
-        b = GraphBuilder("g", (2, 3, 8, 8))
-        conv = b.add(Conv2D(3, 3, pad=1), b.input)
-        relu = b.add(ReLU(), conv)
-        merged = b.add(Add(), [conv, relu])  # conv has two consumers
-        graph = finish(b, merged)
-        _, changes = FuseConvReLUPass().run(graph)
-        assert changes == 0
-
-
-class TestPoolArgmax:
-    def test_replaces_layer_and_drops_xy_stash(self):
-        from repro.core.analysis import stash_bytes_by_class
-
-        graph = conv_relu_graph()
-        rewritten, changes = PoolArgmaxPass().run(graph)
-        assert changes == 1
-        (pool,) = [n for n in rewritten.nodes if n.kind == "maxpool"]
-        assert type(pool.layer) is ArgmaxMaxPool2D
-        before = sum(stash_bytes_by_class(graph).values())
-        after = sum(stash_bytes_by_class(rewritten).values())
-        assert after < before
 
 
 class TestInplace:
@@ -117,9 +69,12 @@ class TestManager:
         graph = conv_relu_graph()
         result = apply_passes(graph)
         assert result.changed
-        assert result.total_changes >= 2  # fusion + pool at least
-        assert [s.name for s in result.stats] == [
-            "fuse-conv-relu", "pool-argmax", "inplace"
+        assert [s.name for s in result.stats] == ["inplace"]
+        # The relu runs in the conv's buffer; no layer is replaced.
+        marked = {n.name for n in result.graph.nodes if n.inplace}
+        assert "relu1" in marked
+        assert [type(n.layer) for n in result.graph.nodes] == [
+            type(n.layer) for n in graph.nodes
         ]
         report = result.report()
         for s in result.stats:
@@ -131,7 +86,11 @@ class TestManager:
 
     def test_single_pass_selection(self):
         graph = conv_relu_graph()
-        result = apply_passes(graph, [PoolArgmaxPass()])
-        assert [s.name for s in result.stats] == ["pool-argmax"]
-        # Fusion not selected: the relu node must survive.
-        assert any(n.kind == "relu" for n in result.graph.nodes)
+        # An empty selection runs nothing and returns the input graph.
+        empty = apply_passes(graph, [])
+        assert empty.stats == [] and empty.graph is graph
+        result = apply_passes(graph, [InplacePass()])
+        assert [s.name for s in result.stats] == ["inplace"]
+        assert [n.inplace for n in result.graph.nodes] == [
+            n.inplace for n in apply_passes(graph).graph.nodes
+        ]

@@ -203,7 +203,7 @@ class TestExecutor:
 
         class Planting(BaselinePolicy):
             def transform_forward(self, y, node):
-                if node.kind in ("relu", "maxpool", "conv_relu"):
+                if node.kind in ("relu", "maxpool"):
                     planted[node.name] = hostile(y.shape)
                     return planted[node.name]
                 return y
@@ -424,15 +424,15 @@ class TestGradientOnlyPolicy:
 
 
 def _two_headed_cnn(batch_size=4):
-    """The graph input feeds two convs (one fused with its ReLU)."""
+    """The graph input feeds two convs (one followed by a ReLU)."""
     from repro.graph import GraphBuilder
     from repro.layers import (
-        Add, Conv2D, Dense, FusedConvReLU, MaxPool2D, ReLU,
-        SoftmaxCrossEntropy,
+        Add, Conv2D, Dense, MaxPool2D, ReLU, SoftmaxCrossEntropy,
     )
 
     b = GraphBuilder("two_headed", (batch_size, 3, 8, 8))
-    left = b.add(FusedConvReLU(Conv2D(6, 3, pad=1)), b.input, name="left")
+    left = b.add(Conv2D(6, 3, pad=1), b.input, name="left")
+    left = b.add(ReLU(), left, name="left_relu")
     right = b.add(Conv2D(6, 3, pad=1), b.input, name="right")
     x = b.add(Add(), [left, right], name="join")
     x = b.add(ReLU(), x, name="relu")
