@@ -39,20 +39,20 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_series(name: str, values: Sequence[Number], precision: int = 3) -> str:
+def format_series(name: str, values: Sequence[Number]) -> str:
     """Render a named numeric series on one line (figure curves)."""
-    body = ", ".join(f"{v:.{precision}f}" for v in values)
+    body = ", ".join(f"{v:.3f}" for v in values)
     return f"{name}: [{body}]"
 
 
-def format_breakdown(label: str, parts: Dict[str, Number], total_label: str = "total") -> str:
+def format_breakdown(label: str, parts: Dict[str, Number]) -> str:
     """Render a stacked-bar style breakdown (Figure 1/3/10 bars)."""
     total = sum(parts.values())
     segs = ", ".join(
         f"{k}={v:,.0f} ({v / total:.1%})" if total else f"{k}={v:,.0f}"
         for k, v in parts.items()
     )
-    return f"{label}: {segs}; {total_label}={total:,.0f}"
+    return f"{label}: {segs}; total={total:,.0f}"
 
 
 def _fmt(cell: object) -> str:

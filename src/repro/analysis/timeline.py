@@ -39,10 +39,10 @@ def sparkline(values: Sequence[float], width: int = 72) -> str:
     return "".join(out)
 
 
-def memory_timeline(tensors, horizon: int = 0, width: int = 72) -> str:
+def memory_timeline(tensors) -> str:
     """Sparkline of live bytes for a liveness table."""
     from repro.memory.dynamic import simulate_dynamic
 
-    result = simulate_dynamic(tensors, horizon)
+    result = simulate_dynamic(tensors)
     gib = result.peak_bytes / 1024**3
-    return f"{sparkline(result.timeline, width)}  peak {gib:.2f} GiB"
+    return f"{sparkline(result.timeline)}  peak {gib:.2f} GiB"

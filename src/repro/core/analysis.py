@@ -23,7 +23,6 @@ from typing import Dict, Optional
 
 from repro.graph.graph import Graph
 from repro.graph.liveness import backward_readers
-from repro.graph.node import OpNode
 from repro.graph.schedule import TrainingSchedule
 
 STASH_RELU_POOL = "relu_pool"
@@ -49,10 +48,6 @@ class StashInfo:
     producer_needs: bool
 
 
-def _is_argmax_pool(node: OpNode) -> bool:
-    return getattr(node.layer, "supports_argmax_map", False)
-
-
 def classify_stash(
     graph: Graph, schedule: TrainingSchedule, node_id: int
 ) -> Optional[StashInfo]:
@@ -66,7 +61,7 @@ def classify_stash(
     # Binarize: the producer is a ReLU (mask suffices for its backward) and
     # every input-stashing consumer is a pool that Gist rewrites to use the
     # argmax map instead.
-    if node.kind == "relu" and all(_is_argmax_pool(c) for c in consumers):
+    if node.kind == "relu" and all(c.kind == "maxpool" for c in consumers):
         return StashInfo(node_id, STASH_RELU_POOL, tuple(consumers),
                          producer_needs)
 
@@ -81,7 +76,7 @@ def classify_stash(
         sparse_producer
         and consumers
         and all(
-            c.kind in _VALUE_CONSUMERS_SSDC or _is_argmax_pool(c)
+            c.kind in _VALUE_CONSUMERS_SSDC or c.kind == "maxpool"
             for c in consumers
         )
     ):

@@ -97,8 +97,8 @@ class IdentityEncoding(Encoding):
     name = "identity"
     lossless = True
 
-    def encoded_bytes(self, num_elements: int, itemsize: int = 4, **ctx) -> int:
-        return itemsize * num_elements
+    def encoded_bytes(self, num_elements: int, **ctx) -> int:
+        return 4 * num_elements
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         return x
@@ -130,7 +130,7 @@ class HostSwapEncoding(IdentityEncoding):
     name = "host-swap"
     lossless = True
 
-    def encoded_bytes(self, num_elements: int, itemsize: int = 4, **ctx) -> int:
+    def encoded_bytes(self, num_elements: int, **ctx) -> int:
         # Device-resident bytes across the stash gap: none.
         return 0
 

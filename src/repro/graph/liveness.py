@@ -106,7 +106,7 @@ def _reads(node, flag: str, pools_rewritten: bool) -> bool:
     neither X nor Y: the executor always runs that way, the memory
     planners only when Binarize rewrites the pools.
     """
-    if pools_rewritten and getattr(node.layer, "supports_argmax_map", False):
+    if pools_rewritten and node.kind == "maxpool":
         return False
     return getattr(node.layer, flag)
 

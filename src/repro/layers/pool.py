@@ -64,11 +64,6 @@ class MaxPool2D(_Pool2D):
     # re-finds max locations in the backward pass).
     backward_needs_input = True
     backward_needs_output = True
-    #: Marks this op as rewritable by Gist to use only the argmax map.  The
-    #: kernels below always replay that map, so the executor, which reads
-    #: the pool-rewritten uses table, never stashes X/Y; the baseline
-    #: memory model still charges for them via the flags above.
-    supports_argmax_map = True
 
     def __init__(self, kernel, stride: int = None, pad: int = 0):
         super().__init__(kernel, stride, pad)

@@ -65,41 +65,32 @@ class StaticAllocator:
     Args:
         policy: One of ``"greedy-size"`` (the CNTK policy), ``"first-fit"``
             (no size sorting — ablation) or ``"none"`` (no sharing).
-        horizon: Schedule length, used only to *validate* that every
-            tensor's lifetime fits the schedule (``allocate`` raises if a
-            death reaches past it).  Inferred from the tensors if omitted;
-            pass it explicitly when allocating a subset of a plan so the
-            check still sees the full schedule.
 
     Each open group's occupancy is one Python int with a bit per schedule
     step, as wide as its latest death, and one ``&`` decides whether a
     candidate interval fits.  The first-fit scan visits only groups that
     can fit: a tensor live at the *pivot* step (the middle of the clock,
-    ``horizon // 2``) walks the ascending list of open groups still free
-    at that step, every other tensor walks all open groups.  That is exact
-    for any pivot — a group busy at a step can hold no tensor live at it,
-    so the skipped groups would each have failed their ``&``, and the ones
-    left are tried in the same opening order — and the middle is where a
+    ``horizon // 2`` with ``horizon`` one past the latest death) walks the
+    ascending list of open groups still free at that step, every other
+    tensor walks all open groups.  That is exact for any pivot — a group
+    busy at a step can hold no tensor live at it, so the skipped groups
+    would each have failed their ``&``, and the ones left are tried in the
+    same opening order — and the middle is where a
     training step holds what it stashed for the backward pass, i.e. where
     the tensors that fit no group and would scan all of them are live.
     The grouping equals a pairwise-overlap first fit member for member
     (``tests/memory/test_allocator.py::reference_groups``).
     """
 
-    def __init__(self, policy: str = POLICY_GREEDY_SIZE, horizon: int = 0):
+    def __init__(self, policy: str = POLICY_GREEDY_SIZE):
         if policy not in _POLICIES:
             raise ValueError(f"unknown policy {policy!r}; choose from {_POLICIES}")
         self.policy = policy
-        self.horizon = horizon
 
     def allocate(self, tensors: Sequence[LiveTensor]) -> AllocationResult:
         """Assign every tensor to a group; returns the grouping."""
         tensors = list(tensors)
-        horizon = self.horizon or (
-            max((t.death for t in tensors), default=0) + 1
-        )
-        if any(t.death >= horizon for t in tensors):
-            raise ValueError("allocation horizon shorter than tensor lifetimes")
+        horizon = max((t.death for t in tensors), default=0) + 1
 
         share = self.policy != POLICY_NO_SHARING
 

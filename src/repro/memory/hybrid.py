@@ -589,7 +589,7 @@ def apply_decisions(
     rewritten_pools: List[int] = []
     if cfg.binarize:
         for node in graph.nodes:
-            if not getattr(node.layer, "supports_argmax_map", False):
+            if node.kind != "maxpool":
                 continue
             if not schedule.has_backward(node.node_id):
                 continue

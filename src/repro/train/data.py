@@ -193,14 +193,15 @@ def minibatches(
     dataset: Dataset,
     batch_size: int,
     rng: np.random.Generator,
-    drop_last: bool = True,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Shuffled minibatch iterator over one epoch."""
+    """Shuffled minibatch iterator over one epoch; the last, partial
+    batch is dropped."""
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
+    if batch_size > dataset.num_samples:
+        raise ValueError(f"batch_size {batch_size} exceeds dataset size "
+                         f"{dataset.num_samples}")
     order = rng.permutation(dataset.num_samples)
-    for start in range(0, dataset.num_samples, batch_size):
+    for start in range(0, dataset.num_samples - batch_size + 1, batch_size):
         idx = order[start : start + batch_size]
-        if drop_last and idx.size < batch_size:
-            return
         yield dataset.images[idx], dataset.labels[idx]

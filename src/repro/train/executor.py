@@ -97,10 +97,6 @@ class GraphExecutor:
             original per-call loop conv kernels, every buffer freshly
             allocated (by the same ``rent`` statements the pooled arena
             serves).
-        arena: Workspace arena to rent scratch buffers from.  Each
-            executor owns one by default; it is reset at the start of
-            every forward pass, so arrays returned by ``backward`` (input
-            gradients) are only valid until the next step begins.
         tracer: Optional :class:`~repro.diagnostics.tracer.StepTracer`
             observing this executor.  A traced step runs the same layer
             and codec calls as an untraced one: each site only reads the
@@ -118,7 +114,6 @@ class GraphExecutor:
 
     def __init__(self, graph: Graph, policy: Optional[StashPolicy] = None,
                  seed: int = 0, use_kernel_plans: Optional[bool] = None,
-                 arena: Optional[WorkspaceArena] = None,
                  tracer: Optional["StepTracer"] = None,
                  kernel_backend: Optional[str] = None):
         self.graph = graph
@@ -133,7 +128,10 @@ class GraphExecutor:
                 f"kernel_backend={kernel_backend!r} names no conv arm "
                 f"(arms: {', '.join(sorted(CONV_ARMS))})")
         self.kernel_backend = kernel_backend
-        self.arena = arena or WorkspaceArena(enabled=not plans_off)
+        # The executor's own scratch arena, reset at the start of every
+        # forward pass: an arena-rented result is valid only until the
+        # next step begins.
+        self.arena = WorkspaceArena(enabled=not plans_off)
         rng = np.random.default_rng(seed)
         self.params: Dict[int, Dict[str, np.ndarray]] = {}
         for node in graph.nodes:

@@ -8,21 +8,19 @@ import numpy as np
 
 
 class SGD:
-    """Stochastic gradient descent with momentum and weight decay.
+    """Stochastic gradient descent with momentum.
 
     Updates parameters *in place* so that long-lived references (e.g.
     batch-norm running-statistics keys) remain valid across steps.
     """
 
-    def __init__(self, lr: float = 0.05, momentum: float = 0.9,
-                 weight_decay: float = 0.0):
+    def __init__(self, lr: float = 0.05, momentum: float = 0.9):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity: Dict[str, np.ndarray] = {}
 
     def step(self, params: Dict[str, np.ndarray],
@@ -33,8 +31,6 @@ class SGD:
                 raise KeyError(f"gradient for unknown parameter {name!r}")
             p = params[name]
             g = grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p
             if self.momentum:
                 v = self._velocity.get(name)
                 if v is None:

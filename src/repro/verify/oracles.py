@@ -240,13 +240,12 @@ def _independent_uses(graph, schedule, node_id: int, pools_rewritten: bool):
     for consumer in graph.consumers(node_id):
         last_fwd = max(last_fwd, schedule.forward_time(consumer.node_id))
         needs_in = consumer.layer.backward_needs_input
-        if pools_rewritten and getattr(consumer.layer, "supports_argmax_map",
-                                       False):
+        if pools_rewritten and consumer.kind == "maxpool":
             needs_in = False
         if needs_in and schedule.has_backward(consumer.node_id):
             bwd.append(schedule.backward_time(consumer.node_id))
     needs_out = node.layer.backward_needs_output
-    if pools_rewritten and getattr(node.layer, "supports_argmax_map", False):
+    if pools_rewritten and node.kind == "maxpool":
         needs_out = False
     if needs_out and schedule.has_backward(node_id):
         bwd.append(schedule.backward_time(node_id))

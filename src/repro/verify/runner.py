@@ -493,7 +493,6 @@ def run_fuzz(
     start_seed: int = 0,
     max_ops: int = DEFAULT_MAX_OPS,
     stop_on_first: bool = True,
-    seeds: Optional[Sequence[int]] = None,
     strict: bool = False,
     workers: int = 1,
     journal: Union[None, str, "RunJournal"] = None,
@@ -502,7 +501,7 @@ def run_fuzz(
     rewrite_shapes: bool = False,
     recurrent_shapes: bool = False,
 ) -> FuzzReport:
-    """Verify ``num_seeds`` consecutive seeds (or an explicit seed list).
+    """Verify ``num_seeds`` consecutive seeds from ``start_seed``.
 
     Seeds are sharded as work units across ``workers`` processes (see
     :mod:`repro.orchestrate`); the merged report is byte-identical for
@@ -513,9 +512,8 @@ def run_fuzz(
     """
     from repro.orchestrate import run_units
 
-    seed_list = (list(seeds) if seeds is not None
-                 else list(range(start_seed, start_seed + num_seeds)))
-    units = fuzz_work_units(seed_list, max_ops, strict, rewrite_shapes,
+    units = fuzz_work_units(range(start_seed, start_seed + num_seeds),
+                            max_ops, strict, rewrite_shapes,
                             recurrent_shapes)
     stop_when = None
     if stop_on_first:

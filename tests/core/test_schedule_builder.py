@@ -10,12 +10,14 @@ from repro.core import (
     build_gist_plan,
 )
 from repro.graph import ROLE_DECODED, ROLE_ENCODED, TrainingSchedule
+from repro.graph.liveness import backward_readers, feature_map_uses
 from repro.memory import (
     CLASS_ENCODED,
     CLASS_STASHED,
     StaticAllocator,
     build_memory_plan,
 )
+from repro.models import available_models, build_model
 from repro.analysis.sparsity import ConstantSparsity
 
 
@@ -209,3 +211,30 @@ class TestMonotonicity:
         assert footprint(GistConfig.dpr_only("fp8")) < baseline
         full = footprint(GistConfig.full("fp8"))
         assert full < footprint(GistConfig.lossless()) <= baseline
+
+
+@pytest.mark.parametrize("model", available_models())
+def test_argmax_maps_sit_on_exactly_the_max_pools(model):
+    """The 4-bit Y-to-X map is a max-pool fact: under Binarize every
+    max-pool with a backward op stashes one and no other node does, and
+    the pool-rewritten uses table has no max-pool read its X or Y."""
+    g = build_model(model, batch_size=16)
+    schedule = TrainingSchedule(g)
+    pools = {n.node_id for n in g.nodes
+             if n.kind == "maxpool" and schedule.has_backward(n.node_id)}
+    plan = build_gist_plan(g, GistConfig.lossless())
+    argmax = [t.node_id for t in plan.plan.tensors
+              if t.spec.name.endswith(".argmax")]
+    assert sorted(argmax) == sorted(pools)
+    assert set(plan.rewritten_pools) == pools
+
+    uses = feature_map_uses(g, schedule, True)
+    for node in g.nodes:
+        producer_reads, readers = backward_readers(
+            g, schedule, node.node_id, True)
+        assert not (producer_reads and node.kind == "maxpool"), node.name
+        assert not any(r.kind == "maxpool" for r in readers), node.name
+        pool_reads = {schedule.backward_time(p.node_id)
+                      for p in g.consumers(node.node_id) + [node]
+                      if p.node_id in pools}
+        assert pool_reads.isdisjoint(uses[node.node_id][1:]), node.name

@@ -80,7 +80,7 @@ class TestCorrectness:
             birth = int(rng.integers(0, 50))
             death = birth + int(rng.integers(0, 20))
             tensors.append(lt(f"t{i}", int(rng.integers(1, 1000)), birth, death))
-        result = StaticAllocator(horizon=80).allocate(tensors)
+        result = StaticAllocator().allocate(tensors)
         for group in result.groups:
             for i, a in enumerate(group.members):
                 for b in group.members[i + 1:]:
@@ -88,7 +88,7 @@ class TestCorrectness:
 
     def test_every_tensor_placed_once(self):
         tensors = [lt(f"t{i}", 10 + i, i % 5, i % 5 + 2) for i in range(50)]
-        result = StaticAllocator(horizon=10).allocate(tensors)
+        result = StaticAllocator().allocate(tensors)
         placed = [t.spec.name for g in result.groups for t in g.members]
         assert sorted(placed) == sorted(t.spec.name for t in tensors)
 
@@ -134,10 +134,6 @@ class TestCorrectness:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             StaticAllocator("magic")
-
-    def test_horizon_too_short(self):
-        with pytest.raises(ValueError):
-            StaticAllocator(horizon=3).allocate([lt("a", 1, 0, 5)])
 
     def test_inverted_interval_occupies_its_birth_step(self):
         # LiveTensor validates death >= birth only at construction; the
@@ -221,9 +217,9 @@ def reference_groups(tensors, policy):
     return groups
 
 
-def _assert_matches_reference(tensors, context, horizon=0):
+def _assert_matches_reference(tensors, context):
     for policy in (POLICY_GREEDY_SIZE, POLICY_FIRST_FIT, POLICY_NO_SHARING):
-        result = StaticAllocator(policy, horizon).allocate(tensors)
+        result = StaticAllocator(policy).allocate(tensors)
         expected = reference_groups(tensors, policy)
         assert [[t.spec.name for t in g.members] for g in result.groups] == [
             [t.spec.name for t in g] for g in expected], (context, policy)
@@ -302,32 +298,27 @@ class TestAllocatorProperties:
             ),
             max_size=60,
         ),
-        st.integers(0, 40),            # 0: inferred horizon, else slack past it
     )
     # Every tensor live at one step; no two overlapping; two busy regions
     # with the middle of the clock idle; zero-width intervals stacked on
     # shared steps; one inverted interval among intervals that either span
     # it or avoid it (where pairwise ``overlaps`` and the birth-step rule
     # agree; test_inverted_interval_occupies_its_birth_step pins the
-    # rest); the empty table; an explicit horizon far past the last death.
-    @example(_rows((0, 9), (3, 4), (5, 0), (2, 6), (5, 5), (4, 1)), 0)
-    @example(_rows((0, 1), (2, 0), (3, 2), (6, 6), (13, 0), (14, 3)), 0)
+    # rest); the empty table.
+    @example(_rows((0, 9), (3, 4), (5, 0), (2, 6), (5, 5), (4, 1)))
+    @example(_rows((0, 1), (2, 0), (3, 2), (6, 6), (13, 0), (14, 3)))
     @example(_rows((0, 3), (1, 2), (2, 1), (3, 0), (20, 3), (21, 2),
-                   (22, 1), (23, 0), (5, 1), (18, 1)), 0)
-    @example(_rows((4, 0), (4, 0), (5, 0), (4, 0), (6, 0), (5, 0)), 0)
-    @example(_rows((3, 2), (4, -1), (5, 1), (0, 2), (2, 4)), 0)
-    @example([], 0)
-    @example(_rows((0, 9), (3, 4), (12, 2), (2, 6)), 40)
+                   (22, 1), (23, 0), (5, 1), (18, 1)))
+    @example(_rows((4, 0), (4, 0), (5, 0), (4, 0), (6, 0), (5, 0)))
+    @example(_rows((3, 2), (4, -1), (5, 1), (0, 2), (2, 4)))
+    @example([])
     # Around the allocator's shortcut step (the middle of the clock, 5
     # here): two groups free there must be tried in opening order, and a
     # tensor born one step after it may still join a group busy at it.
-    @example(_rows((0, 1), (1, 1), (4, 2), (8, 1)), 0)
-    @example(_rows((4, 1), (6, 1), (8, 1)), 0)
-    def test_matches_pairwise_reference(self, rows, slack):
-        tensors = _table(rows)
-        horizon = slack and max(
-            (t.death for t in tensors), default=0) + slack
-        _assert_matches_reference(tensors, rows, horizon)
+    @example(_rows((0, 1), (1, 1), (4, 2), (8, 1)))
+    @example(_rows((4, 1), (6, 1), (8, 1)))
+    def test_matches_pairwise_reference(self, rows):
+        _assert_matches_reference(_table(rows), rows)
 
     @settings(max_examples=40)
     @given(

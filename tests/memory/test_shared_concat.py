@@ -206,7 +206,7 @@ class TestAliasingProperties:
     @settings(max_examples=50, deadline=None)
     @given(aliased_tables())
     def test_aliased_groups_are_safe_and_tight(self, tensors):
-        result = StaticAllocator(horizon=64).allocate(tensors)
+        result = StaticAllocator().allocate(tensors)
         assert check_allocator_safety(result, tensors) == []
         by_label = {}
         for t in tensors:
@@ -225,7 +225,6 @@ class TestAliasingProperties:
     @settings(max_examples=25, deadline=None)
     @given(aliased_tables())
     def test_no_sharing_ablation_ignores_labels(self, tensors):
-        result = StaticAllocator(POLICY_NO_SHARING,
-                                 horizon=64).allocate(tensors)
+        result = StaticAllocator(POLICY_NO_SHARING).allocate(tensors)
         assert not any(g.aliased for g in result.groups)
         assert result.total_bytes == sum(t.size_bytes for t in tensors)
