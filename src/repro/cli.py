@@ -184,7 +184,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         workers=args.workers,
         journal=journal,
         timeout_s=args.timeout,
-        rewrite_shapes=args.rewrite_shapes,
         recurrent_shapes=args.recurrent_shapes,
     )
     print(f"seeds run:       {report.seeds_run}")
@@ -206,8 +205,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         replay = f"repro fuzz --seeds 1 --start-seed {seed}"
         if args.strict:
             replay += " --strict"
-        if args.rewrite_shapes:
-            replay += " --rewrite-shapes"
         if args.recurrent_shapes:
             replay += " --recurrent-shapes"
         print(f"\nminimized repro ({len(report.minimized.nodes)} nodes, "
@@ -366,9 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="also enforce the heuristic greedy-size <= first-fit "
                         "ordering (known to fail on some fan-out graphs)")
-    p.add_argument("--rewrite-shapes", action="store_true",
-                   help="bias generation towards rewrite-pass trigger "
-                        "motifs and verify each rewritten graph too")
     p.add_argument("--recurrent-shapes", action="store_true",
                    help="generate unrolled LSTM/RNN sequence graphs and "
                         "run the recurrent-unroll oracle on each")

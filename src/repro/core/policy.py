@@ -62,7 +62,9 @@ class GistConfig:
         binarize: 1-bit ReLU-Pool encoding (+ pool argmax-map rewrite).
         ssdc: CSR encoding for ReLU-Conv / sparse Pool-Conv maps.
         dpr: Delayed precision reduction on remaining stashed maps.
-        inplace: Inplace computation for read-once/write-once layers.
+        inplace: Inplace computation for read-once/write-once layers:
+            the plan merges each eligible pair's allocations.  Priced
+            only; the executor runs every layer out of place.
         dpr_format: ``"fp16"`` / ``"fp10"`` / ``"fp8"``.
         rounding: Minifloat rounding, ``"nearest"`` or ``"truncate"``.
         optimized_software: Drop the decoded-FP32 staging buffer, as if

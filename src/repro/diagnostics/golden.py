@@ -88,7 +88,6 @@ def run_traced(
     seed: int = 0,
     tracer: Optional[StepTracer] = None,
     check_invariants: bool = False,
-    rewrite: bool = False,
 ) -> TraceDigest:
     """Run the pinned recipe for ``model``/``policy``; return its digest.
 
@@ -99,17 +98,9 @@ def run_traced(
         seed: Master seed for parameters and the batch stream.
         tracer: Optional :class:`StepTracer` to observe the run with.
         check_invariants: Enable the full runtime invariant suite.
-        rewrite: Apply the default graph-rewrite sweep (the inplace pass)
-            before tracing.  It only marks nodes, so the whole digest —
-            losses, gradients and stash inventory — stays byte-identical
-            to the unrewritten run.
     """
     spec = GOLDEN_MODELS[model]
     graph = build_model(model, **spec)
-    if rewrite:
-        from repro.rewrite import apply_passes
-
-        graph = apply_passes(graph).graph
     executor = GraphExecutor(graph, policy_from_name(policy, graph),
                              seed=seed, tracer=tracer)
     if check_invariants:

@@ -122,9 +122,7 @@ class HostSwapEncoding(IdentityEncoding):
     ``decode`` the prefetch.  ``encode`` stashes every map as an alias
     of the live forward value, a non-contiguous view too (a concat chain
     member is a channel prefix of its chain's buffer).  That is safe
-    because no op writes a stashed map in place: the inplace pass marks
-    only maps that nothing stashes, and the executor refuses the inplace
-    path on a concat chain's buffer.
+    because no op writes a stashed map in place.
     """
 
     name = "host-swap"

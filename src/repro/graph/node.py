@@ -19,9 +19,10 @@ class OpNode:
         layer: The operator (shared :class:`~repro.layers.base.Layer`).
         inputs: ``node_id`` of each input edge, in argument order.
         output_shape: Inferred output shape (filled by the builder).
-        inplace: Set by the inplace rewrite pass: the executor computes
-            this node's output in its (sole) input's buffer via
-            :meth:`~repro.layers.base.Layer.forward_inplace`.
+        inplace: Set by the inplace rewrite pass on a consumer the plan
+            may merge with its (sole) input's buffer.  The plan prices
+            that merge through ``GistConfig.inplace`` and the fingerprint
+            hashes the flag; no executor runs it.
     """
 
     node_id: int

@@ -22,8 +22,8 @@ class ReLU(Layer):
     """Rectified linear unit, ``y = max(x, 0)``.
 
     ReLU has a read-once/write-once element mapping, so it supports the
-    paper's inplace optimisation (its output may reuse the producer's
-    buffer, typically a convolution output).
+    paper's inplace optimisation: the plan may give its output the
+    producer's buffer, typically a convolution output.
     """
 
     kind = "relu"
@@ -37,18 +37,6 @@ class ReLU(Layer):
 
     def flops(self, input_shapes: Sequence[Shape], output_shape: Shape) -> int:
         return int(np.prod(output_shape))
-
-    def forward_inplace(
-        self,
-        x: np.ndarray,
-        params: Dict[str, np.ndarray],
-        ctx: Optional[OpContext],
-        train: bool = True,
-    ) -> np.ndarray:
-        # Bit-identical to forward(): np.maximum writes the same values
-        # whether the destination aliases the input or not.
-        np.maximum(x, 0.0, out=x)
-        return x
 
     def forward(
         self,

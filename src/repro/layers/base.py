@@ -155,25 +155,11 @@ class Layer(abc.ABC):
         ``SeedSequence``-derived streams per (step, shard).
         """
 
-    #: Layers with a read-once/write-once element mapping may compute their
-    #: output in the input's buffer (the paper's inplace optimisation).
+    #: Layers with a read-once/write-once element mapping could compute
+    #: their output in the input's buffer (the paper's inplace
+    #: optimisation).  The plan prices that: ``GistConfig.inplace`` merges
+    #: the pair's allocations.  The executor always runs :meth:`forward`.
     supports_inplace: bool = False
-
-    def forward_inplace(
-        self,
-        x: "np.ndarray",
-        params: Dict[str, "np.ndarray"],
-        ctx: Optional["OpContext"],
-        train: bool = True,
-    ) -> "np.ndarray":
-        """Forward pass writing the output into ``x``'s own buffer.
-
-        Called by the executor for nodes the inplace rewrite pass marked
-        (see :mod:`repro.rewrite.inplace`); only layers with
-        ``supports_inplace`` override it.  The default falls back to the
-        ordinary out-of-place :meth:`forward`, which is always safe.
-        """
-        return self.forward([x], params, ctx, train)
 
     # ------------------------------------------------------------------
     # Runtime kernels

@@ -49,21 +49,6 @@ class Dropout(Layer):
     def saved_state_specs(self, input_shapes, output_shape):
         return [StateSpec("mask", tuple(output_shape), FP32)]
 
-    def _apply(self, x: np.ndarray, ctx: Optional[OpContext], train: bool,
-               out: Optional[np.ndarray]) -> np.ndarray:
-        """Draw the mask and scale ``x`` into ``out`` (``None``: a fresh
-        array).  Same draw, same multiply — only the destination differs,
-        so in-place and out-of-place results are bit-identical."""
-        if not train or self.p == 0.0:
-            if ctx is not None:
-                ctx.save_state("mask", np.ones((1,), dtype=np.float32))
-            return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(np.float32) / keep
-        if ctx is not None:
-            ctx.save_state("mask", mask)
-        return np.multiply(x, mask, out=out)
-
     def forward(
         self,
         xs: Sequence[np.ndarray],
@@ -72,16 +57,15 @@ class Dropout(Layer):
         train: bool = True,
     ) -> np.ndarray:
         (x,) = xs
-        return self._apply(x, ctx, train, None)
-
-    def forward_inplace(
-        self,
-        x: np.ndarray,
-        params: Dict[str, np.ndarray],
-        ctx: Optional[OpContext],
-        train: bool = True,
-    ) -> np.ndarray:
-        return self._apply(x, ctx, train, x)
+        if not train or self.p == 0.0:
+            if ctx is not None:
+                ctx.save_state("mask", np.ones((1,), dtype=np.float32))
+            return x
+        keep = 1.0 - self.p
+        mask = (self._rng.random(x.shape) < keep).astype(np.float32) / keep
+        if ctx is not None:
+            ctx.save_state("mask", mask)
+        return x * mask
 
     def backward(
         self,

@@ -9,10 +9,12 @@ reference bit-for-bit.  No pass deletes a parameterised node, so every
 original gradient must still be there; anything missing or differing is
 a rewriter or codec bug.
 
-The oracle is deliberately end-to-end: it exercises the inplace executor
-path, the stash classifier on rewritten graphs and the Gist encodings
-all at once, so any pass that bends a float fails loudly with the
-policy/step/tensor that diverged.
+The oracle is deliberately end-to-end: it trains the rewritten graph
+through the executor, the stash classifier and the Gist encodings all
+at once, so any pass that bends a float fails loudly with the
+policy/step/tensor that diverged.  (The inplace pass only sets
+``OpNode.inplace``, which no executor runs; a pass that swaps, merges or
+drops layers is what this oracle can still catch.)
 It trains and compares through :mod:`repro.verify.execution`, the
 lossless-execution oracle's own pieces, so both word a divergence alike.
 """
@@ -22,7 +24,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from repro.graph.graph import Graph
-from repro.rewrite.base import RewritePass, RewriteResult
+from repro.rewrite.base import RewritePass
 from repro.rewrite.manager import apply_passes
 from repro.train.stash import LOSSLESS_POLICY_NAMES, policy_from_name
 from repro.verify.execution import baseline_run, compare_runs, train
@@ -33,12 +35,10 @@ def check_rewrite_equivalence(
     graph: Graph,
     seed: int = 0,
     passes: Optional[Iterable[RewritePass]] = None,
-    rewrite_result: Optional[RewriteResult] = None,
 ) -> List[Violation]:
     """Fuzzable oracle: the rewritten graph trains bit-identically.
 
-    Applies the passes (or uses ``rewrite_result`` if the caller already
-    ran them), trains the original graph for
+    Applies the passes, trains the original graph for
     :data:`~repro.verify.execution.STEPS` SGD steps under ``baseline`` —
     the one reference — and compares the rewritten graph under each
     lossless policy against it: lossless means bit-identical to baseline
@@ -46,11 +46,7 @@ def check_rewrite_equivalence(
     no-op or equivalence holds; otherwise one :class:`Violation` per
     divergence, carrying the policy, step and tensor that differed.
     """
-    result = (
-        rewrite_result
-        if rewrite_result is not None
-        else apply_passes(graph, passes)
-    )
+    result = apply_passes(graph, passes)
     if not result.changed:
         return []
     rewritten = result.graph

@@ -17,22 +17,17 @@ from repro.rewrite.base import RewritePass, clone_node, rebuild
 
 
 class InplacePass(RewritePass):
-    """Mark immediately-consumed maps for in-buffer execution (paper §III-C).
+    """Mark immediately-consumed maps as inplace (paper §III-C).
 
-    Promotes the inplace optimisation from a memory-plan *classification*
-    (``GistConfig.inplace``, which merges the pair's allocations in the
-    plan) to an *executed* transform: eligible consumers get
-    ``OpNode.inplace`` set and the executor routes them through
-    :meth:`~repro.layers.base.Layer.forward_inplace`, overwriting the
-    producer's buffer.
+    Eligible consumers get ``OpNode.inplace`` set; the plan's own
+    ``GistConfig.inplace`` merge prices the same pairs, and no executor
+    runs the flag, so a marked graph trains exactly like the unmarked
+    one.
 
     Eligibility is recomputed from scratch each run via
     :func:`~repro.encodings.inplace.inplace_eligible_edges` — the same
     analysis the planner prices — and stale marks are cleared, so the
-    pass is idempotent.  Exactness: the eligibility conditions
-    guarantee no backward op and no stash ever reads the overwritten
-    buffer, and every ``forward_inplace`` computes the same values as its
-    out-of-place twin.
+    pass is idempotent.
     """
 
     name = "inplace"

@@ -160,13 +160,6 @@ class GraphExecutor:
             for nid in chain.members + (chain.terminal_id,):
                 self._chain_links[nid] = (chain.members[0], channels)
         self._chain_buffers: Dict[int, np.ndarray] = {}
-        # Maps living in a chain buffer, through view-returning layers:
-        # an inplace consumer would overwrite the stashed members.
-        self._in_chain_buffer = set(self._chain_links)
-        for node in graph.nodes:
-            if (getattr(node.layer, "aliases_input", False)
-                    and node.inputs[0] in self._in_chain_buffer):
-                self._in_chain_buffer.add(node.node_id)
         self._stash: Dict[int, Tuple[Encoding, object]] = {}
         self._decoded: Dict[int, np.ndarray] = {}
         self._ctx: Dict[int, _Context] = {}
@@ -310,24 +303,8 @@ class GraphExecutor:
             xs = [values[i] for i in node.inputs]
             if checks is not None:
                 checks.on_forward(node)
-            # Marked by the inplace rewrite pass: the sole consumer of an
-            # unstashed map computes into the producer's buffer.  Only a
-            # C-contiguous buffer qualifies at runtime: the out-of-place op
-            # would return a fresh contiguous array, and numpy's pairwise
-            # reductions (e.g. batch-norm statistics downstream) sum in a
-            # layout-dependent order, so writing into a strided view (conv
-            # kernels may return transposed einsum views) would break
-            # bit-identity with the unrewritten graph.  A concat chain's
-            # buffer never qualifies: it holds the members too.
             t0 = perf_counter() if tracer is not None else 0.0
-            if (node.inplace and xs[0].flags["C_CONTIGUOUS"]
-                    and node.inputs[0] not in self._in_chain_buffer):
-                y = node.layer.forward_inplace(
-                    xs[0], self.params[node.node_id], ctx, train
-                )
-            else:
-                y = node.layer.forward(xs, self.params[node.node_id], ctx,
-                                       train)
+            y = node.layer.forward(xs, self.params[node.node_id], ctx, train)
             if tracer is not None:
                 tracer.record_node(node.name, "forward",
                                    perf_counter() - t0)

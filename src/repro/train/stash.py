@@ -253,10 +253,10 @@ class HybridExecutionPolicy(_TablePolicy):
 
 
 #: The policies whose backward inputs are bit-identical to FP32 stashes:
-#: the arms pinned as goldens, run inside the ``replica-step`` unit and,
-#: under ``--rewrite-shapes``, fuzzed for rewrite equivalence.  The
-#: lossless-execution oracle draws from these plus the hybrid arms,
-#: which no name constructs (``repro.verify.execution.lossless_arms``).
+#: the arms pinned as goldens, run inside the ``replica-step`` unit and
+#: by the rewrite-equivalence oracle.  The lossless-execution oracle
+#: draws from these plus the hybrid arms, which no name constructs
+#: (``repro.verify.execution.lossless_arms``).
 LOSSLESS_POLICY_NAMES = ("baseline", "gist-lossless")
 
 #: Every policy constructible from a name.  Hybrid policies are absent on

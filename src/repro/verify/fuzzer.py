@@ -63,7 +63,6 @@ class GraphFuzzer:
     def graph(
         self,
         max_ops: int = DEFAULT_MAX_OPS,
-        rewrite_shapes: bool = False,
         recurrent_shapes: bool = False,
     ) -> Graph:
         """Generate one graph with at most ``max_ops`` ops before the head.
@@ -71,12 +70,6 @@ class GraphFuzzer:
         Shrinking ``max_ops`` with the seed fixed yields a *prefix* of the
         same random decision stream, which is what lets the minimizer
         shrink a failing graph without changing the layers it kept.
-
-        ``rewrite_shapes`` mixes in motifs the inplace pass triggers on
-        (conv→relu and conv→dropout pairs, some capped by a max-pool).  The
-        flag draws from the RNG only inside its own branch, so the default
-        decision stream — and every pinned default-mode seed — is
-        byte-identical with it off.
 
         ``recurrent_shapes`` switches to the sequence genre: a rank-3
         input feeding an unrolled LSTM or RNN column (weight-tied steps,
@@ -96,15 +89,6 @@ class GraphFuzzer:
         x = b.input
         budget = max(1, int(max_ops))
         while budget > 0:
-            if (
-                rewrite_shapes
-                and budget >= 4
-                and len(b.shape_of(x)) == 4
-                and rng.random() < 0.5
-            ):
-                x, used = self._rewrite_motif(b, x, rng)
-                budget -= used
-                continue
             roll = rng.random()
             if roll < 0.22 and budget >= 4 and len(b.shape_of(x)) == 4:
                 x, used = self._merge_block(b, x, rng, budget)
@@ -230,32 +214,6 @@ class GraphFuzzer:
         if roll < 0.85:
             return b.add(Sigmoid() if rng.random() < 0.5 else Tanh(), x)
         return b.add(Dropout(p=0.2, seed=int(rng.integers(0, 1 << 16))), x)
-
-    def _rewrite_motif(self, b: GraphBuilder, x: NodeRef, rng) -> tuple:
-        """One motif the inplace pass fires on; returns (ref, ops used).
-
-        Two motifs, both immediately-consumed maps: a conv→relu chain,
-        optionally capped by a max-pool, and a conv→dropout pair.
-        """
-        motif = int(rng.integers(0, 2))
-        side = self._spatial(b, x)
-        if motif == 0:
-            # conv -> relu (the relu runs in the conv's buffer), optionally
-            # capped by a pool so the relu-pool classifier fires too.
-            out_c = int(rng.integers(1, 9))
-            k = int(rng.choice([1, 3]))
-            x = b.add(Conv2D(out_c, k, pad=k // 2), x)
-            x = b.add(ReLU(), x)
-            if side >= _MIN_SPATIAL_FOR_POOL and rng.random() < 0.5:
-                return b.add(MaxPool2D(2, 2), x), 3
-            return x, 2
-        # Immediately-consumed map: conv -> dropout is inplace-eligible
-        # (conv's backward never reads its output, dropout's never reads
-        # its input).
-        out_c = int(rng.integers(1, 9))
-        x = b.add(Conv2D(out_c, 1), x)
-        x = b.add(Dropout(p=0.3, seed=int(rng.integers(0, 1 << 16))), x)
-        return x, 2
 
     def _head(self, b: GraphBuilder, x: NodeRef, rng, classes: int) -> NodeRef:
         """Classifier head: optional ReLU, Dense(classes), softmax loss."""

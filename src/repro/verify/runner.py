@@ -40,10 +40,6 @@ lossless-execution     the graph as built trains two SGD steps under
 recurrent-unroll       weight-tied step columns are well-ordered (one
                        t=0 owner, chained states, physically shared
                        parameter arrays of the baseline run's executor)
-rewrite-equivalence    ``--rewrite-shapes`` only: the inplace pass
-                       leaves per-step losses and every gradient,
-                       under each lossless policy, ≡ the original
-                       under baseline, bit for bit
 backend-differential   every conv arm agrees with the reference arm on
                        shared inputs (exact arms bit-for-bit, tolerance
                        arms within their declared bound); max-pool and
@@ -60,7 +56,9 @@ Every selector's table goes through one loop in :func:`verify_graph`
 (subjects ``lossless`` / ``full-fp16`` / ``full-fp8``, ``hybrid``,
 ``shared-concat-arm``, ``recompute``): checking a new selector is
 appending one ``(label, plan)`` pair.  A lossless-execution violation's
-subject is the arm it trained, by its policy label.
+subject is the arm it trained, by its policy label.  The
+rewrite-equivalence oracle (:func:`repro.rewrite.check_rewrite_equivalence`)
+is not in the battery: no executor runs the inplace marks it checks.
 
 Violations carry the seed, so ``repro fuzz --seeds 1 --start-seed S``
 replays any failure; :func:`minimize` then shrinks the graph by replaying
@@ -315,43 +313,23 @@ def verify_graph(
     return _stamped(violations, seed)
 
 
-def _verify_rewrite(graph: Graph, seed: int,
-                    strict: bool) -> List[Violation]:
-    """The rewrite passes applied to ``graph``: the rewritten graph trains
-    bit-identically under every lossless policy, and its whole plan /
-    allocator battery holds (rewriting must not manufacture an unsafe
-    plan)."""
-    from repro.rewrite import apply_passes, check_rewrite_equivalence
-
-    result = apply_passes(graph)
-    violations = check_rewrite_equivalence(graph, seed=seed,
-                                           rewrite_result=result)
-    if result.changed:
-        violations += verify_graph(result.graph, seed, strict=strict)
-    return violations
-
-
 #: The battery entries that read the fuzzed graph (the rest read only the
 #: seed), so the ones :func:`minimize` replays at smaller sizes.
-_GRAPH_ORACLES = ("graph", "rewrite")
+_GRAPH_ORACLES = ("graph",)
 
 
 def oracle_battery(
     graph: Graph, seed: int, strict: bool = False,
-    rewrite_shapes: bool = False,
 ) -> List[Tuple[str, Callable[[], List[Violation]]]]:
     """One seed's oracle battery as an ordered ``(name, check)`` table.
 
     ``graph`` is the seed's fuzzed graph; each ``check()`` returns its
-    violations.  ``rewrite_shapes`` adds the ``rewrite`` entry.
+    violations.
     """
     from repro.verify.distributed import check_distributed
 
-    battery = [("graph", lambda: verify_graph(graph, seed, strict=strict))]
-    if rewrite_shapes:
-        battery.append(("rewrite",
-                        lambda: _verify_rewrite(graph, seed, strict)))
-    return battery + [
+    return [
+        ("graph", lambda: verify_graph(graph, seed, strict=strict)),
         ("encodings", lambda: verify_encodings(seed)),
         ("backends", lambda: verify_backends(seed)),
         ("distributed", lambda: check_distributed(seed)),
@@ -360,32 +338,26 @@ def oracle_battery(
 
 def verify_seed(
     seed: int, max_ops: int = DEFAULT_MAX_OPS, strict: bool = False,
-    rewrite_shapes: bool = False, recurrent_shapes: bool = False,
+    recurrent_shapes: bool = False,
 ) -> List[Violation]:
     """Full oracle battery for one seed: fuzzed graph (plans and one
     lossless arm's execution), codec round-trips, kernel-backend
     agreement on shared randomized inputs and the replica step.
-
-    ``rewrite_shapes`` generates graphs biased toward rewrite-pass
-    triggers and additionally runs the rewrite-equivalence oracle and the
-    whole graph battery on the *rewritten* graph.
 
     ``recurrent_shapes`` switches the fuzzer to its sequence genre
     (unrolled LSTM/RNN columns), which routes every seed through the
     recurrent-unroll oracle as well.
     """
     graph = GraphFuzzer(seed).graph(max_ops=max_ops,
-                                    rewrite_shapes=rewrite_shapes,
                                     recurrent_shapes=recurrent_shapes)
     violations: List[Violation] = []
-    for _, check in oracle_battery(graph, seed, strict, rewrite_shapes):
+    for _, check in oracle_battery(graph, seed, strict):
         violations += check()
     return violations
 
 
 def minimize(seed: int, max_ops: int = DEFAULT_MAX_OPS,
-             strict: bool = False, rewrite_shapes: bool = False,
-             recurrent_shapes: bool = False):
+             strict: bool = False, recurrent_shapes: bool = False):
     """Smallest reproduction of a failing seed.
 
     Replays the same seed at growing ``max_ops`` (the fuzzer's decision
@@ -396,28 +368,28 @@ def minimize(seed: int, max_ops: int = DEFAULT_MAX_OPS,
     """
     for k in range(1, max_ops + 1):
         graph = GraphFuzzer(seed).graph(max_ops=k,
-                                        rewrite_shapes=rewrite_shapes,
                                         recurrent_shapes=recurrent_shapes)
         violations: List[Violation] = []
-        for name, check in oracle_battery(graph, seed, strict,
-                                          rewrite_shapes):
+        for name, check in oracle_battery(graph, seed, strict):
             if name in _GRAPH_ORACLES:
                 violations += check()
         if violations:
             return graph, violations
     graph = GraphFuzzer(seed).graph(max_ops=max_ops,
-                                    rewrite_shapes=rewrite_shapes,
                                     recurrent_shapes=recurrent_shapes)
     return graph, verify_seed(seed, max_ops, strict=strict,
-                              rewrite_shapes=rewrite_shapes,
                               recurrent_shapes=recurrent_shapes)
+
+
+#: The keys of a ``fuzz-seed`` payload, as :func:`fuzz_work_units` writes
+#: them.
+_PAYLOAD_KEYS = frozenset({"seed", "max_ops", "strict", "recurrent_shapes"})
 
 
 def fuzz_work_units(
     seed_list: Sequence[int],
     max_ops: int = DEFAULT_MAX_OPS,
     strict: bool = False,
-    rewrite_shapes: bool = False,
     recurrent_shapes: bool = False,
 ) -> List["WorkUnit"]:
     """One payload-complete work unit per seed (kind ``fuzz-seed``)."""
@@ -427,20 +399,28 @@ def fuzz_work_units(
         WorkUnit("fuzz-seed", f"seed:{seed}",
                  {"seed": int(seed), "max_ops": int(max_ops),
                   "strict": bool(strict),
-                  "rewrite_shapes": bool(rewrite_shapes),
                   "recurrent_shapes": bool(recurrent_shapes)})
         for seed in seed_list
     ]
 
 
 def run_fuzz_unit(payload: dict) -> dict:
-    """Work-unit executor for kind ``fuzz-seed`` (runs in any process)."""
+    """Work-unit executor for kind ``fuzz-seed`` (runs in any process).
+
+    A payload key outside ``_PAYLOAD_KEYS`` is a ``ValueError`` naming
+    it: a unit asking for a genre this runner lacks must not quietly run
+    the default one.
+    """
+    unknown = sorted(set(payload) - _PAYLOAD_KEYS)
+    if unknown:
+        raise ValueError(
+            f"fuzz-seed payload has unknown key(s) {unknown}; "
+            f"known: {sorted(_PAYLOAD_KEYS)}"
+        )
     violations = verify_seed(payload["seed"], payload["max_ops"],
                              strict=payload["strict"],
-                             # .get: journals written before these genres
+                             # .get: journals written before the genre
                              # existed replay as default-mode seeds.
-                             rewrite_shapes=payload.get("rewrite_shapes",
-                                                        False),
                              recurrent_shapes=payload.get("recurrent_shapes",
                                                           False))
     return {"seed": payload["seed"],
@@ -498,7 +478,6 @@ def run_fuzz(
     journal: Union[None, str, "RunJournal"] = None,
     timeout_s: Optional[float] = None,
     retries: int = 1,
-    rewrite_shapes: bool = False,
     recurrent_shapes: bool = False,
 ) -> FuzzReport:
     """Verify ``num_seeds`` consecutive seeds from ``start_seed``.
@@ -513,8 +492,7 @@ def run_fuzz(
     from repro.orchestrate import run_units
 
     units = fuzz_work_units(range(start_seed, start_seed + num_seeds),
-                            max_ops, strict, rewrite_shapes,
-                            recurrent_shapes)
+                            max_ops, strict, recurrent_shapes)
     stop_when = None
     if stop_on_first:
         stop_when = lambda r: (not r.ok) or bool(r.value["violations"])
@@ -525,6 +503,5 @@ def run_fuzz(
     if stop_on_first and report.violations:
         report.minimized, _ = minimize(report.violations[0].seed, max_ops,
                                        strict=strict,
-                                       rewrite_shapes=rewrite_shapes,
                                        recurrent_shapes=recurrent_shapes)
     return report

@@ -1,8 +1,8 @@
 """Fault injection: deliberately broken passes must fail the oracle.
 
 Each test plants a realistic rewriter bug — a swapped conv that drops the bias,
-an inplace mark that clobbers a stashed buffer, a merge of two ops that
-are not duplicates, a bypass that drops a layer — and asserts that
+a merge of two ops that are not duplicates, a bypass that drops a layer —
+and asserts that
 :func:`~repro.rewrite.equivalence.check_rewrite_equivalence` catches it
 with a detail string naming what diverged.  If one of these passes starts
 coming back clean, the oracle has lost its teeth.
@@ -13,12 +13,9 @@ import numpy as np
 from repro.graph.builder import GraphBuilder
 from repro.layers import (
     Add,
-    AvgPool2D,
     Conv2D,
     Dense,
-    Dropout,
     Flatten,
-    LocalResponseNorm,
     ReLU,
     SoftmaxCrossEntropy,
 )
@@ -61,24 +58,6 @@ class DroppedBiasConvPass(RewritePass):
         nodes[conv.node_id].layer = DroppedBiasConv2D(
             c.out_channels, (c.kh, c.kw), c.stride, c.pad)
         return rebuild(graph, nodes, graph.output_id), 1
-
-
-class RecklessInplacePass(RewritePass):
-    """Marks every inplace-capable op, ignoring the safety analysis."""
-
-    name = "bad-inplace"
-
-    def run(self, graph):
-        nodes = {n.node_id: clone_node(n) for n in graph.nodes}
-        changes = 0
-        for node in graph.nodes:
-            if node.inplace or not node.layer.supports_inplace:
-                continue
-            if len(node.inputs) != 1 or node.inputs[0] == graph.input_id:
-                continue
-            nodes[node.node_id].inplace = True
-            changes += 1
-        return rebuild(graph, nodes, graph.output_id), changes
 
 
 class ForgetfulMergePass(RewritePass):
@@ -176,28 +155,6 @@ class TestFaultInjection:
         # Dropping the bias changes the forward values immediately.
         assert any("loss diverged" in v.detail for v in violations)
 
-    def test_reckless_inplace_is_caught(self):
-        # LRN's backward reads its stashed output; flatten hands dropout a
-        # *view* of that same buffer, so the bogus inplace mark overwrites
-        # the stash and corrupts the gradients flowing back to the conv
-        # (the forward values — and the loss — are untouched).  The pool
-        # guarantees LRN a C-contiguous input, so flatten's reshape is a
-        # genuine view rather than a defensive copy — the exact chain the
-        # equivalence oracle originally caught on fuzz seed 4.
-        b = GraphBuilder("g", (2, 3, 8, 8))
-        x = b.add(Conv2D(4, 1), b.input)
-        x = b.add(AvgPool2D(2, 2), x)
-        x = b.add(LocalResponseNorm(size=3), x)
-        x = b.add(Flatten(), x)
-        x = b.add(Dropout(p=0.5, seed=3), x)
-        graph = finish(b, x)
-        violations = check_rewrite_equivalence(
-            graph, passes=[RecklessInplacePass()]
-        )
-        assert violations
-        assert any("not bit-identical" in v.detail for v in violations)
-        assert not any("loss diverged" in v.detail for v in violations)
-
     def test_unsound_cse_merge_is_caught(self):
         # Two convs with identical config but independently initialised
         # weights are *not* common subexpressions; merging them changes
@@ -263,7 +220,7 @@ class TestFaultInjection:
             return out
 
         monkeypatch.setattr(SSDCEncoding, "decode", first_zero_to_one)
-        # The first relu runs inplace in conv1's buffer; conv2 feeds the
+        # The first relu is marked inplace behind conv1; conv2 feeds the
         # add too, so its relu is not marked.  Both relus are ReLU-Conv
         # maps that gist-lossless stashes through SSDC.
         b = GraphBuilder("g", (2, 3, 8, 8))

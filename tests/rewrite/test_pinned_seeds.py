@@ -1,14 +1,7 @@
-"""Pinned fuzz seeds: determinism and counterexample regressions.
+"""Pinned fuzz seeds: counterexample regressions.
 
-Two kinds of pins:
-
-* **determinism** — exact per-pass change counts for rewrite-shapes
-  seeds where the pass fires.  A drift here means either the fuzzer's
-  decision stream moved (breaking seed-replay of old failures) or a
-  pass's trigger conditions changed silently.
-* **counterexamples** — seeds whose graphs historically *failed* the
-  rewrite-equivalence oracle and drove soundness fixes.  They must stay
-  clean forever.
+Seeds whose graphs historically *failed* the rewrite-equivalence oracle
+and drove soundness fixes.  They must stay clean forever.
 """
 
 import numpy as np
@@ -17,34 +10,6 @@ from repro.rewrite import apply_passes, check_rewrite_equivalence
 from repro.verify.fuzzer import GraphFuzzer
 from repro.verify.runner import verify_seed
 
-#: rewrite-shapes seeds with exact per-pass change counts.
-PINNED_REWRITE_SHAPES = {
-    3: {"inplace": 3},
-    8: {"inplace": 4},
-    20: {"inplace": 5},
-}
-
-
-class TestPinnedDeterminism:
-    def test_rewrite_shapes_seeds_fire_every_pass(self):
-        for seed, expected in PINNED_REWRITE_SHAPES.items():
-            graph = GraphFuzzer(seed).graph(max_ops=12, rewrite_shapes=True)
-            result = apply_passes(graph)
-            got = {s.name: s.changes for s in result.stats}
-            assert got == expected, f"seed {seed}: {got} != {expected}"
-
-    def test_default_stream_unchanged_by_rewrite_flag(self):
-        # rewrite_shapes=False must generate byte-identical graphs to the
-        # pre-flag fuzzer: the motif branch draws from the RNG only when
-        # the flag is on.
-        for seed in (0, 4, 19, 20):
-            base = GraphFuzzer(seed).graph(max_ops=12)
-            explicit = GraphFuzzer(seed).graph(max_ops=12,
-                                               rewrite_shapes=False)
-            assert [(n.name, n.kind, tuple(n.inputs)) for n in base.nodes] \
-                == [(n.name, n.kind, tuple(n.inputs))
-                    for n in explicit.nodes]
-
 
 class TestCounterexampleRegressions:
     def test_seed_4_flatten_alias_stays_clean(self):
@@ -52,44 +17,43 @@ class TestCounterexampleRegressions:
         # consumed a flatten *view* of an LRN output; the in-place write
         # clobbered the LRN's by-reference output stash and corrupted the
         # upstream gradients.  Fixed by walking the alias chain in
-        # ``inplace_eligible_edges``.
+        # ``inplace_eligible_edges``, which the plan's inplace merge reads.
         graph = GraphFuzzer(4).graph(max_ops=12)
         result = apply_passes(graph)
         marked = {n.name for n in result.graph.nodes if n.inplace}
         assert "dropout2" not in marked  # the consumer behind the flatten
-        assert check_rewrite_equivalence(graph, seed=4,
-                                         rewrite_result=result) == []
+        assert check_rewrite_equivalence(graph, seed=4) == []
 
     def test_seed_20_layout_sensitivity_stays_clean(self):
         # Historical failure: running dropout in place preserved the conv
         # producer's non-contiguous (transposed einsum view) layout, and
         # the downstream batch-norm's pairwise mean/var then summed in a
         # different order than over the fresh contiguous array the
-        # out-of-place dropout returns — a ~1e-7 gradient drift.  Fixed
-        # by the executor's C-contiguity guard on the inplace dispatch.
+        # out-of-place dropout returns — a ~1e-7 gradient drift.  The
+        # executor no longer runs inplace marks at all, so the marked
+        # graph must train exactly like the unmarked one.
         graph = GraphFuzzer(20).graph(max_ops=12)
         result = apply_passes(graph)
         assert any(n.inplace for n in result.graph.nodes)
-        assert check_rewrite_equivalence(graph, seed=20,
-                                         rewrite_result=result) == []
+        assert check_rewrite_equivalence(graph, seed=20) == []
 
     def test_counterexample_seeds_pass_full_battery(self):
         for seed in (4, 20):
             assert verify_seed(seed, max_ops=12) == []
-            assert verify_seed(seed, max_ops=12, rewrite_shapes=True) == []
 
 
 class TestInplaceContiguityGuard:
     def test_non_contiguous_buffer_falls_back_out_of_place(self):
-        # Directly pin the guard: an inplace-marked node fed a
-        # non-contiguous buffer must leave that buffer untouched.
+        # An inplace-marked node runs out of place: the executor has no
+        # inplace path, so the conv's buffer (a non-contiguous einsum
+        # view or not) is never written by the marked dropout.
         from repro.graph.builder import GraphBuilder
         from repro.layers import (Conv2D, Dense, Dropout, Flatten,
                                   SoftmaxCrossEntropy)
         from repro.train.executor import GraphExecutor
 
         b = GraphBuilder("g", (2, 3, 4, 4))
-        x = b.add(Conv2D(4, 1), b.input)  # einsum view: non-contiguous
+        x = b.add(Conv2D(4, 1), b.input)
         x = b.add(Dropout(p=0.5, seed=1), x)
         x = b.add(Flatten(), x)
         x = b.add(Dense(3), x)
@@ -120,7 +84,4 @@ class TestInplaceContiguityGuard:
             ex.forward(images, labels)
         finally:
             conv_layer.forward = orig_forward
-        if not captured["buf"].flags["C_CONTIGUOUS"]:
-            # The guard must have routed dropout out of place, leaving
-            # the conv's strided buffer bit-identical.
-            assert np.array_equal(captured["buf"], captured["copy"])
+        assert np.array_equal(captured["buf"], captured["copy"])

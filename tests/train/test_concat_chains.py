@@ -30,7 +30,6 @@ from repro.memory.hybrid import (
 )
 from repro.memory.shared_concat import find_concat_chains
 from repro.models import build_model
-from repro.rewrite import InplacePass
 from repro.train import (
     BaselinePolicy,
     GraphExecutor,
@@ -49,9 +48,9 @@ def dense_blocks(draw):
 
     The ``"conv"`` tail reads the terminal in a 1x1 conv, which keeps it
     stashed, so the shared-concat arm drops every member.  The other two
-    put an inplace-marked ReLU on the terminal, straight (``"relu"``,
-    before the 1x1 conv) or through a flatten's view (``"flatten"``),
-    and leave it unstashed.  Returns (graph, tail, data seed)."""
+    put a ReLU on the terminal, straight (``"relu"``, before the 1x1
+    conv) or through a flatten's view (``"flatten"``), and leave it
+    unstashed.  Returns (graph, tail, data seed)."""
     n = draw(st.integers(1, 3))
     hw = draw(st.integers(2, 6))
     b = GraphBuilder("dense_block", (n, draw(st.integers(1, 3)), hw, hw))
@@ -70,10 +69,7 @@ def dense_blocks(draw):
         x = b.add(GlobalAvgPool2D(),
                   b.add(Conv2D(draw(st.integers(1, 3)), 1), x))
     b.mark_output(b.add(SoftmaxCrossEntropy(), b.add(Dense(CLASSES), x)))
-    graph = b.build()
-    if tail != "conv":
-        graph, _ = InplacePass().run(graph)
-    return graph, tail, draw(st.integers(0, 2**16))
+    return b.build(), tail, draw(st.integers(0, 2**16))
 
 
 def _replay(graph, params, images, labels):
@@ -149,14 +145,6 @@ def test_dense_block_runs_in_one_buffer(case):
     images = rng.normal(0, 1, shape).astype(np.float32)
     labels = rng.integers(0, CLASSES, shape[0])
     (chain,) = find_concat_chains(graph)
-    # The chain buffer holds the chain's concats and a flatten's view.
-    in_buffer = set(chain.members) | {chain.terminal_id} | {
-        n.node_id for n in graph.nodes if n.kind == "flatten"}
-    inplace_inputs = {n.inputs[0] for n in graph.nodes if n.inplace}
-    assert bool(inplace_inputs & in_buffer) == (tail != "conv")
-    # An inplace consumer legitimately overwrites its producer's value,
-    # except in the chain buffer, where the executor must refuse it.
-    overwritten = inplace_inputs - in_buffer
     reference = None
     for name, policy in _policies(graph, chain, tail).items():
         executor, values = _checked_executor(graph, policy)
@@ -166,8 +154,6 @@ def test_dense_block_runs_in_one_buffer(case):
             reference = _replay(graph, executor.params, images, labels)
         ref_values, ref_grads = reference
         for nid, value in values.items():
-            if nid in overwritten:
-                continue
             assert _bytes(value) == _bytes(ref_values[nid]), (
                 name, graph.node(nid).name)
         terminal = values[chain.terminal_id]

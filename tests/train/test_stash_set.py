@@ -3,9 +3,8 @@
 After one forward pass, the set of stashed node ids equals the maps the
 pool-rewritten feature-map-uses table gives a first backward read, minus
 the loss output (whose only backward "read" is the seed of the pass).
-Checked on the small registry models and default-genre fuzz seeds, each
-as built and after the default rewrite passes, and on DenseNet under a
-hybrid plan, whose recompute and shared-concat decisions drop their
+Checked on the small registry models and default-genre fuzz seeds, and
+on DenseNet under a hybrid plan, whose recompute and shared-concat decisions drop their
 stash on purpose.
 """
 
@@ -18,7 +17,6 @@ from repro.graph.schedule import TrainingSchedule
 from repro.memory import build_hybrid_plan
 from repro.memory.hybrid import CHOICE_RECOMPUTE, CHOICE_SHARED_CONCAT
 from repro.models import build_model
-from repro.rewrite import apply_passes
 from repro.train import GraphExecutor, HybridExecutionPolicy
 from repro.verify.fuzzer import GraphFuzzer
 
@@ -42,22 +40,18 @@ def _forward_once(executor):
     return set(executor.stashed_node_ids())
 
 
-def _graphs(graph):
-    return {"raw": graph, "rewritten": apply_passes(graph).graph}
-
-
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_registry_model_stashes_the_table(model):
-    for form, graph in _graphs(build_model(model, **MODELS[model])).items():
-        stashed = _forward_once(GraphExecutor(graph, seed=0))
-        assert stashed == _table_stash_set(graph), (model, form)
+    graph = build_model(model, **MODELS[model])
+    stashed = _forward_once(GraphExecutor(graph, seed=0))
+    assert stashed == _table_stash_set(graph), model
 
 
 def test_fuzz_graphs_stash_the_table():
     for seed in FUZZ_SEEDS:
-        for form, graph in _graphs(GraphFuzzer(seed).graph()).items():
-            stashed = _forward_once(GraphExecutor(graph, seed=0))
-            assert stashed == _table_stash_set(graph), (seed, form)
+        graph = GraphFuzzer(seed).graph()
+        stashed = _forward_once(GraphExecutor(graph, seed=0))
+        assert stashed == _table_stash_set(graph), seed
 
 
 def test_hybrid_densenet_stashes_the_table_minus_dropped_maps():

@@ -53,12 +53,10 @@ class TestCrashTolerance:
 
         real = runner.verify_seed
 
-        def sabotaged(seed, max_ops, strict=False, rewrite_shapes=False,
-                      recurrent_shapes=False):
+        def sabotaged(seed, max_ops, strict=False, recurrent_shapes=False):
             if seed == 1:
                 raise RuntimeError("injected verifier crash")
             return real(seed, max_ops, strict=strict,
-                        rewrite_shapes=rewrite_shapes,
                         recurrent_shapes=recurrent_shapes)
 
         monkeypatch.setattr(runner, "verify_seed", sabotaged)
@@ -73,8 +71,7 @@ class TestCrashTolerance:
     def test_unit_failure_stops_batch_when_stop_on_first(self, monkeypatch):
         import repro.verify.runner as runner
 
-        def always_broken(seed, max_ops, strict=False, rewrite_shapes=False,
-                          recurrent_shapes=False):
+        def always_broken(seed, max_ops, strict=False, recurrent_shapes=False):
             raise RuntimeError("injected verifier crash")
 
         monkeypatch.setattr(runner, "verify_seed", always_broken)
@@ -92,11 +89,9 @@ class TestJournalResume:
         calls = []
         real = runner.verify_seed
 
-        def counting(seed, max_ops, strict=False, rewrite_shapes=False,
-                     recurrent_shapes=False):
+        def counting(seed, max_ops, strict=False, recurrent_shapes=False):
             calls.append(seed)
             return real(seed, max_ops, strict=strict,
-                        rewrite_shapes=rewrite_shapes,
                         recurrent_shapes=recurrent_shapes)
 
         monkeypatch.setattr(runner, "verify_seed", counting)
