@@ -4,8 +4,8 @@ Three subsystems, all wired through the training executor:
 
 * :class:`StepTracer` (:mod:`repro.diagnostics.tracer`) — structured
   per-step/per-node events: wall time, encode/decode byte counts and
-  compression ratios per encoding, workspace-arena statistics.  Attached
-  per executor; costs nothing when detached.
+  compression ratios per encoding.  Attached per executor; costs
+  nothing when detached.
 * :class:`TraceDigest` (:mod:`repro.diagnostics.digest`) — deterministic
   SHA-256 fingerprints of losses, parameter gradients and decoded stash
   tensors, with :meth:`~TraceDigest.save_golden` /
@@ -13,9 +13,8 @@ Three subsystems, all wired through the training executor:
   pinned and re-verified in CI (recipes in
   :mod:`repro.diagnostics.golden`).
 * :class:`InvariantSuite` (:mod:`repro.diagnostics.invariants`) — runtime
-  checkers: lossless encodings round-trip bit-exactly, stashes are never
-  read past their liveness death point, arena rents never alias live
-  encoded stashes.
+  checkers: lossless encodings round-trip bit-exactly, and stashes are
+  never read past their liveness death point.
 
 CLI surface: ``python -m repro trace`` runs a traced training demo and
 saves/compares goldens.

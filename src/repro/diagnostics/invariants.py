@@ -11,9 +11,7 @@ verifies, while training runs:
   Identity/SSDC, the positivity mask for Binarize);
 * **stash-liveness** — no encoded stash is read after its death point on
   the schedule clock, i.e. the shortened lifetimes the Schedule Builder
-  sells to the allocator are honoured by the runtime;
-* **arena-alias** — no workspace-arena rent hands out memory overlapping
-  a live encoded stash (the aliasing bug a buggy ``release`` would cause).
+  sells to the allocator are honoured by the runtime.
 
 Each checker *raises* :class:`InvariantViolation` at the faulty event, so
 seeded-fault tests can assert the checkers actually fire.
@@ -21,7 +19,7 @@ seeded-fault tests can assert the checkers actually fire.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
@@ -42,34 +40,6 @@ class InvariantViolation(AssertionError):
     """A runtime invariant of the training executor was broken."""
 
 
-def _component_arrays(encoded, out: Optional[List[np.ndarray]] = None):
-    """Flatten an encoded stash object into its backing ndarrays."""
-    if out is None:
-        out = []
-    if isinstance(encoded, np.ndarray):
-        out.append(encoded)
-        return out
-    for attr in ("words", "values", "col_idx", "row_ptr", "mask_words"):
-        part = getattr(encoded, attr, None)
-        if part is not None:
-            _component_arrays(part, out)
-    return out
-
-
-def _span(arr: np.ndarray) -> Tuple[int, int]:
-    """[start, end) byte-address range an array's elements lie in (a
-    strided view, e.g. a concat chain member, spans its gaps too)."""
-    start = end = arr.__array_interface__["data"][0]
-    if arr.size:
-        for n, stride in zip(arr.shape, arr.strides):
-            if stride < 0:
-                start += (n - 1) * stride
-            else:
-                end += (n - 1) * stride
-        end += arr.itemsize
-    return start, end
-
-
 class InvariantSuite:
     """Per-executor runtime invariant checkers.
 
@@ -81,26 +51,19 @@ class InvariantSuite:
         executor: The executor to bind to.
         round_trip: Verify lossless decode bit-exactness.
         liveness: Verify stash reads stay inside their lifetime window.
-        aliasing: Verify arena rents never overlap live encoded stashes
-            (installs itself as the arena's rent observer).
     """
 
     def __init__(self, executor: "GraphExecutor", round_trip: bool = True,
-                 liveness: bool = True, aliasing: bool = True):
+                 liveness: bool = True):
         self.executor = executor
         self.round_trip = round_trip
         self.liveness = liveness
-        self.aliasing = aliasing
         self.schedule = TrainingSchedule(executor.graph)
         self._death = self._death_table(executor.graph, self.schedule,
                                         executor.policy)
         self._clock = -1
         #: node_id -> digest of the expected lossless decode.
         self._expected: Dict[int, Tuple[str, str]] = {}
-        #: [start, end) spans of live encoded-stash buffers, + node name.
-        self._regions: List[Tuple[int, int, str]] = []
-        if aliasing:
-            executor.arena.observer = self
 
     @staticmethod
     def _death_table(graph: Graph, schedule: TrainingSchedule,
@@ -128,7 +91,6 @@ class InvariantSuite:
         """Reset per-step state (called at the top of ``forward``)."""
         self._clock = -1
         self._expected.clear()
-        self._regions.clear()
 
     def on_forward(self, node: OpNode) -> None:
         """Advance the schedule clock to ``node``'s forward op."""
@@ -147,15 +109,12 @@ class InvariantSuite:
         self._clock = self.schedule.num_steps
 
     def on_stash_encoded(self, node: OpNode, y: np.ndarray,
-                         encoding, encoded) -> None:
+                         encoding) -> None:
         """Record expectations for a freshly encoded stash."""
         if self.round_trip and encoding.lossless:
             self._expected[node.node_id] = (
                 array_digest(encoding.expected_decode(y)), encoding.name
             )
-        if self.aliasing:
-            for arr in _component_arrays(encoded):
-                self._regions.append(_span(arr) + (node.name,))
 
     def on_stash_read(self, node_id: int) -> None:
         """Check a stash read against the liveness table."""
@@ -183,16 +142,3 @@ class InvariantSuite:
                 f"lossless-round-trip: {enc_name} decode of {name!r} is not "
                 f"bit-identical to the encoded reference"
             )
-
-    def on_rent(self, arr: np.ndarray) -> None:
-        """Arena observer: a rented buffer must not alias a live stash."""
-        if not self.aliasing:
-            return
-        start, end = _span(arr)
-        for r_start, r_end, name in self._regions:
-            if start < r_end and r_start < end:
-                raise InvariantViolation(
-                    f"arena-alias: rented buffer [{start:#x}, {end:#x}) "
-                    f"overlaps the live encoded stash of {name!r}"
-                )
-

@@ -6,9 +6,7 @@ and records, for every training step:
 
 * per-node forward/backward wall time;
 * per-stash encode/decode wall time, raw vs encoded byte counts and the
-  resulting compression ratio, broken down by encoding class;
-* workspace-arena statistics — pooled bytes (the arena's high-water
-  footprint), rent hits/misses, and peak outstanding buffers.
+  resulting compression ratio, broken down by encoding class.
 
 The executor's hook sites are guarded by a single ``tracer is not None``
 branch, so a detached tracer costs nothing on the hot path; what an
@@ -62,13 +60,10 @@ class StepRecord:
         encode_s / decode_s: Summed codec wall time (subset of the above).
         raw_bytes: Per-encoding-name FP32 bytes entering the stash.
         encoded_bytes: Per-encoding-name bytes actually stashed.
-        arena_pooled_bytes: Arena footprint (free + outstanding buffers) at
-            the end of the step — the pool's high-water mark, since the
-            arena only ever grows within a step.
-        arena_hits / arena_misses: Buffer-pool rents served from the free
-            pool vs fresh allocations, this step only.
-        arena_outstanding: Buffers still checked out when the step ended
-            (escaped gradients and encoded stashes).
+        arena_pooled_bytes / arena_hits / arena_misses: Always 0.  The
+            workspace arena pools nothing (every rent is a fresh
+            allocation); the fields stay because the performance ledger
+            reads them.
     """
 
     index: int
@@ -82,7 +77,6 @@ class StepRecord:
     arena_pooled_bytes: int = 0
     arena_hits: int = 0
     arena_misses: int = 0
-    arena_outstanding: int = 0
 
     @property
     def total_raw_bytes(self) -> int:
@@ -115,17 +109,13 @@ class StepTracer:
         self.steps: List[StepRecord] = []
         self.events: List[TraceEvent] = []
         self._current: Optional[StepRecord] = None
-        self._arena_hits0 = 0
-        self._arena_misses0 = 0
 
     # -- executor-facing hooks -----------------------------------------
-    def begin_step(self, arena) -> None:
+    def begin_step(self) -> None:
         """Open a new step record (finalising any still-open one)."""
         if self._current is not None:
             self.steps.append(self._current)
         self._current = StepRecord(index=len(self.steps))
-        self._arena_hits0 = arena.hits
-        self._arena_misses0 = arena.misses
 
     def record_loss(self, loss: float) -> None:
         """Attach the step's scalar loss (called at forward end)."""
@@ -177,15 +167,11 @@ class StepTracer:
                 encoding=encoding, raw_bytes=decoded_bytes,
             ))
 
-    def end_step(self, arena) -> None:
-        """Close the current step, snapshotting arena statistics."""
+    def end_step(self) -> None:
+        """Close the current step."""
         rec = self._current
         if rec is None:
             return
-        rec.arena_pooled_bytes = arena.pooled_bytes()
-        rec.arena_hits = arena.hits - self._arena_hits0
-        rec.arena_misses = arena.misses - self._arena_misses0
-        rec.arena_outstanding = arena.outstanding
         self.steps.append(rec)
         self._current = None
 
@@ -203,10 +189,6 @@ class StepTracer:
                 "raw_bytes": dict(r.raw_bytes),
                 "encoded_bytes": dict(r.encoded_bytes),
                 "compression_ratio": r.compression_ratio,
-                "arena_pooled_bytes": r.arena_pooled_bytes,
-                "arena_hits": r.arena_hits,
-                "arena_misses": r.arena_misses,
-                "arena_outstanding": r.arena_outstanding,
             }
             for r in self.steps
         ]
@@ -216,7 +198,7 @@ class StepTracer:
         header = (
             f"{'step':>4} {'loss':>10} {'fwd ms':>8} {'bwd ms':>8} "
             f"{'enc ms':>7} {'dec ms':>7} {'stash MiB':>10} "
-            f"{'ratio':>6} {'arena MiB':>10} {'hit/miss':>9}"
+            f"{'ratio':>6}"
         )
         lines = [header, "-" * len(header)]
         for r in self.steps:
@@ -226,9 +208,7 @@ class StepTracer:
                 f"{r.backward_s * 1e3:>8.2f} {r.encode_s * 1e3:>7.2f} "
                 f"{r.decode_s * 1e3:>7.2f} "
                 f"{r.total_encoded_bytes / 2**20:>10.3f} "
-                f"{r.compression_ratio:>6.2f} "
-                f"{r.arena_pooled_bytes / 2**20:>10.3f} "
-                f"{r.arena_hits:>4}/{r.arena_misses:<4}"
+                f"{r.compression_ratio:>6.2f}"
             )
         return "\n".join(lines)
 

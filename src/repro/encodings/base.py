@@ -38,17 +38,14 @@ class Encoding(abc.ABC):
     #: Whether the backward pass sees bit-identical information.
     lossless: bool = True
     #: Workspace arena the runtime codec rents buffers from (set by the
-    #: executor via :meth:`bind_arena`; the pass-through default makes
-    #: every encode allocate fresh memory).
+    #: executor via :meth:`bind_arena`).
     arena = NULL_ARENA
 
     def bind_arena(self, arena) -> None:
         """Attach a workspace arena.
 
-        The executor binds its per-instance arena before each stash so
-        the codec fast paths write into pooled buffers.  Rented buffers
-        live until the arena's next ``reset`` — one training step —
-        which matches a stash's encode-to-decode lifetime.
+        The executor binds its ``arena`` before each stash, so a test
+        that assigns a poisoned one reaches the codec fast paths too.
         """
         self.arena = arena
 

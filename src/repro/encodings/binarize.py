@@ -129,9 +129,8 @@ class BinarizeEncoding(Encoding):
     def encode(self, x: np.ndarray) -> BinarizedTensor:
         mask = self.arena.rent(x.shape, np.bool_)
         np.greater(x, 0, out=mask)
-        words = pack_bits(mask, arena=self.arena)
-        self.arena.release(mask)
-        return BinarizedTensor(words, tuple(x.shape))
+        return BinarizedTensor(pack_bits(mask, arena=self.arena),
+                               tuple(x.shape))
 
     def decode(self, encoded: BinarizedTensor) -> np.ndarray:
         return unpack_bits(encoded.words, encoded.shape)

@@ -162,7 +162,7 @@ def _empty_like_layout(
 def _head(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """A C-contiguous ``(rows, cols)`` view of the start of ``buf``: one
     sample block's scratch inside a batch-sized arena buffer, so the
-    block stays dense in cache and the arena pools no second shape."""
+    block stays dense in cache."""
     return buf.reshape(-1)[:rows * cols].reshape(rows, cols)
 
 
@@ -222,12 +222,7 @@ class ConvBlasFat(ConvBackend):
         if y.strides != strides:
             y = _empty_like_layout((n, f, p), strides, np.float32, arena)
             np.copyto(y, y_view)
-            arena.release(y2)
-        saved = None
-        if want_saved:
-            saved = cols_t
-        else:
-            arena.release(cols_t)
+        saved = cols_t if want_saved else None
         return (y.reshape(n, f, oh, ow).astype(np.float32, copy=False),
                 saved)
 
@@ -246,9 +241,7 @@ class ConvBlasFat(ConvBackend):
                   dy.reshape(n, f, p).transpose(1, 0, 2))
         # (K, F) product: BLAS threads split output rows, and F is few.
         dw = np.matmul(cols_t, dy2.T).T
-        arena.release(cols_t)
         if not need_dx:
-            arena.release(dy2)
             return None, dw.reshape(w4.shape)
         dx = arena.rent((n, plan.Q), np.float32)
         if direct_fill(stride, oh, plan.wp):
@@ -262,16 +255,12 @@ class ConvBlasFat(ConvBackend):
                 block = dy_pad[:n1 - n0]
                 np.copyto(block[..., :ow], dy4[n0:n1])
                 plan.slot_gemm(w_slots, block, n0, dx, finite)
-            arena.release(dy_pad)
-            arena.release(w_slots)
         else:
             dcols_t = arena.rent((k, n * p), np.float32)
             for n0, n1 in plan.blocks:
                 block = _head(dcols_t, k, (n1 - n0) * p)
                 np.matmul(wmat.T, dy2[:, n0 * p:n1 * p], out=block)
                 plan.scatter_t(block, n0, dx)
-            arena.release(dcols_t)
-        arena.release(dy2)
         return plan.unpad(dx), dw.reshape(w4.shape)
 
 

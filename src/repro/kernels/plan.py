@@ -355,8 +355,7 @@ class KernelPlan:
     ) -> np.ndarray:
         """Unfold ``x`` into columns (N, C*kh*kw, OH*OW), block by block.
 
-        The returned buffer is rented from ``arena``; the caller owns it
-        and should ``release`` it once the columns are dead.
+        The returned buffer is rented from ``arena``; the caller owns it.
         """
         n, c, _, _ = self.shape
         out = arena.rent((n, self.K, self.P), x.dtype)
@@ -432,16 +431,13 @@ class KernelPlan:
                 np.multiply(mask, np.uint8(slot), out=won)
                 np.maximum(am3, won, out=am3)
                 np.maximum(y3, vs, out=y3)
-            arena.release(won)
-            arena.release(mask)
         else:
-            rented = self.im2col(x, arena, pad_value=-np.inf)
-            cols = rented.reshape(n, c, self.S, self.P)
+            cols = self.im2col(x, arena, pad_value=-np.inf).reshape(
+                n, c, self.S, self.P)
             argmax = cols.argmax(axis=2).astype(np.uint8)
             y = np.take_along_axis(
                 cols, argmax[:, :, None, :].astype(np.intp), axis=2
             )[:, :, 0, :]
-            arena.release(rented)
         y = y.reshape(n, c, self.oh, self.ow)
         return y.astype(np.float32, copy=False), argmax.reshape(
             n, c, self.oh, self.ow
@@ -474,7 +470,6 @@ class KernelPlan:
         out = arena.rent((n, self.Q), dy.dtype)
         out.fill(0)
         np.add.at(out.reshape(-1), lin.reshape(-1), dy.reshape(-1))
-        arena.release(lin)
         return self.unpad(out)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -58,16 +58,11 @@ class ReLU(Layer):
         arena = resolve_arena(ctx)
         if y.dtype == np.bool_:
             mask = y  # Binarize handed us the 1-bit positivity mask directly.
-            scratch = None
         else:
-            mask = scratch = arena.rent(y.shape, np.bool_)
+            mask = arena.rent(y.shape, np.bool_)
             np.greater(y, 0, out=mask)
-        # The gradient rides an arena buffer: it is dead by the next
-        # step's reset, and renting skips a fresh multi-MB allocation
-        # (and its page faults) on every backward call.
         dx = arena.rent(dy.shape, dy.dtype)
         np.multiply(dy, mask, out=dx)
-        arena.release(scratch)
         return [dx], {}
 
 

@@ -137,11 +137,9 @@ class AvgPool2D(_Pool2D):
         (x,) = xs
         n, c, _, _ = x.shape
         plan = get_plan(x.shape, self.kh, self.kw, self.stride, self.pad)
-        arena = resolve_arena(ctx)
-        cols = plan.im2col(x, arena)
+        cols = plan.im2col(x, resolve_arena(ctx))
         y = cols.reshape(n, c, plan.S, plan.P).mean(axis=2).reshape(
             n, c, plan.oh, plan.ow)
-        arena.release(cols)
         if ctx is not None:
             ctx.save_state("in_shape", np.array(x.shape))
         return y.astype(np.float32, copy=False)
@@ -163,7 +161,6 @@ class AvgPool2D(_Pool2D):
         for ki in range(self.kh):
             for kj in range(self.kw):
                 grid[:, :, ki:ki + s * oh:s, kj:kj + s * ow:s] += share
-        arena.release(share)
         return [plan.unpad(out)], {}
 
 

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.diagnostics.invariants import InvariantSuite
     from repro.diagnostics.tracer import StepTracer
-from repro.kernels import WorkspaceArena
+from repro.kernels import NULL_ARENA, WorkspaceArena
 from repro.kernels.backends import CONV_ARMS, REFERENCE
 from repro.layers.base import OpContext
 from repro.layers.loss import SoftmaxCrossEntropy
@@ -76,7 +76,7 @@ class _Context(OpContext):
 
     @property
     def arena(self) -> WorkspaceArena:
-        """The executor's per-instance workspace arena."""
+        """The executor's workspace arena."""
         return self._executor.arena
 
     @property
@@ -93,10 +93,8 @@ class GraphExecutor:
         policy: Stash policy (defaults to the FP32 baseline).
         seed: Parameter-initialisation seed.
         use_kernel_plans: ``False`` is the A/B shorthand for
-            ``kernel_backend="reference"`` plus a pass-through arena: the
-            original per-call loop conv kernels, every buffer freshly
-            allocated (by the same ``rent`` statements the pooled arena
-            serves).
+            ``kernel_backend="reference"``: the original per-call loop
+            conv kernels.
         tracer: Optional :class:`~repro.diagnostics.tracer.StepTracer`
             observing this executor.  A traced step runs the same layer
             and codec calls as an untraced one: each site only reads the
@@ -120,18 +118,17 @@ class GraphExecutor:
         self.policy = policy or BaselinePolicy()
         self.tracer = tracer
         self._invariants = None
-        plans_off = use_kernel_plans is not None and not use_kernel_plans
-        if plans_off and kernel_backend is None:
+        if (use_kernel_plans is not None and not use_kernel_plans
+                and kernel_backend is None):
             kernel_backend = REFERENCE
         if kernel_backend is not None and kernel_backend not in CONV_ARMS:
             raise ValueError(
                 f"kernel_backend={kernel_backend!r} names no conv arm "
                 f"(arms: {', '.join(sorted(CONV_ARMS))})")
         self.kernel_backend = kernel_backend
-        # The executor's own scratch arena, reset at the start of every
-        # forward pass: an arena-rented result is valid only until the
-        # next step begins.
-        self.arena = WorkspaceArena(enabled=not plans_off)
+        # Every rent site reads this attribute, so a test can assign a
+        # poisoned arena after construction.
+        self.arena: WorkspaceArena = NULL_ARENA
         rng = np.random.default_rng(seed)
         self.params: Dict[int, Dict[str, np.ndarray]] = {}
         for node in graph.nodes:
@@ -235,20 +232,19 @@ class GraphExecutor:
         return list(self._stash)
 
     def enable_invariants(self, round_trip: bool = True,
-                          liveness: bool = True,
-                          aliasing: bool = True) -> "InvariantSuite":
+                          liveness: bool = True) -> "InvariantSuite":
         """Attach runtime invariant checkers to this executor.
 
         Builds an :class:`~repro.diagnostics.invariants.InvariantSuite`
         bound to this executor (replacing any previous suite) and returns
         it.  Checkers raise
         :class:`~repro.diagnostics.invariants.InvariantViolation` at the
-        faulty event; see the suite's docs for the three invariants.
+        faulty event; see the suite's docs for the two invariants.
         """
         from repro.diagnostics.invariants import InvariantSuite
 
         self._invariants = InvariantSuite(
-            self, round_trip=round_trip, liveness=liveness, aliasing=aliasing
+            self, round_trip=round_trip, liveness=liveness
         )
         return self._invariants
 
@@ -275,15 +271,10 @@ class GraphExecutor:
         tracer = self.tracer
         checks = self._invariants
         if checks is not None:
-            # Clear stale stash regions/expectations before the arena makes
-            # last step's buffers rentable again.
             checks.begin_step()
-        # Step boundary: everything rented last step (gradients, encoded
-        # stashes, scratch) is dead now, so the pool can recycle it.
-        self.arena.reset()
         self._chain_buffers.clear()
         if tracer is not None:
-            tracer.begin_step(self.arena)
+            tracer.begin_step()
         self.last_sparsity = {}
         self._loss_node.layer.set_labels(labels)
 
@@ -320,7 +311,6 @@ class GraphExecutor:
                 self.last_sparsity[node.name] = (
                     1.0 - np.count_nonzero(nonzero) / y.size
                 )
-                self.arena.release(nonzero)
             if node.node_id == self.graph.output_id:
                 loss = float(y[0])
             else:
@@ -416,7 +406,7 @@ class GraphExecutor:
                                  encoding.measure_bytes(encoded),
                                  perf_counter() - t0)
         if self._invariants is not None:
-            self._invariants.on_stash_encoded(node, y, encoding, encoded)
+            self._invariants.on_stash_encoded(node, y, encoding)
         self._stash[node.node_id] = (encoding, encoded)
 
     def backward(self) -> Dict[str, np.ndarray]:
@@ -478,7 +468,7 @@ class GraphExecutor:
         if checks is not None:
             checks.end_step()
         if tracer is not None:
-            tracer.end_step(self.arena)
+            tracer.end_step()
         return param_grads
 
     # ------------------------------------------------------------------

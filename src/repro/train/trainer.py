@@ -16,7 +16,6 @@ from repro.encodings.ssdc import csr_bytes
 from repro.graph.graph import Graph
 from repro.train.data import Dataset, minibatches
 from repro.train.executor import GraphExecutor
-from repro.train.metrics import accuracy
 from repro.train.optimizer import SGD
 from repro.train.stash import StashPolicy
 
@@ -96,7 +95,7 @@ class Trainer:
             images = dataset.images[start : start + self.batch_size]
             labels = dataset.labels[start : start + self.batch_size]
             logits = self.executor.predict(images)
-            correct += int(accuracy(logits, labels) * self.batch_size)
+            correct += int(np.count_nonzero(logits.argmax(axis=1) == labels))
             seen += self.batch_size
         if seen == 0:
             raise ValueError("dataset smaller than one minibatch")

@@ -350,6 +350,19 @@ class TestTrainer:
         for acc, loss in zip(result.test_accuracy, result.accuracy_loss_curve):
             assert loss == pytest.approx(1.0 - acc)
 
+    def test_evaluate_counts_every_correct_row(self, monkeypatch):
+        """15 right of 22 is 15/22: a count, not a float accuracy times
+        the batch, which truncates 15/22 * 22 to 14."""
+        g = tiny_cnn(batch_size=22, num_classes=4, image_size=8)
+        test, _ = make_synthetic(22, 4, 8, seed=1)
+        right = np.arange(22) < 15
+        logits = np.zeros((22, 4), np.float32)
+        logits[np.arange(22), np.where(right, test.labels,
+                                       (test.labels + 1) % 4)] = 1.0
+        trainer = Trainer(g, seed=0)
+        monkeypatch.setattr(trainer.executor, "predict", lambda images: logits)
+        assert trainer.evaluate(test) == 15 / 22
+
 
 class TestMetrics:
     def test_accuracy(self):
