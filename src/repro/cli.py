@@ -155,7 +155,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
     print(tracer.summary())
     if args.check_invariants:
-        print("\ninvariants: round-trip, liveness and aliasing checks clean")
+        print("\ninvariants: round-trip and liveness checks clean")
     if args.save_golden:
         digest.save_golden(args.save_golden)
         print(f"\ngolden saved to {args.save_golden}")

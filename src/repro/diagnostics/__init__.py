@@ -12,9 +12,9 @@ Three subsystems, all wired through the training executor:
   :meth:`~TraceDigest.compare_golden` so any model+policy run can be
   pinned and re-verified in CI (recipes in
   :mod:`repro.diagnostics.golden`).
-* :class:`InvariantSuite` (:mod:`repro.diagnostics.invariants`) — runtime
-  checkers: lossless encodings round-trip bit-exactly, and stashes are
-  never read past their liveness death point.
+* :class:`InvariantSuite` (:mod:`repro.diagnostics.invariants`) — the
+  runtime checker that lossless encodings round-trip bit-exactly (the
+  executor itself refuses a stash read past its death point).
 
 CLI surface: ``python -m repro trace`` runs a traced training demo and
 saves/compares goldens.

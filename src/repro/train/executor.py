@@ -30,7 +30,11 @@ from repro.kernels import NULL_ARENA, WorkspaceArena
 from repro.kernels.backends import CONV_ARMS, REFERENCE
 from repro.layers.base import OpContext
 from repro.layers.loss import SoftmaxCrossEntropy
-from repro.memory.hybrid import CHOICE_RECOMPUTE, CHOICE_SHARED_CONCAT
+from repro.memory.hybrid import (
+    CHOICE_RECOMPUTE,
+    CHOICE_SHARED_CONCAT,
+    source_read_time,
+)
 from repro.memory.shared_concat import find_concat_chains
 from repro.train.stash import BaselinePolicy, StashPolicy
 
@@ -143,10 +147,38 @@ class GraphExecutor:
             )
         # The maps some backward op reads, max-pools replaying their
         # argmax map; the loss only seeds the backward pass.
-        uses = feature_map_uses(graph, TrainingSchedule(graph), True)
+        self._schedule = schedule = TrainingSchedule(graph)
+        uses = feature_map_uses(graph, schedule, True)
         self._stashed_ids = {
             nid for nid, (_, first_bwd, _) in uses.items()
             if first_bwd is not None} - {graph.output_id}
+        # The death table: the last schedule time a backward op may read
+        # each map, stretched where a decision re-reads a source by the
+        # rule the planner prices (source_read_time).  A read later than
+        # this is a stash-liveness violation.
+        self._death: Dict[int, int] = {
+            nid: last_bwd for nid, (_, _, last_bwd) in uses.items()
+            if last_bwd is not None}
+        for nid in uses:
+            decision = self.policy.decision_for(nid)
+            read = (None if decision is None
+                    else source_read_time(decision, uses))
+            if read is not None:
+                source = decision.source_id
+                self._death[source] = max(self._death.get(source, read), read)
+        # Schedule time -> what dies after the op at that time: a forward
+        # value at its last forward use (the logits stay for last_logits),
+        # a stash and its decoded map at their death.
+        self._frees: Dict[int, List[int]] = {}
+        logits_id = self._loss_node.inputs[0]
+        for nid, (last_fwd, _, _) in uses.items():
+            if nid != logits_id:
+                self._frees.setdefault(last_fwd, []).append(nid)
+        for nid, death in self._death.items():
+            self._frees.setdefault(death, []).append(nid)
+        # The schedule time of the op running or last run: -1 before the
+        # first forward, num_steps once a backward has finished.
+        self._clock = -1
         # Each concat chain runs in one terminal-sized buffer: every link
         # writes its new channels behind its predecessor's, so a member
         # *is* the terminal's channel prefix.  Concat id -> (chain head,
@@ -199,10 +231,20 @@ class GraphExecutor:
         return flat
 
     def stashed_value(self, node_id: int) -> np.ndarray:
-        """Decode (with caching) the stashed feature map of ``node_id``."""
-        checks = self._invariants
-        if checks is not None:
-            checks.on_stash_read(node_id)
+        """Decode (with caching) the stashed feature map of ``node_id``.
+
+        Raises:
+            InvariantViolation: The schedule clock is past the map's death
+                (its entry is freed; a read here is a scheduling bug).
+        """
+        death = self._death.get(node_id)
+        if death is not None and self._clock > death:
+            from repro.diagnostics.invariants import InvariantViolation
+
+            name = self.graph.node(node_id).name
+            raise InvariantViolation(
+                f"stash-liveness: stash of {name!r} read at schedule time "
+                f"{self._clock}, after its death point {death}")
         if node_id in self._decoded:
             return self._decoded[node_id]
         try:
@@ -222,30 +264,30 @@ class GraphExecutor:
         if tracer is not None:
             tracer.record_decode(self.graph.node(node_id).name, encoding.name,
                                  value.nbytes, perf_counter() - t0)
+        checks = self._invariants
         if checks is not None:
             checks.on_decoded(node_id, encoding, value)
         self._decoded[node_id] = value
         return value
 
     def stashed_node_ids(self) -> List[int]:
-        """Node ids with a live stash entry (after a forward pass)."""
+        """Node ids with a live stash entry: every stash after a training
+        forward, none once ``backward`` has freed each at its death."""
         return list(self._stash)
 
-    def enable_invariants(self, round_trip: bool = True,
-                          liveness: bool = True) -> "InvariantSuite":
-        """Attach runtime invariant checkers to this executor.
+    def enable_invariants(self) -> "InvariantSuite":
+        """Attach the lossless round-trip checker to this executor.
 
         Builds an :class:`~repro.diagnostics.invariants.InvariantSuite`
         bound to this executor (replacing any previous suite) and returns
-        it.  Checkers raise
+        it.  It raises
         :class:`~repro.diagnostics.invariants.InvariantViolation` at the
-        faulty event; see the suite's docs for the two invariants.
+        faulty decode.  Stash liveness needs no suite: every executor
+        polices it in :meth:`stashed_value`.
         """
         from repro.diagnostics.invariants import InvariantSuite
 
-        self._invariants = InvariantSuite(
-            self, round_trip=round_trip, liveness=liveness
-        )
+        self._invariants = InvariantSuite(self)
         return self._invariants
 
     def stash_bytes(self) -> Dict[str, int]:
@@ -258,7 +300,11 @@ class GraphExecutor:
     # ------------------------------------------------------------------
     def forward(self, images: np.ndarray, labels: np.ndarray,
                 train: bool = True) -> float:
-        """Run the forward pass; returns the scalar loss."""
+        """Run the forward pass; returns the scalar loss.
+
+        Each value is dropped after its last forward reader.  With
+        ``train=False`` nothing is stashed and no backward may follow.
+        """
         expected = self.graph.node(self.graph.input_id).output_shape
         if tuple(images.shape) != tuple(expected):
             raise ValueError(
@@ -269,10 +315,6 @@ class GraphExecutor:
         self._decoded.clear()
         self._ctx.clear()
         tracer = self.tracer
-        checks = self._invariants
-        if checks is not None:
-            checks.begin_step()
-        self._chain_buffers.clear()
         if tracer is not None:
             tracer.begin_step()
         self.last_sparsity = {}
@@ -281,10 +323,9 @@ class GraphExecutor:
         values: Dict[int, np.ndarray] = {
             self.graph.input_id: images.astype(np.float32, copy=False)
         }
-        if checks is not None:
-            checks.on_forward(self.graph.node(self.graph.input_id))
-        self._maybe_stash(self.graph.node(self.graph.input_id),
-                          values[self.graph.input_id])
+        if train:
+            self._maybe_stash(self.graph.node(self.graph.input_id),
+                              values[self.graph.input_id])
         loss = 0.0
         for node in self.graph.nodes:
             if node.node_id == self.graph.input_id:
@@ -292,8 +333,7 @@ class GraphExecutor:
             ctx = _Context(self, node)
             self._ctx[node.node_id] = ctx
             xs = [values[i] for i in node.inputs]
-            if checks is not None:
-                checks.on_forward(node)
+            self._clock = self._schedule.forward_time(node.node_id)
             t0 = perf_counter() if tracer is not None else 0.0
             y = node.layer.forward(xs, self.params[node.node_id], ctx, train)
             if tracer is not None:
@@ -313,12 +353,18 @@ class GraphExecutor:
                 )
             if node.node_id == self.graph.output_id:
                 loss = float(y[0])
-            else:
+            elif train:
                 self._maybe_stash(node, y)
             if node.inputs == [self.graph.output_id]:
                 raise AssertionError("loss output consumed by another op")
+            for nid in self._frees.get(self._clock, ()):
+                values.pop(nid, None)
         # Keep the logits (the loss node's input) for accuracy metrics.
         self.last_logits = values[self._loss_node.inputs[0]]
+        # Every link has written; a stashed member holds its own view.
+        self._chain_buffers.clear()
+        if not train:
+            self._clock = self._schedule.num_steps
         if tracer is not None:
             tracer.record_loss(loss)
         return loss
@@ -413,6 +459,10 @@ class GraphExecutor:
         """Run the backward pass; returns flat parameter gradients."""
         if self.last_logits is None:
             raise RuntimeError("backward() called before forward()")
+        if self._clock == self._schedule.num_steps:
+            raise RuntimeError(
+                "backward() called with no forward(train=True) since the "
+                "last backward()")
         grads_out: Dict[int, np.ndarray] = {
             self.graph.output_id: np.ones(1, dtype=np.float32)
         }
@@ -424,7 +474,6 @@ class GraphExecutor:
         param_grads: Dict[str, np.ndarray] = {}
         self._decoded.clear()
         tracer = self.tracer
-        checks = self._invariants
         for node in reversed(self.graph.nodes):
             if node.node_id == self.graph.input_id:
                 continue
@@ -433,11 +482,11 @@ class GraphExecutor:
                 # Node not on the loss path (cannot happen for our models,
                 # but a disconnected diagnostics op would land here).
                 continue
-            if checks is not None:
-                checks.on_backward(node)
+            self._clock = self._schedule.backward_time(node.node_id)
             t0 = perf_counter() if tracer is not None else 0.0
+            # The context's saved state has no reader after this op.
             dxs, dparams = node.layer.backward(
-                dy, self.params[node.node_id], self._ctx[node.node_id]
+                dy, self.params[node.node_id], self._ctx.pop(node.node_id)
             )
             if tracer is not None:
                 tracer.record_node(node.name, "backward",
@@ -465,8 +514,10 @@ class GraphExecutor:
                     owned.add(input_id)
             for pname, grad in dparams.items():
                 param_grads[f"{node.name}.{pname}"] = grad
-        if checks is not None:
-            checks.end_step()
+            for nid in self._frees.get(self._clock, ()):
+                self._stash.pop(nid, None)
+                self._decoded.pop(nid, None)
+        self._clock = self._schedule.num_steps
         if tracer is not None:
             tracer.end_step()
         return param_grads

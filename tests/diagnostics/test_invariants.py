@@ -1,8 +1,9 @@
-"""Invariant checkers: clean runs pass, seeded faults are caught.
+"""Invariant checks: clean runs pass, seeded faults are caught.
 
-Each fault test injects exactly the bug class its checker polices —
-a corrupted encoded stash or a stash read after its death point — and
-asserts the checker raises at the faulty event, not later.
+Each fault test injects exactly the bug class its check polices — a
+corrupted encoded stash (the suite's round-trip checker) or a stash read
+after its death point (every executor's own clock) — and asserts the
+check raises at the faulty event, not later.
 """
 
 import numpy as np
@@ -15,15 +16,19 @@ from repro.diagnostics import (
     run_traced,
 )
 from repro.encodings.binarize import BinarizedTensor
+from repro.graph.liveness import feature_map_uses
+from repro.memory import build_hybrid_plan
+from repro.memory.hybrid import CHOICE_RECOMPUTE, source_read_time
 from repro.models import build_model
 from repro.train.executor import GraphExecutor
-from repro.train.stash import policy_from_name
+from repro.train.stash import HybridExecutionPolicy, policy_from_name
 
 
-def _executor(policy="gist-lossless", model="tiny_cnn", **inv_kwargs):
+def _executor(policy="gist-lossless", model="tiny_cnn", checked=True):
     graph = build_model(model, **GOLDEN_MODELS[model])
     executor = GraphExecutor(graph, policy_from_name(policy, graph), seed=0)
-    executor.enable_invariants(**inv_kwargs)
+    if checked:
+        executor.enable_invariants()
     images, labels = golden_batches(model, 1)[0]
     return executor, images, labels
 
@@ -77,27 +82,21 @@ class TestRoundTripChecker:
         with pytest.raises(InvariantViolation, match="lossless-round-trip"):
             executor.stashed_value(nid)
 
-    def test_disabled_checker_lets_fault_pass(self):
-        executor, images, labels = _executor(round_trip=False)
-        executor.forward(images, labels)
-        _, encoded = _binarized_stash(executor)
-        encoded.words[0] ^= np.uint32(1)
-        executor.backward()  # no round-trip checking: fault goes unnoticed
-
-
 class TestLivenessChecker:
+    """Every executor polices stash liveness: no suite is attached."""
+
     def test_read_after_death_point_is_caught(self):
-        executor, images, labels = _executor()
+        executor, images, labels = _executor(checked=False)
         executor.forward(images, labels)
-        executor.backward()
         nid = executor.stashed_node_ids()[1]
+        executor.backward()
         with pytest.raises(InvariantViolation, match="stash-liveness"):
             executor.stashed_value(nid)
 
     def test_cached_decodes_are_also_policed(self):
         # The liveness check must fire before the decode cache is
         # consulted, otherwise reads of already-decoded stashes escape it.
-        executor, images, labels = _executor()
+        executor, images, labels = _executor(checked=False)
         executor.forward(images, labels)
         nid = executor.stashed_node_ids()[1]
         executor.stashed_value(nid)  # populate the decode cache in-window
@@ -105,9 +104,28 @@ class TestLivenessChecker:
         with pytest.raises(InvariantViolation, match="stash-liveness"):
             executor.stashed_value(nid)
 
-    def test_disabled_checker_lets_read_pass(self):
-        executor, images, labels = _executor(liveness=False)
-        executor.forward(images, labels)
-        executor.backward()
-        nid = executor.stashed_node_ids()[1]
-        executor.stashed_value(nid)  # stale read, nobody watching
+    def test_recompute_source_read_after_its_stretched_death_is_caught(self):
+        # A recompute target replays from its source at the target's
+        # first backward read, so the source's death is stretched to it:
+        # the source reads at that death and not one tick later.
+        graph = build_model("densenet", batch_size=4)
+        plan = build_hybrid_plan(graph)
+        executor = GraphExecutor(graph, HybridExecutionPolicy(plan), seed=0)
+        decision = next(d for d in plan.decisions.values()
+                        if d.choice == CHOICE_RECOMPUTE)
+        source = decision.source_id
+        death = executor._death[source]
+        uses = feature_map_uses(graph, executor._schedule, True)
+        assert death >= source_read_time(decision, uses)
+        rng = np.random.default_rng(0)
+        shape = graph.node(graph.input_id).output_shape
+        executor.forward(rng.normal(0, 1, shape).astype(np.float32),
+                         rng.integers(0, 10, shape[0]))
+        executor._clock = death
+        executor.stashed_value(source)
+        executor._clock = death + 1
+        name = graph.node(source).name
+        with pytest.raises(InvariantViolation,
+                           match=f"stash-liveness: stash of '{name}' read "
+                                 f"at schedule time {death + 1}"):
+            executor.stashed_value(source)

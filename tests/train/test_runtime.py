@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import GistConfig
+from repro.diagnostics import StepTracer
 from repro.dtypes import FP8, FP16
 from repro.encodings.floatsim import quantize
 from repro.models import scaled_vgg, tiny_cnn
@@ -131,6 +132,31 @@ class TestExecutor:
         ex = GraphExecutor(tiny_cnn(batch_size=8))
         with pytest.raises(RuntimeError):
             ex.backward()
+
+    def test_second_backward_without_forward_rejected(self):
+        g = tiny_cnn(batch_size=8, num_classes=4)
+        train, _ = make_synthetic(32, 4, 8, seed=2)
+        ex = GraphExecutor(g)
+        ex.forward(train.images[:8], train.labels[:8])
+        ex.backward()
+        with pytest.raises(RuntimeError, match="no forward"):
+            ex.backward()  # the step's contexts and stashes are freed
+        ex.predict(train.images[:8])
+        with pytest.raises(RuntimeError, match="no forward"):
+            ex.backward()  # an inference forward stashes nothing
+
+    def test_inference_forward_encodes_nothing(self):
+        # No backward reads an inference forward's stashes, so predict
+        # (and Trainer.evaluate through it) runs no codec.
+        g = scaled_vgg(batch_size=2)
+        tracer = StepTracer()
+        ex = GraphExecutor(g, policy_from_name("gist-fp16", g), tracer=tracer)
+        images = np.random.default_rng(0).normal(
+            0, 1, (2, 3, 32, 32)).astype(np.float32)
+        ex.predict(images)
+        assert ex.stashed_node_ids() == []
+        assert tracer.events
+        assert not [e for e in tracer.events if e.phase == "encode"]
 
     def test_gradients_cover_all_params(self):
         g = tiny_cnn(batch_size=8, num_classes=4)

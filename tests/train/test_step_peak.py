@@ -7,11 +7,11 @@ slows a step by 15-25 %, so it belongs in a separate pass, never in a
 timed loop.
 
 The plan prices the stash; the executor also holds what no plan tensor
-declares (conv column matrices, decoded maps kept until the next step),
-so measured >= planned is all that holds against the plan.  Against
-baseline the measured peak does order: a lossy Gist plan and the hybrid
-plan shorten map lifetimes, and scratch freed by size gives those bytes
-back.  EXPERIMENTS.md records the columns.
+declares (conv column matrices), so measured >= planned is all that
+holds against the plan.  Across policies the measured peak does order,
+as paper Fig 8 does: the executor frees every value at its last reader,
+encoding shortens the FP32 maps' lifetimes, and scratch freed by size
+gives those bytes back.  EXPERIMENTS.md records the columns.
 """
 
 import functools
@@ -94,10 +94,16 @@ def test_measured_step_peak_covers_the_plan(model, policy):
         build_model(model, batch_size=BATCH), policy)
 
 
+#: The policy each one peaks below: baseline > gist-lossless > gist-fp16
+#: (paper Fig 8's order), and hybrid < baseline.
+PEAKS_BELOW = {"gist-lossless": "baseline", "gist-fp16": "gist-lossless",
+               "hybrid": "baseline"}
+
+
 @pytest.mark.parametrize("model", MODELS)
-@pytest.mark.parametrize("policy", ["gist-fp16", "hybrid"])
+@pytest.mark.parametrize("policy", sorted(PEAKS_BELOW))
 def test_measured_step_peak_is_below_baseline(model, policy):
-    """Gist's saving shows in measured memory: a lossy Gist plan and the
-    hybrid plan peak below baseline.  ``gist-lossless`` is not gated:
-    conv column reuse keeps it level with baseline."""
-    assert measured(model, policy) < measured(model, "baseline")
+    """Gist's saving shows in measured memory, ranked as in Fig 8: each
+    policy peaks below the one :data:`PEAKS_BELOW` names, so every one
+    peaks below baseline."""
+    assert measured(model, policy) < measured(model, PEAKS_BELOW[policy])
