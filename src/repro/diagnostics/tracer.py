@@ -19,7 +19,6 @@ pins that tracing never changes a bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, List, Optional
 
 __all__ = ["StepRecord", "StepTracer", "TraceEvent"]
@@ -211,8 +210,3 @@ class StepTracer:
                 f"{r.compression_ratio:>6.2f}"
             )
         return "\n".join(lines)
-
-    @staticmethod
-    def clock() -> float:
-        """The tracer's time source (``time.perf_counter``)."""
-        return perf_counter()

@@ -4,11 +4,8 @@ from repro.encodings.base import Encoding, HostSwapEncoding, IdentityEncoding
 from repro.encodings.binarize import (
     BinarizedTensor,
     BinarizeEncoding,
-    argmax_map_bytes,
     pack_bits,
-    pack_nibbles,
     unpack_bits,
-    unpack_nibbles,
 )
 from repro.encodings.dpr import (
     DPREncoding,
@@ -54,7 +51,6 @@ __all__ = [
     "IdentityEncoding",
     "NARROW_COLS",
     "SSDCEncoding",
-    "argmax_map_bytes",
     "bitmap_bytes",
     "csr_bytes",
     "csr_decode",
@@ -69,9 +65,7 @@ __all__ = [
     "max_relative_error",
     "pack_bits",
     "pack_codes",
-    "pack_nibbles",
     "quantize",
     "unpack_bits",
     "unpack_codes",
-    "unpack_nibbles",
 ]

@@ -9,9 +9,13 @@ is replaced by a 1-bit positivity mask: 32x compression for the ReLU
 output, and the pool's stash shrinks to a 4-bit-per-output-element map
 (8x for the pool side; ~16x combined for the ReLU-Pool pair).
 
-This module supplies the bit packing for both data structures.  Each
-packer has one body and, beside it, the loop kernel it is checked
-against byte for byte (``*_reference``; :mod:`repro.verify.differential`).
+This module supplies the mask's bit packing: :func:`pack_bits`, one of
+the two codec packers (with :func:`repro.encodings.ssdc.csr_encode`).
+It has one body and, beside it, the loop kernel it is checked against
+byte for byte (:func:`pack_bits_reference`;
+:mod:`repro.verify.differential`).  The pool's argmax map is priced at
+4 bits (:meth:`repro.layers.pool.MaxPool2D.argmax_map_spec`) and
+held as uint8; nothing packs it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.dtypes import BIT1, NIBBLE4
+from repro.dtypes import BIT1
 from repro.encodings.base import Encoding
 from repro.kernels.arena import NULL_ARENA
 
@@ -58,44 +62,6 @@ def unpack_bits(words: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     bits = np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
     # unpackbits yields fresh 0/1 uint8 storage, so a bool view is free.
     return bits.view(bool).reshape(shape)
-
-
-def pack_nibbles(values: np.ndarray, arena=NULL_ARENA) -> np.ndarray:
-    """Pack 0..15 integers into uint32 words, 8 values per word."""
-    flat = np.asarray(values).ravel()
-    if flat.dtype != np.uint8:
-        flat = flat.astype(np.uint8)
-    if flat.size and flat.max() > 15:
-        raise ValueError("nibble packing requires values in [0, 15]")
-    npairs = (flat.size + 1) // 2
-    buf = arena.rent((4 * ((npairs + 3) // 4),), np.uint8)
-    buf[:npairs] = flat[0::2]
-    buf[:flat.size // 2] |= flat[1::2] << np.uint8(4)
-    buf[npairs:] = 0  # rented buffers arrive uninitialised
-    return buf.view(np.uint32)
-
-
-def pack_nibbles_reference(values: np.ndarray) -> np.ndarray:
-    """Ground truth of :func:`pack_nibbles`: 2 shift-or passes, even then
-    odd values, into zeroed words."""
-    flat = np.asarray(values).ravel().astype(np.uint8)
-    out = np.zeros(4 * ((flat.size + 7) // 8), np.uint8)
-    for offset, shift in ((0, 0), (1, 4)):
-        part = flat[offset::2]
-        out[: part.size] |= part << np.uint8(shift)
-    return out.view(np.uint32)
-
-
-def unpack_nibbles(words: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`pack_nibbles`; returns uint8 values of ``shape``."""
-    n = int(np.prod(shape))
-    bytes_ = words.view(np.uint8)
-    lo = bytes_ & np.uint8(0x0F)
-    hi = bytes_ >> np.uint8(4)
-    inter = np.empty(bytes_.size * 2, dtype=np.uint8)
-    inter[0::2] = lo
-    inter[1::2] = hi
-    return inter[:n].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -141,8 +107,3 @@ class BinarizeEncoding(Encoding):
 
     def measure_bytes(self, encoded: BinarizedTensor) -> int:
         return encoded.nbytes
-
-
-def argmax_map_bytes(num_pool_outputs: int) -> int:
-    """Bytes of the pool's 4-bit Y-to-X argmax map."""
-    return NIBBLE4.size_bytes(num_pool_outputs)

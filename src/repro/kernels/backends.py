@@ -4,9 +4,9 @@ Conv is the one runtime op with a choice of implementation ("arms").
 :data:`CONV_ARMS` holds them by name and :func:`conv_arm` picks one per
 call site; the differential oracle (:mod:`repro.verify.differential`)
 runs every arm on shared inputs and demands agreement with the ground
-truth.  Max-pool and the codec packers run one body each —
-``KernelPlan.maxpool_forward`` / ``maxpool_backward``, ``pack_bits``,
-``pack_nibbles`` and ``csr_encode`` — and their loop kernels are the
+truth.  Max-pool and the two codec packers run one body each —
+``KernelPlan.maxpool_forward`` / ``maxpool_backward``, ``pack_bits``
+and ``csr_encode`` — and their loop kernels are the
 oracle's reference functions beside them (``layers/im2col.py``,
 ``encodings/``), not arms.
 

@@ -147,7 +147,6 @@ class Conv2D(Layer):
                                   self.pad, arena=resolve_arena(ctx),
                                   saved=saved,
                                   need_dx=ctx.input_needs_gradient())
-        ctx.save_state("cols", None)
         dparams = {"w": dw.astype(np.float32, copy=False)}
         if self.bias:
             dparams["b"] = dy.sum(axis=(0, 2, 3)).astype(np.float32, copy=False)

@@ -314,7 +314,9 @@ class GraphExecutor:
         self._stash.clear()
         self._decoded.clear()
         self._ctx.clear()
-        tracer = self.tracer
+        # An inference forward is not a training step: it opens no
+        # tracer step record and times nothing.
+        tracer = self.tracer if train else None
         if tracer is not None:
             tracer.begin_step()
         self.last_sparsity = {}

@@ -68,7 +68,7 @@ class Trainer:
         seed: Controls parameter init and minibatch shuffling.
         tracer: Optional :class:`~repro.diagnostics.tracer.StepTracer`
             attached to the executor; records one step record per
-            training minibatch (and per evaluation forward).
+            training minibatch.
     """
 
     def __init__(

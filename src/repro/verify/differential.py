@@ -14,12 +14,11 @@ for the layer ops), and compares their named outputs:
   an ``exact=False`` arm within the tolerance it declared on finite
   values, with every NaN or Inf on either side matching the reference
   bit for bit.
-* Max-pool and the three codec packers run one body each, held byte for
+* Max-pool and the two codec packers run one body each, held byte for
   byte to the loop kernel beside it: ``KernelPlan.maxpool_forward`` /
   ``maxpool_backward`` to :func:`~repro.layers.im2col.maxpool_reference`
   / :func:`~repro.layers.im2col.maxpool_backward_reference`, and
-  :func:`~repro.encodings.binarize.pack_bits`,
-  :func:`~repro.encodings.binarize.pack_nibbles` and
+  :func:`~repro.encodings.binarize.pack_bits` and
   :func:`~repro.encodings.ssdc.csr_encode` to their ``*_reference``
   twins.  Bodies are looked up at call time, so the oracle checks what
   a training step runs.
@@ -140,11 +139,6 @@ def _make_pool_inputs(rng: np.random.Generator) -> tuple:
 def _make_pack_bits_inputs(rng: np.random.Generator) -> tuple:
     size = int(rng.choice([0, 1, 7, 31, 32, 33, int(rng.integers(1, 400))]))
     return ((rng.random(size) < 0.5),)
-
-
-def _make_pack_nibbles_inputs(rng: np.random.Generator) -> tuple:
-    size = int(rng.choice([0, 1, 2, 9, int(rng.integers(1, 300))]))
-    return (rng.integers(0, 16, size).astype(np.uint8),)
 
 
 def _make_csr_inputs(rng: np.random.Generator) -> tuple:
@@ -308,7 +302,6 @@ OP_FAMILIES = (
     OpFamily(_make_pool_inputs, "maxpool_reference",
              _pool_reference, lambda: [Body("maxpool2d", _pool_body)]),
     _codec(_make_pack_bits_inputs, binarize, "pack_bits"),
-    _codec(_make_pack_nibbles_inputs, binarize, "pack_nibbles"),
     _codec(_make_csr_inputs, ssdc, "csr_encode", _csr_outputs),
     OpFamily(_make_concat_inputs, "np.concatenate/np.split",
              _concat_reference,
@@ -329,15 +322,12 @@ def _max_abs(arr: np.ndarray) -> float:
 
 def _compare_outputs(truth_name: str, body: Body, ref_out: Outputs,
                      got_out: Outputs) -> List[Violation]:
-    """One body's outputs vs the ground truth's, under its contract."""
+    """One body's outputs vs the ground truth's, under its contract.
+
+    Both sides are this module's own adapters, so they name the same
+    outputs."""
     violations: List[Violation] = []
     subject = body.subject
-    if set(ref_out) != set(got_out):
-        return [Violation(
-            ORACLE_BACKEND_DIFFERENTIAL,
-            f"output keys {sorted(got_out)} != reference "
-            f"{sorted(ref_out)}", subject=subject,
-        )]
     for key in sorted(ref_out):
         ref = np.asarray(ref_out[key])
         got = np.asarray(got_out[key])

@@ -10,8 +10,9 @@ oracle                 property checked
 allocator-safety       no two live-overlapping tensors share a group,
                        for all three policies, on baseline AND every
                        selector's rewritten plan
-policy-bounds          greedy-size <= first-fit <= none;
-                       static total >= dynamic peak >= clique bound
+policy-bounds          every sharing policy <= none; every policy's
+                       total >= dynamic peak >= clique bound;
+                       greedy-size <= first-fit under ``strict``
 plan-safety            no buffer's death precedes its true last use
                        (differential vs an independent last-use walk),
                        on the Table-I and sqrt(N) selectors' tables;
@@ -28,8 +29,8 @@ hybrid-plan            the same last-use walk on the budgeted
                        (hybrid footprint <= every pure arm) and
                        replayable recompute chains
 shared-concat          every shared-concat decision re-slices a kept
-                       concat terminal along a prefix-linked chain
-                       that stays live and alias-labelled
+                       concat terminal along a position-0-linked
+                       concat chain that stays live and alias-labelled
 lossless-execution     the graph as built trains two SGD steps under
                        baseline and under one lossless arm picked by
                        ``seed % len(arms)`` (gist-lossless,
@@ -38,19 +39,25 @@ lossless-execution     the graph as built trains two SGD steps under
                        loss and gradient bit-identical, none grown or
                        vanished
 recurrent-unroll       weight-tied step columns are well-ordered (one
-                       t=0 owner, chained states, physically shared
+                       t=0 owner, unique timesteps, each state from the
+                       same cell's previous step, and physically shared
                        parameter arrays of the baseline run's executor)
 backend-differential   every conv arm agrees with the reference arm on
                        shared inputs (exact arms bit-for-bit, tolerance
-                       arms within their declared bound); max-pool and
-                       the codec packers bit-for-bit with the loop
-                       kernel beside their one body
+                       arms within their declared bound); max-pool,
+                       Concat and the two codec packers (pack_bits,
+                       csr_encode) bit-for-bit with the loop kernel
+                       beside their one body
 distributed-replica    replica shards reassemble the serial batch
                        byte-identically; a step through the pool
                        pipeline merges to the same bits as direct
                        execution, and so do its results handed to the
                        merge in reversed arrival order
 =====================  ==============================================
+
+Every leg of every oracle (one ``Violation`` site) fires on a planted
+fault in ``tests/verify/test_every_leg_fires.py``, one row per leg; a
+completeness test there fails when a site has no row.
 
 Every selector's table goes through one loop in :func:`verify_graph`
 (subjects ``lossless`` / ``full-fp16`` / ``full-fp8``, ``hybrid``,
@@ -251,10 +258,8 @@ def verify_graph(
     dynamic_peak = simulate_dynamic(baseline.tensors,
                                     schedule.num_steps).peak_bytes
     clique = interval_clique_bound(baseline.tensors)
-    violations += check_policy_bounds(
-        totals, totals[POLICY_GREEDY_SIZE], dynamic_peak, clique,
-        strict=strict,
-    )
+    violations += check_policy_bounds(totals, dynamic_peak, clique,
+                                      strict=strict)
 
     # (c) every selector's table — the Table-I selector under each Gist
     # configuration, the budgeted hybrid selector (and its pure

@@ -1,16 +1,9 @@
-"""Tests for Binarize and its bit/nibble packing."""
+"""Tests for Binarize and its bit packing."""
 
 import numpy as np
-import pytest
 
-from repro.encodings.binarize import (
-    BinarizeEncoding,
-    argmax_map_bytes,
-    pack_bits,
-    pack_nibbles,
-    unpack_bits,
-    unpack_nibbles,
-)
+from repro.encodings.binarize import BinarizeEncoding, pack_bits, unpack_bits
+from repro.layers import MaxPool2D
 
 
 class TestBitPacking:
@@ -36,20 +29,6 @@ class TestBitPacking:
             np.testing.assert_array_equal(
                 unpack_bits(pack_bits(mask), (100,)), mask
             )
-
-
-class TestNibblePacking:
-    def test_roundtrip(self, rng):
-        v = rng.integers(0, 16, 333).astype(np.uint8)
-        np.testing.assert_array_equal(unpack_nibbles(pack_nibbles(v), (333,)), v)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            pack_nibbles(np.array([16], dtype=np.uint8))
-
-    def test_eight_per_word(self):
-        assert pack_nibbles(np.zeros(8, np.uint8)).size == 1
-        assert pack_nibbles(np.zeros(9, np.uint8)).size == 2
 
 
 class TestBinarizeEncoding:
@@ -85,8 +64,11 @@ class TestBinarizeEncoding:
         np.testing.assert_array_equal(dx_full, dx_mask)
 
     def test_argmax_map_bytes(self):
-        # 8 nibbles per word.
-        assert argmax_map_bytes(8) == 4
-        assert argmax_map_bytes(9) == 8
+        # The pool side of the pair: the argmax map is priced at 4 bits
+        # per output element, 8 per 32-bit word.
+        def priced(n):
+            return MaxPool2D(2).argmax_map_spec((n,)).dtype.size_bytes(n)
+        assert priced(8) == 4
+        assert priced(9) == 8
         # ~8x smaller than FP32.
-        assert 4 * 80000 / argmax_map_bytes(80000) == 8.0
+        assert 4 * 80000 / priced(80000) == 8.0

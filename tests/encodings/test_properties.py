@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.dtypes import FP8, FP10, FP16
-from repro.encodings.binarize import pack_bits, pack_nibbles, unpack_bits, unpack_nibbles
+from repro.encodings.binarize import pack_bits, unpack_bits
 from repro.encodings.dpr import dpr_encoding, pack_codes, unpack_codes
 from repro.encodings.floatsim import max_relative_error, quantize
 from repro.encodings.ssdc import csr_bytes, csr_decode, csr_encode
@@ -39,13 +39,6 @@ class TestBitPackingProperties:
     def test_pack_unpack_identity(self, mask):
         np.testing.assert_array_equal(
             unpack_bits(pack_bits(mask), mask.shape), mask
-        )
-
-    @given(values=hnp.arrays(np.uint8, st.integers(1, 500),
-                             elements=st.integers(0, 15)))
-    def test_nibble_identity(self, values):
-        np.testing.assert_array_equal(
-            unpack_nibbles(pack_nibbles(values), values.shape), values
         )
 
     @given(mask=bool_arrays)

@@ -17,13 +17,7 @@ from repro.core.policy import HybridPolicy
 from repro.diagnostics import capture_digest
 from repro.diagnostics.golden import GOLDEN_MODELS, golden_batches
 from repro.dtypes import FP16
-from repro.encodings.binarize import (
-    BinarizeEncoding,
-    pack_bits,
-    pack_nibbles,
-    unpack_bits,
-    unpack_nibbles,
-)
+from repro.encodings.binarize import BinarizeEncoding, pack_bits, unpack_bits
 from repro.encodings.ssdc import csr_decode, csr_encode, csr_positions
 import repro.kernels.plan as plan_module
 from repro.kernels import (
@@ -179,28 +173,16 @@ class TestCodecFastPaths:
         assert np.array_equal(words, pack_bits(mask))
         assert np.array_equal(unpack_bits(words, mask.shape), mask)
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 200), st.integers(0, 2**31 - 1))
-    def test_pack_nibbles_arena_matches_plain(self, n, seed):
-        rng = np.random.default_rng(seed)
-        values = rng.integers(0, 16, n).astype(np.uint8)
-        words = pack_nibbles(values, arena=_PoisonedArena())
-        assert np.array_equal(words, pack_nibbles(values))
-        assert np.array_equal(unpack_nibbles(words, values.shape), values)
-
     @pytest.mark.parametrize("n", [0, 1, 31, 32, 33])
     def test_poisoned_arena_packs_the_same_bytes(self, n):
         rng = np.random.default_rng(n)
         mask = rng.random(n) > 0.5
-        nibbles = rng.integers(0, 16, n).astype(np.uint8)
         x = rng.normal(0, 1, n).astype(np.float32)
         codec = BinarizeEncoding()
-        plain = (pack_bits(mask, NULL_ARENA), pack_nibbles(nibbles, NULL_ARENA),
-                 codec.encode(x).words)
+        plain = (pack_bits(mask, NULL_ARENA), codec.encode(x).words)
         poisoned = _PoisonedArena()
         codec.bind_arena(poisoned)
         for got, want in zip((pack_bits(mask, poisoned),
-                              pack_nibbles(nibbles, poisoned),
                               codec.encode(x).words), plain):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()

@@ -375,14 +375,14 @@ def test_crashing_arm_is_a_finding_not_an_abort(monkeypatch):
 
 
 def test_violations_carry_the_seed_for_replay(monkeypatch):
-    pack_nibbles = binarize.pack_nibbles
+    pack_bits = binarize.pack_bits
     monkeypatch.setattr(
-        binarize, "pack_nibbles",
-        lambda values, arena=NULL_ARENA: pack_nibbles(values, arena)
+        binarize, "pack_bits",
+        lambda mask, arena=NULL_ARENA: pack_bits(mask, arena)
         | np.uint32(1))
     violations = verify_backends(42)
     assert violations
-    assert _oracle_subjects(violations) == {"pack_nibbles"}
+    assert _oracle_subjects(violations) == {"pack_bits"}
     assert all(v.seed == 42 for v in violations)
 
 

@@ -145,18 +145,40 @@ class TestExecutor:
         with pytest.raises(RuntimeError, match="no forward"):
             ex.backward()  # an inference forward stashes nothing
 
-    def test_inference_forward_encodes_nothing(self):
+    def test_inference_forward_encodes_nothing(self, monkeypatch):
         # No backward reads an inference forward's stashes, so predict
         # (and Trainer.evaluate through it) runs no codec.
+        from repro.encodings.base import Encoding
+
+        def refuse(self, x):
+            raise AssertionError(f"{self.name} encoded during inference")
+
+        classes = [Encoding]
+        for cls in classes:
+            classes += cls.__subclasses__()
+            monkeypatch.setattr(cls, "encode", refuse)
         g = scaled_vgg(batch_size=2)
-        tracer = StepTracer()
-        ex = GraphExecutor(g, policy_from_name("gist-fp16", g), tracer=tracer)
+        ex = GraphExecutor(g, policy_from_name("gist-fp16", g))
         images = np.random.default_rng(0).normal(
             0, 1, (2, 3, 32, 32)).astype(np.float32)
         ex.predict(images)
         assert ex.stashed_node_ids() == []
-        assert tracer.events
-        assert not [e for e in tracer.events if e.phase == "encode"]
+
+    def test_inference_forward_opens_no_tracer_step(self):
+        # A predict between two training steps (as Trainer.evaluate runs
+        # it) is not a step: the tracer holds the two training steps.
+        g = tiny_cnn(batch_size=8, num_classes=4)
+        train, _ = make_synthetic(32, 4, 8, seed=2)
+        images, labels = train.images[:8], train.labels[:8]
+        tracer = StepTracer()
+        ex = GraphExecutor(g, tracer=tracer)
+        ex.forward(images, labels)
+        ex.backward()
+        ex.predict(images)
+        ex.forward(images, labels)
+        ex.backward()
+        assert len(tracer.steps) == 2
+        assert all(step.backward_s > 0 for step in tracer.steps)
 
     def test_gradients_cover_all_params(self):
         g = tiny_cnn(batch_size=8, num_classes=4)

@@ -95,8 +95,8 @@ class TestGreedyCounterexample:
 
     def test_strict_leg_fires_only_under_strict(self):
         totals = {"greedy-size": 110, "first-fit": 100, "none": 200}
-        assert check_policy_bounds(totals, 110, 100, 90) == []
-        strict = check_policy_bounds(totals, 110, 100, 90, strict=True)
+        assert check_policy_bounds(totals, 100, 90) == []
+        strict = check_policy_bounds(totals, 100, 90, strict=True)
         assert len(strict) == 1
         assert "greedy-size" in strict[0].detail
 

@@ -92,20 +92,23 @@ class TestPolicyBoundsOracle:
     GOOD = {"greedy-size": 100, "first-fit": 120, "none": 200}
 
     def test_consistent_totals_pass(self):
-        assert check_policy_bounds(self.GOOD, 100, 90, 80) == []
+        assert check_policy_bounds(self.GOOD, 90, 80) == []
 
     def test_sharing_worse_than_none_fires(self):
         totals = dict(self.GOOD, none=99)
-        violations = check_policy_bounds(totals, 100, 90, 80)
+        violations = check_policy_bounds(totals, 90, 80)
         assert {v.oracle for v in violations} == {ORACLE_POLICY_BOUNDS}
         assert len(violations) == 2  # both sharing policies exceed none
 
     def test_static_below_dynamic_peak_fires(self):
-        violations = check_policy_bounds(self.GOOD, 100, 150, 80)
-        assert any("dynamic peak" in v.detail for v in violations)
+        # Every policy's total, not only greedy-size's, owes the peak.
+        violations = check_policy_bounds(self.GOOD, 150, 80)
+        assert [v.detail for v in violations] == [
+            "first-fit total 120 < dynamic peak 150",
+            "greedy-size total 100 < dynamic peak 150"]
 
     def test_dynamic_below_clique_fires(self):
-        violations = check_policy_bounds(self.GOOD, 100, 90, 95)
+        violations = check_policy_bounds(self.GOOD, 90, 95)
         assert any("clique" in v.detail for v in violations)
 
     def test_clique_bound_matches_hand_computation(self):
@@ -322,7 +325,7 @@ class TestRoundtripOracle:
         decoded[256:] = bad
         from repro.verify.oracles import _check_groupquant_bound
 
-        violations = _check_groupquant_bound(skewed, x, encoded, decoded)
+        violations = _check_groupquant_bound(skewed, x, decoded)
         assert violations
         assert "padding-skewed grid" in violations[0].detail
 

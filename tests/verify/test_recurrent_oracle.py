@@ -2,9 +2,10 @@
 
 Clean unrolled LSTM/RNN columns must produce zero violations; each
 deliberate corruption — duplicate owner, desynced timestep, rewired
-state edge, mismatched dims, untied runtime parameters — must trip the
-matching check.  Layer attributes are mutated in place and restored, so
-the module-scoped graphs stay pristine.
+state edge, untied runtime parameters — must trip the matching check,
+and mismatched dims the step's own shape check.  Layer attributes are
+mutated in place and restored, so the module-scoped graphs stay
+pristine.
 """
 
 import numpy as np
@@ -70,12 +71,15 @@ class TestFaultInjection:
         assert any("not the same cell's" in d for d in details)
 
     def test_mismatched_dims_detected(self, unrolled, restore):
+        # The step's own shape check refuses a size that disagrees with
+        # its cell, so no built graph carries one (the oracle has no
+        # dims leg).
         graph, _, kind = unrolled
-        layer = step_node(graph, kind, 1).layer
-        restore(layer, "hidden_size")
-        layer.hidden_size = KWARGS["hidden_size"] + 1
-        details = violations_of(graph)
-        assert any("disagree with the shared cell" in d for d in details)
+        node = step_node(graph, kind, 1)
+        restore(node.layer, "hidden_size")
+        node.layer.hidden_size = KWARGS["hidden_size"] + 1
+        with pytest.raises(ValueError, match="state must be"):
+            node.layer.infer_shape(node.input_shapes(graph))
 
     def test_rewired_state_edge_detected(self, unrolled, restore):
         graph, _, kind = unrolled
