@@ -11,8 +11,14 @@ per-iteration kernels contain no Python loops over pixels or slots:
   signature by one constant, :data:`BLOCK_BYTES` — the size of one
   block's float32 column matrix (:func:`block_samples`).  A block's
   columns are still in cache when the GEMM that consumes them (or the
-  slot sum that folds them back) reads them, and the plan's persistent
-  pad and slot workspaces hold one block, not the batch;
+  slot sum that folds them back) reads them;
+* every plan pads and folds through two process-wide buffers, one pad
+  buffer and one slot-plane buffer, each sized to the largest block that
+  has asked for it: the paper charges a conv one workspace
+  (``Conv2D.workspace_bytes``), not one per layer shape.  A plan takes a
+  view of a buffer's head, and refills the cells its blocks do not
+  write (the pad border, the slot cells no run covers) at its call's
+  first block (:class:`_SharedBuffer`);
 * ``im2col`` (max-pool's and avg-pool's) and ``im2col_t`` (``blas-fat``'s
   transposed columns) are, per block, a single C-level copy through a
   six-axis strided *window view* of the padded block — one structured
@@ -49,11 +55,13 @@ GEMM may replace the reference contraction is proved once per signature
 by the chooser (:mod:`repro.kernels.autotune`).
 
 Plans are cached process-wide; :func:`clear_plan_cache` empties the
-cache and :func:`plan_cache_stats` reports hit/miss counts.
+cache and frees the two shared buffers, and :func:`plan_cache_stats`
+reports hit/miss counts and the buffers' bytes.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -109,6 +117,42 @@ def _has_nan_or_negative_zero(x: np.ndarray) -> bool:
                 or bits.min() == np.iinfo(bits.dtype).min)
 
 
+class _SharedBuffer:
+    """One process-wide scratch buffer that every plan borrows.
+
+    :meth:`head` grows the buffer to the largest request yet and returns
+    a view of its head.  The buffer holds whatever its last user left, so
+    each call refills the cells its blocks do not write at its first
+    block (``n0 == 0``; every caller walks :attr:`KernelPlan.blocks` from
+    the start), and its later blocks find them as it left them.
+
+    Module state with no lock: no thread runs a kernel (``repro`` starts
+    none), and a forked worker gets its own copy.  A view never outlives
+    the call that took it: every caller copies or sums out of it first.
+    """
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.buf = np.empty(0, np.uint8)
+
+    def head(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """The first ``shape`` elements of ``dtype``."""
+        dtype = np.dtype(dtype)
+        nbytes = dtype.itemsize * math.prod(shape)
+        if nbytes > self.buf.nbytes:
+            self.clear()
+            self.buf = np.empty(nbytes, np.uint8)
+        return self.buf[:nbytes].view(dtype).reshape(shape)
+
+
+#: The one pad buffer (:meth:`KernelPlan._windows`) and the one slot-plane
+#: buffer (:meth:`KernelPlan._planes`).
+_PAD = _SharedBuffer()
+_SLOTS = _SharedBuffer()
+
+
 class KernelPlan:
     """Precomputed gather/scatter geometry for one conv/pool signature."""
 
@@ -130,13 +174,12 @@ class KernelPlan:
         self.b = block_samples(n, self.K, self.P)
         self.blocks = tuple((n0, min(n0 + self.b, n))
                             for n0 in range(0, n, self.b))
+        #: Per sample, the slot planes' cells past the S planes: room for
+        #: slot_gemm's last run and the cells after it, as many as the
+        #: longest plane head (_planes).
+        self.slack = (self.kh - 1) * self.wp + self.kw - 1
         self._pool_base: Optional[np.ndarray] = None
         self._batch_offsets: Optional[np.ndarray] = None
-        # Plan-owned persistent one-block workspaces (see _windows /
-        # _planes): their static cells are initialised exactly once,
-        # per dtype signature.
-        self._pad_ws: Dict[Tuple[np.dtype, float], np.ndarray] = {}
-        self._slot_ws: Dict[np.dtype, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # One-time geometry (never on the per-step hot path)
@@ -189,8 +232,10 @@ class KernelPlan:
         cells: the first ``OW`` of each row are the cells that slot
         covers, the other ``kw - 1`` cells no slot covers (that row's
         tail or the next row's head).  Runs never overlap one another.
-        A plane's last run ends ``kj`` cells past the plane, on the next
-        plane's uncovered head or in the sample's slack.
+        Between one channel's run and the next lie ``(kh - 1)*WP`` cells
+        no run writes.  A plane's last run ends ``kj`` cells past the
+        plane, on the next plane's uncovered head or in the sample's
+        slack.
         """
         it = g.itemsize
         return as_strided(
@@ -240,47 +285,52 @@ class KernelPlan:
         return self._batch_offsets
 
     # ------------------------------------------------------------------
-    # Per-block bodies: one sample block through the persistent workspaces
+    # Per-block bodies: one sample block through the shared buffers
     # ------------------------------------------------------------------
     def _windows(self, x: np.ndarray, n0: int, n1: int,
                  pad_value: float) -> np.ndarray:
-        """Window view of samples ``n0:n1``, padded through the plan's
-        one-block pad workspace.
+        """Window view of samples ``n0:n1``, padded through the head of
+        the shared pad buffer, one block of ``b`` samples.
 
-        The border carries the same ``pad_value`` on every call, so it is
-        written exactly once per ``(dtype, pad_value)``; each call only
-        copies the block's interior.  The view never escapes this module —
-        every caller copies out of it before the next block.
+        The first block fills the head with ``pad_value``; every block
+        then copies only its interior.  The view never escapes this
+        module — every caller copies out of it before the next block.
         """
         block = x[n0:n1]
         if self.pad == 0:
             return self._window_view(block)
         _, c, h, w = self.shape
         pad = self.pad
-        key = (np.dtype(x.dtype), float(pad_value))
-        xp = self._pad_ws.get(key)
-        if xp is None:
-            xp = np.full((self.b, c, self.hp, self.wp), pad_value,
-                         dtype=x.dtype)
-            self._pad_ws[key] = xp
+        xp = _PAD.head((self.b, c, self.hp, self.wp), x.dtype)
+        if n0 == 0:
+            xp.fill(pad_value)
         xp = xp[:n1 - n0]
         xp[:, :, pad:pad + h, pad:pad + w] = block
         return self._window_view(xp)
 
-    def _planes(self, dtype: np.dtype, nb: int) -> np.ndarray:
-        """The plan's persistent one-block slot-plane workspace, first
-        ``nb`` samples: per sample ``S`` planes of ``Q`` cells and
-        ``kw - 1`` cells of slack for :meth:`slot_gemm`'s last run.
+    def _planes(self, dtype: np.dtype, n0: int, nb: int,
+                direct: bool) -> np.ndarray:
+        """Slot planes of the ``nb`` samples of the block at ``n0`` in the
+        head of the shared slot-plane buffer: per sample ``S`` planes of
+        ``Q`` cells and :attr:`slack` cells for :meth:`slot_gemm`.
 
-        The planes cover the same static cell set on every call, so the
-        never-covered cells are zeroed once — the persistent workspace
-        replaces a per-step fill of S*Q elements.  Both fills keep them
-        ``+0.0`` between calls.
+        The cells no slot covers must read ``+0.0``; the first block
+        zeroes them for the whole call.  The copy fill zeroes the head.
+        The direct fill zeroes only what its runs skip (:meth:`_run_view`):
+        the ``(kh - 1)*WP`` cells after each run (into the slack after a
+        sample's last run) and each plane's head, at most ``slack``
+        cells.  Zeroing a cell that a run then writes is harmless.
         """
-        g = self._slot_ws.get(dtype)
-        if g is None:
-            g = np.zeros((self.b, self.S * self.Q + self.kw - 1), dtype)
-            self._slot_ws[dtype] = g
+        g = _SLOTS.head((self.b, self.S * self.Q + self.slack), dtype)
+        if n0 == 0 and not direct:
+            g.fill(0)
+        elif n0 == 0:
+            runs = self._run_view(g)
+            as_strided(g[:, self.oh * self.wp:],
+                       runs.shape[:4] + ((self.kh - 1) * self.wp,),
+                       runs.strides).fill(0)
+            g[:, :self.S * self.Q].reshape(self.b, self.S, self.Q)[
+                ..., :self.slack].fill(0)
         return g[:nb]
 
     def _slot_sum(self, g: np.ndarray, out: np.ndarray) -> None:
@@ -303,7 +353,7 @@ class KernelPlan:
         slot view into the planes, then sum them into those rows of the
         (N, Q) ``out``."""
         cols6 = self._t6(dcols)
-        g = self._planes(cols6.dtype, cols6.shape[0])
+        g = self._planes(cols6.dtype, n0, cols6.shape[0], direct=False)
         np.copyto(self._slot_view(g), cols6)
         self._slot_sum(g, out[n0:n0 + cols6.shape[0]])
 
@@ -324,7 +374,7 @@ class KernelPlan:
         cell, and the slot sum, is then what :meth:`scatter_t` writes.
         """
         nb, f = dy_pad.shape[:2]
-        g = self._planes(dy_pad.dtype, nb)
+        g = self._planes(dy_pad.dtype, n0, nb, direct=True)
         runs = self._run_view(g)
         np.matmul(w_slots, dy_pad.reshape(nb, 1, 1, f, -1), out=runs)
         if not finite:
@@ -503,21 +553,23 @@ def get_plan(shape, kh: int, kw: int, stride: int, pad: int) -> KernelPlan:
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan (tests / memory pressure)."""
+    """Drop every cached plan and free the shared pad and slot-plane
+    buffers (tests / memory pressure)."""
     global _cache_hits, _cache_misses
     _plan_cache.clear()
+    _PAD.clear()
+    _SLOTS.clear()
     _cache_hits = 0
     _cache_misses = 0
 
 
 def plan_cache_stats() -> Dict[str, int]:
-    """Cache effectiveness counters, and the bytes the cached plans hold
-    in their persistent pad / slot workspaces (no arena sees those)."""
+    """Cache effectiveness counters, and the bytes of the one pad buffer
+    and the one slot-plane buffer that every plan shares (no arena sees
+    those): each the largest block that has asked for it."""
     return {
         "size": len(_plan_cache),
         "hits": _cache_hits,
         "misses": _cache_misses,
-        "workspace_bytes": sum(
-            ws.nbytes for plan in _plan_cache.values()
-            for ws in (*plan._pad_ws.values(), *plan._slot_ws.values())),
+        "workspace_bytes": _PAD.buf.nbytes + _SLOTS.buf.nbytes,
     }

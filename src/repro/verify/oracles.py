@@ -40,7 +40,11 @@ from repro.graph.liveness import (
     ROLE_FEATURE_MAP,
 )
 from repro.kernels.plan import bit_identical
-from repro.memory.allocator import AllocationResult
+from repro.memory.allocator import (
+    POLICY_FIRST_FIT,
+    POLICY_GREEDY_SIZE,
+    AllocationResult,
+)
 from repro.memory.hybrid import (
     CHOICE_GIST,
     CHOICE_RECOMPUTE,
@@ -94,6 +98,16 @@ def check_allocator_safety(
     are declared views of one buffer — but every member must then carry
     the group's single ``alias_group`` label, so a stray tensor can never
     ride along.
+
+    Sharing must also happen.  When two positive-size, shareable,
+    unlabelled tensors have disjoint lifetimes, a sharing policy's total
+    is strictly below no sharing's (the sum of every tensor's bytes).
+    Whichever of the two is placed later either fits the other's group,
+    and so joins that or an earlier open group, or finds that group
+    holding a second member.  Either way some group holds two of the open
+    groups' members.  Under greedy-size those are never zero-size (the
+    largest are placed first); under first-fit only a zero-size tensor
+    could be one, so the leg skips first-fit on a table holding one.
     """
     violations: List[Violation] = []
     seen: Dict[str, int] = {}
@@ -139,6 +153,25 @@ def check_allocator_safety(
                 ORACLE_ALLOCATOR_SAFETY,
                 f"tensor {t.spec.name!r} appears in {count} groups "
                 f"(expected exactly 1)",
+            ))
+    loose = [t for t in tensors if t.shareable and t.alias_group is None]
+    sized = [t for t in loose if t.size_bytes > 0]
+    if sized and (result.policy == POLICY_GREEDY_SIZE
+                  or (result.policy == POLICY_FIRST_FIT
+                      and len(sized) == len(loose))):
+        # An inverted interval occupies its birth step (the allocator's
+        # rule), so each tensor's last step is the later of the two.
+        first = min(sized, key=lambda t: max(t.birth, t.death))
+        last = max(sized, key=lambda t: t.birth)
+        none = sum(t.size_bytes for t in tensors)
+        if (max(first.birth, first.death) < last.birth
+                and result.total_bytes >= none):
+            violations.append(Violation(
+                ORACLE_ALLOCATOR_SAFETY,
+                f"{result.policy} total {result.total_bytes} shares no "
+                f"bytes (no-sharing total {none}), though "
+                f"{first.spec.name!r} dies before {last.spec.name!r} is "
+                f"born",
             ))
     return violations
 

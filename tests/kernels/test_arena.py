@@ -3,7 +3,9 @@
 A rent is a fresh allocation, so what an arena can still get wrong is a
 rent site that reads what a rented buffer happens to hold: a poisoned
 arena, assigned in place of the default, pins every site through full
-executor steps and through the arena-aware codec paths.
+executor steps and through the arena-aware codec paths.  The kernel
+plans' two shared buffers are not rented; they are poisoned at every
+call's first block instead, before the plan refills what it owns.
 """
 
 from dataclasses import is_dataclass
@@ -79,45 +81,51 @@ def test_one_body_whatever_the_arena(model, policy):
     assert digests(_PoisonedArena()) == digests(None)
 
 
-def test_plan_workspaces_are_metered_where_no_arena_sees_them(monkeypatch):
-    """A plan's persistent pad and slot workspaces hold one ``b``-sample
-    block and live as long as the plan cache, outside every arena:
-    ``plan_cache_stats`` reports them.  Per sample the slot planes carry
-    ``kw - 1`` cells of slack, where the direct fill's last run ends.
-    The batch-sized columns and gradient rows are the arena's rents.
-    Both blocks of two samples (the whole batch) and, forced, of one."""
-    for b in (2, 1):
-        # One sample's (27, 36) float32 columns: blocks of exactly b.
-        monkeypatch.setattr(plan_module, "BLOCK_BYTES", 4 * 27 * 36 * b)
+def test_plan_workspaces_are_metered_where_no_arena_sees_them():
+    """Every plan pads and folds through one shared pad buffer and one
+    shared slot-plane buffer, outside every arena, each grown to the
+    largest ``b``-sample block that has asked for it and kept until
+    ``clear_plan_cache``: ``plan_cache_stats`` reports the two buffers,
+    not a sum over plans.  Per sample the slot planes carry ``(kh - 1)*WP
+    + kw - 1`` cells of slack, where the direct fill's last run and the
+    cells after it end.  The batch-sized columns and gradient rows are
+    the arena's rents.  A one-sample and a two-sample block of the same
+    layout, in either order."""
+    def block_bytes(b):
+        padded = b * 3 * 8 * 8
+        slack = b * (2 * 8 + 2)
+        return 4 * (padded + 9 * padded + slack)
+
+    for batches in ((1, 2), (2, 1)):
         clear_plan_cache()
-        plan = get_plan((2, 3, 6, 6), 3, 3, 1, 1)
-        assert plan.b == b
-        col2im_t(plan, plan.im2col(np.ones((2, 3, 6, 6), np.float32)))
-        padded = b * 3 * 8 * 8 * 4
-        slack = b * 2 * 4
-        assert plan_cache_stats()["workspace_bytes"] == \
-            padded + 9 * padded + slack
+        for n in batches:
+            plan = get_plan((n, 3, 6, 6), 3, 3, 1, 1)
+            assert plan.b == n
+            col2im_t(plan, plan.im2col(np.ones((n, 3, 6, 6), np.float32)))
+        assert plan_cache_stats()["size"] == 2
+        assert plan_cache_stats()["workspace_bytes"] == block_bytes(2)
         clear_plan_cache()
         assert plan_cache_stats()["workspace_bytes"] == 0
 
 
 #: ``plan_cache_stats()`` after one batch-16 step of the ledger's models
-#: under their ledger policies: one plan per conv / pool signature, each
-#: conv plan holding one sample block's pad and slot workspaces, the
-#: pools none (batch-sized ones read 30 154 240 and 98 228 736 bytes;
-#: DenseNet's avg-pool slot plane alone was 6 815 744).
+#: under their ledger policies: one plan per conv / pool signature, and
+#: the shared pad and slot-plane buffers, each the largest sample block of
+#: any plan.  One pad and one slot workspace per conv plan read
+#: 15 877 680 and 18 545 400 bytes; batch-sized ones 30 154 240 and
+#: 98 228 736.
 WORKSPACE_PINS = {
-    ("scaled_vgg", "baseline"): {"size": 9, "workspace_bytes": 15_877_680},
-    ("densenet", "hybrid"): {"size": 9, "workspace_bytes": 18_545_400},
+    ("scaled_vgg", "baseline"): {"size": 9, "workspace_bytes": 3_585_232},
+    ("densenet", "hybrid"): {"size": 9, "workspace_bytes": 2_696_896},
 }
 
 
 @pytest.mark.parametrize("model,policy", sorted(WORKSPACE_PINS))
 def test_kernel_workspace_pins(model, policy):
-    """The plans' persistent pad and slot workspaces hold one sample
-    block, not the batch: exact plan-cache bytes and plan count after
-    one batch-16 step.  Batch-sized conv scratch fails here by count if
-    it returns."""
+    """The shared pad and slot-plane buffers hold the largest plan's
+    sample block, not the batch and not one block per plan: exact
+    buffer bytes and plan count after one batch-16 step.  Batch-sized or
+    per-plan conv scratch fails here by count if it returns."""
     clear_plan_cache()
     clear_selection_cache()
     graph = build_model(model, batch_size=16)
@@ -132,6 +140,53 @@ def test_kernel_workspace_pins(model, policy):
     stats = plan_cache_stats()
     assert {key: stats[key] for key in ("size", "workspace_bytes")} == \
         WORKSPACE_PINS[model, policy]
+    clear_plan_cache()
+    clear_selection_cache()
+
+
+@pytest.mark.parametrize("model", ["scaled_vgg", "densenet"])
+def test_one_digest_whatever_the_shared_buffers_held(monkeypatch, model):
+    """The shared pad and slot-plane buffers hold whatever their last
+    user left; each call refills the cells its blocks do not write at its
+    first block.  So ``0xFF`` bytes (NaN) poured over a buffer before
+    every call's first block, and over every newly grown buffer, leave
+    three batch-16 ``blas-fat`` steps' digests as they were (both fills
+    on VGG, blocks with a ragged tail on both)."""
+    def digests():
+        clear_plan_cache()
+        clear_selection_cache()
+        graph = build_model(model, batch_size=16)
+        data, _ = make_synthetic_for(
+            graph.node(graph.input_id).output_shape, num_samples=16, seed=0)
+        executor = GraphExecutor(graph, BaselinePolicy(), seed=0,
+                                 kernel_backend="blas-fat")
+        return capture_digest(executor, [(data.images, data.labels)] * 3,
+                              optimizer=SGD(lr=0.01, momentum=0.9)).steps
+
+    plain = digests()
+    head = plan_module._SharedBuffer.head
+
+    def grown_poisoned(self, shape, dtype):
+        before = self.buf
+        view = head(self, shape, dtype)
+        if self.buf is not before:
+            self.buf.fill(0xFF)
+        return view
+
+    def first_block_poisoned(method, buffer):
+        def poisoned(plan, first, n0, *rest, **kw):
+            if n0 == 0:
+                buffer.buf.fill(0xFF)
+            return method(plan, first, n0, *rest, **kw)
+        return poisoned
+
+    monkeypatch.setattr(plan_module._SharedBuffer, "head", grown_poisoned)
+    for name, buffer in (("_windows", plan_module._PAD),
+                         ("_planes", plan_module._SLOTS)):
+        method = getattr(plan_module.KernelPlan, name)
+        monkeypatch.setattr(plan_module.KernelPlan, name,
+                            first_block_poisoned(method, buffer))
+    assert digests() == plain
     clear_plan_cache()
     clear_selection_cache()
 

@@ -8,7 +8,10 @@ output, plus the exact adjoint relationship between ``im2col_t`` and the
 ``scatter_t`` fold that ``blas-fat``'s backward runs.
 Every signature also draws the plan's sample-block size, so the kernels
 are checked walking the batch in blocks — a ragged last one included —
-not only in the one block the small shapes get by default.
+not only in the one block the small shapes get by default.  Every plan
+pads and folds through one shared pad buffer and one shared slot-plane
+buffer, so the reuse tests run other users through them between every
+two calls on the plan under test (:func:`other_users`).
 """
 
 import itertools
@@ -192,32 +195,77 @@ def test_noncontiguous_input_bit_identical(sig, seed):
     assert np.array_equal(argmax, argmax_ref)
 
 
+def check_im2col(plan, rng, dtype=np.float32, pad_value=0.0) -> None:
+    """One ``im2col`` call on ``plan`` through the shared pad buffer, held
+    to the reference on the input padded with ``pad_value``."""
+    x = rng.normal(0, 1, plan.shape).astype(dtype)
+    border = ((0, 0), (0, 0), (plan.pad, plan.pad), (plan.pad, plan.pad))
+    want = im2col_reference(np.pad(x, border, constant_values=pad_value),
+                            plan.kh, plan.kw, plan.stride, 0)
+    assert bit_identical(plan.im2col(x, pad_value=pad_value), want), (
+        plan, dtype, pad_value)
+
+
+def check_copy_fill(plan, rng, dtype=np.float32) -> None:
+    """One copy fill (``scatter_t``) on ``plan`` through the shared
+    slot-plane buffer, held to ``col2im_reference``."""
+    cols = rng.normal(0, 1, (plan.shape[0], plan.K, plan.P)).astype(dtype)
+    want = col2im_reference(cols, plan.shape, plan.kh, plan.kw, plan.stride,
+                            plan.pad)
+    assert bit_identical(np.ascontiguousarray(col2im_t(plan, cols)),
+                         want), (plan, dtype)
+
+
+def other_users(plan, rng):
+    """An endless round of the shared buffers' other users, each a call
+    that checks its own result, to run between two calls on ``plan``
+    (``b`` 1 or 2).  Each leaves cells that ``plan``'s own calls never
+    write holding other values, so a call that skipped its first-block
+    refill, or refilled too few cells, would read them:
+
+    * another, larger signature, whose cells cover ``plan``'s static ones;
+    * the same signature at the other block size;
+    * ``plan`` in float64;
+    * ``plan``'s copy fill (on a direct-fill plan, the other fill);
+    * ``plan`` padding with ``-inf``, as max-pool's general path does.
+    """
+    n, c, h, w = plan.shape
+    other = blocked_plan((2, c + 2, h + 3, w + 3), 3, 3, 1, 2, 2)
+    same = blocked_plan(plan.shape, plan.kh, plan.kw, plan.stride, plan.pad,
+                        3 - plan.b)
+    return itertools.cycle([
+        lambda: (check_im2col(other, rng), check_copy_fill(other, rng)),
+        lambda: (check_im2col(same, rng), check_copy_fill(same, rng)),
+        lambda: (check_im2col(plan, rng, np.float64),
+                 check_copy_fill(plan, rng, np.float64)),
+        lambda: check_copy_fill(plan, rng),
+        lambda: check_im2col(plan, rng, pad_value=-np.inf),
+    ])
+
+
 def test_padded_workspace_reused_across_calls():
-    """The persistent pad workspace must not leak state between inputs —
-    nor between the blocks of one call, a ragged last one included."""
-    for n, b in ((1, 1), (3, 2)):
+    """The shared pad buffer must not leak state between inputs, between
+    the blocks of one call (a ragged last one included), or from the
+    other users that run between two calls."""
+    for n, b in ((2, 1), (3, 2)):
         plan = blocked_plan((n, 2, 5, 5), 3, 3, 1, 1, b)
         rng = np.random.default_rng(0)
-        for _ in range(3):
-            x = rng.normal(0, 1, (n, 2, 5, 5)).astype(np.float32)
-            assert np.array_equal(
-                plan.im2col(x), im2col_reference(x, 3, 3, 1, 1)
-            )
+        users = other_users(plan, rng)
+        for _ in range(10):
+            next(users)()
+            check_im2col(plan, rng)
 
 
 def test_slot_workspace_reused_across_calls():
-    """The copy fill's zero-once workspace: stale slot data must never
-    bleed in, from an earlier call or an earlier block."""
-    for n, b in ((1, 1), (3, 2)):
+    """The copy fill's shared slot planes: stale slot data must never
+    bleed in, from an earlier call, an earlier block or another user."""
+    for n, b in ((2, 1), (3, 2)):
         plan = blocked_plan((n, 2, 6, 6), 3, 3, 2, 1, b)
-        oh, ow = plan.oh, plan.ow
         rng = np.random.default_rng(1)
-        for _ in range(3):
-            cols = rng.normal(0, 1, (n, 2 * 9, oh * ow)).astype(np.float32)
-            assert np.array_equal(
-                col2im_t(plan, cols),
-                col2im_reference(cols, (n, 2, 6, 6), 3, 3, 2, 1),
-            )
+        users = other_users(plan, rng)
+        for _ in range(10):
+            next(users)()
+            check_copy_fill(plan, rng)
 
 
 class TestPlanCache:
@@ -273,10 +321,11 @@ def test_col2im_t_conforms_on_hostile_planes_and_a_reused_plan(
     """The adjoint of ``im2col_t`` as blas-fat's backward runs it ==
     ``col2im_reference`` on the same GEMM's column gradient, byte for
     byte, call after call on ONE plan and interleaved with the raw
-    copy fill (``scatter_t``).  Its fill (direct or copy) and the raw
-    copy fill share the persistent slot planes, so a stale cell from any
-    of them — the NaN a non-finite weight writes onto uncovered cells
-    included — or from an earlier block of the same call must never leak
+    copy fill (``scatter_t``) and ``im2col``.  Every fill of every plan
+    shares one slot-plane buffer, so a stale cell from any of them — the
+    NaN a non-finite weight writes onto uncovered cells included — from
+    an earlier block of the same call, or from one of the other users
+    run between every two calls (:func:`other_users`), must never leak
     into a sum.  A GEMM never hands the copy fill an all -0.0 column, so
     the hostile planes also go to it raw, in float32 and float64, on the
     same plan."""
@@ -297,6 +346,12 @@ def test_col2im_t_conforms_on_hostile_planes_and_a_reused_plan(
     weights = {"finite": w4, "nan": w4.copy(), "inf": w4.copy()}
     weights["nan"][1, 0, 0, 0] = np.nan
     weights["inf"][2, -1, -1, 0] = -np.inf
+    users = other_users(plan, np.random.default_rng(8))
+
+    def interleaved(*calls):
+        """Each call's result, another user run before every one."""
+        return [(next(users)(), call())[1] for call in calls]
+
     try:
         for (wlabel, w), (label, planes) in itertools.product(
                 weights.items(), _hostile_values(rng, (n, f, oh * ow))):
@@ -304,10 +359,12 @@ def test_col2im_t_conforms_on_hostile_planes_and_a_reused_plan(
             with np.errstate(invalid="ignore", over="ignore"):
                 cols = np.matmul(w.reshape(f, -1).T, dy)
                 want = col2im_reference(cols, shape, kh, kw, stride, pad)
-                got = [arm.backward(x, w, dy, stride, pad)[0],
-                       col2im_t(plan, cols),
-                       arm.backward(x, w, dy, stride, pad)[0]]
-            for dx in got:
+                got = interleaved(
+                    lambda: arm.backward(x, w, dy, stride, pad)[0],
+                    lambda: col2im_t(plan, cols),
+                    lambda: arm.backward(x, w, dy, stride, pad)[0],
+                    lambda: check_im2col(plan, rng))
+            for dx in got[:3]:
                 assert bit_identical(dx, want), (wlabel, label)
         for dtype in (np.float32, np.float64):
             for label, planes in _hostile_values(
@@ -316,7 +373,8 @@ def test_col2im_t_conforms_on_hostile_planes_and_a_reused_plan(
                 with np.errstate(invalid="ignore"):  # inf - inf, NaN + x
                     want = col2im_reference(cols, shape, kh, kw, stride,
                                             pad)
-                    got = (col2im_t(plan, cols), col2im_t(plan, cols))
+                    got = interleaved(lambda: col2im_t(plan, cols),
+                                      lambda: col2im_t(plan, cols))
                 for dx in got:
                     assert bit_identical(np.ascontiguousarray(dx), want), (
                         dtype, label)

@@ -15,7 +15,9 @@ gives those bytes back.  EXPERIMENTS.md records the columns.
 """
 
 import functools
+import multiprocessing
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -79,12 +81,26 @@ def planned_bytes(graph, name: str) -> int:
                                           "config", None))
 
 
+def _meter_cell(model: str, policy: str) -> int:
+    return measured_step_peak(lambda: build_model(model, batch_size=BATCH),
+                              make_policy(policy))
+
+
 @functools.lru_cache(maxsize=None)
 def measured(model: str, policy: str) -> int:
     """:func:`measured_step_peak` of one (model, policy) cell at
-    :data:`BATCH`, metered once per test session."""
-    return measured_step_peak(lambda: build_model(model, batch_size=BATCH),
-                              make_policy(policy))
+    :data:`BATCH`, metered once per test session, in a fresh interpreter.
+
+    In a shared one, whatever the interpreter itself allocates during a
+    cell's metered step lands in that cell: a growth of CPython's
+    interned-string table (1.83 MiB, made under ``as_strided``) fell in
+    whichever cell was running, by the order of the tests before it,
+    and could lift ``gist-lossless`` above baseline.  A fresh process
+    runs the same statements every time.
+    """
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+        return pool.submit(_meter_cell, model, policy).result()
 
 
 @pytest.mark.parametrize("model", MODELS)

@@ -342,6 +342,15 @@ def _(patch):
                                   tensors)
 
 
+@row(ORACLE_ALLOCATOR_SAFETY, "shares no bytes",
+     "a group's region is priced as the sum of its members (sharing "
+     "silently off); fuzz seed 0")
+def _(patch):
+    patch.setattr(AllocationGroup, "size_bytes", property(
+        lambda g: sum(t.size_bytes for t in g.members)))
+    return verify_graph(GraphFuzzer(0).graph(), 0)
+
+
 @row(ORACLE_ALLOCATOR_SAFETY, "appears in 2 groups",
      "allocator's ordinary pass also places the aliased tensors; "
      "dense block, seed 0")
