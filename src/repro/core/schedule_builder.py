@@ -6,8 +6,8 @@ pass:
 1. classifies every stashed feature map (ReLU-Pool / ReLU-Conv / Other);
 2. selects the encoding Table I assigns to each class, builds its codec
    (:func:`gist_codec`) and sizes and prices the decision by asking that
-   codec (:func:`_encoding_for` + :func:`_gist_option` — the *Table-I
-   selector*), emitting one
+   codec (:func:`select_table_i`, the *Table-I selector*, through
+   :func:`_encoding_for` + :func:`_gist_option`), emitting one
    :class:`~repro.memory.hybrid.PlanDecision` per encoded map;
 3. hands that decision table to
    :func:`repro.memory.hybrid.apply_decisions`, the repo's one liveness
@@ -213,6 +213,38 @@ def _gist_option(graph: Graph, node: OpNode, stash_class: str,
     )
 
 
+def select_table_i(
+    graph: Graph,
+    config: GistConfig,
+    sparsity_model: Optional[SparsityModel] = None,
+    schedule: Optional[TrainingSchedule] = None,
+) -> Dict[int, PlanDecision]:
+    """The Table-I selector: every stashed map gets its class's encoding,
+    with no budget.
+
+    A map is only skipped when it is not stashed under the pool rewrite,
+    stashed through a schedule artifact alone, or has no enabled
+    technique.  :func:`build_gist_plan` rewrites its liveness table under
+    this table; :func:`repro.perf.overhead.measure_overhead` prices the
+    table alone.  Reads only the graph's memoized uses and stash classes
+    (``schedule`` is built only when they are cold and none was given).
+    """
+    from repro.perf.cost import CostModel  # local: core<->perf cycle
+
+    sparsity_model = sparsity_model or DEFAULT_SPARSITY_MODEL
+    cost = CostModel()
+    uses = feature_map_uses(graph, schedule, config.binarize)
+    decisions: Dict[int, PlanDecision] = {}
+    for nid, info in classify_all_stashes(graph, schedule).items():
+        if uses[nid][1] is None:
+            continue
+        option = _gist_option(graph, graph.node(nid), info.stash_class,
+                              config, sparsity_model, cost)
+        if option is not None:
+            decisions[nid] = option
+    return decisions
+
+
 def build_gist_plan(
     graph: Graph,
     config: Optional[GistConfig] = None,
@@ -232,30 +264,15 @@ def build_gist_plan(
             (the paper's investigation baseline discipline).
         include_weights: Carry weights/weight-grads in the plan.
     """
-    from repro.perf.cost import CostModel  # local: core<->perf cycle
-
     config = config or GistConfig()
-    sparsity_model = sparsity_model or DEFAULT_SPARSITY_MODEL
     if schedule is None:
         schedule = TrainingSchedule(graph)
-    cost = CostModel()
-
-    # Table-I selector: every stashed map gets its class's encoding,
-    # with no budget (a map is only skipped when it is not stashed under
-    # the pool rewrite, or stashed through a schedule artifact alone).
-    uses = feature_map_uses(graph, schedule, config.binarize)
-    decisions: Dict[int, PlanDecision] = {}
-    for nid, info in classify_all_stashes(graph, schedule).items():
-        if uses[nid][1] is None:
-            continue
-        option = _gist_option(graph, graph.node(nid), info.stash_class,
-                              config, sparsity_model, cost)
-        if option is not None:
-            decisions[nid] = option
-
+    decisions = select_table_i(graph, config, sparsity_model, schedule)
     plan = build_memory_plan(graph, schedule,
                              include_weights=include_weights)
-    rewritten_pools = apply_decisions(plan, uses, decisions, config)
+    rewritten_pools = apply_decisions(
+        plan, feature_map_uses(graph, schedule, config.binarize), decisions,
+        config)
 
     # Inplace merges: the consumer's buffer absorbs the producer's.
     if config.inplace:

@@ -60,8 +60,6 @@ from repro.memory import (
 from repro.models import PAPER_SUITE, available_models, build_model
 from repro.orchestrate import WorkUnit, run_units
 from repro.perf import (
-    CostModel,
-    encoding_time_delta,
     larger_minibatch_speedup,
     measure_overhead,
     measure_transfer_energy,
@@ -343,13 +341,11 @@ def _figure10_arms(name: str, batch_size: int) -> Dict[str, dict]:
 def _figure11_row(name: str, batch_size: int) -> dict:
     """Figure 11: each lossless encoding's step-time delta, as a fraction
     of the baseline step (Figure 9's ``lossless_overhead`` is the sum)."""
-    graph = build_model(name, batch_size=batch_size)
-    cost = CostModel()
-    base_s = cost.step_time(graph).total_s
-    deltas = encoding_time_delta(
-        build_gist_plan(graph, GistConfig.lossless()), cost)
-    return {"binarize_overhead": deltas[ENC_BINARIZE] / base_s,
-            "ssdc_overhead": deltas[ENC_SSDC] / base_s}
+    report = measure_overhead(build_model(name, batch_size=batch_size),
+                              GistConfig.lossless())
+    deltas = report.per_technique_s
+    return {"binarize_overhead": deltas[ENC_BINARIZE] / report.baseline_s,
+            "ssdc_overhead": deltas[ENC_SSDC] / report.baseline_s}
 
 
 def _stashed_and_immediate(plan) -> tuple:

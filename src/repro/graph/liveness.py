@@ -72,12 +72,13 @@ class LiveTensor:
             )
 
     def __copy__(self) -> "LiveTensor":
-        # Every compute_lifetimes hand-out and every MemoryPlan.clone
-        # copies a whole table; copy's reduce protocol costs four times
-        # this.  Field by field, not through __dict__: a copy whose
-        # __dict__ was touched reads its attributes ~10 % slower in the
-        # allocator's loop.  No __post_init__: a fault-injected (inverted)
-        # tensor copies as it is.
+        # Every compute_lifetimes hand-out copies a whole table, and
+        # every apply_decisions write copies an entry; copy's reduce
+        # protocol costs four times this.  Field by field, not through
+        # __dict__: a copy whose __dict__ was touched reads its
+        # attributes ~10 % slower in the allocator's loop.  No
+        # __post_init__: a fault-injected (inverted) tensor copies as it
+        # is.
         twin = object.__new__(type(self))
         twin.spec = self.spec
         twin.birth = self.birth
@@ -128,7 +129,7 @@ def backward_readers(graph: Graph, schedule: TrainingSchedule, node_id: int,
 
 
 def feature_map_uses(
-    graph: Graph, schedule: TrainingSchedule, pools_rewritten: bool
+    graph: Graph, schedule: Optional[TrainingSchedule], pools_rewritten: bool
 ) -> Dict[int, Tuple[int, Optional[int], Optional[int]]]:
     """``{node_id: (last forward, first backward, last backward use)}`` of
     every feature map; both backward entries are ``None`` when no backward
@@ -138,11 +139,13 @@ def feature_map_uses(
     ``pools_rewritten=False`` is the layers' declared dependence (the
     baseline liveness table); ``True`` is the executor's, and Binarize's
     (see :func:`_reads`).  Walked once per graph and flag; each call gets
-    its own dict.
+    its own dict; ``schedule`` is built only when the walk runs and none
+    was given.
     """
     return dict(graph.derived(
         ("feature_map_uses", pools_rewritten),
-        lambda: _walk_uses(graph, schedule, pools_rewritten)))
+        lambda: _walk_uses(graph, schedule or TrainingSchedule(graph),
+                           pools_rewritten)))
 
 
 def _walk_uses(graph: Graph, schedule: TrainingSchedule,

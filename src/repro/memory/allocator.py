@@ -15,7 +15,8 @@ allocator ablation bench.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from operator import attrgetter
+from typing import List, Sequence, Tuple
 
 from repro.graph.liveness import LiveTensor
 
@@ -24,6 +25,10 @@ POLICY_FIRST_FIT = "first-fit"
 POLICY_NO_SHARING = "none"
 
 _POLICIES = (POLICY_GREEDY_SIZE, POLICY_FIRST_FIT, POLICY_NO_SHARING)
+
+_NAME = attrgetter("spec.name")
+_SIZE = attrgetter("spec.size_bytes")
+_DEATH = attrgetter("death")
 
 
 @dataclass
@@ -90,7 +95,7 @@ class StaticAllocator:
     def allocate(self, tensors: Sequence[LiveTensor]) -> AllocationResult:
         """Assign every tensor to a group; returns the grouping."""
         tensors = list(tensors)
-        horizon = max((t.death for t in tensors), default=0) + 1
+        horizon = max(map(_DEATH, tensors), default=0) + 1
 
         share = self.policy != POLICY_NO_SHARING
 
@@ -100,32 +105,34 @@ class StaticAllocator:
         # the label is ignored and every tensor gets dedicated space.
         groups: List[AllocationGroup] = []
         if share:
-            aliased: dict = {}
-            rest: List[LiveTensor] = []
-            for tensor in tensors:
-                label = tensor.alias_group
-                if label is not None and tensor.shareable:
-                    aliased.setdefault(label, []).append(tensor)
-                else:
-                    rest.append(tensor)
-            for label in sorted(aliased):
-                groups.append(
-                    AllocationGroup(aliased[label], open=False, aliased=True)
-                )
+            rest = [t for t in tensors
+                    if t.alias_group is None or not t.shareable]
+            if len(rest) < len(tensors):
+                aliased: dict = {}
+                for tensor in tensors:
+                    if tensor.alias_group is not None and tensor.shareable:
+                        aliased.setdefault(tensor.alias_group,
+                                           []).append(tensor)
+                for label in sorted(aliased):
+                    groups.append(AllocationGroup(aliased[label], open=False,
+                                                  aliased=True))
             tensors = rest
 
+        order = tensors
         if self.policy == POLICY_GREEDY_SIZE:
-            # Stable deterministic order: size descending, then name.
-            order = sorted(
-                tensors, key=lambda t: (-t.size_bytes, t.spec.name)
-            )
-        else:
-            order = tensors
+            # Stable deterministic order: size descending, then name —
+            # two stable passes, no tuple key built per tensor.
+            order = sorted(tensors, key=_NAME)
+            order.sort(key=_SIZE, reverse=True)
 
-        # For each *open* group, its occupancy over the schedule clock as
-        # one int (bit t set = some member is live at step t), so an
-        # overlap test is one ``&`` instead of an O(members) scan.
-        open_groups: List[AllocationGroup] = []
+        # Every group in result order, as (members, open); a group is
+        # wrapped in an AllocationGroup once, after the scan.
+        layout: List[Tuple[List[LiveTensor], bool]] = []
+        # For each *open* group, its members and its occupancy over the
+        # schedule clock as one int (bit t set = some member is live at
+        # step t), so an overlap test is one ``&`` instead of an
+        # O(members) scan.
+        open_members: List[List[LiveTensor]] = []
         occupied: List[int] = []
         # Open groups still free at the pivot step, ascending (= scan
         # order): all a tensor live at the pivot can fit (class docstring).
@@ -136,12 +143,13 @@ class StaticAllocator:
             if share and tensor.shareable:
                 # An inverted interval (a corrupted table; LiveTensor only
                 # validates at construction) still occupies its birth step.
-                width = max(tensor.death - tensor.birth, 0) + 1
-                mask = ((1 << width) - 1) << tensor.birth
+                birth = tensor.birth
+                span = tensor.death - birth
+                mask = ((2 << span) - 1 if span > 0 else 1) << birth
                 at_pivot = mask & pivot
                 for i in free_at_pivot if at_pivot else range(len(occupied)):
                     if not occupied[i] & mask:
-                        open_groups[i].members.append(tensor)
+                        open_members[i].append(tensor)
                         occupied[i] |= mask
                         if at_pivot:
                             free_at_pivot.remove(i)
@@ -149,11 +157,13 @@ class StaticAllocator:
                 else:
                     if not at_pivot:
                         free_at_pivot.append(len(occupied))
-                    group = AllocationGroup([tensor])
-                    groups.append(group)
-                    open_groups.append(group)
+                    members = [tensor]
+                    layout.append((members, True))
+                    open_members.append(members)
                     occupied.append(mask)
             else:
-                groups.append(AllocationGroup([tensor], open=False))
+                layout.append(([tensor], False))
 
+        groups += [AllocationGroup(members, open=is_open)
+                   for members, is_open in layout]
         return AllocationResult(groups, self.policy)

@@ -4,7 +4,7 @@ Every memory plan in this repo is one table — ``{node_id:
 PlanDecision}`` — and one rewrite:
 
 * a **selector** maps a graph to a decision table.  The Table-I selector
-  (:func:`repro.core.schedule_builder.build_gist_plan`) gives every
+  (:func:`repro.core.schedule_builder.select_table_i`) gives every
   stashed map its class's encoding; the budgeted selector here
   (:func:`build_hybrid_plan`) prices up to four options per map and
   picks greedily;
@@ -52,7 +52,7 @@ footprint deltas are attributable to the per-tensor decisions alone.
 classes, feature-map uses and step-time table are derived once per graph
 (:meth:`~repro.graph.graph.Graph.derived`) whichever planner asks first,
 and one build hands its baseline table to the swap calibration and every
-arm (each arm rewrites its own ``clone()`` of the table).
+arm (:func:`apply_decisions` copies only the entries an arm changes).
 
 Execution: :class:`repro.train.stash.HybridExecutionPolicy` hands the
 :class:`HybridPlan`'s table to the stash layer — codecs for gist
@@ -64,6 +64,7 @@ sources are pinned to value-exact choices).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
@@ -468,19 +469,39 @@ def source_read_time(decision: PlanDecision, uses) -> Optional[int]:
     return None
 
 
+def rewritten_pools(graph: Graph, cfg) -> Tuple[int, ...]:
+    """Ids of the max-pools whose backward replays a 4-bit argmax map
+    instead of reading their X and Y maps: every max-pool when
+    ``cfg.binarize`` is on (only the graph input lacks a backward op, and
+    it is no pool), none otherwise.
+
+    The one definition: :func:`apply_decisions` carries these pools' maps
+    and :func:`repro.perf.overhead.measure_overhead` credits their reads.
+    """
+    if not cfg.binarize:
+        return ()
+    return tuple(node.node_id for node in graph.nodes
+                 if node.kind == "maxpool")
+
+
 def apply_decisions(
     plan: MemoryPlan, uses, decisions: Dict[int, PlanDecision], cfg,
 ) -> Tuple[int, ...]:
-    """Rewrite a baseline liveness table, in place, under a decision table.
+    """Rewrite a baseline liveness table under a decision table.
 
     The one liveness rewrite every selector shares: the FP32 map dies at
     its last forward use whenever a decision replaces it across the gap;
     the replacement (encoded stash / rebuilt map / prefetch buffer) spans
     exactly the interval the backward pass reads.
 
+    Copy-on-write: ``plan.tensors`` becomes a new list in which every
+    entry the rewrite changes is a fresh copy and every other entry is
+    the one it was given.  So one baseline table can seed any number of
+    rewrites (the hybrid planner's arms) and is left as it was.
+
     Args:
-        plan: A fresh :func:`~repro.memory.planner.build_memory_plan`
-            result for the graph; its tensors are rewritten and extended.
+        plan: A :func:`~repro.memory.planner.build_memory_plan` result for
+            the graph, or a plan sharing one's tensor list.
         uses: ``{node_id: (last forward use, first backward use, last
             backward use)}`` under ``cfg``'s pool rewrite.
         decisions: The table; undecided stashes keep their FP32 lifetime.
@@ -488,12 +509,25 @@ def apply_decisions(
             selected under (pool argmax rewrite).
 
     Returns:
-        Ids of the max-pools rewritten to stash an argmax map.
+        Ids of the max-pools rewritten to stash an argmax map
+        (:func:`rewritten_pools`).
     """
     graph, schedule = plan.graph, plan.schedule
-    fm_by_node: Dict[int, LiveTensor] = {
-        t.node_id: t for t in plan.tensors if t.role == ROLE_FEATURE_MAP
+    tensors = plan.tensors = list(plan.tensors)
+    fm_index: Dict[int, int] = {
+        t.node_id: i for i, t in enumerate(tensors)
+        if t.role == ROLE_FEATURE_MAP
     }
+    copied: set = set()
+
+    def own(nid) -> LiveTensor:
+        # The entry of ``nid``'s map, copied on its first write.
+        i = fm_index[nid]
+        if nid not in copied:
+            copied.add(nid)
+            tensors[i] = copy.copy(tensors[i])
+        return tensors[i]
+
     new_tensors: List[LiveTensor] = []
     prefetch_by_node: Dict[int, LiveTensor] = {}
 
@@ -501,27 +535,28 @@ def apply_decisions(
                       role=ROLE_DECODED) -> LiveTensor:
         # The full-size FP32 buffer the backward reads of a replaced
         # stash use: decoded, prefetched or recomputed.
-        copy = LiveTensor(
+        buffer = LiveTensor(
             TensorSpec(f"{node.name}.out.{suffix}", node.output_shape,
                        fm.spec.dtype, TensorCategory.FEATURE_MAP),
             birth=first_bwd, death=last_bwd, node_id=node.node_id, role=role,
         )
-        new_tensors.append(copy)
-        return copy
+        new_tensors.append(buffer)
+        return buffer
 
     for node in graph.nodes:
         nid = node.node_id
-        fm = fm_by_node[nid]
+        fm = tensors[fm_index[nid]]
         last_fwd, first_bwd, last_bwd = uses[nid]
         if first_bwd is None:
-            fm.death = last_fwd
-            continue
-        option = decisions.get(nid)
+            option, death = None, last_fwd
+        else:
+            option = decisions.get(nid)
+            death = max(last_fwd, last_bwd) if option is None else last_fwd
+        if fm.death != death:
+            own(nid).death = death
         if option is None:
-            fm.death = max(last_fwd, last_bwd)
             continue
 
-        fm.death = last_fwd
         if option.choice == CHOICE_GIST:
             # Whatever the codec: an opaque byte blob of the priced size.
             new_tensors.append(LiveTensor(
@@ -539,7 +574,7 @@ def apply_decisions(
             # The member's map aliases the terminal's growing buffer for
             # its whole forward life, and its backward reads are views of
             # that buffer: no new space.
-            fm.alias_group = f"concat:{option.source_id}"
+            own(nid).alias_group = f"concat:{option.source_id}"
         elif option.choice == CHOICE_RECOMPUTE:
             backward_copy(node, fm, "recomp", first_bwd, last_bwd,
                           role=ROLE_FEATURE_MAP)
@@ -575,10 +610,11 @@ def apply_decisions(
             continue
         source_option = decisions.get(option.source_id)
         if option.choice == CHOICE_SHARED_CONCAT or source_option is None:
-            source_fm = fm_by_node[option.source_id]
-            source_fm.death = max(source_fm.death, read)
+            source_id = option.source_id
+            if tensors[fm_index[source_id]].death < read:
+                own(source_id).death = read
             if option.choice == CHOICE_SHARED_CONCAT:
-                source_fm.alias_group = f"concat:{option.source_id}"
+                own(source_id).alias_group = f"concat:{source_id}"
         elif source_option.choice == CHOICE_SWAP:
             prefetch = prefetch_by_node[option.source_id]
             prefetch.birth = min(prefetch.birth, read)
@@ -586,28 +622,23 @@ def apply_decisions(
     # Argmax maps for rewritten pools (the uses above were computed under
     # the rewrite, so the maps must be carried whether or not a binarize
     # choice was selected).
-    rewritten_pools: List[int] = []
-    if cfg.binarize:
-        for node in graph.nodes:
-            if node.kind != "maxpool":
-                continue
-            if not schedule.has_backward(node.node_id):
-                continue
-            rewritten_pools.append(node.node_id)
-            map_spec = node.layer.argmax_map_spec(node.output_shape)
-            new_tensors.append(
-                LiveTensor(
-                    TensorSpec(f"{node.name}.argmax", node.output_shape,
-                               map_spec.dtype, TensorCategory.ENCODED),
-                    birth=schedule.forward_time(node.node_id),
-                    death=schedule.backward_time(node.node_id),
-                    node_id=node.node_id,
-                    role=ROLE_ENCODED,
-                )
+    pools = rewritten_pools(graph, cfg)
+    for pool_id in pools:
+        node = graph.node(pool_id)
+        map_spec = node.layer.argmax_map_spec(node.output_shape)
+        new_tensors.append(
+            LiveTensor(
+                TensorSpec(f"{node.name}.argmax", node.output_shape,
+                           map_spec.dtype, TensorCategory.ENCODED),
+                birth=schedule.forward_time(pool_id),
+                death=schedule.backward_time(pool_id),
+                node_id=pool_id,
+                role=ROLE_ENCODED,
             )
+        )
 
-    plan.tensors.extend(new_tensors)
-    return tuple(rewritten_pools)
+    tensors.extend(new_tensors)
+    return pools
 
 
 # ----------------------------------------------------------------------
@@ -685,7 +716,7 @@ def build_hybrid_plan(
 
     def build_arm(allowed):
         assigned, spent = _select(options, budget_s, allowed)
-        plan = baseline.clone()
+        plan = MemoryPlan(graph, schedule, baseline.tensors)
         pools = apply_decisions(plan, uses, assigned, cfg)
         allocated = StaticAllocator().allocate(plan.tensors).total_bytes
         return assigned, spent, plan, pools, allocated

@@ -15,7 +15,6 @@ knows which tensors participate in each of the paper's two baselines:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -106,11 +105,6 @@ class MemoryPlan:
     def total_bytes(self) -> int:
         """Sum of all tensor sizes with no sharing at all."""
         return sum(t.size_bytes for t in self.tensors)
-
-    def clone(self) -> "MemoryPlan":
-        """Deep copy (the Gist schedule builder rewrites plans in place)."""
-        return MemoryPlan(self.graph, self.schedule,
-                          [copy.copy(t) for t in self.tensors])
 
 
 def build_memory_plan(

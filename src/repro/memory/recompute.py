@@ -110,9 +110,8 @@ def chain_forward_seconds(graph: Graph, node_ids,
     from repro.perf.cost import CostModel  # local: avoids memory<->perf cycle
 
     cost = cost or CostModel()
-    return sum(
-        cost.forward_time(graph, graph.node(node_id)) for node_id in node_ids
-    )
+    per_node = cost.step_time(graph).per_node_forward
+    return sum(per_node[node_id] for node_id in node_ids)
 
 
 def trunk_nodes(graph: Graph) -> List[int]:

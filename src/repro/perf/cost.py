@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple
 
 from repro.graph.graph import Graph
 from repro.graph.node import OpNode
@@ -61,36 +61,15 @@ class CostModel:
         memory = nbytes / dev.mem_bandwidth
         return max(compute, memory) + dev.kernel_overhead
 
-    def _node_io_bytes(self, graph: Graph, node: OpNode) -> float:
-        input_elems = sum(
-            _prod(s) for s in node.input_shapes(graph)
-        )
-        output_elems = _prod(node.output_shape)
-        param_elems = sum(
-            _prod(s)
-            for s in node.layer.param_shapes(node.input_shapes(graph)).values()
-        )
-        return 4.0 * (input_elems + output_elems + param_elems)
-
     def forward_time(self, graph: Graph, node: OpNode) -> float:
-        """Forward kernel time for one op, seconds."""
-        if node.kind == "input":
-            return 0.0
-        minibatch = node.output_shape[0] if node.output_shape else 1
-        flops = node.layer.flops(node.input_shapes(graph), node.output_shape)
-        return self._kernel_time(flops, self._node_io_bytes(graph, node),
-                                 minibatch)
+        """Forward kernel time for one op, seconds (read from
+        :meth:`step_time`)."""
+        return self.step_time(graph).per_node_forward[node.node_id]
 
     def backward_time(self, graph: Graph, node: OpNode) -> float:
-        """Backward kernel time for one op, seconds."""
-        if node.kind == "input":
-            return 0.0
-        minibatch = node.output_shape[0] if node.output_shape else 1
-        flops = node.layer.flops(node.input_shapes(graph), node.output_shape)
-        factor = 2.0 if node.kind in _PARAM_KINDS else 1.0
-        return self._kernel_time(
-            factor * flops, 2.0 * self._node_io_bytes(graph, node), minibatch
-        )
+        """Backward kernel time for one op, seconds (read from
+        :meth:`step_time`)."""
+        return self.step_time(graph).per_node_backward[node.node_id]
 
     # ------------------------------------------------------------------
     def step_time(self, graph: Graph) -> StepTime:
@@ -105,9 +84,26 @@ class CostModel:
         per_f: Dict[int, float] = {}
         per_b: Dict[int, float] = {}
         for node in graph.nodes:
-            per_f[node.node_id] = self.forward_time(graph, node)
-            per_b[node.node_id] = self.backward_time(graph, node)
+            per_f[node.node_id], per_b[node.node_id] = self._price_node(
+                graph, node)
         return StepTime(sum(per_f.values()), sum(per_b.values()), per_f, per_b)
+
+    def _price_node(self, graph: Graph, node: OpNode) -> Tuple[float, float]:
+        """(forward, backward) kernel time of one op, seconds: its FLOPs
+        and I/O bytes, counted once for both directions."""
+        if node.kind == "input":
+            return 0.0, 0.0
+        minibatch = node.output_shape[0] if node.output_shape else 1
+        input_shapes = node.input_shapes(graph)
+        flops = node.layer.flops(input_shapes, node.output_shape)
+        param_elems = sum(
+            _prod(s) for s in node.layer.param_shapes(input_shapes).values()
+        )
+        io_bytes = 4.0 * (sum(_prod(s) for s in input_shapes)
+                          + _prod(node.output_shape) + param_elems)
+        factor = 2.0 if node.kind in _PARAM_KINDS else 1.0
+        return (self._kernel_time(flops, io_bytes, minibatch),
+                self._kernel_time(factor * flops, 2.0 * io_bytes, minibatch))
 
     def transfer_time(self, nbytes: float) -> float:
         """Host link (PCIe) transfer time, seconds."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.sparsity import SparsityModel
 from repro.core.policy import GistConfig
@@ -30,10 +30,10 @@ from repro.core.schedule_builder import (
     ENC_BINARIZE,
     ENC_DPR,
     ENC_SSDC,
-    GistPlan,
-    build_gist_plan,
+    select_table_i,
 )
 from repro.graph.graph import Graph
+from repro.memory.hybrid import PlanDecision, PlanRecord, rewritten_pools
 from repro.perf.cost import CostModel
 
 
@@ -53,19 +53,25 @@ class OverheadReport:
 
 
 def encoding_time_delta(
-    plan: GistPlan, cost: CostModel
+    plan: PlanRecord, cost: CostModel
 ) -> Dict[str, float]:
     """Per-technique wall-clock delta (seconds) for one training step:
     the plan's own decision prices (``PlanDecision.cost_s``, the number
     the budgeted planner ranks by) summed per technique, plus the
     plan-level pool-rewrite credit priced with ``cost``."""
+    return _technique_deltas(plan.graph, plan.decisions,
+                             plan.rewritten_pools, cost)
+
+
+def _technique_deltas(graph: Graph, decisions: Dict[int, PlanDecision],
+                      pools: Tuple[int, ...],
+                      cost: CostModel) -> Dict[str, float]:
     deltas = {ENC_BINARIZE: 0.0, ENC_SSDC: 0.0, ENC_DPR: 0.0}
-    graph = plan.graph
-    for decision in plan.decisions.values():
+    for decision in decisions.values():
         deltas[decision.encoding] += decision.cost_s
     # The pool argmax rewrite: backward reads the 4-bit map instead of the
     # stashed X and Y maps.
-    for pool_id in plan.rewritten_pools:
+    for pool_id in pools:
         node = graph.node(pool_id)
         out_elems = math.prod(node.output_shape)
         in_elems = math.prod(graph.node(node.inputs[0]).output_shape)
@@ -83,13 +89,18 @@ def measure_overhead(
 ) -> OverheadReport:
     """Baseline vs Gist step time for one network.
 
-    ``cost`` prices the baseline step and the pool-rewrite credit; the
-    decisions carry the price their plan was built with (the default
-    Titan X :class:`CostModel`).
+    Prices the Table-I selection (:func:`~repro.core.schedule_builder.
+    select_table_i`) and the rewritten pools (:func:`~repro.memory.hybrid.
+    rewritten_pools`) without building a liveness table.  ``cost`` prices
+    the baseline step and the pool-rewrite credit; the decisions carry
+    the price they were selected with (the default Titan X
+    :class:`CostModel`).
     """
+    config = config or GistConfig()
     cost = cost or CostModel()
-    plan = build_gist_plan(graph, config, sparsity_model)
     base = cost.step_time(graph).total_s
-    deltas = encoding_time_delta(plan, cost)
+    deltas = _technique_deltas(
+        graph, select_table_i(graph, config, sparsity_model),
+        rewritten_pools(graph, config), cost)
     gist = base + sum(deltas.values())
     return OverheadReport(graph.name, base, gist, deltas)

@@ -129,9 +129,8 @@ def test_hybrid_planner_derives_each_graph_fact_once(monkeypatch):
     _count_calls(monkeypatch, planner, "compute_lifetimes", calls)
     _count_calls(monkeypatch, TrainingSchedule, "__init__", calls)
     _count_calls(monkeypatch, StaticAllocator, "allocate", calls)
-    for name in ("forward_time", "backward_time"):
-        _count_calls(monkeypatch, CostModel, name, calls,
-                     key=lambda self, graph, node: node.node_id)
+    _count_calls(monkeypatch, CostModel, "_price_node", calls,
+                 key=lambda self, graph, node: node.node_id)
     for model in sorted(available_models()):
         graph = build_model(model, batch_size=BATCH)
         schedule = TrainingSchedule(graph)
@@ -168,10 +167,9 @@ def test_a_graph_is_analysed_once_across_entry_points(monkeypatch):
     _count_calls(monkeypatch, analysis, "_classify_all", calls)
     _count_calls(monkeypatch, liveness, "_walk_uses", calls,
                  key=lambda graph, schedule, pools_rewritten: pools_rewritten)
-    for name in ("forward_time", "backward_time"):
-        _count_calls(monkeypatch, CostModel, name, calls,
-                     key=lambda self, graph, node: (self.device.name,
-                                                    node.node_id))
+    _count_calls(monkeypatch, CostModel, "_price_node", calls,
+                 key=lambda self, graph, node: (self.device.name,
+                                                node.node_id))
     for model in sorted(available_models()):
         graph = build_model(model, batch_size=BATCH)
         config = GistConfig.for_network(model)
@@ -190,10 +188,81 @@ def test_a_graph_is_analysed_once_across_entry_points(monkeypatch):
         assert calls.pop(("_classify_all", None)) == 1, model
         for flag in (False, True):
             assert calls.pop(("_walk_uses", flag)) == 1, (model, flag)
-        # What is left is the pricing: one forward and one backward time
-        # per node, on the one device every entry point defaults to.
-        assert len(calls) == 2 * len(graph), model
+        # What is left is the pricing: each node priced once, both
+        # directions at one go, on the one device every entry point
+        # defaults to.
+        assert len(calls) == len(graph), model
         assert set(calls.values()) == {1}, (model, calls.most_common(3))
+
+
+def test_overhead_model_builds_no_liveness_table(monkeypatch):
+    """``measure_overhead`` prices the Table-I selection and the rewritten
+    pools; on a graph whose uses and stash classes are already derived it
+    walks no liveness table and runs no rewrite."""
+    import repro.core.schedule_builder as schedule_builder
+    import repro.memory.hybrid as hybrid
+    import repro.memory.planner as planner
+    from repro.perf.overhead import measure_overhead
+
+    for model in ("alexnet", "resnet50", "densenet"):
+        graph = build_model(model, batch_size=BATCH)
+        config = GistConfig.for_network(model)
+        expected = measure_overhead(graph, config)
+        calls = Counter()
+        _count_calls(monkeypatch, planner, "compute_lifetimes", calls)
+        for owner in (hybrid, schedule_builder):
+            _count_calls(monkeypatch, owner, "apply_decisions", calls)
+        assert measure_overhead(graph, config) == expected, model
+        assert not calls, (model, calls)
+        monkeypatch.undo()
+
+
+def test_hybrid_arms_leave_the_baseline_table_as_it_was(monkeypatch):
+    """Every arm rewrites the build's one baseline table copy-on-write:
+    after all of them each baseline entry keeps its ``birth``, ``death``
+    and ``alias_group``, and each arm's table equals its decisions
+    applied to a fresh table."""
+    import repro.memory.hybrid as hybrid
+    from repro.core.policy import (
+        STRATEGY_HYBRID,
+        STRATEGY_RECOMPUTE,
+        STRATEGY_SHARED_CONCAT,
+        STRATEGY_SWAP,
+    )
+    from repro.graph.liveness import feature_map_uses
+    from repro.graph.schedule import TrainingSchedule
+    from repro.memory import build_memory_plan
+
+    def rows(tensors):
+        return [(t.spec.name, t.birth, t.death, t.size_bytes, t.role,
+                 t.shareable, t.alias_group) for t in tensors]
+
+    baselines = []
+
+    def recorded(*args, **kwargs):
+        plan = build_memory_plan(*args, **kwargs)
+        baselines.append((plan, rows(plan.tensors)))
+        return plan
+
+    monkeypatch.setattr(hybrid, "build_memory_plan", recorded)
+    for model in ("vgg16", "resnet50", "densenet"):
+        graph = build_model(model, batch_size=BATCH)
+        schedule = TrainingSchedule(graph)
+        for strategy in (STRATEGY_GIST, STRATEGY_RECOMPUTE, STRATEGY_SWAP,
+                         STRATEGY_SHARED_CONCAT, STRATEGY_HYBRID):
+            policy = HybridPolicy(strategy=strategy)
+            built = hybrid.build_hybrid_plan(graph, policy,
+                                             schedule=schedule)
+            fresh = build_memory_plan(graph, schedule)
+            pools = hybrid.apply_decisions(
+                fresh, feature_map_uses(graph, schedule, policy.gist.binarize),
+                built.decisions, policy.gist)
+            assert pools == built.rewritten_pools, (model, strategy)
+            assert rows(built.plan.tensors) == rows(fresh.tensors), (
+                model, strategy)
+    assert len(baselines) == 15
+    for plan, before in baselines:
+        assert rows(plan.tensors) == before
 
 
 #: ``simulate_swapping(build_model(m, batch_size=BATCH))`` at the commit
