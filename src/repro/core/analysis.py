@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 from repro.graph.graph import Graph
 from repro.graph.liveness import backward_readers
-from repro.graph.schedule import TrainingSchedule
+from repro.graph.schedule import TrainingSchedule, schedule_of
 
 STASH_RELU_POOL = "relu_pool"
 STASH_RELU_CONV = "relu_conv"
@@ -94,7 +94,7 @@ def classify_all_stashes(
     Classified once per graph; each call gets its own dict.
     """
     return dict(graph.derived("stash_classes", lambda: _classify_all(
-        graph, schedule or TrainingSchedule(graph))))
+        graph, schedule or schedule_of(graph))))
 
 
 def _classify_all(graph: Graph,

@@ -13,7 +13,7 @@ from repro.analysis.sparsity import DEFAULT_SPARSITY_MODEL, SparsityModel
 from repro.core.policy import GistConfig
 from repro.core.schedule_builder import GistPlan, build_gist_plan
 from repro.graph.graph import Graph
-from repro.graph.schedule import TrainingSchedule
+from repro.graph.schedule import TrainingSchedule, schedule_of
 from repro.memory.allocator import StaticAllocator
 from repro.memory.dynamic import simulate_dynamic
 from repro.memory.footprint import memory_footprint_ratio
@@ -84,7 +84,7 @@ class Gist:
             dynamic: Use the dynamic-allocation simulator instead of the
                 static allocator (Figure 17).
         """
-        schedule = TrainingSchedule(graph)
+        schedule = schedule_of(graph)
         baseline = build_memory_plan(graph, schedule)
         gist_plan = self.apply(graph, schedule)
         return MFRReport(
@@ -109,7 +109,7 @@ def footprint_bytes(
     dynamic: bool = False,
 ) -> int:
     """Footprint of ``graph`` under ``config`` (None/disabled = baseline)."""
-    schedule = TrainingSchedule(graph)
+    schedule = schedule_of(graph)
     if config is None or not (config.any_encoding or config.inplace):
         plan = build_memory_plan(graph, schedule)
     else:

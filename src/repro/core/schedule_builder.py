@@ -45,6 +45,7 @@ from repro.dtypes import DPR_FORMATS
 from repro.encodings.base import Encoding
 from repro.encodings.binarize import BinarizeEncoding
 from repro.encodings.dpr import DPREncoding
+from repro.encodings.groupquant import GroupQuantEncoding
 from repro.encodings.inplace import inplace_eligible_edges
 from repro.encodings.ssdc import NARROW_COLS, SSDCEncoding
 from repro.graph.graph import Graph
@@ -54,7 +55,7 @@ from repro.graph.liveness import (
     feature_map_uses,
 )
 from repro.graph.node import OpNode
-from repro.graph.schedule import TrainingSchedule
+from repro.graph.schedule import TrainingSchedule, schedule_of
 from repro.memory.hybrid import (
     CHOICE_GIST,
     PlanDecision,
@@ -70,6 +71,9 @@ from repro.memory.planner import (
 ENC_BINARIZE = "binarize"
 ENC_SSDC = "ssdc"
 ENC_DPR = "dpr"
+#: Not a Table-I technique: ``groupquant-int<bits>/<group size>`` labels a
+#: :class:`~repro.train.stash.GroupQuantPolicy` decision.
+ENC_GROUPQUANT = "groupquant-int"
 
 #: Streaming inefficiency of dense<->CSR conversion kernels relative to a
 #: straight memory copy (scatter/gather plus index arithmetic).
@@ -85,7 +89,8 @@ def gist_codec(encoding: str, config: GistConfig) -> Encoding:
     stashed bytes are three readings of one object.
 
     Raises:
-        ValueError: ``encoding`` is not a Table-I technique.
+        ValueError: ``encoding`` is neither a Table-I technique nor a
+            group-quantisation label.
     """
     dpr_dtype = DPR_FORMATS[config.dpr_format]
     if encoding == ENC_BINARIZE:
@@ -96,9 +101,14 @@ def gist_codec(encoding: str, config: GistConfig) -> Encoding:
         return SSDCEncoding(NARROW_COLS, dpr_dtype if config.dpr else None)
     if encoding == ENC_DPR:
         return DPREncoding(dpr_dtype, config.rounding)
+    if str(encoding).startswith(ENC_GROUPQUANT):
+        bits, _, group_size = encoding[len(ENC_GROUPQUANT):].partition("/")
+        if bits.isdigit() and group_size.isdigit():
+            return GroupQuantEncoding(int(bits), int(group_size))
     raise ValueError(
-        f"unknown gist encoding {encoding!r} "
-        f"(expected one of {ENC_BINARIZE!r}, {ENC_SSDC!r}, {ENC_DPR!r})"
+        f"unknown gist encoding {encoding!r} (expected one of "
+        f"{ENC_BINARIZE!r}, {ENC_SSDC!r}, {ENC_DPR!r}, "
+        f"'{ENC_GROUPQUANT}<bits>/<group size>')"
     )
 
 
@@ -266,7 +276,7 @@ def build_gist_plan(
     """
     config = config or GistConfig()
     if schedule is None:
-        schedule = TrainingSchedule(graph)
+        schedule = schedule_of(graph)
     decisions = select_table_i(graph, config, sparsity_model, schedule)
     plan = build_memory_plan(graph, schedule,
                              include_weights=include_weights)

@@ -9,8 +9,8 @@ inserts encode/decode ops; the memory allocator then shares space between
 tensors with disjoint intervals.
 
 :func:`feature_map_uses` is the one answer to "which backward ops read
-feature map *m*, and when?": the liveness table, every planner, the
-executor's stash set and the runtime invariant checker all read it.
+feature map *m*, and when?": the liveness table and every planner read
+it, and the executor runs the tables they build.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dtypes import FP32, UINT8
 from repro.graph.graph import Graph
-from repro.graph.schedule import TrainingSchedule
+from repro.graph.schedule import TrainingSchedule, schedule_of
 from repro.tensor.categories import TensorCategory
 from repro.tensor.spec import TensorSpec
 
@@ -104,8 +104,8 @@ def _reads(node, flag: str, pools_rewritten: bool) -> bool:
     (``backward_needs_input`` / ``backward_needs_output``) names.
 
     With ``pools_rewritten`` a max-pool replays its argmax map and reads
-    neither X nor Y: the executor always runs that way, the memory
-    planners only when Binarize rewrites the pools.
+    neither X nor Y, as the runtime kernels always do; the memory
+    planners rewrite the pools only under Binarize.
     """
     if pools_rewritten and node.kind == "maxpool":
         return False
@@ -137,14 +137,14 @@ def feature_map_uses(
     counts as a read of the loss.
 
     ``pools_rewritten=False`` is the layers' declared dependence (the
-    baseline liveness table); ``True`` is the executor's, and Binarize's
-    (see :func:`_reads`).  Walked once per graph and flag; each call gets
+    baseline liveness table); ``True`` is Binarize's (see
+    :func:`_reads`).  Walked once per graph and flag; each call gets
     its own dict; ``schedule`` is built only when the walk runs and none
     was given.
     """
     return dict(graph.derived(
         ("feature_map_uses", pools_rewritten),
-        lambda: _walk_uses(graph, schedule or TrainingSchedule(graph),
+        lambda: _walk_uses(graph, schedule or schedule_of(graph),
                            pools_rewritten)))
 
 
@@ -191,7 +191,7 @@ def compute_lifetimes(
     table = graph.derived(
         ("lifetimes", include_weights, include_workspace),
         lambda: tuple(_walk_lifetimes(
-            graph, schedule or TrainingSchedule(graph),
+            graph, schedule or schedule_of(graph),
             include_weights, include_workspace)),
     )
     return [copy.copy(t) for t in table]

@@ -85,3 +85,9 @@ class TrainingSchedule:
         """Whether ``node_id`` has a backward op in the schedule."""
         return node_id in self._backward_t
 
+
+def schedule_of(graph: Graph) -> TrainingSchedule:
+    """``graph``'s schedule, built once per graph (:meth:`~repro.graph.
+    graph.Graph.derived`): a schedule never changes after it is built, so
+    every planner, plan record and executor of one graph shares it."""
+    return graph.derived("schedule", lambda: TrainingSchedule(graph))

@@ -8,10 +8,10 @@ windows up to 3x3 — after which the backward pass touches neither ``X`` nor
 ``Y`` (paper Section IV-A).  The runtime kernels here always compute that
 map (it is also the fastest way to write the backward scatter in NumPy).
 Which maps a backward op reads is one table,
-:func:`repro.graph.liveness.feature_map_uses`: with pools rewritten (the
-executor always, the planners under Binarize) a max-pool reads neither X
-nor Y; with its declared flags the *baseline memory model* charges for
-both.
+:func:`repro.graph.liveness.feature_map_uses`: with pools rewritten
+(the planners under Binarize) a max-pool reads neither X nor Y; with its
+declared flags the *baseline memory model* charges for both, and the
+executor, which runs the table, keeps them until the pool's backward.
 """
 
 from __future__ import annotations

@@ -12,9 +12,11 @@ PlanDecision}`` — and one rewrite:
   :class:`~repro.memory.planner.MemoryPlan` — the only place encoded,
   decoded, prefetch and argmax tensors are constructed — which the
   static allocator prices;
-* :mod:`repro.train.stash` maps a table to codecs, and the executor
-  reads the same records: a ``recompute`` / ``shared_concat`` decision's
-  ``source_id`` and ``chain`` are what it replays or re-slices.
+* the executor runs the record (:meth:`repro.train.stash.StashPolicy.
+  record`): it stashes what the table keeps, through each gist or swap
+  decision's codec, rebuilds a ``recompute`` / ``shared_concat`` map
+  from its decision's ``source_id`` and ``chain``, and frees every
+  stash at the table's death (:meth:`PlanRecord.stash_deaths`).
 
 The hybrid selector prices, for every stashed feature map, with the
 roofline cost model —
@@ -38,35 +40,20 @@ then selects greedily by bytes-saved per second of overhead under a
 step-time budget.
 
 Strategy arms: ``build_hybrid_plan(graph, policy.with_(strategy=...))``
-restricts the planner to a single lever, which yields the pure-gist /
-pure-recompute / pure-swap baselines *under the same budget and the same
-structural rewrites* — the apples-to-apples comparison the bench gate
-and the plan-safety oracle rely on.  The hybrid arm additionally adopts
-the best pure selection outright whenever greedy mixing did not beat it,
-so ``hybrid footprint <= min(pure footprints)`` holds structurally.
-
-This planner never merges inplace pairs (that is a post-pass of
-``build_gist_plan``): all arms share the same base liveness table, so
-footprint deltas are attributable to the per-tensor decisions alone.
-"Share" is literal: the graph is static, so its liveness table, stash
-classes, feature-map uses and step-time table are derived once per graph
-(:meth:`~repro.graph.graph.Graph.derived`) whichever planner asks first,
-and one build hands its baseline table to the swap calibration and every
-arm (:func:`apply_decisions` copies only the entries an arm changes).
-
-Execution: :class:`repro.train.stash.HybridExecutionPolicy` hands the
-:class:`HybridPlan`'s table to the stash layer — codecs for gist
-choices, a host-buffer identity codec for swaps, and for recompute
-decisions the record itself, whose chain the executor replays
-(bit-identically, because chains exclude RNG/state-mutating layers and
-sources are pinned to value-exact choices).
+restricts the planner to one lever under the same budget and the same
+base table; the hybrid arm adopts the best pure selection whenever
+greedy mixing did not beat it, so ``hybrid footprint <= min(pure
+footprints)`` holds structurally.  No arm merges inplace pairs (a
+post-pass of ``build_gist_plan``), and one build hands its baseline
+table to the swap calibration and every arm (:func:`apply_decisions`
+copies only the entries an arm changes).
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.dtypes import UINT8
@@ -79,7 +66,7 @@ from repro.graph.liveness import (
     ROLE_WORKSPACE,
     feature_map_uses,
 )
-from repro.graph.schedule import TrainingSchedule
+from repro.graph.schedule import TrainingSchedule, schedule_of
 from repro.memory.allocator import StaticAllocator
 from repro.memory.planner import MemoryPlan, build_memory_plan
 from repro.tensor.categories import TensorCategory
@@ -101,6 +88,13 @@ CHOICE_SWAP = "swap"
 CHOICE_SHARED_CONCAT = "shared_concat"
 ALL_CHOICES = (CHOICE_KEEP, CHOICE_GIST, CHOICE_RECOMPUTE, CHOICE_SWAP,
                CHOICE_SHARED_CONCAT)
+#: The choices whose map is not stashed at all: the backward pass
+#: rebuilds it from the decision's source.
+DROPPED_CHOICES = (CHOICE_RECOMPUTE, CHOICE_SHARED_CONCAT)
+
+#: The suffix of the tensor that holds a decided map across the gap.
+_STANDS_IN = {CHOICE_GIST: ".out.enc", CHOICE_SWAP: ".out.prefetch",
+              CHOICE_RECOMPUTE: ".out.recomp"}
 
 #: Layer kinds that can never appear *inside* a recompute chain:
 #: re-running their forward pass is not deterministic and side-effect-free
@@ -134,7 +128,8 @@ class PlanDecision:
     node_name: str
     stash_class: str
     choice: str
-    #: Gist codec name (``binarize``/``ssdc``/``dpr``) for gist choices.
+    #: Gist codec name (``binarize``/``ssdc``/``dpr``, or a group-quant
+    #: label) for gist choices.
     encoding: Optional[str]
     fp32_bytes: int
     #: Device bytes resident across the forward->backward gap.
@@ -174,6 +169,33 @@ class PlanRecord:
     decisions: Dict[int, PlanDecision]
     #: Ids of the max-pools rewritten to stash an argmax map.
     rewritten_pools: Tuple[int, ...]
+
+    def stash_deaths(self) -> Dict[int, int]:
+        """``{node_id: death}`` of every map the table keeps into the
+        backward pass: the last schedule time its stash may be read.
+
+        An undecided map's stash is its FP32 ``.out`` tensor, a decided
+        one's the tensor standing in for it across the gap; a
+        shared-concat member is a view of its terminal's kept buffer and
+        dies with it.  The loss output's backward op only seeds the pass.
+        """
+        graph = self.graph
+        death_of = {t.spec.name: t.death for t in self.plan.tensors}
+        forward_end = self.schedule.forward_end
+        deaths: Dict[int, int] = {}
+        for node in graph.nodes:
+            decision = self.decisions.get(node.node_id)
+            if decision is None:
+                death = death_of.get(f"{node.name}.out", -1)
+                if death >= forward_end and node.node_id != graph.output_id:
+                    deaths[node.node_id] = death
+            elif decision.choice == CHOICE_SHARED_CONCAT:
+                terminal = graph.node(decision.source_id)
+                deaths[node.node_id] = death_of[f"{terminal.name}.out"]
+            else:
+                deaths[node.node_id] = death_of[
+                    node.name + _STANDS_IN[decision.choice]]
+        return deaths
 
 
 @dataclass
@@ -215,52 +237,21 @@ class HybridPlan(PlanRecord):
             out[d.choice] += d.fp32_bytes
         return out
 
-    def summary_json(self) -> dict:
-        """JSON-serialisable summary: every decision plus the footprints.
-
-        Everything a caller needs to report or compare a priced plan —
-        the per-tensor decision table, the footprints, the budget
-        accounting — without the graph/schedule/allocator objects that
-        only an executor needs.
-        """
-        return {
-            "graph": self.graph.name,
-            "strategy": self.policy.strategy,
-            "cost_budget_frac": float(self.policy.cost_budget_frac),
-            "decisions": [asdict(self.decisions[nid])
-                          for nid in sorted(self.decisions)],
-            "baseline_step_s": float(self.baseline_step_s),
-            "budget_s": float(self.budget_s),
-            "total_cost_s": float(self.total_cost_s),
-            "allocated_bytes": int(self.allocated_bytes),
-            "baseline_allocated_bytes": int(self.baseline_allocated_bytes),
-            "footprint_ratio": float(self.footprint_ratio),
-            "overhead_frac": float(self.overhead_frac),
-            "lossless": bool(self.lossless),
-            "pure_footprints": {k: int(v)
-                                for k, v in sorted(
-                                    self.pure_footprints.items())},
-            "fallback_strategy": self.fallback_strategy,
-            "bytes_by_choice": self.bytes_by_choice(),
-        }
-
 
 # ----------------------------------------------------------------------
-# Runtime-availability analysis (the executor's stash rules)
+# Recompute sources
 # ----------------------------------------------------------------------
 def find_recompute_chain(
     graph: Graph,
-    runtime_uses: Dict[int, tuple],
+    uses: Dict[int, tuple],
     target_id: int,
     target_first_bwd: int,
 ) -> Optional[Tuple[int, Tuple[int, ...]]]:
     """Walk toward the input for the nearest value-exact recompute source.
 
-    ``runtime_uses`` is the graph's
-    :func:`~repro.graph.liveness.feature_map_uses` table with pools
-    rewritten: sources are judged by what the executor stashes (a
-    max-pool replays its argmax map, never X/Y), not the declared
-    baseline needs.
+    ``uses`` is the :func:`~repro.graph.liveness.feature_map_uses` table
+    the plan is rewritten under, so a source is a map the plan stashes,
+    and the executor stashes what the plan does.
 
     Returns ``(source_id, chain)`` — the chain re-runs in order and ends
     at ``target_id`` — or ``None`` when no valid source exists.  A source
@@ -276,7 +267,7 @@ def find_recompute_chain(
     current = target
     for _ in range(_MAX_CHAIN_LENGTH):
         parent = graph.node(current.inputs[0])
-        parent_last_bwd = runtime_uses[parent.node_id][2]
+        parent_last_bwd = uses[parent.node_id][2]
         if parent_last_bwd is not None and parent_last_bwd >= target_first_bwd:
             return parent.node_id, tuple(chain)
         if (
@@ -331,7 +322,6 @@ def _candidate_options(
     from repro.core.schedule_builder import _gist_option
 
     concat_index = concat_index or {}
-    runtime_uses = feature_map_uses(graph, schedule, True)
     options: List[PlanDecision] = []
     for node in graph.nodes:
         nid = node.node_id
@@ -348,7 +338,7 @@ def _candidate_options(
         if gist is not None:
             options.append(gist)
 
-        found = find_recompute_chain(graph, runtime_uses, nid, first_bwd)
+        found = find_recompute_chain(graph, uses, nid, first_bwd)
         if found is not None:
             source_id, chain = found
             # Priced as chain_forward_seconds does, from the step table.
@@ -685,7 +675,7 @@ def build_hybrid_plan(
     policy = policy or HybridPolicy()
     sparsity_model = sparsity_model or DEFAULT_SPARSITY_MODEL
     if schedule is None:
-        schedule = TrainingSchedule(graph)
+        schedule = schedule_of(graph)
     cost = cost or CostModel()
     cfg = policy.gist
 

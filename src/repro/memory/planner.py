@@ -31,7 +31,7 @@ from repro.graph.liveness import (
     ROLE_WORKSPACE,
     compute_lifetimes,
 )
-from repro.graph.schedule import TrainingSchedule
+from repro.graph.schedule import TrainingSchedule, schedule_of
 
 # Refined data-structure classes used in breakdowns (paper Figure 1).
 CLASS_WEIGHT = "weights"
@@ -127,7 +127,7 @@ def build_memory_plan(
             (the paper's investigation baseline).
     """
     if schedule is None:
-        schedule = TrainingSchedule(graph)
+        schedule = schedule_of(graph)
     tensors = compute_lifetimes(
         graph,
         schedule,

@@ -38,7 +38,7 @@ from typing import List, Optional, TYPE_CHECKING, Tuple
 
 from repro.graph.graph import Graph
 from repro.graph.liveness import feature_map_uses
-from repro.graph.schedule import TrainingSchedule
+from repro.graph.schedule import TrainingSchedule, schedule_of
 from repro.memory.hybrid import (
     CHOICE_RECOMPUTE,
     PlanRecord,
@@ -150,7 +150,7 @@ def build_recompute_plan(
     from repro.core.policy import GistConfig
 
     if schedule is None:
-        schedule = TrainingSchedule(graph)
+        schedule = schedule_of(graph)
     trunk = trunk_nodes(graph)
     if segment_length is None:
         segment_length = max(1, math.isqrt(len(trunk)))

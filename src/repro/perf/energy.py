@@ -22,7 +22,7 @@ from repro.core.policy import GistConfig
 from repro.core.schedule_builder import build_gist_plan
 from repro.graph.graph import Graph
 from repro.graph.liveness import ROLE_FEATURE_MAP
-from repro.graph.schedule import TrainingSchedule
+from repro.graph.schedule import schedule_of
 from repro.memory.planner import CLASS_STASHED, build_memory_plan
 
 #: Joules per byte moved through GPU DRAM (read or write).
@@ -65,7 +65,7 @@ def measure_transfer_energy(
         passes = 2.0 if decision.decoded_bytes else 1.0
         gist_j += passes * moved * DRAM_J_PER_BYTE
 
-    schedule = TrainingSchedule(graph)
+    schedule = schedule_of(graph)
     base_plan = build_memory_plan(graph, schedule)
     stashed_bytes = sum(
         t.size_bytes

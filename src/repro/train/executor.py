@@ -1,11 +1,13 @@
 """NumPy training executor with encoding-aware stashing.
 
-Runs a training graph forward and backward, routing every stashed feature
-map through the active :class:`~repro.train.stash.StashPolicy`.  With the
-baseline policy this computes exact FP32 gradients (verified by the
-numerical gradient-check tests); with a Gist policy the backward pass
-reads decoded representations — bit-identical for Binarize/SSDC, rounded
-for DPR — exactly as the paper's modified CNTK does.
+Runs a training graph forward and backward under the plan record its
+:class:`~repro.train.stash.StashPolicy` hands it: the maps the record's
+table keeps into the backward pass are stashed through the codec each
+decision names, and each is freed at the death the allocator priced.
+With the baseline policy this computes exact FP32 gradients (verified by
+the numerical gradient-check tests); with a Gist policy the backward
+pass reads decoded representations — bit-identical for Binarize/SSDC,
+rounded for DPR — exactly as the paper's modified CNTK does.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ import numpy as np
 
 from repro.encodings.base import Encoding
 from repro.graph.graph import Graph
-from repro.graph.liveness import feature_map_uses
 from repro.graph.node import OpNode
-from repro.graph.schedule import TrainingSchedule
 
 from typing import TYPE_CHECKING
 
@@ -30,13 +30,9 @@ from repro.kernels import NULL_ARENA, WorkspaceArena
 from repro.kernels.backends import CONV_ARMS, REFERENCE
 from repro.layers.base import OpContext
 from repro.layers.loss import SoftmaxCrossEntropy
-from repro.memory.hybrid import (
-    CHOICE_RECOMPUTE,
-    CHOICE_SHARED_CONCAT,
-    source_read_time,
-)
+from repro.memory.hybrid import CHOICE_RECOMPUTE, DROPPED_CHOICES, PlanDecision
 from repro.memory.shared_concat import find_concat_chains
-from repro.train.stash import BaselinePolicy, StashPolicy
+from repro.train.stash import BaselinePolicy, StashPolicy, codec_table
 
 #: Node kinds whose outputs are sparsity-tracked each forward pass.
 _SPARSITY_KINDS = {"relu", "maxpool"}
@@ -111,7 +107,8 @@ class GraphExecutor:
             under any name.
 
     Raises:
-        ValueError: If ``kernel_backend`` names no conv arm.
+        ValueError: If ``kernel_backend`` names no conv arm, or the
+            policy's plan record was built for another graph object.
     """
 
     def __init__(self, graph: Graph, policy: Optional[StashPolicy] = None,
@@ -145,35 +142,37 @@ class GraphExecutor:
                 f"graph output must be a SoftmaxCrossEntropy loss, "
                 f"got {self._loss_node.kind!r}"
             )
-        # The maps some backward op reads, max-pools replaying their
-        # argmax map; the loss only seeds the backward pass.
-        self._schedule = schedule = TrainingSchedule(graph)
-        uses = feature_map_uses(graph, schedule, True)
-        self._stashed_ids = {
-            nid for nid, (_, first_bwd, _) in uses.items()
-            if first_bwd is not None} - {graph.output_id}
-        # The death table: the last schedule time a backward op may read
-        # each map, stretched where a decision re-reads a source by the
-        # rule the planner prices (source_read_time).  A read later than
-        # this is a stash-liveness violation.
-        self._death: Dict[int, int] = {
-            nid: last_bwd for nid, (_, _, last_bwd) in uses.items()
-            if last_bwd is not None}
-        for nid in uses:
-            decision = self.policy.decision_for(nid)
-            read = (None if decision is None
-                    else source_read_time(decision, uses))
-            if read is not None:
-                source = decision.source_id
-                self._death[source] = max(self._death.get(source, read), read)
+        # The plan this executor runs: the table the allocator priced.
+        record = self.policy.record(graph)
+        if record.graph is not graph:
+            raise ValueError(
+                f"{self.policy.describe()} was planned for graph "
+                f"{record.graph.name!r} at {id(record.graph):#x}, not for "
+                f"graph {graph.name!r} at {id(graph):#x}")
+        self._schedule = schedule = record.schedule
+        # A read past a stash's death is a stash-liveness violation.
+        self._death: Dict[int, int] = record.stash_deaths()
+        # Not stashed: the backward pass rebuilds them (_rebuild).
+        self._dropped: Dict[int, PlanDecision] = {
+            nid: d for nid, d in record.decisions.items()
+            if d.choice in DROPPED_CHOICES}
+        codecs = codec_table(record)
+        self._encodings: Dict[int, Encoding] = {
+            nid: codecs[nid] if nid in codecs
+            else self.policy.encoding_for(graph, nid)
+            for nid in self._death if nid not in self._dropped}
         # Schedule time -> what dies after the op at that time: a forward
-        # value at its last forward use (the logits stay for last_logits),
-        # a stash and its decoded map at their death.
+        # value after its last forward reader (nodes run in graph order,
+        # so the last to read a value sets its time; the logits stay for
+        # last_logits), a stash and its decoded map at their death.
+        last_read: Dict[int, int] = {}
+        for node in graph.nodes:
+            for nid in (node.node_id, *node.inputs):
+                last_read[nid] = schedule.forward_time(node.node_id)
+        del last_read[self._loss_node.inputs[0]]
         self._frees: Dict[int, List[int]] = {}
-        logits_id = self._loss_node.inputs[0]
-        for nid, (last_fwd, _, _) in uses.items():
-            if nid != logits_id:
-                self._frees.setdefault(last_fwd, []).append(nid)
+        for nid, last_fwd in last_read.items():
+            self._frees.setdefault(last_fwd, []).append(nid)
         for nid, death in self._death.items():
             self._frees.setdefault(death, []).append(nid)
         # The schedule time of the op running or last run: -1 before the
@@ -250,12 +249,9 @@ class GraphExecutor:
         try:
             encoding, encoded = self._stash[node_id]
         except KeyError:
-            decision = self.policy.decision_for(node_id)
-            choice = None if decision is None else decision.choice
-            if choice == CHOICE_RECOMPUTE:
-                return self._materialize_recompute(node_id, decision)
-            if choice == CHOICE_SHARED_CONCAT:
-                return self._materialize_shared_concat(node_id, decision)
+            decision = self._dropped.get(node_id)
+            if decision is not None:
+                return self._rebuild(node_id, decision)
             name = self.graph.node(node_id).name
             raise KeyError(f"feature map of {name!r} was not stashed") from None
         tracer = self.tracer
@@ -371,27 +367,38 @@ class GraphExecutor:
             tracer.record_loss(loss)
         return loss
 
-    def _materialize_recompute(self, node_id: int, decision) -> np.ndarray:
-        """Rebuild a dropped stash by replaying its forward chain.
+    def _rebuild(self, node_id: int, decision: PlanDecision) -> np.ndarray:
+        """Rebuild a map its decision dropped, from the source's stash.
 
-        Re-executes the decision's chain from the source's stashed value
-        with throwaway per-node contexts (the original forward contexts —
-        saved argmax maps, masks — stay untouched for the chain members'
-        own backward ops).  Parameters have not changed since the forward
-        pass, and chains exclude RNG/state-mutating layers, so the rebuilt
-        value is bit-identical to the dropped one.  Cached in the decoded
-        store, so each chain replays at most once per backward pass.
+        * **recompute**: replay the decision's forward chain with
+          throwaway per-node contexts (the original forward contexts —
+          saved argmax maps, masks — stay untouched for the chain
+          members' own backward ops).  Parameters have not changed since
+          the forward pass, and chains exclude RNG/state-mutating layers,
+          so the rebuilt value is bit-identical to the dropped one.
+        * **shared concat**: every link of an ``inputs[0]``-linked concat
+          chain writes into one buffer behind its predecessor, so the
+          terminal's leading channels *are* the member's output, bit for
+          bit: the prefix view is the member, not a copy of it.
+
+        Cached in the decoded store, so each map is rebuilt at most once
+        per backward pass.
         """
         x = self.stashed_value(decision.source_id)
         tracer = self.tracer
         t0 = perf_counter() if tracer is not None else 0.0
-        for chain_id in decision.chain:
-            node = self.graph.node(chain_id)
-            ctx = _Context(self, node)
-            x = node.layer.forward([x], self.params[chain_id], ctx, True)
-            x = self.policy.transform_forward(x, node)
+        if decision.choice == CHOICE_RECOMPUTE:
+            label = "recompute"
+            for chain_id in decision.chain:
+                node = self.graph.node(chain_id)
+                ctx = _Context(self, node)
+                x = node.layer.forward([x], self.params[chain_id], ctx, True)
+                x = self.policy.transform_forward(x, node)
+        else:
+            label = "shared-concat"
+            x = x[:, :self.graph.node(node_id).output_shape[1]]
         if tracer is not None:
-            tracer.record_decode(self.graph.node(node_id).name, "recompute",
+            tracer.record_decode(self.graph.node(node_id).name, label,
                                  x.nbytes, perf_counter() - t0)
         self._decoded[node_id] = x
         return x
@@ -412,39 +419,10 @@ class GraphExecutor:
             return self.arena.rent(shape, dtype)
         return buf[:, :shape[1]]
 
-    def _materialize_shared_concat(self, node_id: int,
-                                   decision) -> np.ndarray:
-        """Read a dropped stash back as a prefix of its concat terminal.
-
-        Every link of an ``inputs[0]``-linked concat chain writes into
-        one buffer behind its predecessor, so the terminal's leading
-        channels *are* the member's output, bit for bit: the prefix view
-        is the member, not a copy of it.  Cached so the slice is cut at
-        most once per backward pass.
-        """
-        base = self.stashed_value(decision.source_id)
-        channels = self.graph.node(node_id).output_shape[1]
-        tracer = self.tracer
-        t0 = perf_counter() if tracer is not None else 0.0
-        value = base[:, :channels]
-        if tracer is not None:
-            tracer.record_decode(self.graph.node(node_id).name,
-                                 "shared-concat", value.nbytes,
-                                 perf_counter() - t0)
-        self._decoded[node_id] = value
-        return value
-
     def _maybe_stash(self, node: OpNode, y: np.ndarray) -> None:
-        if node.node_id not in self._stashed_ids:
+        encoding = self._encodings.get(node.node_id)
+        if encoding is None:
             return
-        decision = self.policy.decision_for(node.node_id)
-        if decision is not None and decision.choice in (
-                CHOICE_RECOMPUTE, CHOICE_SHARED_CONCAT):
-            # Dropped after its last forward use: rebuilt on demand in the
-            # backward pass by replaying its chain, or re-sliced out of
-            # its concat terminal's kept stash.
-            return
-        encoding = self.policy.encoding_for(self.graph, node.node_id)
         encoding.bind_arena(self.arena)
         tracer = self.tracer
         t0 = perf_counter() if tracer is not None else 0.0

@@ -1,30 +1,28 @@
 """Runtime stash policies: what actually gets stored between passes.
 
-The executor routes every stashed feature map through a policy:
+Every policy hands the executor one plan record
+(:meth:`StashPolicy.record`), and the executor runs it: it stashes what
+the record's table keeps into the backward pass, through the codec each
+decision names (:func:`codec_table`), and frees each stash at the death
+the allocator priced.
 
 * :class:`BaselinePolicy` — FP32 references, no transformation (the CNTK
   baseline, and the exact-gradient path used by the gradient-check tests).
-* :class:`GistPolicy` and :class:`HybridExecutionPolicy` — two
-  constructors over one table-driven policy (:class:`_TablePolicy`) and
-  the selector's own codec factory
-  (:func:`~repro.core.schedule_builder.gist_codec`).  Both hand it a
-  selector's ``{node_id: PlanDecision}`` table — the very records the
-  allocator was priced with: ``GistPolicy(graph, cfg)`` the Table-I table of
+* :class:`GistPolicy` — the Table-I plan of
   :func:`~repro.core.schedule_builder.build_gist_plan` (Binarize for
   ReLU-Pool maps, SSDC for ReLU-Conv maps above the CSR breakeven, DPR
-  for the rest), ``HybridExecutionPolicy(plan)`` a budgeted planner's.
+  for the rest); :class:`HybridExecutionPolicy` — a budgeted planner's.
   Lossless edges reconstruct exactly; DPR edges inject precisely the
   quantisation error the paper's Figure 12 accuracy study measures.
 * :class:`UniformReductionPolicy` — the prior-work baseline: quantise
   every layer output *in the forward pass*, so error propagates through
   subsequent layers (at FP16, ``uniform-fp16``, the paper's All-FP16
   curve that diverges in Figure 12).
-* :class:`GroupQuantPolicy` — follow-on work (ActNN): per-group integer
-  stashes.
+* :class:`GroupQuantPolicy` — follow-on work (ActNN): a decision table
+  of per-group integer stashes.
 
-Every policy stashes the FP32 identity unless it says otherwise
-(:meth:`StashPolicy.encoding_for`) and decides nothing but codecs unless
-it is a table policy (:meth:`StashPolicy.decision_for`).
+A policy without a plan runs the baseline table; its ``encoding_for``
+and ``transform_*`` hooks are compute numerics, not stash decisions.
 
 :data:`POLICY_NAMES` is the one policy vocabulary — the ``describe()``
 labels — and :func:`policy_from_name` its one parser.
@@ -32,10 +30,12 @@ labels — and :func:`policy_from_name` its one parser.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.analysis import classify_all_stashes
 from repro.core.policy import GistConfig
 from repro.core.schedule_builder import build_gist_plan, gist_codec
 from repro.dtypes import DPR_FORMATS, FP16
@@ -43,22 +43,39 @@ from repro.encodings.base import Encoding, HostSwapEncoding, IdentityEncoding
 from repro.encodings.floatsim import quantize
 from repro.encodings.groupquant import GROUPQUANT_BITS, GroupQuantEncoding
 from repro.graph.graph import Graph
+from repro.graph.liveness import feature_map_uses
 from repro.graph.node import OpNode
-from repro.memory.hybrid import CHOICE_GIST, CHOICE_SWAP, PlanDecision
+from repro.graph.schedule import schedule_of
+from repro.memory.hybrid import (
+    CHOICE_GIST,
+    CHOICE_SWAP,
+    PlanDecision,
+    PlanRecord,
+    apply_decisions,
+)
+from repro.memory.planner import build_memory_plan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memory.hybrid import HybridPlan
 
 
 class StashPolicy:
-    """Chooses the stash encoding per feature-map edge."""
+    """A plan record (:meth:`record`) plus compute hooks."""
+
+    #: The record a planned policy runs (built for one graph).
+    plan: Optional[PlanRecord] = None
 
     def __init__(self):
         self._identity = IdentityEncoding()
 
+    def record(self, graph: Graph) -> PlanRecord:
+        """The plan the executor runs on ``graph``: the policy's
+        :attr:`plan`, else the baseline liveness table, no decisions."""
+        return self.plan if self.plan is not None else _table_record(graph, {})
+
     def encoding_for(self, graph: Graph, node_id: int) -> Encoding:
-        """Encoding for the feature map produced by ``node_id``: the FP32
-        identity unless a policy says otherwise."""
+        """Encoding for ``node_id``'s stash where the record decides
+        none: the FP32 identity unless a policy says otherwise."""
         return self._identity
 
     def describe(self) -> str:
@@ -72,18 +89,6 @@ class StashPolicy:
     def transform_gradient(self, dx: np.ndarray, node: OpNode) -> np.ndarray:
         """Hook applied to every gradient map a backward op produces."""
         return dx
-
-    def decision_for(self, node_id: int) -> Optional[PlanDecision]:
-        """The plan's decision for ``node_id``'s stash, or ``None``.
-
-        The executor does not stash a map whose decision is ``recompute``
-        or ``shared_concat``; on the first backward read it replays the
-        decision's ``chain`` from ``source_id``'s stash, or re-slices the
-        leading channels of the concat terminal ``source_id`` (bit-exact
-        because the chain runs in one buffer: the member *is* that
-        prefix).  Only the table policies return decisions.
-        """
-        return None
 
     #: If set, the trainer re-quantises every weight to this format after
     #: each optimiser step (uniform-reduction baselines store weights in
@@ -99,13 +104,24 @@ class BaselinePolicy(StashPolicy):
         return "baseline"
 
 
+def _table_record(graph: Graph,
+                  decisions: Dict[int, PlanDecision]) -> PlanRecord:
+    """``build_memory_plan``'s table rewritten under ``decisions``, the
+    max-pools reading their declared X and Y maps."""
+    schedule = schedule_of(graph)
+    plan = build_memory_plan(graph, schedule)
+    config = GistConfig.disabled()
+    pools = apply_decisions(plan, feature_map_uses(graph, schedule, False),
+                            decisions, config)
+    return PlanRecord(graph, schedule, plan, config, decisions, pools)
+
+
 def _make_codec(decision: PlanDecision, cfg: GistConfig) -> Encoding:
     """The codec a gist or swap decision stashes through.
 
     Raises:
-        ValueError: A gist decision names an encoding Table I does not
-            have — silently substituting a lossy codec would corrupt
-            training.
+        ValueError: A gist decision names an encoding no codec has —
+            silently substituting a lossy codec would corrupt training.
     """
     if decision.choice == CHOICE_SWAP:
         return HostSwapEncoding()
@@ -115,48 +131,34 @@ def _make_codec(decision: PlanDecision, cfg: GistConfig) -> Encoding:
         raise ValueError(f"{decision.node_name}: {err}") from None
 
 
-class _TablePolicy(StashPolicy):
-    """Executes a ``{node_id: PlanDecision}`` table at the stash layer,
-    with codecs parameterised by ``cfg``:
+def codec_table(record: PlanRecord) -> Dict[int, Encoding]:
+    """``{node_id: codec}`` of ``record``'s gist decisions (their codec)
+    and swap decisions (:class:`HostSwapEncoding`, a bit-exact host copy
+    standing in for the PCIe offload), one instance per distinct
+    (choice, encoding).
 
-    * **gist** decisions stash through their codec (Binarize / SSDC /
-      DPR);
-    * **swap** decisions stash through :class:`HostSwapEncoding` — a
-      bit-exact host-buffer copy standing in for the PCIe offload;
-    * **recompute** and **shared_concat** decisions are *not stashed at
-      all*: the executor reads them through :meth:`decision_for` and
-      rebuilds the map on its first backward read;
-    * nodes without a decision keep the FP32 identity baseline.
+    Raises:
+        ValueError: A decision names an unknown encoding.
     """
-
-    def __init__(self, cfg: GistConfig, decisions: Dict[int, PlanDecision]):
-        super().__init__()
-        self._decisions = decisions
-        # One codec instance per distinct (choice, encoding) pair.
-        codecs: Dict[Tuple[str, Optional[str]], Encoding] = {}
-        self._table: Dict[int, Encoding] = {}
-        for node_id, decision in decisions.items():
-            if decision.choice not in (CHOICE_GIST, CHOICE_SWAP):
-                continue
-            key = (decision.choice, decision.encoding)
-            if key not in codecs:
-                codecs[key] = _make_codec(decision, cfg)
-            self._table[node_id] = codecs[key]
-
-    def encoding_for(self, graph: Graph, node_id: int) -> Encoding:
-        return self._table.get(node_id, self._identity)
-
-    def decision_for(self, node_id: int) -> Optional[PlanDecision]:
-        return self._decisions.get(node_id)
+    codecs: Dict[Tuple[str, Optional[str]], Encoding] = {}
+    table: Dict[int, Encoding] = {}
+    for node_id, decision in record.decisions.items():
+        if decision.choice not in (CHOICE_GIST, CHOICE_SWAP):
+            continue
+        key = (decision.choice, decision.encoding)
+        if key not in codecs:
+            codecs[key] = _make_codec(decision, record.config)
+        table[node_id] = codecs[key]
+    return table
 
 
-class GistPolicy(_TablePolicy):
-    """Layer-pair-aware encodings: executes the Schedule Builder's table."""
+class GistPolicy(StashPolicy):
+    """Layer-pair-aware encodings: runs the Schedule Builder's plan."""
 
     def __init__(self, graph: Graph, config: Optional[GistConfig] = None):
+        super().__init__()
         self.config = config or GistConfig()
-        super().__init__(self.config,
-                         build_gist_plan(graph, self.config).decisions)
+        self.plan = build_gist_plan(graph, self.config)
 
     def describe(self) -> str:
         """Label: ``"gist-lossless"`` or ``"gist-<dpr format>"``."""
@@ -223,29 +225,35 @@ class GroupQuantPolicy(StashPolicy):
         super().__init__()
         self._encoding = GroupQuantEncoding(bits, group_size)
 
-    def encoding_for(self, graph: Graph, node_id: int) -> Encoding:
-        if node_id == graph.input_id:
-            return self._identity
-        return self._encoding
+    def record(self, graph: Graph) -> PlanRecord:
+        """The baseline table, every stashed map but the input images
+        group-quantised (sized by the codec's size model)."""
+        codec = self._encoding
+        decisions: Dict[int, PlanDecision] = {}
+        for nid, info in classify_all_stashes(graph).items():
+            if nid not in (graph.input_id, graph.output_id):
+                node = graph.node(nid)
+                n = math.prod(node.output_shape)
+                decisions[nid] = PlanDecision(
+                    nid, node.name, info.stash_class, CHOICE_GIST,
+                    f"{codec.name}/{codec.group_size}", fp32_bytes=4 * n,
+                    resident_bytes=codec.encoded_bytes(n), cost_s=0.0,
+                    lossless=codec.lossless, decoded_bytes=4 * n)
+        return _table_record(graph, decisions)
 
     def describe(self) -> str:
         """Label: ``"groupquant-int<bits>"``."""
         return self._encoding.name
 
 
-class HybridExecutionPolicy(_TablePolicy):
-    """Executes a :class:`~repro.memory.hybrid.HybridPlan`'s decisions.
-
-    With a lossless plan (the default :class:`~repro.core.policy.
-    HybridPolicy` uses ``GistConfig.lossless()``) every path reproduces
-    the baseline's backward inputs bit for bit, so losses and gradients
-    are bit-identical to :class:`BaselinePolicy` — the property the
-    hybrid-execution tests pin with golden digests.
-    """
+class HybridExecutionPolicy(StashPolicy):
+    """Runs a :class:`~repro.memory.hybrid.HybridPlan`.  A lossless plan
+    (the default :class:`~repro.core.policy.HybridPolicy`'s) trains
+    bit-identically to :class:`BaselinePolicy`, as golden digests pin."""
 
     def __init__(self, plan: "HybridPlan"):
+        super().__init__()
         self.plan = plan
-        super().__init__(plan.policy.gist, plan.decisions)
 
     def describe(self) -> str:
         """Label: the plan policy's (``"hybrid"`` / ``"hybrid-<arm>"``)."""

@@ -92,7 +92,7 @@ from repro.encodings.dpr import dpr_encoding
 from repro.encodings.groupquant import GroupQuantEncoding
 from repro.encodings.ssdc import SSDCEncoding
 from repro.graph.graph import Graph
-from repro.graph.schedule import TrainingSchedule
+from repro.graph.schedule import schedule_of
 from repro.memory.allocator import (
     POLICY_FIRST_FIT,
     POLICY_GREEDY_SIZE,
@@ -246,7 +246,7 @@ def verify_graph(
     first-fit`` leg (see :func:`repro.verify.oracles.check_policy_bounds`).
     """
     violations: List[Violation] = []
-    schedule = TrainingSchedule(graph)
+    schedule = schedule_of(graph)
     baseline = build_memory_plan(graph, schedule)
 
     # (a) allocator safety + (b) cross-model bounds on the baseline table.

@@ -114,8 +114,8 @@ class TestLivenessChecker:
         decision = next(d for d in plan.decisions.values()
                         if d.choice == CHOICE_RECOMPUTE)
         source = decision.source_id
-        death = executor._death[source]
-        uses = feature_map_uses(graph, executor._schedule, True)
+        death = plan.stash_deaths()[source]
+        uses = feature_map_uses(graph, plan.schedule, True)
         assert death >= source_read_time(decision, uses)
         rng = np.random.default_rng(0)
         shape = graph.node(graph.input_id).output_shape

@@ -47,7 +47,10 @@ def _record(record):
 
 
 def _hybrid(record):
-    return record.summary_json(), _plan(record.plan)
+    return (record.decisions, record.total_cost_s, record.budget_s,
+            record.allocated_bytes, record.baseline_allocated_bytes,
+            record.pure_footprints, record.fallback_strategy,
+            _plan(record.plan))
 
 
 def _classes(graph):
@@ -169,3 +172,33 @@ def test_a_warm_graph_still_copies_and_agrees():
     assert CostModel().step_time(twin) is not CostModel().step_time(graph)
     assert CostModel().step_time(twin) == CostModel().step_time(graph)
     assert compute_lifetimes(twin) == compute_lifetimes(graph)
+
+
+def _schedules_built(monkeypatch):
+    built = []
+    init = TrainingSchedule.__init__
+
+    def counting(self, graph):
+        built.append(graph)
+        init(self, graph)
+
+    monkeypatch.setattr(TrainingSchedule, "__init__", counting)
+    return built
+
+
+def test_a_cold_overhead_measurement_builds_one_schedule(monkeypatch):
+    graph = build_model("vgg16", batch_size=BATCH)
+    built = _schedules_built(monkeypatch)
+    measure_overhead(graph, GistConfig())
+    assert built == [graph]
+    measure_overhead(graph, GistConfig.lossless())
+    assert built == [graph]
+
+
+def test_an_executor_under_gist_builds_one_schedule(monkeypatch):
+    from repro.train import GistPolicy, GraphExecutor
+
+    graph = build_model("scaled_vgg", batch_size=4)
+    built = _schedules_built(monkeypatch)
+    GraphExecutor(graph, GistPolicy(graph), seed=0)
+    assert built == [graph]

@@ -7,6 +7,7 @@ from repro.core import GistConfig
 from repro.encodings.base import Encoding
 from repro.models import tiny_cnn
 from repro.train import GistPolicy, GraphExecutor, make_synthetic
+from repro.train.stash import codec_table
 
 from tests.conftest import run_layer
 
@@ -88,17 +89,18 @@ class TestGistPolicyArms:
         g = tiny_cnn(batch_size=8, num_classes=4)
         policy = GistPolicy(g, GistConfig(binarize=False, dpr_format="fp16"))
         relu1 = g.node_by_name("relu1")
-        assert policy.encoding_for(g, relu1.node_id).name == "dpr-fp16"
+        assert codec_table(policy.plan)[relu1.node_id].name == "dpr-fp16"
 
     def test_ssdc_off_routes_relu_conv_to_dpr(self):
         g = tiny_cnn(batch_size=8, num_classes=4)
         policy = GistPolicy(g, GistConfig(ssdc=False, dpr_format="fp10"))
         relu2 = g.node_by_name("relu2")
-        assert policy.encoding_for(g, relu2.node_id).name == "dpr-fp10"
+        assert codec_table(policy.plan)[relu2.node_id].name == "dpr-fp10"
 
     def test_all_off_is_identity(self):
         g = tiny_cnn(batch_size=8, num_classes=4)
         policy = GistPolicy(g, GistConfig.disabled())
+        assert codec_table(policy.plan) == {}
         for node in g.nodes:
             assert policy.encoding_for(g, node.node_id).name == "identity"
 

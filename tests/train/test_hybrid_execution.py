@@ -129,8 +129,8 @@ class TestBitIdentity:
             assert measured[decision.node_name] == 0
 
     def test_policy_without_the_decision_hook_still_trains(self, batches):
-        """A policy that does not override ``decision_for`` (it inherits
-        StashPolicy's ``None``) runs a full step."""
+        """A policy whose record holds no hybrid decision (group
+        quantisation decides only codecs) runs a full step."""
         policy = GroupQuantPolicy(bits=8)
         ex = GraphExecutor(fresh_graph(), policy, seed=0)
         images, labels = batches[0]

@@ -1,62 +1,95 @@
-"""The executor frees by one death table, and it is the plan's.
+"""The executor runs its policy's plan record, deaths included.
 
-:class:`~repro.train.executor.GraphExecutor` drops each stash and decoded
-map after the backward op that is its last reader.  The allocator prices
-the same lifetimes from the plan's tensor table, so the two must agree:
-a runtime map that outlived its plan tensor would hold bytes the plan
-gave to another tensor.
+:class:`~repro.train.executor.GraphExecutor` reads each stash's death off
+the record the allocator priced (:meth:`~repro.memory.hybrid.PlanRecord.
+stash_deaths`), drops each stash and decoded map after it, and refuses a
+read past it.  So a death shortened in the record is a read the executor
+refuses, and a record built for another graph is refused outright.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import build_gist_plan
+from repro.core import GistConfig
+from repro.diagnostics import InvariantViolation
 from repro.memory import build_hybrid_plan
-from repro.memory.hybrid import (
-    CHOICE_GIST,
-    CHOICE_RECOMPUTE,
-    CHOICE_SHARED_CONCAT,
-    CHOICE_SWAP,
-)
+from repro.memory.hybrid import CHOICE_GIST, CHOICE_RECOMPUTE, CHOICE_SWAP
 from repro.models import build_model
-from repro.train import GraphExecutor, HybridExecutionPolicy, policy_from_name
-
-MODELS = ("scaled_vgg", "densenet", "tiny_cnn", "lstm")
-POLICIES = ("gist-lossless", "gist-fp16", "hybrid")
+from repro.train import (
+    BaselinePolicy,
+    GistPolicy,
+    GraphExecutor,
+    HybridExecutionPolicy,
+    policy_from_name,
+)
 
 #: The plan tensor that stands in for a decided map across the gap.
 STANDS_IN = {CHOICE_GIST: ".out.enc", CHOICE_SWAP: ".out.prefetch",
              CHOICE_RECOMPUTE: ".out.recomp"}
 
 
-def _plan_and_policy(graph, name):
+def _policy(graph, name):
     if name == "hybrid":
-        plan = build_hybrid_plan(graph)
-        return plan, HybridExecutionPolicy(plan)
-    policy = policy_from_name(name, graph)
-    return build_gist_plan(graph, policy.config), policy
+        return HybridExecutionPolicy(build_hybrid_plan(graph))
+    return policy_from_name(name, graph)
 
 
-@pytest.mark.parametrize("model", MODELS)
-@pytest.mark.parametrize("name", POLICIES)
-def test_executor_death_is_the_plans(model, name):
-    graph = build_model(model, batch_size=4)
-    plan, policy = _plan_and_policy(graph, name)
-    executor = GraphExecutor(graph, policy, seed=0)
-    planned = {t.spec.name: t.death for t in plan.plan.tensors}
-    death = executor._death
-    assert executor._stashed_ids
-    for nid in executor._stashed_ids:
-        node_name = graph.node(nid).name
-        decision = plan.decisions.get(nid)
-        if decision is None:
-            assert death[nid] == planned[f"{node_name}.out"], node_name
-        elif decision.choice == CHOICE_SHARED_CONCAT:
-            # The member is its terminal's prefix through its last read.
-            assert death[decision.source_id] >= death[nid], node_name
-        else:
-            assert death[nid] == planned[
-                node_name + STANDS_IN[decision.choice]], node_name
+def _random_batch(graph):
+    rng = np.random.default_rng(0)
+    shape = graph.node(graph.input_id).output_shape
+    return (rng.normal(0, 1, shape).astype(np.float32),
+            rng.integers(0, 10, shape[0]))
+
+
+class _RunsRecord(BaselinePolicy):
+    """Runs one fixed record, whatever its decisions."""
+
+    def __init__(self, record):
+        super().__init__()
+        self.fixed = record
+
+    def record(self, graph):
+        return self.fixed
+
+
+@pytest.mark.parametrize("name, relu", [
+    ("baseline", "relu1_2"),        # the FP32 .out
+    ("gist-lossless", "relu1_2"),   # Binarize's .out.enc
+    ("hybrid", "relu1_1"),          # a swap's .out.prefetch
+])
+def test_a_death_shortened_in_the_record_refuses_the_read(name, relu):
+    """A ReLU's backward reads its stash at its death; one tick earlier
+    in the record, and the executor's clock refuses that read."""
+    graph = build_model("scaled_vgg", batch_size=4)
+    record = _policy(graph, name).record(graph)
+    relu = graph.node_by_name(relu)
+    decision = record.decisions.get(relu.node_id)
+    suffix = ".out" if decision is None else STANDS_IN[decision.choice]
+    tensor = next(t for t in record.plan.tensors
+                  if t.spec.name == relu.name + suffix)
+    death = tensor.death
+    assert record.stash_deaths()[relu.node_id] == death
+    tensor.death -= 1
+    executor = GraphExecutor(graph, _RunsRecord(record), seed=0)
+    executor.forward(*_random_batch(graph))
+    with pytest.raises(InvariantViolation,
+                       match=f"stash-liveness: stash of '{relu.name}' read "
+                             f"at schedule time {death}, after its death "
+                             f"point {death - 1}"):
+        executor.backward()
+
+
+def test_a_record_built_for_another_graph_is_refused():
+    """A densenet-built Table-I plan would run on scaled VGG's node ids
+    silently (its loss even matches baseline, its gradients do not)."""
+    densenet = build_model("densenet", batch_size=4)
+    vgg = build_model("scaled_vgg", batch_size=4)
+    policy = GistPolicy(densenet, GistConfig.lossless())
+    with pytest.raises(ValueError, match="'densenet'.*'scaled_vgg'"):
+        GraphExecutor(vgg, policy, seed=0)
+    # Another object of the same graph is another graph, too.
+    with pytest.raises(ValueError, match="planned for graph"):
+        GraphExecutor(build_model("densenet", batch_size=4), policy, seed=0)
 
 
 @pytest.mark.parametrize("name", ["baseline", "gist-fp16", "hybrid"])
@@ -64,13 +97,8 @@ def test_a_step_leaves_nothing_behind(name):
     """Every stash, decoded map, context and chain buffer is freed by the
     time ``backward`` returns; only the logits stay, for the metrics."""
     graph = build_model("densenet", batch_size=4)
-    policy = (_plan_and_policy(graph, name)[1] if name == "hybrid"
-              else policy_from_name(name, graph))
-    executor = GraphExecutor(graph, policy, seed=0)
-    rng = np.random.default_rng(0)
-    shape = graph.node(graph.input_id).output_shape
-    executor.forward(rng.normal(0, 1, shape).astype(np.float32),
-                     rng.integers(0, 10, shape[0]))
+    executor = GraphExecutor(graph, _policy(graph, name), seed=0)
+    executor.forward(*_random_batch(graph))
     assert executor.stashed_node_ids()
     assert not executor._chain_buffers
     executor.backward()

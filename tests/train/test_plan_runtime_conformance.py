@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import GistConfig, build_gist_plan, gist_codec
-from repro.graph.liveness import feature_map_uses
-from repro.graph.schedule import TrainingSchedule
+from repro.encodings.groupquant import GROUPQUANT_BITS
 from repro.kernels import clear_plan_cache, clear_selection_cache
 from repro.memory import build_hybrid_plan
 from repro.models import available_models, build_model, scaled_vgg
@@ -24,7 +23,9 @@ from repro.train import (
     GistPolicy,
     GraphExecutor,
     HybridExecutionPolicy,
+    policy_from_name,
 )
+from repro.train.stash import codec_table
 
 CONFIGS = {"lossless": GistConfig.lossless(), "full": GistConfig.full()}
 
@@ -36,15 +37,14 @@ def test_runtime_table_equals_plan_decisions(model, config_name):
     graph = build_model(model, batch_size=32)
     policy = GistPolicy(graph, cfg)
     planned = build_gist_plan(graph, cfg).decisions
-    uses = feature_map_uses(graph, TrainingSchedule(graph), True)
-    stashed = {nid for nid, (_, first_bwd, _) in uses.items()
-               if first_bwd is not None and nid != graph.output_id}
+    stashed = policy.record(graph).stash_deaths().keys()
+    codecs = codec_table(policy.record(graph))
     # Runtime -> plan: every stashed map runs the codec its decision was
     # sized with — the one factory's, reproducing the priced bytes — and
     # the FP32 identity where the plan decided nothing.
     for nid in stashed:
         node = graph.node(nid)
-        codec = policy.encoding_for(graph, nid)
+        codec = codecs.get(nid, policy.encoding_for(graph, nid))
         decision = planned.get(nid)
         if decision is None:
             assert codec.name == "identity", node.name
@@ -79,6 +79,29 @@ def test_below_breakeven_pool_is_stashed_as_planned(model):
         np.prod(pool1.output_shape))
 
 
+@pytest.mark.parametrize("bits", GROUPQUANT_BITS)
+def test_groupquant_holds_the_bytes_its_record_plans(bits):
+    """Every group-quantised stash measures exactly its record's
+    ``.out.enc`` bytes after a forward, and the FP32 input its ``.out``
+    bytes: the size model is exact."""
+    graph = build_model("scaled_vgg", batch_size=4)
+    policy = policy_from_name(f"groupquant-int{bits}", graph)
+    record = policy.record(graph)
+    planned = {t.spec.name: t.size_bytes for t in record.plan.tensors}
+    executor = GraphExecutor(graph, policy, seed=0)
+    rng = np.random.default_rng(0)
+    shape = graph.node(graph.input_id).output_shape
+    executor.forward(rng.normal(0, 1, shape).astype(np.float32),
+                     rng.integers(0, 10, shape[0]))
+    held = executor.stash_bytes()
+    assert held.keys() == {graph.node(nid).name
+                           for nid in record.stash_deaths()}
+    assert len(record.decisions) == len(held) - 1
+    for name, nbytes in held.items():
+        suffix = ".out" if name == "input" else ".out.enc"
+        assert nbytes == planned[name + suffix], name
+
+
 def test_unknown_encoding_is_rejected_not_run_as_dpr():
     """A table row naming a codec Table I does not have must fail loudly
     instead of silently stashing through the lossy DPR codec."""
@@ -88,7 +111,7 @@ def test_unknown_encoding_is_rejected_not_run_as_dpr():
                          if d.choice == "gist")
     plan.decisions[nid] = dataclasses.replace(decision, encoding="zstd")
     with pytest.raises(ValueError) as err:
-        HybridExecutionPolicy(plan)
+        GraphExecutor(graph, HybridExecutionPolicy(plan))
     assert decision.node_name in str(err.value)
     assert "zstd" in str(err.value)
 

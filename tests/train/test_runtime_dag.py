@@ -26,6 +26,7 @@ from repro.train import (
     Trainer,
     make_synthetic,
 )
+from repro.train.stash import codec_table
 
 
 def inception_like():
@@ -116,7 +117,7 @@ class TestDAGRuntime:
 
 def _codecs(policy, prefix):
     """The policy's distinct codecs whose name starts with ``prefix``."""
-    found = {id(e): e for e in policy._table.values()
+    found = {id(e): e for e in codec_table(policy.plan).values()
              if e.name.startswith(prefix)}
     assert found, f"no {prefix} codec in the policy table"
     return list(found.values())

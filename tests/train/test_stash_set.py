@@ -1,33 +1,40 @@
-"""The executor stashes exactly what the rewritten uses table says.
+"""The executor stashes exactly what its policy's record keeps.
 
 After one forward pass, the set of stashed node ids equals the maps the
-pool-rewritten feature-map-uses table gives a first backward read, minus
-the loss output (whose only backward "read" is the seed of the pass).
-Checked on the small registry models and default-genre fuzz seeds, and
-on DenseNet under a hybrid plan, whose recompute and shared-concat decisions drop their
-stash on purpose.
+policy's plan record keeps into the backward pass
+(:meth:`~repro.memory.hybrid.PlanRecord.stash_deaths`), minus the maps a
+recompute or shared-concat decision drops on purpose.  Checked under
+every named policy on the small registry models, under ``baseline`` on
+default-genre fuzz seeds, and on DenseNet under a hybrid plan.
 """
 
 import numpy as np
 import pytest
 
-from repro.graph.liveness import feature_map_uses
 from repro.diagnostics.golden import GOLDEN_MODELS
-from repro.graph.schedule import TrainingSchedule
+from repro.graph.liveness import feature_map_uses
 from repro.memory import build_hybrid_plan
-from repro.memory.hybrid import CHOICE_RECOMPUTE, CHOICE_SHARED_CONCAT
+from repro.memory.hybrid import DROPPED_CHOICES
 from repro.models import build_model
-from repro.train import GraphExecutor, HybridExecutionPolicy
+from repro.train import (
+    POLICY_NAMES,
+    GraphExecutor,
+    HybridExecutionPolicy,
+    StashPolicy,
+    policy_from_name,
+)
 from repro.verify.fuzzer import GraphFuzzer
 
 MODELS = {**GOLDEN_MODELS, "rnn": GOLDEN_MODELS["lstm"]}
 FUZZ_SEEDS = range(40)
 
 
-def _table_stash_set(graph):
-    uses = feature_map_uses(graph, TrainingSchedule(graph), True)
-    return {nid for nid, (_, first_bwd, _) in uses.items()
-            if first_bwd is not None} - {graph.output_id}
+def _record_stash_set(policy, graph):
+    record = policy.record(graph)
+    assert record is not None and record.graph is graph
+    return set(record.stash_deaths()) - {
+        nid for nid, d in record.decisions.items()
+        if d.choice in DROPPED_CHOICES}
 
 
 def _forward_once(executor):
@@ -41,25 +48,41 @@ def _forward_once(executor):
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
-def test_registry_model_stashes_the_table(model):
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_registry_model_stashes_the_table(model, name):
     graph = build_model(model, **MODELS[model])
-    stashed = _forward_once(GraphExecutor(graph, seed=0))
-    assert stashed == _table_stash_set(graph), model
+    policy = policy_from_name(name, graph)
+    stashed = _forward_once(GraphExecutor(graph, policy, seed=0))
+    assert stashed == _record_stash_set(policy, graph), (model, name)
 
 
 def test_fuzz_graphs_stash_the_table():
     for seed in FUZZ_SEEDS:
         graph = GraphFuzzer(seed).graph()
-        stashed = _forward_once(GraphExecutor(graph, seed=0))
-        assert stashed == _table_stash_set(graph), seed
+        policy = StashPolicy()
+        stashed = _forward_once(GraphExecutor(graph, policy, seed=0))
+        assert stashed == _record_stash_set(policy, graph), seed
 
 
 def test_hybrid_densenet_stashes_the_table_minus_dropped_maps():
     graph = build_model("densenet", **GOLDEN_MODELS["densenet"])
     plan = build_hybrid_plan(graph)
     dropped = {nid for nid, d in plan.decisions.items()
-               if d.choice in (CHOICE_RECOMPUTE, CHOICE_SHARED_CONCAT)}
+               if d.choice in DROPPED_CHOICES}
     assert dropped
-    stashed = _forward_once(
-        GraphExecutor(graph, HybridExecutionPolicy(plan), seed=0))
-    assert stashed == _table_stash_set(graph) - dropped
+    policy = HybridExecutionPolicy(plan)
+    stashed = _forward_once(GraphExecutor(graph, policy, seed=0))
+    assert stashed == _record_stash_set(policy, graph)
+    assert not stashed & dropped
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_declared_pool_reads_add_no_registry_stash(model):
+    """The baseline record keeps what a max-pool declares it reads (X and
+    Y), where the runtime replays the argmax map; on the registry models
+    every such map is stashed for another reader anyway."""
+    graph = build_model(model, **MODELS[model])
+    runtime = feature_map_uses(graph, None, True)
+    read = {nid for nid, (_, first_bwd, _) in runtime.items()
+            if first_bwd is not None} - {graph.output_id}
+    assert _record_stash_set(StashPolicy(), graph) == read
